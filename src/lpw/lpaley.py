@@ -67,12 +67,18 @@ def from_spectrum(spec: GridSpec, F: np.ndarray, real: bool = True) -> GridFunct
     return GridFunction(spec, u)
 
 
-def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    """Samples of m(D) f; sample-position phases cancel for multipliers."""
-    out = np.fft.ifftn(mult * np.fft.fftn(f.values))
+def _apply_to_spectrum(f: GridFunction, F: np.ndarray, mult: np.ndarray) -> GridFunction:
+    """Samples of m(D) f given F = fftn(f.values), so one forward transform
+    serves every multiplier applied to f."""
+    out = np.fft.ifftn(mult * F)
     if np.isrealobj(f.values) and np.isrealobj(mult):
         out = out.real
     return GridFunction(f.spec, out)
+
+
+def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
+    """Samples of m(D) f; sample-position phases cancel for multipliers."""
+    return _apply_to_spectrum(f, np.fft.fftn(f.values), mult)
 
 
 def lattice_values(f: GridFunction, mult: np.ndarray | None = None) -> np.ndarray:
@@ -247,8 +253,10 @@ class BandDecomposition:
 
 
 def band_decompose(f: GridFunction, pair: LPPair) -> BandDecomposition:
-    bands = VectorSequence(pair.k_min, tuple(band(f, pair, k) for k in pair.levels()))
-    return BandDecomposition(pair, bands)
+    """Every band of the pair window from one forward transform of f."""
+    F = np.fft.fftn(f.values)
+    bands = tuple(_apply_to_spectrum(f, F, pair.phi_mult[k]) for k in pair.levels())
+    return BandDecomposition(pair, VectorSequence(pair.k_min, bands))
 
 
 # ---------------------------------------------------------------------------

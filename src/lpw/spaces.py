@@ -1,10 +1,12 @@
 """Weighted Besov / Triebel-Lizorkin quasi-norms, their sequence-space
 counterparts, BMO, and a grand-maximal Hardy-type norm.
 
-Function-side norms act on band decompositions t_k (phi_k * f); sequence-side
-norms act on sparse coefficient sets, in both the direct form (weight
-evaluated pointwise) and the starred form (weight aggregated into cube
-L_p norms t_{k,m}).  Level sums are truncated to the stored window, which is
+Function-side norms act on the weighted bands t_k (phi_k * f) and take either
+a GridFunction, which they decompose first, or a BandDecomposition built on
+the request's band pair, so callers that evaluate many norms of one function
+compute its bands once.  Sequence-side norms act on sparse coefficient sets,
+in both the direct form (weight evaluated pointwise) and the starred form
+(weight aggregated into cube L_p norms t_{k,m}).  Level sums are truncated to the stored window, which is
 exact on the band-limited corpus this package works with.
 """
 
@@ -28,7 +30,7 @@ from .grid import (
     lp_norm,
     weighted_lp_norm,
 )
-from .lpaley import CoefficientSet, LPPair, apply_multiplier, band
+from .lpaley import BandDecomposition, CoefficientSet, LPPair, _apply_to_spectrum, band_decompose
 from .weights import WeightSequence
 
 
@@ -65,26 +67,44 @@ class NormRequest:
         return self.weights.levels()
 
 
-def weighted_bands(f: GridFunction, req: NormRequest) -> VectorSequence:
-    """{ t_k * |phi_k * f| } over the request's level window."""
+def _bands(f: GridFunction | BandDecomposition, pair: LPPair) -> VectorSequence:
+    """The bands of f on `pair`: decomposed here from a GridFunction, taken
+    as they are from a BandDecomposition built on the same grid and window."""
+    if isinstance(f, GridFunction):
+        return band_decompose(f, pair).bands
+    have, want = f.pair, pair
+    if (have.gspec, have.k_min, have.k_max) != (want.gspec, want.k_min, want.k_max):
+        raise ValueError(
+            f"band decomposition on {have.gspec}, levels [{have.k_min}, {have.k_max}], "
+            f"does not match the request's pair on {want.gspec}, "
+            f"levels [{want.k_min}, {want.k_max}]"
+        )
+    return f.bands
+
+
+def weighted_bands(f: GridFunction | BandDecomposition, req: NormRequest) -> VectorSequence:
+    """{ t_k * |phi_k * f| } over the request's level window; f is a
+    GridFunction or its BandDecomposition on req.pair."""
+    bands = _bands(f, req.pair)
     out = []
     for k in req.levels():
-        t = req.weights.on_grid(f.spec, k)
-        b = band(f, req.pair, k)
-        out.append(GridFunction(f.spec, t.values * np.abs(b.values)))
+        t = req.weights.on_grid(bands.spec, k)
+        out.append(GridFunction(bands.spec, t.values * np.abs(bands[k].values)))
     return VectorSequence(req.weights.k_min, tuple(out))
 
 
-def besov_norm(f: GridFunction, req: NormRequest) -> float:
-    """( sum_k ||t_k (phi_k * f)|L_p||^q )^(1/q), sup over k when q = inf."""
+def besov_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
+    """( sum_k ||t_k (phi_k * f)|L_p||^q )^(1/q), sup over k when q = inf;
+    f is a GridFunction or its BandDecomposition on req.pair."""
     terms = np.array([lp_norm(g, req.p) for g in weighted_bands(f, req).entries])
     if np.isinf(req.q):
         return float(terms.max())
     return float((terms**req.q).sum() ** (1.0 / req.q))
 
 
-def tl_norm(f: GridFunction, req: NormRequest) -> float:
-    """|| ( sum_k t_k^q |phi_k * f|^q )^(1/q) | L_p ||."""
+def tl_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
+    """|| ( sum_k t_k^q |phi_k * f|^q )^(1/q) | L_p ||; f is a GridFunction
+    or its BandDecomposition on req.pair."""
     if np.isinf(req.p):
         raise ValueError("p = inf is handled by tl_infty_norm")
     return lp_lq_norm(weighted_bands(f, req), req.p, req.q)
@@ -143,18 +163,16 @@ def carleson_sup(level_arrays: dict[int, np.ndarray], spec: GridSpec,
     return best ** (1.0 / q)
 
 
-def tl_infty_norm(f: GridFunction, req: NormRequest) -> float:
+def tl_infty_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
     """Carleson-type norm: sup over dyadic P of the cube-averaged tail
-    ( (1/|P|) int_P sum_{k >= -log2 l(P)} t_k^q |phi_k * f|^q )^(1/q)."""
+    ( (1/|P|) int_P sum_{k >= -log2 l(P)} t_k^q |phi_k * f|^q )^(1/q);
+    f is a GridFunction or its BandDecomposition on req.pair."""
     if np.isinf(req.q):
         raise ValueError("F_inf norms need q < inf")
     family = req.family if req.family is not None else CubeFamily(req.pair.k_min, req.pair.k_max)
-    arrays = {}
-    for k in req.levels():
-        t = req.weights.on_grid(f.spec, k)
-        b = band(f, req.pair, k)
-        arrays[k] = (t.values * np.abs(b.values)) ** req.q
-    return carleson_sup(arrays, f.spec, family, req.q)
+    wb = weighted_bands(f, req)
+    arrays = {k: wb[k].values ** req.q for k in wb.levels()}
+    return carleson_sup(arrays, wb.spec, family, req.q)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +380,12 @@ def hardy_grand_norm(
     A lower bound for the grand-maximal norm that can only grow as the
     dictionary is enlarged.
     """
+    F = np.fft.fftn(f.values)
     best = np.zeros(f.spec.shape)
     for k in ts.levels():
         t = ts.on_grid(f.spec, k).values
         for prof in dictionary.profiles:
-            conv = apply_multiplier(f, prof.multiplier(f.spec, k))
+            conv = _apply_to_spectrum(f, F, prof.multiplier(f.spec, k))
             np.maximum(best, t * np.abs(conv.values), out=best)
     return lp_norm(GridFunction(f.spec, best), p)
 

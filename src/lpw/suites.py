@@ -260,18 +260,20 @@ def suite_classical(ctx: RunContext) -> dict:
     """Dyadic weight sequences reproduce the fixed-smoothness norms to 1e-12."""
     pair = ctx.pair()
     corpus = ctx.corpus()
+    bands = ctx.bands()
     records = []
     ok = True
     for s in (-1.0, 0.0, 0.5, 2.0):
         ws = WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max, 2.0)
         for p, q in ((2.0, 2.0), (2.0, np.inf)):
-            req = NormRequest("F" if np.isfinite(q) else "F", p, q, ws, pair)
+            req = NormRequest("F", p, q, ws, pair)
             worst_b = worst_f = 0.0
             for mem in corpus:
                 cb = classical_besov_norm(mem.f, pair, s, p, q)
                 cf = classical_tl_norm(mem.f, pair, s, p, q)
-                worst_b = max(worst_b, abs(besov_norm(mem.f, req) / cb - 1.0))
-                worst_f = max(worst_f, abs(tl_norm(mem.f, req) / cf - 1.0))
+                decomp = bands[mem.name]
+                worst_b = max(worst_b, abs(besov_norm(decomp, req) / cb - 1.0))
+                worst_f = max(worst_f, abs(tl_norm(decomp, req) / cf - 1.0))
             good = worst_b <= 1e-12 and worst_f <= 1e-12
             ok &= good
             records.append(
@@ -326,7 +328,7 @@ def suite_seqnorm(ctx: RunContext) -> dict:
         coeffs = CoefficientSet(spec.n, {(k, (m,) * spec.n): 1.0 + 0.5j})
         for fn, kind in ((seq_b_norm, "b"), (seq_f_norm, "f"), (seq_f_infty_norm, "f_inf")):
             req = NormRequest(
-                kind if kind != "f_inf" else "f_inf",
+                kind,
                 2.0 if kind != "f_inf" else np.inf,
                 2.0,
                 ws,
@@ -354,14 +356,14 @@ def suite_seqnorm(ctx: RunContext) -> dict:
     )
 
 
-def _space_norm(tag: str, f, req: NormRequest, decomp=None) -> float:
-    if tag == "B":
+def _space_norm(f, req: NormRequest) -> float:
+    if req.space == "B":
         return besov_norm(f, req)
-    if tag == "F":
+    if req.space == "F":
         return tl_norm(f, req)
-    if tag == "F_inf":
+    if req.space == "F_inf":
         return tl_infty_norm(f, req)
-    raise ValueError(tag)
+    raise ValueError(req.space)
 
 
 def suite_newnorm(ctx: RunContext) -> dict:
@@ -370,6 +372,7 @@ def suite_newnorm(ctx: RunContext) -> dict:
     spec = ctx.spec
     pair = ctx.pair()
     corpus = ctx.corpus()
+    bands = ctx.bands()
     fam = ctx.family.clamped(spec)
     ceiling = ctx.ceilings["equivalence"]
     uniformity = ctx.ceilings["j_uniformity"]
@@ -386,14 +389,13 @@ def suite_newnorm(ctx: RunContext) -> dict:
         wspec = parse_weight(wtext)
         ws = WeightSequence(wspec, pair.k_min, pair.k_max, 2.0)
         for tag, p, q in cases:
-            space = tag if tag != "F_inf" else "F_inf"
-            req_seq = NormRequest(space, p, q, ws, pair, family=fam)
-            seq_vals = [_space_norm(tag, mem.f, req_seq) for mem in corpus]
+            req_seq = NormRequest(tag, p, q, ws, pair, family=fam)
+            seq_vals = [_space_norm(bands[mem.name], req_seq) for mem in corpus]
             spreads = {}
             for j in range(-3, 4):
-                req_j = NormRequest(space, p, q, ws.frozen(j), pair, family=fam)
+                req_j = NormRequest(tag, p, q, ws.frozen(j), pair, family=fam)
                 ratios = [
-                    sv / _space_norm(tag, mem.f, req_j)
+                    sv / _space_norm(bands[mem.name], req_j)
                     for sv, mem in zip(seq_vals, corpus)
                     if sv > 0
                 ]

@@ -25,3 +25,18 @@ def corpus1k(spec1k, pair1k):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Live counts of the numpy n-D forward and inverse transforms."""
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        orig = getattr(np.fft, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

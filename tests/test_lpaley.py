@@ -7,6 +7,7 @@ from lpw.lpaley import (
     LevelError,
     analyze,
     band,
+    band_decompose,
     bump_profile,
     calderon_residual,
     from_spectrum,
@@ -274,3 +275,25 @@ class TestTwoDimensional:
         corpus = make_corpus(spec2d, pair2d, size=4, seed=3)
         for mem in corpus:
             assert calderon_residual(mem.f, pair2d) <= 1e-6
+
+
+class TestBandDecompose:
+    @pytest.mark.parametrize("kind", ["real_1d", "complex_1d", "real_2d"])
+    def test_equals_band_at_every_level(self, kind, spec1k, pair1k, corpus1k, spec2d, pair2d):
+        # one shared forward transform must give the very bits band() gives
+        if kind == "real_1d":
+            f, pair = corpus1k[0].f, pair1k
+        elif kind == "complex_1d":
+            f, pair = GridFunction(spec1k, (1.0 - 0.5j) * corpus1k[1].f.values), pair1k
+        else:
+            f, pair = make_corpus(spec2d, pair2d, size=1, seed=3)[0].f, pair2d
+        decomp = band_decompose(f, pair)
+        assert decomp.bands.levels() == pair.levels()
+        for k in pair.levels():
+            want = band(f, pair, k).values
+            assert decomp.bands[k].values.dtype == want.dtype
+            assert np.array_equal(decomp.bands[k].values, want)
+
+    def test_one_forward_transform(self, pair1k, corpus1k, fft_calls):
+        band_decompose(corpus1k[0].f, pair1k)
+        assert fft_calls == {"fftn": 1, "ifftn": len(pair1k.levels())}

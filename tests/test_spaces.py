@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lpw.grid import CubeFamily, GridFunction, GridSpec, cube_samples, lp_norm
-from lpw.lpaley import CoefficientSet, band
+from lpw.lpaley import CoefficientSet, apply_multiplier, band, band_decompose, make_lp_pair
 from lpw.spaces import (
     NormRequest,
     besov_norm,
@@ -14,6 +14,7 @@ from lpw.spaces import (
     seq_f_norm,
     tl_infty_norm,
     tl_norm,
+    weighted_bands,
 )
 from lpw.verify import classical_besov_norm, classical_tl_norm
 from lpw.weights import Const, Dyadic, Pow, WeightSequence
@@ -143,6 +144,54 @@ class TestCarlesonNorm:
             tl_infty_norm(corpus1k[0].f, request(pair1k, Const(1.0), np.inf, np.inf))
 
 
+class TestDecompositionInput:
+    def test_weighted_bands_match_per_band_loop(self, spec1k, pair1k, corpus1k):
+        req = request(pair1k, Pow(0.3), 2.0, 2.0, k_min=-1, k_max=5)
+        for mem in corpus1k[:4]:
+            got = weighted_bands(band_decompose(mem.f, pair1k), req)
+            assert got.levels() == req.levels()
+            for k in req.levels():
+                t = req.weights.on_grid(spec1k, k).values
+                want = t * np.abs(band(mem.f, pair1k, k).values)
+                assert np.array_equal(got[k].values, want)
+
+    def test_norms_equal_on_function_and_decomposition(self, pair1k, corpus1k):
+        fam = CubeFamily(-4, 6)
+        cases = [
+            (besov_norm, request(pair1k, Pow(0.3), 2.0, 2.0)),
+            (besov_norm, request(pair1k, Pow(-0.2), 2.0, np.inf)),
+            (tl_norm, request(pair1k, Pow(0.3), 2.0, 2.0)),
+            (tl_norm, request(pair1k, Dyadic(0.5), 1.5, np.inf)),
+            (tl_infty_norm, request(pair1k, Pow(0.3), np.inf, 2.0, family=fam)),
+        ]
+        for mem in corpus1k[:4]:
+            decomp = band_decompose(mem.f, pair1k)
+            for norm, req in cases:
+                assert norm(decomp, req) == norm(mem.f, req), norm.__name__
+
+    def test_norms_on_decomposition_make_no_transform(self, pair1k, corpus1k, fft_calls):
+        decomp = band_decompose(corpus1k[0].f, pair1k)
+        before = dict(fft_calls)
+        besov_norm(decomp, request(pair1k, Pow(0.3), 2.0, 2.0))
+        tl_norm(decomp, request(pair1k, Pow(0.3), 2.0, 2.0))
+        tl_infty_norm(decomp, request(pair1k, Pow(0.3), np.inf, 2.0))
+        assert fft_calls == before
+
+    def test_mismatched_decomposition_rejected(self, spec1k, pair1k, corpus1k):
+        f = corpus1k[0].f
+        fine = GridSpec(1, spec1k.R, 2 * spec1k.N)
+        req_fine = request(make_lp_pair(fine, pair1k.k_min, pair1k.k_max), Const(1.0), 2.0, 2.0)
+        with pytest.raises(ValueError, match="N=1024.*N=2048"):
+            tl_norm(band_decompose(f, pair1k), req_fine)
+        narrow = make_lp_pair(spec1k, pair1k.k_min + 1, pair1k.k_max)
+        req = request(pair1k, Const(1.0), 2.0, 2.0, k_min=narrow.k_min)
+        for norm in (besov_norm, tl_norm):
+            with pytest.raises(ValueError, match="levels"):
+                norm(band_decompose(f, narrow), req)
+        with pytest.raises(ValueError, match="levels"):
+            tl_infty_norm(band_decompose(f, narrow), request(pair1k, Const(1.0), np.inf, 2.0))
+
+
 class TestSequenceNorms:
     def test_single_coefficient_b_value(self, spec1k, pair1k):
         # n=1, p=q=1, unit weight: the norm is 2^(k/2) |Q_{k,m}| = 2^(-k/2)
@@ -231,6 +280,19 @@ class TestGrandMaximal:
         ts = WeightSequence(Const(1.0), -3, 6, 2.0)
         f = corpus1k[0].f
         assert hardy_grand_norm(f, ts, 2.0, d) >= hardy_grand_norm(f, ts, 2.0, small) - 1e-15
+
+    def test_matches_per_profile_transform(self, spec1k, corpus1k):
+        d = build_dictionary(spec1k)
+        ts = WeightSequence(Pow(0.3), -3, 6, 2.0)
+        for mem in corpus1k[:3]:
+            best = np.zeros(spec1k.shape)
+            for k in ts.levels():
+                t = ts.on_grid(spec1k, k).values
+                for prof in d.profiles:
+                    conv = apply_multiplier(mem.f, prof.multiplier(spec1k, k))
+                    np.maximum(best, t * np.abs(conv.values), out=best)
+            want = lp_norm(GridFunction(spec1k, best), 2.0)
+            assert hardy_grand_norm(mem.f, ts, 2.0, d) == want
 
     def test_comparable_to_tl2(self, spec1k, pair1k, corpus1k):
         d = build_dictionary(spec1k)
