@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -70,7 +69,7 @@ class RunConfig:
     """Validated run configuration; every module precondition is checked here
     so nothing fails mid-run."""
 
-    def __init__(self, raw: dict, seed_override: int | None = None, threads: int = 1):
+    def __init__(self, raw: dict, seed_override: int | None = None):
         self.raw = raw
         g = raw.get("grid", {})
         try:
@@ -85,7 +84,7 @@ class RunConfig:
         self.k_min = int(_get(raw, "levels.k_min", -3))
         self.k_max = int(_get(raw, "levels.k_max", 8))
         _require(self.k_min <= self.k_max, "levels.k_min", "k_min exceeds k_max")
-        k_cap = int(math.floor(math.log2(1.0 / self.spec.h) + 1e-9))
+        k_cap = self.spec.level_window()[1]
         try:
             make_lp_pair(self.spec, self.k_min, min(self.k_max, k_cap))
         except LevelError as exc:
@@ -145,7 +144,6 @@ class RunConfig:
             self.norm_weight = parse_weight(self.norm.get("weight", "pow:0.3"))
         except WeightError as exc:
             raise ConfigError("norm.weight", str(exc)) from None
-        self.threads = threads
 
     def context(self) -> RunContext:
         return RunContext(
@@ -158,7 +156,6 @@ class RunConfig:
             weight_matrix=self.weight_matrix,
             exponent_pairs=tuple(self.exponent_pairs),
             ceilings=self.ceilings,
-            threads=self.threads,
         )
 
 
@@ -350,7 +347,9 @@ def cmd_verify(cfg: RunConfig, suite_names: list[str], out: Path) -> int:
         "cubes": {"v_min": cfg.family.v_min, "v_max": cfg.family.v_max,
                   "translates": cfg.family.translates},
         "corpus": {"size": cfg.corpus_size, "seed": cfg.seed},
-        "threads": cfg.threads,
+        # runs are single-threaded; the key is kept because report diffs
+        # count a missing key as a change against earlier reports
+        "threads": 1,
         "suites": suite_names,
     }
     _write_json(out / "report.json", report)
@@ -408,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override corpus seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: LPW_THREADS or 1)")
 
     common(sub.add_parser("norm", help="compute the configured norm over the corpus"))
     common(sub.add_parser("decompose", help="export a band decomposition"))
@@ -429,11 +426,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
         return cmd_report(args.report_path, Path(args.out))
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("LPW_THREADS", "1"))
     try:
-        cfg = RunConfig(_load_config(args.config), seed_override=args.seed, threads=threads)
+        cfg = RunConfig(_load_config(args.config), seed_override=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

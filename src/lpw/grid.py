@@ -92,6 +92,16 @@ class GridSpec:
         """Smallest nonzero angular frequency on the torus."""
         return np.pi / self.R
 
+    def level_window(self) -> tuple[int, int]:
+        """Admissible dyadic levels (-log2(2R), log2(1/h)): level-v cubes of
+        side 2^-v no wider than the domain and no finer than the lattice.
+        On these power-of-two grids the band cap log2(pi/h) - 1 floors to
+        the same top level."""
+        return (
+            -int(math.floor(math.log2(2.0 * self.R) + 1e-9)),
+            int(math.floor(math.log2(1.0 / self.h) + 1e-9)),
+        )
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -107,14 +117,6 @@ class GridFunction:
         if not np.all(np.isfinite(v.real)) or (np.iscomplexobj(v) and not np.all(np.isfinite(v.imag))):
             raise GridError("grid function contains non-finite samples")
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":
-        if spec.n == 1:
-            return cls(spec, np.asarray(fn(spec.axis()), dtype=float))
-        ax = spec.axis()
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        return cls(spec, np.asarray(fn(X, Y), dtype=float))
 
     def scaled(self, c) -> "GridFunction":
         return GridFunction(self.spec, c * self.values)
@@ -154,16 +156,10 @@ class DyadicCube:
             out.append((lo, hi))
         return out
 
-    def clipped_measure(self, R: float) -> float:
-        m = 1.0
-        for lo, hi in self.clipped_bounds(R):
-            m *= hi - lo
-        return m
 
-
-def level_index_range(spec: GridSpec, v: int) -> tuple[int, int]:
+def level_index_range(R: float, v: int) -> tuple[int, int]:
     """Positions m of level-v cubes meeting [-R, R): m in [-C, C)."""
-    C = math.ceil(spec.R * 2.0**v)
+    C = math.ceil(R * 2.0**v)
     return -C, C
 
 
@@ -177,16 +173,15 @@ def enumerate_cubes(spec: GridSpec, v_min: int, v_max: int) -> list[DyadicCube]:
     if v_min > v_max:
         raise GridError("v_min > v_max")
     if 2.0 ** (-v_max) < spec.h:
-        v_cap = int(math.floor(math.log2(1.0 / spec.h) + 1e-9))
         raise GridError(
             f"level v_max={v_max} is finer than the grid spacing h={spec.h}; "
-            f"largest admissible level is {v_cap}"
+            f"largest admissible level is {spec.level_window()[1]}"
         )
     if 2.0 ** (-v_min) > 2.0 * spec.R:
         raise GridError(f"level v_min={v_min} is wider than the domain [-{spec.R}, {spec.R})")
     cubes = []
     for v in range(v_min, v_max + 1):
-        lo, hi = level_index_range(spec, v)
+        lo, hi = level_index_range(spec.R, v)
         if spec.n == 1:
             cubes.extend(DyadicCube(v, (m,)) for m in range(lo, hi))
         else:
@@ -344,20 +339,20 @@ class CubeFamily:
 
     def positions(self, R: float, v: int) -> np.ndarray:
         """Level-v cube indices m (1D); capped deterministically."""
-        C = math.ceil(R * 2.0**v)
-        total = 2 * C
+        lo, hi = level_index_range(R, v)
+        total = hi - lo
         if total <= self.max_per_level:
-            return np.arange(-C, C)
+            return np.arange(lo, hi)
         near = self.max_per_level // 2
         rest = self.max_per_level - near
         block = np.arange(-near // 2, near - near // 2)
         stride = max(1, total // rest)
-        strided = np.arange(-C, C, stride)
+        strided = np.arange(lo, hi, stride)
         return np.unique(np.concatenate([block, strided]))
 
     def clamped(self, spec: GridSpec) -> "CubeFamily":
         """Restrict to levels resolvable by whole grid cells (2^-v >= h)."""
-        v_cap = int(math.floor(math.log2(1.0 / spec.h) + 1e-9))
+        v_cap = spec.level_window()[1]
         return CubeFamily(self.v_min, min(self.v_max, v_cap), self.translates, self.max_per_level)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, VectorSequence
+from .grid import GridFunction, GridSpec, VectorSequence, level_index_range
 
 
 class LevelError(ValueError):
@@ -197,11 +197,7 @@ def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:
     """
     if k_min > k_max:
         raise LevelError("empty level window")
-    h = spec.h
-    k_cap_lattice = int(math.floor(math.log2(1.0 / h) + 1e-9))
-    k_cap_spectral = int(math.floor(math.log2(spec.nyquist) - 1 + 1e-9))
-    k_cap = min(k_cap_lattice, k_cap_spectral)
-    k_floor = -int(math.floor(math.log2(2.0 * spec.R) + 1e-9))
+    k_floor, k_cap = spec.level_window()
     if k_max > k_cap or k_min < k_floor:
         raise LevelError(
             f"level window [{k_min}, {k_max}] not resolvable at N={spec.N}, R={spec.R}; "
@@ -264,50 +260,76 @@ def band_decompose(f: GridFunction, pair: LPPair) -> BandDecomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Sparse level/position coefficients lambda_{k,m}."""
+    """Coefficients lambda_{k,m} on the dyadic lattices 2^-k m of [-R, R)^n.
+
+    Level k = k_min, k_min + 1, ... holds one dense complex array of shape
+    (2 C_k,)^n with C_k = ceil(R 2^k); index i stands for position
+    m = i - C_k, the range of level-k cubes (grid.level_index_range).  The
+    layout depends on R but not on N, so one set serves every grid of the
+    domain.  Positions not set hold zero.
+    """
 
     n: int
-    data: dict
+    R: float
+    k_min: int
+    arrays: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        self.data = {
-            (int(k), tuple(int(x) for x in np.atleast_1d(m))): complex(v)
-            for (k, m), v in self.data.items()
-        }
+    @classmethod
+    def from_entries(cls, n: int, R: float, entries) -> "CoefficientSet":
+        """From a {(k, m): value} mapping, or an iterable of its items; m is
+        an int or an n-tuple, and a repeated (k, m) keeps its last value."""
+        items = list(entries.items() if hasattr(entries, "items") else entries)
+        if not items:
+            return cls(n, R, 0, ())
+        ks = [int(k) for (k, _), _ in items]
+        k_min = min(ks)
+        arrays = []
+        for k in range(k_min, max(ks) + 1):
+            lo, hi = level_index_range(R, k)
+            arrays.append(np.zeros((hi - lo,) * n, dtype=complex))
+        for k, ((_, m), v) in zip(ks, items):
+            lo, hi = level_index_range(R, k)
+            m = tuple(int(x) for x in np.atleast_1d(m))
+            if len(m) != n or not all(lo <= x < hi for x in m):
+                raise ValueError(f"position m={m} is not a level-{k} position in [{lo}, {hi})^{n}")
+            arrays[k - k_min][tuple(x - lo for x in m)] = v
+        return cls(n, R, k_min, tuple(arrays))
 
-    def levels(self) -> list[int]:
-        return sorted({k for k, _ in self.data})
+    def levels(self) -> range:
+        return range(self.k_min, self.k_min + len(self.arrays))
+
+    def check_domain(self, spec: GridSpec) -> None:
+        if (self.n, self.R) != (spec.n, spec.R):
+            raise ValueError(f"coefficients on [-{self.R}, {self.R})^{self.n} do not fit {spec}")
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        if k not in self.levels():
+            raise LevelError(f"level {k} outside the stored levels {self.levels()}")
+        return self.arrays[k - self.k_min]
 
     def items(self):
-        return self.data.items()
-
-    def __len__(self):
-        return len(self.data)
+        """((k, m), lambda_{k,m}) for every nonzero coefficient, in (k, m) order."""
+        for k, lam in zip(self.levels(), self.arrays):
+            C = lam.shape[0] // 2
+            for i in zip(*np.nonzero(lam)):
+                yield (k, tuple(int(x) - C for x in i)), complex(lam[i])
 
     def scaled(self, c) -> "CoefficientSet":
-        return CoefficientSet(self.n, {km: c * v for km, v in self.data.items()})
+        return CoefficientSet(self.n, self.R, self.k_min, tuple(c * lam for lam in self.arrays))
 
     def to_jsonl(self, path: str | Path) -> None:
+        """One line per nonzero coefficient."""
         with open(path, "w") as fh:
-            for (k, m), v in sorted(self.data.items()):
+            for (k, m), v in self.items():
                 fh.write(json.dumps({"k": k, "m": list(m), "re": v.real, "im": v.imag}) + "\n")
 
     @classmethod
-    def from_jsonl(cls, path: str | Path, n: int) -> "CoefficientSet":
-        data = {}
+    def from_jsonl(cls, path: str | Path, n: int, R: float) -> "CoefficientSet":
         with open(path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                data[(rec["k"], tuple(rec["m"]))] = rec["re"] + 1j * rec["im"]
-        return cls(n, data)
-
-
-def _lattice_index(pair: LPPair, k: int, m: tuple[int, ...]) -> tuple[int, ...]:
-    s = pair.lattice_stride(k)
-    N = pair.gspec.N
-    return tuple((s * mi + N // 2) % N for mi in m)
+            recs = [json.loads(line) for line in fh]
+        return cls.from_entries(n, R, (((r["k"], r["m"]), r["re"] + 1j * r["im"]) for r in recs))
 
 
 def analyze(f: GridFunction, pair: LPPair, levels: range | None = None) -> CoefficientSet:
@@ -319,53 +341,45 @@ def analyze(f: GridFunction, pair: LPPair, levels: range | None = None) -> Coeff
     spec = f.spec
     if levels is None:
         levels = pair.levels()
-    data = {}
+    arrays = []
     for k in levels:
         if not (pair.k_min <= k <= pair.k_max):
             raise LevelError(f"analysis level {k} outside pair window")
-        s = pair.lattice_stride(k)
-        vals = lattice_values(f, pair.phi_mult[k])
         ms = pair.positions(k)
-        scale = 2.0 ** (-k * spec.n / 2.0)
-        if spec.n == 1:
-            idx = (s * ms + spec.N // 2) % spec.N
-            for m, i in zip(ms, idx):
-                data[(k, (int(m),))] = scale * complex(vals[i])
-        else:
-            idx = (s * ms + spec.N // 2) % spec.N
-            sub = vals[np.ix_(idx, idx)]
-            for a, m1 in enumerate(ms):
-                for b, m2 in enumerate(ms):
-                    data[(k, (int(m1), int(m2)))] = scale * complex(sub[a, b])
-    return CoefficientSet(spec.n, data)
+        idx = (pair.lattice_stride(k) * ms + spec.N // 2) % spec.N
+        vals = lattice_values(f, pair.phi_mult[k])
+        lo, hi = level_index_range(spec.R, k)
+        lam = np.zeros((hi - lo,) * spec.n, dtype=complex)
+        # the lattice can be narrower than the cube range (at k = -log2(2R))
+        lam[np.ix_(*[ms - lo] * spec.n)] = vals[np.ix_(*[idx] * spec.n)] * 2.0 ** (-k * spec.n / 2.0)
+        arrays.append(lam)
+    return CoefficientSet(spec.n, spec.R, levels.start, tuple(arrays))
 
 
 def synthesize(coeffs: CoefficientSet, pair: LPPair) -> GridFunction:
     """sum_{k,m} lambda_{k,m} psi_{k,m} via one comb convolution per level."""
     spec = pair.gspec
+    coeffs.check_domain(spec)
     j = np.fft.fftfreq(spec.N, 1.0 / spec.N)
     comb_phase = np.exp(1j * np.pi * j)  # lattice origin at -R
     total = np.zeros(spec.shape, dtype=complex)
-    by_level: dict[int, list] = {}
-    for (k, m), v in coeffs.items():
-        by_level.setdefault(k, []).append((m, v))
-    for k, entries in sorted(by_level.items()):
+    for k, lam in zip(coeffs.levels(), coeffs.arrays):
+        if not lam.any():
+            continue
         if not (pair.k_min <= k <= pair.k_max):
             raise LevelError(f"synthesis level {k} outside pair window")
+        C = lam.shape[0] // 2
+        idx = (pair.lattice_stride(k) * np.arange(-C, C) + spec.N // 2) % spec.N
         comb = np.zeros(spec.shape, dtype=complex)
-        for m, v in entries:
-            comb[_lattice_index(pair, k, m)] += v
+        # positions -C and 0 share a sample at k = -log2(2R): add, not overwrite
+        np.add.at(comb, np.ix_(*[idx] * spec.n), lam)
         F = np.fft.fftn(comb)
         for ax in range(spec.n):
             F = _apply_axis(comb_phase, F, ax)
         scale = 2.0 ** (-k * spec.n / 2.0)
         total += scale * from_spectrum(spec, F * pair.psi_mult[k], real=False).values
-    vals = total.real if _all_real(coeffs) else total
-    return GridFunction(spec, vals)
-
-
-def _all_real(coeffs: CoefficientSet) -> bool:
-    return all(abs(v.imag) < 1e-300 for _, v in coeffs.items())
+    real = all(np.all(np.abs(lam.imag) < 1e-300) for lam in coeffs.arrays)
+    return GridFunction(spec, total.real if real else total)
 
 
 # ---------------------------------------------------------------------------

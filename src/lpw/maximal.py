@@ -10,7 +10,6 @@ as the testing oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +41,7 @@ class MaximalConfig:
 
     @classmethod
     def full(cls, spec: GridSpec, include_translates: bool = True) -> "MaximalConfig":
-        v_hi = int(round(math.log2(1.0 / spec.h)))
-        v_lo = v_hi - int(round(math.log2(spec.N)))
-        return cls(v_lo, v_hi, include_translates)
+        return cls(*spec.level_window(), include_translates)
 
 
 def window_sum_table(values: np.ndarray, sizes: list[int]) -> dict[int, np.ndarray]:

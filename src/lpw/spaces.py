@@ -4,7 +4,7 @@ counterparts, BMO, and a grand-maximal Hardy-type norm.
 Function-side norms act on the weighted bands t_k (phi_k * f) and take either
 a GridFunction, which they decompose first, or a BandDecomposition built on
 the request's band pair, so callers that evaluate many norms of one function
-compute its bands once.  Sequence-side norms act on sparse coefficient sets,
+compute its bands once.  Sequence-side norms act on coefficient sets,
 in both the direct form (weight evaluated pointwise) and the starred form
 (weight aggregated into cube L_p norms t_{k,m}).  Level sums are truncated to the stored window, which is
 exact on the band-limited corpus this package works with.
@@ -12,7 +12,6 @@ exact on the band-limited corpus this package works with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from .grid import (
     GridFunction,
     GridSpec,
     VectorSequence,
-    cube_cells,
     cube_samples,
     lp_lq_norm,
     lp_norm,
@@ -116,24 +114,30 @@ def tl_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
 
 
 def _scan_levels(spec: GridSpec, family: CubeFamily) -> range:
-    v_lo = max(family.v_min, -int(math.floor(math.log2(2.0 * spec.R) + 1e-9)))
-    v_hi = min(family.v_max, int(math.floor(math.log2(1.0 / spec.h) + 1e-9)))
+    v_floor, v_cap = spec.level_window()
+    v_lo, v_hi = max(family.v_min, v_floor), min(family.v_max, v_cap)
     if v_lo > v_hi:
         raise GridError("cube family has no grid-resolvable levels")
     return range(v_lo, v_hi + 1)
 
 
+def _blocks(a: np.ndarray, S: int, shift: int = 0) -> np.ndarray:
+    """a, rolled back `shift` cells along every axis, cut into cubes of S
+    cells a side: shape (M, S) in 1D and (M, S, M, S) in 2D with M = N / S,
+    so the axes _in_cube(n) run inside one cube.  A view of a when shift is 0."""
+    for ax in range(a.ndim) if shift else ():
+        a = np.roll(a, -shift, axis=ax)
+    return a.reshape((a.shape[0] // S, S) * a.ndim)
+
+
+def _in_cube(n: int) -> tuple[int, ...]:
+    return tuple(range(1, 2 * n, 2))
+
+
 def _cube_means_all(arr: np.ndarray, spec: GridSpec, v: int, translated: bool) -> np.ndarray:
     """Means of arr over every level-v cube (tiling), optionally half-shifted."""
     S = int(round(2.0 ** (-v) / spec.h))
-    a = arr
-    if translated:
-        for ax in range(spec.n):
-            a = np.roll(a, -(S // 2), axis=ax)
-    if spec.n == 1:
-        return a.reshape(spec.N // S, S).mean(axis=1)
-    M = spec.N // S
-    return a.reshape(M, S, M, S).mean(axis=(1, 3))
+    return _blocks(arr, S, S // 2 if translated else 0).mean(axis=_in_cube(spec.n))
 
 
 def carleson_sup(level_arrays: dict[int, np.ndarray], spec: GridSpec,
@@ -180,17 +184,12 @@ def tl_infty_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _paint(spec: GridSpec, level_entries, values) -> np.ndarray:
-    """Write per-cube constants onto the grid: sum_m c_m chi_{k,m}."""
-    out = np.zeros(spec.shape)
-    for (k, m), c in zip(level_entries, values):
-        cells = cube_cells(spec, DyadicCube(k, m))
-        if spec.n == 1:
-            (a, b), = cells
-            out[a:b] += c
-        else:
-            (a, b), (c0, d0) = cells
-            out[a:b, c0:d0] += c
+def _paint(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """sum_m values[m] chi_{k,m}: each level-k cube's value on all its cells,
+    values being one level's array of cube values."""
+    out = np.empty(spec.shape)
+    M = values.shape[0]
+    _blocks(out, spec.N // M)[...] = values.reshape((M, 1) * spec.n)
     return out
 
 
@@ -202,11 +201,32 @@ def cube_lp(t: GridFunction, Q: DyadicCube, p: float) -> float:
     return float((t.spec.cell_measure * (vals**p).sum()) ** (1.0 / p))
 
 
-def _by_level(coeffs: CoefficientSet) -> dict[int, list]:
-    grouped: dict[int, list] = {}
-    for (k, m), v in coeffs.items():
-        grouped.setdefault(k, []).append(((k, m), abs(v)))
-    return grouped
+def _cube_lp_all(t: GridFunction, S: int, p: float, where: np.ndarray) -> np.ndarray:
+    """cube_lp(t, Q, p) for each cube Q of S cells a side where `where` holds,
+    summed in the same order; 0 elsewhere."""
+    n = t.spec.n
+    b = _blocks(np.abs(t.values), S)
+    # one row of S^n contiguous cells per cube, which is how cube_lp sums
+    b = b.transpose(*range(0, 2 * n, 2), *_in_cube(n)).reshape(b.shape[::2] + (-1,))[where]
+    out = np.zeros(where.shape)
+    if np.isinf(p):
+        out[where] = b.max(axis=-1)
+    else:
+        sums = t.spec.cell_measure * (b**p).sum(axis=-1)
+        # numpy's array power can round apart from the scalar power cube_lp takes
+        out[where] = [s ** (1.0 / p) for s in sums]
+    return out
+
+
+def _seq_levels(coeffs: CoefficientSet, spec: GridSpec):
+    """(k, |lambda_k|, cells per level-k cube side) for each stored level
+    that holds a nonzero coefficient."""
+    coeffs.check_domain(spec)
+    for k, lam in zip(coeffs.levels(), coeffs.arrays):
+        if 2.0 ** (-k) < spec.h:
+            raise ValueError(f"level {k} cubes are finer than the grid spacing h={spec.h}")
+        if lam.any():
+            yield k, np.abs(lam), spec.N // lam.shape[0]
 
 
 def seq_b_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tuple[float, float]:
@@ -217,16 +237,14 @@ def seq_b_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tupl
     """
     n, p, q = spec.n, req.p, req.q
     terms_plain, terms_star = [], []
-    for k, entries in sorted(_by_level(coeffs).items()):
+    for k, mags, S in _seq_levels(coeffs, spec):
         t = req.weights.on_grid(spec, k)
-        kms, mags = zip(*entries)
-        chi = _paint(spec, kms, mags)
-        plain = weighted_lp_norm(GridFunction(spec, chi), t, p)
-        tkm = np.array([cube_lp(t, DyadicCube(k, m), p) for (_, m) in kms])
+        plain = weighted_lp_norm(GridFunction(spec, _paint(spec, mags)), t, p)
+        tkm = _cube_lp_all(t, S, p, mags > 0)
         if np.isinf(p):
-            star = float((np.array(mags) * tkm).max())
+            star = float((mags * tkm).max())
         else:
-            star = float((np.array(mags) ** p @ tkm**p) ** (1.0 / p))
+            star = float(np.vdot(mags**p, tkm**p) ** (1.0 / p))
         terms_plain.append(2.0 ** (k * n / 2.0) * plain)
         terms_star.append(2.0 ** (k * n / 2.0) * star)
     return _lq(terms_plain, q), _lq(terms_star, q)
@@ -254,19 +272,17 @@ def seq_f_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tupl
     plain_acc = np.zeros(spec.shape)
     star_acc = np.zeros(spec.shape)
     qq = 1.0 if np.isinf(q) else q
-    for k, entries in sorted(_by_level(coeffs).items()):
+    for k, mags, S in _seq_levels(coeffs, spec):
         t = req.weights.on_grid(spec, k)
-        kms, mags = zip(*entries)
-        mags = np.array(mags)
-        tkm = np.array([cube_lp(t, DyadicCube(k, m), p) for (_, m) in kms])
+        tkm = _cube_lp_all(t, S, p, mags > 0)
         if np.isinf(q):
-            lvl_plain = _paint(spec, kms, mags) * 2.0 ** (k * n / 2.0) * t.values
-            lvl_star = _paint(spec, kms, mags * tkm * 2.0 ** (k * n * (0.5 + 1.0 / p)))
+            lvl_plain = _paint(spec, mags) * 2.0 ** (k * n / 2.0) * t.values
+            lvl_star = _paint(spec, mags * tkm * 2.0 ** (k * n * (0.5 + 1.0 / p)))
             plain_acc = np.maximum(plain_acc, lvl_plain)
             star_acc = np.maximum(star_acc, lvl_star)
         else:
-            plain_acc += _paint(spec, kms, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
-            star_acc += _paint(spec, kms, (mags * tkm) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / p)))
+            plain_acc += _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
+            star_acc += _paint(spec, (mags * tkm) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / p)))
     plain = lp_norm(GridFunction(spec, plain_acc ** (1.0 / qq)), p)
     star = lp_norm(GridFunction(spec, star_acc ** (1.0 / qq)), p)
     return plain, star
@@ -280,13 +296,11 @@ def seq_f_infty_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -
     family = req.family if req.family is not None else CubeFamily(req.pair.k_min, req.pair.k_max)
     plain_arrays: dict[int, np.ndarray] = {}
     star_arrays: dict[int, np.ndarray] = {}
-    for k, entries in sorted(_by_level(coeffs).items()):
+    for k, mags, S in _seq_levels(coeffs, spec):
         t = req.weights.on_grid(spec, k)
-        kms, mags = zip(*entries)
-        mags = np.array(mags)
-        tkmq = np.array([cube_lp(t, DyadicCube(k, m), q) for (_, m) in kms])
-        plain_arrays[k] = _paint(spec, kms, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
-        star_arrays[k] = _paint(spec, kms, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
+        tkmq = _cube_lp_all(t, S, q, mags > 0)
+        plain_arrays[k] = _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
+        star_arrays[k] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
     if not plain_arrays:
         return 0.0, 0.0
     plain = carleson_sup(plain_arrays, spec, family, q)
@@ -394,26 +408,15 @@ def bmo_norm(f: GridFunction, family: CubeFamily | None = None) -> float:
     """sup over cubes of the mean absolute deviation from the cube mean."""
     spec = f.spec
     if family is None:
-        v_hi = int(math.floor(math.log2(1.0 / spec.h) + 1e-9))
-        v_lo = -int(math.floor(math.log2(2.0 * spec.R) + 1e-9))
-        family = CubeFamily(v_lo, v_hi)
+        family = CubeFamily(*spec.level_window())
     best = 0.0
     translate_flags = (False, True) if family.translates else (False,)
+    axes = _in_cube(spec.n)
     for v in _scan_levels(spec, family):
         S = int(round(2.0 ** (-v) / spec.h))
         for tr in translate_flags:
-            a = f.values
-            if tr:
-                for ax in range(spec.n):
-                    a = np.roll(a, -(S // 2), axis=ax)
-            if spec.n == 1:
-                blocks = a.reshape(spec.N // S, S)
-                means = blocks.mean(axis=1, keepdims=True)
-                dev = np.abs(blocks - means).mean(axis=1)
-            else:
-                M = spec.N // S
-                blocks = a.reshape(M, S, M, S)
-                means = blocks.mean(axis=(1, 3), keepdims=True)
-                dev = np.abs(blocks - means).mean(axis=(1, 3))
+            blocks = _blocks(f.values, S, S // 2 if tr else 0)
+            means = blocks.mean(axis=axes, keepdims=True)
+            dev = np.abs(blocks - means).mean(axis=axes)
             best = max(best, float(dev.max()))
     return best

@@ -7,13 +7,11 @@ so a configured run is reproducible byte for byte.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CubeFamily, GridFunction, GridSpec, lp_norm, weighted_lp_norm
+from .grid import CubeFamily, GridFunction, GridSpec, level_index_range, lp_norm, weighted_lp_norm
 from .lpaley import LPPair, band_decompose, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
 from .maximal import MaximalConfig, fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, weighted_maximal_ratio, window_sum_table
 from .spaces import NormRequest, besov_norm, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norm, tl_infty_norm, tl_norm
@@ -67,7 +65,6 @@ class RunContext:
     weight_matrix: dict = field(default_factory=lambda: dict(DEFAULT_WEIGHT_MATRIX))
     exponent_pairs: tuple = ((2.0, 1.2), (3.0, 1.5))
     ceilings: dict = field(default_factory=lambda: dict(DEFAULT_CEILINGS))
-    threads: int = 1
 
     def __post_init__(self):
         self._cache: dict = {}
@@ -78,7 +75,7 @@ class RunContext:
         spec = spec or self.spec
         key = ("pair", spec)
         if key not in self._cache:
-            k_cap = int(math.floor(math.log2(1.0 / spec.h) + 1e-9))
+            k_cap = spec.level_window()[1]
             self._cache[key] = make_lp_pair(spec, self.k_min, min(self.k_max, k_cap))
         return self._cache[key]
 
@@ -119,16 +116,9 @@ class RunContext:
                 weight_matrix=self.weight_matrix,
                 exponent_pairs=self.exponent_pairs,
                 ceilings=self.ceilings,
-                threads=self.threads,
             )
             self._cache["doubled"] = ctx
         return self._cache["doubled"]
-
-    def map(self, fn, items):
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(fn, items))
-        return [fn(x) for x in items]
 
     def sequence(self, text_or_spec, p: float) -> WeightSequence:
         spec = parse_weight(text_or_spec) if isinstance(text_or_spec, str) else text_or_spec
@@ -243,7 +233,7 @@ def suite_partition(ctx: RunContext) -> dict:
 def suite_calderon(ctx: RunContext) -> dict:
     """Reproduction residual of the coefficient transform on the corpus."""
     pair = ctx.pair()
-    residuals = ctx.map(lambda mem: calderon_residual(mem.f, pair), ctx.corpus())
+    residuals = [calderon_residual(mem.f, pair) for mem in ctx.corpus()]
     records = [
         {"member": mem.name, "residual": float(r)} for mem, r in zip(ctx.corpus(), residuals)
     ]
@@ -288,14 +278,12 @@ def _random_coefficient_sets(ctx: RunContext, count: int = 64):
     k_hi = ctx.pair().k_max  # grid-resolvable cap; shared by the doubled grid
     sets = []
     for _ in range(count):
-        n_coef = int(rng.integers(8, 33))
-        data = {}
-        for _ in range(n_coef):
+        entries = []
+        for _ in range(int(rng.integers(8, 33))):
             k = int(rng.integers(ctx.k_min, k_hi + 1))
-            C = math.ceil(ctx.spec.R * 2.0**k)
-            m = int(rng.integers(-C, C))
-            data[(k, (m,) * ctx.spec.n)] = complex(rng.normal(), rng.normal())
-        sets.append(CoefficientSet(ctx.spec.n, data))
+            m = int(rng.integers(*level_index_range(ctx.spec.R, k)))
+            entries.append(((k, (m,) * ctx.spec.n), complex(rng.normal(), rng.normal())))
+        sets.append(CoefficientSet.from_entries(ctx.spec.n, ctx.spec.R, entries))
     return sets
 
 
@@ -325,7 +313,10 @@ def suite_seqnorm(ctx: RunContext) -> dict:
     ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max, 2.0)
     single_worst = 0.0
     for k, m in ((-2, 0), (0, 3), (3, -5), (6, 17)):
-        coeffs = CoefficientSet(spec.n, {(k, (m,) * spec.n): 1.0 + 0.5j})
+        lo, hi = level_index_range(spec.R, k)
+        if not (pair.k_min <= k <= pair.k_max and lo <= m < hi):
+            continue
+        coeffs = CoefficientSet.from_entries(spec.n, spec.R, [((k, (m,) * spec.n), 1.0 + 0.5j)])
         for fn, kind in ((seq_b_norm, "b"), (seq_f_norm, "f"), (seq_f_infty_norm, "f_inf")):
             req = NormRequest(
                 kind,

@@ -364,9 +364,9 @@ def delta_coefficient_check(
     weights.  For a lone coefficient every sequence norm reduces to the cube
     norm of the weight, so uniform boundedness restates the coincidence
     condition at sequence level."""
-    ratios = {}
+    ratios = []
     for k in levels:
-        lo, hi = level_index_range(spec, k)
+        lo, hi = level_index_range(spec.R, k)
         count = hi - lo
         rel = [0.5, 0.66, 0.95][:positions_per_level]
         for r in rel:
@@ -374,8 +374,8 @@ def delta_coefficient_check(
             Q = DyadicCube(k, (m,) * spec.n)
             n1 = cube_lp(GridFunction(spec, t1.on_grid(spec, k).values), Q, p)
             n2 = cube_lp(GridFunction(spec, t2.on_grid(spec, k).values), Q, p)
-            ratios[(k, m)] = n1 / n2
-    vals = np.array(list(ratios.values()))
+            ratios.append(n1 / n2)
+    vals = np.array(ratios)
     spread = float(vals.max() / vals.min())
     return spread <= ceiling, {
         "spread": spread,

@@ -389,10 +389,6 @@ def _axis_nodes(lo: float, hi: float, core: float, seg_nodes: int, flat_nodes: i
     return np.concatenate(nodes), np.concatenate(wts)
 
 
-def _wrap(x: np.ndarray, R: float) -> np.ndarray:
-    return (x + R) % (2.0 * R) - R
-
-
 class _Batch:
     """One group of same-shaped cubes: radius (B, K), normalized weights (K,)."""
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,21 @@ class TestGridSpec:
 
     def test_spacing(self):
         assert GridSpec(1, 8.0, 4096).h == pytest.approx(2 ** -8)
+
+
+    def test_level_window_matches_former_formulas(self):
+        for n in (1, 2):
+            for N in (2**j for j in range(1, 14)):
+                for R in (2.0**e for e in range(-2, 5)):
+                    spec = GridSpec(n, R, N)
+                    k_floor, k_cap = spec.level_window()
+                    assert k_floor == -int(math.floor(math.log2(2.0 * R) + 1e-9))
+                    assert k_cap == int(math.floor(math.log2(1.0 / spec.h) + 1e-9))
+                    # band cap formerly applied by make_lp_pair
+                    assert k_cap <= int(math.floor(math.log2(spec.nyquist) - 1 + 1e-9))
+                    # rounded window formerly used by MaximalConfig.full
+                    v_hi = int(round(math.log2(1.0 / spec.h)))
+                    assert (k_floor, k_cap) == (v_hi - int(round(math.log2(N))), v_hi)
 
 
 class TestEnumerateCubes:

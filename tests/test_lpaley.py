@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpw.grid import GridFunction, GridSpec, lp_norm
+from lpw.grid import GridFunction, GridSpec, level_index_range, lp_norm
 from lpw.lpaley import (
     CoefficientSet,
     LevelError,
@@ -173,14 +173,14 @@ class TestTransform:
                     assert abs(v) <= bound * (1 + 1e-12)
 
     def test_synthesize_empty(self, spec1k, pair1k):
-        out = synthesize(CoefficientSet(1, {}), pair1k)
+        out = synthesize(CoefficientSet.from_entries(1, spec1k.R, {}), pair1k)
         assert np.all(out.values == 0)
 
     def test_single_coefficient_is_translated_profile(self, spec1k, pair1k):
         k0, m0 = 2, 3
-        out = synthesize(CoefficientSet(1, {(k0, (m0,)): 1.0}), pair1k)
+        out = synthesize(CoefficientSet.from_entries(1, spec1k.R, {(k0, (m0,)): 1.0}), pair1k)
         # direct construction: 2^(k n/2) psi(2^k x - m) from the spectral side
-        base = synthesize(CoefficientSet(1, {(k0, (0,)): 1.0}), pair1k)
+        base = synthesize(CoefficientSet.from_entries(1, spec1k.R, {(k0, (0,)): 1.0}), pair1k)
         shift = int(2.0 ** (-k0) / spec1k.h) * m0
         np.testing.assert_allclose(out.values, np.roll(base.values, shift), atol=1e-12)
 
@@ -188,16 +188,16 @@ class TestTransform:
         # translation leaves || psi_{k,m} |L_2|| exactly invariant; dilation
         # invariance across k holds once the band is finely resolved
         def norm(k, m):
-            return lp_norm(synthesize(CoefficientSet(1, {(k, (m,)): 1.0}), pair1k), 2.0)
+            return lp_norm(synthesize(CoefficientSet.from_entries(1, spec1k.R, {(k, (m,)): 1.0}), pair1k), 2.0)
 
         assert norm(3, 5) == pytest.approx(norm(3, 0), rel=1e-12)
         assert norm(3, -7) == pytest.approx(norm(3, 0), rel=1e-12)
         assert norm(5, 0) == pytest.approx(norm(3, 0), rel=1e-2)
 
     def test_synthesize_linear(self, spec1k, pair1k):
-        a = CoefficientSet(1, {(1, (0,)): 1.0})
-        b = CoefficientSet(1, {(3, (2,)): 0.5 - 1.0j})
-        both = CoefficientSet(1, {(1, (0,)): 1.0, (3, (2,)): 0.5 - 1.0j})
+        a = CoefficientSet.from_entries(1, spec1k.R, {(1, (0,)): 1.0})
+        b = CoefficientSet.from_entries(1, spec1k.R, {(3, (2,)): 0.5 - 1.0j})
+        both = CoefficientSet.from_entries(1, spec1k.R, {(1, (0,)): 1.0, (3, (2,)): 0.5 - 1.0j})
         np.testing.assert_allclose(
             synthesize(both, pair1k).values,
             synthesize(a, pair1k).values + synthesize(b, pair1k).values,
@@ -206,11 +206,11 @@ class TestTransform:
 
     def test_analyze_linear(self, spec1k, pair1k, corpus1k):
         f, g = corpus1k[3].f, corpus1k[4].f
-        cf = analyze(f, pair1k).data
-        cg = analyze(g, pair1k).data
-        cfg = analyze(f + g, pair1k).data
-        for km in cfg:
-            assert cfg[km] == pytest.approx(cf[km] + cg[km], abs=1e-12)
+        cf = analyze(f, pair1k).arrays
+        cg = analyze(g, pair1k).arrays
+        cfg = analyze(f + g, pair1k).arrays
+        for a, b, ab in zip(cf, cg, cfg):
+            np.testing.assert_allclose(ab, a + b, rtol=0, atol=1e-12)
 
 
 class TestCalderon:
@@ -245,12 +245,103 @@ class TestCalderon:
         assert calderon_residual(g, pair1k) <= 1e-6
 
 
+def comb_synthesize(entries, pair):
+    """Reference synthesis: one comb cell per (k, m) entry, level by level."""
+    spec = pair.gspec
+    j = np.fft.fftfreq(spec.N, 1.0 / spec.N)
+    comb_phase = np.exp(1j * np.pi * j)
+    total = np.zeros(spec.shape, dtype=complex)
+    for k in sorted({k for (k, _), _ in entries}):
+        comb = np.zeros(spec.shape, dtype=complex)
+        for (kk, m), v in entries:
+            if kk == k:
+                comb[tuple((pair.lattice_stride(k) * mi + spec.N // 2) % spec.N for mi in m)] += v
+        F = np.fft.fftn(comb)
+        for ax in range(spec.n):
+            F = F * comb_phase.reshape([-1 if a == ax else 1 for a in range(spec.n)])
+        total += 2.0 ** (-k * spec.n / 2.0) * from_spectrum(spec, F * pair.psi_mult[k], real=False).values
+    return total
+
+
+class TestDenseCoefficients:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_analyze_equals_lattice_samples(self, dim, spec1k, pair1k, corpus1k, spec2d, pair2d):
+        if dim == 1:
+            f, pair = corpus1k[5].f, pair1k
+        else:
+            f, pair = make_corpus(spec2d, pair2d, size=1, seed=5)[0].f, pair2d
+        spec = f.spec
+        coeffs = analyze(f, pair)
+        assert (coeffs.n, coeffs.R, coeffs.levels()) == (spec.n, spec.R, pair.levels())
+        for k in pair.levels():
+            vals = lattice_values(f, pair.phi_mult[k])
+            lo, hi = level_index_range(spec.R, k)
+            want = np.zeros((hi - lo,) * spec.n, dtype=complex)
+            for m in np.ndindex(*want.shape):
+                pos = tuple(i + lo for i in m)
+                if all(x in pair.positions(k) for x in pos):
+                    idx = tuple((pair.lattice_stride(k) * x + spec.N // 2) % spec.N for x in pos)
+                    want[m] = 2.0 ** (-k * spec.n / 2.0) * complex(vals[idx])
+            assert np.array_equal(coeffs[k], want)
+
+    def test_synthesize_equals_comb_loop(self, spec1k, rng):
+        pair = make_lp_pair(spec1k, -4, 6)
+        entries = {(-4, (-1,)): 0.5 + 1.0j, (-4, (0,)): 2.0}
+        for k in pair.levels():
+            lo, hi = level_index_range(spec1k.R, k)
+            for _ in range(3):
+                entries[(k, (int(rng.integers(lo, hi)),))] = complex(rng.normal(), rng.normal())
+        entries = list(entries.items())
+        got = synthesize(CoefficientSet.from_entries(1, spec1k.R, entries), pair)
+        assert np.array_equal(got.values, comb_synthesize(entries, pair))
+        real = [(km, v.real) for km, v in entries]
+        got = synthesize(CoefficientSet.from_entries(1, spec1k.R, real), pair)
+        assert np.array_equal(got.values, comb_synthesize(real, pair).real)
+
+    def test_synthesize_equals_comb_loop_2d(self, spec2d, pair2d, rng):
+        entries = {}
+        for k in pair2d.levels():
+            lo, hi = level_index_range(spec2d.R, k)
+            for _ in range(3):
+                m = tuple(int(x) for x in rng.integers(lo, hi, size=2))
+                entries[(k, m)] = complex(rng.normal(), rng.normal())
+        entries = list(entries.items())
+        got = synthesize(CoefficientSet.from_entries(2, spec2d.R, entries), pair2d)
+        assert np.array_equal(got.values, comb_synthesize(entries, pair2d))
+
+    def test_coarsest_level(self, spec1k, corpus1k):
+        # at k = -log2(2R) the cubes are [-R, 0) and [0, R), m in [-1, 1),
+        # while the lattice 2^-k m = 2R m meets [-R, R) only at m = 0
+        pair = make_lp_pair(spec1k, -4, 6)
+        k = -4
+        assert level_index_range(spec1k.R, k) == (-1, 1)
+        assert list(pair.positions(k)) == [0]
+        f = corpus1k[0].f
+        lam = analyze(f, pair)[k]
+        vals = lattice_values(f, pair.phi_mult[k])
+        assert lam.shape == (2,)
+        assert lam[0] == 0
+        assert lam[1] == 2.0 ** (-k / 2.0) * complex(vals[spec1k.N // 2])
+        left = CoefficientSet.from_entries(1, spec1k.R, {(k, -1): 1.0})
+        assert list(left.items()) == [((k, (-1,)), 1.0 + 0.0j)]
+        assert np.array_equal(
+            synthesize(left, pair).values,
+            comb_synthesize([((k, (-1,)), 1.0)], pair).real,
+        )
+
+    def test_rejects_positions_outside_level(self):
+        with pytest.raises(ValueError, match="level-2 position"):
+            CoefficientSet.from_entries(1, 8.0, {(2, (32,)): 1.0})
+        with pytest.raises(ValueError, match="level-2 position"):
+            CoefficientSet.from_entries(2, 8.0, {(2, (3,)): 1.0})
+
+
 class TestCoefficientIO:
     def test_jsonl_roundtrip(self, tmp_path):
-        coeffs = CoefficientSet(1, {(0, (1,)): 1.5 - 2.0j, (3, (-4,)): 0.25})
+        coeffs = CoefficientSet.from_entries(1, 8.0, {(0, (1,)): 1.5 - 2.0j, (3, (-4,)): 0.25})
         coeffs.to_jsonl(tmp_path / "c.jsonl")
-        back = CoefficientSet.from_jsonl(tmp_path / "c.jsonl", 1)
-        assert back.data == coeffs.data
+        back = CoefficientSet.from_jsonl(tmp_path / "c.jsonl", 1, 8.0)
+        assert list(back.items()) == list(coeffs.items())
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from lpw.grid import CubeFamily, GridFunction, GridSpec, cube_samples, lp_norm
+from lpw.grid import CubeFamily, DyadicCube, GridFunction, GridSpec, cube_cells, cube_samples, level_index_range, lp_norm
 from lpw.lpaley import CoefficientSet, apply_multiplier, band, band_decompose, make_lp_pair
 from lpw.spaces import (
     NormRequest,
+    _cube_lp_all,
+    _paint,
     besov_norm,
     bmo_norm,
     build_dictionary,
+    cube_lp,
     hardy_grand_norm,
     seq_b_norm,
     seq_f_infty_norm,
@@ -196,7 +199,7 @@ class TestSequenceNorms:
     def test_single_coefficient_b_value(self, spec1k, pair1k):
         # n=1, p=q=1, unit weight: the norm is 2^(k/2) |Q_{k,m}| = 2^(-k/2)
         k0 = 2
-        coeffs = CoefficientSet(1, {(k0, (1,)): 1.0})
+        coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (1,)): 1.0})
         req = request(pair1k, Const(1.0), 1.0, 1.0)
         plain, star = seq_b_norm(coeffs, spec1k, req)
         assert plain == pytest.approx(2.0 ** (-k0 / 2.0), rel=1e-12)
@@ -204,14 +207,14 @@ class TestSequenceNorms:
 
     def test_single_coefficient_f_exponent_algebra(self, spec1k, pair1k):
         # p=q=2: the cube factors cancel, value 2^(k(1/2 - 1/2)) = 1
-        coeffs = CoefficientSet(1, {(2, (0,)): 1.0})
+        coeffs = CoefficientSet.from_entries(1, spec1k.R, {(2, (0,)): 1.0})
         plain, star = seq_f_norm(coeffs, spec1k, request(pair1k, Const(1.0), 2.0, 2.0))
         assert plain == pytest.approx(1.0, rel=1e-12)
         assert star == pytest.approx(1.0, rel=1e-12)
 
     def test_single_coefficient_f_p1(self, spec1k, pair1k):
         k0 = 3
-        coeffs = CoefficientSet(1, {(k0, (2,)): 1.0})
+        coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (2,)): 1.0})
         plain, star = seq_f_norm(coeffs, spec1k, request(pair1k, Const(1.0), 1.0, 1.0))
         assert plain == pytest.approx(2.0 ** (-k0 / 2.0), rel=1e-12)
         assert star == pytest.approx(plain, rel=1e-12)
@@ -222,7 +225,7 @@ class TestSequenceNorms:
             lo = -int(8 * 2.0**k0)
             m0 = int(rng.integers(lo, -lo))
             lam = complex(rng.normal(), rng.normal())
-            coeffs = CoefficientSet(1, {(k0, (m0,)): lam})
+            coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (m0,)): lam})
             for fn, p, q in ((seq_b_norm, 2.0, 3.0), (seq_f_norm, 2.0, 3.0), (seq_f_infty_norm, np.inf, 2.0)):
                 req = request(pair1k, Pow(0.3), p if np.isfinite(p) else np.inf, q)
                 plain, star = fn(coeffs, spec1k, req)
@@ -238,7 +241,7 @@ class TestSequenceNorms:
                 C = int(8 * 2.0**k)
                 m = int(rng.integers(-C, C))
                 data[(k, (m,))] = complex(rng.normal(), rng.normal())
-            coeffs = CoefficientSet(1, data)
+            coeffs = CoefficientSet.from_entries(1, spec1k.R, data)
             plain, star = seq_f_norm(coeffs, spec1k, req)
             assert plain > 0 and star > 0
             ratio = plain / star
@@ -248,16 +251,59 @@ class TestSequenceNorms:
 
     def test_empty_carleson(self, spec1k, pair1k):
         req = request(pair1k, Const(1.0), np.inf, 2.0)
-        assert seq_f_infty_norm(CoefficientSet(1, {}), spec1k, req) == (0.0, 0.0)
+        assert seq_f_infty_norm(CoefficientSet.from_entries(1, spec1k.R, {}), spec1k, req) == (0.0, 0.0)
 
     def test_homogeneity(self, spec1k, pair1k, rng):
         data = {(2, (1,)): 1.0 + 0.3j, (4, (-3,)): 0.5}
-        coeffs = CoefficientSet(1, data)
+        coeffs = CoefficientSet.from_entries(1, spec1k.R, data)
         req = request(pair1k, Pow(0.3), 2.0, 2.0)
         p1, s1 = seq_f_norm(coeffs, spec1k, req)
         p2, s2 = seq_f_norm(coeffs.scaled(4.0), spec1k, req)
         assert p2 == pytest.approx(4 * p1, rel=1e-12)
         assert s2 == pytest.approx(4 * s1, rel=1e-12)
+
+
+class TestDenseSequenceNorms:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cube_blocks_match_per_cube_loops(self, n, rng):
+        spec = GridSpec(n, 2.0, 64)
+        t = GridFunction(spec, np.abs(rng.normal(size=spec.shape)) + 0.1)
+        for k in range(-2, 5):  # -log2(2R) .. log2(1/h)
+            lo, hi = level_index_range(spec.R, k)
+            S = spec.N // (hi - lo)
+            cubes = [DyadicCube(k, tuple(i + lo for i in m)) for m in np.ndindex(*(hi - lo,) * n)]
+            where = rng.random((hi - lo,) * n) < 0.7
+            for p in (1.5, 2.0, 3.0, np.inf):
+                got = _cube_lp_all(t, S, p, where)
+                for Q in cubes:
+                    i = tuple(x - lo for x in Q.m)
+                    assert got[i] == (cube_lp(t, Q, p) if where[i] else 0.0)
+            vals = rng.random((hi - lo,) * n)
+            want = np.zeros(spec.shape)
+            for Q in cubes:
+                want[tuple(slice(a, b) for a, b in cube_cells(spec, Q))] += vals[tuple(x - lo for x in Q.m)]
+            assert np.array_equal(_paint(spec, vals), want)
+
+    def test_coarsest_level_cubes_are_half_domains(self, spec1k):
+        # k = -log2(2R): cubes [-R, 0) and [0, R); with p = q = 1 and unit
+        # weight both b-norms are 2^(k/2) |lambda| R = 2
+        pair = make_lp_pair(spec1k, -4, 6)
+        req = request(pair, Const(1.0), 1.0, 1.0)
+        for m in (-1, 0):
+            coeffs = CoefficientSet.from_entries(1, spec1k.R, {(-4, m): 1.0})
+            assert seq_b_norm(coeffs, spec1k, req) == (2.0, 2.0)
+
+    def test_level_finer_than_grid_refused(self, spec1k, pair1k):
+        # h = 1/64, so level 7 cubes would be half a cell wide
+        coeffs = CoefficientSet.from_entries(1, spec1k.R, {(7, 0): 1.0})
+        for fn, p in ((seq_b_norm, 2.0), (seq_f_norm, 2.0), (seq_f_infty_norm, np.inf)):
+            with pytest.raises(ValueError, match="level 7 .*h=0.015625"):
+                fn(coeffs, spec1k, request(pair1k, Const(1.0), p, 2.0))
+
+    def test_other_domain_refused(self, spec1k, pair1k):
+        coeffs = CoefficientSet.from_entries(1, 4.0, {(2, 0): 1.0})
+        with pytest.raises(ValueError, match="do not fit"):
+            seq_f_norm(coeffs, spec1k, request(pair1k, Const(1.0), 2.0, 2.0))
 
 
 class TestGrandMaximal:
@@ -320,7 +366,7 @@ class TestTwoDimensional:
         spec, pair = setup2d
         ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max, 2.0)
         for k0, m0 in ((0, (0, -1)), (2, (3, 1)), (3, (-4, 2))):
-            coeffs = CoefficientSet(2, {(k0, m0): 1.0 - 0.25j})
+            coeffs = CoefficientSet.from_entries(2, spec.R, {(k0, m0): 1.0 - 0.25j})
             for fn, space, p, q in (
                 (seq_b_norm, "b", 2.0, 3.0),
                 (seq_f_norm, "f", 2.0, 3.0),
@@ -335,7 +381,7 @@ class TestTwoDimensional:
         # n=2, p=q=2, t=1: the norm is 2^(k n (1/2 - 1/p)) |lambda| = |lambda|
         spec, pair = setup2d
         ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max, 2.0)
-        coeffs = CoefficientSet(2, {(2, (1, 1)): 3.0})
+        coeffs = CoefficientSet.from_entries(2, spec.R, {(2, (1, 1)): 3.0})
         plain, star = seq_f_norm(coeffs, spec, NormRequest("f", 2.0, 2.0, ws, pair))
         assert plain == pytest.approx(3.0, rel=1e-12)
         assert star == pytest.approx(3.0, rel=1e-12)
