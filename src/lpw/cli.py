@@ -20,7 +20,14 @@ import numpy as np
 from .grid import CubeFamily, GridError, GridSpec, load_grid_function
 from .lpaley import LevelError, band_decompose, make_lp_pair
 from .spaces import NormRequest, besov_norm, bmo_norm, tl_infty_norm, tl_norm
-from .suites import ALL_SUITES, DEFAULT_CEILINGS, DEFAULT_WEIGHT_MATRIX, RunContext
+from .suites import (
+    ALL_SUITES,
+    DEFAULT_CEILINGS,
+    DEFAULT_WEIGHT_MATRIX,
+    SEQNORM_SINGLE_CASES,
+    RunContext,
+    seqnorm_single_cases,
+)
 from .weights import (
     WeightError,
     WeightSequence,
@@ -128,6 +135,7 @@ class RunConfig:
         self.suites = list(_get(raw, "suites", list(ALL_SUITES)))
         for name in self.suites:
             _require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
+        self.check_runnable(self.suites)
         self.norm = _get(raw, "norm", {"space": "F", "p": 2.0, "q": 2.0, "weight": "pow:0.3"})
         _require(
             self.norm.get("space", "F") in ("B", "F", "F_inf", "Lp", "Hardy", "BMO"),
@@ -144,6 +152,18 @@ class RunConfig:
             self.norm_weight = parse_weight(self.norm.get("weight", "pow:0.3"))
         except WeightError as exc:
             raise ConfigError("norm.weight", str(exc)) from None
+
+    def check_runnable(self, suites: list[str]) -> None:
+        """Reject, before any suite starts, a suite that would have nothing to
+        check on this grid and level window."""
+        if "seqnorm" in suites:
+            k_max = min(self.k_max, self.spec.level_window()[1])
+            _require(
+                bool(seqnorm_single_cases(self.spec.R, self.k_min, k_max)),
+                "levels",
+                f"seqnorm needs one of its lone-coefficient cases (k, m) {SEQNORM_SINGLE_CASES} "
+                f"inside levels [{self.k_min}, {k_max}] with m a level-k position on R={self.spec.R:g}",
+            )
 
     def context(self) -> RunContext:
         return RunContext(
@@ -444,6 +464,11 @@ def main(argv=None) -> int:
             if name not in ALL_SUITES:
                 print(f"error: unknown suite {name!r}", file=sys.stderr)
                 return 2
+        try:
+            cfg.check_runnable(names)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return cmd_verify(cfg, names, out)
     raise AssertionError(args.command)
 

@@ -218,6 +218,21 @@ def _cube_lp_all(t: GridFunction, S: int, p: float, where: np.ndarray) -> np.nda
     return out
 
 
+def _starred_cube_lp(t: GridFunction, k: int, S: int, p: float, where: np.ndarray) -> np.ndarray:
+    """t_{k,m} for the starred f-norms, whose factor 2^(k n / p) = |Q|^(-1/p)
+    must be |Q cap domain|^(-1/p) for lone coefficients to agree exactly.
+
+    Only the coarsest level k = -log2(2R) has cubes clipped to half the
+    domain; there t_{k,m} takes the measure ratio, every other level is
+    _cube_lp_all as it is.
+    """
+    tkm = _cube_lp_all(t, S, p, where)
+    side = S * t.spec.h
+    if side < 2.0 ** (-k):
+        tkm = tkm * (2.0 ** (-k) / side) ** (t.spec.n / p)
+    return tkm
+
+
 def _seq_levels(coeffs: CoefficientSet, spec: GridSpec):
     """(k, |lambda_k|, cells per level-k cube side) for each stored level
     that holds a nonzero coefficient."""
@@ -274,7 +289,7 @@ def seq_f_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tupl
     qq = 1.0 if np.isinf(q) else q
     for k, mags, S in _seq_levels(coeffs, spec):
         t = req.weights.on_grid(spec, k)
-        tkm = _cube_lp_all(t, S, p, mags > 0)
+        tkm = _starred_cube_lp(t, k, S, p, mags > 0)
         if np.isinf(q):
             lvl_plain = _paint(spec, mags) * 2.0 ** (k * n / 2.0) * t.values
             lvl_star = _paint(spec, mags * tkm * 2.0 ** (k * n * (0.5 + 1.0 / p)))
@@ -298,7 +313,7 @@ def seq_f_infty_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -
     star_arrays: dict[int, np.ndarray] = {}
     for k, mags, S in _seq_levels(coeffs, spec):
         t = req.weights.on_grid(spec, k)
-        tkmq = _cube_lp_all(t, S, q, mags > 0)
+        tkmq = _starred_cube_lp(t, k, S, q, mags > 0)
         plain_arrays[k] = _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
         star_arrays[k] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
     if not plain_arrays:

@@ -303,6 +303,21 @@ def _seq_ratio_extreme(ctx: RunContext, spec: GridSpec, sets) -> float:
     return worst
 
 
+# lone-coefficient cases (k, m) of suite_seqnorm, position m on every axis
+SEQNORM_SINGLE_CASES = ((-2, 0), (0, 3), (3, -5), (6, 17))
+
+
+def seqnorm_single_cases(R: float, k_min: int, k_max: int) -> list[tuple[int, int]]:
+    """The SEQNORM_SINGLE_CASES inside the levels [k_min, k_max] whose
+    position is a level-k cube meeting [-R, R)^n."""
+    out = []
+    for k, m in SEQNORM_SINGLE_CASES:
+        lo, hi = level_index_range(R, k)
+        if k_min <= k <= k_max and lo <= m < hi:
+            out.append((k, m))
+    return out
+
+
 def suite_seqnorm(ctx: RunContext) -> dict:
     """Direct and cube-aggregated sequence norms: exact agreement on lone
     coefficients, bounded two-sided ratios on random sets, stable under grid
@@ -312,10 +327,7 @@ def suite_seqnorm(ctx: RunContext) -> dict:
     ceiling = ctx.ceilings["seq_ratio"]
     ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max, 2.0)
     single_worst = 0.0
-    for k, m in ((-2, 0), (0, 3), (3, -5), (6, 17)):
-        lo, hi = level_index_range(spec.R, k)
-        if not (pair.k_min <= k <= pair.k_max and lo <= m < hi):
-            continue
+    for k, m in seqnorm_single_cases(spec.R, pair.k_min, pair.k_max):
         coeffs = CoefficientSet.from_entries(spec.n, spec.R, [((k, (m,) * spec.n), 1.0 + 0.5j)])
         for fn, kind in ((seq_b_norm, "b"), (seq_f_norm, "f"), (seq_f_infty_norm, "f_inf")):
             req = NormRequest(

@@ -15,6 +15,13 @@ scale tied to the finest level of the cube family.  Integrable singularities
 then converge as the family deepens, while non-integrable ones blow up at
 the core rate, which is exactly the divergence the Muckenhoupt criteria are
 probed for.
+
+FamilyNodes caches the means per (radial profile, exponent): a separable
+weight 2^(k s) g(|x|) is reduced once per canonical level-free profile g and
+rescaled per level, so dyadic:s and const:1, or prod:[dyadic:1,pow:0.3] and
+pow:0.3, share one reduction.  The elementwise work, evaluating g and raising
+it to r, runs on cache-sized row chunks; the weighted sum over the nodes stays
+one matrix-vector product per batch of same-shaped cubes.
 """
 
 from __future__ import annotations
@@ -403,8 +410,12 @@ class _Batch:
 class FamilyNodes:
     """Quadrature geometry for a dyadic cube family over [-R, R)^n.
 
-    Built once per family and reused across weights and exponents; cube means
-    of separable weights are cached per (weight, exponent).
+    Built once per family and reused across weights and exponents.  Cube
+    statistics are cached per (radial profile, exponent) for separable
+    weights and per (weight, exponent, level) otherwise.  Each is one
+    reduction: the weight and its r-th power are evaluated on row chunks of
+    about _CHUNK_NODES nodes into one scratch buffer sized for the largest
+    batch, and the dot product with the node weights covers each whole batch.
     """
 
     def __init__(
@@ -430,8 +441,8 @@ class FamilyNodes:
         self.seg_nodes = seg_nodes
         self.flat_nodes = flat_nodes
         self.batches: list[_Batch] = []
-        self._mean_cache: dict = {}
-        self._min_cache: dict = {}
+        self._cache: dict = {}
+        self._buf: np.ndarray | None = None  # scratch for the largest batch
         shifts = (0.0, 0.5) if family.translates else (0.0,)
         for v in family.levels():
             for shift in shifts:
@@ -527,67 +538,87 @@ class FamilyNodes:
         """M_{Q,r}(t_k) for every cube in family order; r = inf is the node max."""
         if r != np.inf and r <= 0:
             raise WeightError(f"mean exponent must be positive, got {r}")
-        if w.separable:
-            s, g = w.split()
-            base = self._separable_means(w.key(), g, r)
-            return (2.0 ** (k * s)) * base if s else base
-        return self._direct_means(w, r, k)
-
-    def _separable_means(self, wkey: str, g, r: float) -> np.ndarray:
-        key = (wkey, r)
-        cached = self._mean_cache.get(key)
-        if cached is not None:
-            return cached
-        parts = []
-        for b in self.batches:
-            vals = g(b.radius)
-            if np.isinf(r):
-                parts.append(vals.max(axis=1))
-            else:
-                parts.append((vals**r @ b.wts) ** (1.0 / r))
-        out = np.concatenate(parts)
-        self._mean_cache[key] = out
-        return out
-
-    def _direct_means(self, w: WeightSpec, r: float, k: int) -> np.ndarray:
-        key = (w.key(), r, k)
-        cached = self._mean_cache.get(key)
-        if cached is not None:
-            return cached
-        parts = []
-        for b in self.batches:
-            vals = w.eval(b.radius, k)
-            if np.isinf(r):
-                parts.append(vals.max(axis=1))
-            else:
-                parts.append((vals**r @ b.wts) ** (1.0 / r))
-        out = np.concatenate(parts)
-        self._mean_cache[key] = out
-        return out
+        return self._stat(w, r, k)
 
     def mins(self, w: WeightSpec, k: int = 0) -> np.ndarray:
         """Per-cube minimum of the weight over the quadrature nodes."""
-        key = (w.key(), k if not w.separable else None)
-        cached = self._min_cache.get(key)
-        if cached is not None:
-            if w.separable:
-                s, _ = w.split()
-                return (2.0 ** (k * s)) * cached
-            return cached
-        parts = []
+        return self._stat(w, -np.inf, k)
+
+    def _stat(self, w: WeightSpec, r: float, k: int) -> np.ndarray:
+        """The cached r-mean of t_k per cube, r = +-inf being the node max/min.
+
+        A separable weight 2^(k s) g is reduced once per (radial profile, r)
+        and rescaled per level; any other weight once per (weight, r, k).
+        Weights are compared by value, not by key(), whose 6-digit floats
+        would let pow:0.3 and pow:0.3000001 share an entry.
+        """
         if w.separable:
-            _, g = w.split()
-            for b in self.batches:
-                parts.append(g(b.radius).min(axis=1))
+            s, g = w.split()
+            key, f = (_profile(w), r), g
         else:
-            for b in self.batches:
-                parts.append(w.eval(b.radius, k).min(axis=1))
-        out = np.concatenate(parts)
-        self._min_cache[key] = out
-        if w.separable:
-            s, _ = w.split()
-            return (2.0 ** (k * s)) * out
+            s, key, f = 0.0, (w, r, k), lambda rad: w.eval(rad, k)
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = self._reduce(f, r)
+        return (2.0 ** (k * s)) * out if s else out
+
+    def _reduce(self, f, r: float) -> np.ndarray:
+        """Per cube, the r-mean of f over its nodes, or the max (r = inf) or
+        min (r = -inf).
+
+        f and the power run on row chunks of about _CHUNK_NODES nodes, so their
+        temporaries stay in cache.  Each batch still takes one matrix-vector
+        product over all its rows: BLAS rounds differently when the row count
+        changes, so only the elementwise stage is chunked.
+        """
+        extreme = {np.inf: np.max, -np.inf: np.min}.get(r)
+        if extreme is None and self._buf is None:
+            self._buf = np.empty(max(b.radius.size for b in self.batches))
+        out = np.empty(self.n_cubes)
+        at = 0
+        for b in self.batches:
+            rows, K = b.radius.shape
+            step = max(1, _CHUNK_NODES // K)
+            dst = out[at : at + rows]
+            at += rows
+            if extreme:
+                for lo in range(0, rows, step):
+                    dst[lo : lo + step] = extreme(f(b.radius[lo : lo + step]), axis=1)
+                continue
+            buf = self._buf[: rows * K].reshape(rows, K)
+            for lo in range(0, rows, step):
+                buf[lo : lo + step] = f(b.radius[lo : lo + step]) ** r
+            dst[:] = (buf @ b.wts) ** (1.0 / r)
         return out
+
+
+_CHUNK_NODES = 1 << 16
+_UNIT = Const(1.0)
+
+
+def _profile(w: WeightSpec) -> WeightSpec:
+    """The canonical level-free radial profile of a separable weight w = 2^(k s) g:
+    a weight whose g is bit-identical to w's, shared by every weight with that g
+    up to the exact identities x * 1.0 == x and 1.0 ** e == 1.0.
+
+    Unit factors drop out: dyadic:s, const:1, pow:0, powers of them, and
+    frozen weights whose scale 2^(j s) is exactly 1.0.  Everything else keeps
+    its own form, nesting included, since (a b) c and a (b c), or c ** e and a
+    constant near it, can round apart.
+    """
+    if isinstance(w, Dyadic) or (isinstance(w, (Pow, ShiftPow)) and w.a == 0):
+        return _UNIT
+    if isinstance(w, Prod):
+        factors = tuple(f for f in map(_profile, w.factors) if f != _UNIT)
+        if len(factors) > 1:
+            return Prod(factors)
+        return factors[0] if factors else _UNIT
+    if isinstance(w, PowOf):
+        base = _profile(w.base)
+        return _UNIT if base == _UNIT else PowOf(base, w.e)
+    if isinstance(w, Frozen) and 2.0 ** (w.j * w.base.split()[0]) == 1.0:
+        return _profile(w.base)
+    return w
 
 
 def domain_integral(w: WeightSpec, R: float, n: int, p: float, core: float, k: int = 0,

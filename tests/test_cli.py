@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpw.cli import main
+from lpw.cli import RunConfig, main
 
 
 SMALL_CONFIG = {
@@ -54,6 +54,19 @@ class TestConfigValidation:
         path = write_config(tmp_path, {"levels.k_min": -9})
         assert main(["verify", "all", "--config", path]) == 2
         assert "levels" in capsys.readouterr().err
+
+    def test_seqnorm_without_cases(self, tmp_path, capsys):
+        # R = 1 and k_max = 2 < 3 leave none of seqnorm's lone-coefficient
+        # cases, whether seqnorm is listed in the config or named on the line
+        tiny = {"grid.R": 1.0, "levels.k_min": -1, "levels.k_max": 2, "cubes.v_min": -1}
+        path = write_config(tmp_path, {**tiny, "suites": ["partition", "seqnorm"]})
+        assert main(["verify", "all", "--config", path]) == 2
+        assert "config field 'levels'" in capsys.readouterr().err
+        path = write_config(tmp_path, tiny)
+        assert main(["verify", "seqnorm", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'levels'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        RunConfig(json.loads(Path(path).read_text()))  # accepted while seqnorm is not listed
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -286,12 +286,15 @@ class TestDenseSequenceNorms:
 
     def test_coarsest_level_cubes_are_half_domains(self, spec1k):
         # k = -log2(2R): cubes [-R, 0) and [0, R); with p = q = 1 and unit
-        # weight both b-norms are 2^(k/2) |lambda| R = 2
+        # weight the b- and f-norms are 2^(k/2) |lambda| R = 2, and the
+        # Carleson norm takes the mean over the whole domain, 2^(k/2) / 2
         pair = make_lp_pair(spec1k, -4, 6)
         req = request(pair, Const(1.0), 1.0, 1.0)
         for m in (-1, 0):
             coeffs = CoefficientSet.from_entries(1, spec1k.R, {(-4, m): 1.0})
             assert seq_b_norm(coeffs, spec1k, req) == (2.0, 2.0)
+            assert seq_f_norm(coeffs, spec1k, req) == (2.0, 2.0)
+            assert seq_f_infty_norm(coeffs, spec1k, req) == (0.125, 0.125)
 
     def test_level_finer_than_grid_refused(self, spec1k, pair1k):
         # h = 1/64, so level 7 cubes would be half a cell wide

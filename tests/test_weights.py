@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpw.grid import CubeFamily, GridSpec
@@ -9,6 +9,7 @@ from lpw.weights import (
     Const,
     Dyadic,
     FamilyNodes,
+    Frozen,
     Pow,
     Prod,
     ShiftPow,
@@ -26,6 +27,7 @@ from lpw.weights import (
     xclass_constants,
     xclass_fit,
 )
+from lpw.weights import _CHUNK_NODES, _profile
 
 
 def power_mean_oracle(a, lo, hi, r):
@@ -162,6 +164,113 @@ class TestQuadratureEngine:
         # mean of |x| over the unit square: (sqrt(2) + asinh(1)) / 3
         want = (np.sqrt(2) + np.arcsinh(1)) / 3
         assert nodes.means(Pow(1.0), 1.0)[idx] == pytest.approx(want, rel=1e-3)
+
+
+def former_stat(nodes, w, r, k):
+    """The per-batch formula FamilyNodes used before its reductions were
+    chunked and cached per radial profile; r = -inf is the node minimum."""
+    if w.separable:
+        s, f = w.split()
+    else:
+        s, f = 0.0, lambda rad: w.eval(rad, k)
+    parts = []
+    for b in nodes.batches:
+        vals = f(b.radius)
+        if r == np.inf:
+            parts.append(vals.max(axis=1))
+        elif r == -np.inf:
+            parts.append(vals.min(axis=1))
+        else:
+            parts.append((vals**r @ b.wts) ** (1.0 / r))
+    out = np.concatenate(parts)
+    return (2.0 ** (k * s)) * out if s else out
+
+
+@pytest.fixture(scope="module", params=[(8.0, 1, (-4, 9)), (2.0, 2, (-1, 4))], ids=["1d", "2d"])
+def chunked_nodes(request):
+    R, n, (v_min, v_max) = request.param
+    nodes = FamilyNodes(R, n, CubeFamily(v_min, v_max))
+    rows, K = max((b.radius.shape for b in nodes.batches), key=lambda s: s[0] * s[1])
+    assert rows > _CHUNK_NODES // K  # the largest batch spans several chunks
+    return nodes
+
+
+class TestChunkedReduction:
+    @pytest.mark.parametrize(
+        "w,k",
+        [
+            (Pow(0.3), 0),
+            (parse_weight("prod:[dyadic:1,pow:0.3]"), 2),
+            (ShiftPow(-0.3, 2.0).inv(), -1),
+            (Frozen(parse_weight("prod:[dyadic:0.5,const:2]"), 3), 1),
+            (AltPow(0.4), 1),
+        ],
+        ids=["pow", "dyadic-prod", "shiftpow-inv", "frozen", "altpow"],
+    )
+    def test_equals_former_formula(self, chunked_nodes, w, k):
+        for r in (0.5, 1.0, 2.0, 3.0, np.inf):
+            assert np.array_equal(chunked_nodes.means(w, r, k), former_stat(chunked_nodes, w, r, k)), r
+        assert np.array_equal(chunked_nodes.mins(w, k), former_stat(chunked_nodes, w, -np.inf, k))
+
+    def test_one_reduction_per_radial_profile(self, monkeypatch):
+        nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
+        calls = []
+        reduce = FamilyNodes._reduce
+        monkeypatch.setattr(FamilyNodes, "_reduce", lambda self, f, r: calls.append(r) or reduce(self, f, r))
+        unit = nodes.means(parse_weight("dyadic:0.5"), 2.0, 3)
+        assert np.array_equal(nodes.means(parse_weight("const:1"), 2.0), unit / 2.0**1.5)
+        assert len(calls) == 1
+        nodes.means(Pow(0.3), 2.0)
+        nodes.means(parse_weight("prod:[dyadic:1,pow:0.3]"), 2.0, 2)
+        assert len(calls) == 2
+        # c ** e is not exactly a constant, so a power of const:2 reduces apart
+        nodes.means(Const(2.0).power(0.5), 2.0)
+        assert len(calls) == 3
+
+    def test_close_weights_keep_their_own_entries(self):
+        # key() prints floats to 6 digits, so these pairs share a key
+        nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 3))
+        for w, v in ((Pow(0.3), Pow(0.3000001)), (AltPow(0.3), AltPow(0.3000001))):
+            assert w.key() == v.key()
+            nodes.means(w, 2.0, 1)
+            assert np.array_equal(nodes.means(v, 2.0, 1), former_stat(nodes, v, 2.0, 1))
+
+
+_EXPONENT = st.one_of(st.just(0.0), st.floats(-0.9, 2.0))
+_PRIMITIVE = st.one_of(
+    _EXPONENT.map(lambda a: f"pow:{a!r}"),
+    st.one_of(st.just(1.0), st.floats(0.1, 4.0)).map(lambda c: f"const:{c!r}"),
+    st.floats(-2.0, 2.0).map(lambda s: f"dyadic:{s!r}"),
+    st.tuples(_EXPONENT, st.floats(0.1, 4.0)).map(lambda ac: f"shiftpow:{ac[0]!r},{ac[1]!r}"),
+)
+_CONFIG_WEIGHT = st.recursive(
+    _PRIMITIVE,
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(lambda ps: "prod:[" + ",".join(ps) + "]"),
+    max_leaves=6,
+)
+_RADII = np.concatenate([np.geomspace(1e-9, 16.0, 181), [0.5, 1.0, 2.0, 3.0]])
+
+
+class TestRadialProfile:
+    @given(
+        _CONFIG_WEIGHT,
+        st.sampled_from(["plain", "inv", "power", "frozen"]),
+        st.floats(0.2, 3.0),
+        st.integers(-4, 4),
+    )
+    # a*(b*c) and (a*b)*c round apart on these radii, and so do the array
+    # power 2.5**2.5 and its scalar value
+    @example("prod:[pow:0.3,prod:[pow:0.7,shiftpow:0.4,1]]", "plain", 1.0, 0)
+    @example("prod:[dyadic:1,const:2.5]", "power", 2.5, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_profile_is_bit_identical(self, text, derive, e, j):
+        w = parse_weight(text)
+        w = {"plain": w, "inv": w.inv(), "power": w.power(e), "frozen": w.frozen(j)}[derive]
+        canon = _profile(w)
+        s, g = canon.split()
+        assert s == 0.0
+        with np.errstate(all="ignore"):
+            assert np.array_equal(g(_RADII), w.split()[1](_RADII), equal_nan=True)
 
 
 class TestMuckenhoupt:
