@@ -20,8 +20,10 @@ import numpy as np
 from .grid import CubeFamily, GridError, GridSpec, load_grid_function
 from .lpaley import LevelError, band_decompose, make_lp_pair
 from .spaces import NormRequest, besov_norm, bmo_norm, tl_infty_norm, tl_norm
+from .verify import annulus_indices
 from .suites import (
     ALL_SUITES,
+    ANNULUS_SUITES,
     DEFAULT_CEILINGS,
     DEFAULT_WEIGHT_MATRIX,
     SEQNORM_SINGLE_CASES,
@@ -73,8 +75,8 @@ def _parse_exponent(value, field: str) -> float:
 
 
 class RunConfig:
-    """Validated run configuration; every module precondition is checked here
-    so nothing fails mid-run."""
+    """Validated run configuration; every module precondition is checked here,
+    the per-command ones by check_runnable, so nothing fails mid-run."""
 
     def __init__(self, raw: dict, seed_override: int | None = None):
         self.raw = raw
@@ -93,7 +95,7 @@ class RunConfig:
         _require(self.k_min <= self.k_max, "levels.k_min", "k_min exceeds k_max")
         k_cap = self.spec.level_window()[1]
         try:
-            make_lp_pair(self.spec, self.k_min, min(self.k_max, k_cap))
+            self.pair = make_lp_pair(self.spec, self.k_min, min(self.k_max, k_cap))
         except LevelError as exc:
             raise ConfigError("levels", str(exc)) from None
         v_min = int(_get(raw, "cubes.v_min", -4))
@@ -135,7 +137,6 @@ class RunConfig:
         self.suites = list(_get(raw, "suites", list(ALL_SUITES)))
         for name in self.suites:
             _require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
-        self.check_runnable(self.suites)
         self.norm = _get(raw, "norm", {"space": "F", "p": 2.0, "q": 2.0, "weight": "pow:0.3"})
         _require(
             self.norm.get("space", "F") in ("B", "F", "F_inf", "Lp", "Hardy", "BMO"),
@@ -153,11 +154,24 @@ class RunConfig:
         except WeightError as exc:
             raise ConfigError("norm.weight", str(exc)) from None
 
-    def check_runnable(self, suites: list[str]) -> None:
-        """Reject, before any suite starts, a suite that would have nothing to
-        check on this grid and level window."""
+    def check_runnable(self, suites: list[str], corpus: bool = False) -> None:
+        """Reject, before anything runs, a suite that would have nothing to
+        check on this grid and level window.  corpus marks a norm or
+        decompose request on the corpus, which needs what the corpus suites
+        need: a grid frequency inside the resolved annulus."""
+        if corpus or any(name in ANNULUS_SUITES for name in suites):
+            try:
+                annulus_indices(self.spec, self.pair)
+            except ValueError:
+                lo, hi = self.pair.annulus()
+                raise ConfigError(
+                    "levels",
+                    f"levels [{self.pair.k_min}, {self.pair.k_max}] resolve the annulus "
+                    f"[{lo:g}, {hi:g}], which holds no positive grid frequency: the grid's "
+                    f"fundamental frequency is pi/R = {self.spec.fundamental:g} on R={self.spec.R:g}",
+                ) from None
         if "seqnorm" in suites:
-            k_max = min(self.k_max, self.spec.level_window()[1])
+            k_max = self.pair.k_max  # the level window capped at the grid's resolution
             _require(
                 bool(seqnorm_single_cases(self.spec.R, self.k_min, k_max)),
                 "levels",
@@ -451,6 +465,21 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    names = []
+    if args.command == "verify":
+        if args.suite != "all" and args.suite not in ALL_SUITES:
+            print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
+            return 2
+        names = cfg.suites if args.suite == "all" else [args.suite]
+    source = {
+        "norm": cfg.norm.get("input", "corpus"),
+        "decompose": _get(cfg.raw, "decompose.input", "corpus"),
+    }.get(args.command)
+    try:
+        cfg.check_runnable(names, corpus=source == "corpus")
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     if args.command == "norm":
         return cmd_norm(cfg, out)
@@ -459,16 +488,6 @@ def main(argv=None) -> int:
     if args.command == "weights":
         return cmd_weights(cfg, args.op, out)
     if args.command == "verify":
-        names = cfg.suites if args.suite == "all" else [args.suite]
-        for name in names:
-            if name not in ALL_SUITES:
-                print(f"error: unknown suite {name!r}", file=sys.stderr)
-                return 2
-        try:
-            cfg.check_runnable(names)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         return cmd_verify(cfg, names, out)
     raise AssertionError(args.command)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import GridError, GridFunction, GridSpec, VectorSequence, lp_lq_norm
 from .weights import WeightSequence, same_constant_check, FamilyNodes
@@ -70,10 +69,14 @@ def _containing_max(avg: np.ndarray, w: int) -> np.ndarray:
 
     scipy's origin shifts the window right for negative values: the window at
     output c is [c - w//2 - origin, c + (w-1)//2 - origin], so origin
-    w - 1 - w//2 pins it to [c - w + 1, c].
+    w - 1 - w//2 pins it to [c - w + 1, c].  scipy is imported here, on
+    first use, so processes that never take a maximal function do not pay
+    its import.
     """
     if w == 1:
         return avg
+    from scipy import ndimage
+
     origin = w - 1 - w // 2
     if avg.ndim == 1:
         return ndimage.maximum_filter1d(avg, size=w, mode="wrap", origin=origin)

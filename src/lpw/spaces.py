@@ -12,7 +12,7 @@ exact on the band-limited corpus this package works with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .grid import (
     lp_norm,
     weighted_lp_norm,
 )
-from .lpaley import BandDecomposition, CoefficientSet, LPPair, _apply_to_spectrum, band_decompose
+from .lpaley import BandDecomposition, CoefficientSet, LPPair, band_decompose
 from .weights import WeightSequence
 
 
@@ -351,9 +351,27 @@ class GrandProfile:
 
 @dataclass(frozen=True)
 class TestFunctionDictionary:
+    """Test profiles, their Schwartz seminorms, and a cache of the per-level
+    multiplier stacks that hardy_grand_norm applies.
+
+    The multipliers depend only on (spec, k), so one dictionary serves any
+    number of functions and builds each level's stack once.  The cache holds
+    profiles x levels x N^n complex128 values: 8 x 12 x 4096 x 16 B = 6 MB
+    for the default 1D dictionary (N = 4096, 12 levels), and
+    10 x 7 x 256^2 x 16 B = 73 MB for a 2D N = 256^2 grid over 7 levels.
+    """
+
     profiles: tuple[GrandProfile, ...]
     N_order: int
     seminorms: tuple[float, ...]
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def stack(self, spec: GridSpec, k: int) -> np.ndarray:
+        """The level-k multipliers of all profiles, shape (profiles, *spec.shape)."""
+        key = (spec, k)
+        if key not in self._stacks:
+            self._stacks[key] = np.stack([prof.multiplier(spec, k) for prof in self.profiles])
+        return self._stacks[key]
 
 
 def _seminorm(spec: GridSpec, width: float, order: int, N: int) -> float:
@@ -407,16 +425,20 @@ def hardy_grand_norm(
     """|| sup over levels and dictionary members of t_k |psi_k * f| | L_p ||.
 
     A lower bound for the grand-maximal norm that can only grow as the
-    dictionary is enlarged.
+    dictionary is enlarged.  Each level takes one inverse transform over the
+    dictionary's cached multiplier stack and one max over profiles; a batched
+    ifftn equals the per-profile ones bit for bit, and t > 0 commutes with
+    the max, so the value is that of the per-profile loop.
     """
+    spec = f.spec
     F = np.fft.fftn(f.values)
-    best = np.zeros(f.spec.shape)
+    axes = tuple(range(1, spec.n + 1))
+    best = np.zeros(spec.shape)
     for k in ts.levels():
-        t = ts.on_grid(f.spec, k).values
-        for prof in dictionary.profiles:
-            conv = _apply_to_spectrum(f, F, prof.multiplier(f.spec, k))
-            np.maximum(best, t * np.abs(conv.values), out=best)
-    return lp_norm(GridFunction(f.spec, best), p)
+        t = ts.on_grid(spec, k).values
+        conv = np.fft.ifftn(dictionary.stack(spec, k) * F, axes=axes)
+        np.maximum(best, t * np.abs(conv).max(axis=0), out=best)
+    return lp_norm(GridFunction(spec, best), p)
 
 
 def bmo_norm(f: GridFunction, family: CubeFamily | None = None) -> float:

@@ -24,6 +24,7 @@ from .verify import (
     equivalence_report,
     holder_floor_check,
     make_corpus,
+    ratio_report,
 )
 from .weights import Const, FamilyNodes, Pow, WeightSequence, ap_constant, parse_weight, sigma1, xclass_fit
 
@@ -450,7 +451,8 @@ def suite_coincidence(ctx: RunContext) -> dict:
     g2 = t2.on_grid(spec)
     # origin-concentrated members are the discriminating witnesses for
     # weights that differ only in their origin behavior
-    witnesses = corpus + spike_family(spec, pair, steps=4)
+    spikes = spike_family(spec, pair, steps=4)
+    witnesses = corpus + spikes
     # band-limited witnesses on this domain separate the opposite powers by
     # a factor ~40, so the norm-comparison reports get their own ceiling
     eq_ceiling = ctx.ceilings["coincidence_equivalence"]
@@ -461,10 +463,15 @@ def suite_coincidence(ctx: RunContext) -> dict:
     )
     ws1 = WeightSequence(t1, pair.k_min, pair.k_max, 2.0)
     ws2 = WeightSequence(t2, pair.k_min, pair.k_max, 2.0)
-    rep_f = equivalence_report(
-        lambda f: tl_norm(f, NormRequest("F", 2.0, 2.0, ws1, pair)),
-        lambda f: tl_norm(f, NormRequest("F", 2.0, 2.0, ws2, pair)),
-        witnesses, eq_ceiling, "F22(t1)", "F22(t2)",
+    bands = ctx.bands()
+    decomps = [bands[mem.name] for mem in corpus] + [band_decompose(mem.f, pair) for mem in spikes]
+    req1 = NormRequest("F", 2.0, 2.0, ws1, pair)
+    req2 = NormRequest("F", 2.0, 2.0, ws2, pair)
+    rep_f = ratio_report(
+        [mem.name for mem in witnesses],
+        [tl_norm(d, req1) for d in decomps],
+        [tl_norm(d, req2) for d in decomps],
+        eq_ceiling, "F22(t1)", "F22(t2)",
     )
     negative_ok = (
         (not res.passed)
@@ -603,10 +610,12 @@ def suite_bmo(ctx: RunContext) -> dict:
     fam = ctx.family.clamped(spec)
     ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max, 2.0)
     req = NormRequest("F_inf", np.inf, 2.0, ws, pair, family=fam)
-    rep = equivalence_report(
-        lambda f: bmo_norm(f, fam),
-        lambda f: tl_infty_norm(f, req),
-        ctx.corpus(),
+    corpus = ctx.corpus()
+    bands = ctx.bands()
+    rep = ratio_report(
+        [mem.name for mem in corpus],
+        [bmo_norm(mem.f, fam) for mem in corpus],
+        [tl_infty_norm(bands[mem.name], req) for mem in corpus],
         ceiling=ctx.ceilings["informational"],
         name_a="BMO",
         name_b="Finf2",
@@ -628,4 +637,8 @@ ALL_SUITES = {
     "xclassfit": suite_xclassfit,
     "bmo": suite_bmo,
 }
+
+# suites that build the corpus or the partition's annulus mask, and so need a
+# grid frequency inside the resolved annulus
+ANNULUS_SUITES = ("selfequiv", "partition", "calderon", "classical", "newnorm", "coincidence", "maximal", "bmo")
 

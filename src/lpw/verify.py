@@ -37,8 +37,11 @@ class CorpusMember:
     f: GridFunction
 
 
-def _annulus_indices(spec: GridSpec, pair: LPPair) -> tuple[int, int]:
-    """Positive frequency index range inside the resolved annulus (1D)."""
+def annulus_indices(spec: GridSpec, pair: LPPair) -> tuple[int, int]:
+    """Positive frequency indices j with j * fundamental inside the resolved
+    annulus, per axis.  The annulus is empty, a single radius 2^a (never
+    pi/R times the root of an integer) or at least an octave wide, so an
+    empty axis range also means no 2D frequency lies in it."""
     lo, hi = pair.annulus()
     fund = spec.fundamental
     j_lo = max(1, math.ceil(lo / fund - 1e-9))
@@ -92,7 +95,7 @@ def make_corpus(
     functions at any N that resolves them."""
     rng = np.random.default_rng(seed)
     j_lo_free, j_hi_free = _resolution_free_bounds(spec.R, pair)
-    j_lo, j_hi = _annulus_indices(spec, pair)
+    j_lo, j_hi = annulus_indices(spec, pair)
     j_lo, j_hi = max(j_lo, j_lo_free), min(j_hi, j_hi_free)
     members: list[CorpusMember] = []
     kinds = ["multiband", "single", "spike", "gauss"]
@@ -110,7 +113,9 @@ def make_corpus(
                 coeffs[int(j)] = coeffs.get(int(j), 0) + complex(rng.normal(), rng.normal())
             members.append(_member_from_coeffs(spec, coeffs, f"multiband{idx:02d}", kind))
         elif kind == "single":
-            k0 = int(rng.integers(pair.first_active + 1, pair.k_max - 1))
+            # k0 in first_active + 1 .. k_max - 2, or first_active + 1 when
+            # the level window is too narrow for that range
+            k0 = int(rng.integers(pair.first_active + 1, max(pair.first_active + 2, pair.k_max - 1)))
             lo = max(j_lo, math.ceil(2.0**k0 / spec.fundamental))
             hi = min(j_hi, math.floor(2.0 ** (k0 + 1) / spec.fundamental))
             if hi < lo:
@@ -172,7 +177,7 @@ def _make_corpus_2d(spec: GridSpec, pair: LPPair, size: int, rng) -> list[Corpus
 def spike_family(spec: GridSpec, pair: LPPair, steps: int = 4) -> list[CorpusMember]:
     """Band-limited bumps at the origin over sub-bands widening dyadically
     with the step index, so the spatial concentration doubles at each step."""
-    j_lo, j_hi = _annulus_indices(spec, pair)
+    j_lo, j_hi = annulus_indices(spec, pair)
     out = []
     for step in range(steps):
         hi = j_hi
@@ -237,14 +242,34 @@ def equivalence_report(
 ) -> EquivalenceReport:
     """Per-member ratios B/A with extremes and witnesses; members on which
     either norm vanishes are excluded and reported."""
+    return ratio_report(
+        [mem.name for mem in corpus],
+        [norm_a(mem.f) for mem in corpus],
+        [norm_b(mem.f) for mem in corpus],
+        ceiling,
+        name_a,
+        name_b,
+    )
+
+
+def ratio_report(
+    members: list[str],
+    values_a: list[float],
+    values_b: list[float],
+    ceiling: float = 50.0,
+    name_a: str = "A",
+    name_b: str = "B",
+) -> EquivalenceReport:
+    """equivalence_report over norm values already computed per member, for
+    callers that evaluate a norm on something other than the samples (a
+    cached band decomposition, say)."""
     ratios, names, excluded = [], [], []
-    for mem in corpus:
-        va, vb = norm_a(mem.f), norm_b(mem.f)
+    for name, va, vb in zip(members, values_a, values_b, strict=True):
         if va == 0 or vb == 0:
-            excluded.append(mem.name)
+            excluded.append(name)
             continue
         ratios.append(vb / va)
-        names.append(mem.name)
+        names.append(name)
     if not ratios:
         raise ValueError("all corpus members excluded: both norms vanish")
     arr = np.array(ratios)

@@ -68,6 +68,36 @@ class TestConfigValidation:
         assert not (tmp_path / "o").exists()
         RunConfig(json.loads(Path(path).read_text()))  # accepted while seqnorm is not listed
 
+    def test_empty_annulus(self, tmp_path, capsys, rng):
+        # R = 1 and levels -1..2 resolve the annulus [1, 2], below the grid's
+        # fundamental frequency pi: no corpus and no partition mask exist
+        tiny = {"grid.R": 1.0, "levels.k_min": -1, "levels.k_max": 2, "cubes.v_min": -1}
+        path = write_config(tmp_path, tiny)
+        for argv in (["verify", "selfequiv"], ["verify", "partition"], ["verify", "all"], ["norm"], ["decompose"]):
+            out = tmp_path / "o"
+            assert main([*argv, "--config", path, "--out", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            assert "config field 'levels'" in err and "annulus [1, 2]" in err, argv
+            assert not out.exists()
+        # a suite that needs no corpus still runs on this grid, and so does a
+        # norm of a file input
+        assert main(["verify", "hoelder", "--config", path, "--out", str(tmp_path / "h")]) == 0
+        from lpw.grid import GridFunction, GridSpec, save_grid_function
+
+        save_grid_function(GridFunction(GridSpec(1, 1.0, 512), rng.normal(size=512)), tmp_path / "f")
+        path = write_config(tmp_path, {**tiny, "norm.input": str(tmp_path / "f"), "norm.space": "BMO"})
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "n")]) == 0
+
+    def test_nonempty_annulus_accepted(self, tmp_path):
+        # one more level puts the fundamental pi inside the annulus [1, 4]
+        path = write_config(
+            tmp_path, {"grid.R": 1.0, "levels.k_min": -1, "levels.k_max": 3, "cubes.v_min": -1}
+        )
+        for argv in (["verify", "partition"], ["norm"]):
+            out = tmp_path / argv[-1]
+            assert main([*argv, "--config", path, "--out", str(out)]) == 0, argv
+            assert out.exists()
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -22,6 +22,55 @@ def random_sequence(spec, levels, rng):
     ))
 
 
+def run_fresh(script: str) -> None:
+    """Run script in a fresh interpreter that imports this checkout's lpw."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    import lpw
+
+    env = dict(os.environ)
+    src = str(Path(lpw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestLazyScipy:
+    """scipy is imported by the first maximal function, not by importing lpw."""
+
+    def test_import_leaves_scipy_out(self):
+        run_fresh("""
+            import sys
+            import lpw, lpw.cli
+            assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+        """)
+
+    def test_translates_match_bruteforce_after_lazy_import(self):
+        run_fresh("""
+            import sys
+            import numpy as np
+            import lpw.cli
+            from lpw.grid import GridFunction, GridSpec
+            from lpw.maximal import MaximalConfig, maximal_fn, maximal_fn_bruteforce
+
+            assert "scipy" not in sys.modules
+            rng = np.random.default_rng(11)
+            for spec in (GridSpec(1, 1.0, 64), GridSpec(2, 1.0, 16)):
+                f = GridFunction(spec, rng.normal(size=spec.shape))
+                cfg = MaximalConfig.full(spec, include_translates=True)
+                fast = maximal_fn(f, cfg).values
+                assert "scipy" in sys.modules
+                slow = maximal_fn_bruteforce(f, cfg).values
+                np.testing.assert_allclose(fast, slow, rtol=1e-13)
+        """)
+
+
 class TestMaximalFn:
     def test_constant(self):
         spec = GridSpec(1, 2.0, 64)

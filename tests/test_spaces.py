@@ -331,17 +331,44 @@ class TestGrandMaximal:
         assert hardy_grand_norm(f, ts, 2.0, d) >= hardy_grand_norm(f, ts, 2.0, small) - 1e-15
 
     def test_matches_per_profile_transform(self, spec1k, corpus1k):
+        # the batched per-level transform reproduces the per-profile loop
+        # exactly, on a 1D and a 2D grid
+        from lpw.verify import make_corpus
+
+        spec2 = GridSpec(2, 2.0, 64)
+        corpus2 = make_corpus(spec2, make_lp_pair(spec2, -1, 4), size=2, seed=5)
+        for spec, corpus, levels in ((spec1k, corpus1k[:3], (-3, 6)), (spec2, corpus2, (-1, 4))):
+            d = build_dictionary(spec)
+            ts = WeightSequence(Pow(0.3), *levels, 2.0)
+            for mem in corpus:
+                best = np.zeros(spec.shape)
+                for k in ts.levels():
+                    t = ts.on_grid(spec, k).values
+                    for prof in d.profiles:
+                        conv = apply_multiplier(mem.f, prof.multiplier(spec, k))
+                        np.maximum(best, t * np.abs(conv.values), out=best)
+                want = lp_norm(GridFunction(spec, best), 2.0)
+                assert hardy_grand_norm(mem.f, ts, 2.0, d) == want
+
+    def test_multipliers_built_once_per_level(self, spec1k, corpus1k, monkeypatch):
+        from lpw.spaces import GrandProfile
+
+        built = []
+        orig = GrandProfile.multiplier
+
+        def counted(self, spec, k):
+            built.append(k)
+            return orig(self, spec, k)
+
+        monkeypatch.setattr(GrandProfile, "multiplier", counted)
         d = build_dictionary(spec1k)
         ts = WeightSequence(Pow(0.3), -3, 6, 2.0)
-        for mem in corpus1k[:3]:
-            best = np.zeros(spec1k.shape)
-            for k in ts.levels():
-                t = ts.on_grid(spec1k, k).values
-                for prof in d.profiles:
-                    conv = apply_multiplier(mem.f, prof.multiplier(spec1k, k))
-                    np.maximum(best, t * np.abs(conv.values), out=best)
-            want = lp_norm(GridFunction(spec1k, best), 2.0)
-            assert hardy_grand_norm(mem.f, ts, 2.0, d) == want
+        first = [hardy_grand_norm(mem.f, ts, 2.0, d) for mem in corpus1k[:4]]
+        assert len(built) == len(d.profiles) * len(ts.levels())
+        assert sorted(set(built)) == list(ts.levels())
+        # a second pass reuses every stack and gives the same values
+        assert [hardy_grand_norm(mem.f, ts, 2.0, d) for mem in corpus1k[:4]] == first
+        assert len(built) == len(d.profiles) * len(ts.levels())
 
     def test_comparable_to_tl2(self, spec1k, pair1k, corpus1k):
         d = build_dictionary(spec1k)

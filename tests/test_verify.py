@@ -63,6 +63,19 @@ class TestCorpus:
             np.testing.assert_allclose(Fa[:half], Fb[:half], atol=1e-9)
             np.testing.assert_allclose(Fa[-half:], Fb[-half:], atol=1e-9)
 
+    def test_narrow_level_window(self):
+        # levels -3..0 on R = 8 leave no level strictly between first_active
+        # and k_max - 1 for the single-band draws; the corpus is still built
+        from lpw.lpaley import calderon_residual
+
+        spec = GridSpec(1, 8.0, 256)
+        pair = make_lp_pair(spec, -3, 0)
+        corpus = make_corpus(spec, pair, size=8, seed=3)
+        assert [mem.kind for mem in corpus[:4]] == ["multiband", "single", "spike", "gauss"]
+        for mem in corpus:
+            assert lp_norm(mem.f, 2.0) == pytest.approx(1.0)
+            assert calderon_residual(mem.f, pair) <= 1e-6
+
 
 class TestEquivalence:
     def test_self_equivalence_exact(self, corpus1k):
@@ -267,3 +280,26 @@ class TestClassicalPaths:
             2.0 ** (0.5 * k) * lp_norm(band(f, pair1k, k), 2.0) for k in pair1k.levels()
         )
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestSuiteBandReuse:
+    def test_bmo_and_coincidence_reuse_corpus_bands(self, monkeypatch):
+        # once the run context holds the corpus bands, bmo decomposes nothing
+        # and coincidence only its four spike witnesses, each once
+        import lpw.spaces
+        import lpw.suites
+        from lpw.suites import RunContext, suite_bmo, suite_coincidence
+
+        ctx = RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=4)
+        ctx.bands()
+        calls = []
+        for mod in (lpw.spaces, lpw.suites):
+            def counted(f, pair, _orig=mod.band_decompose):
+                calls.append(f)
+                return _orig(f, pair)
+
+            monkeypatch.setattr(mod, "band_decompose", counted)
+        suite_bmo(ctx)
+        assert calls == []
+        suite_coincidence(ctx)
+        assert len(calls) == 4
