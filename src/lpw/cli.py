@@ -2,7 +2,7 @@
 reports and verification suites, and render reports.
 
 Exit codes: 0 success / all suites pass, 1 suite failure, 2 configuration or
-usage error.  Reports are serialized with sorted keys and fixed layout so a
+usage error, 3 crash (an uncaught exception, named on stderr).  Reports are serialized with sorted keys and fixed layout so a
 given config and seed reproduce byte-identical output.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from .grid import CubeFamily, GridError, GridSpec, load_grid_function
 from .lpaley import LevelError, band_decompose, make_lp_pair
 from .spaces import NormRequest, besov_norm, bmo_norm, tl_infty_norm, tl_norm
-from .verify import annulus_indices
+from .verify import annulus_indices, make_corpus
 from .suites import (
     ALL_SUITES,
     ANNULUS_SUITES,
@@ -281,7 +281,9 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> int:
     source = _get(cfg.raw, "decompose.input", "corpus")
     index = int(_get(cfg.raw, "decompose.member", 0))
     if source == "corpus":
-        mem = ctx.corpus()[index % len(ctx.corpus())]
+        # members are drawn in order from one generator, so the first
+        # index + 1 draws end with the member ctx.corpus()[index]
+        mem = make_corpus(ctx.spec, ctx.pair(), index % ctx.corpus_size + 1, ctx.seed)[-1]
         name, f = mem.name, mem.f
     else:
         name, f = Path(source).name, load_grid_function(source)
@@ -458,6 +460,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:
+        # a crash is not a verdict: keep it apart from a failed suite (1)
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+def _run(args) -> int:
     if args.command == "report":
         return cmd_report(args.report_path, Path(args.out))
     try:

@@ -22,7 +22,7 @@ from .verify import (
     coincidence_check,
     delta_coefficient_check,
     equivalence_report,
-    holder_floor_check,
+    holder_floors,
     make_corpus,
     ratio_report,
 )
@@ -193,9 +193,8 @@ def suite_hoelder(ctx: RunContext) -> dict:
     records = []
     ok = True
     for name, text in sorted(ctx.weight_matrix.items()):
-        w = parse_weight(text)
-        for p, theta in ctx.exponent_pairs:
-            floor = holder_floor_check(w, p, theta, nodes)
+        floors = holder_floors(parse_weight(text), ctx.exponent_pairs, nodes)
+        for (p, theta), floor in zip(ctx.exponent_pairs, floors):
             good = floor >= 1.0 - 1e-12
             ok &= good
             records.append({"weight": name, "p": p, "theta": theta, "floor": floor, "pass": good})

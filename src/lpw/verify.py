@@ -344,8 +344,9 @@ def coincidence_check(
         "ap_ceiling": ap_ceiling,
     }
     refused = hyp["ap_t1"] > ap_ceiling or hyp["ap_t2"] > ap_ceiling
-    rho_p = nodes.means(t1, p) / nodes.means(t2, p)
-    rho_s = nodes.means(t1.inv(), s1) / nodes.means(t2.inv(), s1)
+    (p1, s1_1), (p2, s1_2) = (nodes.stats(t, [(p, False), (s1, True)]) for t in (t1, t2))
+    rho_p = p1 / p2
+    rho_s = s1_1 / s1_2
     extremes = {
         "mean_p": (float(rho_p.min()), float(rho_p.max())),
         "mean_sigma1": (float(rho_s.min()), float(rho_s.max())),
@@ -370,9 +371,14 @@ def holder_floor_check(
 ) -> float:
     """min over cubes of M_{Q,p}(t) M_{Q,s1}(t^-1); at least 1 up to rounding
     since both means share one quadrature measure."""
-    s1 = sigma1(p, theta)
-    prods = nodes.means(t, p, k) * nodes.means(t.inv(), s1, k)
-    return float(prods.min())
+    return holder_floors(t, [(p, theta)], nodes, k)[0]
+
+
+def holder_floors(t: WeightSpec, pairs, nodes: FamilyNodes, k: int = 0) -> list[float]:
+    """holder_floor_check for every (p, theta) in pairs, from one pass over t."""
+    requests = [req for p, theta in pairs for req in ((p, False), (sigma1(p, theta), True))]
+    means = nodes.stats(t, requests, k)
+    return [float((means[i] * means[i + 1]).min()) for i in range(0, len(means), 2)]
 
 
 def delta_coefficient_check(

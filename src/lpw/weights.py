@@ -16,16 +16,21 @@ then converge as the family deepens, while non-integrable ones blow up at
 the core rate, which is exactly the divergence the Muckenhoupt criteria are
 probed for.
 
-FamilyNodes caches the means per (radial profile, exponent): a separable
-weight 2^(k s) g(|x|) is reduced once per canonical level-free profile g and
-rescaled per level, so dyadic:s and const:1, or prod:[dyadic:1,pow:0.3] and
-pow:0.3, share one reduction.  The elementwise work, evaluating g and raising
-it to r, runs on cache-sized row chunks; the weighted sum over the nodes stays
-one matrix-vector product per batch of same-shaped cubes.
+FamilyNodes caches the means per (radial profile, exponent, inverse): a
+separable weight 2^(k s) g(|x|) is reduced once per canonical level-free
+profile g and rescaled per level, so dyadic:s and const:1, or
+prod:[dyadic:1,pow:0.3] and pow:0.3, share one reduction.  One pass over
+cache-sized row chunks evaluates g once per chunk and feeds every statistic
+asked for together (r-means of g and of 1/g, node max and min).  Each row is
+summed by numpy's own loops, not BLAS, so a cube's mean does not depend on
+the chunk size, the batch size or the thread count; the chunks are spread
+over the process's CPUs.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,12 +402,15 @@ def _axis_nodes(lo: float, hi: float, core: float, seg_nodes: int, flat_nodes: i
 
 
 class _Batch:
-    """One group of same-shaped cubes: radius (B, K), normalized weights (K,)."""
+    """One group of same-shaped cubes at level v: integer positions ms (B, n),
+    radius (B, K), normalized weights (K,)."""
 
-    __slots__ = ("meta", "radius", "wts")
+    __slots__ = ("v", "ms", "translated", "radius", "wts")
 
-    def __init__(self, meta, radius, wts):
-        self.meta = meta
+    def __init__(self, v, ms, translated, radius, wts):
+        self.v = v
+        self.ms = ms
+        self.translated = translated
         self.radius = radius
         self.wts = wts
 
@@ -410,12 +418,15 @@ class _Batch:
 class FamilyNodes:
     """Quadrature geometry for a dyadic cube family over [-R, R)^n.
 
-    Built once per family and reused across weights and exponents.  Cube
-    statistics are cached per (radial profile, exponent) for separable
-    weights and per (weight, exponent, level) otherwise.  Each is one
-    reduction: the weight and its r-th power are evaluated on row chunks of
-    about _CHUNK_NODES nodes into one scratch buffer sized for the largest
-    batch, and the dot product with the node weights covers each whole batch.
+    Built once per family and reused across weights and exponents.  Cubes are
+    held as batches of same-shaped cubes with integer positions; meta() names
+    them only when a witness is asked for.  Cube statistics are cached per
+    (radial profile, exponent, inverse) for separable weights and per
+    (weight, level, exponent, inverse) otherwise.  stats() computes all the
+    statistics a caller asks for in one pass per profile: the profile is
+    evaluated once per row chunk of about _CHUNK_NODES nodes, every requested
+    power and extreme is taken from that evaluation, and each row is summed
+    against the node weights on its own (see _reduce).
     """
 
     def __init__(
@@ -442,7 +453,6 @@ class FamilyNodes:
         self.flat_nodes = flat_nodes
         self.batches: list[_Batch] = []
         self._cache: dict = {}
-        self._buf: np.ndarray | None = None  # scratch for the largest batch
         shifts = (0.0, 0.5) if family.translates else (0.0,)
         for v in family.levels():
             for shift in shifts:
@@ -469,7 +479,7 @@ class FamilyNodes:
             self._append_regular(v, shift, ms[~special][:, None], lo[~special][:, None],
                                  hi[~special][:, None])
             for m, a, b in zip(ms[special], lo[special], hi[special]):
-                self._append_special(v, shift, (int(m),), ((a, b),))
+                self._append_special(v, shift, [m], ((a, b),))
         else:
             M1, M2 = np.meshgrid(ms, ms, indexing="ij")
             L1, L2 = np.meshgrid(lo, lo, indexing="ij")
@@ -486,7 +496,7 @@ class FamilyNodes:
             for m1, m2, a1, b1, a2, b2 in zip(
                 M1[special], M2[special], L1[special], H1[special], L2[special], H2[special]
             ):
-                self._append_special(v, shift, (int(m1), int(m2)), ((a1, b1), (a2, b2)))
+                self._append_special(v, shift, [m1, m2], ((a1, b1), (a2, b2)))
 
     def _append_regular(self, v, shift, ms, lo, hi):
         if ms.shape[0] == 0:
@@ -502,8 +512,7 @@ class FamilyNodes:
             Y = lo[:, 1][:, None] + (hi[:, 1] - lo[:, 1])[:, None] * offs[None, :]
             radius = np.hypot(X[:, :, None], Y[:, None, :]).reshape(ms.shape[0], K * K)
             wts = np.full(K * K, 1.0 / (K * K))
-        meta = [(v, tuple(int(x) for x in np.atleast_1d(m)), shift > 0) for m in ms]
-        self.batches.append(_Batch(meta, radius, wts))
+        self.batches.append(_Batch(v, ms, shift > 0, radius, wts))
 
     def _axis_pieces(self, a: float, b: float):
         """Node mesh for [a, b), wrapping across the seam at +R when needed."""
@@ -524,13 +533,11 @@ class FamilyNodes:
             (nx, wx), (ny, wy) = axes
             radius = np.hypot(nx[:, None], ny[None, :]).ravel()[None, :]
             wts = (wx[:, None] * wy[None, :]).ravel()
-        self.batches.append(_Batch([(v, m, shift > 0)], radius, wts))
+        self.batches.append(_Batch(v, np.array([m]), shift > 0, radius, wts))
 
     def meta(self) -> list[tuple[int, tuple[int, ...], bool]]:
-        out = []
-        for b in self.batches:
-            out.extend(b.meta)
-        return out
+        """(v, m, translated) for every cube in family order."""
+        return [(b.v, tuple(m), b.translated) for b in self.batches for m in b.ms.tolist()]
 
     # -- cube statistics ----------------------------------------------------
 
@@ -538,61 +545,132 @@ class FamilyNodes:
         """M_{Q,r}(t_k) for every cube in family order; r = inf is the node max."""
         if r != np.inf and r <= 0:
             raise WeightError(f"mean exponent must be positive, got {r}")
-        return self._stat(w, r, k)
+        return self.stats(w, [(r, False)], k)[0]
 
     def mins(self, w: WeightSpec, k: int = 0) -> np.ndarray:
         """Per-cube minimum of the weight over the quadrature nodes."""
-        return self._stat(w, -np.inf, k)
+        return self.stats(w, [(-np.inf, False)], k)[0]
 
-    def _stat(self, w: WeightSpec, r: float, k: int) -> np.ndarray:
-        """The cached r-mean of t_k per cube, r = +-inf being the node max/min.
+    def stats(self, w: WeightSpec, requests: list[tuple[float, bool]], k: int = 0) -> list[np.ndarray]:
+        """One array per request (r, inverse): the cube r-means of t_k, or of
+        t_k^-1 when inverse is set, in family order; r = +-inf gives the node
+        max/min.  Ask for everything a weight needs in one call: the requests
+        not yet cached share one pass.
 
-        A separable weight 2^(k s) g is reduced once per (radial profile, r)
-        and rescaled per level; any other weight once per (weight, r, k).
-        Weights are compared by value, not by key(), whose 6-digit floats
-        would let pow:0.3 and pow:0.3000001 share an entry.
+        A separable weight 2^(k s) g is reduced once per (radial profile, r,
+        inverse) and rescaled per level; any other weight once per (weight, k,
+        r, inverse).  Weights are compared by value, not by key(), whose
+        6-digit floats would let pow:0.3 and pow:0.3000001 share an entry.
         """
+        for r, _ in requests:
+            if r <= 0 and r != -np.inf:
+                raise WeightError(f"statistic exponent must be positive or -inf, got {r}")
         if w.separable:
             s, g = w.split()
-            key, f = (_profile(w), r), g
+            prof = _profile(w)
+            key, f = (prof,), None if prof == _UNIT else g
         else:
-            s, key, f = 0.0, (w, r, k), lambda rad: w.eval(rad, k)
-        out = self._cache.get(key)
-        if out is None:
-            out = self._cache[key] = self._reduce(f, r)
-        return (2.0 ** (k * s)) * out if s else out
+            s, key, f = 0.0, (w, k), lambda rad: w.eval(rad, k)
+        missing = [req for req in dict.fromkeys(requests) if key + req not in self._cache]
+        if missing:
+            for req, out in zip(missing, self._reduce(f, missing)):
+                self._cache[key + req] = out
+        outs = []
+        for r, inverse in requests:
+            out = self._cache[key + (r, inverse)]
+            e = s * -1.0 if inverse else s  # the exponent of PowOf(w, -1).split()
+            outs.append((2.0 ** (k * e)) * out if e else out)
+        return outs
 
-    def _reduce(self, f, r: float) -> np.ndarray:
-        """Per cube, the r-mean of f over its nodes, or the max (r = inf) or
-        min (r = -inf).
+    def _reduce(self, f, requests: list[tuple[float, bool]]) -> list[np.ndarray]:
+        """Per cube, one array per request (r, inverse): the r-mean of f over
+        its nodes, of f ** -1.0 when inverse is set, or the max (r = inf) or
+        min (r = -inf).  f = None is the unit profile: its values and their
+        powers are exactly 1.0, so neither is computed.
 
-        f and the power run on row chunks of about _CHUNK_NODES nodes, so their
-        temporaries stay in cache.  Each batch still takes one matrix-vector
-        product over all its rows: BLAS rounds differently when the row count
-        changes, so only the elementwise stage is chunked.
+        f runs once per row chunk and every request is taken from that one
+        evaluation.  Each row is summed against the node weights on its own
+        (_row_sums), so a cube's mean does not depend on how its rows are
+        grouped into chunks, batches or threads.  Chunks write disjoint
+        slices of the outputs and are spread over the CPUs by _spread.
         """
-        extreme = {np.inf: np.max, -np.inf: np.min}.get(r)
-        if extreme is None and self._buf is None:
-            self._buf = np.empty(max(b.radius.size for b in self.batches))
-        out = np.empty(self.n_cubes)
-        at = 0
+        outs = [np.empty(self.n_cubes) for _ in requests]
+        any_inverse = any(inverse for _, inverse in requests)
+
+        def run(task):
+            for b, lo, hi, at in task:
+                if f is None:
+                    plain = inv = np.ones((hi - lo, b.wts.size))
+                else:
+                    plain = f(b.radius[lo:hi])
+                    inv = plain ** -1.0 if any_inverse else None
+                for (r, inverse), out in zip(requests, outs):
+                    vals = inv if inverse else plain
+                    if r == np.inf:
+                        out[at : at + hi - lo] = vals.max(axis=1)
+                    elif r == -np.inf:
+                        out[at : at + hi - lo] = vals.min(axis=1)
+                    else:
+                        powered = vals if f is None else vals**r
+                        out[at : at + hi - lo] = _row_sums(powered, b.wts)
+
+        _spread(run, self._tasks())
+        return [out if abs(r) == np.inf else out ** (1.0 / r) for (r, _), out in zip(requests, outs)]
+
+    def _tasks(self) -> list[list[tuple[_Batch, int, int, int]]]:
+        """(batch, first row, end row, output offset) pieces of about
+        _CHUNK_NODES nodes each; consecutive small batches share a task."""
+        tasks, task, size, at = [], [], 0, 0
         for b in self.batches:
             rows, K = b.radius.shape
             step = max(1, _CHUNK_NODES // K)
-            dst = out[at : at + rows]
-            at += rows
-            if extreme:
-                for lo in range(0, rows, step):
-                    dst[lo : lo + step] = extreme(f(b.radius[lo : lo + step]), axis=1)
-                continue
-            buf = self._buf[: rows * K].reshape(rows, K)
             for lo in range(0, rows, step):
-                buf[lo : lo + step] = f(b.radius[lo : lo + step]) ** r
-            dst[:] = (buf @ b.wts) ** (1.0 / r)
-        return out
+                hi = min(lo + step, rows)
+                task.append((b, lo, hi, at + lo))
+                size += (hi - lo) * K
+                if size >= _CHUNK_NODES:
+                    tasks.append(task)
+                    task, size = [], 0
+            at += rows
+        return tasks + [task] if task else tasks
 
 
+def _row_sums(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """vals @ wts computed row by row, without BLAS.
+
+    einsum's loop sums a row almost sequentially, so its rounding grows with
+    the row length: on the 2D origin cubes (up to 57,600 nodes) it drifts
+    3e-14 from the exact mean of a constant.  Rows longer than _PAIRWISE_NODES
+    take numpy's pairwise sum instead; they belong to the one-cube batches
+    around the origin and the seam, about 3% of the nodes.
+    """
+    if wts.size > _PAIRWISE_NODES:
+        return (vals * wts).sum(axis=1)
+    return np.einsum("ij,j->i", vals, wts)
+
+
+def _spread(fn, tasks) -> None:
+    """Run fn on every task: inline on one CPU, else over a thread pool sized
+    by the CPUs this process may use.  Tasks must be independent."""
+    if _WORKERS < 2 or len(tasks) < 2:
+        for task in tasks:
+            fn(task)
+        return
+    for _ in _executor(_WORKERS).map(fn, tasks):
+        pass
+
+
+@functools.cache
+def _executor(workers: int):
+    # imported here so that processes without a quadrature pass never load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers)
+
+
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _CHUNK_NODES = 1 << 16
+_PAIRWISE_NODES = 1 << 10
 _UNIT = Const(1.0)
 
 
@@ -678,22 +756,25 @@ def ap_constant(gamma: WeightSpec, p: float, nodes: FamilyNodes, k: int = 0) -> 
     """
     if p <= 1:
         raise WeightError(f"ap_constant needs p > 1 (use a1_constant), got {p}")
-    r = conjugate(p) / p
-    prod = nodes.means(gamma, 1.0, k) * nodes.means(gamma.inv(), r, k)
-    return float(prod.max())
+    return float(_ap_products(gamma, p, nodes, k).max())
 
 
 def ap_witness(gamma: WeightSpec, p: float, nodes: FamilyNodes, k: int = 0):
-    r = conjugate(p) / p
-    prod = nodes.means(gamma, 1.0, k) * nodes.means(gamma.inv(), r, k)
+    prod = _ap_products(gamma, p, nodes, k)
     i = int(np.argmax(prod))
     return float(prod[i]), nodes.meta()[i]
 
 
+def _ap_products(gamma: WeightSpec, p: float, nodes: FamilyNodes, k: int) -> np.ndarray:
+    """M_Q(gamma) * M_{Q,p'/p}(gamma^-1) per cube, from one pass over gamma."""
+    mean, inv_mean = nodes.stats(gamma, [(1.0, False), (conjugate(p) / p, True)], k)
+    return mean * inv_mean
+
+
 def a1_constant(gamma: WeightSpec, nodes: FamilyNodes, k: int = 0) -> float:
     """Largest cube ratio M_Q(gamma) / min_Q(gamma) over the family."""
-    ratio = nodes.means(gamma, 1.0, k) / nodes.mins(gamma, k)
-    return float(ratio.max())
+    mean, low = nodes.stats(gamma, [(1.0, False), (-np.inf, False)], k)
+    return float((mean / low).max())
 
 
 @dataclass(frozen=True)
@@ -719,12 +800,13 @@ def reverse_holder_probe(
             f"weight {gamma.key()} exceeds the Muckenhoupt ceiling {ap_ceiling:g}; "
             "the self-improvement probe needs a class weight"
         )
-    base = nodes.means(gamma, 1.0, k)
+    eps_grid = sorted(eps_grid)
+    base, *higher = nodes.stats(gamma, [(1.0, False)] + [(1.0 + eps, False) for eps in eps_grid], k)
     ratios = {}
     best = None
     best_ratio = None
-    for eps in sorted(eps_grid):
-        sup = float((nodes.means(gamma, 1.0 + eps, k) / base).max())
+    for eps, mean in zip(eps_grid, higher):
+        sup = float((mean / base).max())
         ratios[eps] = sup
         if sup <= bound:
             best, best_ratio = eps, sup
@@ -760,9 +842,9 @@ def _witness_json(w):
 
 def _level_stats(ts: WeightSequence, nodes: FamilyNodes, sigma: tuple[float, float]):
     s1, s2 = sigma
-    A = {k: nodes.means(ts.spec, ts.p, k) for k in ts.levels()}
-    B = {j: nodes.means(ts.spec.inv(), s1, j) for j in ts.levels()}
-    D = {j: nodes.means(ts.spec, s2, j) for j in ts.levels()}
+    A, B, D = {}, {}, {}
+    for k in ts.levels():
+        A[k], B[k], D[k] = nodes.stats(ts.spec, [(ts.p, False), (s1, True), (s2, False)], k)
     return A, B, D
 
 

@@ -147,6 +147,18 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is False
 
+    def test_crash_exit_code(self, tmp_path, monkeypatch, capsys):
+        # an uncaught exception is a crash, exit code 3, not a failed suite
+        import lpw.cli
+
+        def broken(ctx):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setitem(lpw.cli.ALL_SUITES, "partition", broken)
+        path = write_config(tmp_path)
+        assert main(["verify", "partition", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        assert "ZeroDivisionError: float division by zero" in capsys.readouterr().err
+
     def test_seed_override_changes_report(self, tmp_path):
         path = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -200,6 +212,21 @@ class TestOtherCommands:
         assert main(["decompose", "--config", path, "--out", str(out)]) == 0
         bins = sorted(out.glob("bands_*/band_*.bin"))
         assert len(bins) == 9  # levels -3..5
+
+    @pytest.mark.parametrize("member", [4, 8])
+    def test_decompose_exports_the_named_member(self, tmp_path, member):
+        from lpw.lpaley import band_decompose
+
+        path = write_config(tmp_path, {"decompose.member": member})
+        out = tmp_path / "out"
+        assert main(["decompose", "--config", path, "--out", str(out)]) == 0
+        ctx = RunConfig(json.loads(Path(path).read_text())).context()
+        mem = ctx.corpus()[member % SMALL_CONFIG["corpus"]["size"]]
+        band_decompose(mem.f, ctx.pair()).export(tmp_path / "want")
+        got = sorted(p.name for p in (out / f"bands_{mem.name}").iterdir())
+        assert got == sorted(p.name for p in (tmp_path / "want").iterdir()) and got
+        for name in got:
+            assert (out / f"bands_{mem.name}" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
     @pytest.mark.parametrize("op", ["ap", "xclass", "rh"])
     def test_weights_reports(self, tmp_path, op):

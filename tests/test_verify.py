@@ -63,6 +63,18 @@ class TestCorpus:
             np.testing.assert_allclose(Fa[:half], Fb[:half], atol=1e-9)
             np.testing.assert_allclose(Fa[-half:], Fb[-half:], atol=1e-9)
 
+    @pytest.mark.parametrize("n,N,levels", [(1, 1024, (-3, 6)), (2, 32, (-1, 3))], ids=["1d", "2d"])
+    def test_prefix_ends_with_the_indexed_member(self, n, N, levels):
+        # members are drawn in order from one generator, so a corpus of
+        # size i + 1 ends with member i of any larger corpus
+        spec = GridSpec(n, 8.0 if n == 1 else 2.0, N)
+        pair = make_lp_pair(spec, *levels)
+        full = make_corpus(spec, pair, size=9, seed=5)
+        for i, mem in enumerate(full):
+            last = make_corpus(spec, pair, size=i + 1, seed=5)[-1]
+            assert (last.name, last.kind) == (mem.name, mem.kind)
+            assert np.array_equal(last.f.values, mem.f.values)
+
     def test_narrow_level_window(self):
         # levels -3..0 on R = 8 leave no level strictly between first_active
         # and k_max - 1 for the single-band draws; the corpus is still built

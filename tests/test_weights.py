@@ -27,7 +27,7 @@ from lpw.weights import (
     xclass_constants,
     xclass_fit,
 )
-from lpw.weights import _CHUNK_NODES, _profile
+from lpw.weights import _CHUNK_NODES, _PAIRWISE_NODES, _profile
 
 
 def power_mean_oracle(a, lo, hi, r):
@@ -167,8 +167,10 @@ class TestQuadratureEngine:
 
 
 def former_stat(nodes, w, r, k):
-    """The per-batch formula FamilyNodes used before its reductions were
-    chunked and cached per radial profile; r = -inf is the node minimum."""
+    """The unchunked formula: one whole-batch row sum per batch (einsum, or the
+    pairwise sum on rows longer than _PAIRWISE_NODES) on the weight's own split
+    or eval, not cached and not shared between statistics; r = -inf is the
+    node minimum."""
     if w.separable:
         s, f = w.split()
     else:
@@ -181,9 +183,39 @@ def former_stat(nodes, w, r, k):
         elif r == -np.inf:
             parts.append(vals.min(axis=1))
         else:
-            parts.append((vals**r @ b.wts) ** (1.0 / r))
+            if b.wts.size > _PAIRWISE_NODES:
+                parts.append((vals**r * b.wts).sum(axis=1) ** (1.0 / r))
+            else:
+                parts.append(np.einsum("ij,j->i", vals**r, b.wts) ** (1.0 / r))
     out = np.concatenate(parts)
     return (2.0 ** (k * s)) * out if s else out
+
+
+def gemv_stat(nodes, w, r, k):
+    """The formula before the einsum: one BLAS matrix-vector product per batch."""
+    s, f = w.split() if w.separable else (0.0, lambda rad: w.eval(rad, k))
+    out = np.concatenate([(f(b.radius) ** r @ b.wts) ** (1.0 / r) for b in nodes.batches])
+    return (2.0 ** (k * s)) * out if s else out
+
+
+def former_meta(nodes):
+    """The (v, m, translated) tuples FamilyNodes built per cube before it held
+    integer positions: per level and shift, regular cubes first, then those
+    touching the origin or the seam, each in lattice order."""
+    out = []
+    for v in nodes.family.levels():
+        for shift in (0.0, 0.5) if nodes.family.translates else (0.0,):
+            ms, lo, hi = nodes._intervals(v, shift)
+            near = ((lo <= 0) & (hi >= 0), hi > nodes.R)
+            if nodes.n == 1:
+                special = near[0] | near[1]
+                cubes = [(int(m),) for m in ms]
+            else:
+                special = (np.outer(near[0], near[0]) | near[1][:, None] | near[1][None, :]).ravel()
+                cubes = [(int(m1), int(m2)) for m1 in ms for m2 in ms]
+            for group in (~special, special):
+                out.extend((v, m, shift > 0) for m, keep in zip(cubes, group) if keep)
+    return out
 
 
 @pytest.fixture(scope="module", params=[(8.0, 1, (-4, 9)), (2.0, 2, (-1, 4))], ids=["1d", "2d"])
@@ -195,28 +227,88 @@ def chunked_nodes(request):
     return nodes
 
 
+_CHUNK_WEIGHTS = [
+    (Pow(0.3), 0),
+    (parse_weight("prod:[dyadic:1,pow:0.3]"), 2),
+    (ShiftPow(-0.3, 2.0).inv(), -1),
+    (Frozen(parse_weight("prod:[dyadic:0.5,const:2]"), 3), 1),
+    (AltPow(0.4), 1),
+]
+_CHUNK_IDS = ["pow", "dyadic-prod", "shiftpow-inv", "frozen", "altpow"]
+_REQUESTS = [(0.5, False), (1.0, False), (2.0, True), (3.0, False), (3.0, True), (np.inf, True), (-np.inf, False)]
+
+
+def all_stats(nodes, k=0):
+    return [x for w, kw in _CHUNK_WEIGHTS for x in nodes.stats(w, _REQUESTS, kw + k)]
+
+
 class TestChunkedReduction:
-    @pytest.mark.parametrize(
-        "w,k",
-        [
-            (Pow(0.3), 0),
-            (parse_weight("prod:[dyadic:1,pow:0.3]"), 2),
-            (ShiftPow(-0.3, 2.0).inv(), -1),
-            (Frozen(parse_weight("prod:[dyadic:0.5,const:2]"), 3), 1),
-            (AltPow(0.4), 1),
-        ],
-        ids=["pow", "dyadic-prod", "shiftpow-inv", "frozen", "altpow"],
-    )
+    @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
     def test_equals_former_formula(self, chunked_nodes, w, k):
         for r in (0.5, 1.0, 2.0, 3.0, np.inf):
             assert np.array_equal(chunked_nodes.means(w, r, k), former_stat(chunked_nodes, w, r, k)), r
         assert np.array_equal(chunked_nodes.mins(w, k), former_stat(chunked_nodes, w, -np.inf, k))
 
+    @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
+    def test_fused_statistics_equal_separate_ones(self, chunked_nodes, w, k):
+        got = FamilyNodes(chunked_nodes.R, chunked_nodes.n, chunked_nodes.family).stats(w, _REQUESTS, k)
+        for (r, inverse), out in zip(_REQUESTS, got):
+            assert np.array_equal(out, former_stat(chunked_nodes, w.inv() if inverse else w, r, k)), (r, inverse)
+
+    @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
+    def test_close_to_gemv_formula(self, chunked_nodes, w, k):
+        for r in (0.5, 1.0, 2.0, 3.0):
+            np.testing.assert_allclose(chunked_nodes.means(w, r, k), gemv_stat(chunked_nodes, w, r, k), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("family", [(8.0, 1, CubeFamily(-3, 5)), (2.0, 2, CubeFamily(-1, 2))], ids=["1d", "2d"])
+    def test_independent_of_chunk_size(self, monkeypatch, family):
+        import lpw.weights as weights
+
+        want = all_stats(FamilyNodes(*family))
+        K = FamilyNodes(*family).batches[0].wts.size
+        for chunk in (1, 7 * K):  # one row, seven rows of a regular batch
+            monkeypatch.setattr(weights, "_CHUNK_NODES", chunk)
+            got = all_stats(FamilyNodes(*family))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), chunk
+
+    def test_long_rows_keep_a_constant_exact(self):
+        # the 2D origin cubes hold up to 57,600 nodes; a sequential row sum
+        # drifts 3e-14 from the constant there
+        nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 4))
+        long_rows = np.concatenate([np.full(b.radius.shape[0], b.wts.size > _PAIRWISE_NODES) for b in nodes.batches])
+        assert long_rows.sum() > 10
+        c = 2.0**2.5
+        for r in (0.5, 1.0, 2.0, 3.0):
+            np.testing.assert_allclose(nodes.means(Const(c), r)[long_rows], c, rtol=1e-15, atol=0)
+
+    def test_independent_of_worker_count(self, monkeypatch, chunked_nodes):
+        import sys
+
+        import lpw.weights as weights
+
+        pools = []
+        executor = weights._executor
+        monkeypatch.setattr(weights, "_executor", lambda n: pools.append(n) or executor(n))
+        runs = {}
+        interval = sys.getswitchinterval()
+        try:
+            # more workers than cores, switching often: chunks write disjoint
+            # slices of shared outputs, so no write may be lost or misplaced
+            for workers, switch in ((1, interval), (2, interval), (5, 1e-6)):
+                monkeypatch.setattr(weights, "_WORKERS", workers)
+                sys.setswitchinterval(switch)
+                runs[workers] = all_stats(FamilyNodes(chunked_nodes.R, chunked_nodes.n, chunked_nodes.family))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools and set(pools) == {2, 5}  # one worker runs inline
+        for workers in (2, 5):
+            assert all(np.array_equal(a, b) for a, b in zip(runs[1], runs[workers])), workers
+
     def test_one_reduction_per_radial_profile(self, monkeypatch):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
         calls = []
         reduce = FamilyNodes._reduce
-        monkeypatch.setattr(FamilyNodes, "_reduce", lambda self, f, r: calls.append(r) or reduce(self, f, r))
+        monkeypatch.setattr(FamilyNodes, "_reduce", lambda self, f, reqs: calls.append(reqs) or reduce(self, f, reqs))
         unit = nodes.means(parse_weight("dyadic:0.5"), 2.0, 3)
         assert np.array_equal(nodes.means(parse_weight("const:1"), 2.0), unit / 2.0**1.5)
         assert len(calls) == 1
@@ -227,6 +319,45 @@ class TestChunkedReduction:
         nodes.means(Const(2.0).power(0.5), 2.0)
         assert len(calls) == 3
 
+    def test_one_pass_per_profile_for_all_statistics(self, monkeypatch):
+        nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
+        calls = []
+        reduce = FamilyNodes._reduce
+        monkeypatch.setattr(FamilyNodes, "_reduce", lambda self, f, reqs: calls.append(reqs) or reduce(self, f, reqs))
+        evals = []
+        w = Pow(0.3)
+        monkeypatch.setattr(Pow, "split", lambda self: (0.0, lambda r: evals.append(r.shape) or r**self.a))
+        wanted = [(2.0, False), (3.0, False), (3.0, True)]
+        got = nodes.stats(w, wanted)
+        assert calls == [wanted]
+        assert sum(rows for rows, _ in evals) == nodes.n_cubes  # g once per node
+        # a level-scaled weight with the same profile and cached requests: no pass
+        again = nodes.stats(parse_weight("prod:[dyadic:1,pow:0.3]"), wanted[::-1], 2)
+        assert len(calls) == 1
+        assert np.array_equal(again[0], got[2] * 2.0**-2) and np.array_equal(again[2], got[0] * 2.0**2)
+        # only the missing request is reduced
+        nodes.stats(w, [(2.0, True), (3.0, True)])
+        assert calls[1:] == [[(2.0, True)]]
+
+    def test_unit_profile_skips_evaluation(self, monkeypatch):
+        nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 2))
+        monkeypatch.setattr(Dyadic, "split", lambda self: (self.s, lambda r: pytest.fail("unit profile evaluated")))
+        got = nodes.stats(Dyadic(0.5), [(2.0, False), (3.0, True), (np.inf, False), (-np.inf, True)], 2)
+        ones = np.ones(nodes.n_cubes)
+        want = [np.concatenate([np.full(b.radius.shape[0], np.einsum("ij,j->i", np.ones((1, b.wts.size)), b.wts)[0])
+                                for b in nodes.batches]) ** (1.0 / r) for r in (2.0, 3.0)]
+        assert np.array_equal(got[0], 2.0 ** (2 * 0.5) * want[0])
+        assert np.array_equal(got[1], 2.0 ** (2 * -0.5) * want[1])
+        assert np.array_equal(got[2], 2.0 ** (2 * 0.5) * ones)
+        assert np.array_equal(got[3], 2.0 ** (2 * -0.5) * ones)
+
+    def test_rejects_nonpositive_exponent(self):
+        nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 3))
+        with pytest.raises(WeightError):
+            nodes.stats(Pow(0.3), [(2.0, False), (0.0, True)])
+        with pytest.raises(WeightError):
+            nodes.means(Pow(0.3), -np.inf)
+
     def test_close_weights_keep_their_own_entries(self):
         # key() prints floats to 6 digits, so these pairs share a key
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 3))
@@ -234,6 +365,19 @@ class TestChunkedReduction:
             assert w.key() == v.key()
             nodes.means(w, 2.0, 1)
             assert np.array_equal(nodes.means(v, 2.0, 1), former_stat(nodes, v, 2.0, 1))
+
+    @pytest.mark.parametrize(
+        "R,n,family",
+        [(8.0, 1, CubeFamily(-4, 9)), (8.0, 1, CubeFamily(-2, 5, translates=False)),
+         (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 3, translates=False))],
+        ids=["1d", "1d-plain", "2d", "2d-plain"],
+    )
+    def test_meta_equals_former_tuples(self, R, n, family):
+        nodes = FamilyNodes(R, n, family)
+        meta = nodes.meta()
+        assert meta == former_meta(nodes)
+        assert len(meta) == nodes.n_cubes
+        assert all(type(v) is int and all(type(x) is int for x in m) and type(t) is bool for v, m, t in meta)
 
 
 _EXPONENT = st.one_of(st.just(0.0), st.floats(-0.9, 2.0))
