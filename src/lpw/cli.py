@@ -2,8 +2,9 @@
 reports and verification suites, and render reports.
 
 Exit codes: 0 success / all suites pass, 1 suite failure, 2 configuration or
-usage error, 3 crash (an uncaught exception, named on stderr).  Reports are serialized with sorted keys and fixed layout so a
-given config and seed reproduce byte-identical output.
+usage error, 3 crash (an uncaught exception, named on stderr).  Reports are
+serialized with sorted keys and fixed layout so a given config and seed
+reproduce byte-identical output.
 """
 
 from __future__ import annotations

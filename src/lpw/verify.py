@@ -344,9 +344,9 @@ def coincidence_check(
         "ap_ceiling": ap_ceiling,
     }
     refused = hyp["ap_t1"] > ap_ceiling or hyp["ap_t2"] > ap_ceiling
-    (p1, s1_1), (p2, s1_2) = (nodes.stats(t, [(p, False), (s1, True)]) for t in (t1, t2))
-    rho_p = p1 / p2
-    rho_s = s1_1 / s1_2
+    (mean1, inv1), (mean2, inv2) = (nodes.stats(t, [(p, False), (s1, True)]) for t in (t1, t2))
+    rho_p = mean1 / mean2
+    rho_s = inv1 / inv2
     extremes = {
         "mean_p": (float(rho_p.min()), float(rho_p.max())),
         "mean_sigma1": (float(rho_s.min()), float(rho_s.max())),
