@@ -23,14 +23,11 @@ prod:[dyadic:1,pow:0.3] and pow:0.3, share one reduction.  One pass over
 cache-sized row chunks evaluates g once per chunk and feeds every statistic
 asked for together (r-means of g and of 1/g, node max and min).  Each row is
 summed by numpy's own loops, not BLAS, so a cube's mean does not depend on
-the chunk size, the batch size or the thread count; the chunks are spread
-over the process's CPUs.
+the chunk size, the batch size or the BLAS thread count.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -586,53 +583,38 @@ class FamilyNodes:
         """Per cube, one array per request (r, inverse): the r-mean of f over
         its nodes, of f ** -1.0 when inverse is set, or the max (r = inf) or
         min (r = -inf).  f = None is the unit profile: its values and their
-        powers are exactly 1.0, so neither is computed.
+        powers are exactly 1.0, so neither is computed, and each batch sums
+        one row of ones for all of its cubes.
 
         f runs once per row chunk and every request is taken from that one
         evaluation.  Each row is summed against the node weights on its own
         (_row_sums), so a cube's mean does not depend on how its rows are
-        grouped into chunks, batches or threads.  Chunks write disjoint
-        slices of the outputs and are spread over the CPUs by _spread.
+        grouped into chunks or batches.
         """
         outs = [np.empty(self.n_cubes) for _ in requests]
         any_inverse = any(inverse for _, inverse in requests)
-
-        def run(task):
-            for b, lo, hi, at in task:
+        at = 0
+        for b in self.batches:
+            rows, K = b.radius.shape
+            step = rows if f is None else max(1, _CHUNK_NODES // K)
+            for lo in range(0, rows, step):
+                hi = min(lo + step, rows)
                 if f is None:
-                    plain = inv = np.ones((hi - lo, b.wts.size))
+                    plain = inv = np.ones((1, K))
                 else:
                     plain = f(b.radius[lo:hi])
                     inv = plain ** -1.0 if any_inverse else None
                 for (r, inverse), out in zip(requests, outs):
                     vals = inv if inverse else plain
                     if r == np.inf:
-                        out[at : at + hi - lo] = vals.max(axis=1)
+                        out[at + lo : at + hi] = vals.max(axis=1)
                     elif r == -np.inf:
-                        out[at : at + hi - lo] = vals.min(axis=1)
+                        out[at + lo : at + hi] = vals.min(axis=1)
                     else:
                         powered = vals if f is None else vals**r
-                        out[at : at + hi - lo] = _row_sums(powered, b.wts)
-
-        _spread(run, self._tasks())
-        return [out if abs(r) == np.inf else out ** (1.0 / r) for (r, _), out in zip(requests, outs)]
-
-    def _tasks(self) -> list[list[tuple[_Batch, int, int, int]]]:
-        """(batch, first row, end row, output offset) pieces of about
-        _CHUNK_NODES nodes each; consecutive small batches share a task."""
-        tasks, task, size, at = [], [], 0, 0
-        for b in self.batches:
-            rows, K = b.radius.shape
-            step = max(1, _CHUNK_NODES // K)
-            for lo in range(0, rows, step):
-                hi = min(lo + step, rows)
-                task.append((b, lo, hi, at + lo))
-                size += (hi - lo) * K
-                if size >= _CHUNK_NODES:
-                    tasks.append(task)
-                    task, size = [], 0
+                        out[at + lo : at + hi] = _row_sums(powered, b.wts)
             at += rows
-        return tasks + [task] if task else tasks
+        return [out if abs(r) == np.inf else out ** (1.0 / r) for (r, _), out in zip(requests, outs)]
 
 
 def _row_sums(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -649,26 +631,6 @@ def _row_sums(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", vals, wts)
 
 
-def _spread(fn, tasks) -> None:
-    """Run fn on every task: inline on one CPU, else over a thread pool sized
-    by the CPUs this process may use.  Tasks must be independent."""
-    if _WORKERS < 2 or len(tasks) < 2:
-        for task in tasks:
-            fn(task)
-        return
-    for _ in _executor(_WORKERS).map(fn, tasks):
-        pass
-
-
-@functools.cache
-def _executor(workers: int):
-    # imported here so that processes without a quadrature pass never load it
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(workers)
-
-
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _CHUNK_NODES = 1 << 16
 _PAIRWISE_NODES = 1 << 10
 _UNIT = Const(1.0)

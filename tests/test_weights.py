@@ -281,29 +281,6 @@ class TestChunkedReduction:
         for r in (0.5, 1.0, 2.0, 3.0):
             np.testing.assert_allclose(nodes.means(Const(c), r)[long_rows], c, rtol=1e-15, atol=0)
 
-    def test_independent_of_worker_count(self, monkeypatch, chunked_nodes):
-        import sys
-
-        import lpw.weights as weights
-
-        pools = []
-        executor = weights._executor
-        monkeypatch.setattr(weights, "_executor", lambda n: pools.append(n) or executor(n))
-        runs = {}
-        interval = sys.getswitchinterval()
-        try:
-            # more workers than cores, switching often: chunks write disjoint
-            # slices of shared outputs, so no write may be lost or misplaced
-            for workers, switch in ((1, interval), (2, interval), (5, 1e-6)):
-                monkeypatch.setattr(weights, "_WORKERS", workers)
-                sys.setswitchinterval(switch)
-                runs[workers] = all_stats(FamilyNodes(chunked_nodes.R, chunked_nodes.n, chunked_nodes.family))
-        finally:
-            sys.setswitchinterval(interval)
-        assert pools and set(pools) == {2, 5}  # one worker runs inline
-        for workers in (2, 5):
-            assert all(np.array_equal(a, b) for a, b in zip(runs[1], runs[workers])), workers
-
     def test_one_reduction_per_radial_profile(self, monkeypatch):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
         calls = []
