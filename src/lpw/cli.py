@@ -18,15 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import CubeFamily, GridError, GridSpec, load_grid_function
+from .grid import CubeFamily, GridError, GridSpec, load_grid_function, weighted_lp_norm
 from .lpaley import LevelError, band_decompose, make_lp_pair
-from .spaces import NormRequest, besov_norm, bmo_norm, tl_infty_norm, tl_norm
+from .spaces import NormRequest, bmo_norm, build_dictionary, hardy_grand_norm, space_norm
 from .verify import annulus_indices, make_corpus
 from .suites import (
     ALL_SUITES,
     ANNULUS_SUITES,
     DEFAULT_CEILINGS,
     DEFAULT_WEIGHT_MATRIX,
+    ONE_D_SUITES,
     SEQNORM_SINGLE_CASES,
     RunContext,
     seqnorm_single_cases,
@@ -81,7 +82,6 @@ class RunConfig:
 
     def __init__(self, raw: dict, seed_override: int | None = None):
         self.raw = raw
-        g = raw.get("grid", {})
         try:
             self.spec = GridSpec(
                 n=int(_get(raw, "grid.n", 1)),
@@ -160,6 +160,9 @@ class RunConfig:
         check on this grid and level window.  corpus marks a norm or
         decompose request on the corpus, which needs what the corpus suites
         need: a grid frequency inside the resolved annulus."""
+        for name in suites:
+            if self.spec.n == 2 and name in ONE_D_SUITES:
+                raise ConfigError("grid.n", f"suite {name} runs on 1D grids only: {ONE_D_SUITES[name]}")
         if corpus or any(name in ANNULUS_SUITES for name in suites):
             try:
                 annulus_indices(self.spec, self.pair)
@@ -248,18 +251,14 @@ def cmd_norm(cfg: RunConfig, out: Path) -> int:
             value = bmo_norm(f, fam)
         elif space == "Lp":
             j = int(_get(cfg.raw, "norm.frozen_level", 0))
-            from .grid import weighted_lp_norm
-
             value = weighted_lp_norm(f, ws.frozen(j).on_grid(cfg.spec, j), cfg.norm_p)
         elif space == "Hardy":
-            from .spaces import build_dictionary, hardy_grand_norm
-
             if dictionary is None:
                 dictionary = build_dictionary(cfg.spec)
             value = hardy_grand_norm(f, ws, cfg.norm_p, dictionary)
         else:
             req = NormRequest(space, cfg.norm_p, cfg.norm_q, ws, pair, family=fam)
-            value = {"B": besov_norm, "F": tl_norm, "F_inf": tl_infty_norm}[space](f, req)
+            value = space_norm(f, req)
         records.append(
             {
                 "member": name,
@@ -354,17 +353,16 @@ def _ratio_rows(report: dict):
     """Flatten per-member ratio distributions for plotting."""
     for suite in report["suites"]:
         for i, rec in enumerate(suite.get("records", [])):
-            for sub in ("ratios",):
-                if isinstance(rec, dict) and sub in rec and isinstance(rec[sub], list):
-                    members = rec.get("members", [str(j) for j in range(len(rec[sub]))])
-                    for name, val in zip(members, rec[sub]):
-                        yield suite["suite"], f"rec{i}", name, val
-            for key in ("lp_report", "band_report", "coincidence"):
-                sub = rec.get(key) if isinstance(rec, dict) else None
+            if not isinstance(rec, dict):
+                continue
+            # the record's own ratios first, then those of its nested reports
+            subs = [(f"rec{i}", rec)] + [(f"rec{i}.{key}", rec.get(key))
+                                         for key in ("lp_report", "band_report", "coincidence")]
+            for label, sub in subs:
                 if isinstance(sub, dict) and isinstance(sub.get("ratios"), list):
                     members = sub.get("members", [str(j) for j in range(len(sub["ratios"]))])
                     for name, val in zip(members, sub["ratios"]):
-                        yield suite["suite"], f"rec{i}.{key}", name, val
+                        yield suite["suite"], label, name, val
 
 
 def cmd_verify(cfg: RunConfig, suite_names: list[str], out: Path) -> int:

@@ -84,10 +84,6 @@ class GridSpec:
         return np.hypot(KX, KY)
 
     @property
-    def nyquist(self) -> float:
-        return np.pi / self.h
-
-    @property
     def fundamental(self) -> float:
         """Smallest nonzero angular frequency on the torus."""
         return np.pi / self.R
@@ -117,9 +113,6 @@ class GridFunction:
         if not np.all(np.isfinite(v.real)) or (np.iscomplexobj(v) and not np.all(np.isfinite(v.imag))):
             raise GridError("grid function contains non-finite samples")
         object.__setattr__(self, "values", v)
-
-    def scaled(self, c) -> "GridFunction":
-        return GridFunction(self.spec, c * self.values)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if other.spec != self.spec:
@@ -215,22 +208,6 @@ def cube_samples(f: GridFunction, Q: DyadicCube) -> np.ndarray:
     return f.values[a:b, c:d]
 
 
-def cube_average(f: GridFunction, Q: DyadicCube, p: float) -> float:
-    """Normalized cube mean M_{Q,p}(f) = ((1/#S) sum_{x in Q} |f(x)|^p)^(1/p)."""
-    if p <= 0:
-        raise ValueError(f"exponent p must be positive, got {p}")
-    vals = np.abs(cube_samples(f, Q))
-    if vals.size == 0:
-        raise GridError(f"cube {Q} is empty")
-    if np.isinf(p):
-        return float(vals.max())
-    return float(np.mean(vals**p) ** (1.0 / p))
-
-
-def integral(f: GridFunction) -> complex:
-    return f.spec.cell_measure * f.values.sum()
-
-
 def lp_norm(f: GridFunction, p: float) -> float:
     """Plain quasi-norm ||f|L_p|| by the midpoint rule; p = inf is the sample max."""
     if p <= 0:
@@ -248,21 +225,6 @@ def weighted_lp_norm(f: GridFunction, gamma: GridFunction, p: float) -> float:
     if np.iscomplexobj(gamma.values) or np.any(gamma.values < 0):
         raise ValueError("weight has negative samples")
     return lp_norm(GridFunction(f.spec, np.abs(f.values) * gamma.values), p)
-
-
-def weak_lp_norm(f: GridFunction, p: float) -> float:
-    """sup_{d>0} d * |{|f| > d}|^(1/p) with measure h^n per sample.
-
-    The supremum over thresholds is attained against the sorted sample
-    magnitudes: with v_1 >= v_2 >= ... the value is max_i v_i (h^n i)^(1/p).
-    """
-    if not (0 < p < np.inf):
-        raise ValueError(f"weak norm needs 0 < p < inf, got {p}")
-    mags = np.sort(np.abs(f.values).ravel())[::-1]
-    if mags.size == 0 or mags[0] == 0:
-        return 0.0
-    counts = np.arange(1, mags.size + 1, dtype=float)
-    return float(np.max(mags * (f.spec.cell_measure * counts) ** (1.0 / p)))
 
 
 @dataclass(frozen=True)

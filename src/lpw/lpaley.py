@@ -14,7 +14,6 @@ reproduces every admissible band-limited input to rounding error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,15 +80,13 @@ def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
     return _apply_to_spectrum(f, np.fft.fftn(f.values), mult)
 
 
-def lattice_values(f: GridFunction, mult: np.ndarray | None = None) -> np.ndarray:
+def lattice_values(f: GridFunction, mult: np.ndarray) -> np.ndarray:
     """Values of (m(D) f) at the plain lattice y_i = -R + i h.
 
     On an offset grid this is a half-cell translation, exact for band-limited
     data; on a plain grid it is the samples themselves.
     """
-    F = np.fft.fftn(np.asarray(f.values, dtype=complex))
-    if mult is not None:
-        F = F * mult
+    F = np.fft.fftn(np.asarray(f.values, dtype=complex)) * mult
     if f.spec.offset:
         j = np.fft.fftfreq(f.spec.N, 1.0 / f.spec.N)
         shift = np.exp(-1j * np.pi * j / f.spec.N)  # exp(-i xi h/2)
@@ -166,12 +163,6 @@ class LPPair:
         """Frequency range where the truncated partition of unity equals 1."""
         return 2.0 ** (self.k_min + 1), 2.0 ** (self.k_max - 1)
 
-    def Fphi(self, rho):
-        return bump_profile(rho)
-
-    def Fpsi(self, rho):
-        return synthesis_profile(rho)
-
     def lattice_stride(self, k: int) -> int:
         s = 2.0 ** (-k) / self.gspec.h
         if s < 1 or s != int(s):
@@ -228,7 +219,7 @@ def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:
 
 
 def band(f: GridFunction, pair: LPPair, k: int) -> GridFunction:
-    """The level-k band: inverse transform of Fphi(2^-k xi) * Ff."""
+    """The level-k band: inverse transform of bump_profile(2^-k xi) * Ff."""
     if not (pair.k_min <= k <= pair.k_max):
         raise LevelError(f"level {k} outside pair window [{pair.k_min}, {pair.k_max}]")
     return apply_multiplier(f, pair.phi_mult[k])
@@ -309,42 +300,18 @@ class CoefficientSet:
             raise LevelError(f"level {k} outside the stored levels {self.levels()}")
         return self.arrays[k - self.k_min]
 
-    def items(self):
-        """((k, m), lambda_{k,m}) for every nonzero coefficient, in (k, m) order."""
-        for k, lam in zip(self.levels(), self.arrays):
-            C = lam.shape[0] // 2
-            for i in zip(*np.nonzero(lam)):
-                yield (k, tuple(int(x) - C for x in i)), complex(lam[i])
-
     def scaled(self, c) -> "CoefficientSet":
         return CoefficientSet(self.n, self.R, self.k_min, tuple(c * lam for lam in self.arrays))
 
-    def to_jsonl(self, path: str | Path) -> None:
-        """One line per nonzero coefficient."""
-        with open(path, "w") as fh:
-            for (k, m), v in self.items():
-                fh.write(json.dumps({"k": k, "m": list(m), "re": v.real, "im": v.imag}) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, path: str | Path, n: int, R: float) -> "CoefficientSet":
-        with open(path) as fh:
-            recs = [json.loads(line) for line in fh]
-        return cls.from_entries(n, R, (((r["k"], r["m"]), r["re"] + 1j * r["im"]) for r in recs))
-
-
-def analyze(f: GridFunction, pair: LPPair, levels: range | None = None) -> CoefficientSet:
+def analyze(f: GridFunction, pair: LPPair) -> CoefficientSet:
     """Coefficients lambda_{k,m} = 2^(-k n / 2) (f * phi~_k)(2^-k m).
 
     The band convolution is evaluated on the plain lattice by exact spectral
     translation and subsampled at the level's stride.
     """
     spec = f.spec
-    if levels is None:
-        levels = pair.levels()
     arrays = []
-    for k in levels:
-        if not (pair.k_min <= k <= pair.k_max):
-            raise LevelError(f"analysis level {k} outside pair window")
+    for k in pair.levels():
         ms = pair.positions(k)
         idx = (pair.lattice_stride(k) * ms + spec.N // 2) % spec.N
         vals = lattice_values(f, pair.phi_mult[k])
@@ -353,7 +320,7 @@ def analyze(f: GridFunction, pair: LPPair, levels: range | None = None) -> Coeff
         # the lattice can be narrower than the cube range (at k = -log2(2R))
         lam[np.ix_(*[ms - lo] * spec.n)] = vals[np.ix_(*[idx] * spec.n)] * 2.0 ** (-k * spec.n / 2.0)
         arrays.append(lam)
-    return CoefficientSet(spec.n, spec.R, levels.start, tuple(arrays))
+    return CoefficientSet(spec.n, spec.R, pair.k_min, tuple(arrays))
 
 
 def synthesize(coeffs: CoefficientSet, pair: LPPair) -> GridFunction:
@@ -387,28 +354,20 @@ def synthesize(coeffs: CoefficientSet, pair: LPPair) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def admissibility_violations(f: GridFunction, pair: LPPair, rtol: float = 1e-9):
-    """Frequencies carrying energy outside the resolved annulus (plus DC)."""
+def admissibility_violations(f: GridFunction, pair: LPPair):
+    """Frequencies carrying more than 1e-9 of the peak spectral magnitude
+    outside the resolved annulus (plus DC)."""
     F = spectrum(f)
     rho = f.spec.freq_radius()
     lo, hi = pair.annulus()
     scale = np.abs(F).max()
     if scale == 0:
         return []
-    bad = (np.abs(F) > rtol * scale) & ((rho < lo - 1e-12) | (rho > hi + 1e-12))
+    bad = (np.abs(F) > 1e-9 * scale) & ((rho < lo - 1e-12) | (rho > hi + 1e-12))
     return sorted(set(np.round(rho[bad], 6).tolist()))
 
 
-def project_admissible(f: GridFunction, pair: LPPair) -> GridFunction:
-    """Restrict the spectrum to the resolved annulus and remove the mean."""
-    F = spectrum(f)
-    rho = f.spec.freq_radius()
-    lo, hi = pair.annulus()
-    F = np.where((rho >= lo) & (rho <= hi), F, 0.0)
-    return from_spectrum(f.spec, F, real=np.isrealobj(f.values))
-
-
-def calderon_residual(f: GridFunction, pair: LPPair, levels: range | None = None) -> float:
+def calderon_residual(f: GridFunction, pair: LPPair) -> float:
     """Relative L2 error of synthesize(analyze(f)) against f.
 
     Requires f mean-zero and band-limited to the resolved annulus, where the
@@ -424,14 +383,14 @@ def calderon_residual(f: GridFunction, pair: LPPair, levels: range | None = None
     norm = math.sqrt(float(np.sum(np.abs(f.values) ** 2)) * f.spec.cell_measure)
     if norm == 0:
         return 0.0
-    rec = synthesize(analyze(f, pair, levels), pair)
+    rec = synthesize(analyze(f, pair), pair)
     diff = rec.values - f.values
     err = math.sqrt(float(np.sum(np.abs(diff) ** 2)) * f.spec.cell_measure)
     return err / norm
 
 
 def partition_sum(pair: LPPair) -> np.ndarray:
-    """sum_k conj(Fphi(2^-k xi)) Fpsi(2^-k xi) over the window, per grid frequency."""
+    """sum_k phi_k(xi) psi_k(xi) over the window, per grid frequency."""
     total = np.zeros(pair.gspec.shape)
     for k in pair.levels():
         total = total + pair.phi_mult[k] * pair.psi_mult[k]

@@ -108,6 +108,17 @@ def tl_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
     return lp_lq_norm(weighted_bands(f, req), req.p, req.q)
 
 
+def space_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
+    """The band norm req.space names: B, F or F_inf."""
+    if req.space == "B":
+        return besov_norm(f, req)
+    if req.space == "F":
+        return tl_norm(f, req)
+    if req.space == "F_inf":
+        return tl_infty_norm(f, req)
+    raise ValueError(f"space {req.space!r} is not one of the band norms B, F, F_inf")
+
+
 # ---------------------------------------------------------------------------
 # Carleson-type cube scans
 # ---------------------------------------------------------------------------
@@ -399,17 +410,13 @@ def _seminorm(spec: GridSpec, width: float, order: int, N: int) -> float:
     return best
 
 
-def build_dictionary(
-    spec: GridSpec, N: int | None = None, widths=(0.5, 1.0), max_order: int | None = None
-) -> TestFunctionDictionary:
-    """Gaussian-derivative bumps of two widths and orders 0..N, normalized."""
-    if N is None:
-        N = spec.n + 2
-    if max_order is None:
-        max_order = N
+def build_dictionary(spec: GridSpec) -> TestFunctionDictionary:
+    """Gaussian-derivative bumps of widths 0.5 and 1 and orders 0..N with
+    N = n + 2, normalized in the seminorm p_N."""
+    N = spec.n + 2
     profiles, norms = [], []
-    for w in widths:
-        for d in range(max_order + 1):
+    for w in (0.5, 1.0):
+        for d in range(N + 1):
             pn = _seminorm(spec, w, d, N)
             profiles.append(GrandProfile(w, d, 1.0 / pn))
             norms.append(pn)

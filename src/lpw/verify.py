@@ -59,25 +59,24 @@ def _resolution_free_bounds(R: float, pair: LPPair) -> tuple[int, int]:
     return max(1, math.ceil(lo / fund - 1e-9)), math.floor(hi / fund + 1e-9)
 
 
-def _member_from_coeffs(spec: GridSpec, coeffs: dict[int, complex], name: str, kind: str) -> CorpusMember:
-    F = np.zeros(spec.N, dtype=complex)
-    for j, c in coeffs.items():
-        F[j % spec.N] += c
-        F[(-j) % spec.N] += np.conj(c)
+def _member_from_coeffs(spec: GridSpec, coeffs: dict, name: str, kind: str) -> CorpusMember:
+    """The real member with these Fourier coefficients, unit in L_2; a key is
+    the frequency index j, an int in 1D and a pair (j1, j2) in 2D."""
+    js = [key if isinstance(key, tuple) else (key,) for key in coeffs]
+    for key, j in zip(coeffs, js):
+        if len(j) != spec.n:
+            raise ValueError(f"frequency key {key!r} does not index a {spec.n}D grid")
+    # c at j, then conj(c) at -j, key by key: np.add.at adds in index order,
+    # so a cell hit twice sums its terms in the order of a loop over the keys
+    j = np.array(js, dtype=np.int64).reshape(-1, spec.n)
+    idx = np.stack([j % spec.N, -j % spec.N], axis=1).reshape(-1, spec.n)
+    c = np.array(list(coeffs.values()), dtype=complex)
+    F = np.zeros(spec.shape, dtype=complex)
+    np.add.at(F, tuple(idx.T), np.stack([c, np.conj(c)], axis=1).ravel())
     f = from_spectrum(spec, F, real=True)
     scale = lp_norm(f, 2.0)
     if scale == 0:
         raise ValueError("degenerate corpus member")
-    return CorpusMember(name, kind, GridFunction(spec, f.values / scale))
-
-
-def _member_from_coeffs_2d(spec: GridSpec, coeffs: dict, name: str, kind: str) -> CorpusMember:
-    F = np.zeros(spec.shape, dtype=complex)
-    for (j1, j2), c in coeffs.items():
-        F[j1 % spec.N, j2 % spec.N] += c
-        F[(-j1) % spec.N, (-j2) % spec.N] += np.conj(c)
-    f = from_spectrum(spec, F, real=True)
-    scale = lp_norm(f, 2.0)
     return CorpusMember(name, kind, GridFunction(spec, f.values / scale))
 
 
@@ -86,7 +85,6 @@ def make_corpus(
     pair: LPPair,
     size: int = 32,
     seed: int = 20260808,
-    spike_scales: int = 4,
 ) -> list[CorpusMember]:
     """Admissible band-limited test functions: random multi-band draws,
     single-band draws, translated near-spikes over shrinking sub-bands, and
@@ -124,7 +122,7 @@ def make_corpus(
             coeffs = {int(j): complex(rng.normal(), rng.normal()) for j in js}
             members.append(_member_from_coeffs(spec, coeffs, f"single{idx:02d}", kind))
         elif kind == "spike":
-            step = (i // len(kinds)) % spike_scales
+            step = (i // len(kinds)) % 4  # four sub-band widths
             hi = j_hi
             lo = max(j_lo, hi // 2**step if step else j_lo)
             x0 = float(rng.uniform(-spec.R, spec.R))
@@ -170,16 +168,16 @@ def _make_corpus_2d(spec: GridSpec, pair: LPPair, size: int, rng) -> list[Corpus
                 coeffs[(j1, j2)] = complex(rng.normal(), rng.normal())
         if not coeffs:
             coeffs[(j_mid, 0)] = 1.0 + 0.0j
-        members.append(_member_from_coeffs_2d(spec, coeffs, f"rand2d{idx:02d}", "multiband"))
+        members.append(_member_from_coeffs(spec, coeffs, f"rand2d{idx:02d}", "multiband"))
     return members
 
 
-def spike_family(spec: GridSpec, pair: LPPair, steps: int = 4) -> list[CorpusMember]:
-    """Band-limited bumps at the origin over sub-bands widening dyadically
+def spike_family(spec: GridSpec, pair: LPPair) -> list[CorpusMember]:
+    """Four band-limited bumps at the origin over sub-bands widening dyadically
     with the step index, so the spatial concentration doubles at each step."""
     j_lo, j_hi = annulus_indices(spec, pair)
     out = []
-    for step in range(steps):
+    for step in range(4):
         hi = j_hi
         lo = max(j_lo, hi >> (step + 1))
         js = np.arange(lo, hi + 1)
@@ -232,26 +230,6 @@ class EquivalenceReport:
         }
 
 
-def equivalence_report(
-    norm_a,
-    norm_b,
-    corpus: list[CorpusMember],
-    ceiling: float = 50.0,
-    name_a: str = "A",
-    name_b: str = "B",
-) -> EquivalenceReport:
-    """Per-member ratios B/A with extremes and witnesses; members on which
-    either norm vanishes are excluded and reported."""
-    return ratio_report(
-        [mem.name for mem in corpus],
-        [norm_a(mem.f) for mem in corpus],
-        [norm_b(mem.f) for mem in corpus],
-        ceiling,
-        name_a,
-        name_b,
-    )
-
-
 def ratio_report(
     members: list[str],
     values_a: list[float],
@@ -260,9 +238,9 @@ def ratio_report(
     name_a: str = "A",
     name_b: str = "B",
 ) -> EquivalenceReport:
-    """equivalence_report over norm values already computed per member, for
-    callers that evaluate a norm on something other than the samples (a
-    cached band decomposition, say)."""
+    """Per-member ratios B/A of two norms already evaluated on each member,
+    with extremes and witnesses; members on which either norm vanishes are
+    excluded and reported."""
     ratios, names, excluded = [], [], []
     for name, va, vb in zip(members, values_a, values_b, strict=True):
         if va == 0 or vb == 0:
@@ -293,14 +271,6 @@ def ratio_report(
 # ---------------------------------------------------------------------------
 
 
-class CoincidenceRefusal(ValueError):
-    """The Muckenhoupt hypothesis failed; diagnostics are attached."""
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
-
-
 @dataclass(frozen=True)
 class CoincidenceResult:
     passed: bool
@@ -329,12 +299,11 @@ def coincidence_check(
     nodes: FamilyNodes,
     ceiling: float = 50.0,
     ap_ceiling: float = 1000.0,
-    strict: bool = True,
 ) -> CoincidenceResult:
     """Two-sided comparability of cube means: M_{Q,s1}(t_i^-1) and
     M_{Q,p}(t_i) must agree across the family for the weighted spaces to
     coincide.  Requires both t_i^p inside the Muckenhoupt class at p/theta;
-    violation refuses (strict) or flags the result, with the ratio families
+    violation marks the result refused and failed, with the ratio families
     still reported as diagnostics.
     """
     s1 = sigma1(p, theta)
@@ -356,28 +325,15 @@ def coincidence_check(
     spread_p = rho_p.max() / rho_p.min()
     spread_s = rho_s.max() / rho_s.min()
     passed = (not refused) and spread_p <= ceiling and spread_s <= ceiling
-    result = CoincidenceResult(bool(passed), bool(refused), hyp, extremes, spread, ceiling)
-    if refused and strict:
-        raise CoincidenceRefusal(
-            f"Muckenhoupt hypothesis fails at p/theta={p/theta:g}: "
-            f"constants {hyp['ap_t1']:.3g}, {hyp['ap_t2']:.3g} exceed {ap_ceiling:g}",
-            result,
-        )
-    return result
+    return CoincidenceResult(bool(passed), bool(refused), hyp, extremes, spread, ceiling)
 
 
-def holder_floor_check(
-    t: WeightSpec, p: float, theta: float, nodes: FamilyNodes, k: int = 0
-) -> float:
-    """min over cubes of M_{Q,p}(t) M_{Q,s1}(t^-1); at least 1 up to rounding
-    since both means share one quadrature measure."""
-    return holder_floors(t, [(p, theta)], nodes, k)[0]
-
-
-def holder_floors(t: WeightSpec, pairs, nodes: FamilyNodes, k: int = 0) -> list[float]:
-    """holder_floor_check for every (p, theta) in pairs, from one pass over t."""
+def holder_floors(t: WeightSpec, pairs, nodes: FamilyNodes) -> list[float]:
+    """min over cubes of M_{Q,p}(t) M_{Q,s1}(t^-1) for every (p, theta) in
+    pairs, from one pass over t; each is at least 1 up to rounding since both
+    means share one quadrature measure."""
     requests = [req for p, theta in pairs for req in ((p, False), (sigma1(p, theta), True))]
-    means = nodes.stats(t, requests, k)
+    means = nodes.stats(t, requests)
     return [float((means[i] * means[i + 1]).min()) for i in range(0, len(means), 2)]
 
 
@@ -389,7 +345,6 @@ def delta_coefficient_check(
     spec: GridSpec,
     levels: range,
     ceiling: float = 50.0,
-    positions_per_level: int = 3,
 ) -> tuple[bool, dict]:
     """Sequence-norm ratios of single-coefficient inputs under the two
     weights.  For a lone coefficient every sequence norm reduces to the cube
@@ -399,8 +354,7 @@ def delta_coefficient_check(
     for k in levels:
         lo, hi = level_index_range(spec.R, k)
         count = hi - lo
-        rel = [0.5, 0.66, 0.95][:positions_per_level]
-        for r in rel:
+        for r in (0.5, 0.66, 0.95):
             m = lo + int(r * (count - 1))
             Q = DyadicCube(k, (m,) * spec.n)
             n1 = cube_lp(GridFunction(spec, t1.on_grid(spec, k).values), Q, p)

@@ -426,28 +426,16 @@ class FamilyNodes:
     against the node weights on its own (see _reduce).
     """
 
-    def __init__(
-        self,
-        R: float,
-        n: int,
-        family: CubeFamily,
-        core_scale: float | None = None,
-        seg_nodes: int = 8,
-        flat_nodes: int = 16,
-        core_refine: int = 10,
-    ):
+    def __init__(self, R: float, n: int, family: CubeFamily):
         if n not in (1, 2):
             raise WeightError("cube quadrature supports n in {1, 2}")
         self.R = float(R)
         self.n = n
         self.family = family
-        self.core = core_scale if core_scale is not None else 2.0 ** (-family.v_max)
         # grade a few octaves below the family scale so nearly-critical
         # singularities converge fast, while true divergences still track
         # the family depth
-        self.core_eff = self.core * 2.0 ** (-core_refine)
-        self.seg_nodes = seg_nodes
-        self.flat_nodes = flat_nodes
+        self.core_eff = 2.0 ** (-family.v_max - _CORE_REFINE)
         self.batches: list[_Batch] = []
         self._cache: dict = {}
         shifts = (0.0, 0.5) if family.translates else (0.0,)
@@ -498,7 +486,7 @@ class FamilyNodes:
     def _append_regular(self, v, shift, ms, lo, hi):
         if ms.shape[0] == 0:
             return
-        K = self.flat_nodes
+        K = _FLAT_NODES
         offs = (np.arange(K) + 0.5) / K
         if self.n == 1:
             X = lo + (hi - lo) * offs[None, :]
@@ -516,7 +504,7 @@ class FamilyNodes:
         pieces = [(a, min(b, self.R))] if b <= self.R else [(a, self.R), (-self.R, b - 2 * self.R)]
         nodes, wts = [], []
         for plo, phi in pieces:
-            nn, ww = _axis_nodes(plo, phi, self.core_eff, self.seg_nodes, self.flat_nodes)
+            nn, ww = _axis_nodes(plo, phi, self.core_eff, _SEG_NODES, _FLAT_NODES)
             nodes.append(nn)
             wts.append(ww)
         return np.concatenate(nodes), np.concatenate(wts) / (b - a)
@@ -543,10 +531,6 @@ class FamilyNodes:
         if r != np.inf and r <= 0:
             raise WeightError(f"mean exponent must be positive, got {r}")
         return self.stats(w, [(r, False)], k)[0]
-
-    def mins(self, w: WeightSpec, k: int = 0) -> np.ndarray:
-        """Per-cube minimum of the weight over the quadrature nodes."""
-        return self.stats(w, [(-np.inf, False)], k)[0]
 
     def stats(self, w: WeightSpec, requests: list[tuple[float, bool]], k: int = 0) -> list[np.ndarray]:
         """One array per request (r, inverse): the cube r-means of t_k, or of
@@ -631,6 +615,11 @@ def _row_sums(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", vals, wts)
 
 
+# nodes per graded segment and per flat panel of a cube's axis, and the
+# octaves the graded mesh reaches below the family's finest cube side
+_SEG_NODES = 8
+_FLAT_NODES = 16
+_CORE_REFINE = 10
 _CHUNK_NODES = 1 << 16
 _PAIRWISE_NODES = 1 << 10
 _UNIT = Const(1.0)
@@ -661,10 +650,10 @@ def _profile(w: WeightSpec) -> WeightSpec:
     return w
 
 
-def domain_integral(w: WeightSpec, R: float, n: int, p: float, core: float, k: int = 0,
-                    seg_nodes: int = 16, flat_nodes: int = 64) -> float:
-    """Graded quadrature of integral over [-R,R)^n of w^p, core scale given."""
-    nodes, wts = _axis_nodes(-R, R, core, seg_nodes, flat_nodes)
+def domain_integral(w: WeightSpec, R: float, n: int, p: float, core: float, k: int = 0) -> float:
+    """Graded quadrature of integral over [-R,R)^n of w^p, core scale given,
+    on a mesh finer than the cube families' (16 nodes per segment, 64 flat)."""
+    nodes, wts = _axis_nodes(-R, R, core, 16, 64)
     if n == 1:
         return float(w.eval(np.abs(nodes), k) ** p @ wts)
     rad = np.hypot(nodes[:, None], nodes[None, :]).ravel()
@@ -672,11 +661,11 @@ def domain_integral(w: WeightSpec, R: float, n: int, p: float, core: float, k: i
     return float(w.eval(rad, k) ** p @ ww)
 
 
-def check_admissible(ts: WeightSequence, R: float, n: int, tol: float = 0.02) -> None:
+def check_admissible(ts: WeightSequence, R: float, n: int) -> None:
     """Verify local p-integrability of every t_k by a refinement probe.
 
     The whole-domain integral of t_k^p is recomputed with the quadrature core
-    halved; a relative move above `tol` marks a divergent (non-integrable)
+    halved; a relative move above 2% marks a divergent (non-integrable)
     singularity and raises WeightError.
     """
     levels = list(ts.levels()) if not ts.spec.separable else [ts.k_min]
@@ -685,7 +674,7 @@ def check_admissible(ts: WeightSequence, R: float, n: int, tol: float = 0.02) ->
         i2 = domain_integral(ts.spec, R, n, ts.p, core=2.0**-23, k=k)
         if not (np.isfinite(i1) and np.isfinite(i2)):
             raise WeightError(f"weight {ts.spec.key()} has a non-integrable p-power at level {k}")
-        if i2 > i1 * (1.0 + tol):
+        if i2 > i1 * 1.02:
             raise WeightError(
                 f"weight {ts.spec.key()} fails the p-admissibility refinement probe at level {k}: "
                 f"integral moved {i2 / i1 - 1.0:.3%} under core halving"
@@ -710,7 +699,7 @@ def sigma1(p: float, theta: float) -> float:
     return theta * conjugate(p / theta)
 
 
-def ap_constant(gamma: WeightSpec, p: float, nodes: FamilyNodes, k: int = 0) -> float:
+def ap_constant(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> float:
     """Largest cube product M_Q(gamma) * M_{Q,p'/p}(gamma^-1) over the family.
 
     A lower estimate of the Muckenhoupt constant that grows as the family
@@ -718,24 +707,24 @@ def ap_constant(gamma: WeightSpec, p: float, nodes: FamilyNodes, k: int = 0) -> 
     """
     if p <= 1:
         raise WeightError(f"ap_constant needs p > 1 (use a1_constant), got {p}")
-    return float(_ap_products(gamma, p, nodes, k).max())
+    return float(_ap_products(gamma, p, nodes).max())
 
 
-def ap_witness(gamma: WeightSpec, p: float, nodes: FamilyNodes, k: int = 0):
-    prod = _ap_products(gamma, p, nodes, k)
+def ap_witness(gamma: WeightSpec, p: float, nodes: FamilyNodes):
+    prod = _ap_products(gamma, p, nodes)
     i = int(np.argmax(prod))
     return float(prod[i]), nodes.meta()[i]
 
 
-def _ap_products(gamma: WeightSpec, p: float, nodes: FamilyNodes, k: int) -> np.ndarray:
+def _ap_products(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> np.ndarray:
     """M_Q(gamma) * M_{Q,p'/p}(gamma^-1) per cube, from one pass over gamma."""
-    mean, inv_mean = nodes.stats(gamma, [(1.0, False), (conjugate(p) / p, True)], k)
+    mean, inv_mean = nodes.stats(gamma, [(1.0, False), (conjugate(p) / p, True)])
     return mean * inv_mean
 
 
-def a1_constant(gamma: WeightSpec, nodes: FamilyNodes, k: int = 0) -> float:
+def a1_constant(gamma: WeightSpec, nodes: FamilyNodes) -> float:
     """Largest cube ratio M_Q(gamma) / min_Q(gamma) over the family."""
-    mean, low = nodes.stats(gamma, [(1.0, False), (-np.inf, False)], k)
+    mean, low = nodes.stats(gamma, [(1.0, False), (-np.inf, False)])
     return float((mean / low).max())
 
 
@@ -747,23 +736,16 @@ class RHProbe:
     bound: float
 
 
-def reverse_holder_probe(
-    gamma: WeightSpec,
-    p: float,
-    nodes: FamilyNodes,
-    eps_grid=(0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8),
-    bound: float = 1.5,
-    ap_ceiling: float = 1e6,
-    k: int = 0,
-) -> RHProbe:
-    """Largest probed eps with sup_Q M_{Q,1+eps}(gamma)/M_Q(gamma) <= bound."""
-    if ap_constant(gamma, max(p, 1.0 + 1e-9) if p <= 1 else p, nodes, k) > ap_ceiling:
+def reverse_holder_probe(gamma: WeightSpec, p: float, nodes: FamilyNodes, ap_ceiling: float = 1e6) -> RHProbe:
+    """Largest eps in 0.05 * 2^i (i = 0..8) with
+    sup_Q M_{Q,1+eps}(gamma)/M_Q(gamma) <= 1.5."""
+    if ap_constant(gamma, max(p, 1.0 + 1e-9) if p <= 1 else p, nodes) > ap_ceiling:
         raise WeightError(
             f"weight {gamma.key()} exceeds the Muckenhoupt ceiling {ap_ceiling:g}; "
             "the self-improvement probe needs a class weight"
         )
-    eps_grid = sorted(eps_grid)
-    base, *higher = nodes.stats(gamma, [(1.0, False)] + [(1.0 + eps, False) for eps in eps_grid], k)
+    eps_grid, bound = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8), 1.5
+    base, *higher = nodes.stats(gamma, [(1.0, False)] + [(1.0 + eps, False) for eps in eps_grid])
     ratios = {}
     best = None
     best_ratio = None
@@ -857,22 +839,15 @@ class XClassFit:
     grid_step: float
 
 
-def xclass_fit(
-    ts: WeightSequence,
-    sigma: tuple[float, float],
-    nodes: FamilyNodes,
-    alpha_lo: float = -4.0,
-    alpha_hi: float = 4.0,
-    step: float = 0.05,
-    plateau_tol: float = 0.02,
-) -> XClassFit:
-    """Fit growth exponents by grid search.
+def xclass_fit(ts: WeightSequence, sigma: tuple[float, float], nodes: FamilyNodes) -> XClassFit:
+    """Fit growth exponents by grid search over [-4, 4] in steps of 0.05.
 
     C1 is nondecreasing in alpha1 and C2 nonincreasing in alpha2, so the
     minimum of each sits on a plateau; the fit reports the plateau edges
-    (largest alpha1 and smallest alpha2 within plateau_tol of the minimum),
-    which recover the exact dyadic rate for weights of the form 2^(k s) g.
+    (largest alpha1 and smallest alpha2 within 2% of the minimum), which
+    recover the exact dyadic rate for weights of the form 2^(k s) g.
     """
+    alpha_lo, alpha_hi, step, plateau_tol = -4.0, 4.0, 0.05, 0.02
     A, B, D = _level_stats(ts, nodes, sigma)
     lags = range(0, ts.k_max - ts.k_min + 1)
     M1, M2 = {}, {}
@@ -894,20 +869,3 @@ def xclass_fit(
     i1 = int(np.max(np.nonzero(C1 <= lo1 * (1 + plateau_tol))[0]))
     i2 = int(np.min(np.nonzero(C2 <= lo2 * (1 + plateau_tol))[0]))
     return XClassFit(float(alphas[i1]), float(alphas[i2]), float(C1[i1]), float(C2[i2]), step)
-
-
-def same_constant_check(
-    ts: WeightSequence,
-    p: float,
-    theta: float,
-    nodes: FamilyNodes,
-    ratio_tol: float = 1.01,
-) -> tuple[bool, dict[int, float]]:
-    """Whether the Muckenhoupt constants of t_k^p at exponent p/theta agree
-    across levels (max/min <= ratio_tol)."""
-    if p / theta <= 1:
-        raise WeightError(f"need p/theta > 1, got p={p}, theta={theta}")
-    consts = {k: ap_constant(ts.spec.power(p), p / theta, nodes, k) for k in ts.levels()}
-    vals = list(consts.values())
-    ok = max(vals) <= min(vals) * ratio_tol
-    return ok, consts

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lpw.cli import RunConfig, main
+from lpw.suites import ALL_SUITES, ONE_D_SUITES
 
 
 SMALL_CONFIG = {
@@ -108,6 +109,41 @@ class TestConfigValidation:
         path = write_config(tmp_path, {"exponents": [[2.0, 3.0]]})
         assert main(["verify", "all", "--config", path]) == 2
         assert "theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", sorted(ONE_D_SUITES))
+    def test_one_d_suites_rejected_in_2d(self, tmp_path, capsys, suite):
+        # named on the line or listed in the config, a 1D-only suite on a 2D
+        # grid is refused before the run, naming grid.n
+        path = write_config(tmp_path, {**SWEEP_CONFIGS["2d"], "suites": [suite]})
+        for name in (suite, "all"):
+            assert main(["verify", name, "--config", path, "--out", str(tmp_path / "out")]) == 2
+            assert "grid.n" in capsys.readouterr().err
+
+
+# tiny 1D and 2D grids on which every suite runs in well under a second
+SWEEP_CONFIGS = {
+    "1d": {"grid.n": 1, "grid.R": 4.0, "grid.N": 128, "levels.k_min": -3, "levels.k_max": 4,
+           "cubes.v_min": -3, "cubes.v_max": 5, "corpus.size": 4},
+    "2d": {"grid.n": 2, "grid.R": 2.0, "grid.N": 64, "levels.k_min": -1, "levels.k_max": 4,
+           "cubes.v_min": -1, "cubes.v_max": 5, "corpus.size": 4},
+}
+
+
+class TestSuiteSweep:
+    """Every suite ends in a verdict (exit 0 or 1) on small configs, or is
+    refused before the run (exit 2) where it has no form for the grid; none
+    crashes (exit 3)."""
+
+    @pytest.mark.parametrize("dim", sorted(SWEEP_CONFIGS))
+    @pytest.mark.parametrize("suite", sorted(ALL_SUITES))
+    def test_ends_in_verdict(self, tmp_path, dim, suite):
+        path = write_config(tmp_path, SWEEP_CONFIGS[dim])
+        rc = main(["verify", suite, "--config", path, "--out", str(tmp_path / "out")])
+        if dim == "2d" and suite in ONE_D_SUITES:
+            assert rc == 2
+        else:
+            assert rc in (0, 1)
+            assert (tmp_path / "out" / "report.json").exists()
 
 
 class TestVerifyCommand:

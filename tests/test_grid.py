@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from lpw.spaces import cube_lp
 from lpw.grid import (
     DyadicCube,
     GridError,
     GridFunction,
     GridSpec,
     VectorSequence,
-    cube_average,
     cube_samples,
     enumerate_cubes,
-    integral,
     load_grid_function,
     lp_lq_norm,
     lp_norm,
     save_grid_function,
-    weak_lp_norm,
     weighted_lp_norm,
 )
 
@@ -59,7 +57,7 @@ class TestGridSpec:
                     assert k_floor == -int(math.floor(math.log2(2.0 * R) + 1e-9))
                     assert k_cap == int(math.floor(math.log2(1.0 / spec.h) + 1e-9))
                     # band cap formerly applied by make_lp_pair
-                    assert k_cap <= int(math.floor(math.log2(spec.nyquist) - 1 + 1e-9))
+                    assert k_cap <= int(math.floor(math.log2(np.pi / spec.h) - 1 + 1e-9))
                     # rounded window formerly used by MaximalConfig.full
                     v_hi = int(round(math.log2(1.0 / spec.h)))
                     assert (k_floor, k_cap) == (v_hi - int(round(math.log2(N))), v_hi)
@@ -99,40 +97,43 @@ class TestEnumerateCubes:
 
 
 class TestCubeAverage:
+    """Cube integrals through cube_lp, the cube norm ||f|L_p(Q)||: the mean
+    M_{Q,p}(f) is |Q|^(-1/p) ||f|L_p(Q)||."""
+
     def test_constant(self):
         spec = GridSpec(1, 2.0, 64)
         f = GridFunction(spec, np.full(64, 3.0))
         for Q in enumerate_cubes(spec, -1, 2):
-            assert cube_average(f, Q, 2.0) == pytest.approx(3.0, abs=1e-14)
+            assert cube_lp(f, Q, 2.0) == pytest.approx(3.0 * Q.side**0.5, abs=1e-14)
 
     def test_indicator_average(self):
         spec = GridSpec(1, 2.0, 64)
         f = indicator(spec, 0.0, 1.0)
-        assert cube_average(f, DyadicCube(-1, (0,)), 1.0) == pytest.approx(0.5)
+        assert cube_lp(f, DyadicCube(-1, (0,)), 1.0) == pytest.approx(0.5 * 2.0)
 
     def test_sqrt_integral_oracle(self):
-        # midpoint quadrature against the closed form: mean of sqrt(x) on [0,1) is 2/3
+        # midpoint quadrature against the closed form: the integral of
+        # sqrt(x) over [0,1) is 2/3
         spec = GridSpec(1, 1.0, 4096)
         f = GridFunction(spec, np.sqrt(np.abs(spec.axis())))
-        val = cube_average(f, DyadicCube(0, (0,)), 1.0)
+        val = cube_lp(f, DyadicCube(0, (0,)), 1.0)
         assert val == pytest.approx(2.0 / 3.0, rel=1e-5)
 
     def test_errors(self):
         spec = GridSpec(1, 1.0, 16)
         f = GridFunction(spec, np.ones(16))
-        with pytest.raises(ValueError):
-            cube_average(f, DyadicCube(0, (0,)), 0.0)
         with pytest.raises(GridError):
-            cube_average(f, DyadicCube(10, (0,)), 1.0)
+            cube_lp(f, DyadicCube(10, (0,)), 1.0)
 
     @given(st.floats(0.3, 4.0), st.floats(0.0, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_jensen_monotone_in_p(self, p1, dp):
+        # on a cube of unit measure the cube norm is the mean M_{Q,p}
         spec = GridSpec(1, 1.0, 64)
         rng = np.random.default_rng(99)
         f = GridFunction(spec, rng.uniform(0.1, 2.0, 64))
-        Q = DyadicCube(1, (-1,))
-        assert cube_average(f, Q, p1) <= cube_average(f, Q, p1 + dp) + 1e-12
+        Q = DyadicCube(0, (-1,))
+        assert cube_lp(f, Q, p1) <= cube_lp(f, Q, p1 + dp) + 1e-12
 
     def test_discrete_hoelder(self, rng):
         spec = GridSpec(1, 1.0, 128)
@@ -142,19 +143,18 @@ class TestCubeAverage:
         p, sigma = 3.0, 1.5
         theta = 1.0 / (1.0 / p + 1.0 / sigma)
         for Q in enumerate_cubes(spec, 0, 3):
-            lhs = cube_average(uv, Q, theta)
-            rhs = cube_average(u, Q, p) * cube_average(v, Q, sigma)
+            lhs = cube_lp(uv, Q, theta)
+            rhs = cube_lp(u, Q, p) * cube_lp(v, Q, sigma)
             assert lhs <= rhs * (1 + 1e-12)
 
     def test_tiling_consistency(self, rng):
         spec = GridSpec(1, 2.0, 256)
         f = GridFunction(spec, rng.normal(size=256))
-        total = integral(GridFunction(spec, np.abs(f.values))).real
+        total = lp_norm(f, 1.0)
         for v in range(-2, 4):
             acc = 0.0
             for Q in enumerate_cubes(spec, v, v):
-                ns = cube_samples(f, Q).size
-                acc += ns * spec.cell_measure * cube_average(f, Q, 1.0)
+                acc += cube_lp(f, Q, 1.0)
             assert acc == pytest.approx(total, rel=1e-12)
 
 
@@ -193,30 +193,6 @@ class TestWeightedNorm:
         f = GridFunction(spec, rng.normal(size=64))
         one = GridFunction(spec, np.ones(64))
         assert weighted_lp_norm(f, one, np.inf) == np.abs(f.values).max()
-
-
-class TestWeakNorm:
-    def test_indicator(self):
-        spec = GridSpec(1, 1.0, 128)
-        f = indicator(spec, 0.0, 0.5)
-        assert weak_lp_norm(f, 2.0) == pytest.approx(np.sqrt(0.5))
-
-    def test_zero(self):
-        spec = GridSpec(1, 1.0, 16)
-        assert weak_lp_norm(GridFunction(spec, np.zeros(16)), 2.0) == 0.0
-
-    def test_quarter_power_stable(self):
-        # |x|^(-1/4) lies in weak L4.  On the offset grid the sorted sample
-        # magnitudes are ((j - 1/2) h)^(-1/4), two per shell, so the discrete
-        # value is max_j (2j / (j - 1/2))^(1/4) = 2^(1/2) at j = 1,
-        # independent of h.
-        vals = []
-        for N in (2048, 4096):
-            spec = GridSpec(1, 1.0, N)
-            f = GridFunction(spec, np.abs(spec.axis()) ** -0.25)
-            vals.append(weak_lp_norm(f, 4.0))
-        assert vals[0] == pytest.approx(np.sqrt(2.0), rel=1e-9)
-        assert abs(vals[1] / vals[0] - 1) < 0.05
 
 
 class TestLpLq:
