@@ -208,14 +208,19 @@ def cube_samples(f: GridFunction, Q: DyadicCube) -> np.ndarray:
     return f.values[a:b, c:d]
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Plain quasi-norm ||f|L_p|| by the midpoint rule; p = inf is the sample max."""
+def _lp(values: np.ndarray, cell_measure: float, p: float) -> float:
+    """lp_norm of samples that need no GridFunction; p = inf is their max, 0 if none."""
     if p <= 0:
         raise ValueError(f"exponent p must be positive, got {p}")
-    a = np.abs(f.values)
+    a = np.abs(values)
     if np.isinf(p):
-        return float(a.max())
-    return float((f.spec.cell_measure * (a**p).sum()) ** (1.0 / p))
+        return float(a.max(initial=0.0))
+    return float((cell_measure * (a**p).sum()) ** (1.0 / p))
+
+
+def lp_norm(f: GridFunction, p: float) -> float:
+    """Plain quasi-norm ||f|L_p|| by the midpoint rule; p = inf is the sample max."""
+    return _lp(f.values, f.spec.cell_measure, p)
 
 
 def weighted_lp_norm(f: GridFunction, gamma: GridFunction, p: float) -> float:
@@ -224,7 +229,7 @@ def weighted_lp_norm(f: GridFunction, gamma: GridFunction, p: float) -> float:
         raise GridError("weight lives on a different grid")
     if np.iscomplexobj(gamma.values) or np.any(gamma.values < 0):
         raise ValueError("weight has negative samples")
-    return lp_norm(GridFunction(f.spec, np.abs(f.values) * gamma.values), p)
+    return _lp(np.abs(f.values) * gamma.values, f.spec.cell_measure, p)
 
 
 @dataclass(frozen=True)
@@ -272,7 +277,7 @@ def lp_lq_norm(fs: VectorSequence, p: float, q: float) -> float:
         if q <= 0:
             raise ValueError(f"exponent q must be positive, got {q}")
         agg = (a**q).sum(axis=0) ** (1.0 / q)
-    return lp_norm(GridFunction(fs.spec, agg), p)
+    return _lp(agg, fs.spec.cell_measure, p)
 
 
 # ---------------------------------------------------------------------------

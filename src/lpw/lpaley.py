@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,13 @@ class CoefficientSet:
 
     def levels(self) -> range:
         return range(self.k_min, self.k_min + len(self.arrays))
+
+    @cached_property
+    def support(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """{k: (flat indices i, |lambda_k| at i)} of the nonzero coefficients,
+        gathered once: the arrays must not change afterwards."""
+        mags = {k: np.abs(lam).ravel() for k, lam in zip(self.levels(), self.arrays)}
+        return {k: (i, m[i]) for k, m in mags.items() if (i := np.flatnonzero(m > 0)).size}
 
     def check_domain(self, spec: GridSpec) -> None:
         if (self.n, self.R) != (spec.n, spec.R):

@@ -14,7 +14,7 @@ import numpy as np
 from .grid import CubeFamily, GridFunction, GridSpec, level_index_range, lp_norm, weighted_lp_norm
 from .lpaley import LPPair, band_decompose, bump_profile, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
 from .maximal import MaximalConfig, fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, weighted_maximal_ratio, window_sum_table
-from .spaces import NormRequest, besov_norm, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norm, space_norm, tl_infty_norm, tl_norm
+from .spaces import NormRequest, besov_norm, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norm, seq_f_norms, space_norm, tl_infty_norm, tl_norm
 from .verify import (
     classical_besov_norm,
     spike_family,
@@ -284,8 +284,7 @@ def _seq_ratio_extreme(ctx: RunContext, spec: GridSpec, sets) -> float:
         for p, q in ((2.0, 1.0), (1.5, 3.0)):
             ws = WeightSequence(parse_weight(text), pair.k_min, pair.k_max, p)
             req = NormRequest("f", p, q, ws, pair)
-            for coeffs in sets:
-                plain, star = seq_f_norm(coeffs, spec, req)
+            for plain, star in seq_f_norms(sets, spec, req):
                 r = plain / star
                 worst = max(worst, r, 1.0 / r)
     return worst

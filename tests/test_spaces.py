@@ -1,12 +1,17 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
+from lpw import spaces
 from lpw.grid import CubeFamily, DyadicCube, GridFunction, GridSpec, cube_cells, cube_samples, level_index_range, lp_norm
 from lpw.lpaley import CoefficientSet, apply_multiplier, band, band_decompose, make_lp_pair
 from lpw.spaces import (
     NormRequest,
     _cube_lp_all,
     _paint,
+    _seq_levels,
+    _starred_cube_lp,
     besov_norm,
     bmo_norm,
     build_dictionary,
@@ -15,6 +20,7 @@ from lpw.spaces import (
     seq_b_norm,
     seq_f_infty_norm,
     seq_f_norm,
+    seq_f_norms,
     tl_infty_norm,
     tl_norm,
     weighted_bands,
@@ -42,6 +48,43 @@ def single_band_member(spec, pair, k0):
     F[j] = 1.0 - 0.5j
     F[-j] = np.conj(F[j])
     return from_spectrum(spec, F)
+
+
+def dense_seq_f_norm(coeffs, spec, req):
+    """The f-norm as one dense sum over the whole grid per level, set by
+    set: the reference that seq_f_norms must equal bit for bit."""
+    n, p, q = spec.n, req.p, req.q
+    plain_acc = np.zeros(spec.shape)
+    star_acc = np.zeros(spec.shape)
+    qq = 1.0 if np.isinf(q) else q
+    for k in _seq_levels(coeffs, spec):
+        t, mags, S = req.weights.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
+        tkm = _starred_cube_lp(t, k, S, p, mags > 0)
+        if np.isinf(q):
+            lvl_plain = _paint(spec, mags) * 2.0 ** (k * n / 2.0) * t.values
+            lvl_star = _paint(spec, mags * tkm * 2.0 ** (k * n * (0.5 + 1.0 / p)))
+            plain_acc = np.maximum(plain_acc, lvl_plain)
+            star_acc = np.maximum(star_acc, lvl_star)
+        else:
+            plain_acc += _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
+            star_acc += _paint(spec, (mags * tkm) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / p)))
+    plain = lp_norm(GridFunction(spec, plain_acc ** (1.0 / qq)), p)
+    star = lp_norm(GridFunction(spec, star_acc ** (1.0 / qq)), p)
+    return plain, star
+
+
+def random_sets(spec, k_lo, k_hi, count, rng, sizes=(8, 33)):
+    """Sets of 8-32 random complex coefficients on levels k_lo..k_hi."""
+    sets = []
+    for _ in range(count):
+        entries = []
+        for _ in range(int(rng.integers(*sizes))):
+            k = int(rng.integers(k_lo, k_hi + 1))
+            lo, hi = level_index_range(spec.R, k)
+            m = tuple(int(x) for x in rng.integers(lo, hi, spec.n))
+            entries.append(((k, m), complex(rng.normal(), rng.normal())))
+        sets.append(CoefficientSet.from_entries(spec.n, spec.R, entries))
+    return sets
 
 
 class TestFunctionNorms:
@@ -302,11 +345,111 @@ class TestDenseSequenceNorms:
         for fn, p in ((seq_b_norm, 2.0), (seq_f_norm, 2.0), (seq_f_infty_norm, np.inf)):
             with pytest.raises(ValueError, match="level 7 .*h=0.015625"):
                 fn(coeffs, spec1k, request(pair1k, Const(1.0), p, 2.0))
+        good = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 1.0})
+        with pytest.raises(ValueError, match="level 7 .*h=0.015625"):
+            seq_f_norms([good, coeffs], spec1k, request(pair1k, Const(1.0), 2.0, 2.0))
 
     def test_other_domain_refused(self, spec1k, pair1k):
         coeffs = CoefficientSet.from_entries(1, 4.0, {(2, 0): 1.0})
+        good = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 1.0})
+        req = request(pair1k, Const(1.0), 2.0, 2.0)
         with pytest.raises(ValueError, match="do not fit"):
-            seq_f_norm(coeffs, spec1k, request(pair1k, Const(1.0), 2.0, 2.0))
+            seq_f_norm(coeffs, spec1k, req)
+        with pytest.raises(ValueError, match="do not fit"):
+            seq_f_norms([good, coeffs], spec1k, req)
+
+
+# the two (p, q) pairs of suite_seqnorm, and q = inf
+BATCH_PQ = ((2.0, 1.0), (1.5, 3.0), (2.0, np.inf))
+
+
+class TestBatchedSequenceNorms:
+    """seq_f_norms over a batch equals the dense per-set loop exactly."""
+
+    def check(self, sets, spec, pair, weight=Pow(0.3)):
+        for p, q in BATCH_PQ:
+            ws = WeightSequence(weight, pair.k_min, pair.k_max, p)
+            req = NormRequest("f", p, q, ws, pair)
+            assert seq_f_norms(sets, spec, req) == [dense_seq_f_norm(c, spec, req) for c in sets], (p, q)
+
+    def test_random_batch_1d(self, spec1k, pair1k, rng):
+        self.check(random_sets(spec1k, pair1k.k_min, pair1k.k_max, 24, rng), spec1k, pair1k)
+        self.check(random_sets(spec1k, pair1k.k_min, pair1k.k_max, 6, rng), spec1k, pair1k, Dyadic(0.5))
+
+    def test_random_batch_2d_spans_groups(self, rng):
+        spec = GridSpec(2, 2.0, 64)
+        pair = make_lp_pair(spec, -2, 4)
+        sets = random_sets(spec, pair.k_min, pair.k_max, 40, rng)
+        assert len(sets) > spaces._GROUP_CELLS // spec.N**2  # more than one group
+        self.check(sets, spec, pair)
+
+    def test_batch_spans_groups_1d(self, spec1k, pair1k, rng, monkeypatch):
+        monkeypatch.setattr(spaces, "_GROUP_CELLS", 3 * spec1k.N)
+        self.check(random_sets(spec1k, pair1k.k_min, pair1k.k_max, 10, rng), spec1k, pair1k)
+
+    def test_lone_coefficients_on_clipped_coarsest_level(self, spec1k):
+        # k = -log2(2R) = -4: two cubes, each half the domain
+        pair = make_lp_pair(spec1k, -4, 6)
+        sets = [CoefficientSet.from_entries(1, spec1k.R, {(-4, m): 1.0 - 0.5j}) for m in (-1, 0)]
+        sets.append(CoefficientSet.from_entries(1, spec1k.R, {(-4, -1): 2.0, (-4, 0): 0.5j}))
+        self.check(sets, spec1k, pair)
+        spec = GridSpec(2, 2.0, 64)
+        pair = make_lp_pair(spec, -2, 4)
+        self.check([CoefficientSet.from_entries(2, spec.R, {(-2, (-1, 0)): 1.5})], spec, pair)
+
+    def test_empty_and_zero_sets(self, spec1k, pair1k, rng):
+        empty = CoefficientSet.from_entries(1, spec1k.R, {})
+        zero = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 0.0})
+        sets = [empty, *random_sets(spec1k, 0, 3, 2, rng), zero]
+        self.check(sets, spec1k, pair1k)
+        req = request(pair1k, Const(1.0), 2.0, 2.0)
+        assert seq_f_norms([empty, zero], spec1k, req) == [(0.0, 0.0), (0.0, 0.0)]
+        assert seq_f_norms([], spec1k, req) == []
+
+    def test_disjoint_level_ranges(self, spec1k, pair1k, rng):
+        coarse = random_sets(spec1k, -3, 0, 3, rng)
+        fine = random_sets(spec1k, 3, 6, 3, rng)
+        self.check([coarse[0], fine[0], coarse[1], fine[1], fine[2], coarse[2]], spec1k, pair1k)
+
+    def test_level_work_shared_by_the_batch(self, spec1k, pair1k, rng, monkeypatch):
+        """t_k, t_k^q and t_{k,m} once per level for any batch size; each
+        set's nonzero coefficients gathered once for any number of requests."""
+        calls = {"on_grid": 0, "starred": 0, "support": 0}
+        on_grid, starred = WeightSequence.on_grid, spaces._starred_cube_lp
+        support = CoefficientSet.__dict__["support"].func
+
+        def counted_on_grid(self, gspec, k):
+            calls["on_grid"] += 1
+            return on_grid(self, gspec, k)
+
+        def counted_starred(*args):
+            calls["starred"] += 1
+            return starred(*args)
+
+        def counted_support(self):
+            calls["support"] += 1
+            return support(self)
+
+        prop = cached_property(counted_support)
+        prop.__set_name__(CoefficientSet, "support")
+        monkeypatch.setattr(WeightSequence, "on_grid", counted_on_grid)
+        monkeypatch.setattr(spaces, "_starred_cube_lp", counted_starred)
+        monkeypatch.setattr(CoefficientSet, "support", prop)
+        for B in (1, 7, 30):
+            # fresh sets, each with three coefficients on every level 0..4
+            sets = [
+                CoefficientSet.from_entries(1, spec1k.R, {
+                    (k, (int(rng.integers(*level_index_range(spec1k.R, k))),)): complex(rng.normal(), 1.0)
+                    for k in range(5) for _ in range(3)
+                })
+                for _ in range(B)
+            ]
+            for key in calls:
+                calls[key] = 0
+            for p, q in BATCH_PQ:
+                seq_f_norms(sets, spec1k, request(pair1k, Pow(0.3), p, q))
+            assert calls["on_grid"] == calls["starred"] == 5 * len(BATCH_PQ), B
+            assert calls["support"] == B
 
 
 class TestGrandMaximal:
