@@ -279,7 +279,7 @@ def seq_f_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tupl
     return seq_f_norms([coeffs], spec, req)[0]
 
 
-def seq_f_norms(sets, spec: GridSpec, req: NormRequest) -> list[tuple[float, float]]:
+def seq_f_norms(sets: list[CoefficientSet], spec: GridSpec, req: NormRequest) -> list[tuple[float, float]]:
     """Triebel-Lizorkin sequence norms, (direct, starred), of each set.
 
     direct uses the pointwise weight t_k on each cube; starred replaces it by

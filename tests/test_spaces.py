@@ -73,12 +73,12 @@ def dense_seq_f_norm(coeffs, spec, req):
     return plain, star
 
 
-def random_sets(spec, k_lo, k_hi, count, rng, sizes=(8, 33)):
+def random_sets(spec, k_lo, k_hi, count, rng):
     """Sets of 8-32 random complex coefficients on levels k_lo..k_hi."""
     sets = []
     for _ in range(count):
         entries = []
-        for _ in range(int(rng.integers(*sizes))):
+        for _ in range(int(rng.integers(8, 33))):
             k = int(rng.integers(k_lo, k_hi + 1))
             lo, hi = level_index_range(spec.R, k)
             m = tuple(int(x) for x in rng.integers(lo, hi, spec.n))
