@@ -65,6 +65,20 @@ def _get(cfg: dict, field: str, default):
     return cur
 
 
+def _int(cfg: dict, field: str, default) -> int:
+    value = _get(cfg, field, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"expected an integer, got {value!r}") from None
+
+
+def _table(cfg: dict, field: str, default) -> dict:
+    value = _get(cfg, field, default)
+    _require(isinstance(value, dict), field, f"expected an object of named entries, got {value!r}")
+    return value
+
+
 def _parse_exponent(value, field: str) -> float:
     if value in ("inf", "Infinity"):
         return math.inf
@@ -84,44 +98,43 @@ class RunConfig:
         self.raw = raw
         try:
             self.spec = GridSpec(
-                n=int(_get(raw, "grid.n", 1)),
+                n=_int(raw, "grid.n", 1),
                 R=float(_get(raw, "grid.R", 8.0)),
-                N=int(_get(raw, "grid.N", 4096)),
+                N=_int(raw, "grid.N", 4096),
                 offset=bool(_get(raw, "grid.offset", True)),
             )
         except GridError as exc:
             raise ConfigError("grid", str(exc)) from None
-        self.k_min = int(_get(raw, "levels.k_min", -3))
-        self.k_max = int(_get(raw, "levels.k_max", 8))
+        self.k_min = _int(raw, "levels.k_min", -3)
+        self.k_max = _int(raw, "levels.k_max", 8)
         _require(self.k_min <= self.k_max, "levels.k_min", "k_min exceeds k_max")
         k_cap = self.spec.level_window()[1]
         try:
             self.pair = make_lp_pair(self.spec, self.k_min, min(self.k_max, k_cap))
         except LevelError as exc:
             raise ConfigError("levels", str(exc)) from None
-        v_min = int(_get(raw, "cubes.v_min", -4))
-        v_max = int(_get(raw, "cubes.v_max", 9))
+        v_min = _int(raw, "cubes.v_min", -4)
+        v_max = _int(raw, "cubes.v_max", 9)
         _require(v_min <= v_max, "cubes.v_min", "v_min exceeds v_max")
         _require(
             2.0 ** (-v_min) <= 2.0 * self.spec.R,
             "cubes.v_min",
             f"level {v_min} cubes are wider than the domain",
         )
-        self.family = CubeFamily(
-            v_min,
-            v_max,
-            bool(_get(raw, "cubes.translates", True)),
-            int(_get(raw, "cubes.max_per_level", 8192)),
-        )
-        self.corpus_size = int(_get(raw, "corpus.size", 32))
+        max_per_level = _int(raw, "cubes.max_per_level", 8192)
+        try:
+            self.family = CubeFamily(v_min, v_max, bool(_get(raw, "cubes.translates", True)), max_per_level)
+        except GridError as exc:
+            raise ConfigError("cubes", str(exc)) from None
+        self.corpus_size = _int(raw, "corpus.size", 32)
         _require(self.corpus_size >= 1, "corpus.size", "must be at least 1")
-        self.seed = int(seed_override if seed_override is not None else _get(raw, "corpus.seed", 20260808))
+        self.seed = int(seed_override) if seed_override is not None else _int(raw, "corpus.seed", 20260808)
         _require(self.seed >= 0, "corpus.seed", "must be nonnegative")
         self.ceilings = dict(DEFAULT_CEILINGS)
-        for key, val in _get(raw, "ceilings", {}).items():
+        for key, val in _table(raw, "ceilings", {}).items():
             _require(key in DEFAULT_CEILINGS, f"ceilings.{key}", "unknown ceiling")
             self.ceilings[key] = _parse_exponent(val, f"ceilings.{key}")
-        self.weight_matrix = dict(_get(raw, "weights", DEFAULT_WEIGHT_MATRIX))
+        self.weight_matrix = dict(_table(raw, "weights", DEFAULT_WEIGHT_MATRIX))
         for name, text in self.weight_matrix.items():
             try:
                 parse_weight(text)
@@ -135,10 +148,12 @@ class RunConfig:
             theta = _parse_exponent(pq[1], f"exponents[{i}].theta")
             _require(theta < p, f"exponents[{i}].theta", f"needs theta < p, got {theta} >= {p}")
             self.exponent_pairs.append((p, theta))
-        self.suites = list(_get(raw, "suites", list(ALL_SUITES)))
+        suites = _get(raw, "suites", list(ALL_SUITES))
+        _require(isinstance(suites, list), "suites", f"expected a list of suite names, got {suites!r}")
+        self.suites = list(suites)
         for name in self.suites:
             _require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
-        self.norm = _get(raw, "norm", {"space": "F", "p": 2.0, "q": 2.0, "weight": "pow:0.3"})
+        self.norm = _table(raw, "norm", {"space": "F", "p": 2.0, "q": 2.0, "weight": "pow:0.3"})
         _require(
             self.norm.get("space", "F") in ("B", "F", "F_inf", "Lp", "Hardy", "BMO"),
             "norm.space",
@@ -154,6 +169,8 @@ class RunConfig:
             self.norm_weight = parse_weight(self.norm.get("weight", "pow:0.3"))
         except WeightError as exc:
             raise ConfigError("norm.weight", str(exc)) from None
+        self.frozen_level = _int(raw, "norm.frozen_level", 0)
+        self.member = _int(raw, "decompose.member", 0)
 
     def check_runnable(self, suites: list[str], corpus: bool = False) -> None:
         """Reject, before anything runs, a suite that would have nothing to
@@ -250,7 +267,7 @@ def cmd_norm(cfg: RunConfig, out: Path) -> int:
         if space == "BMO":
             value = bmo_norm(f, fam)
         elif space == "Lp":
-            j = int(_get(cfg.raw, "norm.frozen_level", 0))
+            j = cfg.frozen_level
             value = weighted_lp_norm(f, ws.frozen(j).on_grid(cfg.spec, j), cfg.norm_p)
         elif space == "Hardy":
             if dictionary is None:
@@ -279,7 +296,7 @@ def cmd_norm(cfg: RunConfig, out: Path) -> int:
 def cmd_decompose(cfg: RunConfig, out: Path) -> int:
     ctx = cfg.context()
     source = _get(cfg.raw, "decompose.input", "corpus")
-    index = int(_get(cfg.raw, "decompose.member", 0))
+    index = cfg.member
     if source == "corpus":
         # members are drawn in order from one generator, so the first
         # index + 1 draws end with the member ctx.corpus()[index]

@@ -234,49 +234,34 @@ def weighted_lp_norm(f: GridFunction, gamma: GridFunction, p: float) -> float:
 
 @dataclass(frozen=True)
 class VectorSequence:
-    """A finite level-indexed family {f_k}, one grid function per level."""
+    """A finite level-indexed family {f_k} on one grid, held as one array of
+    shape (levels, *spec.shape) whose row i is level k_min + i."""
 
+    spec: GridSpec
     k_min: int
-    entries: tuple[GridFunction, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if not self.entries:
-            raise GridError("empty level sequence")
-        spec0 = self.entries[0].spec
-        for g in self.entries:
-            if g.spec != spec0:
-                raise GridError("levels live on different grids")
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    @property
-    def k_max(self) -> int:
-        return self.k_min + len(self.entries) - 1
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.entries[0].spec
+        v = np.asarray(self.values)
+        if v.shape[1:] != self.spec.shape or v.size == 0:
+            raise GridError(f"level stack shape {v.shape} is not (levels >= 1, *{self.spec.shape})")
+        object.__setattr__(self, "values", v)
 
     def levels(self) -> range:
-        return range(self.k_min, self.k_max + 1)
+        return range(self.k_min, self.k_min + len(self.values))
 
-    def __getitem__(self, k: int) -> GridFunction:
-        if not (self.k_min <= k <= self.k_max):
-            raise GridError(f"level {k} outside [{self.k_min}, {self.k_max}]")
-        return self.entries[k - self.k_min]
-
-    def stack(self) -> np.ndarray:
-        return np.stack([g.values for g in self.entries])
+    def __getitem__(self, k: int) -> np.ndarray:
+        if k not in self.levels():
+            raise GridError(f"level {k} outside {self.levels()}")
+        return self.values[k - self.k_min]
 
 
 def lp_lq_norm(fs: VectorSequence, p: float, q: float) -> float:
     """|| ( sum_k |f_k|^q )^(1/q) | L_p ||, with sup over k when q = inf."""
-    a = np.abs(fs.stack())
-    if np.isinf(q):
-        agg = a.max(axis=0)
-    else:
-        if q <= 0:
-            raise ValueError(f"exponent q must be positive, got {q}")
-        agg = (a**q).sum(axis=0) ** (1.0 / q)
+    if q <= 0:
+        raise ValueError(f"exponent q must be positive, got {q}")
+    a = np.abs(fs.values)
+    agg = a.max(axis=0) if np.isinf(q) else (a**q).sum(axis=0) ** (1.0 / q)
     return _lp(agg, fs.spec.cell_measure, p)
 
 

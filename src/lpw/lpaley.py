@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, VectorSequence, level_index_range
+from .grid import GridFunction, GridSpec, VectorSequence, level_index_range, save_grid_function
 
 
 class LevelError(ValueError):
@@ -67,18 +67,18 @@ def from_spectrum(spec: GridSpec, F: np.ndarray, real: bool = True) -> GridFunct
     return GridFunction(spec, u)
 
 
-def _apply_to_spectrum(f: GridFunction, F: np.ndarray, mult: np.ndarray) -> GridFunction:
-    """Samples of m(D) f given F = fftn(f.values), so one forward transform
+def _apply_to_spectrum(values: np.ndarray, F: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Samples of m(D) f given F = fftn(values), so one forward transform
     serves every multiplier applied to f."""
     out = np.fft.ifftn(mult * F)
-    if np.isrealobj(f.values) and np.isrealobj(mult):
+    if np.isrealobj(values) and np.isrealobj(mult):
         out = out.real
-    return GridFunction(f.spec, out)
+    return out
 
 
 def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
     """Samples of m(D) f; sample-position phases cancel for multipliers."""
-    return _apply_to_spectrum(f, np.fft.fftn(f.values), mult)
+    return GridFunction(f.spec, _apply_to_spectrum(f.values, np.fft.fftn(f.values), mult))
 
 
 def lattice_values(f: GridFunction, mult: np.ndarray) -> np.ndarray:
@@ -232,19 +232,20 @@ class BandDecomposition:
     bands: VectorSequence
 
     def export(self, directory: str | Path) -> None:
-        from .grid import save_grid_function
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for k in self.bands.levels():
-            save_grid_function(self.bands[k], directory / f"band_{k:+03d}")
+            save_grid_function(GridFunction(self.bands.spec, self.bands[k]), directory / f"band_{k:+03d}")
 
 
 def band_decompose(f: GridFunction, pair: LPPair) -> BandDecomposition:
-    """Every band of the pair window from one forward transform of f."""
+    """Every band of the pair window from one forward transform of f, as the
+    rows of one level stack (real when f is: the multipliers are real)."""
     F = np.fft.fftn(f.values)
-    bands = tuple(_apply_to_spectrum(f, F, pair.phi_mult[k]) for k in pair.levels())
-    return BandDecomposition(pair, VectorSequence(pair.k_min, bands))
+    bands = np.empty((len(pair.levels()), *f.spec.shape), dtype=float if np.isrealobj(f.values) else complex)
+    for row, k in zip(bands, pair.levels()):
+        row[...] = _apply_to_spectrum(f.values, F, pair.phi_mult[k])
+    return BandDecomposition(pair, VectorSequence(f.spec, pair.k_min, bands))
 
 
 # ---------------------------------------------------------------------------

@@ -79,16 +79,19 @@ def _containing_max(avg: np.ndarray, w: int) -> np.ndarray:
     return ndimage.maximum_filter(avg, size=(w,) * avg.ndim, mode="wrap", origin=origin)
 
 
-def maximal_fn(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
-    """Pointwise sup of window averages of |f| over the configured windows."""
-    a = np.abs(f.values)
-    sizes = cfg.sizes(f.spec)
+def _maximal(a: np.ndarray, spec: GridSpec, sizes: list[int]) -> np.ndarray:
+    """Pointwise sup of the window averages of a = |f| over the window sizes."""
     table = window_sum_table(a, sizes)
     out = np.zeros_like(a)
     for w in sizes:
-        avg = table[w] / float(w**f.spec.n)
+        avg = table[w] / float(w**spec.n)
         np.maximum(out, _containing_max(avg, w), out=out)
-    return GridFunction(f.spec, out)
+    return out
+
+
+def maximal_fn(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
+    """Pointwise sup of window averages of |f| over the configured windows."""
+    return GridFunction(f.spec, _maximal(np.abs(f.values), f.spec, cfg.sizes(f.spec)))
 
 
 def maximal_fn_bruteforce(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
@@ -121,26 +124,26 @@ def maximal_fn_bruteforce(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
 
 
 def maximal_sequence(fs: VectorSequence, cfg: MaximalConfig) -> VectorSequence:
-    return VectorSequence(fs.k_min, tuple(maximal_fn(g, cfg) for g in fs.entries))
+    sizes = cfg.sizes(fs.spec)
+    out = np.empty(fs.values.shape)
+    for row, k in zip(out, fs.levels()):
+        row[...] = _maximal(np.abs(fs[k]), fs.spec, sizes)
+    return VectorSequence(fs.spec, fs.k_min, out)
+
+
+def _norm_ratio(num: VectorSequence, den: VectorSequence, p: float, q: float) -> float:
+    """||num|L_p(l_q)|| / ||den|L_p(l_q)||, where den is the ratio's input."""
+    denom = lp_lq_norm(den, p, q)
+    if denom == 0:
+        raise ZeroDivisionError("zero input norm in maximal ratio")
+    return lp_lq_norm(num, p, q) / denom
 
 
 def fefferman_stein_ratio(fs: VectorSequence, p: float, q: float, cfg: MaximalConfig) -> float:
     """||{M f_k}|L_p(l_q)|| / ||{f_k}|L_p(l_q)||; needs 1 < min(p, q)."""
     if not 1 < min(p, q):
         raise ValueError(f"need 1 < min(p, q), got p={p}, q={q}")
-    denom = lp_lq_norm(fs, p, q)
-    if denom == 0:
-        raise ZeroDivisionError("zero input norm in maximal ratio")
-    num = lp_lq_norm(maximal_sequence(fs, cfg), p, q)
-    return num / denom
-
-
-def _weighted(fs: VectorSequence, ts: WeightSequence) -> VectorSequence:
-    out = []
-    for k, g in zip(fs.levels(), fs.entries):
-        t = ts.on_grid(fs.spec, k)
-        out.append(GridFunction(fs.spec, t.values * np.abs(g.values)))
-    return VectorSequence(fs.k_min, tuple(out))
+    return _norm_ratio(maximal_sequence(fs, cfg), fs, p, q)
 
 
 def weighted_maximal_ratio(
@@ -150,14 +153,10 @@ def weighted_maximal_ratio(
     cfg: MaximalConfig,
     q: float = np.inf,
 ) -> float:
-    """||{t_k M f_k}|L_p(l_q)|| / ||{t_k f_k}|L_p(l_q)||."""
+    """||{t_k M f_k}|L_p(l_q)|| / ||{t_k f_k}|L_p(l_q)|| over the levels of ts."""
     if p <= 1:
         raise ValueError(f"weighted maximal ratio needs p > 1, got {p}")
-    denom = lp_lq_norm(_weighted(fs, ts), p, q)
-    if denom == 0:
-        raise ZeroDivisionError("zero weighted input norm")
-    num = lp_lq_norm(_weighted(maximal_sequence(fs, cfg), ts), p, q)
-    return num / denom
+    return _norm_ratio(ts.weigh(maximal_sequence(fs, cfg)), ts.weigh(fs), p, q)
 
 
 def kernel_sum_ratio(
@@ -174,23 +173,15 @@ def kernel_sum_ratio(
         below: g_k = sum_{j <= k} 2^((j-k) K) M f_j
         above: g_k = sum_{j >= k} 2^((j-k) K) M f_j
 
-    truncated to the stored level range, against the weighted input norm.
+    truncated to the stored level range, against the weighted input norm,
+    both weighted over the levels of ts.
     """
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
     Ms = maximal_sequence(fs, cfg)
-    gs = []
-    for k in fs.levels():
-        acc = np.zeros(fs.spec.shape)
-        if direction == "below":
-            js = range(fs.k_min, k + 1)
-        else:
-            js = range(k, fs.k_max + 1)
-        for j in js:
-            acc = acc + 2.0 ** ((j - k) * K) * Ms[j].values
-        gs.append(GridFunction(fs.spec, acc))
-    denom = lp_lq_norm(_weighted(fs, ts), p, q)
-    if denom == 0:
-        raise ZeroDivisionError("zero weighted input norm")
-    num = lp_lq_norm(_weighted(VectorSequence(fs.k_min, tuple(gs)), ts), p, q)
-    return num / denom
+    ks = fs.levels()
+    gs = np.zeros(Ms.values.shape)
+    for g, k in zip(gs, ks):
+        for j in range(ks.start, k + 1) if direction == "below" else range(k, ks.stop):
+            g += 2.0 ** ((j - k) * K) * Ms[j]
+    return _norm_ratio(ts.weigh(VectorSequence(fs.spec, fs.k_min, gs)), ts.weigh(fs), p, q)

@@ -25,9 +25,7 @@ from .grid import (
     VectorSequence,
     _lp,
     cube_samples,
-    level_index_range,
     lp_lq_norm,
-    lp_norm,
 )
 from .lpaley import BandDecomposition, CoefficientSet, LPPair, band_decompose
 from .weights import WeightSequence
@@ -84,18 +82,14 @@ def _bands(f: GridFunction | BandDecomposition, pair: LPPair) -> VectorSequence:
 def weighted_bands(f: GridFunction | BandDecomposition, req: NormRequest) -> VectorSequence:
     """{ t_k * |phi_k * f| } over the request's level window; f is a
     GridFunction or its BandDecomposition on req.pair."""
-    bands = _bands(f, req.pair)
-    out = []
-    for k in req.levels():
-        t = req.weights.on_grid(bands.spec, k)
-        out.append(GridFunction(bands.spec, t.values * np.abs(bands[k].values)))
-    return VectorSequence(req.weights.k_min, tuple(out))
+    return req.weights.weigh(_bands(f, req.pair))
 
 
 def besov_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
     """( sum_k ||t_k (phi_k * f)|L_p||^q )^(1/q), sup over k when q = inf;
     f is a GridFunction or its BandDecomposition on req.pair."""
-    return _lp(np.array([lp_norm(g, req.p) for g in weighted_bands(f, req).entries]), 1.0, req.q)
+    wb = weighted_bands(f, req)
+    return _lp(np.array([_lp(row, wb.spec.cell_measure, req.p) for row in wb.values]), 1.0, req.q)
 
 
 def tl_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
@@ -184,7 +178,7 @@ def tl_infty_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> floa
         raise ValueError("F_inf norms need q < inf")
     family = req.family if req.family is not None else CubeFamily(req.pair.k_min, req.pair.k_max)
     wb = weighted_bands(f, req)
-    arrays = {k: wb[k].values ** req.q for k in wb.levels()}
+    arrays = {k: wb[k] ** req.q for k in wb.levels()}
     return carleson_sup(arrays, wb.spec, family, req.q)
 
 

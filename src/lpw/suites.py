@@ -281,8 +281,9 @@ def _seq_ratio_extreme(ctx: RunContext, spec: GridSpec, sets) -> float:
     pair = ctx.pair(spec)
     worst = 1.0
     for name, text in sorted(ctx.weight_matrix.items()):
+        # one sequence, so one sampling per grid: the f-norms read req.p, not ws.p
+        ws = WeightSequence(parse_weight(text), pair.k_min, pair.k_max, 2.0)
         for p, q in ((2.0, 1.0), (1.5, 3.0)):
-            ws = WeightSequence(parse_weight(text), pair.k_min, pair.k_max, p)
             req = NormRequest("f", p, q, ws, pair)
             for plain, star in seq_f_norms(sets, spec, req):
                 r = plain / star

@@ -357,8 +357,8 @@ def delta_coefficient_check(
         for r in (0.5, 0.66, 0.95):
             m = lo + int(r * (count - 1))
             Q = DyadicCube(k, (m,) * spec.n)
-            n1 = cube_lp(GridFunction(spec, t1.on_grid(spec, k).values), Q, p)
-            n2 = cube_lp(GridFunction(spec, t2.on_grid(spec, k).values), Q, p)
+            n1 = cube_lp(t1.on_grid(spec, k), Q, p)
+            n2 = cube_lp(t2.on_grid(spec, k), Q, p)
             ratios.append(n1 / n2)
     vals = np.array(ratios)
     spread = float(vals.max() / vals.min())

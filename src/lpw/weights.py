@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CubeFamily, GridFunction, GridSpec
+from .grid import CubeFamily, GridFunction, GridSpec, VectorSequence
 
 
 class WeightError(ValueError):
@@ -351,6 +351,15 @@ class WeightSequence:
         if key not in cache:
             cache[key] = self.spec.on_grid(gspec, k)
         return cache[key]
+
+    def weigh(self, fs: VectorSequence) -> VectorSequence:
+        """{t_k |f_k|} over this sequence's levels, which fs must hold: the
+        weighted stack that every weighted band norm and maximal ratio is a
+        functional of."""
+        out = np.empty((len(self.levels()), *fs.spec.shape))
+        for row, k in zip(out, self.levels()):
+            np.multiply(self.on_grid(fs.spec, k).values, np.abs(fs[k]), out=row)
+        return VectorSequence(fs.spec, self.k_min, out)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,20 @@ class TestConfigValidation:
         assert main(["verify", "all", "--config", path]) == 2
         assert "weights.bad" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, field", [
+        pytest.param({"cubes.max_per_level": 4}, "config field 'cubes': max_per_level", id="max_per_level"),
+        pytest.param({"corpus.size": "abc"}, "config field 'corpus.size'", id="corpus_size"),
+        pytest.param({"grid.n": "x"}, "config field 'grid.n'", id="grid_n"),
+        pytest.param({"levels.k_max": None}, "config field 'levels.k_max'", id="k_max_null"),
+        pytest.param({"decompose.member": "first"}, "config field 'decompose.member'", id="member"),
+        pytest.param({"weights": ["pow:0.3"]}, "config field 'weights'", id="weights_list"),
+        pytest.param({"suites": "partition"}, "config field 'suites': expected a list", id="suites_string"),
+    ])
+    def test_malformed_value_names_field(self, tmp_path, capsys, overrides, field):
+        path = write_config(tmp_path, overrides)
+        assert main(["verify", "all", "--config", path]) == 2
+        assert field in capsys.readouterr().err
+
     def test_unknown_suite(self, tmp_path, capsys):
         path = write_config(tmp_path, {"suites": ["nonsense"]})
         assert main(["verify", "all", "--config", path]) == 2

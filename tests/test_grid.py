@@ -199,39 +199,50 @@ class TestLpLq:
     def test_singleton(self, rng):
         spec = GridSpec(1, 1.0, 64)
         f = GridFunction(spec, rng.normal(size=64))
-        fs = VectorSequence(0, (f,))
+        fs = VectorSequence(spec, 0, f.values[None])
         for q in (1.0, 2.0, np.inf):
             assert lp_lq_norm(fs, 2.0, q) == pytest.approx(lp_norm(f, 2.0))
 
     def test_two_identical_levels(self, rng):
         spec = GridSpec(1, 1.0, 64)
         f = GridFunction(spec, rng.normal(size=64))
-        fs = VectorSequence(0, (f, f))
+        fs = VectorSequence(spec, 0, np.stack([f.values, f.values]))
         assert lp_lq_norm(fs, 2.0, 2.0) == pytest.approx(np.sqrt(2) * lp_norm(f, 2.0))
 
     def test_double_loop_oracle(self, rng):
         spec = GridSpec(1, 1.0, 32)
-        entries = tuple(GridFunction(spec, rng.normal(size=32)) for _ in range(5))
-        fs = VectorSequence(-2, entries)
+        entries = rng.normal(size=(5, 32))
+        fs = VectorSequence(spec, -2, entries)
         p, q = 2.0, 3.0
         acc = 0.0
         for i in range(32):
-            s = sum(abs(g.values[i]) ** q for g in entries) ** (1 / q)
+            s = sum(abs(g[i]) ** q for g in entries) ** (1 / q)
             acc += spec.h * s**p
         assert lp_lq_norm(fs, p, q) == pytest.approx(acc ** (1 / p), rel=1e-12)
 
-    def test_grid_mismatch(self, rng):
-        a = GridFunction(GridSpec(1, 1.0, 32), rng.normal(size=32))
-        b = GridFunction(GridSpec(1, 1.0, 64), rng.normal(size=64))
+    @pytest.mark.parametrize("shape", [(2, 64), (32,), (0, 32), (2, 32, 32), ()],
+                             ids=["other_grid", "no_level_axis", "no_levels", "extra_axis", "scalar"])
+    def test_stack_shape_rejected(self, shape):
+        # rows must be samples of the sequence's grid, and there must be one
+        spec = GridSpec(1, 1.0, 32)
+        with pytest.raises(GridError, match="level stack shape"):
+            VectorSequence(spec, 0, np.zeros(shape))
+
+    def test_rows_by_level(self, rng):
+        spec = GridSpec(2, 1.0, 8)
+        stack = rng.normal(size=(3, 8, 8))
+        fs = VectorSequence(spec, -1, stack)
+        assert fs.levels() == range(-1, 2)
+        assert np.array_equal(fs[1], stack[2])
         with pytest.raises(GridError):
-            VectorSequence(0, (a, b))
+            fs[2]
 
     @given(st.floats(0.5, 3.0), st.floats(0.0, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_monotone_decreasing_in_q(self, q1, dq):
         spec = GridSpec(1, 1.0, 32)
         rng = np.random.default_rng(5)
-        fs = VectorSequence(0, tuple(GridFunction(spec, rng.normal(size=32)) for _ in range(4)))
+        fs = VectorSequence(spec, 0, rng.normal(size=(4, 32)))
         assert lp_lq_norm(fs, 2.0, q1 + dq) <= lp_lq_norm(fs, 2.0, q1) * (1 + 1e-12)
 
 

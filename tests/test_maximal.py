@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lpw.grid import CubeFamily, GridFunction, GridSpec, VectorSequence, lp_lq_norm
+from lpw.lpaley import band, band_decompose, make_lp_pair
 from lpw.maximal import (
     MaximalConfig,
     fefferman_stein_ratio,
@@ -11,14 +12,12 @@ from lpw.maximal import (
     weighted_maximal_ratio,
     window_sum_table,
 )
-from lpw.verify import spike_family
+from lpw.verify import make_corpus, spike_family
 from lpw.weights import Const, Dyadic, Pow, WeightSequence
 
 
 def random_sequence(spec, levels, rng):
-    return VectorSequence(levels[0], tuple(
-        GridFunction(spec, rng.normal(size=spec.shape)) for _ in levels
-    ))
+    return VectorSequence(spec, levels[0], rng.normal(size=(len(levels), *spec.shape)))
 
 
 def run_fresh(script: str) -> None:
@@ -147,14 +146,14 @@ class TestMaximalFn:
 class TestRatios:
     def test_fs_all_ones(self):
         spec = GridSpec(1, 1.0, 64)
-        fs = VectorSequence(0, tuple(GridFunction(spec, np.ones(64)) for _ in range(3)))
+        fs = VectorSequence(spec, 0, np.ones((3, 64)))
         assert fefferman_stein_ratio(fs, 2.0, 2.0, MaximalConfig.full(spec)) == pytest.approx(1.0)
 
     def test_fs_singleton_reduces_to_scalar(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
         cfg = MaximalConfig.full(spec)
-        fs = VectorSequence(0, (f,))
+        fs = VectorSequence(spec, 0, f.values[None])
         got = fefferman_stein_ratio(fs, 2.0, 3.0, cfg)
         from lpw.grid import lp_norm
 
@@ -171,8 +170,6 @@ class TestRatios:
 
     def test_fs_bounded_on_bands(self, spec1k, pair1k, corpus1k):
         cfg = MaximalConfig.full(spec1k)
-        from lpw.lpaley import band_decompose
-
         for mem in corpus1k[:4]:
             fs = band_decompose(mem.f, pair1k).bands
             r = fefferman_stein_ratio(fs, 2.0, 2.0, cfg)
@@ -181,7 +178,7 @@ class TestRatios:
     def test_weighted_trivial_weight(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
-        fs = VectorSequence(0, (f,))
+        fs = VectorSequence(spec, 0, f.values[None])
         ts = WeightSequence(Const(1.0), 0, 0, 2.0)
         assert weighted_maximal_ratio(fs, ts, 2.0, MaximalConfig.full(spec), q=np.inf) >= 1.0
 
@@ -193,13 +190,13 @@ class TestRatios:
         cfg = MaximalConfig.full(spec1k)
         ratios = []
         for mem in spikes:
-            fs = VectorSequence(0, (mem.f,))
+            fs = VectorSequence(spec1k, 0, mem.f.values[None])
             ratios.append(weighted_maximal_ratio(fs, ts, 2.0, cfg, q=2.0))
         assert ratios[-1] > 2.0 * ratios[0]
 
     def test_zero_denominator(self):
         spec = GridSpec(1, 1.0, 64)
-        fs = VectorSequence(0, (GridFunction(spec, np.zeros(64)),))
+        fs = VectorSequence(spec, 0, np.zeros((1, 64)))
         ts = WeightSequence(Const(1.0), 0, 0, 2.0)
         with pytest.raises(ZeroDivisionError):
             fefferman_stein_ratio(fs, 2.0, 2.0, MaximalConfig.full(spec))
@@ -216,14 +213,12 @@ class TestKernelSum:
         spec = GridSpec(1, 1.0, 128)
         cfg = MaximalConfig.full(spec)
         f0 = GridFunction(spec, rng.normal(size=128))
-        zero = GridFunction(spec, np.zeros(128))
-        fs = VectorSequence(0, (f0, zero, zero, zero))
+        zero = np.zeros(128)
+        fs = VectorSequence(spec, 0, np.stack([f0.values, zero, zero, zero]))
         ts = WeightSequence(Const(1.0), 0, 3, 2.0)
         got = kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, cfg)
         M0 = maximal_fn(f0, cfg)
-        gs = VectorSequence(0, tuple(
-            GridFunction(spec, 2.0 ** (-k) * M0.values) for k in range(4)
-        ))
+        gs = VectorSequence(spec, 0, np.stack([2.0 ** (-k) * M0.values for k in range(4)]))
         want = lp_lq_norm(gs, 2.0, 2.0) / lp_lq_norm(fs, 2.0, 2.0)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -240,14 +235,64 @@ class TestKernelSum:
         s = 1.0
         ts = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max, 2.0)
         cfg = MaximalConfig.full(spec1k)
-        from lpw.lpaley import band_decompose
-
         for mem in corpus1k[:3]:
             fs = band_decompose(mem.f, pair1k).bands
             below = kernel_sum_ratio(fs, ts, s + 1.0, "below", 2.0, 2.0, cfg)
             above = kernel_sum_ratio(fs, ts, s - 1.0, "above", 2.0, 2.0, cfg)
             assert below < 100.0
             assert above < 100.0
+
+
+class TestStackMatchesPerLevelReference:
+    """The ratios on a band stack equal, bit for bit, the same ratios built
+    level by level from band() and maximal_fn grid functions."""
+
+    @staticmethod
+    def reference(f, pair, ts, cfg):
+        spec, levels = pair.gspec, pair.levels()
+
+        def stack(gfs):
+            return VectorSequence(spec, pair.k_min, np.stack([g.values for g in gfs]))
+
+        def weighted(gfs):
+            return stack([GridFunction(spec, ts.on_grid(spec, k).values * np.abs(g.values))
+                          for k, g in zip(levels, gfs)])
+
+        bands = [band(f, pair, k) for k in levels]
+        Ms = [maximal_fn(g, cfg) for g in bands]
+        out = {
+            "fs": lp_lq_norm(stack(Ms), 2.0, 2.0) / lp_lq_norm(stack(bands), 2.0, 2.0),
+        }
+        for q in (2.0, np.inf):
+            out[f"wm_{q}"] = lp_lq_norm(weighted(Ms), 2.0, q) / lp_lq_norm(weighted(bands), 2.0, q)
+        for direction, K in (("below", 2.0), ("above", 0.0)):
+            gs = []
+            for k in levels:
+                acc = np.zeros(spec.shape)
+                for j in range(levels.start, k + 1) if direction == "below" else range(k, levels.stop):
+                    acc = acc + 2.0 ** ((j - k) * K) * Ms[j - pair.k_min].values
+                gs.append(GridFunction(spec, acc))
+            out[direction] = lp_lq_norm(weighted(gs), 2.0, 2.0) / lp_lq_norm(weighted(bands), 2.0, 2.0)
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ratios_equal_reference(self, n, spec1k, pair1k, corpus1k):
+        if n == 1:
+            spec, pair, members = spec1k, pair1k, [m.f for m in corpus1k[:2]]
+        else:
+            spec = GridSpec(2, 2.0, 64)
+            pair = make_lp_pair(spec, -1, 4)
+            members = [m.f for m in make_corpus(spec, pair, size=2, seed=3)]
+        cfg = MaximalConfig.full(spec)
+        ts = WeightSequence(Pow(0.3) * Dyadic(1.0), pair.k_min, pair.k_max, 2.0)
+        for f in members:
+            want = self.reference(f, pair, ts, cfg)
+            fs = band_decompose(f, pair).bands
+            assert fefferman_stein_ratio(fs, 2.0, 2.0, cfg) == want["fs"]
+            for q in (2.0, np.inf):
+                assert weighted_maximal_ratio(fs, ts, 2.0, cfg, q=q) == want[f"wm_{q}"]
+            for direction, K in (("below", 2.0), ("above", 0.0)):
+                assert kernel_sum_ratio(fs, ts, K, direction, 2.0, 2.0, cfg) == want[direction]
 
 
 class TestSuiteWindowCheck:

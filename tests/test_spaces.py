@@ -199,7 +199,7 @@ class TestDecompositionInput:
             for k in req.levels():
                 t = req.weights.on_grid(spec1k, k).values
                 want = t * np.abs(band(mem.f, pair1k, k).values)
-                assert np.array_equal(got[k].values, want)
+                assert np.array_equal(got[k], want)
 
     def test_norms_equal_on_function_and_decomposition(self, pair1k, corpus1k):
         fam = CubeFamily(-4, 6)
