@@ -67,10 +67,30 @@ def _get(cfg: dict, field: str, default):
 
 def _int(cfg: dict, field: str, default) -> int:
     value = _get(cfg, field, default)
+    # int() would take true as 1 and truncate 512.5 to 512
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(field, f"expected an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(field, f"expected an integer, got {value!r}") from None
+
+
+def _number(cfg: dict, field: str, default) -> float:
+    value = _get(cfg, field, default)
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    _require(not isinstance(value, bool) and math.isfinite(out), field, f"expected a finite number, got {value!r}")
+    return out
+
+
+def _flag(cfg: dict, field: str, default: bool) -> bool:
+    value = _get(cfg, field, default)
+    # bool("false") is True
+    _require(isinstance(value, bool), field, f"expected true or false, got {value!r}")
+    return value
 
 
 def _table(cfg: dict, field: str, default) -> dict:
@@ -99,9 +119,9 @@ class RunConfig:
         try:
             self.spec = GridSpec(
                 n=_int(raw, "grid.n", 1),
-                R=float(_get(raw, "grid.R", 8.0)),
+                R=_number(raw, "grid.R", 8.0),
                 N=_int(raw, "grid.N", 4096),
-                offset=bool(_get(raw, "grid.offset", True)),
+                offset=_flag(raw, "grid.offset", True),
             )
         except GridError as exc:
             raise ConfigError("grid", str(exc)) from None
@@ -123,7 +143,7 @@ class RunConfig:
         )
         max_per_level = _int(raw, "cubes.max_per_level", 8192)
         try:
-            self.family = CubeFamily(v_min, v_max, bool(_get(raw, "cubes.translates", True)), max_per_level)
+            self.family = CubeFamily(v_min, v_max, _flag(raw, "cubes.translates", True), max_per_level)
         except GridError as exc:
             raise ConfigError("cubes", str(exc)) from None
         self.corpus_size = _int(raw, "corpus.size", 32)

@@ -56,15 +56,15 @@ def spectrum(f: GridFunction) -> np.ndarray:
     return f.spec.cell_measure * F
 
 
-def from_spectrum(spec: GridSpec, F: np.ndarray, real: bool = True) -> GridFunction:
+def from_spectrum(spec: GridSpec, F: np.ndarray, real: bool = True) -> np.ndarray:
+    """Samples on spec's lattice of the function with spectrum F; unchecked,
+    so a caller that keeps them wraps them in a GridFunction."""
     ph = _axis_phase(spec)
     G = np.asarray(F, dtype=complex)
     for ax in range(spec.n):
         G = _apply_axis(np.conj(ph), G, ax)
     u = np.fft.ifftn(G) / spec.cell_measure
-    if real:
-        u = u.real
-    return GridFunction(spec, u)
+    return u.real if real else u
 
 
 def _apply_to_spectrum(values: np.ndarray, F: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -353,7 +353,7 @@ def synthesize(coeffs: CoefficientSet, pair: LPPair) -> GridFunction:
         for ax in range(spec.n):
             F = _apply_axis(comb_phase, F, ax)
         scale = 2.0 ** (-k * spec.n / 2.0)
-        total += scale * from_spectrum(spec, F * pair.psi_mult[k], real=False).values
+        total += scale * from_spectrum(spec, F * pair.psi_mult[k], real=False)
     real = all(np.all(np.abs(lam.imag) < 1e-300) for lam in coeffs.arrays)
     return GridFunction(spec, total.real if real else total)
 

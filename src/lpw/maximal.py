@@ -131,6 +131,15 @@ def maximal_sequence(fs: VectorSequence, cfg: MaximalConfig) -> VectorSequence:
     return VectorSequence(fs.spec, fs.k_min, out)
 
 
+def _check_stack(fs: VectorSequence, Ms: VectorSequence) -> None:
+    """Ms must be the maximal stack of fs: same grid, first level and depth."""
+    if Ms.spec != fs.spec or Ms.k_min != fs.k_min or len(Ms.values) != len(fs.values):
+        raise GridError(
+            f"maximal stack on levels {Ms.levels()} of {Ms.spec} does not match "
+            f"input levels {fs.levels()} of {fs.spec}"
+        )
+
+
 def _norm_ratio(num: VectorSequence, den: VectorSequence, p: float, q: float) -> float:
     """||num|L_p(l_q)|| / ||den|L_p(l_q)||, where den is the ratio's input."""
     denom = lp_lq_norm(den, p, q)
@@ -139,24 +148,30 @@ def _norm_ratio(num: VectorSequence, den: VectorSequence, p: float, q: float) ->
     return lp_lq_norm(num, p, q) / denom
 
 
-def fefferman_stein_ratio(fs: VectorSequence, p: float, q: float, cfg: MaximalConfig) -> float:
-    """||{M f_k}|L_p(l_q)|| / ||{f_k}|L_p(l_q)||; needs 1 < min(p, q)."""
+def fefferman_stein_ratio(fs: VectorSequence, p: float, q: float, Ms: VectorSequence) -> float:
+    """||{M f_k}|L_p(l_q)|| / ||{f_k}|L_p(l_q)||; needs 1 < min(p, q).
+
+    Ms is maximal_sequence(fs, cfg), passed in so that one stack serves every
+    ratio taken on fs."""
     if not 1 < min(p, q):
         raise ValueError(f"need 1 < min(p, q), got p={p}, q={q}")
-    return _norm_ratio(maximal_sequence(fs, cfg), fs, p, q)
+    _check_stack(fs, Ms)
+    return _norm_ratio(Ms, fs, p, q)
 
 
 def weighted_maximal_ratio(
     fs: VectorSequence,
     ts: WeightSequence,
     p: float,
-    cfg: MaximalConfig,
+    Ms: VectorSequence,
     q: float = np.inf,
 ) -> float:
-    """||{t_k M f_k}|L_p(l_q)|| / ||{t_k f_k}|L_p(l_q)|| over the levels of ts."""
+    """||{t_k M f_k}|L_p(l_q)|| / ||{t_k f_k}|L_p(l_q)|| over the levels of ts,
+    with Ms = maximal_sequence(fs, cfg)."""
     if p <= 1:
         raise ValueError(f"weighted maximal ratio needs p > 1, got {p}")
-    return _norm_ratio(ts.weigh(maximal_sequence(fs, cfg)), ts.weigh(fs), p, q)
+    _check_stack(fs, Ms)
+    return _norm_ratio(ts.weigh(Ms), ts.weigh(fs), p, q)
 
 
 def kernel_sum_ratio(
@@ -166,7 +181,7 @@ def kernel_sum_ratio(
     direction: str,
     p: float,
     q: float,
-    cfg: MaximalConfig,
+    Ms: VectorSequence,
 ) -> float:
     """Ratio for the cross-level kernel sums
 
@@ -174,11 +189,11 @@ def kernel_sum_ratio(
         above: g_k = sum_{j >= k} 2^((j-k) K) M f_j
 
     truncated to the stored level range, against the weighted input norm,
-    both weighted over the levels of ts.
+    both weighted over the levels of ts; Ms = maximal_sequence(fs, cfg).
     """
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
-    Ms = maximal_sequence(fs, cfg)
+    _check_stack(fs, Ms)
     ks = fs.levels()
     gs = np.zeros(Ms.values.shape)
     for g, k in zip(gs, ks):

@@ -415,8 +415,11 @@ def _seminorm(spec: GridSpec, width: float, order: int, N: int) -> float:
         mult = base.copy()
         for ax, b in enumerate(beta):
             mult = mult * (1j * xim[ax]) ** b
-        g = from_spectrum(spec, mult, real=False).values
-        best = max(best, float((np.abs(g) * poly).max()))
+        value = float((np.abs(from_spectrum(spec, mult, real=False)) * poly).max())
+        # max(best, nan) is best: a NaN sample must raise, not vanish
+        if not np.isfinite(value):
+            raise GridError(f"seminorm p_{N} of width {width}, order {order} is not finite")
+        best = max(best, value)
     return best
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .grid import CubeFamily, GridFunction, GridSpec, level_index_range, lp_norm, weighted_lp_norm
 from .lpaley import LPPair, band_decompose, bump_profile, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
-from .maximal import MaximalConfig, fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, weighted_maximal_ratio, window_sum_table
+from .maximal import MaximalConfig, fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sum_table
 from .spaces import NormRequest, besov_norm, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norm, seq_f_norms, space_norm, tl_infty_norm, tl_norm
 from .verify import (
     classical_besov_norm,
@@ -485,51 +485,56 @@ def suite_maximal(ctx: RunContext) -> dict:
     records = []
     ok = True
 
-    def corpus_fs(c: RunContext):
+    s = 1.0
+    kernel_ws = WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max, 2.0)
+    kernels = (("below", s + 1.0), ("above", s - 1.0))
+
+    def corpus_ratios(c: RunContext, kernel_members: int):
+        """Member names, Fefferman-Stein and weighted ratios per member, and
+        per kernel direction the ratios of the first kernel_members members.
+        Each member's maximal stack is built once, serves all its ratios and
+        is dropped before the next member's."""
         sp = c.spec
         mcfg = MaximalConfig.full(sp)
-        return [
-            (mem.name, fefferman_stein_ratio(c.bands(sp)[mem.name].bands, 2.0, 2.0, mcfg))
-            for mem in c.corpus()
-        ]
+        ws = WeightSequence(Pow(0.3), c.pair(sp).k_min, c.pair(sp).k_max, 2.0)
+        bands = c.bands(sp)
+        names, fs_ratios, wm_ratios = [], [], []
+        kernel_ratios = {direction: [] for direction, _ in kernels}
+        for i, mem in enumerate(c.corpus()):
+            fs = bands[mem.name].bands
+            Ms = maximal_sequence(fs, mcfg)
+            names.append(mem.name)
+            fs_ratios.append(fefferman_stein_ratio(fs, 2.0, 2.0, Ms))
+            wm_ratios.append(weighted_maximal_ratio(fs, ws, 2.0, Ms, q=np.inf))
+            if i < kernel_members:
+                for direction, K in kernels:
+                    kernel_ratios[direction].append(kernel_sum_ratio(fs, kernel_ws, K, direction, 2.0, 2.0, Ms))
+        return names, fs_ratios, wm_ratios, kernel_ratios
 
-    fs_rows = corpus_fs(ctx)
-    fs_base = max(r for _, r in fs_rows)
-    fs_dbl = max(r for _, r in corpus_fs(ctx.doubled()))
+    names, fs_rows, wm_rows, kernel_rows = corpus_ratios(ctx, 8)
+    _, fs_rows_2N, wm_rows_2N, _ = corpus_ratios(ctx.doubled(), 0)
+
+    fs_base = max(fs_rows)
+    fs_dbl = max(fs_rows_2N)
     fs_drift = abs(fs_dbl / fs_base - 1.0)
     good = fs_drift < 0.10
     ok &= good
     records.append({"check": "fefferman_stein", "p": 2.0, "q": 2.0, "sigma": 1.0,
                     "ratio": fs_base, "ratio_2N": fs_dbl, "drift": fs_drift, "pass": good,
-                    "members": [{"corpus_id": n, "ratio": r} for n, r in fs_rows]})
+                    "members": [{"corpus_id": n, "ratio": r} for n, r in zip(names, fs_rows)]})
 
-    def corpus_weighted(c: RunContext):
-        sp = c.spec
-        mcfg = MaximalConfig.full(sp)
-        ws = WeightSequence(Pow(0.3), c.pair(sp).k_min, c.pair(sp).k_max, 2.0)
-        return [
-            (mem.name, weighted_maximal_ratio(c.bands(sp)[mem.name].bands, ws, 2.0, mcfg, q=np.inf))
-            for mem in c.corpus()
-        ]
-
-    wm_rows = corpus_weighted(ctx)
-    wm_base = max(r for _, r in wm_rows)
-    wm_dbl = max(r for _, r in corpus_weighted(ctx.doubled()))
+    wm_base = max(wm_rows)
+    wm_dbl = max(wm_rows_2N)
     wm_drift = abs(wm_dbl / wm_base - 1.0)
     good = wm_drift < 0.10
     ok &= good
     records.append({"check": "weighted_maximal", "weight": "pow:0.3", "p": 2.0, "q": "inf",
                     "ratio": wm_base, "ratio_2N": wm_dbl, "drift": wm_drift, "pass": good,
-                    "members": [{"corpus_id": n, "ratio": r} for n, r in wm_rows]})
+                    "members": [{"corpus_id": n, "ratio": r} for n, r in zip(names, wm_rows)]})
 
-    s = 1.0
-    ws = WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max, 2.0)
     kceil = ctx.ceilings["kernel_ratio"]
-    for direction, K in (("below", s + 1.0), ("above", s - 1.0)):
-        worst = 0.0
-        for mem in ctx.corpus()[:8]:
-            fs = ctx.bands()[mem.name].bands
-            worst = max(worst, kernel_sum_ratio(fs, ws, K, direction, 2.0, 2.0, cfg))
+    for direction, K in kernels:
+        worst = max([0.0, *kernel_rows[direction]])
         good = worst < kceil
         ok &= good
         records.append({"check": f"kernel_sum_{direction}", "K": K, "ratio": worst,

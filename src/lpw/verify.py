@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, lp_norm
+from .grid import GridFunction, GridSpec, _lp, lp_norm
 from .lpaley import LPPair, from_spectrum
 from .weights import (
     FamilyNodes,
@@ -73,11 +73,11 @@ def _member_from_coeffs(spec: GridSpec, coeffs: dict, name: str, kind: str) -> C
     c = np.array(list(coeffs.values()), dtype=complex)
     F = np.zeros(spec.shape, dtype=complex)
     np.add.at(F, tuple(idx.T), np.stack([c, np.conj(c)], axis=1).ravel())
-    f = from_spectrum(spec, F, real=True)
-    scale = lp_norm(f, 2.0)
+    u = from_spectrum(spec, F, real=True)
+    scale = _lp(u, spec.cell_measure, 2.0)
     if scale == 0:
         raise ValueError("degenerate corpus member")
-    return CorpusMember(name, kind, GridFunction(spec, f.values / scale))
+    return CorpusMember(name, kind, GridFunction(spec, u / scale))
 
 
 def make_corpus(

@@ -55,6 +55,13 @@ class TestConfigValidation:
         pytest.param({"decompose.member": "first"}, "config field 'decompose.member'", id="member"),
         pytest.param({"weights": ["pow:0.3"]}, "config field 'weights'", id="weights_list"),
         pytest.param({"suites": "partition"}, "config field 'suites': expected a list", id="suites_string"),
+        pytest.param({"grid.R": "x"}, "config field 'grid.R'", id="R_string"),
+        pytest.param({"grid.R": [1]}, "config field 'grid.R'", id="R_list"),
+        pytest.param({"grid.R": True}, "config field 'grid.R'", id="R_bool"),
+        pytest.param({"grid.offset": "false"}, "config field 'grid.offset'", id="offset_string"),
+        pytest.param({"cubes.translates": 0}, "config field 'cubes.translates'", id="translates_int"),
+        pytest.param({"grid.N": 512.5}, "config field 'grid.N'", id="N_fraction"),
+        pytest.param({"corpus.size": True}, "config field 'corpus.size'", id="size_bool"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, overrides)

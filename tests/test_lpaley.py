@@ -86,7 +86,7 @@ class TestBand:
         F = np.zeros(spec1k.N, dtype=complex)
         F[j] = 1.0
         F[-j] = 1.0
-        f = from_spectrum(spec1k, F)
+        f = GridFunction(spec1k, from_spectrum(spec1k, F))
         out = band(f, pair1k, 0)
         assert np.abs(out.values).max() <= 1e-12 * np.abs(f.values).max()
 
@@ -96,7 +96,7 @@ class TestBand:
         F = np.zeros(spec1k.N, dtype=complex)
         F[j] = 1.0
         F[-j] = 1.0
-        f = from_spectrum(spec1k, F)
+        f = GridFunction(spec1k, from_spectrum(spec1k, F))
         out = band(f, pair1k, 3)
         np.testing.assert_allclose(out.values, f.values, atol=1e-12)
 
@@ -147,7 +147,7 @@ class TestLatticeValues:
         F = np.zeros(spec1k.N, dtype=complex)
         F[j] = 1.0 + 0.5j
         F[-j] = np.conj(F[j])
-        f = from_spectrum(spec1k, F)
+        f = GridFunction(spec1k, from_spectrum(spec1k, F))
         lat = lattice_values(f, np.ones(spec1k.shape))
         y = -spec1k.R + np.arange(spec1k.N) * spec1k.h
         xi = np.pi * j / spec1k.R
@@ -224,7 +224,7 @@ class TestCalderon:
         for dj in range(-3, 4):
             F[j + dj] = 1.0 / (1 + abs(dj))
             F[-(j + dj)] = np.conj(F[j + dj])
-        f = from_spectrum(spec1k, F)
+        f = GridFunction(spec1k, from_spectrum(spec1k, F))
         assert calderon_residual(f, pair1k) <= 1e-6
 
     def test_inadmissible_named_frequencies(self, spec1k, pair1k):
@@ -232,7 +232,7 @@ class TestCalderon:
         j = 200  # |xi| = 78.5 exceeds the resolved top 2^(k_max - 1) = 32
         F[j] = 1.0
         F[-j] = 1.0
-        f = from_spectrum(spec1k, F)
+        f = GridFunction(spec1k, from_spectrum(spec1k, F))
         with pytest.raises(LevelError, match="78.5"):
             calderon_residual(f, pair1k)
 
@@ -250,7 +250,7 @@ def comb_synthesize(entries, pair):
         F = np.fft.fftn(comb)
         for ax in range(spec.n):
             F = F * comb_phase.reshape([-1 if a == ax else 1 for a in range(spec.n)])
-        total += 2.0 ** (-k * spec.n / 2.0) * from_spectrum(spec, F * pair.psi_mult[k], real=False).values
+        total += 2.0 ** (-k * spec.n / 2.0) * from_spectrum(spec, F * pair.psi_mult[k], real=False)
     return total
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpw.grid import CubeFamily, GridFunction, GridSpec, VectorSequence, lp_lq_norm
+from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, VectorSequence, lp_lq_norm
 from lpw.lpaley import band, band_decompose, make_lp_pair
 from lpw.maximal import (
     MaximalConfig,
@@ -9,6 +9,7 @@ from lpw.maximal import (
     kernel_sum_ratio,
     maximal_fn,
     maximal_fn_bruteforce,
+    maximal_sequence,
     weighted_maximal_ratio,
     window_sum_table,
 )
@@ -18,6 +19,11 @@ from lpw.weights import Const, Dyadic, Pow, WeightSequence
 
 def random_sequence(spec, levels, rng):
     return VectorSequence(spec, levels[0], rng.normal(size=(len(levels), *spec.shape)))
+
+
+def full_stack(fs):
+    """The maximal stack of fs over every window of its grid."""
+    return maximal_sequence(fs, MaximalConfig.full(fs.spec))
 
 
 def run_fresh(script: str) -> None:
@@ -147,14 +153,14 @@ class TestRatios:
     def test_fs_all_ones(self):
         spec = GridSpec(1, 1.0, 64)
         fs = VectorSequence(spec, 0, np.ones((3, 64)))
-        assert fefferman_stein_ratio(fs, 2.0, 2.0, MaximalConfig.full(spec)) == pytest.approx(1.0)
+        assert fefferman_stein_ratio(fs, 2.0, 2.0, full_stack(fs)) == pytest.approx(1.0)
 
     def test_fs_singleton_reduces_to_scalar(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
         cfg = MaximalConfig.full(spec)
         fs = VectorSequence(spec, 0, f.values[None])
-        got = fefferman_stein_ratio(fs, 2.0, 3.0, cfg)
+        got = fefferman_stein_ratio(fs, 2.0, 3.0, maximal_sequence(fs, cfg))
         from lpw.grid import lp_norm
 
         want = lp_norm(maximal_fn(f, cfg), 2.0) / lp_norm(f, 2.0)
@@ -166,13 +172,13 @@ class TestRatios:
         # sigma < min(p, q)
         fs = random_sequence(spec, range(0, 2), rng)
         with pytest.raises(ValueError):
-            fefferman_stein_ratio(fs, 2.0, 1.0, MaximalConfig.full(spec))
+            fefferman_stein_ratio(fs, 2.0, 1.0, full_stack(fs))
 
     def test_fs_bounded_on_bands(self, spec1k, pair1k, corpus1k):
         cfg = MaximalConfig.full(spec1k)
         for mem in corpus1k[:4]:
             fs = band_decompose(mem.f, pair1k).bands
-            r = fefferman_stein_ratio(fs, 2.0, 2.0, cfg)
+            r = fefferman_stein_ratio(fs, 2.0, 2.0, maximal_sequence(fs, cfg))
             assert 1.0 <= r < 10.0
 
     def test_weighted_trivial_weight(self, rng):
@@ -180,7 +186,7 @@ class TestRatios:
         f = GridFunction(spec, rng.normal(size=128))
         fs = VectorSequence(spec, 0, f.values[None])
         ts = WeightSequence(Const(1.0), 0, 0, 2.0)
-        assert weighted_maximal_ratio(fs, ts, 2.0, MaximalConfig.full(spec), q=np.inf) >= 1.0
+        assert weighted_maximal_ratio(fs, ts, 2.0, full_stack(fs), q=np.inf) >= 1.0
 
     def test_weighted_ratio_blows_up_outside_class(self, spec1k, pair1k):
         # |x|^2 is outside the class at p=2: concentrating unit-norm spikes
@@ -191,19 +197,42 @@ class TestRatios:
         ratios = []
         for mem in spikes:
             fs = VectorSequence(spec1k, 0, mem.f.values[None])
-            ratios.append(weighted_maximal_ratio(fs, ts, 2.0, cfg, q=2.0))
+            ratios.append(weighted_maximal_ratio(fs, ts, 2.0, maximal_sequence(fs, cfg), q=2.0))
         assert ratios[-1] > 2.0 * ratios[0]
 
     def test_zero_denominator(self):
         spec = GridSpec(1, 1.0, 64)
         fs = VectorSequence(spec, 0, np.zeros((1, 64)))
         ts = WeightSequence(Const(1.0), 0, 0, 2.0)
+        Ms = full_stack(fs)
         with pytest.raises(ZeroDivisionError):
-            fefferman_stein_ratio(fs, 2.0, 2.0, MaximalConfig.full(spec))
+            fefferman_stein_ratio(fs, 2.0, 2.0, Ms)
         with pytest.raises(ZeroDivisionError):
-            weighted_maximal_ratio(fs, ts, 2.0, MaximalConfig.full(spec))
+            weighted_maximal_ratio(fs, ts, 2.0, Ms)
         with pytest.raises(ZeroDivisionError):
-            kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, MaximalConfig.full(spec))
+            kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, Ms)
+
+    @pytest.mark.parametrize("mismatch", ["spec", "k_min", "levels"])
+    def test_mismatched_stack_rejected(self, rng, mismatch):
+        # a stack that is not the maximal stack of fs: another grid, levels
+        # shifted by one, or one level short
+        spec = GridSpec(1, 1.0, 64)
+        fs = random_sequence(spec, range(0, 3), rng)
+        Ms = full_stack(fs)
+        if mismatch == "spec":
+            Ms = full_stack(random_sequence(GridSpec(1, 2.0, 64), range(0, 3), rng))
+        elif mismatch == "k_min":
+            Ms = VectorSequence(spec, fs.k_min + 1, Ms.values)
+        else:
+            Ms = VectorSequence(spec, fs.k_min, Ms.values[:-1])
+        ts = WeightSequence(Const(1.0), 0, 2, 2.0)
+        with pytest.raises(GridError, match="maximal stack"):
+            fefferman_stein_ratio(fs, 2.0, 2.0, Ms)
+        with pytest.raises(GridError, match="maximal stack"):
+            weighted_maximal_ratio(fs, ts, 2.0, Ms)
+        for direction in ("below", "above"):
+            with pytest.raises(GridError, match="maximal stack"):
+                kernel_sum_ratio(fs, ts, 1.0, direction, 2.0, 2.0, Ms)
 
 
 class TestKernelSum:
@@ -216,7 +245,7 @@ class TestKernelSum:
         zero = np.zeros(128)
         fs = VectorSequence(spec, 0, np.stack([f0.values, zero, zero, zero]))
         ts = WeightSequence(Const(1.0), 0, 3, 2.0)
-        got = kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, cfg)
+        got = kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, maximal_sequence(fs, cfg))
         M0 = maximal_fn(f0, cfg)
         gs = VectorSequence(spec, 0, np.stack([2.0 ** (-k) * M0.values for k in range(4)]))
         want = lp_lq_norm(gs, 2.0, 2.0) / lp_lq_norm(fs, 2.0, 2.0)
@@ -227,7 +256,7 @@ class TestKernelSum:
         fs = random_sequence(spec, range(0, 2), rng)
         ts = WeightSequence(Const(1.0), 0, 1, 2.0)
         with pytest.raises(ValueError):
-            kernel_sum_ratio(fs, ts, 1.0, "sideways", 2.0, 2.0, MaximalConfig.full(spec))
+            kernel_sum_ratio(fs, ts, 1.0, "sideways", 2.0, 2.0, full_stack(fs))
 
     def test_dyadic_weight_bounded(self, spec1k, pair1k, corpus1k):
         # t_k = 2^(k s) has rates (s, s); the kernel sum stays bounded for
@@ -237,8 +266,9 @@ class TestKernelSum:
         cfg = MaximalConfig.full(spec1k)
         for mem in corpus1k[:3]:
             fs = band_decompose(mem.f, pair1k).bands
-            below = kernel_sum_ratio(fs, ts, s + 1.0, "below", 2.0, 2.0, cfg)
-            above = kernel_sum_ratio(fs, ts, s - 1.0, "above", 2.0, 2.0, cfg)
+            Ms = maximal_sequence(fs, cfg)
+            below = kernel_sum_ratio(fs, ts, s + 1.0, "below", 2.0, 2.0, Ms)
+            above = kernel_sum_ratio(fs, ts, s - 1.0, "above", 2.0, 2.0, Ms)
             assert below < 100.0
             assert above < 100.0
 
@@ -288,11 +318,12 @@ class TestStackMatchesPerLevelReference:
         for f in members:
             want = self.reference(f, pair, ts, cfg)
             fs = band_decompose(f, pair).bands
-            assert fefferman_stein_ratio(fs, 2.0, 2.0, cfg) == want["fs"]
+            Ms = maximal_sequence(fs, cfg)
+            assert fefferman_stein_ratio(fs, 2.0, 2.0, Ms) == want["fs"]
             for q in (2.0, np.inf):
-                assert weighted_maximal_ratio(fs, ts, 2.0, cfg, q=q) == want[f"wm_{q}"]
+                assert weighted_maximal_ratio(fs, ts, 2.0, Ms, q=q) == want[f"wm_{q}"]
             for direction, K in (("below", 2.0), ("above", 0.0)):
-                assert kernel_sum_ratio(fs, ts, K, direction, 2.0, 2.0, cfg) == want[direction]
+                assert kernel_sum_ratio(fs, ts, K, direction, 2.0, 2.0, Ms) == want[direction]
 
 
 class TestSuiteWindowCheck:
@@ -321,3 +352,31 @@ class TestSuiteWindowCheck:
         result, rec = self.run(monkeypatch, 1.0 + 1e-9)
         assert rec["window_rel_err"] > 1e-12
         assert not rec["pass"] and not result["pass"]
+
+
+class TestSuiteStackReuse:
+    """suite_maximal takes one maximal function per member, level and grid:
+    the ratios share each member's stack instead of rebuilding it."""
+
+    def test_one_maximal_per_band(self, monkeypatch):
+        from collections import Counter
+
+        import lpw.maximal
+        import lpw.suites
+
+        calls = Counter()
+        orig = lpw.maximal._maximal
+
+        def counted(a, spec, sizes):
+            calls[spec] += 1
+            return orig(a, spec, sizes)
+
+        monkeypatch.setattr(lpw.maximal, "_maximal", counted)
+        ctx = lpw.suites.RunContext(GridSpec(1, 4.0, 256), -2, 4, CubeFamily(-2, 5), corpus_size=2)
+        assert lpw.suites.suite_maximal(ctx)["pass"]
+        dbl = ctx.doubled()
+        assert calls == {
+            ctx.spec: 2 * len(ctx.pair().levels()),
+            dbl.spec: 2 * len(dbl.pair().levels()),
+            GridSpec(1, 4.0, 128): 1,  # the fast-against-brute-force comparison
+        }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lpw import spaces
-from lpw.grid import CubeFamily, DyadicCube, GridFunction, GridSpec, cube_cells, cube_samples, level_index_range, lp_norm
+from lpw.grid import CubeFamily, DyadicCube, GridError, GridFunction, GridSpec, cube_cells, cube_samples, level_index_range, lp_norm
 from lpw.lpaley import CoefficientSet, apply_multiplier, band, band_decompose, make_lp_pair
 from lpw.spaces import (
     NormRequest,
@@ -47,7 +47,7 @@ def single_band_member(spec, pair, k0):
     F = np.zeros(spec.shape, dtype=complex)
     F[j] = 1.0 - 0.5j
     F[-j] = np.conj(F[j])
-    return from_spectrum(spec, F)
+    return GridFunction(spec, from_spectrum(spec, F))
 
 
 def dense_seq_f_norm(coeffs, spec, req):
@@ -512,6 +512,22 @@ class TestGrandMaximal:
         # a second pass reuses every stack and gives the same values
         assert [hardy_grand_norm(mem.f, ts, 2.0, d) for mem in corpus1k[:4]] == first
         assert len(built) == len(d.profiles) * len(ts.levels())
+
+    def test_nonfinite_seminorm_raises(self, monkeypatch):
+        # max(best, nan) is best, so a NaN sample left unchecked would give
+        # a finite but wrong normalisation
+        import lpw.lpaley
+
+        orig = lpw.lpaley.from_spectrum
+
+        def poisoned(spec, F, real=True):
+            out = orig(spec, F, real)
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(lpw.lpaley, "from_spectrum", poisoned)
+        with pytest.raises(GridError, match="not finite"):
+            build_dictionary(GridSpec(1, 8.0, 256))
 
     def test_comparable_to_tl2(self, spec1k, pair1k, corpus1k):
         d = build_dictionary(spec1k)
