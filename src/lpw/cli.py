@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import CubeFamily, GridError, GridSpec, load_grid_function, weighted_lp_norm
-from .lpaley import LevelError, band_decompose, make_lp_pair
+from .grid import CubeFamily, GridError, GridFunction, GridSpec, load_grid_function, weighted_lp_norm
+from .lpaley import LevelError, band_decompose
 from .spaces import NormRequest, bmo_norm, build_dictionary, hardy_grand_norm, space_norm
 from .verify import annulus_indices, make_corpus
 from .suites import (
@@ -27,6 +27,7 @@ from .suites import (
     ANNULUS_SUITES,
     DEFAULT_CEILINGS,
     DEFAULT_WEIGHT_MATRIX,
+    OFFSET_SUITES,
     ONE_D_SUITES,
     SEQNORM_SINGLE_CASES,
     RunContext,
@@ -128,19 +129,13 @@ class RunConfig:
         self.k_min = _int(raw, "levels.k_min", -3)
         self.k_max = _int(raw, "levels.k_max", 8)
         _require(self.k_min <= self.k_max, "levels.k_min", "k_min exceeds k_max")
-        k_cap = self.spec.level_window()[1]
-        try:
-            self.pair = make_lp_pair(self.spec, self.k_min, min(self.k_max, k_cap))
-        except LevelError as exc:
-            raise ConfigError("levels", str(exc)) from None
         v_min = _int(raw, "cubes.v_min", -4)
         v_max = _int(raw, "cubes.v_max", 9)
         _require(v_min <= v_max, "cubes.v_min", "v_min exceeds v_max")
-        _require(
-            2.0 ** (-v_min) <= 2.0 * self.spec.R,
-            "cubes.v_min",
-            f"level {v_min} cubes are wider than the domain",
-        )
+        try:
+            self.spec.cells(v_min)
+        except GridError as exc:
+            raise ConfigError("cubes.v_min", str(exc)) from None
         max_per_level = _int(raw, "cubes.max_per_level", 8192)
         try:
             self.family = CubeFamily(v_min, v_max, _flag(raw, "cubes.translates", True), max_per_level)
@@ -191,47 +186,53 @@ class RunConfig:
             raise ConfigError("norm.weight", str(exc)) from None
         self.frozen_level = _int(raw, "norm.frozen_level", 0)
         self.member = _int(raw, "decompose.member", 0)
+        # the run's one context: every command takes its pair, corpus and bands from it
+        self.ctx = RunContext(self.spec, self.k_min, self.k_max, self.family, self.corpus_size, self.seed,
+                              self.weight_matrix, tuple(self.exponent_pairs), self.ceilings)
+        try:
+            self.ctx.pair()
+        except LevelError as exc:
+            raise ConfigError("levels", str(exc)) from None
 
-    def check_runnable(self, suites: list[str], corpus: bool = False) -> None:
+    def check_runnable(self, suites: list[str], corpus: bool = False, norm: bool = False) -> None:
         """Reject, before anything runs, a suite that would have nothing to
         check on this grid and level window.  corpus marks a norm or
         decompose request on the corpus, which needs what the corpus suites
-        need: a grid frequency inside the resolved annulus."""
+        need: a grid frequency inside the resolved annulus.  norm marks a
+        norm request, whose weight an unshifted grid samples at the origin."""
+        pair = self.ctx.pair()
         for name in suites:
             if self.spec.n == 2 and name in ONE_D_SUITES:
                 raise ConfigError("grid.n", f"suite {name} runs on 1D grids only: {ONE_D_SUITES[name]}")
+            if not self.spec.offset and name in OFFSET_SUITES:
+                raise ConfigError("grid.offset", f"suite {name} needs a grid shifted off the origin: "
+                                  f"{OFFSET_SUITES[name]}, which has no positive finite value there")
+        space = self.norm.get("space", "F")
+        if norm and not self.spec.offset and space != "BMO":  # a BMO norm takes no weight
+            levels = [self.frozen_level] if space == "Lp" else pair.levels()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                at0 = [float(self.norm_weight.eval(np.zeros(1), k)[0]) for k in levels]
+            _require(all(0 < t < math.inf for t in at0), "norm.weight", f"{self.norm_weight.key()} is not "
+                     "positive and finite at the origin, which the unshifted grid samples")
         if corpus or any(name in ANNULUS_SUITES for name in suites):
             try:
-                annulus_indices(self.spec, self.pair)
+                annulus_indices(self.spec, pair)
             except ValueError:
-                lo, hi = self.pair.annulus()
+                lo, hi = pair.annulus()
                 raise ConfigError(
                     "levels",
-                    f"levels [{self.pair.k_min}, {self.pair.k_max}] resolve the annulus "
+                    f"levels [{pair.k_min}, {pair.k_max}] resolve the annulus "
                     f"[{lo:g}, {hi:g}], which holds no positive grid frequency: the grid's "
                     f"fundamental frequency is pi/R = {self.spec.fundamental:g} on R={self.spec.R:g}",
                 ) from None
         if "seqnorm" in suites:
-            k_max = self.pair.k_max  # the level window capped at the grid's resolution
+            k_max = pair.k_max  # the level window capped at the grid's resolution
             _require(
                 bool(seqnorm_single_cases(self.spec.R, self.k_min, k_max)),
                 "levels",
                 f"seqnorm needs one of its lone-coefficient cases (k, m) {SEQNORM_SINGLE_CASES} "
                 f"inside levels [{self.k_min}, {k_max}] with m a level-k position on R={self.spec.R:g}",
             )
-
-    def context(self) -> RunContext:
-        return RunContext(
-            spec=self.spec,
-            k_min=self.k_min,
-            k_max=self.k_max,
-            family=self.family,
-            corpus_size=self.corpus_size,
-            seed=self.seed,
-            weight_matrix=self.weight_matrix,
-            exponent_pairs=tuple(self.exponent_pairs),
-            ceilings=self.ceilings,
-        )
 
 
 def _jsonify(obj):
@@ -254,6 +255,15 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n")
 
 
+def _write_ratios(path: Path, report: dict) -> None:
+    """The report's ratios as csv rows: suite, record, member, ratio."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["suite", "record", "member", "ratio"])
+        writer.writerows(_ratio_rows(report))
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -270,22 +280,31 @@ def _load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_norm(cfg: RunConfig, out: Path) -> int:
-    ctx = cfg.context()
-    pair = ctx.pair()
+def _load_input(cfg: RunConfig, field: str) -> tuple[str, GridFunction] | None:
+    """The file the config's field names, as (name, function) on the
+    configured grid; None when the field names the corpus."""
+    source = _get(cfg.raw, field, "corpus")
+    if source == "corpus":
+        return None
+    try:
+        f = load_grid_function(source)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(field, f"cannot load a grid function from {source!r}: {exc!r}") from None
+    _require(f.spec == cfg.spec, field, f"{source!r} is sampled on {f.spec}, not on the configured grid {cfg.spec}")
+    return Path(source).name, f
+
+
+def cmd_norm(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | None = None) -> int:
+    """The configured norm of each corpus member, or of source, a loaded file input."""
+    pair = cfg.ctx.pair()
     space = cfg.norm.get("space", "F")
     ws = WeightSequence(cfg.norm_weight, pair.k_min, pair.k_max, cfg.norm_p if math.isfinite(cfg.norm_p) else 2.0)
-    fam = cfg.family.clamped(cfg.spec)
     records = []
-    source = cfg.norm.get("input", "corpus")
-    if source == "corpus":
-        members = [(mem.name, mem.f) for mem in ctx.corpus()]
-    else:
-        members = [(Path(source).name, load_grid_function(source))]
+    members = [source] if source else [(mem.name, mem.f) for mem in cfg.ctx.corpus()]
     dictionary = None
     for name, f in members:
         if space == "BMO":
-            value = bmo_norm(f, fam)
+            value = bmo_norm(f, cfg.family)
         elif space == "Lp":
             j = cfg.frozen_level
             value = weighted_lp_norm(f, ws.frozen(j).on_grid(cfg.spec, j), cfg.norm_p)
@@ -294,7 +313,7 @@ def cmd_norm(cfg: RunConfig, out: Path) -> int:
                 dictionary = build_dictionary(cfg.spec)
             value = hardy_grand_norm(f, ws, cfg.norm_p, dictionary)
         else:
-            req = NormRequest(space, cfg.norm_p, cfg.norm_q, ws, pair, family=fam)
+            req = NormRequest(space, cfg.norm_p, cfg.norm_q, ws, pair, family=cfg.family)
             value = space_norm(f, req)
         records.append(
             {
@@ -313,17 +332,15 @@ def cmd_norm(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_decompose(cfg: RunConfig, out: Path) -> int:
-    ctx = cfg.context()
-    source = _get(cfg.raw, "decompose.input", "corpus")
-    index = cfg.member
-    if source == "corpus":
+def cmd_decompose(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | None = None) -> int:
+    """Export the bands of the configured corpus member, or of source, a loaded file input."""
+    ctx = cfg.ctx
+    if source is None:
         # members are drawn in order from one generator, so the first
-        # index + 1 draws end with the member ctx.corpus()[index]
-        mem = make_corpus(ctx.spec, ctx.pair(), index % ctx.corpus_size + 1, ctx.seed)[-1]
-        name, f = mem.name, mem.f
-    else:
-        name, f = Path(source).name, load_grid_function(source)
+        # member + 1 draws end with the member ctx.corpus()[member]
+        mem = make_corpus(ctx.spec, ctx.pair(), cfg.member % ctx.corpus_size + 1, ctx.seed)[-1]
+        source = mem.name, mem.f
+    name, f = source
     decomp = band_decompose(f, ctx.pair())
     target = out / f"bands_{name}"
     decomp.export(target)
@@ -332,7 +349,7 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
-    ctx = cfg.context()
+    ctx = cfg.ctx
     nodes = ctx.nodes()
     p, theta = cfg.exponent_pairs[0]
     records = []
@@ -405,7 +422,7 @@ def _ratio_rows(report: dict):
 def cmd_verify(cfg: RunConfig, suite_names: list[str], out: Path) -> int:
     import time
 
-    ctx = cfg.context()
+    ctx = cfg.ctx
     results = []
     timings = {}
     for name in suite_names:
@@ -425,12 +442,7 @@ def cmd_verify(cfg: RunConfig, suite_names: list[str], out: Path) -> int:
         "suites": suite_names,
     }
     _write_json(out / "report.json", report)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "ratios.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["suite", "record", "member", "ratio"])
-        for row in _ratio_rows(_jsonify(report)):
-            writer.writerow(row)
+    _write_ratios(out / "ratios.csv", _jsonify(report))
     for suite in report["suites"]:
         print(f"{suite['suite']:<14} {'pass' if suite['pass'] else 'FAIL'}  ({timings[suite['suite']]:.2f}s)")
     print(f"wrote {out / 'report.json'}")
@@ -458,13 +470,7 @@ def cmd_report(report_path: str, out: Path) -> int:
         lo_s = f"{lo:.6g}" if lo != "" else "-"
         hi_s = f"{hi:.6g}" if hi != "" else "-"
         print(f"{name:<14} {lo_s:>12} {hi_s:>12} {status:>8}")
-    out.mkdir(parents=True, exist_ok=True)
-    plot_path = out / "plot_data.csv"
-    with open(plot_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["suite", "record", "member", "ratio"])
-        for row in _ratio_rows(report):
-            writer.writerow(row)
+    _write_ratios(out / "plot_data.csv", report)
     return 0
 
 
@@ -510,31 +516,23 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     if args.command == "report":
         return cmd_report(args.report_path, Path(args.out))
+    if args.command == "verify" and args.suite != "all" and args.suite not in ALL_SUITES:
+        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
+        return 2
     try:
         cfg = RunConfig(_load_config(args.config), seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    names = []
-    if args.command == "verify":
-        if args.suite != "all" and args.suite not in ALL_SUITES:
-            print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-            return 2
-        names = cfg.suites if args.suite == "all" else [args.suite]
-    source = {
-        "norm": cfg.norm.get("input", "corpus"),
-        "decompose": _get(cfg.raw, "decompose.input", "corpus"),
-    }.get(args.command)
-    try:
-        cfg.check_runnable(names, corpus=source == "corpus")
+        names = (cfg.suites if args.suite == "all" else [args.suite]) if args.command == "verify" else []
+        takes_input = args.command in ("norm", "decompose")
+        source = _load_input(cfg, f"{args.command}.input") if takes_input else None
+        cfg.check_runnable(names, corpus=takes_input and source is None, norm=args.command == "norm")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
     if args.command == "norm":
-        return cmd_norm(cfg, out)
+        return cmd_norm(cfg, out, source)
     if args.command == "decompose":
-        return cmd_decompose(cfg, out)
+        return cmd_decompose(cfg, out, source)
     if args.command == "weights":
         return cmd_weights(cfg, args.op, out)
     if args.command == "verify":

@@ -98,6 +98,13 @@ class GridSpec:
             int(math.floor(math.log2(1.0 / self.h) + 1e-9)),
         )
 
+    def cells(self, v: int) -> int:
+        """Cells per side of a level-v cube, 2^-v / h, for v in level_window()."""
+        lo, hi = self.level_window()
+        if not lo <= v <= hi:
+            raise GridError(f"level {v} is outside the grid's level window [{lo}, {hi}] of 1 to {self.N} cells a side")
+        return self.N >> (v - lo)
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -159,19 +166,12 @@ def level_index_range(R: float, v: int) -> tuple[int, int]:
 def enumerate_cubes(spec: GridSpec, v_min: int, v_max: int) -> list[DyadicCube]:
     """All dyadic cubes of levels v_min..v_max that intersect the domain.
 
-    Each level tiles the domain exactly once.  Levels must satisfy
-    2^-v_max >= h (cubes not finer than the lattice) and 2^-v_min <= 2R
-    (cubes not wider than the domain).
+    Each level tiles the domain exactly once.  Both ends must lie in the
+    grid's level window.
     """
     if v_min > v_max:
         raise GridError("v_min > v_max")
-    if 2.0 ** (-v_max) < spec.h:
-        raise GridError(
-            f"level v_max={v_max} is finer than the grid spacing h={spec.h}; "
-            f"largest admissible level is {spec.level_window()[1]}"
-        )
-    if 2.0 ** (-v_min) > 2.0 * spec.R:
-        raise GridError(f"level v_min={v_min} is wider than the domain [-{spec.R}, {spec.R})")
+    spec.cells(v_min), spec.cells(v_max)  # GridError outside the level window
     cubes = []
     for v in range(v_min, v_max + 1):
         lo, hi = level_index_range(spec.R, v)
@@ -301,11 +301,6 @@ class CubeFamily:
         stride = max(1, total // rest)
         strided = np.arange(lo, hi, stride)
         return np.unique(np.concatenate([block, strided]))
-
-    def clamped(self, spec: GridSpec) -> "CubeFamily":
-        """Restrict to levels resolvable by whole grid cells (2^-v >= h)."""
-        v_cap = spec.level_window()[1]
-        return CubeFamily(self.v_min, min(self.v_max, v_cap), self.translates, self.max_per_level)
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,6 @@ class LPPair:
         """Frequency range where the truncated partition of unity equals 1."""
         return 2.0 ** (self.k_min + 1), 2.0 ** (self.k_max - 1)
 
-    def lattice_stride(self, k: int) -> int:
-        s = 2.0 ** (-k) / self.gspec.h
-        if s < 1 or s != int(s):
-            raise LevelError(f"level {k} coefficient lattice is finer than the grid")
-        return int(s)
-
     def positions(self, k: int) -> np.ndarray:
         """Coefficient indices m per axis: 2^-k m in [-R, R)."""
         C = self.gspec.R * 2.0**k
@@ -322,7 +316,7 @@ def analyze(f: GridFunction, pair: LPPair) -> CoefficientSet:
     arrays = []
     for k in pair.levels():
         ms = pair.positions(k)
-        idx = (pair.lattice_stride(k) * ms + spec.N // 2) % spec.N
+        idx = (spec.cells(k) * ms + spec.N // 2) % spec.N
         vals = lattice_values(f, pair.phi_mult[k])
         lo, hi = level_index_range(spec.R, k)
         lam = np.zeros((hi - lo,) * spec.n, dtype=complex)
@@ -345,7 +339,7 @@ def synthesize(coeffs: CoefficientSet, pair: LPPair) -> GridFunction:
         if not (pair.k_min <= k <= pair.k_max):
             raise LevelError(f"synthesis level {k} outside pair window")
         C = lam.shape[0] // 2
-        idx = (pair.lattice_stride(k) * np.arange(-C, C) + spec.N // 2) % spec.N
+        idx = (spec.cells(k) * np.arange(-C, C) + spec.N // 2) % spec.N
         comb = np.zeros(spec.shape, dtype=complex)
         # positions -C and 0 share a sample at k = -log2(2R): add, not overwrite
         np.add.at(comb, np.ix_(*[idx] * spec.n), lam)

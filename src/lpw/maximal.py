@@ -8,35 +8,16 @@ A brute-force scan is kept as the testing oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import GridError, GridFunction, GridSpec, VectorSequence, lp_lq_norm
 from .weights import WeightSequence
 
 
-@dataclass(frozen=True)
-class MaximalConfig:
-    """Window levels v (side 2^-v) entering the sup, at every position."""
-
-    v_min: int
-    v_max: int
-
-    def sizes(self, spec: GridSpec) -> list[int]:
-        sizes = []
-        for v in range(self.v_min, self.v_max + 1):
-            w = 2.0 ** (-v) / spec.h
-            if w < 1 or w != int(w):
-                raise GridError(f"window level {v} is not a whole number of cells")
-            if int(w) > spec.N:
-                raise GridError(f"window level {v} exceeds the domain")
-            sizes.append(int(w))
-        return sorted(sizes)
-
-    @classmethod
-    def full(cls, spec: GridSpec) -> "MaximalConfig":
-        return cls(*spec.level_window())
+def window_sizes(spec: GridSpec) -> list[int]:
+    """Window sides in cells, one per level of the grid's window: 1, 2, 4, ..., N."""
+    lo, hi = spec.level_window()
+    return [spec.cells(v) for v in range(hi, lo - 1, -1)]
 
 
 def window_sum_table(values: np.ndarray, sizes: list[int]) -> dict[int, np.ndarray]:
@@ -89,16 +70,16 @@ def _maximal(a: np.ndarray, spec: GridSpec, sizes: list[int]) -> np.ndarray:
     return out
 
 
-def maximal_fn(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
-    """Pointwise sup of window averages of |f| over the configured windows."""
-    return GridFunction(f.spec, _maximal(np.abs(f.values), f.spec, cfg.sizes(f.spec)))
+def maximal_fn(f: GridFunction) -> GridFunction:
+    """Pointwise sup of window averages of |f| over the windows of every size."""
+    return GridFunction(f.spec, _maximal(np.abs(f.values), f.spec, window_sizes(f.spec)))
 
 
-def maximal_fn_bruteforce(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
+def maximal_fn_bruteforce(f: GridFunction) -> GridFunction:
     """Direct scan over every window; the testing oracle for maximal_fn."""
     a = np.abs(f.values)
     spec = f.spec
-    sizes = cfg.sizes(spec)
+    sizes = window_sizes(spec)
     out = np.zeros_like(a)
     if spec.n == 1:
         ext = np.concatenate([a, a])
@@ -123,8 +104,8 @@ def maximal_fn_bruteforce(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
     return GridFunction(spec, out)
 
 
-def maximal_sequence(fs: VectorSequence, cfg: MaximalConfig) -> VectorSequence:
-    sizes = cfg.sizes(fs.spec)
+def maximal_sequence(fs: VectorSequence) -> VectorSequence:
+    sizes = window_sizes(fs.spec)
     out = np.empty(fs.values.shape)
     for row, k in zip(out, fs.levels()):
         row[...] = _maximal(np.abs(fs[k]), fs.spec, sizes)
@@ -151,7 +132,7 @@ def _norm_ratio(num: VectorSequence, den: VectorSequence, p: float, q: float) ->
 def fefferman_stein_ratio(fs: VectorSequence, p: float, q: float, Ms: VectorSequence) -> float:
     """||{M f_k}|L_p(l_q)|| / ||{f_k}|L_p(l_q)||; needs 1 < min(p, q).
 
-    Ms is maximal_sequence(fs, cfg), passed in so that one stack serves every
+    Ms is maximal_sequence(fs), passed in so that one stack serves every
     ratio taken on fs."""
     if not 1 < min(p, q):
         raise ValueError(f"need 1 < min(p, q), got p={p}, q={q}")
@@ -167,7 +148,7 @@ def weighted_maximal_ratio(
     q: float = np.inf,
 ) -> float:
     """||{t_k M f_k}|L_p(l_q)|| / ||{t_k f_k}|L_p(l_q)|| over the levels of ts,
-    with Ms = maximal_sequence(fs, cfg)."""
+    with Ms = maximal_sequence(fs)."""
     if p <= 1:
         raise ValueError(f"weighted maximal ratio needs p > 1, got {p}")
     _check_stack(fs, Ms)
@@ -189,7 +170,7 @@ def kernel_sum_ratio(
         above: g_k = sum_{j >= k} 2^((j-k) K) M f_j
 
     truncated to the stored level range, against the weighted input norm,
-    both weighted over the levels of ts; Ms = maximal_sequence(fs, cfg).
+    both weighted over the levels of ts; Ms = maximal_sequence(fs).
     """
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")

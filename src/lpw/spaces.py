@@ -36,7 +36,8 @@ class NormRequest:
     """Parameters shared by the norm operations.
 
     space is one of B, F, F_inf, b, f, f_inf, Lp, Hardy, BMO; q may be inf
-    where the definitions allow it (not in F_inf / f_inf).
+    where the definitions allow it (not in F_inf / f_inf).  family, the
+    cubes of the Carleson scans, defaults to the pair's level window.
     """
 
     space: str
@@ -59,6 +60,8 @@ class NormRequest:
                 f"weight levels [{ws.k_min}, {ws.k_max}] leave the pair window "
                 f"[{self.pair.k_min}, {self.pair.k_max}]"
             )
+        if self.family is None:
+            object.__setattr__(self, "family", CubeFamily(self.pair.k_min, self.pair.k_max))
 
     def levels(self) -> range:
         return self.weights.levels()
@@ -139,7 +142,7 @@ def _in_cube(n: int) -> tuple[int, ...]:
 
 def _cube_means_all(arr: np.ndarray, spec: GridSpec, v: int, translated: bool) -> np.ndarray:
     """Means of arr over every level-v cube (tiling), optionally half-shifted."""
-    S = int(round(2.0 ** (-v) / spec.h))
+    S = spec.cells(v)
     return _blocks(arr, S, S // 2 if translated else 0).mean(axis=_in_cube(spec.n))
 
 
@@ -176,10 +179,9 @@ def tl_infty_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> floa
     f is a GridFunction or its BandDecomposition on req.pair."""
     if np.isinf(req.q):
         raise ValueError("F_inf norms need q < inf")
-    family = req.family if req.family is not None else CubeFamily(req.pair.k_min, req.pair.k_max)
     wb = weighted_bands(f, req)
     arrays = {k: wb[k] ** req.q for k in wb.levels()}
-    return carleson_sup(arrays, wb.spec, family, req.q)
+    return carleson_sup(arrays, wb.spec, req.family, req.q)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +334,6 @@ def seq_f_infty_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -
     n, q = spec.n, req.q
     if np.isinf(q):
         raise ValueError("f_inf norms need q < inf")
-    family = req.family if req.family is not None else CubeFamily(req.pair.k_min, req.pair.k_max)
     plain_arrays, star_arrays = {}, {}
     for k in _seq_levels(coeffs, spec):
         t, mags, S = req.weights.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
@@ -341,7 +342,7 @@ def seq_f_infty_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -
         star_arrays[k] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
     if not plain_arrays:
         return 0.0, 0.0
-    return carleson_sup(plain_arrays, spec, family, q), carleson_sup(star_arrays, spec, family, q)
+    return carleson_sup(plain_arrays, spec, req.family, q), carleson_sup(star_arrays, spec, req.family, q)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +471,7 @@ def bmo_norm(f: GridFunction, family: CubeFamily | None = None) -> float:
     translate_flags = (False, True) if family.translates else (False,)
     axes = _in_cube(spec.n)
     for v in _scan_levels(spec, family):
-        S = int(round(2.0 ** (-v) / spec.h))
+        S = spec.cells(v)
         for tr in translate_flags:
             blocks = _blocks(f.values, S, S // 2 if tr else 0)
             means = blocks.mean(axis=axes, keepdims=True)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .grid import CubeFamily, GridFunction, GridSpec, level_index_range, lp_norm, weighted_lp_norm
 from .lpaley import LPPair, band_decompose, bump_profile, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
-from .maximal import MaximalConfig, fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sum_table
+from .maximal import fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sizes, window_sum_table
 from .spaces import NormRequest, besov_norm, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norm, seq_f_norms, space_norm, tl_infty_norm, tl_norm
 from .verify import (
     classical_besov_norm,
@@ -69,44 +69,32 @@ class RunContext:
     def __post_init__(self):
         self._cache: dict = {}
 
-    # -- lazily built artifacts --------------------------------------------
+    # -- lazily built artifacts, each built once ------------------------------
 
-    def pair(self, spec: GridSpec | None = None) -> LPPair:
-        spec = spec or self.spec
-        key = ("pair", spec)
+    def _cached(self, key, build):
         if key not in self._cache:
-            k_cap = spec.level_window()[1]
-            self._cache[key] = make_lp_pair(spec, self.k_min, min(self.k_max, k_cap))
+            self._cache[key] = build()
         return self._cache[key]
 
-    def corpus(self, spec: GridSpec | None = None):
-        spec = spec or self.spec
-        key = ("corpus", spec)
-        if key not in self._cache:
-            self._cache[key] = make_corpus(spec, self.pair(spec), self.corpus_size, self.seed)
-        return self._cache[key]
+    def pair(self) -> LPPair:
+        """The band pair on this grid, its levels capped at the grid's window."""
+        k_max = min(self.k_max, self.spec.level_window()[1])
+        return self._cached("pair", lambda: make_lp_pair(self.spec, self.k_min, k_max))
 
-    def bands(self, spec: GridSpec | None = None):
-        spec = spec or self.spec
-        key = ("bands", spec)
-        if key not in self._cache:
-            self._cache[key] = {
-                mem.name: band_decompose(mem.f, self.pair(spec)) for mem in self.corpus(spec)
-            }
-        return self._cache[key]
+    def corpus(self):
+        return self._cached("corpus", lambda: make_corpus(self.spec, self.pair(), self.corpus_size, self.seed))
+
+    def bands(self):
+        return self._cached("bands", lambda: {mem.name: band_decompose(mem.f, self.pair()) for mem in self.corpus()})
 
     def nodes(self, v_max: int | None = None) -> FamilyNodes:
         fam = self.family if v_max is None else replace(self.family, v_max=v_max)
-        key = ("nodes", fam)
-        if key not in self._cache:
-            self._cache[key] = FamilyNodes(self.spec.R, self.spec.n, fam)
-        return self._cache[key]
+        return self._cached(("nodes", fam), lambda: FamilyNodes(self.spec.R, self.spec.n, fam))
 
     def doubled(self) -> "RunContext":
-        if "doubled" not in self._cache:
-            spec = GridSpec(self.spec.n, self.spec.R, self.spec.N * 2, self.spec.offset)
-            self._cache["doubled"] = replace(self, spec=spec)
-        return self._cache["doubled"]
+        """This run on the grid of 2N points per axis, with its own cache."""
+        spec = GridSpec(self.spec.n, self.spec.R, self.spec.N * 2, self.spec.offset)
+        return self._cached("doubled", lambda: replace(self, spec=spec))
 
     def sequence(self, text_or_spec, p: float) -> WeightSequence:
         spec = parse_weight(text_or_spec) if isinstance(text_or_spec, str) else text_or_spec
@@ -275,10 +263,10 @@ def _random_coefficient_sets(ctx: RunContext):
     return sets
 
 
-def _seq_ratio_extreme(ctx: RunContext, spec: GridSpec, sets) -> float:
+def _seq_ratio_extreme(ctx: RunContext, sets) -> float:
     # p = q makes the two forms coincide identically (disjoint cube sums), so
     # the two-sided comparison runs at p != q where cross-level mixing matters
-    pair = ctx.pair(spec)
+    spec, pair = ctx.spec, ctx.pair()
     worst = 1.0
     for name, text in sorted(ctx.weight_matrix.items()):
         # one sequence, so one sampling per grid: the f-norms read req.p, not ws.p
@@ -328,9 +316,8 @@ def suite_seqnorm(ctx: RunContext) -> dict:
             plain, star = fn(coeffs, spec, req)
             single_worst = max(single_worst, abs(plain / star - 1.0))
     sets = _random_coefficient_sets(ctx)
-    c_base = _seq_ratio_extreme(ctx, spec, sets)
-    ctx2 = ctx.doubled()
-    c_dbl = _seq_ratio_extreme(ctx, ctx2.spec, sets)
+    c_base = _seq_ratio_extreme(ctx, sets)
+    c_dbl = _seq_ratio_extreme(ctx.doubled(), sets)
     drift = c_dbl / c_base
     ok = single_worst <= 1e-12 and c_base <= ceiling and 0.5 < drift < 2.0
     return _suite(
@@ -350,11 +337,9 @@ def suite_seqnorm(ctx: RunContext) -> dict:
 def suite_newnorm(ctx: RunContext) -> dict:
     """Level-frozen weight comparison: the spread of norm({t_k}) against
     norm(t_j) stays under the equivalence ceiling, uniformly in j."""
-    spec = ctx.spec
     pair = ctx.pair()
     corpus = ctx.corpus()
     bands = ctx.bands()
-    fam = ctx.family.clamped(spec)
     ceiling = ctx.ceilings["equivalence"]
     uniformity = ctx.ceilings["j_uniformity"]
     cases = [
@@ -370,11 +355,11 @@ def suite_newnorm(ctx: RunContext) -> dict:
         wspec = parse_weight(wtext)
         ws = WeightSequence(wspec, pair.k_min, pair.k_max, 2.0)
         for tag, p, q in cases:
-            req_seq = NormRequest(tag, p, q, ws, pair, family=fam)
+            req_seq = NormRequest(tag, p, q, ws, pair, family=ctx.family)
             seq_vals = [space_norm(bands[mem.name], req_seq) for mem in corpus]
             spreads = {}
             for j in range(-3, 4):
-                req_j = NormRequest(tag, p, q, ws.frozen(j), pair, family=fam)
+                req_j = NormRequest(tag, p, q, ws.frozen(j), pair, family=ctx.family)
                 ratios = [
                     sv / space_norm(bands[mem.name], req_j)
                     for sv, mem in zip(seq_vals, corpus)
@@ -481,7 +466,6 @@ def suite_maximal(ctx: RunContext) -> dict:
     window sums."""
     spec = ctx.spec
     pair = ctx.pair()
-    cfg = MaximalConfig.full(spec)
     records = []
     ok = True
 
@@ -494,15 +478,13 @@ def suite_maximal(ctx: RunContext) -> dict:
         per kernel direction the ratios of the first kernel_members members.
         Each member's maximal stack is built once, serves all its ratios and
         is dropped before the next member's."""
-        sp = c.spec
-        mcfg = MaximalConfig.full(sp)
-        ws = WeightSequence(Pow(0.3), c.pair(sp).k_min, c.pair(sp).k_max, 2.0)
-        bands = c.bands(sp)
+        ws = WeightSequence(Pow(0.3), c.pair().k_min, c.pair().k_max, 2.0)
+        bands = c.bands()
         names, fs_ratios, wm_ratios = [], [], []
         kernel_ratios = {direction: [] for direction, _ in kernels}
         for i, mem in enumerate(c.corpus()):
             fs = bands[mem.name].bands
-            Ms = maximal_sequence(fs, mcfg)
+            Ms = maximal_sequence(fs)
             names.append(mem.name)
             fs_ratios.append(fefferman_stein_ratio(fs, 2.0, 2.0, Ms))
             wm_ratios.append(weighted_maximal_ratio(fs, ws, 2.0, Ms, q=np.inf))
@@ -542,7 +524,7 @@ def suite_maximal(ctx: RunContext) -> dict:
 
     rng = np.random.default_rng(ctx.seed + 2)
     vals = rng.normal(size=spec.N) if spec.n == 1 else rng.normal(size=spec.shape)
-    sizes = cfg.sizes(spec)
+    sizes = window_sizes(spec)
     table = window_sum_table(np.abs(vals), sizes)
     ext = np.tile(np.abs(vals), (2,) * spec.n)
     worst_err = 0.0
@@ -557,10 +539,7 @@ def suite_maximal(ctx: RunContext) -> dict:
         worst_err = max(worst_err, abs(table[w][corner] - direct) / max(direct, 1e-300))
     small = GridSpec(spec.n, spec.R, 128 if spec.n == 1 else 16, spec.offset)
     fsmall = GridFunction(small, rng.normal(size=small.shape))
-    mcfg_small = MaximalConfig.full(small)
-    diff = np.abs(
-        maximal_fn(fsmall, mcfg_small).values - maximal_fn_bruteforce(fsmall, mcfg_small).values
-    ).max()
+    diff = np.abs(maximal_fn(fsmall).values - maximal_fn_bruteforce(fsmall).values).max()
     good = worst_err <= 1e-12 and diff <= 1e-12
     ok &= good
     records.append({"check": "fast_vs_bruteforce", "window_rel_err": worst_err,
@@ -590,16 +569,14 @@ def suite_bmo(ctx: RunContext) -> dict:
     """Oscillation norm against the Carleson band norm at unit weight: the
     two stay within a fixed factor on the corpus (reported, pass at the
     informational ceiling)."""
-    spec = ctx.spec
     pair = ctx.pair()
-    fam = ctx.family.clamped(spec)
     ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max, 2.0)
-    req = NormRequest("F_inf", np.inf, 2.0, ws, pair, family=fam)
+    req = NormRequest("F_inf", np.inf, 2.0, ws, pair, family=ctx.family)
     corpus = ctx.corpus()
     bands = ctx.bands()
     rep = ratio_report(
         [mem.name for mem in corpus],
-        [bmo_norm(mem.f, fam) for mem in corpus],
+        [bmo_norm(mem.f, ctx.family) for mem in corpus],
         [tl_infty_norm(bands[mem.name], req) for mem in corpus],
         ceiling=ctx.ceilings["informational"],
         name_a="BMO",
@@ -635,3 +612,12 @@ ONE_D_SUITES = {
     "cube family is too deep for 2D node counts",
 }
 
+# suites that sample a weight with no positive finite value at the origin on
+# the grid, which an unshifted grid (grid.offset false) holds as a sample
+OFFSET_SUITES = {
+    "selfequiv": "its doubling check samples pow:0.3",
+    "seqnorm": "it samples pow:0.3 and the weight matrix",
+    "newnorm": "it samples pow:0.3 and pow:-0.2",
+    "coincidence": "it samples pow:0.3 and pow:-0.3",
+    "maximal": "its weighted ratio samples pow:0.3",
+}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, _lp, lp_norm
+from .grid import DyadicCube, GridFunction, GridSpec, _lp, level_index_range
 from .lpaley import LPPair, from_spectrum
 from .weights import (
     FamilyNodes,
@@ -22,7 +22,6 @@ from .weights import (
     sigma1,
 )
 from .spaces import cube_lp
-from .grid import DyadicCube, level_index_range
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lpw.cli import RunConfig, main
-from lpw.suites import ALL_SUITES, ONE_D_SUITES
+from lpw.grid import GridFunction, GridSpec, save_grid_function
+from lpw.suites import ALL_SUITES, OFFSET_SUITES, ONE_D_SUITES
 
 
 SMALL_CONFIG = {
@@ -104,8 +105,6 @@ class TestConfigValidation:
         # a suite that needs no corpus still runs on this grid, and so does a
         # norm of a file input
         assert main(["verify", "hoelder", "--config", path, "--out", str(tmp_path / "h")]) == 0
-        from lpw.grid import GridFunction, GridSpec, save_grid_function
-
         save_grid_function(GridFunction(GridSpec(1, 1.0, 512), rng.normal(size=512)), tmp_path / "f")
         path = write_config(tmp_path, {**tiny, "norm.input": str(tmp_path / "f"), "norm.space": "BMO"})
         assert main(["norm", "--config", path, "--out", str(tmp_path / "n")]) == 0
@@ -119,6 +118,16 @@ class TestConfigValidation:
             out = tmp_path / argv[-1]
             assert main([*argv, "--config", path, "--out", str(out)]) == 0, argv
             assert out.exists()
+
+    @pytest.mark.parametrize("cubes", [{"cubes.v_min": 6, "cubes.v_max": 7}, {"cubes.v_min": -5}], ids=["finer", "wider"])
+    def test_family_outside_level_window(self, tmp_path, capsys, cubes):
+        # the N=512 grid on [-8, 8) has levels -4..5: level 6 cubes are finer
+        # than a cell and level -5 cubes wider than the domain; the rule holds
+        # for the quadrature-only suites too
+        path = write_config(tmp_path, cubes)
+        for argv in (["verify", "newnorm"], ["verify", "bmo"], ["verify", "hoelder"], ["norm"]):
+            assert main([*argv, "--config", path, "--out", str(tmp_path / "o")]) == 2, argv
+            assert "config field 'cubes.v_min'" in capsys.readouterr().err, argv
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -148,6 +157,9 @@ SWEEP_CONFIGS = {
     "2d": {"grid.n": 2, "grid.R": 2.0, "grid.N": 64, "levels.k_min": -1, "levels.k_max": 4,
            "cubes.v_min": -1, "cubes.v_max": 5, "corpus.size": 4},
 }
+SWEEP_CONFIGS["1d_unshifted"] = {**SWEEP_CONFIGS["1d"], "grid.offset": False}
+# the field that refuses a suite on each sweep grid, and the suites it refuses
+SWEEP_REFUSED = {"2d": ("grid.n", ONE_D_SUITES), "1d_unshifted": ("grid.offset", OFFSET_SUITES)}
 
 
 class TestSuiteSweep:
@@ -157,14 +169,98 @@ class TestSuiteSweep:
 
     @pytest.mark.parametrize("dim", sorted(SWEEP_CONFIGS))
     @pytest.mark.parametrize("suite", sorted(ALL_SUITES))
-    def test_ends_in_verdict(self, tmp_path, dim, suite):
+    def test_ends_in_verdict(self, tmp_path, capsys, dim, suite):
         path = write_config(tmp_path, SWEEP_CONFIGS[dim])
         rc = main(["verify", suite, "--config", path, "--out", str(tmp_path / "out")])
-        if dim == "2d" and suite in ONE_D_SUITES:
+        field, refused = SWEEP_REFUSED.get(dim, ("", {}))
+        if suite in refused:
             assert rc == 2
+            assert f"config field '{field}'" in capsys.readouterr().err
         else:
             assert rc in (0, 1)
             assert (tmp_path / "out" / "report.json").exists()
+
+
+class TestUnshiftedGrid:
+    """An unshifted grid holds a sample at the origin: a norm weight with no
+    positive finite value there is refused before the run."""
+
+    @pytest.mark.parametrize("space", ["F", "B", "F_inf", "Lp", "Hardy"])
+    def test_norm_weight_singular_at_origin_refused(self, tmp_path, capsys, space):
+        for weight in ("pow:0.3", "pow:-0.2"):
+            path = write_config(tmp_path, {"grid.offset": False, "norm.space": space, "norm.weight": weight})
+            assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert "config field 'norm.weight'" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("space, weight", [("F", "shiftpow:0.4,1"), ("Lp", "dyadic:0.5"), ("BMO", "pow:0.3")])
+    def test_norm_runs_where_weight_is_finite_or_unused(self, tmp_path, space, weight):
+        path = write_config(tmp_path, {"grid.offset": False, "norm.space": space, "norm.weight": weight})
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
+class TestInputFiles:
+    """A file input is loaded once, before the run: a missing or malformed
+    file, or one sampled on another grid, exits 2 naming its field."""
+
+    @pytest.mark.parametrize("command", ["norm", "decompose"])
+    @pytest.mark.parametrize("fault", ["missing", "sidecar_not_json", "sidecar_without_N", "other_grid"])
+    def test_bad_input_names_field(self, tmp_path, capsys, rng, command, fault):
+        prefix = tmp_path / "f"
+        if fault != "missing":
+            spec = GridSpec(1, 8.0, 256 if fault == "other_grid" else 512)
+            save_grid_function(GridFunction(spec, rng.normal(size=spec.shape)), prefix)
+        if fault == "sidecar_not_json":
+            prefix.with_suffix(".json").write_text("{not json")
+        elif fault == "sidecar_without_N":
+            prefix.with_suffix(".json").write_text('{"n": 1, "R": 8.0, "offset": true, "complex": false}')
+        path = write_config(tmp_path, {f"{command}.input": str(prefix)})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{command}.input'" in err
+        if fault == "other_grid":
+            assert "N=256" in err and "N=512" in err
+        assert not out.exists()
+
+    def test_decompose_from_file(self, tmp_path, rng):
+        from lpw.lpaley import band_decompose
+
+        f = GridFunction(GridSpec(1, 8.0, 512), rng.normal(size=512))
+        save_grid_function(f, tmp_path / "f")
+        path = write_config(tmp_path, {"decompose.input": str(tmp_path / "f")})
+        assert main(["decompose", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        band_decompose(f, RunConfig(json.loads(Path(path).read_text())).ctx.pair()).export(tmp_path / "want")
+        got = sorted(p.name for p in (tmp_path / "out" / "bands_f").iterdir())
+        assert got == sorted(p.name for p in (tmp_path / "want").iterdir()) and got
+        for name in got:
+            assert (tmp_path / "out" / "bands_f" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
+class TestOneContext:
+    """An invocation builds one band pair per grid it uses: the base grid,
+    plus the doubled grid where seqnorm and maximal compare against it."""
+
+    @pytest.mark.parametrize("argv, grids", [(["verify", "all"], 2), (["norm"], 1), (["decompose"], 1)])
+    def test_one_pair_per_grid(self, tmp_path, monkeypatch, argv, grids):
+        from collections import Counter
+
+        import lpw
+
+        calls = Counter()
+        orig = lpw.lpaley.make_lp_pair
+
+        def counted(spec, k_min, k_max):
+            calls[spec] += 1
+            return orig(spec, k_min, k_max)
+
+        for mod in (lpw, lpw.cli, lpw.suites, lpw.lpaley, lpw.verify, lpw.spaces):
+            if hasattr(mod, "make_lp_pair"):
+                monkeypatch.setattr(mod, "make_lp_pair", counted)
+        path = write_config(tmp_path, {**SWEEP_CONFIGS["1d"], "suites": sorted(ALL_SUITES)})
+        assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) in (0, 1)
+        spec = GridSpec(1, 4.0, 128)
+        assert calls == ({spec: 1, GridSpec(1, 4.0, 256): 1} if grids == 2 else {spec: 1})
 
 
 class TestVerifyCommand:
@@ -245,8 +341,6 @@ class TestOtherCommands:
         assert records[0]["weight"] == "pow:0.3"
 
     def test_norm_from_file(self, tmp_path, rng):
-        from lpw.grid import GridFunction, GridSpec, save_grid_function
-
         spec = GridSpec(1, 8.0, 512)
         save_grid_function(GridFunction(spec, rng.normal(size=512)), tmp_path / "f")
         path = write_config(tmp_path, {"norm.input": str(tmp_path / "f"), "norm.space": "BMO"})
@@ -277,7 +371,7 @@ class TestOtherCommands:
         path = write_config(tmp_path, {"decompose.member": member})
         out = tmp_path / "out"
         assert main(["decompose", "--config", path, "--out", str(out)]) == 0
-        ctx = RunConfig(json.loads(Path(path).read_text())).context()
+        ctx = RunConfig(json.loads(Path(path).read_text())).ctx
         mem = ctx.corpus()[member % SMALL_CONFIG["corpus"]["size"]]
         band_decompose(mem.f, ctx.pair()).export(tmp_path / "want")
         got = sorted(p.name for p in (out / f"bands_{mem.name}").iterdir())

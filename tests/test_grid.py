@@ -58,9 +58,21 @@ class TestGridSpec:
                     assert k_cap == int(math.floor(math.log2(1.0 / spec.h) + 1e-9))
                     # band cap formerly applied by make_lp_pair
                     assert k_cap <= int(math.floor(math.log2(np.pi / spec.h) - 1 + 1e-9))
-                    # rounded window formerly used by MaximalConfig.full
+                    # the same window by rounding log2 of the grid spacing
                     v_hi = int(round(math.log2(1.0 / spec.h)))
                     assert (k_floor, k_cap) == (v_hi - int(round(math.log2(N))), v_hi)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cells_over_level_window(self, n):
+        for N in (2, 16, 512):
+            for R in (0.5, 1.0, 8.0):
+                spec = GridSpec(n, R, N)
+                lo, hi = spec.level_window()
+                assert [spec.cells(v) for v in range(lo, hi + 1)] == [2.0**-v / spec.h for v in range(lo, hi + 1)]
+                assert (spec.cells(lo), spec.cells(hi)) == (N, 1)
+                for v in (lo - 1, hi + 1):
+                    with pytest.raises(GridError, match="level window"):
+                        spec.cells(v)
 
 
 class TestEnumerateCubes:

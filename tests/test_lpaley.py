@@ -246,7 +246,7 @@ def comb_synthesize(entries, pair):
         comb = np.zeros(spec.shape, dtype=complex)
         for (kk, m), v in entries:
             if kk == k:
-                comb[tuple((pair.lattice_stride(k) * mi + spec.N // 2) % spec.N for mi in m)] += v
+                comb[tuple((round(2.0 ** -k / spec.h) * mi + spec.N // 2) % spec.N for mi in m)] += v
         F = np.fft.fftn(comb)
         for ax in range(spec.n):
             F = F * comb_phase.reshape([-1 if a == ax else 1 for a in range(spec.n)])
@@ -271,7 +271,7 @@ class TestDenseCoefficients:
             for m in np.ndindex(*want.shape):
                 pos = tuple(i + lo for i in m)
                 if all(x in pair.positions(k) for x in pos):
-                    idx = tuple((pair.lattice_stride(k) * x + spec.N // 2) % spec.N for x in pos)
+                    idx = tuple((round(2.0 ** -k / spec.h) * x + spec.N // 2) % spec.N for x in pos)
                     want[m] = 2.0 ** (-k * spec.n / 2.0) * complex(vals[idx])
             assert np.array_equal(coeffs[k], want)
 

@@ -4,13 +4,14 @@ import pytest
 from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, VectorSequence, lp_lq_norm
 from lpw.lpaley import band, band_decompose, make_lp_pair
 from lpw.maximal import (
-    MaximalConfig,
+    _maximal,
     fefferman_stein_ratio,
     kernel_sum_ratio,
     maximal_fn,
     maximal_fn_bruteforce,
     maximal_sequence,
     weighted_maximal_ratio,
+    window_sizes,
     window_sum_table,
 )
 from lpw.verify import make_corpus, spike_family
@@ -19,11 +20,6 @@ from lpw.weights import Const, Dyadic, Pow, WeightSequence
 
 def random_sequence(spec, levels, rng):
     return VectorSequence(spec, levels[0], rng.normal(size=(len(levels), *spec.shape)))
-
-
-def full_stack(fs):
-    """The maximal stack of fs over every window of its grid."""
-    return maximal_sequence(fs, MaximalConfig.full(fs.spec))
 
 
 def run_fresh(script: str) -> None:
@@ -61,16 +57,15 @@ class TestLazyScipy:
             import numpy as np
             import lpw.cli
             from lpw.grid import GridFunction, GridSpec
-            from lpw.maximal import MaximalConfig, maximal_fn, maximal_fn_bruteforce
+            from lpw.maximal import maximal_fn, maximal_fn_bruteforce
 
             assert "scipy" not in sys.modules
             rng = np.random.default_rng(11)
             for spec in (GridSpec(1, 1.0, 64), GridSpec(2, 1.0, 16)):
                 f = GridFunction(spec, rng.normal(size=spec.shape))
-                cfg = MaximalConfig.full(spec)
-                fast = maximal_fn(f, cfg).values
+                fast = maximal_fn(f).values
                 assert "scipy" in sys.modules
-                slow = maximal_fn_bruteforce(f, cfg).values
+                slow = maximal_fn_bruteforce(f).values
                 np.testing.assert_allclose(fast, slow, rtol=1e-13)
         """)
 
@@ -79,7 +74,7 @@ class TestMaximalFn:
     def test_constant(self):
         spec = GridSpec(1, 2.0, 64)
         f = GridFunction(spec, np.full(64, 2.5))
-        out = maximal_fn(f, MaximalConfig.full(spec))
+        out = maximal_fn(f)
         np.testing.assert_allclose(out.values, 2.5, rtol=1e-14)
 
     def test_indicator_at_distance(self):
@@ -88,54 +83,56 @@ class TestMaximalFn:
         spec = GridSpec(1, 4.0, 512)
         ax = spec.axis()
         f = GridFunction(spec, ((ax >= 0) & (ax < 1)).astype(float))
-        out = maximal_fn(f, MaximalConfig.full(spec))
+        out = maximal_fn(f)
         i = np.argmin(np.abs(ax - 2.0))
         assert out.values[i] == pytest.approx(0.5, abs=2 * spec.h)
 
     def test_homogeneity(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
-        cfg = MaximalConfig.full(spec)
-        a = maximal_fn(GridFunction(spec, 3.0 * f.values), cfg)
-        b = maximal_fn(f, cfg)
+        a = maximal_fn(GridFunction(spec, 3.0 * f.values))
+        b = maximal_fn(f)
         np.testing.assert_allclose(a.values, 3.0 * b.values, rtol=1e-13)
 
     def test_fast_matches_bruteforce_1d(self, rng):
         spec = GridSpec(1, 1.0, 64)
         f = GridFunction(spec, rng.normal(size=64))
-        cfg = MaximalConfig.full(spec)
-        fast = maximal_fn(f, cfg)
-        slow = maximal_fn_bruteforce(f, cfg)
+        fast = maximal_fn(f)
+        slow = maximal_fn_bruteforce(f)
         np.testing.assert_allclose(fast.values, slow.values, rtol=1e-13)
 
     def test_fast_matches_bruteforce_2d(self, rng):
         spec = GridSpec(2, 1.0, 16)
         f = GridFunction(spec, rng.normal(size=(16, 16)))
-        cfg = MaximalConfig.full(spec)
-        fast = maximal_fn(f, cfg)
-        slow = maximal_fn_bruteforce(f, cfg)
+        fast = maximal_fn(f)
+        slow = maximal_fn_bruteforce(f)
         np.testing.assert_allclose(fast.values, slow.values, rtol=1e-13)
 
     def test_pointwise_domination(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
-        out = maximal_fn(f, MaximalConfig.full(spec))
+        out = maximal_fn(f)
         assert np.all(out.values >= np.abs(f.values))
 
     def test_sublinearity(self, rng):
         spec = GridSpec(1, 1.0, 128)
-        cfg = MaximalConfig.full(spec)
         f = GridFunction(spec, rng.normal(size=128))
         g = GridFunction(spec, rng.normal(size=128))
-        both = maximal_fn(f + g, cfg)
-        assert np.all(both.values <= maximal_fn(f, cfg).values + maximal_fn(g, cfg).values + 1e-12)
+        both = maximal_fn(f + g)
+        assert np.all(both.values <= maximal_fn(f).values + maximal_fn(g).values + 1e-12)
 
     def test_window_family_monotone(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
-        small = maximal_fn(f, MaximalConfig(4, 6))
-        big = maximal_fn(f, MaximalConfig(2, 6))
-        assert np.all(big.values >= small.values - 1e-15)
+        # windows of 1 to 4 cells against 1 to 16 cells
+        small = _maximal(np.abs(f.values), spec, [1, 2, 4])
+        big = _maximal(np.abs(f.values), spec, [1, 2, 4, 8, 16])
+        assert np.all(big >= small - 1e-15)
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 1.0, 64), GridSpec(1, 8.0, 4096), GridSpec(2, 2.0, 32)])
+    def test_window_sizes_are_every_dyadic_width(self, spec):
+        assert window_sizes(spec) == [2**i for i in range(spec.N.bit_length())]
+        assert window_sizes(spec)[-1] == spec.N
 
     def test_window_sums_random_windows(self, rng):
         spec = GridSpec(1, 1.0, 512)
@@ -153,17 +150,16 @@ class TestRatios:
     def test_fs_all_ones(self):
         spec = GridSpec(1, 1.0, 64)
         fs = VectorSequence(spec, 0, np.ones((3, 64)))
-        assert fefferman_stein_ratio(fs, 2.0, 2.0, full_stack(fs)) == pytest.approx(1.0)
+        assert fefferman_stein_ratio(fs, 2.0, 2.0, maximal_sequence(fs)) == pytest.approx(1.0)
 
     def test_fs_singleton_reduces_to_scalar(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
-        cfg = MaximalConfig.full(spec)
         fs = VectorSequence(spec, 0, f.values[None])
-        got = fefferman_stein_ratio(fs, 2.0, 3.0, maximal_sequence(fs, cfg))
+        got = fefferman_stein_ratio(fs, 2.0, 3.0, maximal_sequence(fs))
         from lpw.grid import lp_norm
 
-        want = lp_norm(maximal_fn(f, cfg), 2.0) / lp_norm(f, 2.0)
+        want = lp_norm(maximal_fn(f), 2.0) / lp_norm(f, 2.0)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_fs_invalid_sigma(self, rng):
@@ -172,13 +168,12 @@ class TestRatios:
         # sigma < min(p, q)
         fs = random_sequence(spec, range(0, 2), rng)
         with pytest.raises(ValueError):
-            fefferman_stein_ratio(fs, 2.0, 1.0, full_stack(fs))
+            fefferman_stein_ratio(fs, 2.0, 1.0, maximal_sequence(fs))
 
     def test_fs_bounded_on_bands(self, spec1k, pair1k, corpus1k):
-        cfg = MaximalConfig.full(spec1k)
         for mem in corpus1k[:4]:
             fs = band_decompose(mem.f, pair1k).bands
-            r = fefferman_stein_ratio(fs, 2.0, 2.0, maximal_sequence(fs, cfg))
+            r = fefferman_stein_ratio(fs, 2.0, 2.0, maximal_sequence(fs))
             assert 1.0 <= r < 10.0
 
     def test_weighted_trivial_weight(self, rng):
@@ -186,25 +181,24 @@ class TestRatios:
         f = GridFunction(spec, rng.normal(size=128))
         fs = VectorSequence(spec, 0, f.values[None])
         ts = WeightSequence(Const(1.0), 0, 0, 2.0)
-        assert weighted_maximal_ratio(fs, ts, 2.0, full_stack(fs), q=np.inf) >= 1.0
+        assert weighted_maximal_ratio(fs, ts, 2.0, maximal_sequence(fs), q=np.inf) >= 1.0
 
     def test_weighted_ratio_blows_up_outside_class(self, spec1k, pair1k):
         # |x|^2 is outside the class at p=2: concentrating unit-norm spikes
         # at the origin drives the ratio up
         spikes = spike_family(spec1k, pair1k)
         ts = WeightSequence(Pow(2.0), 0, 0, 2.0)
-        cfg = MaximalConfig.full(spec1k)
         ratios = []
         for mem in spikes:
             fs = VectorSequence(spec1k, 0, mem.f.values[None])
-            ratios.append(weighted_maximal_ratio(fs, ts, 2.0, maximal_sequence(fs, cfg), q=2.0))
+            ratios.append(weighted_maximal_ratio(fs, ts, 2.0, maximal_sequence(fs), q=2.0))
         assert ratios[-1] > 2.0 * ratios[0]
 
     def test_zero_denominator(self):
         spec = GridSpec(1, 1.0, 64)
         fs = VectorSequence(spec, 0, np.zeros((1, 64)))
         ts = WeightSequence(Const(1.0), 0, 0, 2.0)
-        Ms = full_stack(fs)
+        Ms = maximal_sequence(fs)
         with pytest.raises(ZeroDivisionError):
             fefferman_stein_ratio(fs, 2.0, 2.0, Ms)
         with pytest.raises(ZeroDivisionError):
@@ -218,9 +212,9 @@ class TestRatios:
         # shifted by one, or one level short
         spec = GridSpec(1, 1.0, 64)
         fs = random_sequence(spec, range(0, 3), rng)
-        Ms = full_stack(fs)
+        Ms = maximal_sequence(fs)
         if mismatch == "spec":
-            Ms = full_stack(random_sequence(GridSpec(1, 2.0, 64), range(0, 3), rng))
+            Ms = maximal_sequence(random_sequence(GridSpec(1, 2.0, 64), range(0, 3), rng))
         elif mismatch == "k_min":
             Ms = VectorSequence(spec, fs.k_min + 1, Ms.values)
         else:
@@ -240,13 +234,12 @@ class TestKernelSum:
         # one nonzero input at level 0, unit weights, K=1, direction
         # below: g_k = 2^(-k) M f_0 for k >= 0, zero otherwise
         spec = GridSpec(1, 1.0, 128)
-        cfg = MaximalConfig.full(spec)
         f0 = GridFunction(spec, rng.normal(size=128))
         zero = np.zeros(128)
         fs = VectorSequence(spec, 0, np.stack([f0.values, zero, zero, zero]))
         ts = WeightSequence(Const(1.0), 0, 3, 2.0)
-        got = kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, maximal_sequence(fs, cfg))
-        M0 = maximal_fn(f0, cfg)
+        got = kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, maximal_sequence(fs))
+        M0 = maximal_fn(f0)
         gs = VectorSequence(spec, 0, np.stack([2.0 ** (-k) * M0.values for k in range(4)]))
         want = lp_lq_norm(gs, 2.0, 2.0) / lp_lq_norm(fs, 2.0, 2.0)
         assert got == pytest.approx(want, rel=1e-12)
@@ -256,17 +249,16 @@ class TestKernelSum:
         fs = random_sequence(spec, range(0, 2), rng)
         ts = WeightSequence(Const(1.0), 0, 1, 2.0)
         with pytest.raises(ValueError):
-            kernel_sum_ratio(fs, ts, 1.0, "sideways", 2.0, 2.0, full_stack(fs))
+            kernel_sum_ratio(fs, ts, 1.0, "sideways", 2.0, 2.0, maximal_sequence(fs))
 
     def test_dyadic_weight_bounded(self, spec1k, pair1k, corpus1k):
         # t_k = 2^(k s) has rates (s, s); the kernel sum stays bounded for
         # K above the upper rate (below) and K below the lower rate (above)
         s = 1.0
         ts = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max, 2.0)
-        cfg = MaximalConfig.full(spec1k)
         for mem in corpus1k[:3]:
             fs = band_decompose(mem.f, pair1k).bands
-            Ms = maximal_sequence(fs, cfg)
+            Ms = maximal_sequence(fs)
             below = kernel_sum_ratio(fs, ts, s + 1.0, "below", 2.0, 2.0, Ms)
             above = kernel_sum_ratio(fs, ts, s - 1.0, "above", 2.0, 2.0, Ms)
             assert below < 100.0
@@ -278,7 +270,7 @@ class TestStackMatchesPerLevelReference:
     level by level from band() and maximal_fn grid functions."""
 
     @staticmethod
-    def reference(f, pair, ts, cfg):
+    def reference(f, pair, ts):
         spec, levels = pair.gspec, pair.levels()
 
         def stack(gfs):
@@ -289,7 +281,7 @@ class TestStackMatchesPerLevelReference:
                           for k, g in zip(levels, gfs)])
 
         bands = [band(f, pair, k) for k in levels]
-        Ms = [maximal_fn(g, cfg) for g in bands]
+        Ms = [maximal_fn(g) for g in bands]
         out = {
             "fs": lp_lq_norm(stack(Ms), 2.0, 2.0) / lp_lq_norm(stack(bands), 2.0, 2.0),
         }
@@ -313,12 +305,11 @@ class TestStackMatchesPerLevelReference:
             spec = GridSpec(2, 2.0, 64)
             pair = make_lp_pair(spec, -1, 4)
             members = [m.f for m in make_corpus(spec, pair, size=2, seed=3)]
-        cfg = MaximalConfig.full(spec)
         ts = WeightSequence(Pow(0.3) * Dyadic(1.0), pair.k_min, pair.k_max, 2.0)
         for f in members:
-            want = self.reference(f, pair, ts, cfg)
+            want = self.reference(f, pair, ts)
             fs = band_decompose(f, pair).bands
-            Ms = maximal_sequence(fs, cfg)
+            Ms = maximal_sequence(fs)
             assert fefferman_stein_ratio(fs, 2.0, 2.0, Ms) == want["fs"]
             for q in (2.0, np.inf):
                 assert weighted_maximal_ratio(fs, ts, 2.0, Ms, q=q) == want[f"wm_{q}"]

@@ -189,6 +189,13 @@ class TestCarlesonNorm:
         with pytest.raises(ValueError):
             tl_infty_norm(corpus1k[0].f, request(pair1k, Const(1.0), np.inf, np.inf))
 
+    def test_default_family_is_the_pair_window(self, pair1k, corpus1k):
+        req = request(pair1k, Pow(0.3), np.inf, 2.0)
+        explicit = NormRequest("F_inf", np.inf, 2.0, req.weights, pair1k, family=CubeFamily(pair1k.k_min, pair1k.k_max))
+        assert req.family == CubeFamily(pair1k.k_min, pair1k.k_max)
+        assert req == explicit
+        assert tl_infty_norm(corpus1k[0].f, req) == tl_infty_norm(corpus1k[0].f, explicit)
+
 
 class TestDecompositionInput:
     def test_weighted_bands_match_per_band_loop(self, spec1k, pair1k, corpus1k):
