@@ -113,12 +113,14 @@ def _parse_exponent(value, field: str) -> float:
 
 class RunConfig:
     """Validated run configuration; every module precondition is checked here,
-    the per-command ones by check_runnable, so nothing fails mid-run."""
+    the per-command ones by check_runnable, so nothing fails mid-run.  The
+    grid, levels, cube family, corpus, weights, exponents and ceilings live
+    in ctx, the run's one context; the command options live here."""
 
     def __init__(self, raw: dict, seed_override: int | None = None):
         self.raw = raw
         try:
-            self.spec = GridSpec(
+            spec = GridSpec(
                 n=_int(raw, "grid.n", 1),
                 R=_number(raw, "grid.R", 8.0),
                 N=_int(raw, "grid.N", 4096),
@@ -126,43 +128,43 @@ class RunConfig:
             )
         except GridError as exc:
             raise ConfigError("grid", str(exc)) from None
-        self.k_min = _int(raw, "levels.k_min", -3)
-        self.k_max = _int(raw, "levels.k_max", 8)
-        _require(self.k_min <= self.k_max, "levels.k_min", "k_min exceeds k_max")
+        k_min = _int(raw, "levels.k_min", -3)
+        k_max = _int(raw, "levels.k_max", 8)
+        _require(k_min <= k_max, "levels.k_min", "k_min exceeds k_max")
         v_min = _int(raw, "cubes.v_min", -4)
         v_max = _int(raw, "cubes.v_max", 9)
         _require(v_min <= v_max, "cubes.v_min", "v_min exceeds v_max")
         try:
-            self.spec.cells(v_min)
+            spec.cells(v_min)
         except GridError as exc:
             raise ConfigError("cubes.v_min", str(exc)) from None
         max_per_level = _int(raw, "cubes.max_per_level", 8192)
         try:
-            self.family = CubeFamily(v_min, v_max, _flag(raw, "cubes.translates", True), max_per_level)
+            family = CubeFamily(v_min, v_max, _flag(raw, "cubes.translates", True), max_per_level)
         except GridError as exc:
             raise ConfigError("cubes", str(exc)) from None
-        self.corpus_size = _int(raw, "corpus.size", 32)
-        _require(self.corpus_size >= 1, "corpus.size", "must be at least 1")
-        self.seed = int(seed_override) if seed_override is not None else _int(raw, "corpus.seed", 20260808)
-        _require(self.seed >= 0, "corpus.seed", "must be nonnegative")
-        self.ceilings = dict(DEFAULT_CEILINGS)
+        corpus_size = _int(raw, "corpus.size", 32)
+        _require(corpus_size >= 1, "corpus.size", "must be at least 1")
+        seed = int(seed_override) if seed_override is not None else _int(raw, "corpus.seed", 20260808)
+        _require(seed >= 0, "corpus.seed", "must be nonnegative")
+        ceilings = dict(DEFAULT_CEILINGS)
         for key, val in _table(raw, "ceilings", {}).items():
             _require(key in DEFAULT_CEILINGS, f"ceilings.{key}", "unknown ceiling")
-            self.ceilings[key] = _parse_exponent(val, f"ceilings.{key}")
-        self.weight_matrix = dict(_table(raw, "weights", DEFAULT_WEIGHT_MATRIX))
-        for name, text in self.weight_matrix.items():
+            ceilings[key] = _parse_exponent(val, f"ceilings.{key}")
+        weight_matrix = dict(_table(raw, "weights", DEFAULT_WEIGHT_MATRIX))
+        for name, text in weight_matrix.items():
             try:
                 parse_weight(text)
             except WeightError as exc:
                 raise ConfigError(f"weights.{name}", str(exc)) from None
         pairs = _get(raw, "exponents", [[2.0, 1.2], [3.0, 1.5]])
-        self.exponent_pairs = []
+        exponent_pairs = []
         for i, pq in enumerate(pairs):
             _require(len(pq) == 2, f"exponents[{i}]", "expected [p, theta]")
             p = _parse_exponent(pq[0], f"exponents[{i}].p")
             theta = _parse_exponent(pq[1], f"exponents[{i}].theta")
             _require(theta < p, f"exponents[{i}].theta", f"needs theta < p, got {theta} >= {p}")
-            self.exponent_pairs.append((p, theta))
+            exponent_pairs.append((p, theta))
         suites = _get(raw, "suites", list(ALL_SUITES))
         _require(isinstance(suites, list), "suites", f"expected a list of suite names, got {suites!r}")
         self.suites = list(suites)
@@ -187,8 +189,8 @@ class RunConfig:
         self.frozen_level = _int(raw, "norm.frozen_level", 0)
         self.member = _int(raw, "decompose.member", 0)
         # the run's one context: every command takes its pair, corpus and bands from it
-        self.ctx = RunContext(self.spec, self.k_min, self.k_max, self.family, self.corpus_size, self.seed,
-                              self.weight_matrix, tuple(self.exponent_pairs), self.ceilings)
+        self.ctx = RunContext(spec, k_min, k_max, family, corpus_size, seed,
+                              weight_matrix, tuple(exponent_pairs), ceilings)
         try:
             self.ctx.pair()
         except LevelError as exc:
@@ -200,15 +202,16 @@ class RunConfig:
         decompose request on the corpus, which needs what the corpus suites
         need: a grid frequency inside the resolved annulus.  norm marks a
         norm request, whose weight an unshifted grid samples at the origin."""
-        pair = self.ctx.pair()
+        ctx = self.ctx
+        pair = ctx.pair()
         for name in suites:
-            if self.spec.n == 2 and name in ONE_D_SUITES:
+            if ctx.spec.n == 2 and name in ONE_D_SUITES:
                 raise ConfigError("grid.n", f"suite {name} runs on 1D grids only: {ONE_D_SUITES[name]}")
-            if not self.spec.offset and name in OFFSET_SUITES:
+            if not ctx.spec.offset and name in OFFSET_SUITES:
                 raise ConfigError("grid.offset", f"suite {name} needs a grid shifted off the origin: "
                                   f"{OFFSET_SUITES[name]}, which has no positive finite value there")
         space = self.norm.get("space", "F")
-        if norm and not self.spec.offset and space != "BMO":  # a BMO norm takes no weight
+        if norm and not ctx.spec.offset and space != "BMO":  # a BMO norm takes no weight
             levels = [self.frozen_level] if space == "Lp" else pair.levels()
             with np.errstate(divide="ignore", invalid="ignore"):
                 at0 = [float(self.norm_weight.eval(np.zeros(1), k)[0]) for k in levels]
@@ -216,22 +219,22 @@ class RunConfig:
                      "positive and finite at the origin, which the unshifted grid samples")
         if corpus or any(name in ANNULUS_SUITES for name in suites):
             try:
-                annulus_indices(self.spec, pair)
+                annulus_indices(ctx.spec, pair)
             except ValueError:
                 lo, hi = pair.annulus()
                 raise ConfigError(
                     "levels",
                     f"levels [{pair.k_min}, {pair.k_max}] resolve the annulus "
                     f"[{lo:g}, {hi:g}], which holds no positive grid frequency: the grid's "
-                    f"fundamental frequency is pi/R = {self.spec.fundamental:g} on R={self.spec.R:g}",
+                    f"fundamental frequency is pi/R = {ctx.spec.fundamental:g} on R={ctx.spec.R:g}",
                 ) from None
         if "seqnorm" in suites:
             k_max = pair.k_max  # the level window capped at the grid's resolution
             _require(
-                bool(seqnorm_single_cases(self.spec.R, self.k_min, k_max)),
+                bool(seqnorm_single_cases(ctx.spec.R, ctx.k_min, k_max)),
                 "levels",
                 f"seqnorm needs one of its lone-coefficient cases (k, m) {SEQNORM_SINGLE_CASES} "
-                f"inside levels [{self.k_min}, {k_max}] with m a level-k position on R={self.spec.R:g}",
+                f"inside levels [{ctx.k_min}, {k_max}] with m a level-k position on R={ctx.spec.R:g}",
             )
 
 
@@ -290,30 +293,32 @@ def _load_input(cfg: RunConfig, field: str) -> tuple[str, GridFunction] | None:
         f = load_grid_function(source)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(field, f"cannot load a grid function from {source!r}: {exc!r}") from None
-    _require(f.spec == cfg.spec, field, f"{source!r} is sampled on {f.spec}, not on the configured grid {cfg.spec}")
+    spec = cfg.ctx.spec
+    _require(f.spec == spec, field, f"{source!r} is sampled on {f.spec}, not on the configured grid {spec}")
     return Path(source).name, f
 
 
 def cmd_norm(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | None = None) -> int:
     """The configured norm of each corpus member, or of source, a loaded file input."""
-    pair = cfg.ctx.pair()
+    ctx = cfg.ctx
+    pair = ctx.pair()
     space = cfg.norm.get("space", "F")
     ws = WeightSequence(cfg.norm_weight, pair.k_min, pair.k_max, cfg.norm_p if math.isfinite(cfg.norm_p) else 2.0)
     records = []
-    members = [source] if source else [(mem.name, mem.f) for mem in cfg.ctx.corpus()]
+    members = [source] if source else [(mem.name, mem.f) for mem in ctx.corpus()]
     dictionary = None
     for name, f in members:
         if space == "BMO":
-            value = bmo_norm(f, cfg.family)
+            value = bmo_norm(f, ctx.family)
         elif space == "Lp":
             j = cfg.frozen_level
-            value = weighted_lp_norm(f, ws.frozen(j).on_grid(cfg.spec, j), cfg.norm_p)
+            value = weighted_lp_norm(f, ws.frozen(j).on_grid(ctx.spec, j), cfg.norm_p)
         elif space == "Hardy":
             if dictionary is None:
-                dictionary = build_dictionary(cfg.spec)
+                dictionary = build_dictionary(ctx.spec)
             value = hardy_grand_norm(f, ws, cfg.norm_p, dictionary)
         else:
-            req = NormRequest(space, cfg.norm_p, cfg.norm_q, ws, pair, family=cfg.family)
+            req = NormRequest(space, cfg.norm_p, cfg.norm_q, ws, pair, family=ctx.family)
             value = space_norm(f, req)
         records.append(
             {
@@ -351,9 +356,9 @@ def cmd_decompose(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | 
 def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
     ctx = cfg.ctx
     nodes = ctx.nodes()
-    p, theta = cfg.exponent_pairs[0]
+    p, theta = ctx.exponent_pairs[0]
     records = []
-    for name, text in sorted(cfg.weight_matrix.items()):
+    for name, text in sorted(ctx.weight_matrix.items()):
         w = parse_weight(text)
         if op == "ap":
             const, witness = ap_witness(w, p, nodes)
@@ -363,8 +368,8 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
                     "weight": name,
                     "expr": text,
                     "p": p,
-                    "family": {"v_min": cfg.family.v_min, "v_max": cfg.family.v_max,
-                               "translates": cfg.family.translates},
+                    "family": {"v_min": ctx.family.v_min, "v_max": ctx.family.v_max,
+                               "translates": ctx.family.translates},
                     "constant": const,
                     "witness_cube": {"v": v, "m": list(m), "translated": translated},
                 }
@@ -373,7 +378,7 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
             ts = ctx.sequence(w, p)
             s1 = sigma1(p, theta)
             try:
-                check_admissible(ts, cfg.spec.R, cfg.spec.n)
+                check_admissible(ts, ctx.spec.R, ctx.spec.n)
                 fit = xclass_fit(ts, (s1, p), nodes)
                 rep = xclass_constants(ts, (fit.alpha1, fit.alpha2), (s1, p), nodes,
                                        skip_admissibility=True)
@@ -384,7 +389,7 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
                 records.append({"weight": name, "expr": text, "error": str(exc)})
         elif op == "rh":
             try:
-                probe = reverse_holder_probe(w, p, nodes, ap_ceiling=cfg.ceilings["ap_hypothesis"])
+                probe = reverse_holder_probe(w, p, nodes, ap_ceiling=ctx.ceilings["ap_hypothesis"])
                 records.append(
                     {
                         "weight": name,
@@ -431,11 +436,11 @@ def cmd_verify(cfg: RunConfig, suite_names: list[str], out: Path) -> int:
         timings[name] = time.time() - t0
     report = {"pass": all(r["pass"] for r in results), "suites": results}
     report["meta"] = {
-        "grid": {"n": cfg.spec.n, "R": cfg.spec.R, "N": cfg.spec.N, "offset": cfg.spec.offset},
-        "levels": {"k_min": cfg.k_min, "k_max": cfg.k_max},
-        "cubes": {"v_min": cfg.family.v_min, "v_max": cfg.family.v_max,
-                  "translates": cfg.family.translates},
-        "corpus": {"size": cfg.corpus_size, "seed": cfg.seed},
+        "grid": {"n": ctx.spec.n, "R": ctx.spec.R, "N": ctx.spec.N, "offset": ctx.spec.offset},
+        "levels": {"k_min": ctx.k_min, "k_max": ctx.k_max},
+        "cubes": {"v_min": ctx.family.v_min, "v_max": ctx.family.v_max,
+                  "translates": ctx.family.translates},
+        "corpus": {"size": ctx.corpus_size, "seed": ctx.seed},
         # runs are single-threaded; the key is kept because report diffs
         # count a missing key as a change against earlier reports
         "threads": 1,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +66,19 @@ class GridSpec:
         return -self.R + (np.arange(self.N) + shift) * self.h
 
     def radius(self) -> np.ndarray:
-        """|x| at every sample point."""
+        """|x| at every sample point: one read-only array per spec."""
+        return self._radius
+
+    @cached_property
+    def _radius(self) -> np.ndarray:
         ax = self.axis()
         if self.n == 1:
-            return np.abs(ax)
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        return np.hypot(X, Y)
+            r = np.abs(ax)
+        else:
+            X, Y = np.meshgrid(ax, ax, indexing="ij")
+            r = np.hypot(X, Y)
+        r.flags.writeable = False
+        return r
 
     def freq_axis(self) -> np.ndarray:
         """Angular frequencies pi*j/R in FFT order."""

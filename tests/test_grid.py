@@ -47,6 +47,19 @@ class TestGridSpec:
     def test_spacing(self):
         assert GridSpec(1, 8.0, 4096).h == pytest.approx(2 ** -8)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_radius_is_one_read_only_array(self, n):
+        spec = GridSpec(n, 2.0, 16)
+        r = spec.radius()
+        assert spec.radius() is r
+        with pytest.raises(ValueError):
+            r[0] = 1.0
+        ax = spec.axis()
+        want = np.abs(ax) if n == 1 else np.hypot(*np.meshgrid(ax, ax, indexing="ij"))
+        assert np.array_equal(r, want)
+        # equal specs are equal by their fields alone
+        assert GridSpec(n, 2.0, 16) == spec and hash(GridSpec(n, 2.0, 16)) == hash(spec)
+
 
     def test_level_window_matches_former_formulas(self):
         for n in (1, 2):

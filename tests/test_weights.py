@@ -26,7 +26,7 @@ from lpw.weights import (
     xclass_constants,
     xclass_fit,
 )
-from lpw.weights import _CHUNK_NODES, _PAIRWISE_NODES, _profile
+from lpw.weights import _CHUNK_NODES, _FLAT_NODES, _PAIRWISE_NODES, _SEG_NODES, _axis_nodes, _profile
 
 
 def power_mean_oracle(a, lo, hi, r):
@@ -165,35 +165,95 @@ class TestQuadratureEngine:
         assert nodes.means(Pow(1.0), 1.0)[idx] == pytest.approx(want, rel=1e-3)
 
 
-def former_stat(nodes, w, r, k):
-    """The unchunked formula: one whole-batch row sum per batch (einsum, or the
-    pairwise sum on rows longer than _PAIRWISE_NODES) on the weight's own split
-    or eval, not cached and not shared between statistics; r = -inf is the
-    node minimum."""
+def canonical_cubes(nodes):
+    """Each cube of former_meta(nodes) as (axes, special): its clipped and
+    translated interval per axis, each folded to lo >= -hi (with -0.0 made
+    0.0) and, in 2D, sorted, unless the cube crosses the seam at +R; special
+    marks a cube whose every axis reaches the origin or that crosses the
+    seam."""
+    R, out = nodes.R, []
+    for v, m, translated in former_meta(nodes):
+        side = 2.0**-v
+        shift = side / 2 if translated else 0.0
+        axes = [(max(mi * side, -R) + shift, min((mi + 1) * side, R) + shift) for mi in m]
+        seam = any(b > R for _, b in axes)
+        special = all(a <= 0 <= b for a, b in axes) or seam
+        if not seam:
+            axes = sorted((-b + 0.0, -a + 0.0) if -b > a else (a + 0.0, b + 0.0) for a, b in axes)
+        out.append((tuple(axes), special))
+    return out
+
+
+_CUBE_ROWS = {}
+
+
+def cube_rows(nodes):
+    """[(cube indices, radius, weights)] covering every cube of the family
+    once, each cube with its own nodes in canonical orientation: the flat
+    mesh of _FLAT_NODES midpoints per axis for regular cubes, stacked into one
+    group, and _axis_nodes' graded mesh, wrapped across the seam, for each
+    special cube."""
+    key = (nodes.R, nodes.n, nodes.family)
+    if key in _CUBE_ROWS:
+        return _CUBE_ROWS[key]
+    cubes = canonical_cubes(nodes)
+    R, n, K = nodes.R, nodes.n, _FLAT_NODES
+    regular = [i for i, (_, special) in enumerate(cubes) if not special]
+    lo = np.array([[a for a, _ in cubes[i][0]] for i in regular]).reshape(-1, n)
+    hi = np.array([[b for _, b in cubes[i][0]] for i in regular]).reshape(-1, n)
+    X = lo[:, :, None] + (np.arange(K) + 0.5) * ((hi - lo) / K)[:, :, None]
+    radius = np.abs(X[:, 0]) if n == 1 else np.hypot(X[:, 0, :, None], X[:, 1, None, :]).reshape(-1, K * K)
+    rows = [(np.array(regular, dtype=int), radius, np.full(K**n, 1.0 / K**n))]
+    for i, (axes, special) in enumerate(cubes):
+        if not special:
+            continue
+        meshes = []
+        for a, b in axes:
+            pieces = [(a, b)] if b <= R else [(a, R), (-R, b - 2 * R)]
+            parts = [_axis_nodes(plo, phi, nodes.core_eff, _SEG_NODES, _FLAT_NODES) for plo, phi in pieces]
+            meshes.append((np.concatenate([x for x, _ in parts]), np.concatenate([y for _, y in parts]) / (b - a)))
+        if n == 1:
+            (x, wx), = meshes
+            rad, wts = np.abs(x), wx
+        else:
+            (x, wx), (y, wy) = meshes
+            rad, wts = np.hypot(x[:, None], y[None, :]).ravel(), (wx[:, None] * wy[None, :]).ravel()
+        rows.append((np.array([i]), rad[None, :], wts))
+    _CUBE_ROWS[key] = rows
+    return rows
+
+
+def per_cube_stat(nodes, w, r, k):
+    """The statistic cube by cube, over each cube's own nodes (cube_rows): a
+    row sum per cube (einsum, or the pairwise sum on rows longer than
+    _PAIRWISE_NODES) on the weight's own split or eval, not cached, not
+    shared between statistics and not shared between the cubes of an orbit;
+    r = -inf is the node minimum."""
     if w.separable:
         s, f = w.split()
     else:
         s, f = 0.0, lambda rad: w.eval(rad, k)
-    parts = []
-    for b in nodes.batches:
-        vals = f(b.radius)
+    out = np.empty(nodes.n_cubes)
+    for idx, radius, wts in cube_rows(nodes):
+        vals = f(radius)
         if r == np.inf:
-            parts.append(vals.max(axis=1))
+            out[idx] = vals.max(axis=1)
         elif r == -np.inf:
-            parts.append(vals.min(axis=1))
+            out[idx] = vals.min(axis=1)
+        elif wts.size > _PAIRWISE_NODES:
+            out[idx] = (vals**r * wts).sum(axis=1) ** (1.0 / r)
         else:
-            if b.wts.size > _PAIRWISE_NODES:
-                parts.append((vals**r * b.wts).sum(axis=1) ** (1.0 / r))
-            else:
-                parts.append(np.einsum("ij,j->i", vals**r, b.wts) ** (1.0 / r))
-    out = np.concatenate(parts)
+            out[idx] = np.einsum("ij,j->i", vals**r, wts) ** (1.0 / r)
     return (2.0 ** (k * s)) * out if s else out
 
 
 def gemv_stat(nodes, w, r, k):
-    """The formula before the einsum: one BLAS matrix-vector product per batch."""
+    """The formula before the einsum: one BLAS matrix-vector product per
+    group of cube_rows."""
     s, f = w.split() if w.separable else (0.0, lambda rad: w.eval(rad, k))
-    out = np.concatenate([(f(b.radius) ** r @ b.wts) ** (1.0 / r) for b in nodes.batches])
+    out = np.empty(nodes.n_cubes)
+    for idx, radius, wts in cube_rows(nodes):
+        out[idx] = (f(radius) ** r @ wts) ** (1.0 / r)
     return (2.0 ** (k * s)) * out if s else out
 
 
@@ -245,14 +305,14 @@ class TestChunkedReduction:
     @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
     def test_equals_former_formula(self, chunked_nodes, w, k):
         for r in (0.5, 1.0, 2.0, 3.0, np.inf):
-            assert np.array_equal(chunked_nodes.means(w, r, k), former_stat(chunked_nodes, w, r, k)), r
-        assert np.array_equal(chunked_nodes.stats(w, [(-np.inf, False)], k)[0], former_stat(chunked_nodes, w, -np.inf, k))
+            assert np.array_equal(chunked_nodes.means(w, r, k), per_cube_stat(chunked_nodes, w, r, k)), r
+        assert np.array_equal(chunked_nodes.stats(w, [(-np.inf, False)], k)[0], per_cube_stat(chunked_nodes, w, -np.inf, k))
 
     @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
     def test_fused_statistics_equal_separate_ones(self, chunked_nodes, w, k):
         got = FamilyNodes(chunked_nodes.R, chunked_nodes.n, chunked_nodes.family).stats(w, _REQUESTS, k)
         for (r, inverse), out in zip(_REQUESTS, got):
-            assert np.array_equal(out, former_stat(chunked_nodes, w.inv() if inverse else w, r, k)), (r, inverse)
+            assert np.array_equal(out, per_cube_stat(chunked_nodes, w.inv() if inverse else w, r, k)), (r, inverse)
 
     @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
     def test_close_to_gemv_formula(self, chunked_nodes, w, k):
@@ -274,7 +334,9 @@ class TestChunkedReduction:
         # the 2D origin cubes hold up to 57,600 nodes; a sequential row sum
         # drifts 3e-14 from the constant there
         nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 4))
-        long_rows = np.concatenate([np.full(b.radius.shape[0], b.wts.size > _PAIRWISE_NODES) for b in nodes.batches])
+        long_rows = np.zeros(nodes.n_cubes, dtype=bool)
+        for idx, _, wts in cube_rows(nodes):
+            long_rows[idx] = wts.size > _PAIRWISE_NODES
         assert long_rows.sum() > 10
         c = 2.0**2.5
         for r in (0.5, 1.0, 2.0, 3.0):
@@ -306,7 +368,7 @@ class TestChunkedReduction:
         wanted = [(2.0, False), (3.0, False), (3.0, True)]
         got = nodes.stats(w, wanted)
         assert calls == [wanted]
-        assert sum(rows for rows, _ in evals) == nodes.n_cubes  # g once per node
+        assert sum(rows for rows, _ in evals) == len({axes for axes, _ in canonical_cubes(nodes)})  # g once per orbit
         # a level-scaled weight with the same profile and cached requests: no pass
         again = nodes.stats(parse_weight("prod:[dyadic:1,pow:0.3]"), wanted[::-1], 2)
         assert len(calls) == 1
@@ -320,8 +382,10 @@ class TestChunkedReduction:
         monkeypatch.setattr(Dyadic, "split", lambda self: (self.s, lambda r: pytest.fail("unit profile evaluated")))
         got = nodes.stats(Dyadic(0.5), [(2.0, False), (3.0, True), (np.inf, False), (-np.inf, True)], 2)
         ones = np.ones(nodes.n_cubes)
-        want = [np.concatenate([np.full(b.radius.shape[0], np.einsum("ij,j->i", np.ones((1, b.wts.size)), b.wts)[0])
-                                for b in nodes.batches]) ** (1.0 / r) for r in (2.0, 3.0)]
+        unit = np.empty(nodes.n_cubes)
+        for idx, _, wts in cube_rows(nodes):
+            unit[idx] = np.einsum("ij,j->i", np.ones((1, wts.size)), wts)[0]
+        want = [unit ** (1.0 / r) for r in (2.0, 3.0)]
         assert np.array_equal(got[0], 2.0 ** (2 * 0.5) * want[0])
         assert np.array_equal(got[1], 2.0 ** (2 * -0.5) * want[1])
         assert np.array_equal(got[2], 2.0 ** (2 * 0.5) * ones)
@@ -340,13 +404,14 @@ class TestChunkedReduction:
         for w, v in ((Pow(0.3), Pow(0.3000001)), (AltPow(0.3), AltPow(0.3000001))):
             assert w.key() == v.key()
             nodes.means(w, 2.0, 1)
-            assert np.array_equal(nodes.means(v, 2.0, 1), former_stat(nodes, v, 2.0, 1))
+            assert np.array_equal(nodes.means(v, 2.0, 1), per_cube_stat(nodes, v, 2.0, 1))
 
     @pytest.mark.parametrize(
         "R,n,family",
         [(8.0, 1, CubeFamily(-4, 9)), (8.0, 1, CubeFamily(-2, 5, translates=False)),
-         (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 3, translates=False))],
-        ids=["1d", "1d-plain", "2d", "2d-plain"],
+         (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 3, translates=False)),
+         (2.0, 2, CubeFamily(-1, 4, max_per_level=8))],
+        ids=["1d", "1d-plain", "2d", "2d-plain", "2d-capped"],
     )
     def test_meta_equals_former_tuples(self, R, n, family):
         nodes = FamilyNodes(R, n, family)
@@ -354,6 +419,86 @@ class TestChunkedReduction:
         assert meta == former_meta(nodes)
         assert len(meta) == nodes.n_cubes
         assert all(type(v) is int and all(type(x) is int for x in m) and type(t) is bool for v, m, t in meta)
+
+
+_ORBIT_FAMILIES = [(8.0, 1, CubeFamily(-4, 9)), (8.0, 1, CubeFamily(-4, 9, max_per_level=8)),
+                   (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 4, max_per_level=8))]
+_ORBIT_IDS = ["1d", "1d-capped", "2d", "2d-capped"]
+
+
+class TestOrbits:
+    """Cubes that are images of each other under coordinate sign flips and,
+    in 2D, the axis swap share one representative's nodes."""
+
+    @pytest.mark.parametrize("family", _ORBIT_FAMILIES, ids=_ORBIT_IDS)
+    def test_equals_per_cube_formula(self, family):
+        nodes = FamilyNodes(*family)
+        for w, k in _CHUNK_WEIGHTS:
+            got = nodes.stats(w, _REQUESTS, k)
+            for (r, inverse), out in zip(_REQUESTS, got):
+                assert np.array_equal(out, per_cube_stat(nodes, w.inv() if inverse else w, r, k)), (w, r, inverse)
+
+    @pytest.mark.parametrize("family", _ORBIT_FAMILIES, ids=_ORBIT_IDS)
+    def test_profile_evaluated_once_per_orbit(self, monkeypatch, family):
+        nodes = FamilyNodes(*family)
+        cubes = canonical_cubes(nodes)
+        orbits = {axes for axes, _ in cubes}
+        assert len(orbits) < nodes.n_cubes
+        # cubes share a representative exactly when their canonical intervals agree
+        first = {}
+        for i, (axes, _) in enumerate(cubes):
+            first.setdefault(axes, nodes.orbit[i])
+            assert nodes.orbit[i] == first[axes], (i, axes)
+        assert len(set(first.values())) == len(orbits)
+        seen = []
+        monkeypatch.setattr(Pow, "split", lambda self: (0.0, lambda r: seen.append(r.shape) or r**self.a))
+        nodes.stats(Pow(0.3), [(2.0, False), (3.0, True), (np.inf, False)])
+        assert sum(rows for rows, _ in seen) == len(orbits)
+        assert sum(rows * K for rows, K in seen) == sum(b.radius.size for b in nodes.batches)
+
+    def test_mirror_images_have_equal_means(self):
+        nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 4))
+        index = {cube: i for i, cube in enumerate(nodes.meta())}
+        v, (m1, m2) = 3, (5, -3)  # a regular cube and its images under the flips and the swap
+        images = [(m1, m2), (-m1 - 1, m2), (m1, -m2 - 1), (-m1 - 1, -m2 - 1), (m2, m1), (-m2 - 1, m1)]
+        for w, k in _CHUNK_WEIGHTS:
+            for r, inverse in _REQUESTS:
+                out = nodes.stats(w, [(r, inverse)], k)[0]
+                got = {float(out[index[(v, m, False)]]) for m in images}
+                assert len(got) == 1, (w, r, inverse, got)
+        # and in 1D, a translated cube and its mirror image
+        nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 9))
+        index = {cube: i for i, cube in enumerate(nodes.meta())}
+        i, j = index[(4, (7,), True)], index[(4, (-9,), True)]  # [7.5, 8.5) and [-8.5, -7.5) / 16
+        for r in (0.5, 2.0, np.inf):
+            out = nodes.means(ShiftPow(-0.3, 2.0), r)
+            assert out[i] == out[j]
+
+    def test_negative_zero_shares_the_orbit(self):
+        # [-s, 0) folds to [-0.0, s), which must key as [0, s)
+        nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5, translates=False))
+        index = {cube: i for i, cube in enumerate(nodes.meta())}
+        for v in nodes.family.levels():
+            assert nodes.orbit[index[(v, (-1,), False)]] == nodes.orbit[index[(v, (0,), False)]]
+        nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 3, translates=False))
+        index = {cube: i for i, cube in enumerate(nodes.meta())}
+        for v in nodes.family.levels():
+            assert len({nodes.orbit[index[(v, m, False)]] for m in ((-1, -1), (-1, 0), (0, -1), (0, 0))}) == 1
+
+    @pytest.mark.parametrize("family", _ORBIT_FAMILIES, ids=_ORBIT_IDS)
+    def test_seam_cubes_are_singletons(self, family):
+        nodes = FamilyNodes(*family)
+        counts = np.bincount(nodes.orbit)
+        seam = [i for i, (axes, _) in enumerate(canonical_cubes(nodes)) if any(b > nodes.R for _, b in axes)]
+        assert seam
+        assert all(counts[nodes.orbit[i]] == 1 for i in seam)
+
+    def test_verify_2d_family_node_bound(self):
+        # the family of perfbench/configs/verify_2d.json: 174,760 cubes,
+        # 45.9M nodes when every cube holds its own
+        nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 6))
+        assert nodes.n_cubes == 174_760
+        assert sum(b.radius.size for b in nodes.batches) <= 7_000_000
 
 
 _EXPONENT = st.one_of(st.just(0.0), st.floats(-0.9, 2.0))
