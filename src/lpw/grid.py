@@ -80,6 +80,20 @@ class GridSpec:
         r.flags.writeable = False
         return r
 
+    def dft_phase(self) -> np.ndarray:
+        """Per-axis phase relating numpy's DFT to the continuum transform
+        h * sum_i u_i exp(-i xi x_i) with x_i = -R + (i + gamma) h: one
+        read-only array per spec."""
+        return self._dft_phase
+
+    @cached_property
+    def _dft_phase(self) -> np.ndarray:
+        j = np.fft.fftfreq(self.N, 1.0 / self.N)  # signed integer frequencies
+        gamma = 0.5 if self.offset else 0.0
+        ph = np.exp(1j * np.pi * j) * np.exp(-2j * np.pi * j * gamma / self.N)
+        ph.flags.writeable = False
+        return ph
+
     def freq_axis(self) -> np.ndarray:
         """Angular frequencies pi*j/R in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
@@ -218,9 +232,14 @@ def cube_samples(f: GridFunction, Q: DyadicCube) -> np.ndarray:
 
 def _lp(values: np.ndarray, cell_measure: float, p: float) -> float:
     """lp_norm of samples that need no GridFunction; p = inf is their max, 0 if none."""
+    return _lp_nonneg(np.abs(values), cell_measure, p)
+
+
+def _lp_nonneg(a: np.ndarray, cell_measure: float, p: float) -> float:
+    """_lp of samples that are nonnegative already, such as a weighted stack's
+    rows: the same sum, without another absolute value."""
     if p <= 0:
         raise ValueError(f"exponent p must be positive, got {p}")
-    a = np.abs(values)
     if np.isinf(p):
         return float(a.max(initial=0.0))
     return float((cell_measure * (a**p).sum()) ** (1.0 / p))
@@ -237,7 +256,7 @@ def weighted_lp_norm(f: GridFunction, gamma: GridFunction, p: float) -> float:
         raise GridError("weight lives on a different grid")
     if np.iscomplexobj(gamma.values) or np.any(gamma.values < 0):
         raise ValueError("weight has negative samples")
-    return _lp(np.abs(f.values) * gamma.values, f.spec.cell_measure, p)
+    return _lp_nonneg(np.abs(f.values) * gamma.values, f.spec.cell_measure, p)
 
 
 @dataclass(frozen=True)
@@ -266,11 +285,17 @@ class VectorSequence:
 
 def lp_lq_norm(fs: VectorSequence, p: float, q: float) -> float:
     """|| ( sum_k |f_k|^q )^(1/q) | L_p ||, with sup over k when q = inf."""
+    return _lp_lq_nonneg(np.abs(fs.values), fs.spec.cell_measure, p, q)
+
+
+def _lp_lq_nonneg(a: np.ndarray, cell_measure: float, p: float, q: float) -> float:
+    """lp_lq_norm of a (levels, *grid) stack that is nonnegative already, such
+    as a weighted or maximal stack: the same sums, without another absolute
+    value."""
     if q <= 0:
         raise ValueError(f"exponent q must be positive, got {q}")
-    a = np.abs(fs.values)
     agg = a.max(axis=0) if np.isinf(q) else (a**q).sum(axis=0) ** (1.0 / q)
-    return _lp(agg, fs.spec.cell_measure, p)
+    return _lp_nonneg(agg, cell_measure, p)
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,6 @@ class LevelError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _axis_phase(spec: GridSpec) -> np.ndarray:
-    """Per-axis phase relating numpy's DFT to the continuum transform
-    h * sum_i u_i exp(-i xi x_i) with x_i = -R + (i + gamma) h."""
-    j = np.fft.fftfreq(spec.N, 1.0 / spec.N)  # signed integer frequencies
-    gamma = 0.5 if spec.offset else 0.0
-    return np.exp(1j * np.pi * j) * np.exp(-2j * np.pi * j * gamma / spec.N)
-
-
 def _apply_axis(vec: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     shape = [1] * arr.ndim
     shape[axis] = -1
@@ -50,7 +42,7 @@ def _apply_axis(vec: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
 def spectrum(f: GridFunction) -> np.ndarray:
     """Continuum Fourier coefficients F(xi_j) on the FFT-ordered grid."""
     F = np.fft.fftn(np.asarray(f.values, dtype=complex))
-    ph = _axis_phase(f.spec)
+    ph = f.spec.dft_phase()
     for ax in range(f.spec.n):
         F = _apply_axis(ph, F, ax)
     return f.spec.cell_measure * F
@@ -59,7 +51,7 @@ def spectrum(f: GridFunction) -> np.ndarray:
 def from_spectrum(spec: GridSpec, F: np.ndarray, real: bool = True) -> np.ndarray:
     """Samples on spec's lattice of the function with spectrum F; unchecked,
     so a caller that keeps them wraps them in a GridFunction."""
-    ph = _axis_phase(spec)
+    ph = spec.dft_phase()
     G = np.asarray(F, dtype=complex)
     for ax in range(spec.n):
         G = _apply_axis(np.conj(ph), G, ax)

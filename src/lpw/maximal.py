@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridError, GridFunction, GridSpec, VectorSequence, lp_lq_norm
+from .grid import GridError, GridFunction, GridSpec, VectorSequence, _lp_lq_nonneg
 from .weights import WeightSequence
 
 
@@ -122,11 +122,13 @@ def _check_stack(fs: VectorSequence, Ms: VectorSequence) -> None:
 
 
 def _norm_ratio(num: VectorSequence, den: VectorSequence, p: float, q: float) -> float:
-    """||num|L_p(l_q)|| / ||den|L_p(l_q)||, where den is the ratio's input."""
-    denom = lp_lq_norm(den, p, q)
+    """||num|L_p(l_q)|| / ||den|L_p(l_q)|| of two nonnegative stacks, where
+    den is the ratio's input."""
+    cell = den.spec.cell_measure
+    denom = _lp_lq_nonneg(den.values, cell, p, q)
     if denom == 0:
         raise ZeroDivisionError("zero input norm in maximal ratio")
-    return lp_lq_norm(num, p, q) / denom
+    return _lp_lq_nonneg(num.values, cell, p, q) / denom
 
 
 def fefferman_stein_ratio(fs: VectorSequence, p: float, q: float, Ms: VectorSequence) -> float:
@@ -137,7 +139,7 @@ def fefferman_stein_ratio(fs: VectorSequence, p: float, q: float, Ms: VectorSequ
     if not 1 < min(p, q):
         raise ValueError(f"need 1 < min(p, q), got p={p}, q={q}")
     _check_stack(fs, Ms)
-    return _norm_ratio(Ms, fs, p, q)
+    return _norm_ratio(Ms, VectorSequence(fs.spec, fs.k_min, np.abs(fs.values)), p, q)
 
 
 def weighted_maximal_ratio(
@@ -152,7 +154,7 @@ def weighted_maximal_ratio(
     if p <= 1:
         raise ValueError(f"weighted maximal ratio needs p > 1, got {p}")
     _check_stack(fs, Ms)
-    return _norm_ratio(ts.weigh(Ms), ts.weigh(fs), p, q)
+    return _norm_ratio(ts.weigh(Ms, nonneg=True), ts.weigh(fs), p, q)
 
 
 def kernel_sum_ratio(
@@ -180,4 +182,4 @@ def kernel_sum_ratio(
     for g, k in zip(gs, ks):
         for j in range(ks.start, k + 1) if direction == "below" else range(k, ks.stop):
             g += 2.0 ** ((j - k) * K) * Ms[j]
-    return _norm_ratio(ts.weigh(VectorSequence(fs.spec, fs.k_min, gs)), ts.weigh(fs), p, q)
+    return _norm_ratio(ts.weigh(VectorSequence(fs.spec, fs.k_min, gs), nonneg=True), ts.weigh(fs), p, q)

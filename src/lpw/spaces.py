@@ -24,8 +24,9 @@ from .grid import (
     GridSpec,
     VectorSequence,
     _lp,
+    _lp_lq_nonneg,
+    _lp_nonneg,
     cube_samples,
-    lp_lq_norm,
 )
 from .lpaley import BandDecomposition, CoefficientSet, LPPair, band_decompose
 from .weights import WeightSequence
@@ -91,20 +92,18 @@ def weighted_bands(f: GridFunction | BandDecomposition, req: NormRequest) -> Vec
 def besov_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
     """( sum_k ||t_k (phi_k * f)|L_p||^q )^(1/q), sup over k when q = inf;
     f is a GridFunction or its BandDecomposition on req.pair."""
-    wb = weighted_bands(f, req)
-    return _lp(np.array([_lp(row, wb.spec.cell_measure, req.p) for row in wb.values]), 1.0, req.q)
+    return _besov(weighted_bands(f, req), req)
 
 
 def tl_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
     """|| ( sum_k t_k^q |phi_k * f|^q )^(1/q) | L_p ||; f is a GridFunction
     or its BandDecomposition on req.pair."""
-    if np.isinf(req.p):
-        raise ValueError("p = inf is handled by tl_infty_norm")
-    return lp_lq_norm(weighted_bands(f, req), req.p, req.q)
+    return _tl(weighted_bands(f, req), req)
 
 
 def space_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
-    """The band norm req.space names: B, F or F_inf."""
+    """The band norm req.space names: B, F or F_inf.  It calls the named norm
+    functions, which perfbench/tracer.py times by name."""
     if req.space == "B":
         return besov_norm(f, req)
     if req.space == "F":
@@ -112,6 +111,32 @@ def space_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
     if req.space == "F_inf":
         return tl_infty_norm(f, req)
     raise ValueError(f"space {req.space!r} is not one of the band norms B, F, F_inf")
+
+
+def stack_norm(wb: VectorSequence, req: NormRequest) -> float:
+    """space_norm from the weighted stack wb = weighted_bands(f, req), so a
+    caller taking several norms under one weight sequence weighs f once."""
+    if req.space == "B":
+        return _besov(wb, req)
+    if req.space == "F":
+        return _tl(wb, req)
+    if req.space == "F_inf":
+        return _tl_infty(wb, req)
+    raise ValueError(f"space {req.space!r} is not one of the band norms B, F, F_inf")
+
+
+# The kernels take a weighted stack, which is nonnegative, as it is.
+
+
+def _besov(wb: VectorSequence, req: NormRequest) -> float:
+    cell = wb.spec.cell_measure
+    return _lp_nonneg(np.array([_lp_nonneg(row, cell, req.p) for row in wb.values]), 1.0, req.q)
+
+
+def _tl(wb: VectorSequence, req: NormRequest) -> float:
+    if np.isinf(req.p):
+        raise ValueError("p = inf is handled by tl_infty_norm")
+    return _lp_lq_nonneg(wb.values, wb.spec.cell_measure, req.p, req.q)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +202,12 @@ def tl_infty_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> floa
     """Carleson-type norm: sup over dyadic P of the cube-averaged tail
     ( (1/|P|) int_P sum_{k >= -log2 l(P)} t_k^q |phi_k * f|^q )^(1/q);
     f is a GridFunction or its BandDecomposition on req.pair."""
+    return _tl_infty(weighted_bands(f, req), req)
+
+
+def _tl_infty(wb: VectorSequence, req: NormRequest) -> float:
     if np.isinf(req.q):
         raise ValueError("F_inf norms need q < inf")
-    wb = weighted_bands(f, req)
     arrays = {k: wb[k] ** req.q for k in wb.levels()}
     return carleson_sup(arrays, wb.spec, req.family, req.q)
 

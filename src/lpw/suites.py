@@ -11,11 +11,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import CubeFamily, GridFunction, GridSpec, level_index_range, lp_norm, weighted_lp_norm
-from .lpaley import LPPair, band_decompose, bump_profile, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
+from .grid import CubeFamily, GridFunction, GridSpec, VectorSequence, level_index_range, lp_norm, weighted_lp_norm
+from .lpaley import BandDecomposition, LPPair, band_decompose, bump_profile, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
 from .maximal import fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sizes, window_sum_table
-from .spaces import NormRequest, besov_norm, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norm, seq_f_norms, space_norm, tl_infty_norm, tl_norm
+from .spaces import NormRequest, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norm, seq_f_norms, stack_norm, tl_infty_norm, tl_norm
 from .verify import (
+    classical_band_magnitudes,
     classical_besov_norm,
     spike_family,
     classical_tl_norm,
@@ -222,30 +223,41 @@ def suite_calderon(ctx: RunContext) -> dict:
     )
 
 
+def _magnitudes(decomp: BandDecomposition) -> VectorSequence:
+    """|phi_k * f| on every level of a band decomposition, for WeightSequence.weigh(..., nonneg=True)."""
+    b = decomp.bands
+    return VectorSequence(b.spec, b.k_min, np.abs(b.values))
+
+
 def suite_classical(ctx: RunContext) -> dict:
     """Dyadic weight sequences reproduce the fixed-smoothness norms to 1e-12."""
     pair = ctx.pair()
-    corpus = ctx.corpus()
     bands = ctx.bands()
+    seqs = {s: WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max, 2.0) for s in (-1.0, 0.0, 0.5, 2.0)}
+    exponents = ((2.0, 2.0), (2.0, np.inf))
+    worst = {(s, p, q): [0.0, 0.0] for s in seqs for p, q in exponents}  # Besov, Triebel-Lizorkin
+    # member outermost: one set of oracle magnitudes per member, and one
+    # weighted stack per (member, s) serving every exponent pair and space
+    for mem in ctx.corpus():
+        oracle = classical_band_magnitudes(mem.f, pair)
+        mags = _magnitudes(bands[mem.name])
+        for s, ws in seqs.items():
+            wb = ws.weigh(mags, nonneg=True)
+            for p, q in exponents:
+                got_b = stack_norm(wb, NormRequest("B", p, q, ws, pair))
+                got_f = stack_norm(wb, NormRequest("F", p, q, ws, pair))
+                w = worst[s, p, q]
+                w[0] = max(w[0], abs(got_b / classical_besov_norm(oracle, s, p, q) - 1.0))
+                w[1] = max(w[1], abs(got_f / classical_tl_norm(oracle, s, p, q) - 1.0))
     records = []
     ok = True
-    for s in (-1.0, 0.0, 0.5, 2.0):
-        ws = WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max, 2.0)
-        for p, q in ((2.0, 2.0), (2.0, np.inf)):
-            req = NormRequest("F", p, q, ws, pair)
-            worst_b = worst_f = 0.0
-            for mem in corpus:
-                cb = classical_besov_norm(mem.f, pair, s, p, q)
-                cf = classical_tl_norm(mem.f, pair, s, p, q)
-                decomp = bands[mem.name]
-                worst_b = max(worst_b, abs(besov_norm(decomp, req) / cb - 1.0))
-                worst_f = max(worst_f, abs(tl_norm(decomp, req) / cf - 1.0))
-            good = worst_b <= 1e-12 and worst_f <= 1e-12
-            ok &= good
-            records.append(
-                {"s": s, "p": p, "q": "inf" if np.isinf(q) else q,
-                 "besov_rel_err": worst_b, "tl_rel_err": worst_f, "pass": good}
-            )
+    for (s, p, q), (worst_b, worst_f) in worst.items():
+        good = worst_b <= 1e-12 and worst_f <= 1e-12
+        ok &= good
+        records.append(
+            {"s": s, "p": p, "q": "inf" if np.isinf(q) else q,
+             "besov_rel_err": worst_b, "tl_rel_err": worst_f, "pass": good}
+        )
     return _suite("classical", ok, {"cases": len(records)}, records)
 
 
@@ -338,7 +350,6 @@ def suite_newnorm(ctx: RunContext) -> dict:
     """Level-frozen weight comparison: the spread of norm({t_k}) against
     norm(t_j) stays under the equivalence ceiling, uniformly in j."""
     pair = ctx.pair()
-    corpus = ctx.corpus()
     bands = ctx.bands()
     ceiling = ctx.ceilings["equivalence"]
     uniformity = ctx.ceilings["j_uniformity"]
@@ -349,22 +360,29 @@ def suite_newnorm(ctx: RunContext) -> dict:
         ("B", 2.0, np.inf),
         ("F_inf", np.inf, 2.0),
     ]
+    weights = ("pow:0.3", "pow:-0.2")
+    js = range(-3, 4)
+    reqs = {}  # (weight, j) -> one request per case; j = None is {t_k} itself
+    for wtext in weights:
+        ws = WeightSequence(parse_weight(wtext), pair.k_min, pair.k_max, 2.0)
+        for j, wj in [(None, ws)] + [(j, ws.frozen(j)) for j in js]:
+            reqs[wtext, j] = [NormRequest(tag, p, q, wj, pair, family=ctx.family) for tag, p, q in cases]
+    # member outermost: one magnitude stack per member, weighed once per
+    # sequence, and every case taken from that weighted stack
+    norms = {key: [] for key in reqs}  # (weight, j) -> per member, one norm per case
+    for mem in ctx.corpus():
+        mags = _magnitudes(bands[mem.name])
+        for key, rs in reqs.items():
+            wb = rs[0].weights.weigh(mags, nonneg=True)
+            norms[key].append([stack_norm(wb, req) for req in rs])
     records = []
     ok = True
-    for wtext in ("pow:0.3", "pow:-0.2"):
-        wspec = parse_weight(wtext)
-        ws = WeightSequence(wspec, pair.k_min, pair.k_max, 2.0)
-        for tag, p, q in cases:
-            req_seq = NormRequest(tag, p, q, ws, pair, family=ctx.family)
-            seq_vals = [space_norm(bands[mem.name], req_seq) for mem in corpus]
+    for wtext in weights:
+        for i, (tag, p, q) in enumerate(cases):
+            seq_vals = [vals[i] for vals in norms[wtext, None]]
             spreads = {}
-            for j in range(-3, 4):
-                req_j = NormRequest(tag, p, q, ws.frozen(j), pair, family=ctx.family)
-                ratios = [
-                    sv / space_norm(bands[mem.name], req_j)
-                    for sv, mem in zip(seq_vals, corpus)
-                    if sv > 0
-                ]
+            for j in js:
+                ratios = [sv / vals[i] for sv, vals in zip(seq_vals, norms[wtext, j]) if sv > 0]
                 spreads[j] = max(ratios) / min(ratios)
             worst = max(spreads.values())
             uni = max(spreads.values()) / min(spreads.values())

@@ -374,24 +374,41 @@ def delta_coefficient_check(
 # ---------------------------------------------------------------------------
 
 
-def classical_besov_norm(
-    f: GridFunction, pair: LPPair, s: float, p: float, q: float
-) -> float:
-    """( sum_k 2^(s k q) || phi_k * f |L_p||^q )^(1/q), written directly
-    against the multiplier transform so it shares no code with the weighted
-    path beyond the FFT."""
-    vals = []
+@dataclass(frozen=True)
+class BandMagnitudes:
+    """|phi_k * f| per level k, in level order, and the cell measure of f's grid."""
+
+    cell: float
+    levels: dict[int, np.ndarray]
+
+
+def classical_band_magnitudes(f: GridFunction, pair: LPPair) -> BandMagnitudes:
+    """|phi_k * f| on every level of pair, from one fftn of f and one ifftn
+    per level, so the classical norms of f under every s, p and q share them.
+
+    The classical path checks the weighted one (band_decompose, weigh and the
+    norm kernels in spaces) and shares only pair.phi_mult and numpy's FFT
+    with it."""
     F = np.fft.fftn(f.values)
-    cell = f.spec.cell_measure
+    levels = {}
     for k in pair.levels():
         bk = np.fft.ifftn(pair.phi_mult[k] * F)
         if np.isrealobj(f.values):
             bk = bk.real
-        a = np.abs(bk)
+        levels[k] = np.abs(bk)
+    return BandMagnitudes(f.spec.cell_measure, levels)
+
+
+def classical_besov_norm(bands: BandMagnitudes, s: float, p: float, q: float) -> float:
+    """( sum_k 2^(s k q) || phi_k * f |L_p||^q )^(1/q), written directly on
+    the magnitudes of classical_band_magnitudes(f, pair); it calls no code of
+    the weighted path it checks."""
+    vals = []
+    for k, a in bands.levels.items():
         if np.isinf(p):
             term = a.max()
         else:
-            term = (cell * (a**p).sum()) ** (1.0 / p)
+            term = (bands.cell * (a**p).sum()) ** (1.0 / p)
         vals.append(2.0 ** (s * k) * term)
     arr = np.array(vals)
     if np.isinf(q):
@@ -399,16 +416,13 @@ def classical_besov_norm(
     return float((arr**q).sum() ** (1.0 / q))
 
 
-def classical_tl_norm(f: GridFunction, pair: LPPair, s: float, p: float, q: float) -> float:
-    """|| ( sum_k 2^(s k q) |phi_k * f|^q )^(1/q) | L_p ||, direct path."""
-    F = np.fft.fftn(f.values)
-    cell = f.spec.cell_measure
+def classical_tl_norm(bands: BandMagnitudes, s: float, p: float, q: float) -> float:
+    """|| ( sum_k 2^(s k q) |phi_k * f|^q )^(1/q) | L_p ||, written directly
+    on the magnitudes of classical_band_magnitudes(f, pair); it calls no code
+    of the weighted path it checks."""
     agg = None
-    for k in pair.levels():
-        bk = np.fft.ifftn(pair.phi_mult[k] * F)
-        if np.isrealobj(f.values):
-            bk = bk.real
-        a = 2.0 ** (s * k) * np.abs(bk)
+    for k, a in bands.levels.items():
+        a = 2.0 ** (s * k) * a
         if np.isinf(q):
             agg = a if agg is None else np.maximum(agg, a)
         else:
@@ -417,4 +431,4 @@ def classical_tl_norm(f: GridFunction, pair: LPPair, s: float, p: float, q: floa
         agg = agg ** (1.0 / q)
     if np.isinf(p):
         return float(agg.max())
-    return float((cell * (agg**p).sum()) ** (1.0 / p))
+    return float((bands.cell * (agg**p).sum()) ** (1.0 / p))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CubeFamily, GridFunction, GridSpec, VectorSequence
+from .grid import CubeFamily, GridError, GridFunction, GridSpec, VectorSequence
 
 
 class WeightError(ValueError):
@@ -62,6 +62,12 @@ class WeightSpec:
     def split(self):
         """Return (s, g) with w(x,k) = 2^(k s) g(|x|); None if not separable."""
         raise NotImplementedError
+
+    @property
+    def level_free(self) -> bool:
+        """Whether eval(r, k) is the same array on every level k: a primitive
+        with s = 0 evaluates 2.0 ** (k * 0.0) * g(r) = 1.0 * g(r) exactly."""
+        return self.separable and self.split()[0] == 0
 
     def key(self) -> str:
         raise NotImplementedError
@@ -158,6 +164,12 @@ class Prod(WeightSpec):
     def separable(self):
         return all(f.separable for f in self.factors)
 
+    @property
+    def level_free(self):
+        # factor by factor: dyadic:0.5 times dyadic:-0.5 has s = 0, but its
+        # product 2^(0.5 k) 2^(-0.5 k) need not round to 1.0 on every level
+        return all(f.level_free for f in self.factors)
+
     def split(self):
         if not self.separable:
             return None
@@ -191,6 +203,10 @@ class PowOf(WeightSpec):
     def separable(self):
         return self.base.separable
 
+    @property
+    def level_free(self):
+        return self.base.level_free
+
     def split(self):
         sp = self.base.split()
         if sp is None:
@@ -211,6 +227,7 @@ class Frozen(WeightSpec):
 
     base: WeightSpec
     j: int
+    level_free = True
 
     @property
     def separable(self):
@@ -358,13 +375,28 @@ class WeightSequence:
             cache[key] = self.spec.on_grid(gspec, k)
         return cache[key]
 
-    def weigh(self, fs: VectorSequence) -> VectorSequence:
+    def weigh(self, fs: VectorSequence, nonneg: bool = False) -> VectorSequence:
         """{t_k |f_k|} over this sequence's levels, which fs must hold: the
         weighted stack that every weighted band norm and maximal ratio is a
-        functional of."""
-        out = np.empty((len(self.levels()), *fs.spec.shape))
-        for row, k in zip(out, self.levels()):
-            np.multiply(self.on_grid(fs.spec, k).values, np.abs(fs[k]), out=row)
+        functional of.  nonneg says that fs holds |f_k| already (a magnitude
+        or maximal stack), so no absolute value is taken again.
+
+        A level-free weight (every Frozen t_j, and pow, const, shiftpow and
+        dyadic:0 with their products and powers) has one sample for all
+        levels, and the stack is one broadcast multiply by it.  Dyadic and
+        non-separable weights are sampled and multiplied level by level.
+        Each entry is the same product t_k(x) * |f_k(x)| either way."""
+        if self.k_min not in fs.levels() or self.k_max not in fs.levels():
+            raise GridError(f"weight levels {self.levels()} leave the stack's {fs.levels()}")
+        lo = self.k_min - fs.k_min
+        rows = fs.values[lo : lo + len(self.levels())]
+        mags = rows if nonneg else np.abs(rows)
+        out = np.empty(rows.shape) if nonneg else mags  # np.abs made a fresh stack
+        if self.spec.level_free:
+            np.multiply(self.on_grid(fs.spec, self.k_min).values, mags, out=out)
+        else:
+            for row, mag, k in zip(out, mags, self.levels()):
+                np.multiply(self.on_grid(fs.spec, k).values, mag, out=row)
         return VectorSequence(fs.spec, self.k_min, out)
 
 
@@ -434,8 +466,8 @@ class FamilyNodes:
     per orbit holds nodes.  The batches hold the representatives (every
     regular one in one batch, each cube touching the origin or the seam in a
     batch of its own), orbit maps each cube of the family to its
-    representative's row, and meta() names the cubes in family order only
-    when a witness is asked for.  Cube statistics are cached per (radial
+    representative's row, and cube(i) names the i-th cube in family order
+    only when a witness is asked for (meta() lists them all).  Cube statistics are cached per (radial
     profile, exponent, inverse) for separable weights and per (weight, level,
     exponent, inverse) otherwise.  stats() computes all the statistics a
     caller asks for in one pass per profile: the profile is evaluated once
@@ -558,6 +590,15 @@ class FamilyNodes:
     def meta(self) -> list[tuple[int, tuple[int, ...], bool]]:
         """(v, m, translated) for every cube in family order."""
         return [(v, tuple(m), translated) for v, ms, translated in self._groups for m in ms.tolist()]
+
+    def cube(self, i: int) -> tuple[int, tuple[int, ...], bool]:
+        """meta()[i] for 0 <= i < n_cubes, found without building the list."""
+        if not 0 <= i < self.n_cubes:
+            raise IndexError(f"cube index {i} outside the family's {self.n_cubes} cubes")
+        for v, ms, translated in self._groups:
+            if i < len(ms):
+                return v, tuple(ms[i].tolist()), translated
+            i -= len(ms)
 
     # -- cube statistics ----------------------------------------------------
 
@@ -752,7 +793,7 @@ def ap_constant(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> float:
 def ap_witness(gamma: WeightSpec, p: float, nodes: FamilyNodes):
     prod = _ap_products(gamma, p, nodes)
     i = int(np.argmax(prod))
-    return float(prod[i]), nodes.meta()[i]
+    return float(prod[i]), nodes.cube(i)
 
 
 def _ap_products(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> np.ndarray:
@@ -852,7 +893,6 @@ def xclass_constants(
     if not skip_admissibility:
         check_admissible(ts, nodes.R, nodes.n)
     A, B, D = _level_stats(ts, nodes, sigma)
-    meta = nodes.meta()
     C1 = -np.inf
     C2 = -np.inf
     w1 = w2 = None
@@ -861,11 +901,11 @@ def xclass_constants(
             prod1 = A[k] * B[j] * 2.0 ** (-a1 * (k - j))
             i1 = int(np.argmax(prod1))
             if prod1[i1] > C1:
-                C1, w1 = float(prod1[i1]), (k, j, meta[i1])
+                C1, w1 = float(prod1[i1]), (k, j, nodes.cube(i1))
             prod2 = (D[j] / A[k]) * 2.0 ** (-a2 * (j - k))
             i2 = int(np.argmax(prod2))
             if prod2[i2] > C2:
-                C2, w2 = float(prod2[i2]), (k, j, meta[i2])
+                C2, w2 = float(prod2[i2]), (k, j, nodes.cube(i2))
     return XClassReport((a1, a2), (s1, s2), ts.p, C1, C2, w1, w2)
 
 

@@ -156,6 +156,19 @@ class TestLatticeValues:
 
 
 class TestTransform:
+    @pytest.mark.parametrize("offset", [True, False])
+    def test_dft_phase_one_read_only_array_per_spec(self, offset):
+        spec = GridSpec(1, 8.0, 64, offset)
+        ph = spec.dft_phase()
+        assert spec.dft_phase() is ph
+        assert not ph.flags.writeable
+        j = np.fft.fftfreq(spec.N, 1.0 / spec.N)
+        gamma = 0.5 if offset else 0.0
+        assert (ph == np.exp(1j * np.pi * j) * np.exp(-2j * np.pi * j * gamma / spec.N)).all()
+        f = GridFunction(spec, np.random.default_rng(1).standard_normal(spec.N))
+        assert np.allclose(from_spectrum(spec, spectrum(f)), f.values, rtol=0, atol=1e-12)
+        assert spec.dft_phase() is ph and (ph == spec.dft_phase()).all()
+
     def test_analyze_zero(self, spec1k, pair1k):
         zero = GridFunction(spec1k, np.zeros(spec1k.N))
         coeffs = analyze(zero, pair1k)

@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from lpw import spaces
-from lpw.grid import CubeFamily, DyadicCube, GridError, GridFunction, GridSpec, cube_cells, cube_samples, level_index_range, lp_norm
+from lpw.grid import (
+    CubeFamily,
+    DyadicCube,
+    GridError,
+    GridFunction,
+    GridSpec,
+    VectorSequence,
+    _lp,
+    _lp_lq_nonneg,
+    _lp_nonneg,
+    cube_cells,
+    cube_samples,
+    level_index_range,
+    lp_lq_norm,
+    lp_norm,
+)
 from lpw.lpaley import CoefficientSet, apply_multiplier, band, band_decompose, make_lp_pair
 from lpw.spaces import (
     NormRequest,
@@ -21,11 +36,13 @@ from lpw.spaces import (
     seq_f_infty_norm,
     seq_f_norm,
     seq_f_norms,
+    space_norm,
+    stack_norm,
     tl_infty_norm,
     tl_norm,
     weighted_bands,
 )
-from lpw.verify import classical_besov_norm, classical_tl_norm
+from lpw.verify import classical_band_magnitudes, classical_besov_norm, classical_tl_norm
 from lpw.weights import Const, Dyadic, Pow, WeightSequence
 
 
@@ -135,8 +152,9 @@ class TestFunctionNorms:
         for s in (-1.0, 0.0, 0.5, 2.0):
             req = request(pair1k, Dyadic(s), 2.0, 2.0)
             for mem in corpus1k[:4]:
-                want_b = classical_besov_norm(mem.f, pair1k, s, 2.0, 2.0)
-                want_f = classical_tl_norm(mem.f, pair1k, s, 2.0, 2.0)
+                oracle = classical_band_magnitudes(mem.f, pair1k)
+                want_b = classical_besov_norm(oracle, s, 2.0, 2.0)
+                want_f = classical_tl_norm(oracle, s, 2.0, 2.0)
                 assert besov_norm(mem.f, req) == pytest.approx(want_b, rel=1e-12)
                 assert tl_norm(mem.f, req) == pytest.approx(want_f, rel=1e-12)
 
@@ -243,6 +261,58 @@ class TestDecompositionInput:
                 norm(band_decompose(f, narrow), req)
         with pytest.raises(ValueError, match="levels"):
             tl_infty_norm(band_decompose(f, narrow), request(pair1k, Const(1.0), np.inf, 2.0))
+
+
+# the (space, p, q) cases of suite_newnorm
+NEWNORM_CASES = [("F", 2.0, 2.0), ("B", 2.0, 2.0), ("F", 2.0, np.inf), ("B", 2.0, np.inf), ("F_inf", np.inf, 2.0)]
+
+
+class TestStackNorm:
+    """stack_norm takes B, F and F_inf from one weighted stack, bit for bit
+    what space_norm computes after weighing the bands itself."""
+
+    def test_shared_stack_equals_space_norm(self, pair1k, corpus1k):
+        fam = CubeFamily(-4, 6)
+        for w in (Pow(0.3), Pow(-0.2)):
+            ws = WeightSequence(w, pair1k.k_min, pair1k.k_max, 2.0)
+            for seq in (ws, ws.frozen(-3), ws.frozen(0), ws.frozen(3)):
+                for mem in corpus1k[:4]:
+                    decomp = band_decompose(mem.f, pair1k)
+                    mags = VectorSequence(decomp.bands.spec, decomp.bands.k_min, np.abs(decomp.bands.values))
+                    wb = seq.weigh(mags, nonneg=True)
+                    for tag, p, q in NEWNORM_CASES:
+                        req = NormRequest(tag, p, q, seq, pair1k, family=fam)
+                        assert stack_norm(wb, req) == space_norm(decomp, req), (w, seq.spec, tag, q)
+
+    def test_dyadic_stack_equals_named_norms(self, pair1k, corpus1k):
+        for s in (-1.0, 0.5, 2.0):
+            ws = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max, 2.0)
+            for mem in corpus1k[:3]:
+                wb = weighted_bands(mem.f, NormRequest("F", 2.0, 2.0, ws, pair1k))
+                for q in (2.0, np.inf):
+                    assert stack_norm(wb, NormRequest("B", 2.0, q, ws, pair1k)) == besov_norm(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
+                    assert stack_norm(wb, NormRequest("F", 2.0, q, ws, pair1k)) == tl_norm(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
+
+    def test_other_spaces_rejected(self, pair1k, corpus1k):
+        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
+        wb = weighted_bands(corpus1k[0].f, NormRequest("F", 2.0, 2.0, ws, pair1k))
+        for space in ("b", "Lp", "BMO"):
+            with pytest.raises(ValueError, match="band norms"):
+                stack_norm(wb, NormRequest(space, 2.0, 2.0, ws, pair1k))
+
+    def test_nonneg_kernels_equal_public_norms(self, rng):
+        spec = GridSpec(2, 2.0, 32)
+        a = np.abs(rng.standard_normal((5, *spec.shape)))
+        a[1] = 0.0
+        for p in (0.7, 2.0, np.inf):
+            assert _lp_nonneg(a[0], spec.cell_measure, p) == _lp(a[0], spec.cell_measure, p)
+            for q in (0.8, 2.0, np.inf):
+                want = lp_lq_norm(VectorSequence(spec, 0, a), p, q)
+                assert _lp_lq_nonneg(a, spec.cell_measure, p, q) == want
+        signed = a - 0.5
+        # the public norms keep taking absolute values of signed data
+        assert lp_lq_norm(VectorSequence(spec, 0, signed), 2.0, 2.0) == _lp_lq_nonneg(np.abs(signed), spec.cell_measure, 2.0, 2.0)
+        assert _lp(signed[0], 1.0, 3.0) == _lp_nonneg(np.abs(signed[0]), 1.0, 3.0)
 
 
 class TestSequenceNorms:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from lpw.grid import CubeFamily, GridFunction, GridSpec, lp_norm, weighted_lp_no
 from lpw.lpaley import make_lp_pair
 from lpw.spaces import NormRequest, tl_norm
 from lpw.verify import (
+    classical_band_magnitudes,
     classical_besov_norm,
     classical_tl_norm,
     coincidence_check,
@@ -283,24 +286,136 @@ class TestTransformNormEquivalence:
             assert 0.1 < min(ratios) and max(ratios) < 10
 
 
+def former_classical_besov_norm(f, pair, s, p, q):
+    """classical_besov_norm as it was written before the band magnitudes were
+    shared: one fftn of f and one ifftn per level on every call."""
+    vals = []
+    F = np.fft.fftn(f.values)
+    cell = f.spec.cell_measure
+    for k in pair.levels():
+        bk = np.fft.ifftn(pair.phi_mult[k] * F)
+        if np.isrealobj(f.values):
+            bk = bk.real
+        a = np.abs(bk)
+        if np.isinf(p):
+            term = a.max()
+        else:
+            term = (cell * (a**p).sum()) ** (1.0 / p)
+        vals.append(2.0 ** (s * k) * term)
+    arr = np.array(vals)
+    if np.isinf(q):
+        return float(arr.max())
+    return float((arr**q).sum() ** (1.0 / q))
+
+
+def former_classical_tl_norm(f, pair, s, p, q):
+    """classical_tl_norm as it was written before the band magnitudes were shared."""
+    F = np.fft.fftn(f.values)
+    cell = f.spec.cell_measure
+    agg = None
+    for k in pair.levels():
+        bk = np.fft.ifftn(pair.phi_mult[k] * F)
+        if np.isrealobj(f.values):
+            bk = bk.real
+        a = 2.0 ** (s * k) * np.abs(bk)
+        if np.isinf(q):
+            agg = a if agg is None else np.maximum(agg, a)
+        else:
+            agg = a**q if agg is None else agg + a**q
+    if not np.isinf(q):
+        agg = agg ** (1.0 / q)
+    if np.isinf(p):
+        return float(agg.max())
+    return float((cell * (agg**p).sum()) ** (1.0 / p))
+
+
+@pytest.fixture(scope="module")
+def small_2d():
+    spec = GridSpec(2, 2.0, 64)
+    pair = make_lp_pair(spec, -1, 3)
+    return pair, make_corpus(spec, pair, size=2, seed=5)
+
+
 class TestClassicalPaths:
+    def test_shared_magnitudes_equal_former_formula(self, pair1k, corpus1k, small_2d):
+        pair2d, corpus2d = small_2d
+        for pair, corpus in ((pair1k, corpus1k[:4]), (pair2d, corpus2d)):
+            for mem in corpus:
+                bands = classical_band_magnitudes(mem.f, pair)
+                assert list(bands.levels) == list(pair.levels())
+                for s in (-1.0, 0.0, 0.5, 2.0):
+                    for p, q in ((2.0, 2.0), (2.0, np.inf), (1.5, 3.0), (np.inf, 2.0), (np.inf, np.inf)):
+                        assert classical_besov_norm(bands, s, p, q) == former_classical_besov_norm(mem.f, pair, s, p, q)
+                        assert classical_tl_norm(bands, s, p, q) == former_classical_tl_norm(mem.f, pair, s, p, q)
+
+    def test_magnitudes_take_one_transform_per_level(self, pair1k, corpus1k, fft_calls):
+        bands = classical_band_magnitudes(corpus1k[0].f, pair1k)
+        assert fft_calls == {"fftn": 1, "ifftn": len(pair1k.levels())}
+        classical_besov_norm(bands, 0.5, 2.0, 2.0)
+        classical_tl_norm(bands, 0.5, 2.0, np.inf)
+        assert fft_calls == {"fftn": 1, "ifftn": len(pair1k.levels())}
+
     def test_coincide_with_direct_formula(self, spec1k, pair1k, corpus1k, rng):
         # independent implementation sanity: s = 0, q = p = 2 reduces to the
         # square function whose norm the frame bounds control
         f = corpus1k[0].f
-        v = classical_tl_norm(f, pair1k, 0.0, 2.0, 2.0)
+        v = classical_tl_norm(classical_band_magnitudes(f, pair1k), 0.0, 2.0, 2.0)
         l2 = lp_norm(f, 2.0)
         assert 0.9 * l2 <= v <= 1.5 * l2
 
     def test_besov_q_inf(self, pair1k, corpus1k):
         f = corpus1k[1].f
-        got = classical_besov_norm(f, pair1k, 0.5, 2.0, np.inf)
+        got = classical_besov_norm(classical_band_magnitudes(f, pair1k), 0.5, 2.0, np.inf)
         from lpw.lpaley import band
 
         want = max(
             2.0 ** (0.5 * k) * lp_norm(band(f, pair1k, k), 2.0) for k in pair1k.levels()
         )
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestSuiteStackCounts:
+    """newnorm and classical form each member's weighted stack once per
+    weight sequence, and the classical oracle transforms each member once."""
+
+    @pytest.fixture
+    def ctx(self):
+        from lpw.suites import RunContext
+
+        ctx = RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=4)
+        ctx.bands()
+        return ctx
+
+    def count_weigh(self, monkeypatch):
+        calls = []
+        orig = WeightSequence.weigh
+
+        def counted(ws, fs, nonneg=False):
+            calls.append((ws.spec, nonneg))
+            return orig(ws, fs, nonneg)
+
+        monkeypatch.setattr(WeightSequence, "weigh", counted)
+        return calls
+
+    def test_newnorm_weighs_each_sequence_once_per_member(self, ctx, monkeypatch):
+        from lpw.suites import suite_newnorm
+
+        calls = self.count_weigh(monkeypatch)
+        res = suite_newnorm(ctx)
+        assert len(res["records"]) == 2 * 5
+        # 2 weights x ({t_k} and 7 frozen t_j) x 4 members, not x 5 cases
+        assert len(calls) == 2 * 8 * 4
+        assert all(nonneg for _, nonneg in calls)
+        assert all(n == 4 for n in Counter(spec for spec, _ in calls).values())
+
+    def test_classical_weighs_once_per_s_and_transforms_once_per_member(self, ctx, monkeypatch, fft_calls):
+        from lpw.suites import suite_classical
+
+        calls = self.count_weigh(monkeypatch)
+        res = suite_classical(ctx)
+        assert res["pass"] and len(res["records"]) == 4 * 2
+        assert len(calls) == 4 * 4
+        assert fft_calls == {"fftn": 4, "ifftn": 4 * len(ctx.pair().levels())}
 
 
 class TestSuiteBandReuse:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpw.grid import CubeFamily, GridSpec
+from lpw.grid import CubeFamily, GridError, GridSpec, VectorSequence
 from lpw.weights import (
+    AltConst,
     AltPow,
     Const,
     Dyadic,
@@ -420,6 +421,24 @@ class TestChunkedReduction:
         assert len(meta) == nodes.n_cubes
         assert all(type(v) is int and all(type(x) is int for x in m) and type(t) is bool for v, m, t in meta)
 
+    @pytest.mark.parametrize(
+        "R,n,family",
+        [(8.0, 1, CubeFamily(-4, 9)), (8.0, 1, CubeFamily(-2, 5, translates=False)),
+         (8.0, 1, CubeFamily(-4, 9, max_per_level=8)),
+         (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 3, translates=False)),
+         (2.0, 2, CubeFamily(-1, 4, max_per_level=8))],
+        ids=["1d", "1d-plain", "1d-capped", "2d", "2d-plain", "2d-capped"],
+    )
+    def test_cube_lookup_equals_meta(self, R, n, family):
+        nodes = FamilyNodes(R, n, family)
+        meta = nodes.meta()
+        cubes = [nodes.cube(i) for i in range(nodes.n_cubes)]
+        assert cubes == meta
+        assert all(type(v) is int and all(type(x) is int for x in m) and type(t) is bool for v, m, t in cubes)
+        for i in (-1, nodes.n_cubes):
+            with pytest.raises(IndexError):
+                nodes.cube(i)
+
 
 _ORBIT_FAMILIES = [(8.0, 1, CubeFamily(-4, 9)), (8.0, 1, CubeFamily(-4, 9, max_per_level=8)),
                    (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 4, max_per_level=8))]
@@ -781,3 +800,95 @@ class TestAdmissibility:
     def test_log_divergent_rejected(self):
         with pytest.raises(WeightError):
             check_admissible(WeightSequence(Pow(-0.5), -2, 3, 2.0), 8.0, 1)
+
+
+def per_level_weigh(ws, fs):
+    """{t_k |f_k|} sampled and multiplied one level at a time."""
+    return np.stack([ws.spec.on_grid(fs.spec, k).values * np.abs(fs[k]) for k in ws.levels()])
+
+
+@pytest.fixture(scope="module", params=[GridSpec(1, 8.0, 256), GridSpec(2, 2.0, 32)], ids=["1d", "2d"])
+def signed_stack(request):
+    spec = request.param
+    values = np.random.default_rng(3).standard_normal((9, *spec.shape))
+    values[0, :4] = 0.0
+    return VectorSequence(spec, -3, values)
+
+
+_LEVEL_FREE = [
+    Frozen(parse_weight("prod:[dyadic:0.5,pow:0.3]"), 2),
+    Frozen(AltPow(0.4), 1),
+    Pow(0.3),
+    Const(2.5),
+    ShiftPow(-0.3, 2.0),
+    Dyadic(0.0),
+    parse_weight("prod:[pow:0.3,shiftpow:0.25,1,const:2]"),
+    Pow(-0.2).inv(),
+]
+_LEVEL_FREE_IDS = ["frozen", "frozen-altpow", "pow", "const", "shiftpow", "dyadic0", "prod", "powof"]
+_LEVEL_DEPENDENT = [
+    Dyadic(0.5),
+    parse_weight("prod:[dyadic:1,pow:0.3]"),
+    Prod((Dyadic(0.5), Dyadic(-0.5))),
+    Dyadic(0.5).inv(),
+    AltPow(0.4),
+    AltConst(2.0),
+]
+_LEVEL_DEPENDENT_IDS = ["dyadic", "dyadic-prod", "cancelling-prod", "dyadic-inv", "altpow", "altconst"]
+
+
+class TestWeigh:
+    """weigh forms t_k |f_k| with one broadcast multiply when t_k is the same
+    on every level, and level by level otherwise; the entries are the same
+    products either way."""
+
+    def count_samples(self, monkeypatch):
+        calls = []
+        orig = WeightSequence.on_grid
+
+        def counted(ws, gspec, k):
+            calls.append(k)
+            return orig(ws, gspec, k)
+
+        monkeypatch.setattr(WeightSequence, "on_grid", counted)
+        return calls
+
+    @pytest.mark.parametrize("w", _LEVEL_FREE, ids=_LEVEL_FREE_IDS)
+    def test_level_free_broadcast_equals_per_level(self, w, signed_stack, monkeypatch):
+        assert w.level_free
+        ws = WeightSequence(w, -2, 4, 2.0)
+        calls = self.count_samples(monkeypatch)
+        got = ws.weigh(signed_stack)
+        assert calls == [-2]  # one sample serves every level
+        assert got.k_min == -2 and got.values.shape == (7, *signed_stack.spec.shape)
+        assert (got.values == per_level_weigh(ws, signed_stack)).all()
+
+    @pytest.mark.parametrize("w", _LEVEL_DEPENDENT, ids=_LEVEL_DEPENDENT_IDS)
+    def test_level_dependent_weights_sampled_per_level(self, w, signed_stack, monkeypatch):
+        assert not w.level_free
+        ws = WeightSequence(w, -2, 4, 2.0)
+        calls = self.count_samples(monkeypatch)
+        got = ws.weigh(signed_stack)
+        assert calls == list(ws.levels())
+        assert (got.values == per_level_weigh(ws, signed_stack)).all()
+
+    @pytest.mark.parametrize("w", [_LEVEL_FREE[0], Pow(0.3), _LEVEL_DEPENDENT[1]], ids=["frozen", "pow", "dyadic-prod"])
+    def test_nonneg_stack_taken_as_it_is(self, w, signed_stack):
+        ws = WeightSequence(w, -3, 5, 2.0)
+        mags = VectorSequence(signed_stack.spec, -3, np.abs(signed_stack.values))
+        before = mags.values.copy()
+        got = ws.weigh(mags, nonneg=True)
+        assert (got.values == ws.weigh(signed_stack).values).all()
+        assert (mags.values == before).all() and got.values is not mags.values
+
+    def test_signed_input_left_unchanged(self, signed_stack):
+        before = signed_stack.values.copy()
+        for w in (Pow(0.3), Dyadic(0.5)):
+            WeightSequence(w, -3, 5, 2.0).weigh(signed_stack)
+        assert (signed_stack.values == before).all()
+
+    def test_levels_outside_the_stack_rejected(self, signed_stack):
+        for k_min, k_max in ((-4, 2), (0, 6)):
+            for w in (Pow(0.3), Dyadic(0.5)):
+                with pytest.raises(GridError, match="leave the stack"):
+                    WeightSequence(w, k_min, k_max, 2.0).weigh(signed_stack)
