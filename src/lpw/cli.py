@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import CubeFamily, GridError, GridFunction, GridSpec, load_grid_function, weighted_lp_norm
 from .lpaley import LevelError, band_decompose
-from .spaces import NormRequest, bmo_norm, build_dictionary, hardy_grand_norm, space_norm
+from .spaces import NormRequest, bmo_norm, build_dictionary, hardy_grand_norm, stack_norm, weighted_bands
 from .verify import annulus_indices, make_corpus
 from .suites import (
     ALL_SUITES,
@@ -171,16 +171,14 @@ class RunConfig:
         for name in self.suites:
             _require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
         self.norm = _table(raw, "norm", {"space": "F", "p": 2.0, "q": 2.0, "weight": "pow:0.3"})
-        _require(
-            self.norm.get("space", "F") in ("B", "F", "F_inf", "Lp", "Hardy", "BMO"),
-            "norm.space",
-            f"unknown space {self.norm.get('space')!r}",
-        )
+        self.norm_space = self.norm.get("space", "F")
+        _require(self.norm_space in ("B", "F", "F_inf", "Lp", "Hardy", "BMO"), "norm.space",
+                 f"unknown space {self.norm_space!r}")
         self.norm_p = _parse_exponent(self.norm.get("p", 2.0), "norm.p")
         self.norm_q = _parse_exponent(self.norm.get("q", 2.0), "norm.q")
-        if self.norm.get("space", "F") == "F":
+        if self.norm_space == "F":
             _require(math.isfinite(self.norm_p), "norm.p", "F-norms need p < inf")
-        if self.norm.get("space") == "F_inf":
+        if self.norm_space == "F_inf":
             _require(math.isfinite(self.norm_q), "norm.q", "F_inf norms need q < inf")
         try:
             self.norm_weight = parse_weight(self.norm.get("weight", "pow:0.3"))
@@ -196,23 +194,29 @@ class RunConfig:
         except LevelError as exc:
             raise ConfigError("levels", str(exc)) from None
 
-    def check_runnable(self, suites: list[str], corpus: bool = False, norm: bool = False) -> None:
+    def check_runnable(self, suites: list[str], corpus: bool = False, norm: bool = False, weights: str | None = None) -> None:
         """Reject, before anything runs, a suite that would have nothing to
         check on this grid and level window.  corpus marks a norm or
         decompose request on the corpus, which needs what the corpus suites
         need: a grid frequency inside the resolved annulus.  norm marks a
-        norm request, whose weight an unshifted grid samples at the origin."""
+        norm request, whose weight an unshifted grid samples at the origin.
+        weights names the op of a weights request, which takes the first
+        exponent pair; ap and rh take the Muckenhoupt constant A_p there."""
         ctx = self.ctx
         pair = ctx.pair()
+        if weights:
+            _require(bool(ctx.exponent_pairs), "exponents", "weights reports take the first pair; the list is empty")
+            p = ctx.exponent_pairs[0][0]
+            _require(weights == "xclass" or 1 < p < math.inf, "exponents[0].p",
+                     f"weights {weights} takes the Muckenhoupt constant A_p, which needs 1 < p < inf, got {p:g}")
         for name in suites:
             if ctx.spec.n == 2 and name in ONE_D_SUITES:
                 raise ConfigError("grid.n", f"suite {name} runs on 1D grids only: {ONE_D_SUITES[name]}")
             if not ctx.spec.offset and name in OFFSET_SUITES:
                 raise ConfigError("grid.offset", f"suite {name} needs a grid shifted off the origin: "
                                   f"{OFFSET_SUITES[name]}, which has no positive finite value there")
-        space = self.norm.get("space", "F")
-        if norm and not ctx.spec.offset and space != "BMO":  # a BMO norm takes no weight
-            levels = [self.frozen_level] if space == "Lp" else pair.levels()
+        if norm and not ctx.spec.offset and self.norm_space != "BMO":  # a BMO norm takes no weight
+            levels = [self.frozen_level] if self.norm_space == "Lp" else pair.levels()
             with np.errstate(divide="ignore", invalid="ignore"):
                 at0 = [float(self.norm_weight.eval(np.zeros(1), k)[0]) for k in levels]
             _require(all(0 < t < math.inf for t in at0), "norm.weight", f"{self.norm_weight.key()} is not "
@@ -302,7 +306,7 @@ def cmd_norm(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | None 
     """The configured norm of each corpus member, or of source, a loaded file input."""
     ctx = cfg.ctx
     pair = ctx.pair()
-    space = cfg.norm.get("space", "F")
+    space = cfg.norm_space
     ws = WeightSequence(cfg.norm_weight, pair.k_min, pair.k_max, cfg.norm_p if math.isfinite(cfg.norm_p) else 2.0)
     records = []
     members = [source] if source else [(mem.name, mem.f) for mem in ctx.corpus()]
@@ -319,7 +323,7 @@ def cmd_norm(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | None 
             value = hardy_grand_norm(f, ws, cfg.norm_p, dictionary)
         else:
             req = NormRequest(space, cfg.norm_p, cfg.norm_q, ws, pair, family=ctx.family)
-            value = space_norm(f, req)
+            value = stack_norm(weighted_bands(f, req), req)
         records.append(
             {
                 "member": name,
@@ -380,8 +384,7 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
             try:
                 check_admissible(ts, ctx.spec.R, ctx.spec.n)
                 fit = xclass_fit(ts, (s1, p), nodes)
-                rep = xclass_constants(ts, (fit.alpha1, fit.alpha2), (s1, p), nodes,
-                                       skip_admissibility=True)
+                rep = xclass_constants(ts, (fit.alpha1, fit.alpha2), (s1, p), nodes)
                 records.append({"weight": name, "expr": text,
                                 "alpha1": fit.alpha1, "alpha2": fit.alpha2,
                                 "grid_step": fit.grid_step, **rep.to_json()})
@@ -457,17 +460,15 @@ def cmd_verify(cfg: RunConfig, suite_names: list[str], out: Path) -> int:
 def cmd_report(report_path: str, out: Path) -> int:
     try:
         report = json.loads(Path(report_path).read_text())
-        suites = report["suites"]
-        assert isinstance(suites, list)
-    except (OSError, json.JSONDecodeError, KeyError, AssertionError) as exc:
-        print(f"malformed report {report_path}: {exc}", file=sys.stderr)
+        rows = []
+        for suite in report["suites"]:
+            ratios = [float(r[3]) for r in _ratio_rows({"suites": [suite]})]
+            lo, hi = (min(ratios), max(ratios)) if ratios else ("", "")
+            rows.append((str(suite["suite"]), lo, hi, "pass" if suite["pass"] else "FAIL"))
+    # JSONDecodeError is a ValueError; the others are a report of the wrong shape
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"malformed report {report_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    rows = []
-    for suite in suites:
-        ratios = [r[3] for r in _ratio_rows({"suites": [suite]})]
-        lo = min(ratios) if ratios else ""
-        hi = max(ratios) if ratios else ""
-        rows.append((suite["suite"], lo, hi, "pass" if suite["pass"] else "FAIL"))
     header = f"{'suite':<14} {'min ratio':>12} {'max ratio':>12} {'status':>8}"
     print(header)
     print("-" * len(header))
@@ -529,7 +530,8 @@ def _run(args) -> int:
         names = (cfg.suites if args.suite == "all" else [args.suite]) if args.command == "verify" else []
         takes_input = args.command in ("norm", "decompose")
         source = _load_input(cfg, f"{args.command}.input") if takes_input else None
-        cfg.check_runnable(names, corpus=takes_input and source is None, norm=args.command == "norm")
+        cfg.check_runnable(names, corpus=takes_input and source is None, norm=args.command == "norm",
+                           weights=args.op if args.command == "weights" else None)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

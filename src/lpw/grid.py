@@ -12,6 +12,7 @@ averages nest and tile exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -197,14 +198,7 @@ def enumerate_cubes(spec: GridSpec, v_min: int, v_max: int) -> list[DyadicCube]:
     cubes = []
     for v in range(v_min, v_max + 1):
         lo, hi = level_index_range(spec.R, v)
-        if spec.n == 1:
-            cubes.extend(DyadicCube(v, (m,)) for m in range(lo, hi))
-        else:
-            cubes.extend(
-                DyadicCube(v, (m1, m2))
-                for m1 in range(lo, hi)
-                for m2 in range(lo, hi)
-            )
+        cubes.extend(DyadicCube(v, m) for m in itertools.product(range(lo, hi), repeat=spec.n))
     return cubes
 
 
@@ -222,12 +216,7 @@ def cube_cells(spec: GridSpec, Q: DyadicCube) -> list[tuple[int, int]]:
 
 
 def cube_samples(f: GridFunction, Q: DyadicCube) -> np.ndarray:
-    cells = cube_cells(f.spec, Q)
-    if f.spec.n == 1:
-        (a, b), = cells
-        return f.values[a:b]
-    (a, b), (c, d) = cells
-    return f.values[a:b, c:d]
+    return f.values[tuple(slice(a, b) for a, b in cube_cells(f.spec, Q))]
 
 
 def _lp(values: np.ndarray, cell_measure: float, p: float) -> float:

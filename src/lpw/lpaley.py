@@ -295,8 +295,6 @@ class CoefficientSet:
             raise LevelError(f"level {k} outside the stored levels {self.levels()}")
         return self.arrays[k - self.k_min]
 
-    def scaled(self, c) -> "CoefficientSet":
-        return CoefficientSet(self.n, self.R, self.k_min, tuple(c * lam for lam in self.arrays))
 
 def analyze(f: GridFunction, pair: LPPair) -> CoefficientSet:
     """Coefficients lambda_{k,m} = 2^(-k n / 2) (f * phi~_k)(2^-k m).

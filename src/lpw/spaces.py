@@ -1,17 +1,21 @@
 """Weighted Besov / Triebel-Lizorkin quasi-norms, their sequence-space
 counterparts, BMO, and a grand-maximal Hardy-type norm.
 
-Function-side norms act on the weighted bands t_k (phi_k * f) and take either
-a GridFunction, which they decompose first, or a BandDecomposition built on
-the request's band pair, so callers that evaluate many norms of one function
-compute its bands once.  Sequence-side norms act on coefficient sets,
-in both the direct form (weight evaluated pointwise) and the starred form
-(weight aggregated into cube L_p norms t_{k,m}).  Level sums are truncated to the stored window, which is
-exact on the band-limited corpus this package works with.
+The band norms act on a weighted stack wb = weighted_bands(f, req): the
+bands t_k |phi_k * f| of a GridFunction, decomposed first, or of its
+BandDecomposition on the request's pair, so callers taking many norms of one
+function compute its bands once.  stack_norm(wb, req) is the one place that
+picks the kernel req.space names: besov_norm, tl_norm or tl_infty_norm.
+Sequence-side norms act on coefficient sets, in both the direct form (weight
+evaluated pointwise) and the starred form (weight aggregated into cube L_p
+norms t_{k,m}).  bmo_norm and hardy_grand_norm take a GridFunction and no
+NormRequest.  Level sums are truncated to the stored window, which is exact
+on the band-limited corpus this package works with.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +38,10 @@ from .weights import WeightSequence
 
 @dataclass(frozen=True)
 class NormRequest:
-    """Parameters shared by the norm operations.
-
-    space is one of B, F, F_inf, b, f, f_inf, Lp, Hardy, BMO; q may be inf
-    where the definitions allow it (not in F_inf / f_inf).  family, the
-    cubes of the Carleson scans, defaults to the pair's level window.
+    """Parameters of a band norm (space B, F or F_inf, see stack_norm) or
+    a sequence norm (b, f or f_inf).  q may be inf where the definitions
+    allow it (not in F_inf / f_inf).  family, the cubes of the Carleson
+    scans, defaults to the pair's level window.
     """
 
     space: str
@@ -64,9 +67,6 @@ class NormRequest:
         if self.family is None:
             object.__setattr__(self, "family", CubeFamily(self.pair.k_min, self.pair.k_max))
 
-    def levels(self) -> range:
-        return self.weights.levels()
-
 
 def _bands(f: GridFunction | BandDecomposition, pair: LPPair) -> VectorSequence:
     """The bands of f on `pair`: decomposed here from a GridFunction, taken
@@ -89,51 +89,31 @@ def weighted_bands(f: GridFunction | BandDecomposition, req: NormRequest) -> Vec
     return req.weights.weigh(_bands(f, req.pair))
 
 
-def besov_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
-    """( sum_k ||t_k (phi_k * f)|L_p||^q )^(1/q), sup over k when q = inf;
-    f is a GridFunction or its BandDecomposition on req.pair."""
-    return _besov(weighted_bands(f, req), req)
-
-
-def tl_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
-    """|| ( sum_k t_k^q |phi_k * f|^q )^(1/q) | L_p ||; f is a GridFunction
-    or its BandDecomposition on req.pair."""
-    return _tl(weighted_bands(f, req), req)
-
-
-def space_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
-    """The band norm req.space names: B, F or F_inf.  It calls the named norm
-    functions, which perfbench/tracer.py times by name."""
-    if req.space == "B":
-        return besov_norm(f, req)
-    if req.space == "F":
-        return tl_norm(f, req)
-    if req.space == "F_inf":
-        return tl_infty_norm(f, req)
-    raise ValueError(f"space {req.space!r} is not one of the band norms B, F, F_inf")
-
-
 def stack_norm(wb: VectorSequence, req: NormRequest) -> float:
-    """space_norm from the weighted stack wb = weighted_bands(f, req), so a
+    """The band norm req.space names, B, F or F_inf, of the weighted stack
+    wb = weighted_bands(f, req): the one place a band norm is chosen.  A
     caller taking several norms under one weight sequence weighs f once."""
     if req.space == "B":
-        return _besov(wb, req)
+        return besov_norm(wb, req)
     if req.space == "F":
-        return _tl(wb, req)
+        return tl_norm(wb, req)
     if req.space == "F_inf":
-        return _tl_infty(wb, req)
+        return tl_infty_norm(wb, req)
     raise ValueError(f"space {req.space!r} is not one of the band norms B, F, F_inf")
 
 
-# The kernels take a weighted stack, which is nonnegative, as it is.
+# The kernels take a weighted stack wb = weighted_bands(f, req), which is
+# nonnegative, as it is.
 
 
-def _besov(wb: VectorSequence, req: NormRequest) -> float:
+def besov_norm(wb: VectorSequence, req: NormRequest) -> float:
+    """( sum_k ||t_k (phi_k * f)|L_p||^q )^(1/q), sup over k when q = inf."""
     cell = wb.spec.cell_measure
     return _lp_nonneg(np.array([_lp_nonneg(row, cell, req.p) for row in wb.values]), 1.0, req.q)
 
 
-def _tl(wb: VectorSequence, req: NormRequest) -> float:
+def tl_norm(wb: VectorSequence, req: NormRequest) -> float:
+    """|| ( sum_k t_k^q |phi_k * f|^q )^(1/q) | L_p ||."""
     if np.isinf(req.p):
         raise ValueError("p = inf is handled by tl_infty_norm")
     return _lp_lq_nonneg(wb.values, wb.spec.cell_measure, req.p, req.q)
@@ -142,14 +122,6 @@ def _tl(wb: VectorSequence, req: NormRequest) -> float:
 # ---------------------------------------------------------------------------
 # Carleson-type cube scans
 # ---------------------------------------------------------------------------
-
-
-def _scan_levels(spec: GridSpec, family: CubeFamily) -> range:
-    v_floor, v_cap = spec.level_window()
-    v_lo, v_hi = max(family.v_min, v_floor), min(family.v_max, v_cap)
-    if v_lo > v_hi:
-        raise GridError("cube family has no grid-resolvable levels")
-    return range(v_lo, v_hi + 1)
 
 
 def _blocks(a: np.ndarray, S: int, shift: int = 0) -> np.ndarray:
@@ -165,10 +137,22 @@ def _in_cube(n: int) -> tuple[int, ...]:
     return tuple(range(1, 2 * n, 2))
 
 
-def _cube_means_all(arr: np.ndarray, spec: GridSpec, v: int, translated: bool) -> np.ndarray:
-    """Means of arr over every level-v cube (tiling), optionally half-shifted."""
-    S = spec.cells(v)
-    return _blocks(arr, S, S // 2 if translated else 0).mean(axis=_in_cube(spec.n))
+def _family_blocks(spec: GridSpec, family: CubeFamily, array_at):
+    """For each grid-resolvable level v of the family, array_at(v) cut into
+    the level-v cubes (_blocks), then, when the family has translates, into
+    the cubes shifted by half a side; a level where array_at(v) is None is
+    skipped."""
+    v_floor, v_cap = spec.level_window()
+    v_lo, v_hi = max(family.v_min, v_floor), min(family.v_max, v_cap)
+    if v_lo > v_hi:
+        raise GridError("cube family has no grid-resolvable levels")
+    for v in range(v_lo, v_hi + 1):
+        a = array_at(v)
+        if a is None:
+            continue
+        S = spec.cells(v)
+        for shift in (0, S // 2) if family.translates else (0,):
+            yield _blocks(a, S, shift)
 
 
 def carleson_sup(level_arrays: dict[int, np.ndarray], spec: GridSpec,
@@ -186,26 +170,15 @@ def carleson_sup(level_arrays: dict[int, np.ndarray], spec: GridSpec,
         acc = acc + level_arrays[k]
         suffix[k] = acc
     best = 0.0
-    translate_flags = (False, True) if family.translates else (False,)
-    for v in _scan_levels(spec, family):
-        start = min((k for k in ks if k >= v), default=None)
-        if start is None:
-            continue
-        arr = suffix[start]
-        for tr in translate_flags:
-            m = _cube_means_all(arr, spec, v, tr)
-            best = max(best, float(m.max()))
+    # a level-v cube takes the sum over k >= v, from the first stored level k >= v
+    for blocks in _family_blocks(spec, family, lambda v: suffix.get(min((k for k in ks if k >= v), default=None))):
+        best = max(best, float(blocks.mean(axis=_in_cube(spec.n)).max()))
     return best ** (1.0 / q)
 
 
-def tl_infty_norm(f: GridFunction | BandDecomposition, req: NormRequest) -> float:
+def tl_infty_norm(wb: VectorSequence, req: NormRequest) -> float:
     """Carleson-type norm: sup over dyadic P of the cube-averaged tail
-    ( (1/|P|) int_P sum_{k >= -log2 l(P)} t_k^q |phi_k * f|^q )^(1/q);
-    f is a GridFunction or its BandDecomposition on req.pair."""
-    return _tl_infty(weighted_bands(f, req), req)
-
-
-def _tl_infty(wb: VectorSequence, req: NormRequest) -> float:
+    ( (1/|P|) int_P sum_{k >= -log2 l(P)} t_k^q |phi_k * f|^q )^(1/q)."""
     if np.isinf(req.q):
         raise ValueError("F_inf norms need q < inf")
     arrays = {k: wb[k] ** req.q for k in wb.levels()}
@@ -296,11 +269,6 @@ def seq_b_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tupl
 # Cells in one group's accumulator in seq_f_norms (1 MB): 16 sets at N = 8192
 # in 1D, one at 512^2.  1 << 21 cells, out of cache, measured 25% slower.
 _GROUP_CELLS = 1 << 17
-
-
-def seq_f_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tuple[float, float]:
-    """Triebel-Lizorkin sequence norm, (direct, starred); see seq_f_norms."""
-    return seq_f_norms([coeffs], spec, req)[0]
 
 
 def seq_f_norms(sets: list[CoefficientSet], spec: GridSpec, req: NormRequest) -> list[tuple[float, float]]:
@@ -426,21 +394,15 @@ class TestFunctionDictionary:
 
 def _seminorm(spec: GridSpec, width: float, order: int, N: int) -> float:
     """Numerical Schwartz seminorm p_N of the order-d Gaussian derivative."""
-    xi = spec.freq_axis()
-    if spec.n == 1:
-        base = (1j * xi) ** order * np.exp(-0.5 * width**2 * xi**2)
-        betas = [(b,) for b in range(N + 1)]
-        xim = (xi,)
-    else:
-        X1, X2 = np.meshgrid(xi, xi, indexing="ij")
-        base = (1j * X1) ** order * np.exp(-0.5 * width**2 * (X1**2 + X2**2))
-        betas = [(b1, b2) for b1 in range(N + 1) for b2 in range(N + 1) if b1 + b2 <= N]
-        xim = (X1, X2)
+    base = GrandProfile(width, order, 1.0).multiplier(spec, 0)
+    xim = np.meshgrid(*[spec.freq_axis()] * spec.n, indexing="ij")
     from .lpaley import from_spectrum
 
     poly = (1.0 + spec.radius()) ** N
     best = 0.0
-    for beta in betas:
+    for beta in itertools.product(range(N + 1), repeat=spec.n):
+        if sum(beta) > N:
+            continue
         mult = base.copy()
         for ax, b in enumerate(beta):
             mult = mult * (1j * xim[ax]) ** b
@@ -490,19 +452,11 @@ def hardy_grand_norm(
     return _lp(best, spec.cell_measure, p)
 
 
-def bmo_norm(f: GridFunction, family: CubeFamily | None = None) -> float:
-    """sup over cubes of the mean absolute deviation from the cube mean."""
-    spec = f.spec
-    if family is None:
-        family = CubeFamily(*spec.level_window())
+def bmo_norm(f: GridFunction, family: CubeFamily) -> float:
+    """sup over the family's cubes of the mean absolute deviation from the cube mean."""
+    axes = _in_cube(f.spec.n)
     best = 0.0
-    translate_flags = (False, True) if family.translates else (False,)
-    axes = _in_cube(spec.n)
-    for v in _scan_levels(spec, family):
-        S = spec.cells(v)
-        for tr in translate_flags:
-            blocks = _blocks(f.values, S, S // 2 if tr else 0)
-            means = blocks.mean(axis=axes, keepdims=True)
-            dev = np.abs(blocks - means).mean(axis=axes)
-            best = max(best, float(dev.max()))
+    for blocks in _family_blocks(f.spec, family, lambda v: f.values):
+        dev = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
+        best = max(best, float(dev.max()))
     return best

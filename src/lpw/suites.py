@@ -14,7 +14,7 @@ import numpy as np
 from .grid import CubeFamily, GridFunction, GridSpec, VectorSequence, level_index_range, lp_norm, weighted_lp_norm
 from .lpaley import BandDecomposition, LPPair, band_decompose, bump_profile, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
 from .maximal import fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sizes, window_sum_table
-from .spaces import NormRequest, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norm, seq_f_norms, stack_norm, tl_infty_norm, tl_norm
+from .spaces import NormRequest, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norms, stack_norm, weighted_bands
 from .verify import (
     classical_band_magnitudes,
     classical_besov_norm,
@@ -314,18 +314,13 @@ def suite_seqnorm(ctx: RunContext) -> dict:
     pair = ctx.pair()
     ceiling = ctx.ceilings["seq_ratio"]
     ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max, 2.0)
+    req_b, req_f = (NormRequest(kind, 2.0, 2.0, ws, pair) for kind in ("b", "f"))
+    req_f_inf = NormRequest("f_inf", np.inf, 2.0, ws, pair)
     single_worst = 0.0
     for k, m in seqnorm_single_cases(spec.R, pair.k_min, pair.k_max):
         coeffs = CoefficientSet.from_entries(spec.n, spec.R, [((k, (m,) * spec.n), 1.0 + 0.5j)])
-        for fn, kind in ((seq_b_norm, "b"), (seq_f_norm, "f"), (seq_f_infty_norm, "f_inf")):
-            req = NormRequest(
-                kind,
-                2.0 if kind != "f_inf" else np.inf,
-                2.0,
-                ws,
-                pair,
-            )
-            plain, star = fn(coeffs, spec, req)
+        for plain, star in (seq_b_norm(coeffs, spec, req_b), seq_f_norms([coeffs], spec, req_f)[0],
+                            seq_f_infty_norm(coeffs, spec, req_f_inf)):
             single_worst = max(single_worst, abs(plain / star - 1.0))
     sets = _random_coefficient_sets(ctx)
     c_base = _seq_ratio_extreme(ctx, sets)
@@ -451,8 +446,8 @@ def suite_coincidence(ctx: RunContext) -> dict:
     req2 = NormRequest("F", 2.0, 2.0, ws2, pair)
     rep_f = ratio_report(
         names,
-        [tl_norm(d, req1) for d in decomps],
-        [tl_norm(d, req2) for d in decomps],
+        [stack_norm(weighted_bands(d, req1), req1) for d in decomps],
+        [stack_norm(weighted_bands(d, req2), req2) for d in decomps],
         eq_ceiling, "F22(t1)", "F22(t2)",
     )
     negative_ok = (
@@ -595,7 +590,7 @@ def suite_bmo(ctx: RunContext) -> dict:
     rep = ratio_report(
         [mem.name for mem in corpus],
         [bmo_norm(mem.f, ctx.family) for mem in corpus],
-        [tl_infty_norm(bands[mem.name], req) for mem in corpus],
+        [stack_norm(weighted_bands(bands[mem.name], req), req) for mem in corpus],
         ceiling=ctx.ceilings["informational"],
         name_a="BMO",
         name_b="Finf2",

@@ -40,7 +40,9 @@ def annulus_indices(spec: GridSpec, pair: LPPair) -> tuple[int, int]:
     """Positive frequency indices j with j * fundamental inside the resolved
     annulus, per axis.  The annulus is empty, a single radius 2^a (never
     pi/R times the root of an integer) or at least an octave wide, so an
-    empty axis range also means no 2D frequency lies in it."""
+    empty axis range also means no 2D frequency lies in it.  make_lp_pair
+    keeps k_max in the level window, so hi / fundamental <= N / (4 pi) and
+    the range depends on R and the pair's levels, not on N."""
     lo, hi = pair.annulus()
     fund = spec.fundamental
     j_lo = max(1, math.ceil(lo / fund - 1e-9))
@@ -48,14 +50,6 @@ def annulus_indices(spec: GridSpec, pair: LPPair) -> tuple[int, int]:
     if j_hi < j_lo:
         raise ValueError("resolved annulus holds no grid frequencies")
     return j_lo, j_hi
-
-
-def _resolution_free_bounds(R: float, pair: LPPair) -> tuple[int, int]:
-    """The same index range but independent of N, so corpora built at N and
-    2N sample the same trigonometric polynomial."""
-    lo, hi = pair.annulus()
-    fund = np.pi / R
-    return max(1, math.ceil(lo / fund - 1e-9)), math.floor(hi / fund + 1e-9)
 
 
 def _member_from_coeffs(spec: GridSpec, coeffs: dict, name: str, kind: str) -> CorpusMember:
@@ -91,9 +85,7 @@ def make_corpus(
     lattice determined by R alone, so the same seeds reproduce the same
     functions at any N that resolves them."""
     rng = np.random.default_rng(seed)
-    j_lo_free, j_hi_free = _resolution_free_bounds(spec.R, pair)
     j_lo, j_hi = annulus_indices(spec, pair)
-    j_lo, j_hi = max(j_lo, j_lo_free), min(j_hi, j_hi_free)
     members: list[CorpusMember] = []
     kinds = ["multiband", "single", "spike", "gauss"]
     if spec.n == 2:

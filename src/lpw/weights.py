@@ -72,9 +72,6 @@ class WeightSpec:
     def key(self) -> str:
         raise NotImplementedError
 
-    def inv(self) -> "WeightSpec":
-        return PowOf(self, -1.0)
-
     def power(self, e: float) -> "WeightSpec":
         return PowOf(self, e)
 
@@ -604,14 +601,12 @@ class FamilyNodes:
 
     def means(self, w: WeightSpec, r: float, k: int = 0) -> np.ndarray:
         """M_{Q,r}(t_k) for every cube in family order; r = inf is the node max."""
-        if r != np.inf and r <= 0:
-            raise WeightError(f"mean exponent must be positive, got {r}")
         return self.stats(w, [(r, False)], k)[0]
 
     def stats(self, w: WeightSpec, requests: list[tuple[float, bool]], k: int = 0) -> list[np.ndarray]:
         """One array per request (r, inverse): the cube r-means of t_k, or of
-        t_k^-1 when inverse is set, in family order; r = +-inf gives the node
-        max/min.  Ask for everything a weight needs in one call: the requests
+        t_k^-1 when inverse is set, in family order; r = inf gives the node
+        max.  Ask for everything a weight needs in one call: the requests
         not yet cached share one pass.
 
         A separable weight 2^(k s) g is reduced once per (radial profile, r,
@@ -620,8 +615,8 @@ class FamilyNodes:
         6-digit floats would let pow:0.3 and pow:0.3000001 share an entry.
         """
         for r, _ in requests:
-            if r <= 0 and r != -np.inf:
-                raise WeightError(f"statistic exponent must be positive or -inf, got {r}")
+            if r <= 0:
+                raise WeightError(f"statistic exponent must be positive, got {r}")
         if w.separable:
             s, g = w.split()
             prof = _profile(w)
@@ -641,10 +636,10 @@ class FamilyNodes:
 
     def _reduce(self, f, requests: list[tuple[float, bool]]) -> list[np.ndarray]:
         """Per cube, one array per request (r, inverse): the r-mean of f over
-        its nodes, of f ** -1.0 when inverse is set, or the max (r = inf) or
-        min (r = -inf).  f = None is the unit profile: its values and their
-        powers are exactly 1.0, so neither is computed, and each batch sums
-        one row of ones for all of its cubes.
+        its nodes, of f ** -1.0 when inverse is set, or the max (r = inf).
+        f = None is the unit profile: its values and their powers are
+        exactly 1.0, so neither is computed, and each batch sums one row of
+        ones for all of its cubes.
 
         The statistics are taken once per orbit, on the representatives, and
         handed out to every cube in family order.  f runs once per row chunk
@@ -671,13 +666,11 @@ class FamilyNodes:
                     vals = inv if inverse else plain
                     if r == np.inf:
                         out[at + lo : at + hi] = vals.max(axis=1)
-                    elif r == -np.inf:
-                        out[at + lo : at + hi] = vals.min(axis=1)
                     else:
                         powered = vals if f is None else vals**r
                         out[at + lo : at + hi] = _row_sums(powered, b.wts)
             at += rows
-        return [(out if abs(r) == np.inf else out ** (1.0 / r))[self.orbit] for (r, _), out in zip(requests, outs)]
+        return [(out if r == np.inf else out ** (1.0 / r))[self.orbit] for (r, _), out in zip(requests, outs)]
 
 
 def _row_sums(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -786,7 +779,7 @@ def ap_constant(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> float:
     refines exactly when the weight falls outside the class.
     """
     if p <= 1:
-        raise WeightError(f"ap_constant needs p > 1 (use a1_constant), got {p}")
+        raise WeightError(f"ap_constant needs p > 1, got {p}")
     return float(_ap_products(gamma, p, nodes).max())
 
 
@@ -802,12 +795,6 @@ def _ap_products(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> np.ndarray:
     return mean * inv_mean
 
 
-def a1_constant(gamma: WeightSpec, nodes: FamilyNodes) -> float:
-    """Largest cube ratio M_Q(gamma) / min_Q(gamma) over the family."""
-    mean, low = nodes.stats(gamma, [(1.0, False), (-np.inf, False)])
-    return float((mean / low).max())
-
-
 @dataclass(frozen=True)
 class RHProbe:
     best_eps: float | None
@@ -816,7 +803,7 @@ class RHProbe:
     bound: float
 
 
-def reverse_holder_probe(gamma: WeightSpec, p: float, nodes: FamilyNodes, ap_ceiling: float = 1e6) -> RHProbe:
+def reverse_holder_probe(gamma: WeightSpec, p: float, nodes: FamilyNodes, ap_ceiling: float) -> RHProbe:
     """Largest eps in 0.05 * 2^i (i = 0..8) with
     sup_Q M_{Q,1+eps}(gamma)/M_Q(gamma) <= 1.5."""
     if ap_constant(gamma, max(p, 1.0 + 1e-9) if p <= 1 else p, nodes) > ap_ceiling:
@@ -877,21 +864,19 @@ def xclass_constants(
     alpha: tuple[float, float],
     sigma: tuple[float, float],
     nodes: FamilyNodes,
-    skip_admissibility: bool = False,
 ) -> XClassReport:
     """Sharpest constants C1, C2 in the two cross-level growth bounds
 
         M_{Q,p}(t_k)   M_{Q,s1}(t_j^-1) <= C1 2^(a1 (k-j))   (k <= j)
         M_{Q,s2}(t_j) / M_{Q,p}(t_k)    <= C2 2^(a2 (j-k))   (k <= j)
 
-    over the cube family and stored levels, with argmax witnesses.
+    over the cube family and stored levels, with argmax witnesses.  ts is
+    taken as admissible: the caller runs check_admissible.
     """
     a1, a2 = alpha
     s1, s2 = sigma
     if s1 <= 0 or s2 <= 0:
         raise WeightError("sigma exponents must be positive (inf allowed)")
-    if not skip_admissibility:
-        check_admissible(ts, nodes.R, nodes.n)
     A, B, D = _level_stats(ts, nodes, sigma)
     C1 = -np.inf
     C2 = -np.inf

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from lpw.cli import RunConfig, main
 from lpw.grid import GridFunction, GridSpec, save_grid_function
-from lpw.suites import ALL_SUITES, OFFSET_SUITES, ONE_D_SUITES
+from lpw.suites import ALL_SUITES, OFFSET_SUITES, ONE_D_SUITES, suite_bmo, suite_newnorm
 
 
 SMALL_CONFIG = {
@@ -140,6 +141,24 @@ class TestConfigValidation:
         assert main(["verify", "all", "--config", path]) == 2
         assert "theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("op", ["ap", "rh"])
+    @pytest.mark.parametrize("pair", [[1.0, 0.5], ["inf", 1.2]], ids=["p1", "pinf"])
+    def test_muckenhoupt_exponent_outside_range_refused(self, tmp_path, capsys, op, pair):
+        # A_p needs 1 < p < inf; hoelder and weights xclass take these pairs
+        path = write_config(tmp_path, {"exponents": [pair], "suites": ["hoelder"]})
+        out = tmp_path / "out"
+        assert main(["weights", op, "--config", path, "--out", str(out)]) == 2
+        assert "config field 'exponents[0].p'" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["weights", "xclass", "--config", path, "--out", str(out)]) == 0
+        assert main(["verify", "all", "--config", path, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("op", ["ap", "xclass", "rh"])
+    def test_weights_without_exponents_refused(self, tmp_path, capsys, op):
+        path = write_config(tmp_path, {"exponents": []})
+        assert main(["weights", op, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config field 'exponents'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", sorted(ONE_D_SUITES))
     def test_one_d_suites_rejected_in_2d(self, tmp_path, capsys, suite):
         # named on the line or listed in the config, a 1D-only suite on a 2D
@@ -179,6 +198,42 @@ class TestSuiteSweep:
         else:
             assert rc in (0, 1)
             assert (tmp_path / "out" / "report.json").exists()
+
+
+BAND_KERNELS = ("besov_norm", "tl_norm", "tl_infty_norm")
+
+
+class TestBandKernelsReachedByName:
+    """stack_norm calls the band-norm kernels through the spaces module, so
+    a wrapper put in the module namespace, as perfbench/tracer.py puts its
+    spans, sees every suite and command that takes a band norm."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from lpw import spaces
+
+        calls = Counter()
+        for name in BAND_KERNELS:
+            def counted(*args, _orig=getattr(spaces, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(spaces, name, counted)
+        return calls
+
+    def test_suites(self, tmp_path, calls):
+        ctx = RunConfig(json.loads(Path(write_config(tmp_path, SWEEP_CONFIGS["1d"])).read_text())).ctx
+        assert suite_newnorm(ctx)["records"]
+        assert all(calls[name] > 0 for name in BAND_KERNELS), calls
+        calls.clear()
+        suite_bmo(ctx)
+        assert dict(calls) == {"tl_infty_norm": ctx.corpus_size}
+
+    @pytest.mark.parametrize("space, kernel", list(zip(["B", "F", "F_inf"], BAND_KERNELS)))
+    def test_norm_command(self, tmp_path, calls, space, kernel):
+        path = write_config(tmp_path, {**SWEEP_CONFIGS["1d"], "norm.space": space})
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert dict(calls) == {kernel: SWEEP_CONFIGS["1d"]["corpus.size"]}
 
 
 class TestUnshiftedGrid:
@@ -399,9 +454,13 @@ class TestReportCommand:
         assert len(lines) == 2  # header and rule only
 
     def test_malformed_report(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{]")
-        assert main(["report", str(path), "--out", str(tmp_path / "r")]) == 2
+        # invalid JSON, a suite without a verdict, a suite that is no object,
+        # and a report that is no object
+        for text in ("{]", '{"suites": [{"suite": "x"}]}', '{"suites": [5]}', "[1]"):
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            assert main(["report", str(path), "--out", str(tmp_path / "r")]) == 2, text
+            assert "malformed report" in capsys.readouterr().err, text
 
     def test_single_suite_row_matches(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,4 +1,4 @@
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 import pytest
@@ -34,9 +34,7 @@ from lpw.spaces import (
     hardy_grand_norm,
     seq_b_norm,
     seq_f_infty_norm,
-    seq_f_norm,
     seq_f_norms,
-    space_norm,
     stack_norm,
     tl_infty_norm,
     tl_norm,
@@ -55,6 +53,25 @@ def request(pair, weight, p, q, k_min=None, k_max=None, family=None):
     )
     space = "F" if np.isfinite(p) else "F_inf"
     return NormRequest(space=space, p=p, q=q, weights=ws, pair=pair, family=family)
+
+
+def weighed(kernel):
+    """kernel, a band norm of a weighted stack, taken on f, a GridFunction or
+    its BandDecomposition: kernel(weighted_bands(f, req), req)."""
+
+    @wraps(kernel)
+    def norm(f, req):
+        return kernel(weighted_bands(f, req), req)
+
+    return norm
+
+
+besov, tl, tl_infty = weighed(besov_norm), weighed(tl_norm), weighed(tl_infty_norm)
+
+
+def seq_f(coeffs, spec, req):
+    """seq_f_norms of the one set coeffs."""
+    return seq_f_norms([coeffs], spec, req)[0]
 
 
 def single_band_member(spec, pair, k0):
@@ -108,8 +125,8 @@ class TestFunctionNorms:
     def test_zero_function(self, spec1k, pair1k):
         req = request(pair1k, Const(1.0), 2.0, 2.0)
         zero = GridFunction(spec1k, np.zeros(spec1k.N))
-        assert besov_norm(zero, req) == 0.0
-        assert tl_norm(zero, req) == 0.0
+        assert besov(zero, req) == 0.0
+        assert tl(zero, req) == 0.0
 
     def test_singleton_level_window_collapses(self, spec1k, pair1k, corpus1k):
         # with one stored level every q gives the same single weighted band norm
@@ -121,20 +138,20 @@ class TestFunctionNorms:
         want = weighted_lp_norm(band(f, pair1k, 3), t3, 2.0)
         for q in (1.0, 2.0, np.inf):
             req = request(pair1k, Pow(0.3), 2.0, q, k_min=3, k_max=3)
-            assert besov_norm(f, req) == pytest.approx(want, rel=1e-12)
-            assert tl_norm(f, req) == pytest.approx(want, rel=1e-12)
+            assert besov(f, req) == pytest.approx(want, rel=1e-12)
+            assert tl(f, req) == pytest.approx(want, rel=1e-12)
 
     def test_homogeneity(self, pair1k, corpus1k):
         req = request(pair1k, Pow(0.3), 2.0, 2.0)
         f = corpus1k[0].f
         g = GridFunction(f.spec, 3.5 * f.values)
-        assert besov_norm(g, req) == pytest.approx(3.5 * besov_norm(f, req), rel=1e-12)
-        assert tl_norm(g, req) == pytest.approx(3.5 * tl_norm(f, req), rel=1e-12)
+        assert besov(g, req) == pytest.approx(3.5 * besov(f, req), rel=1e-12)
+        assert tl(g, req) == pytest.approx(3.5 * tl(f, req), rel=1e-12)
 
     def test_q_monotone(self, pair1k, corpus1k):
         f = corpus1k[1].f
-        vals_b = [besov_norm(f, request(pair1k, Const(1.0), 2.0, q)) for q in (1.0, 2.0, 4.0, np.inf)]
-        vals_f = [tl_norm(f, request(pair1k, Const(1.0), 2.0, q)) for q in (1.0, 2.0, 4.0, np.inf)]
+        vals_b = [besov(f, request(pair1k, Const(1.0), 2.0, q)) for q in (1.0, 2.0, 4.0, np.inf)]
+        vals_f = [tl(f, request(pair1k, Const(1.0), 2.0, q)) for q in (1.0, 2.0, 4.0, np.inf)]
         assert all(a >= b - 1e-12 for a, b in zip(vals_b, vals_b[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(vals_f, vals_f[1:]))
 
@@ -144,7 +161,7 @@ class TestFunctionNorms:
             C = max(1.0, 2.0 ** (1.0 / p - 1.0), 2.0 ** (1.0 / q - 1.0))
             req = request(pair1k, Pow(0.3), p, q)
             for f, g in ((corpus1k[0].f, corpus1k[1].f), (corpus1k[2].f, corpus1k[3].f)):
-                for norm in (besov_norm, tl_norm):
+                for norm in (besov, tl):
                     assert norm(f + g, req) <= C * (norm(f, req) + norm(g, req)) * (1 + 1e-12)
 
     def test_classical_reduction(self, pair1k, corpus1k):
@@ -155,8 +172,8 @@ class TestFunctionNorms:
                 oracle = classical_band_magnitudes(mem.f, pair1k)
                 want_b = classical_besov_norm(oracle, s, 2.0, 2.0)
                 want_f = classical_tl_norm(oracle, s, 2.0, 2.0)
-                assert besov_norm(mem.f, req) == pytest.approx(want_b, rel=1e-12)
-                assert tl_norm(mem.f, req) == pytest.approx(want_f, rel=1e-12)
+                assert besov(mem.f, req) == pytest.approx(want_b, rel=1e-12)
+                assert tl(mem.f, req) == pytest.approx(want_f, rel=1e-12)
 
     def test_l2_frame_bounds(self, spec1k, pair1k, corpus1k):
         rho = spec1k.freq_radius()
@@ -166,19 +183,19 @@ class TestFunctionNorms:
         c1, c2 = np.sqrt(sq[mask].min()), np.sqrt(sq[mask].max())
         req = request(pair1k, Const(1.0), 2.0, 2.0)
         for mem in corpus1k[:6]:
-            val = tl_norm(mem.f, req)
+            val = tl(mem.f, req)
             l2 = lp_norm(mem.f, 2.0)
             assert c1 * l2 * (1 - 1e-9) <= val <= c2 * l2 * (1 + 1e-9)
 
     def test_p_inf_rejected(self, pair1k, corpus1k):
         with pytest.raises(ValueError):
-            tl_norm(corpus1k[0].f, request(pair1k, Const(1.0), np.inf, 2.0))
+            tl(corpus1k[0].f, request(pair1k, Const(1.0), np.inf, 2.0))
 
 
 class TestCarlesonNorm:
     def test_zero(self, spec1k, pair1k):
         req = request(pair1k, Const(1.0), np.inf, 2.0)
-        assert tl_infty_norm(GridFunction(spec1k, np.zeros(spec1k.N)), req) == 0.0
+        assert tl_infty(GridFunction(spec1k, np.zeros(spec1k.N)), req) == 0.0
 
     def test_single_band_oracle(self, spec1k, pair1k):
         # one active level k0: the sup scans cubes with l(P) >= 2^-k0 of the
@@ -187,7 +204,7 @@ class TestCarlesonNorm:
         f = single_band_member(spec1k, pair1k, k0)
         fam = CubeFamily(-4, 6, translates=False)
         req = request(pair1k, Const(1.0), np.inf, 2.0, family=fam)
-        got = tl_infty_norm(f, req)
+        got = tl_infty(f, req)
         bk = np.abs(band(f, pair1k, k0).values) ** 2
         best = 0.0
         from lpw.grid import enumerate_cubes
@@ -199,20 +216,20 @@ class TestCarlesonNorm:
 
     def test_weight_doubling(self, spec1k, pair1k, corpus1k):
         f = corpus1k[2].f
-        a = tl_infty_norm(f, request(pair1k, Pow(0.3), np.inf, 2.0))
-        b = tl_infty_norm(f, request(pair1k, Const(2.0) * Pow(0.3), np.inf, 2.0))
+        a = tl_infty(f, request(pair1k, Pow(0.3), np.inf, 2.0))
+        b = tl_infty(f, request(pair1k, Const(2.0) * Pow(0.3), np.inf, 2.0))
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_q_inf_rejected(self, pair1k, corpus1k):
         with pytest.raises(ValueError):
-            tl_infty_norm(corpus1k[0].f, request(pair1k, Const(1.0), np.inf, np.inf))
+            tl_infty(corpus1k[0].f, request(pair1k, Const(1.0), np.inf, np.inf))
 
     def test_default_family_is_the_pair_window(self, pair1k, corpus1k):
         req = request(pair1k, Pow(0.3), np.inf, 2.0)
         explicit = NormRequest("F_inf", np.inf, 2.0, req.weights, pair1k, family=CubeFamily(pair1k.k_min, pair1k.k_max))
         assert req.family == CubeFamily(pair1k.k_min, pair1k.k_max)
         assert req == explicit
-        assert tl_infty_norm(corpus1k[0].f, req) == tl_infty_norm(corpus1k[0].f, explicit)
+        assert tl_infty(corpus1k[0].f, req) == tl_infty(corpus1k[0].f, explicit)
 
 
 class TestDecompositionInput:
@@ -220,8 +237,8 @@ class TestDecompositionInput:
         req = request(pair1k, Pow(0.3), 2.0, 2.0, k_min=-1, k_max=5)
         for mem in corpus1k[:4]:
             got = weighted_bands(band_decompose(mem.f, pair1k), req)
-            assert got.levels() == req.levels()
-            for k in req.levels():
+            assert got.levels() == req.weights.levels()
+            for k in req.weights.levels():
                 t = req.weights.on_grid(spec1k, k).values
                 want = t * np.abs(band(mem.f, pair1k, k).values)
                 assert np.array_equal(got[k], want)
@@ -229,11 +246,11 @@ class TestDecompositionInput:
     def test_norms_equal_on_function_and_decomposition(self, pair1k, corpus1k):
         fam = CubeFamily(-4, 6)
         cases = [
-            (besov_norm, request(pair1k, Pow(0.3), 2.0, 2.0)),
-            (besov_norm, request(pair1k, Pow(-0.2), 2.0, np.inf)),
-            (tl_norm, request(pair1k, Pow(0.3), 2.0, 2.0)),
-            (tl_norm, request(pair1k, Dyadic(0.5), 1.5, np.inf)),
-            (tl_infty_norm, request(pair1k, Pow(0.3), np.inf, 2.0, family=fam)),
+            (besov, request(pair1k, Pow(0.3), 2.0, 2.0)),
+            (besov, request(pair1k, Pow(-0.2), 2.0, np.inf)),
+            (tl, request(pair1k, Pow(0.3), 2.0, 2.0)),
+            (tl, request(pair1k, Dyadic(0.5), 1.5, np.inf)),
+            (tl_infty, request(pair1k, Pow(0.3), np.inf, 2.0, family=fam)),
         ]
         for mem in corpus1k[:4]:
             decomp = band_decompose(mem.f, pair1k)
@@ -243,9 +260,9 @@ class TestDecompositionInput:
     def test_norms_on_decomposition_make_no_transform(self, pair1k, corpus1k, fft_calls):
         decomp = band_decompose(corpus1k[0].f, pair1k)
         before = dict(fft_calls)
-        besov_norm(decomp, request(pair1k, Pow(0.3), 2.0, 2.0))
-        tl_norm(decomp, request(pair1k, Pow(0.3), 2.0, 2.0))
-        tl_infty_norm(decomp, request(pair1k, Pow(0.3), np.inf, 2.0))
+        besov(decomp, request(pair1k, Pow(0.3), 2.0, 2.0))
+        tl(decomp, request(pair1k, Pow(0.3), 2.0, 2.0))
+        tl_infty(decomp, request(pair1k, Pow(0.3), np.inf, 2.0))
         assert fft_calls == before
 
     def test_mismatched_decomposition_rejected(self, spec1k, pair1k, corpus1k):
@@ -253,14 +270,14 @@ class TestDecompositionInput:
         fine = GridSpec(1, spec1k.R, 2 * spec1k.N)
         req_fine = request(make_lp_pair(fine, pair1k.k_min, pair1k.k_max), Const(1.0), 2.0, 2.0)
         with pytest.raises(ValueError, match="N=1024.*N=2048"):
-            tl_norm(band_decompose(f, pair1k), req_fine)
+            tl(band_decompose(f, pair1k), req_fine)
         narrow = make_lp_pair(spec1k, pair1k.k_min + 1, pair1k.k_max)
         req = request(pair1k, Const(1.0), 2.0, 2.0, k_min=narrow.k_min)
-        for norm in (besov_norm, tl_norm):
+        for norm in (besov, tl):
             with pytest.raises(ValueError, match="levels"):
                 norm(band_decompose(f, narrow), req)
         with pytest.raises(ValueError, match="levels"):
-            tl_infty_norm(band_decompose(f, narrow), request(pair1k, Const(1.0), np.inf, 2.0))
+            tl_infty(band_decompose(f, narrow), request(pair1k, Const(1.0), np.inf, 2.0))
 
 
 # the (space, p, q) cases of suite_newnorm
@@ -268,10 +285,11 @@ NEWNORM_CASES = [("F", 2.0, 2.0), ("B", 2.0, 2.0), ("F", 2.0, np.inf), ("B", 2.0
 
 
 class TestStackNorm:
-    """stack_norm takes B, F and F_inf from one weighted stack, bit for bit
-    what space_norm computes after weighing the bands itself."""
+    """stack_norm takes B, F and F_inf from one weighted stack, weighed once
+    from the band magnitudes, bit for bit what it takes from the bands
+    weighed by weighted_bands."""
 
-    def test_shared_stack_equals_space_norm(self, pair1k, corpus1k):
+    def test_shared_stack_equals_weighted_bands(self, pair1k, corpus1k):
         fam = CubeFamily(-4, 6)
         for w in (Pow(0.3), Pow(-0.2)):
             ws = WeightSequence(w, pair1k.k_min, pair1k.k_max, 2.0)
@@ -282,7 +300,7 @@ class TestStackNorm:
                     wb = seq.weigh(mags, nonneg=True)
                     for tag, p, q in NEWNORM_CASES:
                         req = NormRequest(tag, p, q, seq, pair1k, family=fam)
-                        assert stack_norm(wb, req) == space_norm(decomp, req), (w, seq.spec, tag, q)
+                        assert stack_norm(wb, req) == stack_norm(weighted_bands(decomp, req), req), (w, seq.spec, tag, q)
 
     def test_dyadic_stack_equals_named_norms(self, pair1k, corpus1k):
         for s in (-1.0, 0.5, 2.0):
@@ -290,8 +308,8 @@ class TestStackNorm:
             for mem in corpus1k[:3]:
                 wb = weighted_bands(mem.f, NormRequest("F", 2.0, 2.0, ws, pair1k))
                 for q in (2.0, np.inf):
-                    assert stack_norm(wb, NormRequest("B", 2.0, q, ws, pair1k)) == besov_norm(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
-                    assert stack_norm(wb, NormRequest("F", 2.0, q, ws, pair1k)) == tl_norm(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
+                    assert stack_norm(wb, NormRequest("B", 2.0, q, ws, pair1k)) == besov(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
+                    assert stack_norm(wb, NormRequest("F", 2.0, q, ws, pair1k)) == tl(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
 
     def test_other_spaces_rejected(self, pair1k, corpus1k):
         ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
@@ -328,14 +346,14 @@ class TestSequenceNorms:
     def test_single_coefficient_f_exponent_algebra(self, spec1k, pair1k):
         # p=q=2: the cube factors cancel, value 2^(k(1/2 - 1/2)) = 1
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(2, (0,)): 1.0})
-        plain, star = seq_f_norm(coeffs, spec1k, request(pair1k, Const(1.0), 2.0, 2.0))
+        plain, star = seq_f(coeffs, spec1k, request(pair1k, Const(1.0), 2.0, 2.0))
         assert plain == pytest.approx(1.0, rel=1e-12)
         assert star == pytest.approx(1.0, rel=1e-12)
 
     def test_single_coefficient_f_p1(self, spec1k, pair1k):
         k0 = 3
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (2,)): 1.0})
-        plain, star = seq_f_norm(coeffs, spec1k, request(pair1k, Const(1.0), 1.0, 1.0))
+        plain, star = seq_f(coeffs, spec1k, request(pair1k, Const(1.0), 1.0, 1.0))
         assert plain == pytest.approx(2.0 ** (-k0 / 2.0), rel=1e-12)
         assert star == pytest.approx(plain, rel=1e-12)
 
@@ -346,7 +364,7 @@ class TestSequenceNorms:
             m0 = int(rng.integers(lo, -lo))
             lam = complex(rng.normal(), rng.normal())
             coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (m0,)): lam})
-            for fn, p, q in ((seq_b_norm, 2.0, 3.0), (seq_f_norm, 2.0, 3.0), (seq_f_infty_norm, np.inf, 2.0)):
+            for fn, p, q in ((seq_b_norm, 2.0, 3.0), (seq_f, 2.0, 3.0), (seq_f_infty_norm, np.inf, 2.0)):
                 req = request(pair1k, Pow(0.3), p if np.isfinite(p) else np.inf, q)
                 plain, star = fn(coeffs, spec1k, req)
                 assert plain == pytest.approx(star, rel=1e-12), fn.__name__
@@ -362,7 +380,7 @@ class TestSequenceNorms:
                 m = int(rng.integers(-C, C))
                 data[(k, (m,))] = complex(rng.normal(), rng.normal())
             coeffs = CoefficientSet.from_entries(1, spec1k.R, data)
-            plain, star = seq_f_norm(coeffs, spec1k, req)
+            plain, star = seq_f(coeffs, spec1k, req)
             assert plain > 0 and star > 0
             ratio = plain / star
             assert 1 / 20 < ratio < 20
@@ -377,8 +395,8 @@ class TestSequenceNorms:
         data = {(2, (1,)): 1.0 + 0.3j, (4, (-3,)): 0.5}
         coeffs = CoefficientSet.from_entries(1, spec1k.R, data)
         req = request(pair1k, Pow(0.3), 2.0, 2.0)
-        p1, s1 = seq_f_norm(coeffs, spec1k, req)
-        p2, s2 = seq_f_norm(coeffs.scaled(4.0), spec1k, req)
+        p1, s1 = seq_f(coeffs, spec1k, req)
+        p2, s2 = seq_f(CoefficientSet.from_entries(1, spec1k.R, {key: 4.0 * v for key, v in data.items()}), spec1k, req)
         assert p2 == pytest.approx(4 * p1, rel=1e-12)
         assert s2 == pytest.approx(4 * s1, rel=1e-12)
 
@@ -413,13 +431,13 @@ class TestDenseSequenceNorms:
         for m in (-1, 0):
             coeffs = CoefficientSet.from_entries(1, spec1k.R, {(-4, m): 1.0})
             assert seq_b_norm(coeffs, spec1k, req) == (2.0, 2.0)
-            assert seq_f_norm(coeffs, spec1k, req) == (2.0, 2.0)
+            assert seq_f(coeffs, spec1k, req) == (2.0, 2.0)
             assert seq_f_infty_norm(coeffs, spec1k, req) == (0.125, 0.125)
 
     def test_level_finer_than_grid_refused(self, spec1k, pair1k):
         # h = 1/64, so level 7 cubes would be half a cell wide
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(7, 0): 1.0})
-        for fn, p in ((seq_b_norm, 2.0), (seq_f_norm, 2.0), (seq_f_infty_norm, np.inf)):
+        for fn, p in ((seq_b_norm, 2.0), (seq_f, 2.0), (seq_f_infty_norm, np.inf)):
             with pytest.raises(ValueError, match="level 7 .*h=0.015625"):
                 fn(coeffs, spec1k, request(pair1k, Const(1.0), p, 2.0))
         good = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 1.0})
@@ -431,7 +449,7 @@ class TestDenseSequenceNorms:
         good = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 1.0})
         req = request(pair1k, Const(1.0), 2.0, 2.0)
         with pytest.raises(ValueError, match="do not fit"):
-            seq_f_norm(coeffs, spec1k, req)
+            seq_f(coeffs, spec1k, req)
         with pytest.raises(ValueError, match="do not fit"):
             seq_f_norms([good, coeffs], spec1k, req)
 
@@ -536,6 +554,27 @@ class TestGrandMaximal:
         for prof, pn in zip(d.profiles, d.seminorms):
             assert prof.scale == pytest.approx(1.0 / pn, rel=1e-12)
 
+    @pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 256), GridSpec(2, 2.0, 32)], ids=["1d", "2d"])
+    def test_seminorms_equal_former_formula(self, spec):
+        # _seminorm takes its base from GrandProfile.multiplier at level 0;
+        # before, it wrote the 1D and 2D Gaussian derivatives out itself
+        from lpw.lpaley import from_spectrum
+
+        xi = spec.freq_axis()
+        xim = (xi,) if spec.n == 1 else np.meshgrid(xi, xi, indexing="ij")
+        N = spec.n + 2
+        betas = [b for b in np.ndindex(*(N + 1,) * spec.n) if sum(b) <= N]
+        for width in (0.5, 1.0):
+            for order in range(N + 1):
+                base = (1j * xim[0]) ** order * np.exp(-0.5 * width**2 * sum(x**2 for x in xim))
+                want = 0.0
+                for beta in betas:
+                    mult = base.copy()
+                    for ax, b in enumerate(beta):
+                        mult = mult * (1j * xim[ax]) ** b
+                    want = max(want, float((np.abs(from_spectrum(spec, mult, real=False)) * (1.0 + spec.radius()) ** N).max()))
+                assert spaces._seminorm(spec, width, order, N) == want, (width, order)
+
     def test_zero(self, spec1k, pair1k):
         d = build_dictionary(spec1k)
         ts = WeightSequence(Const(1.0), -3, 6, 2.0)
@@ -580,8 +619,8 @@ class TestGrandMaximal:
             built.append(k)
             return orig(self, spec, k)
 
+        d = build_dictionary(spec1k)  # its seminorms evaluate each profile at level 0
         monkeypatch.setattr(GrandProfile, "multiplier", counted)
-        d = build_dictionary(spec1k)
         ts = WeightSequence(Pow(0.3), -3, 6, 2.0)
         first = [hardy_grand_norm(mem.f, ts, 2.0, d) for mem in corpus1k[:4]]
         assert len(built) == len(d.profiles) * len(ts.levels())
@@ -611,7 +650,7 @@ class TestGrandMaximal:
         ts = WeightSequence(Const(1.0), -3, 6, 2.0)
         req = request(pair1k, Const(1.0), 2.0, 2.0)
         ratios = [
-            hardy_grand_norm(mem.f, ts, 2.0, d) / tl_norm(mem.f, req) for mem in corpus1k[:6]
+            hardy_grand_norm(mem.f, ts, 2.0, d) / tl(mem.f, req) for mem in corpus1k[:6]
         ]
         assert max(ratios) / min(ratios) < 50
         assert all(0.001 < r < 1000 for r in ratios)
@@ -635,8 +674,8 @@ class TestTwoDimensional:
             coeffs = CoefficientSet.from_entries(2, spec.R, {(k0, m0): 1.0 - 0.25j})
             for fn, space, p, q in (
                 (seq_b_norm, "b", 2.0, 3.0),
-                (seq_f_norm, "f", 2.0, 3.0),
-                (seq_f_norm, "f", 2.0, np.inf),
+                (seq_f, "f", 2.0, 3.0),
+                (seq_f, "f", 2.0, np.inf),
                 (seq_f_infty_norm, "f_inf", np.inf, 2.0),
             ):
                 req = NormRequest(space, p, q, ws, pair)
@@ -648,7 +687,7 @@ class TestTwoDimensional:
         spec, pair = setup2d
         ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max, 2.0)
         coeffs = CoefficientSet.from_entries(2, spec.R, {(2, (1, 1)): 3.0})
-        plain, star = seq_f_norm(coeffs, spec, NormRequest("f", 2.0, 2.0, ws, pair))
+        plain, star = seq_f(coeffs, spec, NormRequest("f", 2.0, 2.0, ws, pair))
         assert plain == pytest.approx(3.0, rel=1e-12)
         assert star == pytest.approx(3.0, rel=1e-12)
 
@@ -660,8 +699,8 @@ class TestTwoDimensional:
         ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max, 2.0)
         fam = CubeFamily(-1, 4, translates=True)
         req = NormRequest("F_inf", np.inf, 2.0, ws, pair, family=fam)
-        val = tl_infty_norm(f, req)
-        dbl = tl_infty_norm(f, NormRequest(
+        val = tl_infty(f, req)
+        dbl = tl_infty(f, NormRequest(
             "F_inf", np.inf, 2.0,
             WeightSequence(Const(2.0) * Pow(0.3), pair.k_min, pair.k_max, 2.0),
             pair, family=fam))
@@ -674,17 +713,19 @@ class TestTwoDimensional:
 class TestBMO:
     def test_constants_vanish(self):
         spec = GridSpec(1, 2.0, 128)
-        assert bmo_norm(GridFunction(spec, np.full(128, 4.2))) == pytest.approx(0.0, abs=1e-12)
+        fam = CubeFamily(*spec.level_window())
+        assert bmo_norm(GridFunction(spec, np.full(128, 4.2)), fam) == pytest.approx(0.0, abs=1e-12)
 
     def test_shift_invariance(self, rng):
         spec = GridSpec(1, 2.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
         g = GridFunction(spec, f.values + 11.0)
-        assert bmo_norm(g) == pytest.approx(bmo_norm(f), rel=1e-10, abs=1e-12)
+        fam = CubeFamily(*spec.level_window())
+        assert bmo_norm(g, fam) == pytest.approx(bmo_norm(f, fam), rel=1e-10, abs=1e-12)
 
     def test_indicator_half(self):
         # the balanced cube [0, 2) (or the translate [-1, 1)) attains 1/2
         spec = GridSpec(1, 2.0, 256)
         ax = spec.axis()
         f = GridFunction(spec, ((ax >= 0) & (ax < 1)).astype(float))
-        assert bmo_norm(f) == pytest.approx(0.5, abs=1e-12)
+        assert bmo_norm(f, CubeFamily(*spec.level_window())) == pytest.approx(0.5, abs=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from lpw.grid import CubeFamily, GridFunction, GridSpec, lp_norm, weighted_lp_norm
 from lpw.lpaley import make_lp_pair
-from lpw.spaces import NormRequest, tl_norm
+from lpw.spaces import NormRequest, stack_norm, weighted_bands
 from lpw.verify import (
     classical_band_magnitudes,
     classical_besov_norm,
@@ -17,6 +17,11 @@ from lpw.verify import (
     ratio_report,
 )
 from lpw.weights import Const, FamilyNodes, Pow, Prod, ShiftPow, WeightSequence, parse_weight
+
+
+def band_norm(f, req):
+    """The band norm req.space names, of f or its band decomposition."""
+    return stack_norm(weighted_bands(f, req), req)
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +127,8 @@ class TestEquivalence:
     def test_symmetry_inverts(self, spec1k, pair1k, corpus1k):
         wsa = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
         wsb = WeightSequence(ShiftPow(0.4, 1.0), pair1k.k_min, pair1k.k_max, 2.0)
-        na = lambda f: tl_norm(f, NormRequest("F", 2.0, 2.0, wsa, pair1k))
-        nb = lambda f: tl_norm(f, NormRequest("F", 2.0, 2.0, wsb, pair1k))
+        na = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, wsa, pair1k))
+        nb = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, wsb, pair1k))
         names = [m.name for m in corpus1k]
         va, vb = [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k]
         ab = ratio_report(names, va, vb)
@@ -135,7 +140,7 @@ class TestEquivalence:
         # extremes bound every ratio and the witnesses reproduce them exactly
         ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
         na = lambda f: lp_norm(f, 2.0)
-        nb = lambda f: tl_norm(f, NormRequest("F", 2.0, 2.0, ws, pair1k))
+        nb = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, ws, pair1k))
         rep = ratio_report([m.name for m in corpus1k], [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k])
         assert all(rep.min_ratio <= r <= rep.max_ratio for r in rep.ratios)
         by_name = dict(zip(rep.members, rep.ratios))
@@ -250,11 +255,11 @@ class TestFrozenLevelNondegenerate:
         # in [1/4, 4] and the per-level spreads must be uniformly bounded
         ws = WeightSequence(Prod((AltConst(2.0), Pow(0.3))), pair1k.k_min, pair1k.k_max, 2.0)
         names = [m.name for m in corpus1k]
-        seq_vals = [tl_norm(m.f, NormRequest("F", 2.0, 2.0, ws, pair1k)) for m in corpus1k]
+        seq_vals = [band_norm(m.f, NormRequest("F", 2.0, 2.0, ws, pair1k)) for m in corpus1k]
         spreads = {}
         for j in range(-3, 4):
             frozen = ws.frozen(j)
-            vals_j = [tl_norm(m.f, NormRequest("F", 2.0, 2.0, frozen, pair1k)) for m in corpus1k]
+            vals_j = [band_norm(m.f, NormRequest("F", 2.0, 2.0, frozen, pair1k)) for m in corpus1k]
             rep = ratio_report(names, seq_vals, vals_j, ceiling=4.0)
             assert rep.passed
             assert 0.25 - 1e-12 <= rep.min_ratio and rep.max_ratio <= 4.0 + 1e-12
@@ -269,7 +274,7 @@ class TestTransformNormEquivalence:
         # norms with uniformly comparable sizes; this exercises the whole
         # 2^(k n / 2) normalization chain end to end
         from lpw.lpaley import analyze
-        from lpw.spaces import besov_norm, seq_b_norm, seq_f_norm
+        from lpw.spaces import seq_b_norm, seq_f_norms
 
         ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
         req_f = NormRequest("F", 2.0, 2.0, ws, pair1k)
@@ -277,10 +282,10 @@ class TestTransformNormEquivalence:
         ratios_f, ratios_b = [], []
         for mem in corpus1k[:8]:
             coeffs = analyze(mem.f, pair1k)
-            plain_f, _ = seq_f_norm(coeffs, spec1k, req_f)
-            ratios_f.append(plain_f / tl_norm(mem.f, req_f))
+            plain_f, _ = seq_f_norms([coeffs], spec1k, req_f)[0]
+            ratios_f.append(plain_f / band_norm(mem.f, req_f))
             plain_b, _ = seq_b_norm(coeffs, spec1k, req_b)
-            ratios_b.append(plain_b / besov_norm(mem.f, req_b))
+            ratios_b.append(plain_b / band_norm(mem.f, req_b))
         for ratios in (ratios_f, ratios_b):
             assert max(ratios) / min(ratios) < 10
             assert 0.1 < min(ratios) and max(ratios) < 10

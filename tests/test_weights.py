@@ -17,7 +17,6 @@ from lpw.weights import (
     WeightError,
     WeightSequence,
     WeightSpec,
-    a1_constant,
     ap_constant,
     check_admissible,
     conjugate,
@@ -102,7 +101,7 @@ class TestGrammar:
     def test_power_and_inverse(self):
         w = Pow(0.5)
         r = np.array([0.25, 4.0])
-        np.testing.assert_allclose(w.inv().eval(r), r**-0.5)
+        np.testing.assert_allclose(w.power(-1.0).eval(r), r**-0.5)
         np.testing.assert_allclose(w.power(3).eval(r), r**1.5)
 
     def test_grid_positivity_guard(self):
@@ -228,8 +227,7 @@ def per_cube_stat(nodes, w, r, k):
     """The statistic cube by cube, over each cube's own nodes (cube_rows): a
     row sum per cube (einsum, or the pairwise sum on rows longer than
     _PAIRWISE_NODES) on the weight's own split or eval, not cached, not
-    shared between statistics and not shared between the cubes of an orbit;
-    r = -inf is the node minimum."""
+    shared between statistics and not shared between the cubes of an orbit."""
     if w.separable:
         s, f = w.split()
     else:
@@ -239,8 +237,6 @@ def per_cube_stat(nodes, w, r, k):
         vals = f(radius)
         if r == np.inf:
             out[idx] = vals.max(axis=1)
-        elif r == -np.inf:
-            out[idx] = vals.min(axis=1)
         elif wts.size > _PAIRWISE_NODES:
             out[idx] = (vals**r * wts).sum(axis=1) ** (1.0 / r)
         else:
@@ -290,12 +286,12 @@ def chunked_nodes(request):
 _CHUNK_WEIGHTS = [
     (Pow(0.3), 0),
     (parse_weight("prod:[dyadic:1,pow:0.3]"), 2),
-    (ShiftPow(-0.3, 2.0).inv(), -1),
+    (ShiftPow(-0.3, 2.0).power(-1.0), -1),
     (Frozen(parse_weight("prod:[dyadic:0.5,const:2]"), 3), 1),
     (AltPow(0.4), 1),
 ]
 _CHUNK_IDS = ["pow", "dyadic-prod", "shiftpow-inv", "frozen", "altpow"]
-_REQUESTS = [(0.5, False), (1.0, False), (2.0, True), (3.0, False), (3.0, True), (np.inf, True), (-np.inf, False)]
+_REQUESTS = [(0.5, False), (1.0, False), (2.0, True), (3.0, False), (3.0, True), (np.inf, True)]
 
 
 def all_stats(nodes, k=0):
@@ -307,13 +303,12 @@ class TestChunkedReduction:
     def test_equals_former_formula(self, chunked_nodes, w, k):
         for r in (0.5, 1.0, 2.0, 3.0, np.inf):
             assert np.array_equal(chunked_nodes.means(w, r, k), per_cube_stat(chunked_nodes, w, r, k)), r
-        assert np.array_equal(chunked_nodes.stats(w, [(-np.inf, False)], k)[0], per_cube_stat(chunked_nodes, w, -np.inf, k))
 
     @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
     def test_fused_statistics_equal_separate_ones(self, chunked_nodes, w, k):
         got = FamilyNodes(chunked_nodes.R, chunked_nodes.n, chunked_nodes.family).stats(w, _REQUESTS, k)
         for (r, inverse), out in zip(_REQUESTS, got):
-            assert np.array_equal(out, per_cube_stat(chunked_nodes, w.inv() if inverse else w, r, k)), (r, inverse)
+            assert np.array_equal(out, per_cube_stat(chunked_nodes, w.power(-1.0) if inverse else w, r, k)), (r, inverse)
 
     @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
     def test_close_to_gemv_formula(self, chunked_nodes, w, k):
@@ -381,7 +376,7 @@ class TestChunkedReduction:
     def test_unit_profile_skips_evaluation(self, monkeypatch):
         nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 2))
         monkeypatch.setattr(Dyadic, "split", lambda self: (self.s, lambda r: pytest.fail("unit profile evaluated")))
-        got = nodes.stats(Dyadic(0.5), [(2.0, False), (3.0, True), (np.inf, False), (-np.inf, True)], 2)
+        got = nodes.stats(Dyadic(0.5), [(2.0, False), (3.0, True), (np.inf, False), (np.inf, True)], 2)
         ones = np.ones(nodes.n_cubes)
         unit = np.empty(nodes.n_cubes)
         for idx, _, wts in cube_rows(nodes):
@@ -398,6 +393,8 @@ class TestChunkedReduction:
             nodes.stats(Pow(0.3), [(2.0, False), (0.0, True)])
         with pytest.raises(WeightError):
             nodes.means(Pow(0.3), -np.inf)
+        with pytest.raises(WeightError):
+            nodes.stats(Pow(0.3), [(-np.inf, False)])
 
     def test_close_weights_keep_their_own_entries(self):
         # key() prints floats to 6 digits, so these pairs share a key
@@ -455,7 +452,7 @@ class TestOrbits:
         for w, k in _CHUNK_WEIGHTS:
             got = nodes.stats(w, _REQUESTS, k)
             for (r, inverse), out in zip(_REQUESTS, got):
-                assert np.array_equal(out, per_cube_stat(nodes, w.inv() if inverse else w, r, k)), (w, r, inverse)
+                assert np.array_equal(out, per_cube_stat(nodes, w.power(-1.0) if inverse else w, r, k)), (w, r, inverse)
 
     @pytest.mark.parametrize("family", _ORBIT_FAMILIES, ids=_ORBIT_IDS)
     def test_profile_evaluated_once_per_orbit(self, monkeypatch, family):
@@ -549,7 +546,7 @@ class TestRadialProfile:
     @settings(max_examples=200, deadline=None)
     def test_profile_is_bit_identical(self, text, derive, e, j):
         w = parse_weight(text)
-        w = {"plain": w, "inv": w.inv(), "power": w.power(e), "frozen": w.frozen(j)}[derive]
+        w = {"plain": w, "inv": w.power(-1.0), "power": w.power(e), "frozen": w.frozen(j)}[derive]
         canon = _profile(w)
         s, g = canon.split()
         assert s == 0.0
@@ -561,7 +558,6 @@ class TestMuckenhoupt:
     def test_constant_weight(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 6))
         assert ap_constant(Const(5.0), 2.0, nodes) == pytest.approx(1.0, abs=1e-12)
-        assert a1_constant(Const(5.0), nodes) == pytest.approx(1.0, abs=1e-12)
 
     def test_ap_floor(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 6))
@@ -598,37 +594,23 @@ class TestMuckenhoupt:
             small = ap_constant(Pow(0.6 * eps), 2.0, nodes)
             assert small <= base**eps * (1 + 1e-12)
 
-    def test_a1_inverse_sqrt_bounded(self):
-        # |x|^(-1/2) is in the class: the estimate converges under deepening
-        c1 = a1_constant(Pow(-0.5), FamilyNodes(8.0, 1, CubeFamily(-4, 9)))
-        c2 = a1_constant(Pow(-0.5), FamilyNodes(8.0, 1, CubeFamily(-4, 13)))
-        assert abs(c2 / c1 - 1) < 0.05
-
-    def test_a1_sqrt_diverges_at_oracle_rate(self):
-        # M_Q(x^(1/2)) / min = (2/3) l^(1/2) (2 K0 / core)^(1/2): four extra
-        # levels shrink the core 16x, so the ratio grows exactly 4x
-        c1 = a1_constant(Pow(0.5), FamilyNodes(8.0, 1, CubeFamily(-4, 9)))
-        c2 = a1_constant(Pow(0.5), FamilyNodes(8.0, 1, CubeFamily(-4, 13)))
-        assert c2 / c1 == pytest.approx(4.0, rel=1e-6)
-        assert c2 / c1 > 2.0
-
 
 class TestReverseHoelder:
     def test_constant_all_pass(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 6))
-        probe = reverse_holder_probe(Const(1.0), 2.0, nodes)
+        probe = reverse_holder_probe(Const(1.0), 2.0, nodes, 1e6)
         assert probe.best_eps == max(probe.ratios)
         assert all(r == pytest.approx(1.0, abs=1e-12) for r in probe.ratios.values())
 
     def test_small_power_passes_somewhere(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 8))
-        probe = reverse_holder_probe(Pow(0.3), 2.0, nodes)
+        probe = reverse_holder_probe(Pow(0.3), 2.0, nodes, 1e6)
         assert probe.best_eps is not None and probe.best_eps > 0
 
     def test_larger_power_passes_less(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 8))
-        lo = reverse_holder_probe(Pow(0.3), 2.0, nodes)
-        hi = reverse_holder_probe(Pow(0.9), 2.0, nodes)
+        lo = reverse_holder_probe(Pow(0.3), 2.0, nodes, 1e6)
+        hi = reverse_holder_probe(Pow(0.9), 2.0, nodes, 1e6)
         assert hi.best_eps < lo.best_eps
         # oracle: on origin cubes the ratio tends to (1+a) / (1+a(1+e))^(1/(1+e))
         a, e = 0.9, hi.best_eps
@@ -661,7 +643,7 @@ class TestXClass:
         meta = nodes.meta()
         k, j, cube = rep.witness1
         i = meta.index(cube)
-        v1 = nodes.means(ts.spec, 2.0, k)[i] * nodes.means(ts.spec.inv(), 3.0, j)[i]
+        v1 = nodes.means(ts.spec, 2.0, k)[i] * nodes.means(ts.spec.power(-1.0), 3.0, j)[i]
         assert v1 * 2.0 ** (-0.7 * (k - j)) == pytest.approx(rep.C1, rel=1e-12)
         k2, j2, cube2 = rep.witness2
         i2 = meta.index(cube2)
@@ -680,8 +662,8 @@ class TestXClass:
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
         narrow = WeightSequence(SquaredDyadic(), 0, 3, 2.0)
         wide = WeightSequence(SquaredDyadic(), 0, 7, 2.0)
-        r1 = xclass_constants(narrow, (1.0, 1.0), (2.0, 2.0), nodes, skip_admissibility=True)
-        r2 = xclass_constants(wide, (1.0, 1.0), (2.0, 2.0), nodes, skip_admissibility=True)
+        r1 = xclass_constants(narrow, (1.0, 1.0), (2.0, 2.0), nodes)
+        r2 = xclass_constants(wide, (1.0, 1.0), (2.0, 2.0), nodes)
         assert r2.C1 * r2.C2 > 100 * r1.C1 * r1.C2
 
     def test_scale_invariance(self):
@@ -694,10 +676,12 @@ class TestXClass:
         assert rb.C2 == pytest.approx(ra.C2, rel=1e-12)
 
     def test_inadmissible_rejected(self):
+        # xclass_constants takes the sequence as admissible; the check that
+        # precedes it in `lpw weights xclass` rejects this one
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
         ts = WeightSequence(Pow(-0.6), -2, 3, 2.0)  # |x|^(-1.2) not integrable
         with pytest.raises(WeightError):
-            xclass_constants(ts, (0.0, 0.0), (2.0, 2.0), nodes)
+            check_admissible(ts, nodes.R, nodes.n)
 
 
 class TestXClassFit:
@@ -823,14 +807,14 @@ _LEVEL_FREE = [
     ShiftPow(-0.3, 2.0),
     Dyadic(0.0),
     parse_weight("prod:[pow:0.3,shiftpow:0.25,1,const:2]"),
-    Pow(-0.2).inv(),
+    Pow(-0.2).power(-1.0),
 ]
 _LEVEL_FREE_IDS = ["frozen", "frozen-altpow", "pow", "const", "shiftpow", "dyadic0", "prod", "powof"]
 _LEVEL_DEPENDENT = [
     Dyadic(0.5),
     parse_weight("prod:[dyadic:1,pow:0.3]"),
     Prod((Dyadic(0.5), Dyadic(-0.5))),
-    Dyadic(0.5).inv(),
+    Dyadic(0.5).power(-1.0),
     AltPow(0.4),
     AltConst(2.0),
 ]
