@@ -71,7 +71,6 @@ from .spaces import (
 )
 from .verify import (
     CorpusMember,
-    EquivalenceReport,
     classical_band_magnitudes,
     classical_besov_norm,
     classical_tl_norm,

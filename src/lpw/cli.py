@@ -215,6 +215,9 @@ class RunConfig:
             if not ctx.spec.offset and name in OFFSET_SUITES:
                 raise ConfigError("grid.offset", f"suite {name} needs a grid shifted off the origin: "
                                   f"{OFFSET_SUITES[name]}, which has no positive finite value there")
+        if norm and self.norm_space == "Lp":  # the one space that reads the frozen level
+            _require(pair.k_min <= self.frozen_level <= pair.k_max, "norm.frozen_level",
+                     f"{self.frozen_level} lies outside the level window [{pair.k_min}, {pair.k_max}]")
         if norm and not ctx.spec.offset and self.norm_space != "BMO":  # a BMO norm takes no weight
             levels = [self.frozen_level] if self.norm_space == "Lp" else pair.levels()
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -243,6 +246,8 @@ class RunConfig:
 
 
 def _jsonify(obj):
+    """obj with string keys, lists for tuples, plain numbers for numpy
+    scalars and "inf" for every infinite float: the one place that spells it."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -384,26 +389,15 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
             try:
                 check_admissible(ts, ctx.spec.R, ctx.spec.n)
                 fit = xclass_fit(ts, (s1, p), nodes)
-                rep = xclass_constants(ts, (fit.alpha1, fit.alpha2), (s1, p), nodes)
-                records.append({"weight": name, "expr": text,
-                                "alpha1": fit.alpha1, "alpha2": fit.alpha2,
-                                "grid_step": fit.grid_step, **rep.to_json()})
+                rep = xclass_constants(ts, (fit["alpha1"], fit["alpha2"]), (s1, p), nodes)
+                # the constants at the fitted alphas replace the fit's own C1, C2
+                records.append({"weight": name, "expr": text, **fit, **rep})
             except WeightError as exc:
                 records.append({"weight": name, "expr": text, "error": str(exc)})
         elif op == "rh":
             try:
                 probe = reverse_holder_probe(w, p, nodes, ap_ceiling=ctx.ceilings["ap_hypothesis"])
-                records.append(
-                    {
-                        "weight": name,
-                        "expr": text,
-                        "p": p,
-                        "best_eps": probe.best_eps,
-                        "sup_ratio": probe.sup_ratio,
-                        "ratios": {f"{e:g}": r for e, r in sorted(probe.ratios.items())},
-                        "bound": probe.bound,
-                    }
-                )
+                records.append({"weight": name, "expr": text, "p": p, **probe})
             except WeightError as exc:
                 records.append({"weight": name, "expr": text, "error": str(exc)})
     _write_json(out / f"weights_{op}.json", {"op": op, "records": records})
@@ -419,7 +413,7 @@ def _ratio_rows(report: dict):
                 continue
             # the record's own ratios first, then those of its nested reports
             subs = [(f"rec{i}", rec)] + [(f"rec{i}.{key}", rec.get(key))
-                                         for key in ("lp_report", "band_report", "coincidence")]
+                                         for key in ("lp_report", "band_report")]
             for label, sub in subs:
                 if isinstance(sub, dict) and isinstance(sub.get("ratios"), list):
                     members = sub.get("members", [str(j) for j in range(len(sub["ratios"]))])

@@ -12,9 +12,11 @@ averages nest and tile exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -72,12 +74,7 @@ class GridSpec:
 
     @cached_property
     def _radius(self) -> np.ndarray:
-        ax = self.axis()
-        if self.n == 1:
-            r = np.abs(ax)
-        else:
-            X, Y = np.meshgrid(ax, ax, indexing="ij")
-            r = np.hypot(X, Y)
+        r = mesh_radius([self.axis()] * self.n)
         r.flags.writeable = False
         return r
 
@@ -100,11 +97,7 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
 
     def freq_radius(self) -> np.ndarray:
-        xi = self.freq_axis()
-        if self.n == 1:
-            return np.abs(xi)
-        KX, KY = np.meshgrid(xi, xi, indexing="ij")
-        return np.hypot(KX, KY)
+        return mesh_radius([self.freq_axis()] * self.n)
 
     @property
     def fundamental(self) -> float:
@@ -127,6 +120,25 @@ class GridSpec:
         if not lo <= v <= hi:
             raise GridError(f"level {v} is outside the grid's level window [{lo}, {hi}] of 1 to {self.N} cells a side")
         return self.N >> (v - lo)
+
+
+def mesh_radius(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """|x| on the tensor mesh of per-axis coordinates: axes[i] has shape
+    (*batch, K_i) and the result (*batch, K_1, ..., K_n).  np.hypot is folded
+    over the axes from 0.0, which is exact: hypot(0, a) == |a| and
+    hypot(|a|, b) == hypot(a, b), so in 1D this is np.abs of the axis and in
+    2D np.hypot of its meshgrid."""
+    n = len(axes)
+    r = 0.0
+    for i, a in enumerate(axes):
+        r = np.hypot(r, a.reshape(a.shape[:-1] + (1,) * i + a.shape[-1:] + (1,) * (n - 1 - i)))
+    return r
+
+
+def mesh_weights(weights: Sequence[np.ndarray]) -> np.ndarray:
+    """The tensor product of per-axis node weights, flattened in the order of
+    mesh_radius(...).ravel()."""
+    return functools.reduce(np.multiply.outer, weights).ravel()
 
 
 @dataclass(frozen=True)

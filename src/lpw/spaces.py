@@ -356,15 +356,9 @@ class GrandProfile:
     scale: float
 
     def multiplier(self, spec: GridSpec, k: int) -> np.ndarray:
-        xi = spec.freq_axis()
-        if spec.n == 1:
-            z = 2.0 ** (-k) * xi
-            rho2 = z**2
-        else:
-            Z1, Z2 = np.meshgrid(2.0 ** (-k) * xi, 2.0 ** (-k) * xi, indexing="ij")
-            z = Z1
-            rho2 = Z1**2 + Z2**2
-        return self.scale * (1j * z) ** self.order * np.exp(-0.5 * self.width**2 * rho2)
+        zs = np.meshgrid(*[2.0 ** (-k) * spec.freq_axis()] * spec.n, indexing="ij")
+        rho2 = sum(z**2 for z in zs)  # 0 + a is a
+        return self.scale * (1j * zs[0]) ** self.order * np.exp(-0.5 * self.width**2 * rho2)
 
 
 @dataclass(frozen=True)

@@ -128,12 +128,12 @@ def suite_selfequiv(ctx: RunContext) -> dict:
         name_a="Lp(t)",
         name_b="Lp(2t)",
     )
-    ok = rep.passed and rep2.passed and abs(rep2.min_ratio - 2.0) < 1e-12
+    ok = rep["pass"] and rep2["pass"] and abs(rep2["min_ratio"] - 2.0) < 1e-12
     return _suite(
         "selfequiv",
         ok,
-        {"identity_spread": rep.spread, "doubling_ratio": rep2.min_ratio},
-        [rep.to_json(), rep2.to_json()],
+        {"identity_spread": rep["spread"], "doubling_ratio": rep2["min_ratio"]},
+        [rep, rep2],
     )
 
 
@@ -255,8 +255,7 @@ def suite_classical(ctx: RunContext) -> dict:
         good = worst_b <= 1e-12 and worst_f <= 1e-12
         ok &= good
         records.append(
-            {"s": s, "p": p, "q": "inf" if np.isinf(q) else q,
-             "besov_rel_err": worst_b, "tl_rel_err": worst_f, "pass": good}
+            {"s": s, "p": p, "q": q, "besov_rel_err": worst_b, "tl_rel_err": worst_f, "pass": good}
         )
     return _suite("classical", ok, {"cases": len(records)}, records)
 
@@ -388,7 +387,7 @@ def suite_newnorm(ctx: RunContext) -> dict:
                     "weight": wtext,
                     "space": tag,
                     "p": p,
-                    "q": "inf" if np.isinf(q) else q,
+                    "q": q,
                     "spread_by_j": {str(j): s for j, s in sorted(spreads.items())},
                     "max_spread": worst,
                     "j_uniformity": uni,
@@ -415,9 +414,9 @@ def suite_coincidence(ctx: RunContext) -> dict:
         scaled = Const(c) * w if c != 1.0 else w
         res = coincidence_check(w, scaled, 2.0, 1.1, nodes, ceiling, ap_ceiling)
         dok, dinfo = delta_coefficient_check(w, scaled, 2.0, 2.0, spec, range(pair.k_min, pair.k_max + 1), ceiling)
-        good = res.passed and dok
+        good = res["pass"] and dok
         ok &= good
-        records.append({"fixture": f"scale_{c:g}", "expected": "pass", "coincidence": res.to_json(),
+        records.append({"fixture": f"scale_{c:g}", "expected": "pass", "coincidence": res,
                         "delta": dinfo, "delta_pass": dok, "pass": good})
     t1, t2 = Pow(0.3), Pow(-0.3)
     res = coincidence_check(t1, t2, 2.0, 1.5, nodes, ceiling, ap_ceiling)
@@ -451,22 +450,22 @@ def suite_coincidence(ctx: RunContext) -> dict:
         eq_ceiling, "F22(t1)", "F22(t2)",
     )
     negative_ok = (
-        (not res.passed)
-        and res.spread > 1e3
+        (not res["pass"])
+        and res["spread"] > 1e3
         and (not dok)
-        and (not rep_lp.passed)
-        and (not rep_f.passed)
+        and (not rep_lp["pass"])
+        and (not rep_f["pass"])
     )
     ok &= negative_ok
     records.append(
         {
             "fixture": "opposite_powers",
             "expected": "fail",
-            "coincidence": res.to_json(),
+            "coincidence": res,
             "delta": dinfo,
             "delta_pass": dok,
-            "lp_report": rep_lp.to_json(),
-            "band_report": rep_f.to_json(),
+            "lp_report": rep_lp,
+            "band_report": rep_f,
             "pass": negative_ok,
         }
     )
@@ -536,18 +535,14 @@ def suite_maximal(ctx: RunContext) -> dict:
                         "ceiling": kceil, "pass": good})
 
     rng = np.random.default_rng(ctx.seed + 2)
-    vals = rng.normal(size=spec.N) if spec.n == 1 else rng.normal(size=spec.shape)
+    vals = rng.normal(size=spec.shape)
     sizes = window_sizes(spec)
     table = window_sum_table(np.abs(vals), sizes)
     ext = np.tile(np.abs(vals), (2,) * spec.n)
     worst_err = 0.0
     for _ in range(1000):
         w = sizes[int(rng.integers(0, len(sizes)))]
-        # the second corner coordinate is drawn in 2D only, which leaves the
-        # 1D draws as they were
-        corner = (int(rng.integers(0, spec.N)),)
-        if spec.n == 2:
-            corner += (int(rng.integers(0, spec.N)),)
+        corner = tuple(int(rng.integers(0, spec.N)) for _ in range(spec.n))
         direct = ext[tuple(slice(i, i + w) for i in corner)].sum()
         worst_err = max(worst_err, abs(table[w][corner] - direct) / max(direct, 1e-300))
     small = GridSpec(spec.n, spec.R, 128 if spec.n == 1 else 16, spec.offset)
@@ -571,10 +566,9 @@ def suite_xclassfit(ctx: RunContext) -> dict:
     for name, text in sorted(ctx.weight_matrix.items()):
         ts = ctx.sequence(text, p)
         fit = xclass_fit(ts, (s1, p), nodes)
-        good = fit.alpha2 >= fit.alpha1 - fit.grid_step - 1e-12
+        good = fit["alpha2"] >= fit["alpha1"] - fit["grid_step"] - 1e-12
         ok &= good
-        records.append({"weight": name, "alpha1": fit.alpha1, "alpha2": fit.alpha2,
-                        "C1": fit.C1, "C2": fit.C2, "grid_step": fit.grid_step, "pass": good})
+        records.append({"weight": name, **fit, "pass": good})
     return _suite("xclassfit", ok, {"weights": len(records)}, records)
 
 
@@ -595,7 +589,8 @@ def suite_bmo(ctx: RunContext) -> dict:
         name_a="BMO",
         name_b="Finf2",
     )
-    return _suite("bmo", rep.passed, {"spread": rep.spread, "min": rep.min_ratio, "max": rep.max_ratio}, [rep.to_json()])
+    summary = {"spread": rep["spread"], "min": rep["min_ratio"], "max": rep["max_ratio"]}
+    return _suite("bmo", rep["pass"], summary, [rep])
 
 
 ALL_SUITES = {

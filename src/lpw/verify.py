@@ -183,44 +183,6 @@ def spike_family(spec: GridSpec, pair: LPPair) -> list[CorpusMember]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    norm_a: str
-    norm_b: str
-    ratios: tuple[float, ...]
-    members: tuple[str, ...]
-    excluded: tuple[str, ...]
-    min_ratio: float
-    max_ratio: float
-    witness_min: str
-    witness_max: str
-    ceiling: float
-
-    @property
-    def spread(self) -> float:
-        return self.max_ratio / self.min_ratio
-
-    @property
-    def passed(self) -> bool:
-        return self.spread <= self.ceiling
-
-    def to_json(self):
-        return {
-            "norm_a": self.norm_a,
-            "norm_b": self.norm_b,
-            "ratios": list(self.ratios),
-            "members": list(self.members),
-            "excluded": list(self.excluded),
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "witness_min": self.witness_min,
-            "witness_max": self.witness_max,
-            "spread": self.spread,
-            "ceiling": self.ceiling,
-            "pass": self.passed,
-        }
-
-
 def ratio_report(
     members: list[str],
     values_a: list[float],
@@ -228,10 +190,10 @@ def ratio_report(
     ceiling: float = 50.0,
     name_a: str = "A",
     name_b: str = "B",
-) -> EquivalenceReport:
+) -> dict:
     """Per-member ratios B/A of two norms already evaluated on each member,
-    with extremes and witnesses; members on which either norm vanishes are
-    excluded and reported."""
+    with extremes and witnesses, as the record report.json holds; members on
+    which either norm vanishes are excluded and reported."""
     ratios, names, excluded = [], [], []
     for name, va, vb in zip(members, values_a, values_b, strict=True):
         if va == 0 or vb == 0:
@@ -243,43 +205,26 @@ def ratio_report(
         raise ValueError("all corpus members excluded: both norms vanish")
     arr = np.array(ratios)
     imin, imax = int(arr.argmin()), int(arr.argmax())
-    return EquivalenceReport(
-        norm_a=name_a,
-        norm_b=name_b,
-        ratios=tuple(ratios),
-        members=tuple(names),
-        excluded=tuple(excluded),
-        min_ratio=float(arr[imin]),
-        max_ratio=float(arr[imax]),
-        witness_min=names[imin],
-        witness_max=names[imax],
-        ceiling=ceiling,
-    )
+    lo, hi = float(arr[imin]), float(arr[imax])
+    return {
+        "norm_a": name_a,
+        "norm_b": name_b,
+        "ratios": ratios,
+        "members": names,
+        "excluded": excluded,
+        "min_ratio": lo,
+        "max_ratio": hi,
+        "witness_min": names[imin],
+        "witness_max": names[imax],
+        "spread": hi / lo,
+        "ceiling": ceiling,
+        "pass": hi / lo <= ceiling,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Coincidence conditions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoincidenceResult:
-    passed: bool
-    refused: bool
-    hypothesis: dict
-    extremes: dict
-    spread: float
-    ceiling: float
-
-    def to_json(self):
-        return {
-            "pass": self.passed,
-            "refused": self.refused,
-            "hypothesis": self.hypothesis,
-            "extremes": self.extremes,
-            "spread": self.spread,
-            "ceiling": self.ceiling,
-        }
 
 
 def coincidence_check(
@@ -290,11 +235,11 @@ def coincidence_check(
     nodes: FamilyNodes,
     ceiling: float = 50.0,
     ap_ceiling: float = 1000.0,
-) -> CoincidenceResult:
+) -> dict:
     """Two-sided comparability of cube means: M_{Q,s1}(t_i^-1) and
     M_{Q,p}(t_i) must agree across the family for the weighted spaces to
     coincide.  Requires both t_i^p inside the Muckenhoupt class at p/theta;
-    violation marks the result refused and failed, with the ratio families
+    violation marks the record refused and failed, with the ratio families
     still reported as diagnostics.
     """
     s1 = sigma1(p, theta)
@@ -316,7 +261,8 @@ def coincidence_check(
     spread_p = rho_p.max() / rho_p.min()
     spread_s = rho_s.max() / rho_s.min()
     passed = (not refused) and spread_p <= ceiling and spread_s <= ceiling
-    return CoincidenceResult(bool(passed), bool(refused), hyp, extremes, spread, ceiling)
+    return {"pass": bool(passed), "refused": bool(refused), "hypothesis": hyp,
+            "extremes": extremes, "spread": spread, "ceiling": ceiling}
 
 
 def holder_floors(t: WeightSpec, pairs, nodes: FamilyNodes) -> list[float]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CubeFamily, GridError, GridFunction, GridSpec, VectorSequence
+from .grid import CubeFamily, GridError, GridFunction, GridSpec, VectorSequence, mesh_radius, mesh_weights
 
 
 class WeightError(ValueError):
@@ -557,10 +557,7 @@ class FamilyNodes:
         K = _FLAT_NODES
         offs = (np.arange(K) + 0.5) / K
         X = lo[:, :, None] + (hi - lo)[:, :, None] * offs
-        if self.n == 1:
-            radius = np.abs(X[:, 0])
-        else:
-            radius = np.hypot(X[:, 0, :, None], X[:, 1, None, :]).reshape(lo.shape[0], K * K)
+        radius = mesh_radius([X[:, i] for i in range(self.n)]).reshape(lo.shape[0], K**self.n)
         self.batches.append(_Batch(radius, np.full(K**self.n, 1.0 / K**self.n)))
 
     def _axis_pieces(self, a: float, b: float):
@@ -574,15 +571,8 @@ class FamilyNodes:
         return np.concatenate(nodes), np.concatenate(wts) / (b - a)
 
     def _append_special(self, lo, hi):
-        axes = [self._axis_pieces(a, b) for a, b in zip(lo, hi)]
-        if self.n == 1:
-            radius = np.abs(axes[0][0])[None, :]
-            wts = axes[0][1]
-        else:
-            (nx, wx), (ny, wy) = axes
-            radius = np.hypot(nx[:, None], ny[None, :]).ravel()[None, :]
-            wts = (wx[:, None] * wy[None, :]).ravel()
-        self.batches.append(_Batch(radius, wts))
+        nodes, wts = zip(*(self._axis_pieces(a, b) for a, b in zip(lo, hi)))
+        self.batches.append(_Batch(mesh_radius(nodes).reshape(1, -1), mesh_weights(wts)))
 
     def meta(self) -> list[tuple[int, tuple[int, ...], bool]]:
         """(v, m, translated) for every cube in family order."""
@@ -727,11 +717,7 @@ def domain_integral(w: WeightSpec, R: float, n: int, p: float, core: float, k: i
     """Graded quadrature of integral over [-R,R)^n of w^p, core scale given,
     on a mesh finer than the cube families' (16 nodes per segment, 64 flat)."""
     nodes, wts = _axis_nodes(-R, R, core, 16, 64)
-    if n == 1:
-        return float(w.eval(np.abs(nodes), k) ** p @ wts)
-    rad = np.hypot(nodes[:, None], nodes[None, :]).ravel()
-    ww = (wts[:, None] * wts[None, :]).ravel()
-    return float(w.eval(rad, k) ** p @ ww)
+    return float(w.eval(mesh_radius([nodes] * n).ravel(), k) ** p @ mesh_weights([wts] * n))
 
 
 def check_admissible(ts: WeightSequence, R: float, n: int) -> None:
@@ -795,18 +781,11 @@ def _ap_products(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> np.ndarray:
     return mean * inv_mean
 
 
-@dataclass(frozen=True)
-class RHProbe:
-    best_eps: float | None
-    sup_ratio: float | None
-    ratios: dict
-    bound: float
-
-
-def reverse_holder_probe(gamma: WeightSpec, p: float, nodes: FamilyNodes, ap_ceiling: float) -> RHProbe:
+def reverse_holder_probe(gamma: WeightSpec, p: float, nodes: FamilyNodes, ap_ceiling: float) -> dict:
     """Largest eps in 0.05 * 2^i (i = 0..8) with
-    sup_Q M_{Q,1+eps}(gamma)/M_Q(gamma) <= 1.5."""
-    if ap_constant(gamma, max(p, 1.0 + 1e-9) if p <= 1 else p, nodes) > ap_ceiling:
+    sup_Q M_{Q,1+eps}(gamma)/M_Q(gamma) <= 1.5, with the sup at every eps:
+    the record {best_eps, sup_ratio, ratios, bound} of weights_rh.json."""
+    if ap_constant(gamma, p, nodes) > ap_ceiling:
         raise WeightError(
             f"weight {gamma.key()} exceeds the Muckenhoupt ceiling {ap_ceiling:g}; "
             "the self-improvement probe needs a class weight"
@@ -821,33 +800,11 @@ def reverse_holder_probe(gamma: WeightSpec, p: float, nodes: FamilyNodes, ap_cei
         ratios[eps] = sup
         if sup <= bound:
             best, best_ratio = eps, sup
-    return RHProbe(best, best_ratio, ratios, bound)
+    return {"best_eps": best, "sup_ratio": best_ratio, "ratios": ratios, "bound": bound}
 
 
-@dataclass(frozen=True)
-class XClassReport:
-    alpha: tuple[float, float]
-    sigma: tuple[float, float]
-    p: float
-    C1: float
-    C2: float
-    witness1: tuple
-    witness2: tuple
-
-    def to_json(self):
-        return {
-            "alpha": list(self.alpha),
-            "sigma": [s if np.isfinite(s) else "inf" for s in self.sigma],
-            "p": self.p,
-            "C1": self.C1,
-            "C2": self.C2,
-            "witness1": _witness_json(self.witness1),
-            "witness2": _witness_json(self.witness2),
-        }
-
-
-def _witness_json(w):
-    (k, j, (v, m, translated)) = w
+def _witness(k: int, j: int, cube: tuple[int, tuple[int, ...], bool]) -> dict:
+    v, m, translated = cube
     return {"k": k, "j": j, "cube": {"v": v, "m": list(m), "translated": translated}}
 
 
@@ -864,14 +821,15 @@ def xclass_constants(
     alpha: tuple[float, float],
     sigma: tuple[float, float],
     nodes: FamilyNodes,
-) -> XClassReport:
+) -> dict:
     """Sharpest constants C1, C2 in the two cross-level growth bounds
 
         M_{Q,p}(t_k)   M_{Q,s1}(t_j^-1) <= C1 2^(a1 (k-j))   (k <= j)
         M_{Q,s2}(t_j) / M_{Q,p}(t_k)    <= C2 2^(a2 (j-k))   (k <= j)
 
-    over the cube family and stored levels, with argmax witnesses.  ts is
-    taken as admissible: the caller runs check_admissible.
+    over the cube family and stored levels, with argmax witnesses, as the
+    record {alpha, sigma, p, C1, C2, witness1, witness2}.  ts is taken as
+    admissible: the caller runs check_admissible.
     """
     a1, a2 = alpha
     s1, s2 = sigma
@@ -886,30 +844,22 @@ def xclass_constants(
             prod1 = A[k] * B[j] * 2.0 ** (-a1 * (k - j))
             i1 = int(np.argmax(prod1))
             if prod1[i1] > C1:
-                C1, w1 = float(prod1[i1]), (k, j, nodes.cube(i1))
+                C1, w1 = float(prod1[i1]), _witness(k, j, nodes.cube(i1))
             prod2 = (D[j] / A[k]) * 2.0 ** (-a2 * (j - k))
             i2 = int(np.argmax(prod2))
             if prod2[i2] > C2:
-                C2, w2 = float(prod2[i2]), (k, j, nodes.cube(i2))
-    return XClassReport((a1, a2), (s1, s2), ts.p, C1, C2, w1, w2)
+                C2, w2 = float(prod2[i2]), _witness(k, j, nodes.cube(i2))
+    return {"alpha": [a1, a2], "sigma": [s1, s2], "p": ts.p, "C1": C1, "C2": C2, "witness1": w1, "witness2": w2}
 
 
-@dataclass(frozen=True)
-class XClassFit:
-    alpha1: float
-    alpha2: float
-    C1: float
-    C2: float
-    grid_step: float
-
-
-def xclass_fit(ts: WeightSequence, sigma: tuple[float, float], nodes: FamilyNodes) -> XClassFit:
+def xclass_fit(ts: WeightSequence, sigma: tuple[float, float], nodes: FamilyNodes) -> dict:
     """Fit growth exponents by grid search over [-4, 4] in steps of 0.05.
 
     C1 is nondecreasing in alpha1 and C2 nonincreasing in alpha2, so the
     minimum of each sits on a plateau; the fit reports the plateau edges
     (largest alpha1 and smallest alpha2 within 2% of the minimum), which
-    recover the exact dyadic rate for weights of the form 2^(k s) g.
+    recover the exact dyadic rate for weights of the form 2^(k s) g, as the
+    record {alpha1, alpha2, C1, C2, grid_step}.
     """
     alpha_lo, alpha_hi, step, plateau_tol = -4.0, 4.0, 0.05, 0.02
     A, B, D = _level_stats(ts, nodes, sigma)
@@ -932,4 +882,5 @@ def xclass_fit(ts: WeightSequence, sigma: tuple[float, float], nodes: FamilyNode
     lo2 = C2.min()
     i1 = int(np.max(np.nonzero(C1 <= lo1 * (1 + plateau_tol))[0]))
     i2 = int(np.min(np.nonzero(C2 <= lo2 * (1 + plateau_tol))[0]))
-    return XClassFit(float(alphas[i1]), float(alphas[i2]), float(C1[i1]), float(C2[i2]), step)
+    return {"alpha1": float(alphas[i1]), "alpha2": float(alphas[i2]), "C1": float(C1[i1]), "C2": float(C2[i2]),
+            "grid_step": step}

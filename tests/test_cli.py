@@ -236,6 +236,24 @@ class TestBandKernelsReachedByName:
         assert dict(calls) == {kernel: SWEEP_CONFIGS["1d"]["corpus.size"]}
 
 
+class TestFrozenLevel:
+    """An Lp norm samples its weight at norm.frozen_level, which must lie in
+    the pair's level window [-3, 5]; the other spaces do not read it."""
+
+    @pytest.mark.parametrize("level", [2000, 6, -4])
+    def test_outside_window_refused(self, tmp_path, capsys, level):
+        # 2000 made 2.0 ** (k * s) raise OverflowError mid-run (exit 3)
+        path = write_config(tmp_path, {"norm.space": "Lp", "norm.weight": "dyadic:1", "norm.frozen_level": level})
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'norm.frozen_level'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("space, level", [("Lp", -3), ("Lp", 5), ("F", 2000)])
+    def test_inside_window_or_unread_runs(self, tmp_path, space, level):
+        path = write_config(tmp_path, {"norm.space": space, "norm.weight": "dyadic:1", "norm.frozen_level": level})
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
 class TestUnshiftedGrid:
     """An unshifted grid holds a sample at the origin: a norm weight with no
     positive finite value there is refused before the run."""
@@ -443,6 +461,25 @@ class TestOtherCommands:
         assert len(data["records"]) == 9
         if op == "ap":
             assert all("witness_cube" in r for r in data["records"])
+        # each check's record spliced into the weight's, with the keys the
+        # files have always had; a weight the check refuses gets an error
+        keys = {
+            "ap": {"weight", "expr", "p", "family", "constant", "witness_cube"},
+            "xclass": {"weight", "expr", "alpha1", "alpha2", "grid_step", "alpha", "sigma", "p", "C1", "C2",
+                       "witness1", "witness2"},
+            "rh": {"weight", "expr", "p", "best_eps", "sup_ratio", "ratios", "bound"},
+        }[op]
+        assert {frozenset(r) for r in data["records"]} <= {frozenset(keys), frozenset({"weight", "expr", "error"})}
+        assert any(set(r) == keys for r in data["records"])
+        if op == "xclass":  # the constants are taken at the fitted alphas
+            assert all(r["alpha"] == [r["alpha1"], r["alpha2"]] for r in data["records"] if "alpha" in r)
+
+
+    def test_jsonify_writes_infinity_once(self):
+        from lpw.cli import _jsonify
+
+        got = _jsonify({"q": np.inf, "sigma": (2.0, np.float64(np.inf)), "ratios": {0.05: 1.0, 12.8: 2.0}})
+        assert got == {"q": "inf", "sigma": [2.0, "inf"], "ratios": {"0.05": 1.0, "12.8": 2.0}}
 
 
 class TestReportCommand:

@@ -18,6 +18,8 @@ from lpw.grid import (
     load_grid_function,
     lp_lq_norm,
     lp_norm,
+    mesh_radius,
+    mesh_weights,
     save_grid_function,
     weighted_lp_norm,
 )
@@ -61,6 +63,13 @@ class TestGridSpec:
         assert GridSpec(n, 2.0, 16) == spec and hash(GridSpec(n, 2.0, 16)) == hash(spec)
 
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_freq_radius_equals_former_formula(self, n):
+        spec = GridSpec(n, 2.0, 64)
+        xi = spec.freq_axis()
+        want = np.abs(xi) if n == 1 else np.hypot(*np.meshgrid(xi, xi, indexing="ij"))
+        assert np.array_equal(spec.freq_radius(), want)
+
     def test_level_window_matches_former_formulas(self):
         for n in (1, 2):
             for N in (2**j for j in range(1, 14)):
@@ -86,6 +95,38 @@ class TestGridSpec:
                 for v in (lo - 1, hi + 1):
                     with pytest.raises(GridError, match="level window"):
                         spec.cells(v)
+
+
+def signed_axis(rng, size):
+    """Normal draws with signed zeros and extreme magnitudes mixed in."""
+    return rng.permutation(np.concatenate([rng.normal(size=size), [0.0, -0.0, 1e-300, -1e300, 3.0, -3.0]]))
+
+
+class TestMesh:
+    """mesh_radius and mesh_weights equal, bit for bit, the 1D and 2D
+    formulas they replaced in GridSpec, FamilyNodes and domain_integral."""
+
+    def test_radius_1d(self, rng):
+        a = signed_axis(rng, 37)
+        assert np.array_equal(mesh_radius([a]), np.abs(a))
+
+    def test_radius_2d(self, rng):
+        a, b = signed_axis(rng, 37), signed_axis(rng, 23)
+        X, Y = np.meshgrid(a, b, indexing="ij")
+        assert np.array_equal(mesh_radius([a, b]), np.hypot(X, Y))
+        assert np.array_equal(mesh_radius([a, b]).ravel(), np.hypot(a[:, None], b[None, :]).ravel())
+
+    def test_radius_batched(self, rng):
+        # a regular batch of FamilyNodes: node coordinates (B, n, K), one row per cube
+        X = np.stack([np.stack([signed_axis(rng, 10), signed_axis(rng, 10)]) for _ in range(5)])
+        assert np.array_equal(mesh_radius([X[:, 0]]), np.abs(X[:, 0]))
+        want = np.hypot(X[:, 0, :, None], X[:, 1, None, :]).reshape(5, 16 * 16)
+        assert np.array_equal(mesh_radius([X[:, 0], X[:, 1]]).reshape(5, -1), want)
+
+    def test_weights(self, rng):
+        wx, wy = rng.uniform(size=37), rng.uniform(size=23)
+        assert np.array_equal(mesh_weights([wx]), wx)
+        assert np.array_equal(mesh_weights([wx, wy]), (wx[:, None] * wy[None, :]).ravel())
 
 
 class TestEnumerateCubes:

@@ -575,6 +575,22 @@ class TestGrandMaximal:
                     want = max(want, float((np.abs(from_spectrum(spec, mult, real=False)) * (1.0 + spec.radius()) ** N).max()))
                 assert spaces._seminorm(spec, width, order, N) == want, (width, order)
 
+    @pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 256), GridSpec(2, 2.0, 32)], ids=["1d", "2d"])
+    def test_multiplier_equals_former_formula(self, spec):
+        from lpw.spaces import GrandProfile
+
+        xi = spec.freq_axis()
+        for k in (-2, 0, 3):
+            if spec.n == 1:
+                z = 2.0 ** (-k) * xi
+                rho2 = z**2
+            else:
+                z, Z2 = np.meshgrid(2.0 ** (-k) * xi, 2.0 ** (-k) * xi, indexing="ij")
+                rho2 = z**2 + Z2**2
+            for prof in (GrandProfile(0.5, 0, 1.0), GrandProfile(1.0, 3, 0.25)):
+                want = prof.scale * (1j * z) ** prof.order * np.exp(-0.5 * prof.width**2 * rho2)
+                assert np.array_equal(prof.multiplier(spec, k), want)
+
     def test_zero(self, spec1k, pair1k):
         d = build_dictionary(spec1k)
         ts = WeightSequence(Const(1.0), -3, 6, 2.0)

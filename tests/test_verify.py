@@ -110,8 +110,8 @@ class TestEquivalence:
     def test_self_equivalence_exact(self, corpus1k):
         names = [m.name for m in corpus1k]
         rep = ratio_report(names, [lp_norm(m.f, 2.0) for m in corpus1k], [lp_norm(m.f, 2.0) for m in corpus1k])
-        assert rep.min_ratio == 1.0 and rep.max_ratio == 1.0
-        assert rep.passed
+        assert rep["min_ratio"] == 1.0 and rep["max_ratio"] == 1.0
+        assert rep["pass"]
 
     def test_doubled_weight_ratio(self, spec1k, corpus1k):
         w = GridFunction(spec1k, Pow(0.3).on_grid(spec1k).values)
@@ -121,8 +121,8 @@ class TestEquivalence:
             [weighted_lp_norm(m.f, w, 2.0) for m in corpus1k],
             [weighted_lp_norm(m.f, w2, 2.0) for m in corpus1k],
         )
-        assert rep.min_ratio == pytest.approx(2.0, rel=1e-13)
-        assert rep.max_ratio == pytest.approx(2.0, rel=1e-13)
+        assert rep["min_ratio"] == pytest.approx(2.0, rel=1e-13)
+        assert rep["max_ratio"] == pytest.approx(2.0, rel=1e-13)
 
     def test_symmetry_inverts(self, spec1k, pair1k, corpus1k):
         wsa = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
@@ -133,8 +133,8 @@ class TestEquivalence:
         va, vb = [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k]
         ab = ratio_report(names, va, vb)
         ba = ratio_report(names, vb, va)
-        assert ab.max_ratio == pytest.approx(1 / ba.min_ratio, rel=1e-12)
-        assert ab.min_ratio == pytest.approx(1 / ba.max_ratio, rel=1e-12)
+        assert ab["max_ratio"] == pytest.approx(1 / ba["min_ratio"], rel=1e-12)
+        assert ab["min_ratio"] == pytest.approx(1 / ba["max_ratio"], rel=1e-12)
 
     def test_report_invariants(self, spec1k, pair1k, corpus1k):
         # extremes bound every ratio and the witnesses reproduce them exactly
@@ -142,12 +142,12 @@ class TestEquivalence:
         na = lambda f: lp_norm(f, 2.0)
         nb = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, ws, pair1k))
         rep = ratio_report([m.name for m in corpus1k], [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k])
-        assert all(rep.min_ratio <= r <= rep.max_ratio for r in rep.ratios)
-        by_name = dict(zip(rep.members, rep.ratios))
-        assert by_name[rep.witness_min] == rep.min_ratio
-        assert by_name[rep.witness_max] == rep.max_ratio
-        wmin = next(m for m in corpus1k if m.name == rep.witness_min)
-        assert nb(wmin.f) / na(wmin.f) == pytest.approx(rep.min_ratio, rel=1e-12)
+        assert all(rep["min_ratio"] <= r <= rep["max_ratio"] for r in rep["ratios"])
+        by_name = dict(zip(rep["members"], rep["ratios"]))
+        assert by_name[rep["witness_min"]] == rep["min_ratio"]
+        assert by_name[rep["witness_max"]] == rep["max_ratio"]
+        wmin = next(m for m in corpus1k if m.name == rep["witness_min"])
+        assert nb(wmin.f) / na(wmin.f) == pytest.approx(rep["min_ratio"], rel=1e-12)
 
     def test_zero_norm_members_excluded(self, spec1k, corpus1k):
         def broken(f):
@@ -162,26 +162,26 @@ class TestCoincidence:
     def test_scaled_weight_passes(self, nodes):
         for c in (0.1, 1.0, 7.0):
             res = coincidence_check(Pow(0.3), Prod((Const(c), Pow(0.3))), 2.0, 1.1, nodes)
-            assert res.passed and not res.refused
-            lo, hi = res.extremes["mean_p"]
+            assert res["pass"] and not res["refused"]
+            lo, hi = res["extremes"]["mean_p"]
             assert hi / lo == pytest.approx(1.0, rel=1e-12)
 
     def test_identical_weight(self, nodes):
         res = coincidence_check(ShiftPow(0.4, 1.0), ShiftPow(0.4, 1.0), 2.0, 1.1, nodes)
-        assert res.passed
-        assert res.extremes["mean_p"] == (1.0, 1.0)
+        assert res["pass"]
+        assert res["extremes"]["mean_p"] == (1.0, 1.0)
 
     def test_opposite_powers_fail(self, nodes):
         res = coincidence_check(Pow(0.3), Pow(-0.3), 2.0, 1.5, nodes)
-        assert not res.passed
-        assert res.spread > 1e3
+        assert not res["pass"]
+        assert res["spread"] > 1e3
 
     def test_refusal_on_hypothesis_failure(self, nodes):
         # with a tight Muckenhoupt ceiling the hypothesis precheck refuses,
         # and the result still carries the diagnostics
         res = coincidence_check(Pow(0.3), Pow(-0.3), 2.0, 1.5, nodes, ap_ceiling=10.0)
-        assert res.refused and not res.passed
-        assert res.spread > 1e3
+        assert res["refused"] and not res["pass"]
+        assert res["spread"] > 1e3
 
     def test_pass_implies_lp_equivalence(self, spec1k, corpus1k, nodes):
         # when the cube condition passes at ceiling C, the weighted Lebesgue
@@ -189,16 +189,33 @@ class TestCoincidence:
         cases = [(Pow(0.3), Prod((Const(3.0), Pow(0.3)))), (ShiftPow(0.4, 1.0), ShiftPow(0.4, 1.0))]
         for t1, t2 in cases:
             res = coincidence_check(t1, t2, 2.0, 1.1, nodes)
-            assert res.passed
+            assert res["pass"]
             w1 = GridFunction(spec1k, t1.on_grid(spec1k).values)
             w2 = GridFunction(spec1k, t2.on_grid(spec1k).values)
             rep = ratio_report(
                 [m.name for m in corpus1k],
                 [weighted_lp_norm(m.f, w1, 2.0) for m in corpus1k],
                 [weighted_lp_norm(m.f, w2, 2.0) for m in corpus1k],
-                ceiling=res.ceiling**2,
+                ceiling=res["ceiling"] ** 2,
             )
-            assert rep.passed
+            assert rep["pass"]
+
+
+class TestRecordLayout:
+    """Each check returns the record that report.json holds, with the keys
+    the report has always had."""
+
+    def test_ratio_report(self):
+        rep = ratio_report(["a", "b", "c"], [1.0, 2.0, 0.0], [2.0, 2.0, 1.0])
+        assert set(rep) == {"norm_a", "norm_b", "ratios", "members", "excluded", "min_ratio", "max_ratio",
+                            "witness_min", "witness_max", "spread", "ceiling", "pass"}
+        assert rep["members"] == ["a", "b"] and rep["excluded"] == ["c"] and rep["spread"] == 2.0
+
+    def test_coincidence_check(self, nodes):
+        res = coincidence_check(Pow(0.3), Pow(0.3), 2.0, 1.1, nodes)
+        assert set(res) == {"pass", "refused", "hypothesis", "extremes", "spread", "ceiling"}
+        assert set(res["hypothesis"]) == {"ap_t1", "ap_t2", "ap_ceiling"}
+        assert set(res["extremes"]) == {"mean_p", "mean_sigma1"}
 
 
 class TestHoelderFloor:
@@ -261,9 +278,9 @@ class TestFrozenLevelNondegenerate:
             frozen = ws.frozen(j)
             vals_j = [band_norm(m.f, NormRequest("F", 2.0, 2.0, frozen, pair1k)) for m in corpus1k]
             rep = ratio_report(names, seq_vals, vals_j, ceiling=4.0)
-            assert rep.passed
-            assert 0.25 - 1e-12 <= rep.min_ratio and rep.max_ratio <= 4.0 + 1e-12
-            spreads[j] = rep.spread
+            assert rep["pass"]
+            assert 0.25 - 1e-12 <= rep["min_ratio"] and rep["max_ratio"] <= 4.0 + 1e-12
+            spreads[j] = rep["spread"]
         assert max(spreads.values()) > 1.0 + 1e-6  # genuinely nondegenerate
         assert max(spreads.values()) / min(spreads.values()) < 2.0
 
