@@ -218,12 +218,17 @@ class RunConfig:
         if norm and self.norm_space == "Lp":  # the one space that reads the frozen level
             _require(pair.k_min <= self.frozen_level <= pair.k_max, "norm.frozen_level",
                      f"{self.frozen_level} lies outside the level window [{pair.k_min}, {pair.k_max}]")
-        if norm and not ctx.spec.offset and self.norm_space != "BMO":  # a BMO norm takes no weight
+        if norm and self.norm_space != "BMO":  # a BMO norm takes no weight
             levels = [self.frozen_level] if self.norm_space == "Lp" else pair.levels()
-            with np.errstate(divide="ignore", invalid="ignore"):
-                at0 = [float(self.norm_weight.eval(np.zeros(1), k)[0]) for k in levels]
-            _require(all(0 < t < math.inf for t in at0), "norm.weight", f"{self.norm_weight.key()} is not "
-                     "positive and finite at the origin, which the unshifted grid samples")
+            s = self.norm_weight.split()[0]  # every weight of the config grammar is separable
+            # eval's level factor 2.0 ** (k s) is positive and finite in double precision exactly for -1075 < k s < 1024
+            _require(all(-1075 < k * s < 1024 for k in levels), "norm.weight", f"{self.norm_weight.key()} has the "
+                     f"level factor 2^({s:g} k), which leaves double precision on levels [{min(levels)}, {max(levels)}]")
+            if not ctx.spec.offset:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    at0 = [float(self.norm_weight.eval(np.zeros(1), k)[0]) for k in levels]
+                _require(all(0 < t < math.inf for t in at0), "norm.weight", f"{self.norm_weight.key()} is not "
+                         "positive and finite at the origin, which the unshifted grid samples")
         if corpus or any(name in ANNULUS_SUITES for name in suites):
             try:
                 annulus_indices(ctx.spec, pair)

@@ -272,6 +272,35 @@ class TestUnshiftedGrid:
         assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 0
 
 
+class TestWeightRange:
+    """A norm weight whose level factor 2^(k s) under- or overflows on a level
+    the norm reads is refused before the run, not by a WeightError with an
+    offset-grid hint mid-run (exit 3)."""
+
+    @pytest.mark.parametrize("space", ["F", "B", "F_inf", "Hardy"])
+    @pytest.mark.parametrize("weight", ["dyadic:500", "dyadic:-500", "prod:[dyadic:400,pow:0.3]"])
+    def test_out_of_range_refused(self, tmp_path, capsys, space, weight):
+        path = write_config(tmp_path, {"norm.space": space, "norm.weight": weight})
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'norm.weight'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("level, code", [(0, 0), (5, 2)])
+    def test_lp_reads_the_frozen_level_only(self, tmp_path, level, code):
+        # 2^(500 k) is 1.0 at k = 0 and overflows at k = 5
+        path = write_config(tmp_path, {"norm.space": "Lp", "norm.weight": "dyadic:500", "norm.frozen_level": level})
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == code
+
+    def test_smoke_config_refused(self, tmp_path, capsys):
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "smoke.json").read_text())
+        for weight in ("dyadic:500", "dyadic:-500"):
+            cfg["norm"] = {**cfg.get("norm", {}), "weight": weight}
+            path = tmp_path / "smoke.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["norm", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert "config field 'norm.weight'" in capsys.readouterr().err
+
+
 class TestInputFiles:
     """A file input is loaded once, before the run: a missing or malformed
     file, or one sampled on another grid, exits 2 naming its field."""

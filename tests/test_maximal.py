@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ def run_fresh(script: str) -> None:
 
 
 class TestLazyScipy:
-    """scipy is imported by the first maximal function, not by importing lpw."""
+    """No lpw path imports scipy: not importing lpw, not a maximal function."""
 
     def test_import_leaves_scipy_out(self):
         run_fresh("""
@@ -56,18 +58,62 @@ class TestLazyScipy:
             import sys
             import numpy as np
             import lpw.cli
-            from lpw.grid import GridFunction, GridSpec
-            from lpw.maximal import maximal_fn, maximal_fn_bruteforce
+            from lpw.grid import GridFunction, GridSpec, VectorSequence
+            from lpw.maximal import maximal_fn, maximal_fn_bruteforce, maximal_sequence
 
-            assert "scipy" not in sys.modules
             rng = np.random.default_rng(11)
             for spec in (GridSpec(1, 1.0, 64), GridSpec(2, 1.0, 16)):
                 f = GridFunction(spec, rng.normal(size=spec.shape))
                 fast = maximal_fn(f).values
-                assert "scipy" in sys.modules
+                maximal_sequence(VectorSequence(spec, 0, rng.normal(size=(3, *spec.shape))))
                 slow = maximal_fn_bruteforce(f).values
                 np.testing.assert_allclose(fast, slow, rtol=1e-13)
+            assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
         """)
+
+
+def containing_max_reference(a, n, sizes):
+    """Per size w, the max over the w^n shifted copies of that size's window
+    averages (shifts 0..w-1 per axis: every window containing the cell),
+    then the max over the sizes; the per-size form the fold replaces."""
+    table = window_sum_table(a, sizes, n)
+    out = np.zeros_like(a)
+    for w in sizes:
+        avg = table[w] / float(w**n)
+        for shift in itertools.product(range(w), repeat=n):
+            np.maximum(out, np.roll(avg, shift, axis=tuple(range(-n, 0))), out=out)
+    return out
+
+
+class TestFold:
+    """The Horner fold over the window sizes equals the per-size containing
+    max bit for bit, on stacks and on subsets of the sizes."""
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2.0, 64), GridSpec(2, 2.0, 16)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("sizes", [None, [1, 2, 4], [2, 8], [1, 16]], ids=["all", "1-2-4", "2-8", "1-16"])
+    def test_fold_equals_per_size_reference(self, rng, spec, sizes):
+        sizes = sizes or window_sizes(spec)
+        a = np.abs(rng.normal(size=(3, *spec.shape)))
+        assert np.array_equal(_maximal(a, spec, sizes), containing_max_reference(a, spec.n, sizes))
+        assert np.array_equal(_maximal(a[0], spec, sizes), containing_max_reference(a[0], spec.n, sizes))
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 4096), GridSpec(2, 2.0, 128)], ids=["1d", "2d"])
+    def test_sequence_equals_rows(self, rng, spec):
+        # 1D N=4096 folds two rows per block, so blocks and an odd tail are covered
+        fs = random_sequence(spec, range(-2, 3), rng)
+        Ms = maximal_sequence(fs)
+        assert (Ms.spec, Ms.k_min) == (fs.spec, fs.k_min)
+        for k in fs.levels():
+            assert np.array_equal(Ms[k], maximal_fn(GridFunction(spec, fs[k])).values)
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 2.0, 64), GridSpec(2, 2.0, 16)], ids=["1d", "2d"])
+    def test_stack_table_equals_row_tables(self, rng, spec):
+        a = np.abs(rng.normal(size=(3, *spec.shape)))
+        sizes = window_sizes(spec)
+        stacked = window_sum_table(a, sizes, spec.n)
+        for i, row in enumerate(a):
+            rows = window_sum_table(row, sizes)
+            assert all(np.array_equal(stacked[w][i], rows[w]) for w in sizes)
 
 
 class TestMaximalFn:
@@ -346,8 +392,8 @@ class TestSuiteWindowCheck:
 
 
 class TestSuiteStackReuse:
-    """suite_maximal takes one maximal function per member, level and grid:
-    the ratios share each member's stack instead of rebuilding it."""
+    """suite_maximal folds each member's band stack once per grid: the ratios
+    share the stack instead of rebuilding it."""
 
     def test_one_maximal_per_band(self, monkeypatch):
         from collections import Counter
@@ -367,7 +413,7 @@ class TestSuiteStackReuse:
         assert lpw.suites.suite_maximal(ctx)["pass"]
         dbl = ctx.doubled()
         assert calls == {
-            ctx.spec: 2 * len(ctx.pair().levels()),
-            dbl.spec: 2 * len(dbl.pair().levels()),
+            ctx.spec: 2,
+            dbl.spec: 2,
             GridSpec(1, 4.0, 128): 1,  # the fast-against-brute-force comparison
         }
