@@ -42,7 +42,6 @@ from .maximal import (
     weighted_maximal_ratio,
 )
 from .lpaley import (
-    BandDecomposition,
     CoefficientSet,
     LevelError,
     LPPair,
@@ -57,6 +56,7 @@ from .lpaley import (
 from .spaces import (
     NormRequest,
     TestFunctionDictionary,
+    band_magnitudes,
     bmo_norm,
     besov_norm,
     build_dictionary,
@@ -67,7 +67,6 @@ from .spaces import (
     stack_norm,
     tl_infty_norm,
     tl_norm,
-    weighted_bands,
 )
 from .verify import (
     CorpusMember,

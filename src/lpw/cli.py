@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -18,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import CubeFamily, GridError, GridFunction, GridSpec, load_grid_function, weighted_lp_norm
+from .grid import CubeFamily, GridError, GridFunction, GridSpec, load_grid_function, save_grid_function, weighted_lp_norm
 from .lpaley import LevelError, band_decompose
-from .spaces import NormRequest, bmo_norm, build_dictionary, hardy_grand_norm, stack_norm, weighted_bands
+from .spaces import NormRequest, band_magnitudes, bmo_norm, build_dictionary, hardy_grand_norm, stack_norm
 from .verify import annulus_indices, make_corpus
 from .suites import (
     ALL_SUITES,
@@ -34,6 +35,7 @@ from .suites import (
     seqnorm_single_cases,
 )
 from .weights import (
+    Prod,
     WeightError,
     WeightSequence,
     ap_witness,
@@ -98,6 +100,19 @@ def _table(cfg: dict, field: str, default) -> dict:
     value = _get(cfg, field, default)
     _require(isinstance(value, dict), field, f"expected an object of named entries, got {value!r}")
     return value
+
+
+def _require_level_factors(w, levels, field: str) -> None:
+    """Refuse w, a weight of the config grammar, unless each level factor
+    2^(k s) that its eval forms apart, a factor's or a prod's running
+    product's, is positive and finite in double precision on the levels,
+    which holds exactly for -1075 < k s < 1024."""
+    parts = w.factors if isinstance(w, Prod) else ()
+    for part in parts:
+        _require_level_factors(part, levels, field)
+    for s in itertools.accumulate(part.split()[0] for part in parts or (w,)):
+        _require(all(-1075 < k * s < 1024 for k in levels), field, f"{w.key()} forms the level factor "
+                 f"2^({s:g} k), which leaves double precision on levels [{min(levels)}, {max(levels)}]")
 
 
 def _parse_exponent(value, field: str) -> float:
@@ -220,15 +235,15 @@ class RunConfig:
                      f"{self.frozen_level} lies outside the level window [{pair.k_min}, {pair.k_max}]")
         if norm and self.norm_space != "BMO":  # a BMO norm takes no weight
             levels = [self.frozen_level] if self.norm_space == "Lp" else pair.levels()
-            s = self.norm_weight.split()[0]  # every weight of the config grammar is separable
-            # eval's level factor 2.0 ** (k s) is positive and finite in double precision exactly for -1075 < k s < 1024
-            _require(all(-1075 < k * s < 1024 for k in levels), "norm.weight", f"{self.norm_weight.key()} has the "
-                     f"level factor 2^({s:g} k), which leaves double precision on levels [{min(levels)}, {max(levels)}]")
+            _require_level_factors(self.norm_weight, levels, "norm.weight")
             if not ctx.spec.offset:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     at0 = [float(self.norm_weight.eval(np.zeros(1), k)[0]) for k in levels]
                 _require(all(0 < t < math.inf for t in at0), "norm.weight", f"{self.norm_weight.key()} is not "
                          "positive and finite at the origin, which the unshifted grid samples")
+        if weights == "xclass" or "seqnorm" in suites or "xclassfit" in suites:  # read the matrix off level 0
+            for name, text in ctx.weight_matrix.items():
+                _require_level_factors(parse_weight(text), range(ctx.k_min, ctx.k_max + 1), f"weights.{name}")
         if corpus or any(name in ANNULUS_SUITES for name in suites):
             try:
                 annulus_indices(ctx.spec, pair)
@@ -333,7 +348,7 @@ def cmd_norm(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | None 
             value = hardy_grand_norm(f, ws, cfg.norm_p, dictionary)
         else:
             req = NormRequest(space, cfg.norm_p, cfg.norm_q, ws, pair, family=ctx.family)
-            value = stack_norm(weighted_bands(f, req), req)
+            value = stack_norm(ws.weigh(band_magnitudes(f, pair)), req)
         records.append(
             {
                 "member": name,
@@ -360,9 +375,11 @@ def cmd_decompose(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | 
         mem = make_corpus(ctx.spec, ctx.pair(), cfg.member % ctx.corpus_size + 1, ctx.seed)[-1]
         source = mem.name, mem.f
     name, f = source
-    decomp = band_decompose(f, ctx.pair())
+    bands = band_decompose(f, ctx.pair())
     target = out / f"bands_{name}"
-    decomp.export(target)
+    target.mkdir(parents=True, exist_ok=True)
+    for k in bands.levels():
+        save_grid_function(GridFunction(bands.spec, bands[k]), target / f"band_{k:+03d}")
     print(f"wrote per-level grids under {target}")
     return 0
 

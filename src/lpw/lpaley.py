@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, VectorSequence, level_index_range, save_grid_function
+from .grid import GridFunction, GridSpec, VectorSequence, level_index_range
 
 
 class LevelError(ValueError):
@@ -73,13 +72,14 @@ def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
     return GridFunction(f.spec, _apply_to_spectrum(f.values, np.fft.fftn(f.values), mult))
 
 
-def lattice_values(f: GridFunction, mult: np.ndarray) -> np.ndarray:
+def lattice_values(f: GridFunction, mult: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
     """Values of (m(D) f) at the plain lattice y_i = -R + i h.
 
     On an offset grid this is a half-cell translation, exact for band-limited
-    data; on a plain grid it is the samples themselves.
+    data; on a plain grid it is the samples themselves.  F, when given, is
+    fftn of f's values as complex, so one transform serves every multiplier.
     """
-    F = np.fft.fftn(np.asarray(f.values, dtype=complex)) * mult
+    F = (np.fft.fftn(np.asarray(f.values, dtype=complex)) if F is None else F) * mult
     if f.spec.offset:
         j = np.fft.fftfreq(f.spec.N, 1.0 / f.spec.N)
         shift = np.exp(-1j * np.pi * j / f.spec.N)  # exp(-i xi h/2)
@@ -212,26 +212,14 @@ def band(f: GridFunction, pair: LPPair, k: int) -> GridFunction:
     return apply_multiplier(f, pair.phi_mult[k])
 
 
-@dataclass(frozen=True)
-class BandDecomposition:
-    pair: LPPair
-    bands: VectorSequence
-
-    def export(self, directory: str | Path) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for k in self.bands.levels():
-            save_grid_function(GridFunction(self.bands.spec, self.bands[k]), directory / f"band_{k:+03d}")
-
-
-def band_decompose(f: GridFunction, pair: LPPair) -> BandDecomposition:
+def band_decompose(f: GridFunction, pair: LPPair) -> VectorSequence:
     """Every band of the pair window from one forward transform of f, as the
     rows of one level stack (real when f is: the multipliers are real)."""
     F = np.fft.fftn(f.values)
     bands = np.empty((len(pair.levels()), *f.spec.shape), dtype=float if np.isrealobj(f.values) else complex)
     for row, k in zip(bands, pair.levels()):
         row[...] = _apply_to_spectrum(f.values, F, pair.phi_mult[k])
-    return BandDecomposition(pair, VectorSequence(f.spec, pair.k_min, bands))
+    return VectorSequence(f.spec, pair.k_min, bands)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +287,17 @@ class CoefficientSet:
 def analyze(f: GridFunction, pair: LPPair) -> CoefficientSet:
     """Coefficients lambda_{k,m} = 2^(-k n / 2) (f * phi~_k)(2^-k m).
 
-    The band convolution is evaluated on the plain lattice by exact spectral
-    translation and subsampled at the level's stride.
+    The band convolutions, from one forward transform of f, are evaluated on
+    the plain lattice by exact spectral translation and subsampled at the
+    level's stride.
     """
     spec = f.spec
+    F = np.fft.fftn(np.asarray(f.values, dtype=complex))
     arrays = []
     for k in pair.levels():
         ms = pair.positions(k)
         idx = (spec.cells(k) * ms + spec.N // 2) % spec.N
-        vals = lattice_values(f, pair.phi_mult[k])
+        vals = lattice_values(f, pair.phi_mult[k], F)
         lo, hi = level_index_range(spec.R, k)
         lam = np.zeros((hi - lo,) * spec.n, dtype=complex)
         # the lattice can be narrower than the cube range (at k = -log2(2R))

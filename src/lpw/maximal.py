@@ -103,8 +103,8 @@ def maximal_fn_bruteforce(f: GridFunction) -> GridFunction:
 
 
 def maximal_sequence(fs: VectorSequence) -> VectorSequence:
-    """The maximal function of every level of fs, one fold for the stack."""
-    return VectorSequence(fs.spec, fs.k_min, _maximal(np.abs(fs.values), fs.spec, window_sizes(fs.spec)))
+    """The maximal function of each level of the magnitude stack fs, in one fold."""
+    return VectorSequence(fs.spec, fs.k_min, _maximal(fs.values, fs.spec, window_sizes(fs.spec)))
 
 
 def _check_stack(fs: VectorSequence, Ms: VectorSequence) -> None:
@@ -129,12 +129,12 @@ def _norm_ratio(num: VectorSequence, den: VectorSequence, p: float, q: float) ->
 def fefferman_stein_ratio(fs: VectorSequence, p: float, q: float, Ms: VectorSequence) -> float:
     """||{M f_k}|L_p(l_q)|| / ||{f_k}|L_p(l_q)||; needs 1 < min(p, q).
 
-    Ms is maximal_sequence(fs), passed in so that one stack serves every
-    ratio taken on fs."""
+    fs is the magnitude stack {|f_k|}, and Ms is maximal_sequence(fs), passed
+    in so that one stack serves every ratio taken on fs."""
     if not 1 < min(p, q):
         raise ValueError(f"need 1 < min(p, q), got p={p}, q={q}")
     _check_stack(fs, Ms)
-    return _norm_ratio(Ms, VectorSequence(fs.spec, fs.k_min, np.abs(fs.values)), p, q)
+    return _norm_ratio(Ms, fs, p, q)
 
 
 def weighted_maximal_ratio(
@@ -145,11 +145,11 @@ def weighted_maximal_ratio(
     q: float = np.inf,
 ) -> float:
     """||{t_k M f_k}|L_p(l_q)|| / ||{t_k f_k}|L_p(l_q)|| over the levels of ts,
-    with Ms = maximal_sequence(fs)."""
+    for the magnitude stack fs = {|f_k|} and Ms = maximal_sequence(fs)."""
     if p <= 1:
         raise ValueError(f"weighted maximal ratio needs p > 1, got {p}")
     _check_stack(fs, Ms)
-    return _norm_ratio(ts.weigh(Ms, nonneg=True), ts.weigh(fs), p, q)
+    return _norm_ratio(ts.weigh(Ms), ts.weigh(fs), p, q)
 
 
 def kernel_sum_ratio(
@@ -167,7 +167,8 @@ def kernel_sum_ratio(
         above: g_k = sum_{j >= k} 2^((j-k) K) M f_j
 
     truncated to the stored level range, against the weighted input norm,
-    both weighted over the levels of ts; Ms = maximal_sequence(fs).
+    both weighted over the levels of ts; fs is the magnitude stack {|f_k|}
+    and Ms = maximal_sequence(fs).
     """
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
@@ -177,4 +178,4 @@ def kernel_sum_ratio(
     for g, k in zip(gs, ks):
         for j in range(ks.start, k + 1) if direction == "below" else range(k, ks.stop):
             g += 2.0 ** ((j - k) * K) * Ms[j]
-    return _norm_ratio(ts.weigh(VectorSequence(fs.spec, fs.k_min, gs), nonneg=True), ts.weigh(fs), p, q)
+    return _norm_ratio(ts.weigh(VectorSequence(fs.spec, fs.k_min, gs)), ts.weigh(fs), p, q)

@@ -1,16 +1,16 @@
 """Weighted Besov / Triebel-Lizorkin quasi-norms, their sequence-space
 counterparts, BMO, and a grand-maximal Hardy-type norm.
 
-The band norms act on a weighted stack wb = weighted_bands(f, req): the
-bands t_k |phi_k * f| of a GridFunction, decomposed first, or of its
-BandDecomposition on the request's pair, so callers taking many norms of one
-function compute its bands once.  stack_norm(wb, req) is the one place that
-picks the kernel req.space names: besov_norm, tl_norm or tl_infty_norm.
-Sequence-side norms act on coefficient sets, in both the direct form (weight
-evaluated pointwise) and the starred form (weight aggregated into cube L_p
-norms t_{k,m}).  bmo_norm and hardy_grand_norm take a GridFunction and no
-NormRequest.  Level sums are truncated to the stored window, which is exact
-on the band-limited corpus this package works with.
+The band norms read f only through its band magnitudes |phi_k * f|, held as
+one stack mags = band_magnitudes(f, pair), and act on the weighted stack
+wb = req.weights.weigh(mags) of the bands t_k |phi_k * f|; callers taking
+many norms of one function compute its magnitudes once.  stack_norm(wb, req)
+is the one place that picks the kernel req.space names: besov_norm, tl_norm
+or tl_infty_norm.  Sequence-side norms act on coefficient sets, in both the
+direct form (weight evaluated pointwise) and the starred form (weight
+aggregated into cube L_p norms t_{k,m}).  bmo_norm and hardy_grand_norm take
+a GridFunction and no NormRequest.  Level sums are truncated to the stored
+window, which is exact on the band-limited corpus this package works with.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .grid import (
     _lp_nonneg,
     cube_samples,
 )
-from .lpaley import BandDecomposition, CoefficientSet, LPPair, band_decompose
+from .lpaley import CoefficientSet, LPPair, band_decompose
 from .weights import WeightSequence
 
 
@@ -68,31 +68,18 @@ class NormRequest:
             object.__setattr__(self, "family", CubeFamily(self.pair.k_min, self.pair.k_max))
 
 
-def _bands(f: GridFunction | BandDecomposition, pair: LPPair) -> VectorSequence:
-    """The bands of f on `pair`: decomposed here from a GridFunction, taken
-    as they are from a BandDecomposition built on the same grid and window."""
-    if isinstance(f, GridFunction):
-        return band_decompose(f, pair).bands
-    have, want = f.pair, pair
-    if (have.gspec, have.k_min, have.k_max) != (want.gspec, want.k_min, want.k_max):
-        raise ValueError(
-            f"band decomposition on {have.gspec}, levels [{have.k_min}, {have.k_max}], "
-            f"does not match the request's pair on {want.gspec}, "
-            f"levels [{want.k_min}, {want.k_max}]"
-        )
-    return f.bands
-
-
-def weighted_bands(f: GridFunction | BandDecomposition, req: NormRequest) -> VectorSequence:
-    """{ t_k * |phi_k * f| } over the request's level window; f is a
-    GridFunction or its BandDecomposition on req.pair."""
-    return req.weights.weigh(_bands(f, req.pair))
+def band_magnitudes(f: GridFunction, pair: LPPair) -> VectorSequence:
+    """|phi_k * f| on every level of the pair window, one row per level: the
+    stack every band norm and maximal ratio reads."""
+    bands = band_decompose(f, pair)
+    return VectorSequence(bands.spec, bands.k_min, np.abs(bands.values))
 
 
 def stack_norm(wb: VectorSequence, req: NormRequest) -> float:
     """The band norm req.space names, B, F or F_inf, of the weighted stack
-    wb = weighted_bands(f, req): the one place a band norm is chosen.  A
-    caller taking several norms under one weight sequence weighs f once."""
+    wb = req.weights.weigh(band_magnitudes(f, req.pair)): the one place a band
+    norm is chosen.  A caller taking several norms under one weight sequence
+    weighs f once."""
     if req.space == "B":
         return besov_norm(wb, req)
     if req.space == "F":
@@ -102,8 +89,7 @@ def stack_norm(wb: VectorSequence, req: NormRequest) -> float:
     raise ValueError(f"space {req.space!r} is not one of the band norms B, F, F_inf")
 
 
-# The kernels take a weighted stack wb = weighted_bands(f, req), which is
-# nonnegative, as it is.
+# The kernels take a weighted stack wb, which is nonnegative, as it is.
 
 
 def besov_norm(wb: VectorSequence, req: NormRequest) -> float:
@@ -155,24 +141,22 @@ def _family_blocks(spec: GridSpec, family: CubeFamily, array_at):
             yield _blocks(a, S, shift)
 
 
-def carleson_sup(level_arrays: dict[int, np.ndarray], spec: GridSpec,
-                 family: CubeFamily, q: float) -> float:
+def carleson_sup(G: VectorSequence, family: CubeFamily, q: float) -> float:
     """sup over cubes P of ( mean_P sum_{k >= level(P)} G_k )^(1/q).
 
-    level_arrays maps k to the nonnegative integrand G_k; the level sum is
-    truncated below at the stored k_min and the cube levels are clamped to
-    the grid-resolvable window.
+    G is the (levels, *grid) stack of the nonnegative integrands G_k; the
+    level sum is truncated below at G's first level and the cube levels are
+    clamped to the grid-resolvable window.
     """
-    ks = sorted(level_arrays)
-    suffix: dict[int, np.ndarray] = {}
-    acc = np.zeros(spec.shape)
-    for k in reversed(ks):
-        acc = acc + level_arrays[k]
-        suffix[k] = acc
+    # suffix[i] = G_{k_min + i} + ... + G_{k_max}, summed from the top level down
+    suffix = G.values.copy()
+    for i in range(len(suffix) - 2, -1, -1):
+        suffix[i] += suffix[i + 1]
+    ks = G.levels()
     best = 0.0
     # a level-v cube takes the sum over k >= v, from the first stored level k >= v
-    for blocks in _family_blocks(spec, family, lambda v: suffix.get(min((k for k in ks if k >= v), default=None))):
-        best = max(best, float(blocks.mean(axis=_in_cube(spec.n)).max()))
+    for blocks in _family_blocks(G.spec, family, lambda v: suffix[max(v, ks.start) - ks.start] if v < ks.stop else None):
+        best = max(best, float(blocks.mean(axis=_in_cube(G.spec.n)).max()))
     return best ** (1.0 / q)
 
 
@@ -181,8 +165,7 @@ def tl_infty_norm(wb: VectorSequence, req: NormRequest) -> float:
     ( (1/|P|) int_P sum_{k >= -log2 l(P)} t_k^q |phi_k * f|^q )^(1/q)."""
     if np.isinf(req.q):
         raise ValueError("F_inf norms need q < inf")
-    arrays = {k: wb[k] ** req.q for k in wb.levels()}
-    return carleson_sup(arrays, wb.spec, req.family, req.q)
+    return carleson_sup(VectorSequence(wb.spec, wb.k_min, wb.values ** req.q), req.family, req.q)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +313,17 @@ def seq_f_infty_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -
     n, q = spec.n, req.q
     if np.isinf(q):
         raise ValueError("f_inf norms need q < inf")
-    plain_arrays, star_arrays = {}, {}
-    for k in _seq_levels(coeffs, spec):
+    levels = _seq_levels(coeffs, spec)
+    if not levels:
+        return 0.0, 0.0
+    # a level without coefficients is a zero row, whose exact zeros leave every suffix sum as it is
+    plain, star = (VectorSequence(spec, coeffs.k_min, np.zeros((len(coeffs.levels()),) + spec.shape)) for _ in range(2))
+    for k in levels:
         t, mags, S = req.weights.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
         tkmq = _starred_cube_lp(t, k, S, q, mags > 0)
-        plain_arrays[k] = _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
-        star_arrays[k] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
-    if not plain_arrays:
-        return 0.0, 0.0
-    return carleson_sup(plain_arrays, spec, req.family, q), carleson_sup(star_arrays, spec, req.family, q)
+        plain[k][...] = _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
+        star[k][...] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
+    return carleson_sup(plain, req.family, q), carleson_sup(star, req.family, q)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import CubeFamily, GridFunction, GridSpec, VectorSequence, level_index_range, lp_norm, weighted_lp_norm
-from .lpaley import BandDecomposition, LPPair, band_decompose, bump_profile, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
+from .lpaley import LPPair, bump_profile, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
 from .maximal import fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sizes, window_sum_table
-from .spaces import NormRequest, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norms, stack_norm, weighted_bands
+from .spaces import NormRequest, band_magnitudes, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norms, stack_norm
 from .verify import (
     classical_band_magnitudes,
     classical_besov_norm,
@@ -85,8 +85,9 @@ class RunContext:
     def corpus(self):
         return self._cached("corpus", lambda: make_corpus(self.spec, self.pair(), self.corpus_size, self.seed))
 
-    def bands(self):
-        return self._cached("bands", lambda: {mem.name: band_decompose(mem.f, self.pair()) for mem in self.corpus()})
+    def bands(self) -> dict[str, VectorSequence]:
+        """Each corpus member's band magnitudes |phi_k * f| on the pair, by name."""
+        return self._cached("bands", lambda: {mem.name: band_magnitudes(mem.f, self.pair()) for mem in self.corpus()})
 
     def nodes(self, v_max: int | None = None) -> FamilyNodes:
         fam = self.family if v_max is None else replace(self.family, v_max=v_max)
@@ -223,12 +224,6 @@ def suite_calderon(ctx: RunContext) -> dict:
     )
 
 
-def _magnitudes(decomp: BandDecomposition) -> VectorSequence:
-    """|phi_k * f| on every level of a band decomposition, for WeightSequence.weigh(..., nonneg=True)."""
-    b = decomp.bands
-    return VectorSequence(b.spec, b.k_min, np.abs(b.values))
-
-
 def suite_classical(ctx: RunContext) -> dict:
     """Dyadic weight sequences reproduce the fixed-smoothness norms to 1e-12."""
     pair = ctx.pair()
@@ -240,9 +235,8 @@ def suite_classical(ctx: RunContext) -> dict:
     # weighted stack per (member, s) serving every exponent pair and space
     for mem in ctx.corpus():
         oracle = classical_band_magnitudes(mem.f, pair)
-        mags = _magnitudes(bands[mem.name])
         for s, ws in seqs.items():
-            wb = ws.weigh(mags, nonneg=True)
+            wb = ws.weigh(bands[mem.name])
             for p, q in exponents:
                 got_b = stack_norm(wb, NormRequest("B", p, q, ws, pair))
                 got_f = stack_norm(wb, NormRequest("F", p, q, ws, pair))
@@ -365,9 +359,8 @@ def suite_newnorm(ctx: RunContext) -> dict:
     # sequence, and every case taken from that weighted stack
     norms = {key: [] for key in reqs}  # (weight, j) -> per member, one norm per case
     for mem in ctx.corpus():
-        mags = _magnitudes(bands[mem.name])
         for key, rs in reqs.items():
-            wb = rs[0].weights.weigh(mags, nonneg=True)
+            wb = rs[0].weights.weigh(bands[mem.name])
             norms[key].append([stack_norm(wb, req) for req in rs])
     records = []
     ok = True
@@ -421,8 +414,7 @@ def suite_coincidence(ctx: RunContext) -> dict:
     t1, t2 = Pow(0.3), Pow(-0.3)
     res = coincidence_check(t1, t2, 2.0, 1.5, nodes, ceiling, ap_ceiling)
     dok, dinfo = delta_coefficient_check(t1, t2, 2.0, 2.0, spec, range(pair.k_min, pair.k_max + 1), ceiling)
-    g1 = t1.on_grid(spec)
-    g2 = t2.on_grid(spec)
+    g1, g2 = t1.on_grid(spec), t2.on_grid(spec)
     # origin-concentrated members are the discriminating witnesses for
     # weights that differ only in their origin behavior
     spikes = spike_family(spec, pair)
@@ -437,16 +429,12 @@ def suite_coincidence(ctx: RunContext) -> dict:
         [weighted_lp_norm(mem.f, g2, 2.0) for mem in witnesses],
         eq_ceiling, "Lp(t1)", "Lp(t2)",
     )
-    ws1 = WeightSequence(t1, pair.k_min, pair.k_max, 2.0)
-    ws2 = WeightSequence(t2, pair.k_min, pair.k_max, 2.0)
     bands = ctx.bands()
-    decomps = [bands[mem.name] for mem in corpus] + [band_decompose(mem.f, pair) for mem in spikes]
-    req1 = NormRequest("F", 2.0, 2.0, ws1, pair)
-    req2 = NormRequest("F", 2.0, 2.0, ws2, pair)
+    mags = [bands[mem.name] for mem in corpus] + [band_magnitudes(mem.f, pair) for mem in spikes]
+    reqs = [NormRequest("F", 2.0, 2.0, WeightSequence(t, pair.k_min, pair.k_max, 2.0), pair) for t in (t1, t2)]
     rep_f = ratio_report(
         names,
-        [stack_norm(weighted_bands(d, req1), req1) for d in decomps],
-        [stack_norm(weighted_bands(d, req2), req2) for d in decomps],
+        *([stack_norm(req.weights.weigh(m), req) for m in mags] for req in reqs),
         eq_ceiling, "F22(t1)", "F22(t2)",
     )
     negative_ok = (
@@ -495,7 +483,7 @@ def suite_maximal(ctx: RunContext) -> dict:
         names, fs_ratios, wm_ratios = [], [], []
         kernel_ratios = {direction: [] for direction, _ in kernels}
         for i, mem in enumerate(c.corpus()):
-            fs = bands[mem.name].bands
+            fs = bands[mem.name]
             Ms = maximal_sequence(fs)
             names.append(mem.name)
             fs_ratios.append(fefferman_stein_ratio(fs, 2.0, 2.0, Ms))
@@ -584,10 +572,8 @@ def suite_bmo(ctx: RunContext) -> dict:
     rep = ratio_report(
         [mem.name for mem in corpus],
         [bmo_norm(mem.f, ctx.family) for mem in corpus],
-        [stack_norm(weighted_bands(bands[mem.name], req), req) for mem in corpus],
-        ceiling=ctx.ceilings["informational"],
-        name_a="BMO",
-        name_b="Finf2",
+        [stack_norm(ws.weigh(bands[mem.name]), req) for mem in corpus],
+        ceiling=ctx.ceilings["informational"], name_a="BMO", name_b="Finf2",
     )
     summary = {"spread": rep["spread"], "min": rep["min_ratio"], "max": rep["max_ratio"]}
     return _suite("bmo", rep["pass"], summary, [rep])

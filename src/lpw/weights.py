@@ -372,29 +372,28 @@ class WeightSequence:
             cache[key] = self.spec.on_grid(gspec, k)
         return cache[key]
 
-    def weigh(self, fs: VectorSequence, nonneg: bool = False) -> VectorSequence:
-        """{t_k |f_k|} over this sequence's levels, which fs must hold: the
-        weighted stack that every weighted band norm and maximal ratio is a
-        functional of.  nonneg says that fs holds |f_k| already (a magnitude
-        or maximal stack), so no absolute value is taken again.
+    def weigh(self, mags: VectorSequence) -> VectorSequence:
+        """{t_k |f_k|} over this sequence's levels, which the magnitude stack
+        mags = {|f_k|} must hold: the weighted stack that every weighted band
+        norm and maximal ratio is a functional of.  The product goes into a
+        fresh stack; mags is left as it is.
 
         A level-free weight (every Frozen t_j, and pow, const, shiftpow and
         dyadic:0 with their products and powers) has one sample for all
         levels, and the stack is one broadcast multiply by it.  Dyadic and
         non-separable weights are sampled and multiplied level by level.
         Each entry is the same product t_k(x) * |f_k(x)| either way."""
-        if self.k_min not in fs.levels() or self.k_max not in fs.levels():
-            raise GridError(f"weight levels {self.levels()} leave the stack's {fs.levels()}")
-        lo = self.k_min - fs.k_min
-        rows = fs.values[lo : lo + len(self.levels())]
-        mags = rows if nonneg else np.abs(rows)
-        out = np.empty(rows.shape) if nonneg else mags  # np.abs made a fresh stack
+        if self.k_min not in mags.levels() or self.k_max not in mags.levels():
+            raise GridError(f"weight levels {self.levels()} leave the stack's {mags.levels()}")
+        lo = self.k_min - mags.k_min
+        rows = mags.values[lo : lo + len(self.levels())]
+        out = np.empty(rows.shape)
         if self.spec.level_free:
-            np.multiply(self.on_grid(fs.spec, self.k_min).values, mags, out=out)
+            np.multiply(self.on_grid(mags.spec, self.k_min).values, rows, out=out)
         else:
-            for row, mag, k in zip(out, mags, self.levels()):
-                np.multiply(self.on_grid(fs.spec, k).values, mag, out=row)
-        return VectorSequence(fs.spec, self.k_min, out)
+            for row, mag, k in zip(out, rows, self.levels()):
+                np.multiply(self.on_grid(mags.spec, k).values, mag, out=row)
+        return VectorSequence(mags.spec, self.k_min, out)
 
 
 # ---------------------------------------------------------------------------

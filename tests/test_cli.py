@@ -20,6 +20,16 @@ SMALL_CONFIG = {
 }
 
 
+def export_bands(f, pair, directory):
+    """Each band of f on pair saved as band_<k>, the layout lpw decompose
+    writes, from band() one level at a time."""
+    from lpw.lpaley import band
+
+    directory.mkdir(parents=True)
+    for k in pair.levels():
+        save_grid_function(band(f, pair, k), directory / f"band_{k:+03d}")
+
+
 def write_config(tmp_path, overrides=None, **kw):
     cfg = json.loads(json.dumps(SMALL_CONFIG))
     for key, val in (overrides or {}).items():
@@ -273,9 +283,36 @@ class TestUnshiftedGrid:
 
 
 class TestWeightRange:
-    """A norm weight whose level factor 2^(k s) under- or overflows on a level
-    the norm reads is refused before the run, not by a WeightError with an
-    offset-grid hint mid-run (exit 3)."""
+    """A norm weight or a weight-matrix entry whose level factor 2^(k s)
+    under- or overflows on a level the run reads is refused before the run,
+    not by an OverflowError or a WeightError with an offset-grid hint mid-run
+    (exit 3)."""
+
+    @pytest.mark.parametrize("weight", ["prod:[dyadic:600,dyadic:-600]", "prod:[dyadic:150,dyadic:-300]",
+                                        "prod:[dyadic:150,dyadic:150]", "prod:[pow:0.3,prod:[dyadic:-400,const:2]]"])
+    def test_each_factor_and_partial_product_checked(self, tmp_path, capsys, weight):
+        # Prod.eval forms each factor's 2^(k s_i), then their running product:
+        # s = 0 for the first, but 2^(600 k) alone overflows at k = 5; the
+        # second's partial products stay in range, but 2^(-300 k) underflows
+        path = write_config(tmp_path, {"norm.weight": weight})
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'norm.weight'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["verify", "all"], ["verify", "seqnorm"], ["verify", "xclassfit"],
+                                         ["weights", "xclass"]])
+    def test_matrix_entry_out_of_range_refused(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"weights": {"w1": "pow:0.3", "big": "dyadic:500"},
+                                       "suites": ["partition", "seqnorm", "xclassfit"]})
+        assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'weights.big'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["verify", "partition"], ["weights", "ap"]])
+    def test_matrix_read_at_level_zero_only_runs(self, tmp_path, command):
+        # 2^(500 k) is 1.0 at k = 0, the one level partition and ap read
+        path = write_config(tmp_path, {"weights": {"big": "dyadic:500"}})
+        assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("space", ["F", "B", "F_inf", "Hardy"])
     @pytest.mark.parametrize("weight", ["dyadic:500", "dyadic:-500", "prod:[dyadic:400,pow:0.3]"])
@@ -326,13 +363,11 @@ class TestInputFiles:
         assert not out.exists()
 
     def test_decompose_from_file(self, tmp_path, rng):
-        from lpw.lpaley import band_decompose
-
         f = GridFunction(GridSpec(1, 8.0, 512), rng.normal(size=512))
         save_grid_function(f, tmp_path / "f")
         path = write_config(tmp_path, {"decompose.input": str(tmp_path / "f")})
         assert main(["decompose", "--config", path, "--out", str(tmp_path / "out")]) == 0
-        band_decompose(f, RunConfig(json.loads(Path(path).read_text())).ctx.pair()).export(tmp_path / "want")
+        export_bands(f, RunConfig(json.loads(Path(path).read_text())).ctx.pair(), tmp_path / "want")
         got = sorted(p.name for p in (tmp_path / "out" / "bands_f").iterdir())
         assert got == sorted(p.name for p in (tmp_path / "want").iterdir()) and got
         for name in got:
@@ -468,14 +503,12 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("member", [4, 8])
     def test_decompose_exports_the_named_member(self, tmp_path, member):
-        from lpw.lpaley import band_decompose
-
         path = write_config(tmp_path, {"decompose.member": member})
         out = tmp_path / "out"
         assert main(["decompose", "--config", path, "--out", str(out)]) == 0
         ctx = RunConfig(json.loads(Path(path).read_text())).ctx
         mem = ctx.corpus()[member % SMALL_CONFIG["corpus"]["size"]]
-        band_decompose(mem.f, ctx.pair()).export(tmp_path / "want")
+        export_bands(mem.f, ctx.pair(), tmp_path / "want")
         got = sorted(p.name for p in (out / f"bands_{mem.name}").iterdir())
         assert got == sorted(p.name for p in (tmp_path / "want").iterdir()) and got
         for name in got:

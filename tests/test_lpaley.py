@@ -154,6 +154,32 @@ class TestLatticeValues:
         want = (F[j] * np.exp(1j * xi * y)).real * 2 / (2 * spec1k.R)
         np.testing.assert_allclose(lat, want, atol=1e-13)
 
+    @pytest.mark.parametrize("offset", [True, False])
+    @pytest.mark.parametrize("kind", ["real_1d", "complex_1d", "real_2d"])
+    def test_shared_spectrum_equals_per_level_call(self, offset, kind, rng):
+        spec = GridSpec(2, 2.0, 32, offset) if kind == "real_2d" else GridSpec(1, 8.0, 512, offset)
+        values = rng.normal(size=spec.shape) * (1.0 - 0.5j if kind == "complex_1d" else 1.0)
+        f = GridFunction(spec, values)
+        pair = make_lp_pair(spec, -1, 3)
+        F = np.fft.fftn(np.asarray(f.values, dtype=complex))
+        for k in pair.levels():
+            got = lattice_values(f, pair.phi_mult[k], F)
+            want = lattice_values(f, pair.phi_mult[k])
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_analyze_takes_one_forward_transform(self, n, pair1k, corpus1k, fft_calls):
+        if n == 1:
+            f, pair = corpus1k[0].f, pair1k
+        else:
+            spec = GridSpec(2, 2.0, 64)
+            pair = make_lp_pair(spec, -1, 4)
+            f = make_corpus(spec, pair, size=1, seed=5)[0].f
+        before = dict(fft_calls)
+        analyze(f, pair)
+        assert fft_calls["fftn"] - before["fftn"] == 1
+        assert fft_calls["ifftn"] - before["ifftn"] == len(pair.levels())
+
 
 class TestTransform:
     @pytest.mark.parametrize("offset", [True, False])
@@ -374,12 +400,12 @@ class TestBandDecompose:
             f, pair = GridFunction(spec1k, (1.0 - 0.5j) * corpus1k[1].f.values), pair1k
         else:
             f, pair = make_corpus(spec2d, pair2d, size=1, seed=3)[0].f, pair2d
-        decomp = band_decompose(f, pair)
-        assert decomp.bands.levels() == pair.levels()
+        bands = band_decompose(f, pair)
+        assert bands.levels() == pair.levels()
         for k in pair.levels():
             want = band(f, pair, k).values
-            assert decomp.bands[k].dtype == want.dtype
-            assert np.array_equal(decomp.bands[k], want)
+            assert bands[k].dtype == want.dtype
+            assert np.array_equal(bands[k], want)
 
     def test_one_forward_transform(self, pair1k, corpus1k, fft_calls):
         band_decompose(corpus1k[0].f, pair1k)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, VectorSequence, lp_lq_norm
-from lpw.lpaley import band, band_decompose, make_lp_pair
+from lpw.lpaley import band, make_lp_pair
 from lpw.maximal import (
     _maximal,
     fefferman_stein_ratio,
@@ -16,12 +16,18 @@ from lpw.maximal import (
     window_sizes,
     window_sum_table,
 )
+from lpw.spaces import band_magnitudes
 from lpw.verify import make_corpus, spike_family
 from lpw.weights import Const, Dyadic, Pow, WeightSequence
 
 
 def random_sequence(spec, levels, rng):
     return VectorSequence(spec, levels[0], rng.normal(size=(len(levels), *spec.shape)))
+
+
+def magnitudes(fs):
+    """The magnitude stack {|f_k|} that the maximal stack and ratios take."""
+    return VectorSequence(fs.spec, fs.k_min, np.abs(fs.values))
 
 
 def run_fresh(script: str) -> None:
@@ -65,7 +71,7 @@ class TestLazyScipy:
             for spec in (GridSpec(1, 1.0, 64), GridSpec(2, 1.0, 16)):
                 f = GridFunction(spec, rng.normal(size=spec.shape))
                 fast = maximal_fn(f).values
-                maximal_sequence(VectorSequence(spec, 0, rng.normal(size=(3, *spec.shape))))
+                maximal_sequence(VectorSequence(spec, 0, np.abs(rng.normal(size=(3, *spec.shape)))))
                 slow = maximal_fn_bruteforce(f).values
                 np.testing.assert_allclose(fast, slow, rtol=1e-13)
             assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -101,7 +107,7 @@ class TestFold:
     def test_sequence_equals_rows(self, rng, spec):
         # 1D N=4096 folds two rows per block, so blocks and an odd tail are covered
         fs = random_sequence(spec, range(-2, 3), rng)
-        Ms = maximal_sequence(fs)
+        Ms = maximal_sequence(magnitudes(fs))
         assert (Ms.spec, Ms.k_min) == (fs.spec, fs.k_min)
         for k in fs.levels():
             assert np.array_equal(Ms[k], maximal_fn(GridFunction(spec, fs[k])).values)
@@ -201,7 +207,7 @@ class TestRatios:
     def test_fs_singleton_reduces_to_scalar(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
-        fs = VectorSequence(spec, 0, f.values[None])
+        fs = VectorSequence(spec, 0, np.abs(f.values)[None])
         got = fefferman_stein_ratio(fs, 2.0, 3.0, maximal_sequence(fs))
         from lpw.grid import lp_norm
 
@@ -218,14 +224,14 @@ class TestRatios:
 
     def test_fs_bounded_on_bands(self, spec1k, pair1k, corpus1k):
         for mem in corpus1k[:4]:
-            fs = band_decompose(mem.f, pair1k).bands
+            fs = band_magnitudes(mem.f, pair1k)
             r = fefferman_stein_ratio(fs, 2.0, 2.0, maximal_sequence(fs))
             assert 1.0 <= r < 10.0
 
     def test_weighted_trivial_weight(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
-        fs = VectorSequence(spec, 0, f.values[None])
+        fs = VectorSequence(spec, 0, np.abs(f.values)[None])
         ts = WeightSequence(Const(1.0), 0, 0, 2.0)
         assert weighted_maximal_ratio(fs, ts, 2.0, maximal_sequence(fs), q=np.inf) >= 1.0
 
@@ -236,7 +242,7 @@ class TestRatios:
         ts = WeightSequence(Pow(2.0), 0, 0, 2.0)
         ratios = []
         for mem in spikes:
-            fs = VectorSequence(spec1k, 0, mem.f.values[None])
+            fs = VectorSequence(spec1k, 0, np.abs(mem.f.values)[None])
             ratios.append(weighted_maximal_ratio(fs, ts, 2.0, maximal_sequence(fs), q=2.0))
         assert ratios[-1] > 2.0 * ratios[0]
 
@@ -282,7 +288,7 @@ class TestKernelSum:
         spec = GridSpec(1, 1.0, 128)
         f0 = GridFunction(spec, rng.normal(size=128))
         zero = np.zeros(128)
-        fs = VectorSequence(spec, 0, np.stack([f0.values, zero, zero, zero]))
+        fs = VectorSequence(spec, 0, np.stack([np.abs(f0.values), zero, zero, zero]))
         ts = WeightSequence(Const(1.0), 0, 3, 2.0)
         got = kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, maximal_sequence(fs))
         M0 = maximal_fn(f0)
@@ -303,7 +309,7 @@ class TestKernelSum:
         s = 1.0
         ts = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max, 2.0)
         for mem in corpus1k[:3]:
-            fs = band_decompose(mem.f, pair1k).bands
+            fs = band_magnitudes(mem.f, pair1k)
             Ms = maximal_sequence(fs)
             below = kernel_sum_ratio(fs, ts, s + 1.0, "below", 2.0, 2.0, Ms)
             above = kernel_sum_ratio(fs, ts, s - 1.0, "above", 2.0, 2.0, Ms)
@@ -354,7 +360,7 @@ class TestStackMatchesPerLevelReference:
         ts = WeightSequence(Pow(0.3) * Dyadic(1.0), pair.k_min, pair.k_max, 2.0)
         for f in members:
             want = self.reference(f, pair, ts)
-            fs = band_decompose(f, pair).bands
+            fs = band_magnitudes(f, pair)
             Ms = maximal_sequence(fs)
             assert fefferman_stein_ratio(fs, 2.0, 2.0, Ms) == want["fs"]
             for q in (2.0, np.inf):

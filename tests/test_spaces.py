@@ -24,12 +24,16 @@ from lpw.lpaley import CoefficientSet, apply_multiplier, band, band_decompose, m
 from lpw.spaces import (
     NormRequest,
     _cube_lp_all,
+    _family_blocks,
+    _in_cube,
+    band_magnitudes,
     _paint,
     _seq_levels,
     _starred_cube_lp,
     besov_norm,
     bmo_norm,
     build_dictionary,
+    carleson_sup,
     cube_lp,
     hardy_grand_norm,
     seq_b_norm,
@@ -38,9 +42,8 @@ from lpw.spaces import (
     stack_norm,
     tl_infty_norm,
     tl_norm,
-    weighted_bands,
 )
-from lpw.verify import classical_band_magnitudes, classical_besov_norm, classical_tl_norm
+from lpw.verify import classical_band_magnitudes, classical_besov_norm, classical_tl_norm, make_corpus
 from lpw.weights import Const, Dyadic, Pow, WeightSequence
 
 
@@ -57,11 +60,12 @@ def request(pair, weight, p, q, k_min=None, k_max=None, family=None):
 
 def weighed(kernel):
     """kernel, a band norm of a weighted stack, taken on f, a GridFunction or
-    its BandDecomposition: kernel(weighted_bands(f, req), req)."""
+    its magnitude stack band_magnitudes(f, req.pair)."""
 
     @wraps(kernel)
     def norm(f, req):
-        return kernel(weighted_bands(f, req), req)
+        mags = band_magnitudes(f, req.pair) if isinstance(f, GridFunction) else f
+        return kernel(req.weights.weigh(mags), req)
 
     return norm
 
@@ -232,11 +236,71 @@ class TestCarlesonNorm:
         assert tl_infty(corpus1k[0].f, req) == tl_infty(corpus1k[0].f, explicit)
 
 
+def carleson_sup_former(level_arrays, spec, family, q):
+    """The dict-and-loop formula carleson_sup replaced: level_arrays maps k
+    to G_k, each suffix sum is a fresh array, and a level-v cube takes the
+    suffix of the first stored level k >= v."""
+    ks = sorted(level_arrays)
+    suffix = {}
+    acc = np.zeros(spec.shape)
+    for k in reversed(ks):
+        acc = acc + level_arrays[k]
+        suffix[k] = acc
+    best = 0.0
+    for blocks in _family_blocks(spec, family, lambda v: suffix.get(min((k for k in ks if k >= v), default=None))):
+        best = max(best, float(blocks.mean(axis=_in_cube(spec.n)).max()))
+    return best ** (1.0 / q)
+
+
+def seq_f_infty_former(coeffs, spec, req):
+    """seq_f_infty_norm as it was: dicts over the levels holding a coefficient,
+    through carleson_sup_former."""
+    n, q = spec.n, req.q
+    plain, star = {}, {}
+    for k in _seq_levels(coeffs, spec):
+        t, mags, S = req.weights.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
+        tkmq = _starred_cube_lp(t, k, S, q, mags > 0)
+        plain[k] = _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
+        star[k] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
+    return carleson_sup_former(plain, spec, req.family, q), carleson_sup_former(star, spec, req.family, q)
+
+
+class TestCarlesonStack:
+    """carleson_sup on one (levels, *grid) stack equals the former per-level
+    dict formula bit for bit; a zero row stands for a level left out."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("translates", [True, False])
+    def test_equals_former_formula(self, n, translates, rng):
+        spec = GridSpec(1, 8.0, 256) if n == 1 else GridSpec(2, 2.0, 32)
+        k_min = -3 if n == 1 else -1
+        G = VectorSequence(spec, k_min, rng.random((6, *spec.shape)) ** 3)
+        before = G.values.copy()
+        lo, hi = spec.level_window()
+        # families reaching below, inside and above the stack's levels
+        for v_min, v_max in ((lo, hi), (k_min + 1, k_min + 3), (k_min + 4, hi)):
+            family = CubeFamily(v_min, v_max, translates)
+            for q in (1.0, 2.0):
+                want = carleson_sup_former({k: G[k] for k in G.levels()}, spec, family, q)
+                assert carleson_sup(G, family, q) == want
+        assert np.array_equal(G.values, before)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_rows_equal_missing_levels(self, n, rng):
+        spec = GridSpec(1, 8.0, 256) if n == 1 else GridSpec(2, 2.0, 32)
+        values = rng.random((6, *spec.shape))
+        values[[0, 2, 3, 5]] = 0.0
+        G = VectorSequence(spec, -1, values)
+        held = {k: G[k] for k in (0, 3)}
+        for family in (CubeFamily(*spec.level_window()), CubeFamily(1, 3, False)):
+            assert carleson_sup(G, family, 2.0) == carleson_sup_former(held, spec, family, 2.0)
+
+
 class TestDecompositionInput:
     def test_weighted_bands_match_per_band_loop(self, spec1k, pair1k, corpus1k):
         req = request(pair1k, Pow(0.3), 2.0, 2.0, k_min=-1, k_max=5)
         for mem in corpus1k[:4]:
-            got = weighted_bands(band_decompose(mem.f, pair1k), req)
+            got = req.weights.weigh(band_magnitudes(mem.f, pair1k))
             assert got.levels() == req.weights.levels()
             for k in req.weights.levels():
                 t = req.weights.on_grid(spec1k, k).values
@@ -254,30 +318,27 @@ class TestDecompositionInput:
         ]
         for mem in corpus1k[:4]:
             decomp = band_decompose(mem.f, pair1k)
+            mags = VectorSequence(decomp.spec, decomp.k_min, np.abs(decomp.values))
             for norm, req in cases:
-                assert norm(decomp, req) == norm(mem.f, req), norm.__name__
+                assert norm(mags, req) == norm(mem.f, req), norm.__name__
 
     def test_norms_on_decomposition_make_no_transform(self, pair1k, corpus1k, fft_calls):
-        decomp = band_decompose(corpus1k[0].f, pair1k)
+        mags = band_magnitudes(corpus1k[0].f, pair1k)
         before = dict(fft_calls)
-        besov(decomp, request(pair1k, Pow(0.3), 2.0, 2.0))
-        tl(decomp, request(pair1k, Pow(0.3), 2.0, 2.0))
-        tl_infty(decomp, request(pair1k, Pow(0.3), np.inf, 2.0))
+        besov(mags, request(pair1k, Pow(0.3), 2.0, 2.0))
+        tl(mags, request(pair1k, Pow(0.3), 2.0, 2.0))
+        tl_infty(mags, request(pair1k, Pow(0.3), np.inf, 2.0))
         assert fft_calls == before
 
-    def test_mismatched_decomposition_rejected(self, spec1k, pair1k, corpus1k):
-        f = corpus1k[0].f
-        fine = GridSpec(1, spec1k.R, 2 * spec1k.N)
-        req_fine = request(make_lp_pair(fine, pair1k.k_min, pair1k.k_max), Const(1.0), 2.0, 2.0)
-        with pytest.raises(ValueError, match="N=1024.*N=2048"):
-            tl(band_decompose(f, pair1k), req_fine)
-        narrow = make_lp_pair(spec1k, pair1k.k_min + 1, pair1k.k_max)
-        req = request(pair1k, Const(1.0), 2.0, 2.0, k_min=narrow.k_min)
-        for norm in (besov, tl):
-            with pytest.raises(ValueError, match="levels"):
-                norm(band_decompose(f, narrow), req)
-        with pytest.raises(ValueError, match="levels"):
-            tl_infty(band_decompose(f, narrow), request(pair1k, Const(1.0), np.inf, 2.0))
+    def test_magnitudes_are_the_decomposition_magnitudes(self, pair1k, corpus1k):
+        spec2 = GridSpec(2, 2.0, 64)
+        pair2 = make_lp_pair(spec2, -1, 4)
+        for pair, members in ((pair1k, corpus1k[:3]), (pair2, make_corpus(spec2, pair2, size=2, seed=3))):
+            for mem in members:
+                mags = band_magnitudes(mem.f, pair)
+                bands = band_decompose(mem.f, pair)
+                assert (mags.spec, mags.k_min) == (bands.spec, bands.k_min)
+                assert np.array_equal(mags.values, np.abs(bands.values))
 
 
 # the (space, p, q) cases of suite_newnorm
@@ -286,8 +347,8 @@ NEWNORM_CASES = [("F", 2.0, 2.0), ("B", 2.0, 2.0), ("F", 2.0, np.inf), ("B", 2.0
 
 class TestStackNorm:
     """stack_norm takes B, F and F_inf from one weighted stack, weighed once
-    from the band magnitudes, bit for bit what it takes from the bands
-    weighed by weighted_bands."""
+    from the band magnitudes, bit for bit what it takes from a stack weighed
+    afresh for each request."""
 
     def test_shared_stack_equals_weighted_bands(self, pair1k, corpus1k):
         fam = CubeFamily(-4, 6)
@@ -295,25 +356,24 @@ class TestStackNorm:
             ws = WeightSequence(w, pair1k.k_min, pair1k.k_max, 2.0)
             for seq in (ws, ws.frozen(-3), ws.frozen(0), ws.frozen(3)):
                 for mem in corpus1k[:4]:
-                    decomp = band_decompose(mem.f, pair1k)
-                    mags = VectorSequence(decomp.bands.spec, decomp.bands.k_min, np.abs(decomp.bands.values))
-                    wb = seq.weigh(mags, nonneg=True)
+                    mags = band_magnitudes(mem.f, pair1k)
+                    wb = seq.weigh(mags)
                     for tag, p, q in NEWNORM_CASES:
                         req = NormRequest(tag, p, q, seq, pair1k, family=fam)
-                        assert stack_norm(wb, req) == stack_norm(weighted_bands(decomp, req), req), (w, seq.spec, tag, q)
+                        assert stack_norm(wb, req) == stack_norm(req.weights.weigh(band_magnitudes(mem.f, pair1k)), req), (w, seq.spec, tag, q)
 
     def test_dyadic_stack_equals_named_norms(self, pair1k, corpus1k):
         for s in (-1.0, 0.5, 2.0):
             ws = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max, 2.0)
             for mem in corpus1k[:3]:
-                wb = weighted_bands(mem.f, NormRequest("F", 2.0, 2.0, ws, pair1k))
+                wb = ws.weigh(band_magnitudes(mem.f, pair1k))
                 for q in (2.0, np.inf):
                     assert stack_norm(wb, NormRequest("B", 2.0, q, ws, pair1k)) == besov(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
                     assert stack_norm(wb, NormRequest("F", 2.0, q, ws, pair1k)) == tl(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
 
     def test_other_spaces_rejected(self, pair1k, corpus1k):
         ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
-        wb = weighted_bands(corpus1k[0].f, NormRequest("F", 2.0, 2.0, ws, pair1k))
+        wb = ws.weigh(band_magnitudes(corpus1k[0].f, pair1k))
         for space in ("b", "Lp", "BMO"):
             with pytest.raises(ValueError, match="band norms"):
                 stack_norm(wb, NormRequest(space, 2.0, 2.0, ws, pair1k))
@@ -433,6 +493,19 @@ class TestDenseSequenceNorms:
             assert seq_b_norm(coeffs, spec1k, req) == (2.0, 2.0)
             assert seq_f(coeffs, spec1k, req) == (2.0, 2.0)
             assert seq_f_infty_norm(coeffs, spec1k, req) == (0.125, 0.125)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_f_infty_with_empty_middle_level(self, n):
+        # levels -2 and 2 hold coefficients, -1..1 none: zero rows there
+        spec = GridSpec(n, 2.0, 64)
+        pair = make_lp_pair(spec, -2, 4)
+        entries = {(-2, (0,) * n): 1.0 - 0.5j, (2, (3,) * n): 0.7, (2, (-5,) * n): 2.0j}
+        coeffs = CoefficientSet.from_entries(n, spec.R, entries)
+        assert list(coeffs.support) == [-2, 2] and coeffs.levels() == range(-2, 3)
+        for w in (Const(1.0), Pow(0.3), Dyadic(0.5)):
+            for family in (None, CubeFamily(-2, 5, False)):
+                req = request(pair, w, np.inf, 2.0, family=family)
+                assert seq_f_infty_norm(coeffs, spec, req) == seq_f_infty_former(coeffs, spec, req)
 
     def test_level_finer_than_grid_refused(self, spec1k, pair1k):
         # h = 1/64, so level 7 cubes would be half a cell wide

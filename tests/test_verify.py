@@ -5,7 +5,7 @@ import pytest
 
 from lpw.grid import CubeFamily, GridFunction, GridSpec, lp_norm, weighted_lp_norm
 from lpw.lpaley import make_lp_pair
-from lpw.spaces import NormRequest, stack_norm, weighted_bands
+from lpw.spaces import NormRequest, band_magnitudes, stack_norm
 from lpw.verify import (
     classical_band_magnitudes,
     classical_besov_norm,
@@ -20,8 +20,8 @@ from lpw.weights import Const, FamilyNodes, Pow, Prod, ShiftPow, WeightSequence,
 
 
 def band_norm(f, req):
-    """The band norm req.space names, of f or its band decomposition."""
-    return stack_norm(weighted_bands(f, req), req)
+    """The band norm req.space names, of f."""
+    return stack_norm(req.weights.weigh(band_magnitudes(f, req.pair)), req)
 
 
 @pytest.fixture(scope="module")
@@ -412,9 +412,9 @@ class TestSuiteStackCounts:
         calls = []
         orig = WeightSequence.weigh
 
-        def counted(ws, fs, nonneg=False):
-            calls.append((ws.spec, nonneg))
-            return orig(ws, fs, nonneg)
+        def counted(ws, mags):
+            calls.append((ws.spec, mags))
+            return orig(ws, mags)
 
         monkeypatch.setattr(WeightSequence, "weigh", counted)
         return calls
@@ -427,7 +427,9 @@ class TestSuiteStackCounts:
         assert len(res["records"]) == 2 * 5
         # 2 weights x ({t_k} and 7 frozen t_j) x 4 members, not x 5 cases
         assert len(calls) == 2 * 8 * 4
-        assert all(nonneg for _, nonneg in calls)
+        # every stack weighed is a member's cached magnitude stack
+        cached = [id(mags) for mags in ctx.bands().values()]
+        assert all(id(mags) in cached for _, mags in calls)
         assert all(n == 4 for n in Counter(spec for spec, _ in calls).values())
 
     def test_classical_weighs_once_per_s_and_transforms_once_per_member(self, ctx, monkeypatch, fft_calls):
@@ -445,19 +447,28 @@ class TestSuiteBandReuse:
         # once the run context holds the corpus bands, bmo decomposes nothing
         # and coincidence only its four spike witnesses, each once
         import lpw.spaces
-        import lpw.suites
         from lpw.suites import RunContext, suite_bmo, suite_coincidence
 
         ctx = RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=4)
         ctx.bands()
         calls = []
-        for mod in (lpw.spaces, lpw.suites):
-            def counted(f, pair, _orig=mod.band_decompose):
-                calls.append(f)
-                return _orig(f, pair)
+        def counted(f, pair, _orig=lpw.spaces.band_decompose):
+            calls.append(f)
+            return _orig(f, pair)
 
-            monkeypatch.setattr(mod, "band_decompose", counted)
+        monkeypatch.setattr(lpw.spaces, "band_decompose", counted)
         suite_bmo(ctx)
         assert calls == []
         suite_coincidence(ctx)
         assert len(calls) == 4
+
+    def test_cached_bands_are_the_decomposition_magnitudes(self):
+        from lpw.lpaley import band_decompose
+        from lpw.suites import RunContext
+
+        for ctx in (RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=3),
+                    RunContext(GridSpec(2, 2.0, 64), -1, 4, CubeFamily(-1, 5), corpus_size=2)):
+            bands = ctx.bands()
+            assert list(bands) == [mem.name for mem in ctx.corpus()]
+            for mem in ctx.corpus():
+                assert np.array_equal(bands[mem.name].values, np.abs(band_decompose(mem.f, ctx.pair()).values))

@@ -855,6 +855,11 @@ def per_level_weigh(ws, fs):
     return np.stack([ws.spec.on_grid(fs.spec, k).values * np.abs(fs[k]) for k in ws.levels()])
 
 
+def magnitudes(fs):
+    """The magnitude stack {|f_k|} that weigh takes."""
+    return VectorSequence(fs.spec, fs.k_min, np.abs(fs.values))
+
+
 @pytest.fixture(scope="module", params=[GridSpec(1, 8.0, 256), GridSpec(2, 2.0, 32)], ids=["1d", "2d"])
 def signed_stack(request):
     spec = request.param
@@ -886,9 +891,9 @@ _LEVEL_DEPENDENT_IDS = ["dyadic", "dyadic-prod", "cancelling-prod", "dyadic-inv"
 
 
 class TestWeigh:
-    """weigh forms t_k |f_k| with one broadcast multiply when t_k is the same
-    on every level, and level by level otherwise; the entries are the same
-    products either way."""
+    """weigh forms t_k |f_k| from the magnitude stack {|f_k|} with one
+    broadcast multiply when t_k is the same on every level, and level by
+    level otherwise; the entries are the same products either way."""
 
     def count_samples(self, monkeypatch):
         calls = []
@@ -906,7 +911,7 @@ class TestWeigh:
         assert w.level_free
         ws = WeightSequence(w, -2, 4, 2.0)
         calls = self.count_samples(monkeypatch)
-        got = ws.weigh(signed_stack)
+        got = ws.weigh(magnitudes(signed_stack))
         assert calls == [-2]  # one sample serves every level
         assert got.k_min == -2 and got.values.shape == (7, *signed_stack.spec.shape)
         assert (got.values == per_level_weigh(ws, signed_stack)).all()
@@ -916,27 +921,28 @@ class TestWeigh:
         assert not w.level_free
         ws = WeightSequence(w, -2, 4, 2.0)
         calls = self.count_samples(monkeypatch)
-        got = ws.weigh(signed_stack)
+        got = ws.weigh(magnitudes(signed_stack))
         assert calls == list(ws.levels())
         assert (got.values == per_level_weigh(ws, signed_stack)).all()
 
     @pytest.mark.parametrize("w", [_LEVEL_FREE[0], Pow(0.3), _LEVEL_DEPENDENT[1]], ids=["frozen", "pow", "dyadic-prod"])
     def test_nonneg_stack_taken_as_it_is(self, w, signed_stack):
         ws = WeightSequence(w, -3, 5, 2.0)
-        mags = VectorSequence(signed_stack.spec, -3, np.abs(signed_stack.values))
+        mags = magnitudes(signed_stack)
         before = mags.values.copy()
-        got = ws.weigh(mags, nonneg=True)
-        assert (got.values == ws.weigh(signed_stack).values).all()
+        got = ws.weigh(mags)
+        assert (got.values == per_level_weigh(ws, signed_stack)).all()
         assert (mags.values == before).all() and got.values is not mags.values
 
     def test_signed_input_left_unchanged(self, signed_stack):
-        before = signed_stack.values.copy()
+        before, mags = signed_stack.values.copy(), magnitudes(signed_stack)
+        mags_before = mags.values.copy()
         for w in (Pow(0.3), Dyadic(0.5)):
-            WeightSequence(w, -3, 5, 2.0).weigh(signed_stack)
-        assert (signed_stack.values == before).all()
+            WeightSequence(w, -3, 5, 2.0).weigh(mags)
+        assert (signed_stack.values == before).all() and (mags.values == mags_before).all()
 
     def test_levels_outside_the_stack_rejected(self, signed_stack):
         for k_min, k_max in ((-4, 2), (0, 6)):
             for w in (Pow(0.3), Dyadic(0.5)):
                 with pytest.raises(GridError, match="leave the stack"):
-                    WeightSequence(w, k_min, k_max, 2.0).weigh(signed_stack)
+                    WeightSequence(w, k_min, k_max, 2.0).weigh(magnitudes(signed_stack))
