@@ -2,12 +2,10 @@
 
 from .grid import (
     CubeFamily,
-    DyadicCube,
     GridError,
     GridFunction,
     GridSpec,
     VectorSequence,
-    enumerate_cubes,
     lp_lq_norm,
     lp_norm,
     load_grid_function,
@@ -46,7 +44,6 @@ from .lpaley import (
     LevelError,
     LPPair,
     analyze,
-    band,
     band_decompose,
     calderon_residual,
     make_lp_pair,

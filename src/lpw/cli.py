@@ -35,6 +35,7 @@ from .suites import (
     seqnorm_single_cases,
 )
 from .weights import (
+    XCLASS_ALPHA_MAX,
     Prod,
     WeightError,
     WeightSequence,
@@ -241,9 +242,15 @@ class RunConfig:
                     at0 = [float(self.norm_weight.eval(np.zeros(1), k)[0]) for k in levels]
                 _require(all(0 < t < math.inf for t in at0), "norm.weight", f"{self.norm_weight.key()} is not "
                          "positive and finite at the origin, which the unshifted grid samples")
-        if weights == "xclass" or "seqnorm" in suites or "xclassfit" in suites:  # read the matrix off level 0
+        fit = weights == "xclass" or "xclassfit" in suites
+        if fit or "seqnorm" in suites:  # read the matrix off level 0
             for name, text in ctx.weight_matrix.items():
-                _require_level_factors(parse_weight(text), range(ctx.k_min, ctx.k_max + 1), f"weights.{name}")
+                w = parse_weight(text)
+                _require_level_factors(w, range(ctx.k_min, ctx.k_max + 1), f"weights.{name}")
+                s = w.split()[0]
+                _require(not fit or abs(s) <= XCLASS_ALPHA_MAX, f"weights.{name}", f"{w.key()} grows at the "
+                         f"dyadic rate {s:g}, outside the exponents [-{XCLASS_ALPHA_MAX:g}, {XCLASS_ALPHA_MAX:g}] "
+                         "that xclass_fit searches")
         if corpus or any(name in ANNULUS_SUITES for name in suites):
             try:
                 annulus_indices(ctx.spec, pair)

@@ -1,19 +1,20 @@
-"""Sampled functions on a periodized box, dyadic cubes, and Lebesgue-type norms.
+"""Sampled functions on a periodized box, dyadic levels, and Lebesgue-type norms.
 
 The computational domain is the torus [-R, R)^n sampled on a uniform lattice
 of N points per axis.  With the half-cell offset enabled (the default) the
 sample points are x = -R + (i + 1/2) h, so no sample ever sits at the origin
 and singular expressions like |x|^a stay finite on the lattice.
 
-All integrals are midpoint sums: integral(f) ~ h^n * sum(samples).  Dyadic
-cubes Q = 2^-v ([0,1)^n + m) are mapped to whole-cell index ranges, so cube
-averages nest and tile exactly.
+All integrals are midpoint sums: integral(f) ~ h^n * sum(samples).  A level-v
+dyadic cube Q = 2^-v ([0,1)^n + m), m in level_index_range(R, v), is a block
+of whole cells, GridSpec.cells(v) a side (half of that at the coarsest level,
+whose cubes the domain clips in half), so cube sums nest and tile exactly;
+spaces.cube_lp takes them a level at a time.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -162,73 +163,10 @@ class GridFunction:
         return GridFunction(self.spec, self.values + other.values)
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """The dyadic cube 2^-v ([0,1)^n + m), intersected with the domain."""
-
-    v: int
-    m: tuple[int, ...]
-
-    def __post_init__(self):
-        if isinstance(self.m, int):
-            object.__setattr__(self, "m", (self.m,))
-        else:
-            object.__setattr__(self, "m", tuple(int(x) for x in self.m))
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.v)
-
-    def bounds(self) -> list[tuple[float, float]]:
-        return [(mi * self.side, (mi + 1) * self.side) for mi in self.m]
-
-    def clipped_bounds(self, R: float) -> list[tuple[float, float]]:
-        out = []
-        for lo, hi in self.bounds():
-            lo, hi = max(lo, -R), min(hi, R)
-            if lo >= hi:
-                raise GridError(f"cube {self} does not intersect [-{R}, {R})")
-            out.append((lo, hi))
-        return out
-
-
 def level_index_range(R: float, v: int) -> tuple[int, int]:
     """Positions m of level-v cubes meeting [-R, R): m in [-C, C)."""
     C = math.ceil(R * 2.0**v)
     return -C, C
-
-
-def enumerate_cubes(spec: GridSpec, v_min: int, v_max: int) -> list[DyadicCube]:
-    """All dyadic cubes of levels v_min..v_max that intersect the domain.
-
-    Each level tiles the domain exactly once.  Both ends must lie in the
-    grid's level window.
-    """
-    if v_min > v_max:
-        raise GridError("v_min > v_max")
-    spec.cells(v_min), spec.cells(v_max)  # GridError outside the level window
-    cubes = []
-    for v in range(v_min, v_max + 1):
-        lo, hi = level_index_range(spec.R, v)
-        cubes.extend(DyadicCube(v, m) for m in itertools.product(range(lo, hi), repeat=spec.n))
-    return cubes
-
-
-def cube_cells(spec: GridSpec, Q: DyadicCube) -> list[tuple[int, int]]:
-    """Per-axis clipped [start, stop) cell index ranges covered by Q."""
-    ranges = []
-    for lo, hi in Q.clipped_bounds(spec.R):
-        start = int(round((lo + spec.R) / spec.h))
-        stop = int(round((hi + spec.R) / spec.h))
-        start, stop = max(start, 0), min(stop, spec.N)
-        if stop <= start:
-            raise GridError(f"cube {Q} contains no samples at N={spec.N}")
-        ranges.append((start, stop))
-    return ranges
-
-
-def cube_samples(f: GridFunction, Q: DyadicCube) -> np.ndarray:
-    return f.values[tuple(slice(a, b) for a, b in cube_cells(f.spec, Q))]
 
 
 def _lp(values: np.ndarray, cell_measure: float, p: float) -> float:

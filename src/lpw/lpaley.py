@@ -3,7 +3,9 @@
 A radial C-infinity bump supported exactly on the annulus 1/2 <= |xi| <= 2
 defines the analysis profile; the synthesis profile is the self-normalized
 quotient, which turns the telescoping partition of unity over dyadic dilates
-into an algebraic identity.  Band convolutions are exact Fourier multipliers.
+into an algebraic identity.  Band convolutions are exact Fourier multipliers;
+band_decompose is the one forward band transform, every band of the window
+from one forward FFT of f.
 
 Coefficients are samples of band convolutions on the dyadic lattice 2^-k m.
 At level k the band spectrum lives in [2^(k-1), 2^(k+1)] (angular units)
@@ -56,20 +58,6 @@ def from_spectrum(spec: GridSpec, F: np.ndarray, real: bool = True) -> np.ndarra
         G = _apply_axis(np.conj(ph), G, ax)
     u = np.fft.ifftn(G) / spec.cell_measure
     return u.real if real else u
-
-
-def _apply_to_spectrum(values: np.ndarray, F: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Samples of m(D) f given F = fftn(values), so one forward transform
-    serves every multiplier applied to f."""
-    out = np.fft.ifftn(mult * F)
-    if np.isrealobj(values) and np.isrealobj(mult):
-        out = out.real
-    return out
-
-
-def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    """Samples of m(D) f; sample-position phases cancel for multipliers."""
-    return GridFunction(f.spec, _apply_to_spectrum(f.values, np.fft.fftn(f.values), mult))
 
 
 def lattice_values(f: GridFunction, mult: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
@@ -205,20 +193,17 @@ def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:
     )
 
 
-def band(f: GridFunction, pair: LPPair, k: int) -> GridFunction:
-    """The level-k band: inverse transform of bump_profile(2^-k xi) * Ff."""
-    if not (pair.k_min <= k <= pair.k_max):
-        raise LevelError(f"level {k} outside pair window [{pair.k_min}, {pair.k_max}]")
-    return apply_multiplier(f, pair.phi_mult[k])
-
-
 def band_decompose(f: GridFunction, pair: LPPair) -> VectorSequence:
-    """Every band of the pair window from one forward transform of f, as the
-    rows of one level stack (real when f is: the multipliers are real)."""
+    """The band phi_k * f, the inverse transform of bump_profile(2^-k xi) Ff,
+    of every level of the pair window, from one forward transform of f, as
+    the rows of one level stack (real when f is: the multipliers are real,
+    and sample-position phases cancel for multipliers)."""
     F = np.fft.fftn(f.values)
-    bands = np.empty((len(pair.levels()), *f.spec.shape), dtype=float if np.isrealobj(f.values) else complex)
+    real = np.isrealobj(f.values)
+    bands = np.empty((len(pair.levels()), *f.spec.shape), dtype=float if real else complex)
     for row, k in zip(bands, pair.levels()):
-        row[...] = _apply_to_spectrum(f.values, F, pair.phi_mult[k])
+        bk = np.fft.ifftn(pair.phi_mult[k] * F)
+        row[...] = bk.real if real else bk
     return VectorSequence(f.spec, pair.k_min, bands)
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .grid import (
     CubeFamily,
-    DyadicCube,
     GridError,
     GridFunction,
     GridSpec,
@@ -30,7 +29,6 @@ from .grid import (
     _lp,
     _lp_lq_nonneg,
     _lp_nonneg,
-    cube_samples,
 )
 from .lpaley import CoefficientSet, LPPair, band_decompose
 from .weights import WeightSequence
@@ -182,24 +180,21 @@ def _paint(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def cube_lp(t: GridFunction, Q: DyadicCube, p: float) -> float:
-    """Non-normalized cube norm ||t|L_p(Q)|| by the midpoint rule."""
-    return _lp(cube_samples(t, Q), t.spec.cell_measure, p)
-
-
-def _cube_lp_all(t: GridFunction, S: int, p: float, where: np.ndarray) -> np.ndarray:
-    """cube_lp(t, Q, p) for each cube Q of S cells a side where `where` holds,
-    summed in the same order; 0 elsewhere."""
+def cube_lp(t: GridFunction, S: int, p: float, where: np.ndarray) -> np.ndarray:
+    """The non-normalized cube norm ||t|L_p(Q)|| by the midpoint rule, for
+    each cube Q of S cells a side where `where` holds, 0 elsewhere: the cube
+    at index i per axis covers cells [i S, (i + 1) S).  Each cube is summed
+    as _lp sums its S^n cells, in the same order."""
     n = t.spec.n
     b = _blocks(np.abs(t.values), S)
-    # one row of S^n contiguous cells per cube, which is how cube_lp sums
+    # one row of S^n contiguous cells per cube, which is how _lp sums
     b = b.transpose(*range(0, 2 * n, 2), *_in_cube(n)).reshape(b.shape[::2] + (-1,))[where]
     out = np.zeros(where.shape)
     if np.isinf(p):
         out[where] = b.max(axis=-1)
     else:
         sums = t.spec.cell_measure * (b**p).sum(axis=-1)
-        # numpy's array power can round apart from the scalar power cube_lp takes
+        # numpy's array power can round apart from the scalar power _lp takes
         out[where] = [s ** (1.0 / p) for s in sums]
     return out
 
@@ -210,9 +205,9 @@ def _starred_cube_lp(t: GridFunction, k: int, S: int, p: float, where: np.ndarra
 
     Only the coarsest level k = -log2(2R) has cubes clipped to half the
     domain; there t_{k,m} takes the measure ratio, every other level is
-    _cube_lp_all as it is.
+    cube_lp as it is.
     """
-    tkm = _cube_lp_all(t, S, p, where)
+    tkm = cube_lp(t, S, p, where)
     side = S * t.spec.h
     if side < 2.0 ** (-k):
         tkm = tkm * (2.0 ** (-k) / side) ** (t.spec.n / p)
@@ -222,9 +217,10 @@ def _starred_cube_lp(t: GridFunction, k: int, S: int, p: float, where: np.ndarra
 def _seq_levels(coeffs: CoefficientSet, spec: GridSpec) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """coeffs.support, once every stored level is checked to fit the grid."""
     coeffs.check_domain(spec)
+    k_cap = spec.level_window()[1]
     for k in coeffs.levels():
-        if 2.0 ** (-k) < spec.h:
-            raise ValueError(f"level {k} cubes are finer than the grid spacing h={spec.h}")
+        if k > k_cap:
+            raise GridError(f"level {k} cubes are finer than the grid spacing h={spec.h}, past level {k_cap}")
     return coeffs.support
 
 
@@ -239,7 +235,7 @@ def seq_b_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tupl
     for k in _seq_levels(coeffs, spec):
         t, mags, S = req.weights.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
         plain = _lp(_paint(spec, mags) * t.values, spec.cell_measure, p)
-        tkm = _cube_lp_all(t, S, p, mags > 0)
+        tkm = cube_lp(t, S, p, mags > 0)
         if np.isinf(p):
             star = float((mags * tkm).max())
         else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, GridSpec, _lp, level_index_range
+from .grid import GridError, GridFunction, GridSpec, _lp, level_index_range
 from .lpaley import LPPair, from_spectrum
 from .weights import (
     FamilyNodes,
@@ -286,17 +286,20 @@ def delta_coefficient_check(
     """Sequence-norm ratios of single-coefficient inputs under the two
     weights.  For a lone coefficient every sequence norm reduces to the cube
     norm of the weight, so uniform boundedness restates the coincidence
-    condition at sequence level."""
+    condition at sequence level.  Each level takes three cubes on the
+    diagonal, m = (m_1, ..., m_1) with m_1 = lo + int(r (count - 1)) for
+    r = 0.5, 0.66, 0.95 over the count level positions from lo."""
     ratios = []
     for k in levels:
         lo, hi = level_index_range(spec.R, k)
         count = hi - lo
-        for r in (0.5, 0.66, 0.95):
-            m = lo + int(r * (count - 1))
-            Q = DyadicCube(k, (m,) * spec.n)
-            n1 = cube_lp(t1.on_grid(spec, k), Q, p)
-            n2 = cube_lp(t2.on_grid(spec, k), Q, p)
-            ratios.append(n1 / n2)
+        if count > spec.N:
+            raise GridError(f"level {k} cubes are finer than the grid spacing h={spec.h}")
+        diag = (np.array([int(r * (count - 1)) for r in (0.5, 0.66, 0.95)]),) * spec.n
+        where = np.zeros((count,) * spec.n, dtype=bool)
+        where[diag] = True
+        n1, n2 = (cube_lp(t.on_grid(spec, k), spec.N // count, p, where) for t in (t1, t2))
+        ratios.extend(n1[diag] / n2[diag])
     vals = np.array(ratios)
     spread = float(vals.max() / vals.min())
     return spread <= ceiling, {

@@ -851,8 +851,15 @@ def xclass_constants(
     return {"alpha": [a1, a2], "sigma": [s1, s2], "p": ts.p, "C1": C1, "C2": C2, "witness1": w1, "witness2": w2}
 
 
+# xclass_fit searches alpha in [-XCLASS_ALPHA_MAX, XCLASS_ALPHA_MAX]; the fit
+# of a weight 2^(k s) g has its plateau edges at alpha = s, so a config whose
+# rate |s| lies beyond this is refused before the fit runs.
+XCLASS_ALPHA_MAX = 4.0
+
+
 def xclass_fit(ts: WeightSequence, sigma: tuple[float, float], nodes: FamilyNodes) -> dict:
-    """Fit growth exponents by grid search over [-4, 4] in steps of 0.05.
+    """Fit growth exponents by grid search over [-XCLASS_ALPHA_MAX,
+    XCLASS_ALPHA_MAX] = [-4, 4] in steps of 0.05.
 
     C1 is nondecreasing in alpha1 and C2 nonincreasing in alpha2, so the
     minimum of each sits on a plateau; the fit reports the plateau edges
@@ -860,7 +867,7 @@ def xclass_fit(ts: WeightSequence, sigma: tuple[float, float], nodes: FamilyNode
     recover the exact dyadic rate for weights of the form 2^(k s) g, as the
     record {alpha1, alpha2, C1, C2, grid_step}.
     """
-    alpha_lo, alpha_hi, step, plateau_tol = -4.0, 4.0, 0.05, 0.02
+    alpha_lo, alpha_hi, step, plateau_tol = -XCLASS_ALPHA_MAX, XCLASS_ALPHA_MAX, 0.05, 0.02
     A, B, D = _level_stats(ts, nodes, sigma)
     lags = range(0, ts.k_max - ts.k_min + 1)
     M1, M2 = {}, {}

@@ -21,13 +21,12 @@ SMALL_CONFIG = {
 
 
 def export_bands(f, pair, directory):
-    """Each band of f on pair saved as band_<k>, the layout lpw decompose
-    writes, from band() one level at a time."""
-    from lpw.lpaley import band
-
+    """Each band of f (a real function) on pair saved as band_<k>, the layout
+    lpw decompose writes, from one inverse transform per level."""
     directory.mkdir(parents=True)
     for k in pair.levels():
-        save_grid_function(band(f, pair, k), directory / f"band_{k:+03d}")
+        bk = np.fft.ifftn(pair.phi_mult[k] * np.fft.fftn(f.values)).real
+        save_grid_function(GridFunction(f.spec, bk), directory / f"band_{k:+03d}")
 
 
 def write_config(tmp_path, overrides=None, **kw):
@@ -307,6 +306,26 @@ class TestWeightRange:
         assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "config field 'weights.big'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("weight", ["dyadic:5", "dyadic:-5", "dyadic:150"])
+    @pytest.mark.parametrize("command", [["verify", "xclassfit"], ["weights", "xclass"]])
+    def test_matrix_entry_outside_fit_range_refused(self, tmp_path, capsys, command, weight):
+        # xclass_fit searches alpha in [-4, 4], and the fit of 2^(k s) sits at
+        # alpha = s: dyadic:5 would read alpha1 = alpha2 = 4 and pass
+        path = write_config(tmp_path, {"weights": {"w1": weight}})
+        assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'weights.w1'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_fit_range_edge_fits(self, tmp_path):
+        # the edge rate 4 is fitted exactly, and a rate past it is refused
+        # only where the fit runs
+        path = write_config(tmp_path, {"weights": {"w1": "dyadic:4"}})
+        assert main(["weights", "xclass", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        (rec,) = json.loads((tmp_path / "o" / "weights_xclass.json").read_text())["records"]
+        assert (rec["alpha1"], rec["alpha2"]) == (4.0, 4.0)
+        path = write_config(tmp_path, {"weights": {"w1": "dyadic:5"}})
+        RunConfig(json.loads(Path(path).read_text())).check_runnable(["seqnorm"])
 
     @pytest.mark.parametrize("command", [["verify", "partition"], ["weights", "ap"]])
     def test_matrix_read_at_level_zero_only_runs(self, tmp_path, command):

@@ -8,13 +8,11 @@ from scipy.integrate import quad
 
 from lpw.spaces import cube_lp
 from lpw.grid import (
-    DyadicCube,
     GridError,
     GridFunction,
     GridSpec,
     VectorSequence,
-    cube_samples,
-    enumerate_cubes,
+    level_index_range,
     load_grid_function,
     lp_lq_norm,
     lp_norm,
@@ -129,37 +127,50 @@ class TestMesh:
         assert np.array_equal(mesh_weights([wx, wy]), (wx[:, None] * wy[None, :]).ravel())
 
 
+def level_cubes(f, v, p):
+    """cube_lp of every level-v cube of f's grid, the cube at position m
+    (level_index_range per axis) at index m - lo, blocked as the sequence
+    norms block them: N / (hi - lo) cells a side, so the coarsest level's
+    cubes are clipped to half the domain."""
+    f.spec.cells(v)  # GridError outside the level window
+    lo, hi = level_index_range(f.spec.R, v)
+    return cube_lp(f, f.spec.N // (hi - lo), p, np.ones((hi - lo,) * f.spec.n, dtype=bool))
+
+
 class TestEnumerateCubes:
+    """The dyadic cubes of a level, as cube_lp blocks the grid."""
+
     def test_unit_tiling(self):
+        # level 0 on [-1, 1): the cubes [-1, 0) and [0, 1), in that order
         spec = GridSpec(1, 1.0, 8)
-        cubes = enumerate_cubes(spec, 0, 0)
-        assert [(c.v, c.m) for c in cubes] == [(0, (-1,)), (0, (0,))]
-        assert cubes[0].bounds() == [(-1.0, 0.0)]
-        assert cubes[1].bounds() == [(0.0, 1.0)]
+        assert level_index_range(spec.R, 0) == (-1, 1)
+        assert level_cubes(indicator(spec, -1.0, 0.0), 0, 1.0).tolist() == [1.0, 0.0]
+        assert level_cubes(indicator(spec, 0.0, 1.0), 0, 1.0).tolist() == [0.0, 1.0]
 
     def test_dyadic_counting(self):
         spec = GridSpec(1, 1.0, 8)
-        assert len(enumerate_cubes(spec, 0, 2)) == 2 + 4 + 8
+        one = GridFunction(spec, np.ones(8))
+        assert sum(level_cubes(one, v, 1.0).size for v in range(0, 3)) == 2 + 4 + 8
 
     def test_2d_counting(self):
+        # 16 cubes of side 0.5, each of area 0.25
         spec = GridSpec(2, 1.0, 8)
-        cubes = enumerate_cubes(spec, 1, 1)
-        assert len(cubes) == 16
-        assert all(c.side == 0.5 for c in cubes)
+        got = level_cubes(GridFunction(spec, np.ones(spec.shape)), 1, 1.0)
+        assert got.shape == (4, 4)
+        assert np.all(got == 0.25)
 
     def test_level_tiles_exactly_once(self):
         spec = GridSpec(1, 2.0, 64)
         for v in range(-1, 4):
-            cubes = enumerate_cubes(spec, v, v)
-            counted = sum(cube_samples(indicator(spec, -2, 2), c).size for c in cubes)
+            counted = level_cubes(indicator(spec, -2, 2), v, 1.0).sum() / spec.h
             assert counted == spec.N
 
     def test_incompatible_levels(self):
         spec = GridSpec(1, 1.0, 8)
         with pytest.raises(GridError):
-            enumerate_cubes(spec, 0, 5)
+            level_cubes(GridFunction(spec, np.ones(8)), 5, 1.0)
         with pytest.raises(GridError):
-            enumerate_cubes(spec, -4, 0)
+            level_cubes(GridFunction(spec, np.ones(8)), -4, 1.0)
 
 
 class TestCubeAverage:
@@ -169,37 +180,38 @@ class TestCubeAverage:
     def test_constant(self):
         spec = GridSpec(1, 2.0, 64)
         f = GridFunction(spec, np.full(64, 3.0))
-        for Q in enumerate_cubes(spec, -1, 2):
-            assert cube_lp(f, Q, 2.0) == pytest.approx(3.0 * Q.side**0.5, abs=1e-14)
+        for v in range(-1, 3):
+            np.testing.assert_allclose(level_cubes(f, v, 2.0), 3.0 * 2.0 ** (-v / 2), rtol=0, atol=1e-14)
 
     def test_indicator_average(self):
+        # the level -1 cube [0, 2) sits at index m - lo = 0 + 1
         spec = GridSpec(1, 2.0, 64)
         f = indicator(spec, 0.0, 1.0)
-        assert cube_lp(f, DyadicCube(-1, (0,)), 1.0) == pytest.approx(0.5 * 2.0)
+        assert level_cubes(f, -1, 1.0)[1] == pytest.approx(0.5 * 2.0)
 
     def test_sqrt_integral_oracle(self):
         # midpoint quadrature against the closed form: the integral of
         # sqrt(x) over [0,1) is 2/3
         spec = GridSpec(1, 1.0, 4096)
         f = GridFunction(spec, np.sqrt(np.abs(spec.axis())))
-        val = cube_lp(f, DyadicCube(0, (0,)), 1.0)
+        val = level_cubes(f, 0, 1.0)[1]
         assert val == pytest.approx(2.0 / 3.0, rel=1e-5)
 
     def test_errors(self):
+        # cubes of 3 cells a side do not tile 16 cells
         spec = GridSpec(1, 1.0, 16)
         f = GridFunction(spec, np.ones(16))
-        with pytest.raises(GridError):
-            cube_lp(f, DyadicCube(10, (0,)), 1.0)
+        with pytest.raises(ValueError):
+            cube_lp(f, 3, 1.0, np.ones(5, dtype=bool))
 
     @given(st.floats(0.3, 4.0), st.floats(0.0, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_jensen_monotone_in_p(self, p1, dp):
-        # on a cube of unit measure the cube norm is the mean M_{Q,p}
+        # on a cube of unit measure, [-1, 0), the cube norm is the mean M_{Q,p}
         spec = GridSpec(1, 1.0, 64)
         rng = np.random.default_rng(99)
         f = GridFunction(spec, rng.uniform(0.1, 2.0, 64))
-        Q = DyadicCube(0, (-1,))
-        assert cube_lp(f, Q, p1) <= cube_lp(f, Q, p1 + dp) + 1e-12
+        assert level_cubes(f, 0, p1)[0] <= level_cubes(f, 0, p1 + dp)[0] + 1e-12
 
     def test_discrete_hoelder(self, rng):
         spec = GridSpec(1, 1.0, 128)
@@ -208,20 +220,17 @@ class TestCubeAverage:
         uv = GridFunction(spec, u.values * v.values)
         p, sigma = 3.0, 1.5
         theta = 1.0 / (1.0 / p + 1.0 / sigma)
-        for Q in enumerate_cubes(spec, 0, 3):
-            lhs = cube_lp(uv, Q, theta)
-            rhs = cube_lp(u, Q, p) * cube_lp(v, Q, sigma)
-            assert lhs <= rhs * (1 + 1e-12)
+        for level in range(0, 4):
+            lhs = level_cubes(uv, level, theta)
+            rhs = level_cubes(u, level, p) * level_cubes(v, level, sigma)
+            assert np.all(lhs <= rhs * (1 + 1e-12))
 
     def test_tiling_consistency(self, rng):
         spec = GridSpec(1, 2.0, 256)
         f = GridFunction(spec, rng.normal(size=256))
         total = lp_norm(f, 1.0)
         for v in range(-2, 4):
-            acc = 0.0
-            for Q in enumerate_cubes(spec, v, v):
-                acc += cube_lp(f, Q, 1.0)
-            assert acc == pytest.approx(total, rel=1e-12)
+            assert level_cubes(f, v, 1.0).sum() == pytest.approx(total, rel=1e-12)
 
 
 class TestWeightedNorm:

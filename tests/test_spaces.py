@@ -6,7 +6,6 @@ import pytest
 from lpw import spaces
 from lpw.grid import (
     CubeFamily,
-    DyadicCube,
     GridError,
     GridFunction,
     GridSpec,
@@ -14,16 +13,13 @@ from lpw.grid import (
     _lp,
     _lp_lq_nonneg,
     _lp_nonneg,
-    cube_cells,
-    cube_samples,
     level_index_range,
     lp_lq_norm,
     lp_norm,
 )
-from lpw.lpaley import CoefficientSet, apply_multiplier, band, band_decompose, make_lp_pair
+from lpw.lpaley import CoefficientSet, band_decompose, make_lp_pair
 from lpw.spaces import (
     NormRequest,
-    _cube_lp_all,
     _family_blocks,
     _in_cube,
     band_magnitudes,
@@ -139,7 +135,7 @@ class TestFunctionNorms:
         t3 = ws.on_grid(spec1k, 3)
         from lpw.grid import weighted_lp_norm
 
-        want = weighted_lp_norm(band(f, pair1k, 3), t3, 2.0)
+        want = weighted_lp_norm(GridFunction(spec1k, band_decompose(f, pair1k)[3]), t3, 2.0)
         for q in (1.0, 2.0, np.inf):
             req = request(pair1k, Pow(0.3), 2.0, q, k_min=3, k_max=3)
             assert besov(f, req) == pytest.approx(want, rel=1e-12)
@@ -209,13 +205,14 @@ class TestCarlesonNorm:
         fam = CubeFamily(-4, 6, translates=False)
         req = request(pair1k, Const(1.0), np.inf, 2.0, family=fam)
         got = tl_infty(f, req)
-        bk = np.abs(band(f, pair1k, k0).values) ** 2
+        bk = np.abs(band_decompose(f, pair1k)[k0]) ** 2
         best = 0.0
-        from lpw.grid import enumerate_cubes
-
-        for Q in enumerate_cubes(spec1k, -4, k0):
-            vals = cube_samples(GridFunction(spec1k, bk), Q)
-            best = max(best, float(vals.mean()))
+        for v in range(-4, k0 + 1):
+            # the level-v cubes, clipped to the domain: cells [i S, (i + 1) S)
+            lo, hi = level_index_range(spec1k.R, v)
+            S = spec1k.N // (hi - lo)
+            for i in range(hi - lo):
+                best = max(best, float(bk[i * S:(i + 1) * S].mean()))
         assert got == pytest.approx(np.sqrt(best), rel=1e-12)
 
     def test_weight_doubling(self, spec1k, pair1k, corpus1k):
@@ -304,7 +301,7 @@ class TestDecompositionInput:
             assert got.levels() == req.weights.levels()
             for k in req.weights.levels():
                 t = req.weights.on_grid(spec1k, k).values
-                want = t * np.abs(band(mem.f, pair1k, k).values)
+                want = t * np.abs(band_decompose(mem.f, pair1k)[k])
                 assert np.array_equal(got[k], want)
 
     def test_norms_equal_on_function_and_decomposition(self, pair1k, corpus1k):
@@ -469,17 +466,17 @@ class TestDenseSequenceNorms:
         for k in range(-2, 5):  # -log2(2R) .. log2(1/h)
             lo, hi = level_index_range(spec.R, k)
             S = spec.N // (hi - lo)
-            cubes = [DyadicCube(k, tuple(i + lo for i in m)) for m in np.ndindex(*(hi - lo,) * n)]
+            # the cube at position m covers cells [(m - lo) S, (m - lo + 1) S) per axis
+            cubes = {i: tuple(slice(x * S, (x + 1) * S) for x in i) for i in np.ndindex(*(hi - lo,) * n)}
             where = rng.random((hi - lo,) * n) < 0.7
             for p in (1.5, 2.0, 3.0, np.inf):
-                got = _cube_lp_all(t, S, p, where)
-                for Q in cubes:
-                    i = tuple(x - lo for x in Q.m)
-                    assert got[i] == (cube_lp(t, Q, p) if where[i] else 0.0)
+                got = cube_lp(t, S, p, where)
+                for i, cells in cubes.items():
+                    assert got[i] == (_lp(t.values[cells], spec.cell_measure, p) if where[i] else 0.0)
             vals = rng.random((hi - lo,) * n)
             want = np.zeros(spec.shape)
-            for Q in cubes:
-                want[tuple(slice(a, b) for a, b in cube_cells(spec, Q))] += vals[tuple(x - lo for x in Q.m)]
+            for i, cells in cubes.items():
+                want[cells] += vals[i]
             assert np.array_equal(_paint(spec, vals), want)
 
     def test_coarsest_level_cubes_are_half_domains(self, spec1k):
@@ -493,6 +490,18 @@ class TestDenseSequenceNorms:
             assert seq_b_norm(coeffs, spec1k, req) == (2.0, 2.0)
             assert seq_f(coeffs, spec1k, req) == (2.0, 2.0)
             assert seq_f_infty_norm(coeffs, spec1k, req) == (0.125, 0.125)
+
+    def test_levels_past_the_grid_refused(self, spec1k):
+        # spec1k's level window is [-4, 6]: a level-7 cube is finer than a
+        # cell, while a level below -4 is taken as before, its two cubes
+        # clipped to half the domain
+        req = request(make_lp_pair(spec1k, -4, 6), Const(1.0), 1.0, 1.0)
+        fine = CoefficientSet.from_entries(1, spec1k.R, {(7, (0,)): 1.0})
+        for norm in (seq_b_norm, seq_f, seq_f_infty_norm):
+            with pytest.raises(GridError, match="past level 6"):
+                norm(fine, spec1k, req)
+        coarse = CoefficientSet.from_entries(1, spec1k.R, {(-5, (0,)): 1.0})
+        assert seq_b_norm(coarse, spec1k, req) == pytest.approx((2**0.5, 2**0.5), rel=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_f_infty_with_empty_middle_level(self, n):
@@ -693,8 +702,8 @@ class TestGrandMaximal:
                 for k in ts.levels():
                     t = ts.on_grid(spec, k).values
                     for prof in d.profiles:
-                        conv = apply_multiplier(mem.f, prof.multiplier(spec, k))
-                        np.maximum(best, t * np.abs(conv.values), out=best)
+                        conv = np.fft.ifftn(prof.multiplier(spec, k) * np.fft.fftn(mem.f.values))
+                        np.maximum(best, t * np.abs(conv), out=best)
                 want = lp_norm(GridFunction(spec, best), 2.0)
                 assert hardy_grand_norm(mem.f, ts, 2.0, d) == want
 

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lpw.grid import CubeFamily, GridFunction, GridSpec, lp_norm, weighted_lp_norm
+from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, _lp, level_index_range, lp_norm, weighted_lp_norm
 from lpw.lpaley import make_lp_pair
 from lpw.spaces import NormRequest, band_magnitudes, stack_norm
 from lpw.verify import (
@@ -260,6 +260,30 @@ class TestDeltaCoefficients:
         assert not ok
         assert info["spread"] > 50
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pinned_to_per_cube_slices(self, n):
+        # spread, min and max bit for bit against the cube norms summed one
+        # diagonal cube at a time over its own cells, [i S, (i + 1) S) per
+        # axis, on every level of the window (the coarsest one's cubes are
+        # half the domain)
+        spec, levels, p = GridSpec(n, 2.0, 64), range(-2, 5), 1.5
+        t1, t2 = Pow(0.3), parse_weight("prod:[dyadic:0.5,shiftpow:-0.4,1]")
+        ratios = []
+        for k in levels:
+            lo, hi = level_index_range(spec.R, k)
+            S = spec.N // (hi - lo)
+            for r in (0.5, 0.66, 0.95):
+                i = int(r * (hi - lo - 1))
+                cells = (slice(i * S, (i + 1) * S),) * n
+                n1, n2 = (_lp(t.on_grid(spec, k).values[cells], spec.cell_measure, p) for t in (t1, t2))
+                ratios.append(n1 / n2)
+        ok, info = delta_coefficient_check(t1, t2, p, 2.0, spec, levels)
+        assert (info["min"], info["max"]) == (min(ratios), max(ratios))
+        assert info["spread"] == max(ratios) / min(ratios)
+        assert ok == (info["spread"] <= 50.0)
+        with pytest.raises(GridError, match="level 5 cubes"):
+            delta_coefficient_check(t1, t2, p, 2.0, spec, range(-2, 6))
+
 
 class TestFrozenLevelNondegenerate:
     def test_bounded_modulation_stays_equivalent(self, spec1k, pair1k, corpus1k):
@@ -388,10 +412,11 @@ class TestClassicalPaths:
     def test_besov_q_inf(self, pair1k, corpus1k):
         f = corpus1k[1].f
         got = classical_besov_norm(classical_band_magnitudes(f, pair1k), 0.5, 2.0, np.inf)
-        from lpw.lpaley import band
+        from lpw.lpaley import band_decompose
 
+        bands = band_decompose(f, pair1k)
         want = max(
-            2.0 ** (0.5 * k) * lp_norm(band(f, pair1k, k), 2.0) for k in pair1k.levels()
+            2.0 ** (0.5 * k) * lp_norm(GridFunction(f.spec, bands[k]), 2.0) for k in pair1k.levels()
         )
         assert got == pytest.approx(want, rel=1e-12)
 
