@@ -160,6 +160,12 @@ def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:
     band support below the spectral cutoff.  Bands whose annulus falls below
     the lowest torus frequency are retained as exact zeros; the first level
     with nonzero grid content is published as `first_active`.
+
+    The denominator D(rho) = sum_j bump(rho / 2^j)^2 is invariant under
+    rho -> 2 rho, and scaling rho by a power of two is exact, so
+    D(rho / 2^k) == D(rho) bit for bit: one D serves every level.  Each
+    bump(rho / 2^k) is exactly 0 outside the annulus 2^(k-1) <= rho <= 2^(k+1),
+    so it is evaluated only there, and so is D, on the levels' union.
     """
     if k_min > k_max:
         raise LevelError("empty level window")
@@ -170,13 +176,19 @@ def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:
             f"admissible window is [{k_floor}, {k_cap}]"
         )
     rho = spec.freq_radius()
+    den = np.zeros_like(rho)
+    live = (rho >= 2.0 ** (k_min - 1)) & (rho <= 2.0 ** (k_max + 1))
+    den[live] = _partition_denominator(rho[live])
     phi_mult, psi_mult = {}, {}
     first_active = None
     for k in range(k_min, k_max + 1):
-        m = bump_profile(rho / 2.0**k)
-        phi_mult[k] = m
-        psi_mult[k] = synthesis_profile(rho / 2.0**k)
-        if first_active is None and np.any(m > 0):
+        on = (rho >= 2.0 ** (k - 1)) & (rho <= 2.0 ** (k + 1))
+        m, psi = np.zeros_like(rho), np.zeros_like(rho)
+        m[on] = bump_profile(rho[on] / 2.0**k)
+        nz = m > 0
+        psi[nz] = m[nz] / den[nz]
+        phi_mult[k], psi_mult[k] = m, psi
+        if first_active is None and nz.any():
             first_active = k
     if first_active is None:
         raise LevelError(f"no level in [{k_min}, {k_max}] meets a nonzero grid frequency")

@@ -34,6 +34,7 @@ the chunk size, the batch size or the BLAS thread count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -460,10 +461,11 @@ class FamilyNodes:
     coordinate sign flips and, in 2D, the axis swap: cubes fall into orbits,
     each keyed by its canonical clipped intervals, and only one representative
     per orbit holds nodes.  The batches hold the representatives (every
-    regular one in one batch, each cube touching the origin or the seam in a
-    batch of its own), orbit maps each cube of the family to its
-    representative's row, and cube(i) names the i-th cube in family order
-    only when a witness is asked for (meta() lists them all).  Cube statistics are cached per (radial
+    regular one in one batch; those touching the origin or crossing the seam
+    in one batch per distinct set of per-axis node weights), orbit maps each
+    cube of the family to its representative's row, and cube(i) names the
+    i-th cube in family order only when a witness is asked for (meta() lists
+    them all).  Cube statistics are cached per (radial
     profile, exponent, inverse) for separable weights and per (weight, level,
     exponent, inverse) otherwise.  stats() computes all the statistics a
     caller asks for in one pass per profile: the profile is evaluated once
@@ -508,8 +510,9 @@ class FamilyNodes:
         n_regular = int(np.count_nonzero(~special[by_key[starts]]))
         self.batches: list[_Batch] = []
         self._append_regular(keys[:n_regular, :n], keys[:n_regular, n:])
-        for key in keys[n_regular:]:
-            self._append_special(key[:n], key[n:])
+        row = np.arange(len(keys))
+        row[n_regular:] = n_regular + self._append_special(keys[n_regular:, :n], keys[n_regular:, n:])
+        self.orbit = row[self.orbit]
 
     # -- geometry ----------------------------------------------------------
 
@@ -569,9 +572,23 @@ class FamilyNodes:
             wts.append(ww)
         return np.concatenate(nodes), np.concatenate(wts) / (b - a)
 
-    def _append_special(self, lo, hi):
-        nodes, wts = zip(*(self._axis_pieces(a, b) for a, b in zip(lo, hi)))
-        self.batches.append(_Batch(mesh_radius(nodes).reshape(1, -1), mesh_weights(wts)))
+    def _append_special(self, lo, hi) -> np.ndarray:
+        """Mesh the special representatives in one batch per distinct set of
+        per-axis node weights, with one mesh_radius call each; returns each
+        representative's row among them, batch after batch."""
+        axis_mesh = functools.cache(self._axis_pieces)
+        groups: dict = {}  # per-axis weights -> [(representative, per-axis nodes, weights)]
+        for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            nodes, wts = zip(*(axis_mesh(*iv) for iv in zip(a, b)))
+            groups.setdefault(tuple(w.tobytes() for w in wts), []).append((i, nodes, wts))
+        rows, at = np.empty(lo.shape[0], dtype=np.intp), 0
+        for members in groups.values():
+            idx, nodes, wts = zip(*members)
+            rows[list(idx)] = np.arange(at, at + len(idx))
+            at += len(idx)
+            radius = mesh_radius([np.stack(x) for x in zip(*nodes)]).reshape(len(idx), -1)
+            self.batches.append(_Batch(radius, mesh_weights(wts[0])))
+        return rows
 
     def meta(self) -> list[tuple[int, tuple[int, ...], bool]]:
         """(v, m, translated) for every cube in family order."""
@@ -668,8 +685,8 @@ def _row_sums(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
     einsum's loop sums a row almost sequentially, so its rounding grows with
     the row length: on the 2D origin cubes (up to 57,600 nodes) it drifts
     3e-14 from the exact mean of a constant.  Rows longer than _PAIRWISE_NODES
-    take numpy's pairwise sum instead; they belong to the one-cube batches
-    around the origin and the seam, about 2% of the representative nodes of
+    take numpy's pairwise sum instead; they belong to the batches around
+    the origin and the seam, about 2% of the representative nodes of
     a 1D family at levels -4..9 and 17% of a 2D one at levels -1..6.
     """
     if wts.size > _PAIRWISE_NODES:

@@ -78,6 +78,42 @@ class TestMakePair:
         assert p1.plateau_min_psi == pytest.approx(p2.plateau_min_psi, rel=1e-6)
 
 
+class TestPairBuild:
+    """make_lp_pair against the per-level formula it replaced, bit for bit.
+
+    The pair computes the denominator D once per grid and each bump only on
+    its annulus.  That equals the per-level formula exactly because scaling
+    rho by a power of two is exact, so D(rho / 2^k) sums the same terms as
+    D(rho) in the same order, and because each bump is exactly 0 off its
+    annulus.
+    """
+
+    @pytest.mark.parametrize(
+        "n,R,N,offset,k_min,k_max",
+        [(1, 8.0, 4096, True, -3, 8), (2, 2.0, 256, True, -1, 5), (2, 2.0, 256, False, -1, 5),
+         (2, 2.0, 512, True, -1, 6)],
+        ids=["1d-4096", "2d-256", "2d-256-plain", "2d-512"],
+    )
+    def test_equals_per_level_formula(self, n, R, N, offset, k_min, k_max):
+        spec = GridSpec(n, R, N, offset)
+        pair = make_lp_pair(spec, k_min, k_max)
+        rho = spec.freq_radius()
+        for k in pair.levels():
+            assert np.array_equal(pair.phi_mult[k], bump_profile(rho / 2.0**k)), k
+            assert np.array_equal(pair.psi_mult[k], synthesis_profile(rho / 2.0**k)), k
+
+    def test_bump_evaluated_near_its_annulus_only(self, monkeypatch):
+        import lpw.lpaley as lpaley
+
+        cells = []
+        bump = lpaley.bump_profile
+        monkeypatch.setattr(lpaley, "bump_profile", lambda rho: cells.append(np.size(rho)) or bump(rho))
+        spec = GridSpec(2, 2.0, 256)
+        make_lp_pair(spec, -1, 5)
+        # five full-grid evaluations per level, 35 N^2, in the per-level formula
+        assert 0 < sum(cells) <= 4 * spec.N**2
+
+
 class TestBand:
     def test_disjoint_spectrum_zero_band(self, spec1k, pair1k):
         # a pure wave at |xi| ~ 2^5 has zero content in the k = 0 band

@@ -187,6 +187,15 @@ def canonical_cubes(nodes):
     return out
 
 
+def axis_mesh(nodes, a, b):
+    """A special cube's graded nodes and normalized weights on the axis
+    interval [a, b), wrapped across the seam at +R."""
+    R = nodes.R
+    pieces = [(a, b)] if b <= R else [(a, R), (-R, b - 2 * R)]
+    parts = [_axis_nodes(plo, phi, nodes.core_eff, _SEG_NODES, _FLAT_NODES) for plo, phi in pieces]
+    return np.concatenate([x for x, _ in parts]), np.concatenate([y for _, y in parts]) / (b - a)
+
+
 _CUBE_ROWS = {}
 
 
@@ -200,7 +209,7 @@ def cube_rows(nodes):
     if key in _CUBE_ROWS:
         return _CUBE_ROWS[key]
     cubes = canonical_cubes(nodes)
-    R, n, K = nodes.R, nodes.n, _FLAT_NODES
+    n, K = nodes.n, _FLAT_NODES
     regular = [i for i, (_, special) in enumerate(cubes) if not special]
     lo = np.array([[a for a, _ in cubes[i][0]] for i in regular]).reshape(-1, n)
     hi = np.array([[b for _, b in cubes[i][0]] for i in regular]).reshape(-1, n)
@@ -210,11 +219,7 @@ def cube_rows(nodes):
     for i, (axes, special) in enumerate(cubes):
         if not special:
             continue
-        meshes = []
-        for a, b in axes:
-            pieces = [(a, b)] if b <= R else [(a, R), (-R, b - 2 * R)]
-            parts = [_axis_nodes(plo, phi, nodes.core_eff, _SEG_NODES, _FLAT_NODES) for plo, phi in pieces]
-            meshes.append((np.concatenate([x for x, _ in parts]), np.concatenate([y for _, y in parts]) / (b - a)))
+        meshes = [axis_mesh(nodes, a, b) for a, b in axes]
         if n == 1:
             (x, wx), = meshes
             rad, wts = np.abs(x), wx
@@ -518,6 +523,24 @@ class TestOrbits:
         nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 6))
         assert nodes.n_cubes == 174_760
         assert sum(b.radius.size for b in nodes.batches) <= 7_000_000
+
+    def test_special_cubes_batched_by_node_weights(self):
+        # the 1,028 special representatives of the verify_2d.json family
+        # fall into 35 meshes: one batch each, next to the regular batch
+        nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 6))
+        assert len(nodes.batches) <= 36
+        ends = np.cumsum([b.radius.shape[0] for b in nodes.batches])
+        assert ends[-1] == nodes.orbit.max() + 1
+        # per batch, the per-axis node weights of its representatives
+        held = [set() for _ in nodes.batches]
+        for (axes, special), row in zip(canonical_cubes(nodes), nodes.orbit.tolist()):
+            if special:
+                held[np.searchsorted(ends, row, side="right")].add(tuple(axis_mesh(nodes, a, b)[1].tobytes() for a, b in axes))
+        assert not held[0] and all(len(h) == 1 for h in held[1:])
+        assert len(set.union(*held)) == len(held) - 1
+        meta, former = nodes.meta(), former_meta(nodes)
+        for i in np.linspace(0, nodes.n_cubes - 1, 97).astype(int).tolist():
+            assert nodes.cube(i) == meta[i] == former[i], i
 
 
 _EXPONENT = st.one_of(st.just(0.0), st.floats(-0.9, 2.0))
