@@ -242,6 +242,13 @@ class RunConfig:
                     at0 = [float(self.norm_weight.eval(np.zeros(1), k)[0]) for k in levels]
                 _require(all(0 < t < math.inf for t in at0), "norm.weight", f"{self.norm_weight.key()} is not "
                          "positive and finite at the origin, which the unshifted grid samples")
+        # a Carleson scan sums each cube's levels from its own level up, so a
+        # band level below the family's first cube level would enter no cube
+        scans = [name for name in suites if name in ("newnorm", "bmo")]
+        scans += ["norm F_inf"] * (norm and self.norm_space == "F_inf")
+        _require(not scans or ctx.family.v_min <= ctx.k_min, "cubes.v_min",
+                 f"{ctx.family.v_min} lies above levels.k_min = {ctx.k_min}, so the Carleson scans of "
+                 f"{', '.join(scans)} would read no cube for the levels below it")
         fit = weights == "xclass" or "xclassfit" in suites
         if fit or "seqnorm" in suites:  # read the matrix off level 0
             for name, text in ctx.weight_matrix.items():

@@ -108,12 +108,10 @@ def tl_norm(wb: VectorSequence, req: NormRequest) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(a: np.ndarray, S: int, shift: int = 0) -> np.ndarray:
-    """a, rolled back `shift` cells along every axis, cut into cubes of S
-    cells a side: shape (M, S) in 1D and (M, S, M, S) in 2D with M = N / S,
-    so the axes _in_cube(n) run inside one cube.  A view of a when shift is 0."""
-    for ax in range(a.ndim) if shift else ():
-        a = np.roll(a, -shift, axis=ax)
+def _blocks(a: np.ndarray, S: int) -> np.ndarray:
+    """a cut into cubes of S cells a side, as a view: shape (M, S) in 1D and
+    (M, S, M, S) in 2D with M = N / S, so the axes _in_cube(n) run inside
+    one cube."""
     return a.reshape((a.shape[0] // S, S) * a.ndim)
 
 
@@ -121,22 +119,47 @@ def _in_cube(n: int) -> tuple[int, ...]:
     return tuple(range(1, 2 * n, 2))
 
 
-def _family_blocks(spec: GridSpec, family: CubeFamily, array_at):
-    """For each grid-resolvable level v of the family, array_at(v) cut into
-    the level-v cubes (_blocks), then, when the family has translates, into
-    the cubes shifted by half a side; a level where array_at(v) is None is
-    skipped."""
+def _scan_levels(spec: GridSpec, family: CubeFamily) -> range:
+    """The family's grid-resolvable levels: the cube levels a scan reads."""
     v_floor, v_cap = spec.level_window()
-    v_lo, v_hi = max(family.v_min, v_floor), min(family.v_max, v_cap)
-    if v_lo > v_hi:
+    levels = range(max(family.v_min, v_floor), min(family.v_max, v_cap) + 1)
+    if not levels:
         raise GridError("cube family has no grid-resolvable levels")
-    for v in range(v_lo, v_hi + 1):
-        a = array_at(v)
-        if a is None:
-            continue
-        S = spec.cells(v)
-        for shift in (0, S // 2) if family.translates else (0,):
-            yield _blocks(a, S, shift)
+    return levels
+
+
+def _periodic(a: np.ndarray, spec: GridSpec, family: CubeFamily, levels: range) -> np.ndarray:
+    """A fresh copy of the (*lead, *grid) array a with W more cells per grid
+    axis that continue the grid periodically.  W is half the coarsest
+    scanned cube side when the family has translates, else 0, so every cube
+    of every scanned level, translated or not, is a view (_cube_views)."""
+    W = spec.cells(levels.start) // 2 if family.translates else 0
+    return np.pad(a, [(0, 0)] * (a.ndim - spec.n) + [(0, W)] * spec.n, mode="wrap")
+
+
+def _cube_views(buf: np.ndarray, spec: GridSpec, family: CubeFamily, S: int):
+    """The level cubes of S cells a side in a wrapped grid array, then, when
+    the family has translates, those shifted by half a side, each as a
+    _blocks view; single cells have no half-side shift."""
+    for shift in (0, S // 2) if family.translates and S > 1 else (0,):
+        yield _blocks(buf[(slice(shift, shift + spec.N),) * spec.n], S)
+
+
+def _cube_sums(blocks: np.ndarray) -> np.ndarray:
+    """Per cube of a _blocks view, of any strides, the sum of its cells bit
+    for bit as blocks.sum(axis=_in_cube(n)) adds them.  numpy sums each run
+    of S cells along the last axis, then adds the runs in order, and adds a
+    run under 8 cells one cell after another; such short runs are summed
+    here with one strided add per cell instead of one reduction call per
+    run."""
+    if blocks.shape[-1] >= 8:
+        return blocks.sum(axis=_in_cube(blocks.ndim // 2))
+    for ax in _in_cube(blocks.ndim // 2)[::-1]:
+        first, *rest = np.moveaxis(blocks, ax, 0)
+        blocks = first + rest[0] if rest else first
+        for c in rest[1:]:
+            blocks += c
+    return blocks
 
 
 def carleson_sup(G: VectorSequence, family: CubeFamily, q: float) -> float:
@@ -144,17 +167,30 @@ def carleson_sup(G: VectorSequence, family: CubeFamily, q: float) -> float:
 
     G is the (levels, *grid) stack of the nonnegative integrands G_k; the
     level sum is truncated below at G's first level and the cube levels are
-    clamped to the grid-resolvable window.
+    clamped to the grid-resolvable window.  A stack level below the grid's
+    coarsest cube level -log2(2R) is refused: no cube could read it.  The
+    mean of a cube is its sum over S^n cells, and the sup divides the
+    largest sum once, which is exact because division is monotone.
     """
-    # suffix[i] = G_{k_min + i} + ... + G_{k_max}, summed from the top level down
-    suffix = G.values.copy()
+    spec, ks = G.spec, G.levels()
+    levels = _scan_levels(spec, family)
+    v_floor = spec.level_window()[0]
+    if ks.start < v_floor:
+        raise GridError(f"stack level {ks.start} lies below level {v_floor}, the coarsest cube on R={spec.R:g}, "
+                        "so no cube of the scan reads it")
+    # suffix[i] = G_{k_min + i} + ... + G_{k_max}, summed from the top level
+    # down; a wrapped cell takes the same adds as the cell it repeats
+    suffix = _periodic(G.values, spec, family, levels)
     for i in range(len(suffix) - 2, -1, -1):
         suffix[i] += suffix[i + 1]
-    ks = G.levels()
     best = 0.0
     # a level-v cube takes the sum over k >= v, from the first stored level k >= v
-    for blocks in _family_blocks(G.spec, family, lambda v: suffix[max(v, ks.start) - ks.start] if v < ks.stop else None):
-        best = max(best, float(blocks.mean(axis=_in_cube(G.spec.n)).max()))
+    for v in levels:
+        if v >= ks.stop:
+            break
+        S = spec.cells(v)
+        for blocks in _cube_views(suffix[max(v, ks.start) - ks.start], spec, family, S):
+            best = max(best, float(_cube_sums(blocks).max()) / S**spec.n)
     return best ** (1.0 / q)
 
 
@@ -429,9 +465,13 @@ def hardy_grand_norm(
 
 def bmo_norm(f: GridFunction, family: CubeFamily) -> float:
     """sup over the family's cubes of the mean absolute deviation from the cube mean."""
-    axes = _in_cube(f.spec.n)
+    spec = f.spec
+    levels = _scan_levels(spec, family)
+    buf = _periodic(f.values, spec, family, levels)
     best = 0.0
-    for blocks in _family_blocks(f.spec, family, lambda v: f.values):
-        dev = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
-        best = max(best, float(dev.max()))
+    for v in levels:
+        S = spec.cells(v)
+        for blocks in _cube_views(buf, spec, family, S):
+            mean = np.expand_dims(_cube_sums(blocks) / S**spec.n, _in_cube(spec.n))
+            best = max(best, float(_cube_sums(np.abs(blocks - mean)).max()) / S**spec.n)
     return best

@@ -19,8 +19,9 @@ probed for.
 Every weight in the grammar is radial, so a cube's means equal those of its
 images under the coordinate sign flips and, in 2D, the axis swap.
 FamilyNodes meshes one representative per such orbit, in a canonical
-orientation, and hands its statistics to every cube of the orbit: the 2D
+orientation, and keeps one value per orbit for every statistic: the 2D
 family of 174,760 cubes at levels -1..6 on R = 2 holds 23,112 orbits.
+Family order is used only to name a witness cube.
 
 FamilyNodes caches the means per (radial profile, exponent, inverse): a
 separable weight 2^(k s) g(|x|) is reduced once per canonical level-free
@@ -462,10 +463,13 @@ class FamilyNodes:
     each keyed by its canonical clipped intervals, and only one representative
     per orbit holds nodes.  The batches hold the representatives (every
     regular one in one batch; those touching the origin or crossing the seam
-    in one batch per distinct set of per-axis node weights), orbit maps each
-    cube of the family to its representative's row, and cube(i) names the
-    i-th cube in family order only when a witness is asked for (meta() lists
-    them all).  Cube statistics are cached per (radial
+    in one batch per distinct set of per-axis node weights), and every
+    statistic holds one value per representative, in batch row order.  orbit
+    maps each cube of the family to its representative's row; it is read
+    only to name a witness: argmax_cube(values) finds the first cube in
+    family order that attains a maximum, cube(i) names the i-th cube, and
+    meta() lists them all.  Min, max and the products and ratios of
+    statistics need no family order.  Cube statistics are cached per (radial
     profile, exponent, inverse) for separable weights and per (weight, level,
     exponent, inverse) otherwise.  stats() computes all the statistics a
     caller asks for in one pass per profile: the profile is evaluated once
@@ -594,6 +598,15 @@ class FamilyNodes:
         """(v, m, translated) for every cube in family order."""
         return [(v, tuple(m), translated) for v, ms, translated in self._groups for m in ms.tolist()]
 
+    def argmax_cube(self, values: np.ndarray) -> int:
+        """The first cube in family order whose orbit holds the largest of
+        values (one per orbit, as stats() returns them), ties and NaN
+        included: int(np.argmax(values[self.orbit])) without the per-cube
+        copy of values."""
+        top = values.max()
+        hit = values == top if top == top else np.isnan(values)
+        return int(np.argmax(hit[self.orbit]))
+
     def cube(self, i: int) -> tuple[int, tuple[int, ...], bool]:
         """meta()[i] for 0 <= i < n_cubes, found without building the list."""
         if not 0 <= i < self.n_cubes:
@@ -606,14 +619,16 @@ class FamilyNodes:
     # -- cube statistics ----------------------------------------------------
 
     def means(self, w: WeightSpec, r: float, k: int = 0) -> np.ndarray:
-        """M_{Q,r}(t_k) for every cube in family order; r = inf is the node max."""
+        """M_{Q,r}(t_k) per orbit, one value per representative row (index it
+        by self.orbit for family order); r = inf is the node max."""
         return self.stats(w, [(r, False)], k)[0]
 
     def stats(self, w: WeightSpec, requests: list[tuple[float, bool]], k: int = 0) -> list[np.ndarray]:
         """One array per request (r, inverse): the cube r-means of t_k, or of
-        t_k^-1 when inverse is set, in family order; r = inf gives the node
-        max.  Ask for everything a weight needs in one call: the requests
-        not yet cached share one pass.
+        t_k^-1 when inverse is set, one value per orbit in representative row
+        order (self.orbit[i] is the row of the i-th cube in family order);
+        r = inf gives the node max.  Ask for everything a weight needs in
+        one call: the requests not yet cached share one pass.
 
         A separable weight 2^(k s) g is reduced once per (radial profile, r,
         inverse) and rescaled per level; any other weight once per (weight, k,
@@ -641,18 +656,16 @@ class FamilyNodes:
         return outs
 
     def _reduce(self, f, requests: list[tuple[float, bool]]) -> list[np.ndarray]:
-        """Per cube, one array per request (r, inverse): the r-mean of f over
-        its nodes, of f ** -1.0 when inverse is set, or the max (r = inf).
-        f = None is the unit profile: its values and their powers are
-        exactly 1.0, so neither is computed, and each batch sums one row of
-        ones for all of its cubes.
+        """Per orbit representative, one array per request (r, inverse): the
+        r-mean of f over its nodes, of f ** -1.0 when inverse is set, or the
+        max (r = inf).  f = None is the unit profile: its values and their
+        powers are exactly 1.0, so neither is computed, and each batch sums
+        one row of ones for all of its representatives.
 
-        The statistics are taken once per orbit, on the representatives, and
-        handed out to every cube in family order.  f runs once per row chunk
-        and every request is taken from that one evaluation.  Each row is
-        summed against the node weights on its own (_row_sums), so a cube's
-        mean does not depend on how its rows are grouped into chunks or
-        batches.
+        f runs once per row chunk and every request is taken from that one
+        evaluation.  Each row is summed against the node weights on its own
+        (_row_sums), so a cube's mean does not depend on how its rows are
+        grouped into chunks or batches.
         """
         n_reps = sum(b.radius.shape[0] for b in self.batches)
         outs = [np.empty(n_reps) for _ in requests]
@@ -676,7 +689,7 @@ class FamilyNodes:
                         powered = vals if f is None else vals**r
                         out[at + lo : at + hi] = _row_sums(powered, b.wts)
             at += rows
-        return [(out if r == np.inf else out ** (1.0 / r))[self.orbit] for (r, _), out in zip(requests, outs)]
+        return [out if r == np.inf else out ** (1.0 / r) for (r, _), out in zip(requests, outs)]
 
 
 def _row_sums(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -787,12 +800,11 @@ def ap_constant(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> float:
 
 def ap_witness(gamma: WeightSpec, p: float, nodes: FamilyNodes):
     prod = _ap_products(gamma, p, nodes)
-    i = int(np.argmax(prod))
-    return float(prod[i]), nodes.cube(i)
+    return float(prod.max()), nodes.cube(nodes.argmax_cube(prod))
 
 
 def _ap_products(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> np.ndarray:
-    """M_Q(gamma) * M_{Q,p'/p}(gamma^-1) per cube, from one pass over gamma."""
+    """M_Q(gamma) * M_{Q,p'/p}(gamma^-1) per orbit, from one pass over gamma."""
     mean, inv_mean = nodes.stats(gamma, [(1.0, False), (conjugate(p) / p, True)])
     return mean * inv_mean
 
@@ -858,13 +870,13 @@ def xclass_constants(
     for k in ts.levels():
         for j in range(k, ts.k_max + 1):
             prod1 = A[k] * B[j] * 2.0 ** (-a1 * (k - j))
-            i1 = int(np.argmax(prod1))
-            if prod1[i1] > C1:
-                C1, w1 = float(prod1[i1]), _witness(k, j, nodes.cube(i1))
+            top1 = prod1.max()
+            if top1 > C1:
+                C1, w1 = float(top1), _witness(k, j, nodes.cube(nodes.argmax_cube(prod1)))
             prod2 = (D[j] / A[k]) * 2.0 ** (-a2 * (j - k))
-            i2 = int(np.argmax(prod2))
-            if prod2[i2] > C2:
-                C2, w2 = float(prod2[i2]), _witness(k, j, nodes.cube(i2))
+            top2 = prod2.max()
+            if top2 > C2:
+                C2, w2 = float(top2), _witness(k, j, nodes.cube(nodes.argmax_cube(prod2)))
     return {"alpha": [a1, a2], "sigma": [s1, s2], "p": ts.p, "C1": C1, "C2": C2, "witness1": w1, "witness2": w2}
 
 

@@ -178,6 +178,20 @@ class TestConfigValidation:
             assert "grid.n" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", [["verify", "newnorm"], ["verify", "bmo"], ["norm"]])
+    def test_family_above_the_levels_refused_for_scans(self, tmp_path, capsys, command):
+        # cubes from level -2 up, bands from -3: a Carleson scan would read no
+        # cube for level -3
+        path = write_config(tmp_path, {"cubes.v_min": -2, "norm.space": "F_inf", "norm.p": "inf"})
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config field 'cubes.v_min'" in capsys.readouterr().err
+
+    def test_family_above_the_levels_runs_without_scans(self, tmp_path):
+        path = write_config(tmp_path, {"cubes.v_min": -2, "suites": ["partition"]})
+        assert main(["verify", "all", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
 # tiny 1D and 2D grids on which every suite runs in well under a second
 SWEEP_CONFIGS = {
     "1d": {"grid.n": 1, "grid.R": 4.0, "grid.N": 128, "levels.k_min": -3, "levels.k_max": 4,

@@ -20,7 +20,6 @@ from lpw.grid import (
 from lpw.lpaley import CoefficientSet, band_decompose, make_lp_pair
 from lpw.spaces import (
     NormRequest,
-    _family_blocks,
     _in_cube,
     band_magnitudes,
     _paint,
@@ -233,6 +232,24 @@ class TestCarlesonNorm:
         assert tl_infty(corpus1k[0].f, req) == tl_infty(corpus1k[0].f, explicit)
 
 
+def family_blocks_former(spec, family, array_at):
+    """The cube blocks of the former scans: for each grid-resolvable level v
+    of the family, array_at(v) (skipped when None) reshaped into the level-v
+    cubes, then, with translates, a copy rolled back half a side along every
+    axis and reshaped likewise."""
+    v_floor, v_cap = spec.level_window()
+    for v in range(max(family.v_min, v_floor), min(family.v_max, v_cap) + 1):
+        a = array_at(v)
+        if a is None:
+            continue
+        S = spec.cells(v)
+        for shift in (0, S // 2) if family.translates else (0,):
+            b = a
+            for ax in range(b.ndim) if shift else ():
+                b = np.roll(b, -shift, axis=ax)
+            yield b.reshape((b.shape[0] // S, S) * b.ndim)
+
+
 def carleson_sup_former(level_arrays, spec, family, q):
     """The dict-and-loop formula carleson_sup replaced: level_arrays maps k
     to G_k, each suffix sum is a fresh array, and a level-v cube takes the
@@ -244,7 +261,7 @@ def carleson_sup_former(level_arrays, spec, family, q):
         acc = acc + level_arrays[k]
         suffix[k] = acc
     best = 0.0
-    for blocks in _family_blocks(spec, family, lambda v: suffix.get(min((k for k in ks if k >= v), default=None))):
+    for blocks in family_blocks_former(spec, family, lambda v: suffix.get(min((k for k in ks if k >= v), default=None))):
         best = max(best, float(blocks.mean(axis=_in_cube(spec.n)).max()))
     return best ** (1.0 / q)
 
@@ -502,6 +519,21 @@ class TestDenseSequenceNorms:
                 norm(fine, spec1k, req)
         coarse = CoefficientSet.from_entries(1, spec1k.R, {(-5, (0,)): 1.0})
         assert seq_b_norm(coarse, spec1k, req) == pytest.approx((2**0.5, 2**0.5), rel=1e-15)
+
+    def test_carleson_refuses_levels_below_the_coarsest_cube(self, spec1k):
+        # a lone coefficient at level -5, below every cube of the family -4..6
+        # (and of the grid), measured exactly 0 in f_inf while b and f gave
+        # 1.414; the Carleson scan now refuses the stack, naming the level
+        req = request(make_lp_pair(spec1k, -4, 6), Const(1.0), np.inf, 1.0)
+        coarse = CoefficientSet.from_entries(1, spec1k.R, {(-5, (0,)): 1.0})
+        with pytest.raises(GridError, match="stack level -5 lies below level -4"):
+            seq_f_infty_norm(coarse, spec1k, req)
+        G = VectorSequence(spec1k, -5, np.ones((3, spec1k.N)))
+        for family in (CubeFamily(-4, 6), CubeFamily(-6, 2, False)):
+            with pytest.raises(GridError, match="stack level -5"):
+                carleson_sup(G, family, 1.0)
+        # a stack from the coarsest level on still runs
+        assert carleson_sup(VectorSequence(spec1k, -4, np.ones((3, spec1k.N))), CubeFamily(-4, 6), 1.0) == 3.0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_f_infty_with_empty_middle_level(self, n):

@@ -20,6 +20,7 @@ from lpw.weights import (
     WeightSequence,
     WeightSpec,
     ap_constant,
+    ap_witness,
     check_admissible,
     conjugate,
     domain_integral,
@@ -120,7 +121,7 @@ class TestQuadratureEngine:
         meta = nodes.meta()
         for a in (-0.5, 0.3, 1.0):
             for r in (1.0, 2.0):
-                means = nodes.means(Pow(a), r)
+                means = nodes.means(Pow(a), r)[nodes.orbit]
                 for i in (0, 1, len(meta) // 2, len(meta) - 1):
                     v, (m,), translated = meta[i]
                     side = 2.0**-v
@@ -145,9 +146,9 @@ class TestQuadratureEngine:
         deep = FamilyNodes(8.0, 1, CubeFamily(0, 9))
         i_s = shallow.meta().index((0, (0,), False))
         i_d = deep.meta().index((0, (0,), False))
-        assert deep.means(Pow(-0.5), 1.0)[i_d] == pytest.approx(2.0, rel=1e-3)
-        a_s = shallow.means(Pow(-0.9), 1.0)[i_s]
-        a_d = deep.means(Pow(-0.9), 1.0)[i_d]
+        assert deep.means(Pow(-0.5), 1.0)[deep.orbit[i_d]] == pytest.approx(2.0, rel=1e-3)
+        a_s = shallow.means(Pow(-0.9), 1.0)[shallow.orbit[i_s]]
+        a_d = deep.means(Pow(-0.9), 1.0)[deep.orbit[i_d]]
         assert a_s < a_d < 10.0
         assert a_d == pytest.approx(10.0, rel=0.2)
 
@@ -156,7 +157,7 @@ class TestQuadratureEngine:
         nodes = FamilyNodes(2.0, 1, CubeFamily(0, 2))
         meta = nodes.meta()
         idx = meta.index((0, (0,), False))
-        got = nodes.means(Pow(1.0), np.inf)[idx]
+        got = nodes.means(Pow(1.0), np.inf)[nodes.orbit[idx]]
         assert 0.9 < got <= 1.0
 
     def test_2d_means(self):
@@ -165,7 +166,7 @@ class TestQuadratureEngine:
         idx = meta.index((0, (0, 0), False))
         # mean of |x| over the unit square: (sqrt(2) + asinh(1)) / 3
         want = (np.sqrt(2) + np.arcsinh(1)) / 3
-        assert nodes.means(Pow(1.0), 1.0)[idx] == pytest.approx(want, rel=1e-3)
+        assert nodes.means(Pow(1.0), 1.0)[nodes.orbit[idx]] == pytest.approx(want, rel=1e-3)
 
 
 def canonical_cubes(nodes):
@@ -310,18 +311,20 @@ class TestChunkedReduction:
     @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
     def test_equals_former_formula(self, chunked_nodes, w, k):
         for r in (0.5, 1.0, 2.0, 3.0, np.inf):
-            assert np.array_equal(chunked_nodes.means(w, r, k), per_cube_stat(chunked_nodes, w, r, k)), r
+            assert np.array_equal(chunked_nodes.means(w, r, k)[chunked_nodes.orbit], per_cube_stat(chunked_nodes, w, r, k)), r
 
     @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
     def test_fused_statistics_equal_separate_ones(self, chunked_nodes, w, k):
-        got = FamilyNodes(chunked_nodes.R, chunked_nodes.n, chunked_nodes.family).stats(w, _REQUESTS, k)
+        fresh = FamilyNodes(chunked_nodes.R, chunked_nodes.n, chunked_nodes.family)
+        got = fresh.stats(w, _REQUESTS, k)
         for (r, inverse), out in zip(_REQUESTS, got):
-            assert np.array_equal(out, per_cube_stat(chunked_nodes, w.power(-1.0) if inverse else w, r, k)), (r, inverse)
+            assert np.array_equal(out[fresh.orbit], per_cube_stat(chunked_nodes, w.power(-1.0) if inverse else w, r, k)), (r, inverse)
 
     @pytest.mark.parametrize("w,k", _CHUNK_WEIGHTS, ids=_CHUNK_IDS)
     def test_close_to_gemv_formula(self, chunked_nodes, w, k):
         for r in (0.5, 1.0, 2.0, 3.0):
-            np.testing.assert_allclose(chunked_nodes.means(w, r, k), gemv_stat(chunked_nodes, w, r, k), rtol=1e-14, atol=0)
+            got = chunked_nodes.means(w, r, k)[chunked_nodes.orbit]
+            np.testing.assert_allclose(got, gemv_stat(chunked_nodes, w, r, k), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("family", [(8.0, 1, CubeFamily(-3, 5)), (2.0, 2, CubeFamily(-1, 2))], ids=["1d", "2d"])
     def test_independent_of_chunk_size(self, monkeypatch, family):
@@ -344,7 +347,7 @@ class TestChunkedReduction:
         assert long_rows.sum() > 10
         c = 2.0**2.5
         for r in (0.5, 1.0, 2.0, 3.0):
-            np.testing.assert_allclose(nodes.means(Const(c), r)[long_rows], c, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(nodes.means(Const(c), r)[nodes.orbit][long_rows], c, rtol=1e-15, atol=0)
 
     def test_one_reduction_per_radial_profile(self, monkeypatch):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
@@ -385,6 +388,7 @@ class TestChunkedReduction:
         nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 2))
         monkeypatch.setattr(Dyadic, "split", lambda self: (self.s, lambda r: pytest.fail("unit profile evaluated")))
         got = nodes.stats(Dyadic(0.5), [(2.0, False), (3.0, True), (np.inf, False), (np.inf, True)], 2)
+        got = [out[nodes.orbit] for out in got]
         ones = np.ones(nodes.n_cubes)
         unit = np.empty(nodes.n_cubes)
         for idx, _, wts in cube_rows(nodes):
@@ -410,7 +414,7 @@ class TestChunkedReduction:
         for w, v in ((Pow(0.3), Pow(0.3000001)), (AltPow(0.3), AltPow(0.3000001))):
             assert w.key() == v.key()
             nodes.means(w, 2.0, 1)
-            assert np.array_equal(nodes.means(v, 2.0, 1), per_cube_stat(nodes, v, 2.0, 1))
+            assert np.array_equal(nodes.means(v, 2.0, 1)[nodes.orbit], per_cube_stat(nodes, v, 2.0, 1))
 
     @pytest.mark.parametrize(
         "R,n,family",
@@ -460,7 +464,7 @@ class TestOrbits:
         for w, k in _CHUNK_WEIGHTS:
             got = nodes.stats(w, _REQUESTS, k)
             for (r, inverse), out in zip(_REQUESTS, got):
-                assert np.array_equal(out, per_cube_stat(nodes, w.power(-1.0) if inverse else w, r, k)), (w, r, inverse)
+                assert np.array_equal(out[nodes.orbit], per_cube_stat(nodes, w.power(-1.0) if inverse else w, r, k)), (w, r, inverse)
 
     @pytest.mark.parametrize("family", _ORBIT_FAMILIES, ids=_ORBIT_IDS)
     def test_profile_evaluated_once_per_orbit(self, monkeypatch, family):
@@ -488,14 +492,14 @@ class TestOrbits:
         for w, k in _CHUNK_WEIGHTS:
             for r, inverse in _REQUESTS:
                 out = nodes.stats(w, [(r, inverse)], k)[0]
-                got = {float(out[index[(v, m, False)]]) for m in images}
+                got = {float(out[nodes.orbit[index[(v, m, False)]]]) for m in images}
                 assert len(got) == 1, (w, r, inverse, got)
         # and in 1D, a translated cube and its mirror image
         nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 9))
         index = {cube: i for i, cube in enumerate(nodes.meta())}
         i, j = index[(4, (7,), True)], index[(4, (-9,), True)]  # [7.5, 8.5) and [-8.5, -7.5) / 16
         for r in (0.5, 2.0, np.inf):
-            out = nodes.means(ShiftPow(-0.3, 2.0), r)
+            out = nodes.means(ShiftPow(-0.3, 2.0), r)[nodes.orbit]
             assert out[i] == out[j]
 
     def test_negative_zero_shares_the_orbit(self):
@@ -541,6 +545,103 @@ class TestOrbits:
         meta, former = nodes.meta(), former_meta(nodes)
         for i in np.linspace(0, nodes.n_cubes - 1, 97).astype(int).tolist():
             assert nodes.cube(i) == meta[i] == former[i], i
+
+
+def twin_orbits(nodes, monkeypatch):
+    """Make every odd orbit hold the statistics of the even orbit before it,
+    so each maximum is attained by two orbits; returns the orbit each
+    orbit reads."""
+    stats = nodes.stats
+    twin = np.arange(nodes.orbit.max() + 1) & ~1
+    monkeypatch.setattr(nodes, "stats", lambda w, requests, k=0: [out[twin] for out in stats(w, requests, k)])
+    return twin
+
+
+def ap_witness_per_cube(gamma, p, nodes):
+    """ap_witness as it was taken: np.argmax over the family-order products."""
+    mean, inv_mean = nodes.stats(gamma, [(1.0, False), (conjugate(p) / p, True)])
+    prod = (mean * inv_mean)[nodes.orbit]
+    i = int(np.argmax(prod))
+    return float(prod[i]), nodes.cube(i)
+
+
+def xclass_per_cube(ts, alpha, sigma, nodes):
+    """xclass_constants as it was taken: the level statistics in family order
+    and np.argmax over each product."""
+    (a1, a2), (s1, s2) = alpha, sigma
+    A, B, D = {}, {}, {}
+    for k in ts.levels():
+        stats = nodes.stats(ts.spec, [(ts.p, False), (s1, True), (s2, False)], k)
+        A[k], B[k], D[k] = (out[nodes.orbit] for out in stats)
+    C1 = C2 = -np.inf
+    w1 = w2 = None
+    for k in ts.levels():
+        for j in range(k, ts.k_max + 1):
+            prod1 = A[k] * B[j] * 2.0 ** (-a1 * (k - j))
+            i1 = int(np.argmax(prod1))
+            if prod1[i1] > C1:
+                C1, w1 = float(prod1[i1]), {"k": k, "j": j, "cube": nodes.cube(i1)}
+            prod2 = (D[j] / A[k]) * 2.0 ** (-a2 * (j - k))
+            i2 = int(np.argmax(prod2))
+            if prod2[i2] > C2:
+                C2, w2 = float(prod2[i2]), {"k": k, "j": j, "cube": nodes.cube(i2)}
+    return C1, C2, w1, w2
+
+
+def as_cube(witness):
+    cube = witness["cube"]
+    return {"k": witness["k"], "j": witness["j"], "cube": (cube["v"], tuple(cube["m"]), cube["translated"])}
+
+
+_WITNESS_FAMILIES = [(8.0, 1, CubeFamily(-2, 5)), (2.0, 2, CubeFamily(-1, 3))]
+
+
+class TestPerOrbitStatistics:
+    """Statistics hold one value per orbit; a witness is the first cube in
+    family order whose orbit attains the maximum, as np.argmax over the
+    family-order array names it."""
+
+    @pytest.mark.parametrize("family", _WITNESS_FAMILIES, ids=["1d", "2d"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["plain", "tied"])
+    def test_witnesses_equal_family_order_argmax(self, monkeypatch, family, tied):
+        nodes = FamilyNodes(*family)
+        if tied:
+            twin_orbits(nodes, monkeypatch)
+        for gamma in (Pow(0.4), ShiftPow(-0.3, 2.0), Const(2.0)):
+            assert ap_witness(gamma, 2.0, nodes) == ap_witness_per_cube(gamma, 2.0, nodes), gamma
+        for spec in (Prod((Dyadic(1.0), Pow(0.2))), AltPow(0.3)):
+            ts = WeightSequence(spec, -2, 3, 2.0)
+            rep = xclass_constants(ts, (0.7, 1.2), (3.0, 2.0), nodes)
+            C1, C2, w1, w2 = xclass_per_cube(ts, (0.7, 1.2), (3.0, 2.0), nodes)
+            assert (rep["C1"], rep["C2"], as_cube(rep["witness1"]), as_cube(rep["witness2"])) == (C1, C2, w1, w2), spec
+
+    @pytest.mark.parametrize("family", _WITNESS_FAMILIES, ids=["1d", "2d"])
+    def test_argmax_cube_takes_the_first_cube_of_a_tie(self, family, rng):
+        nodes = FamilyNodes(*family)
+        n_orbits = nodes.orbit.max() + 1
+        first = np.full(n_orbits, nodes.n_cubes)
+        np.minimum.at(first, nodes.orbit, np.arange(nodes.n_cubes))
+        # a tie between a lower orbit and a higher one whose first cube comes
+        # earlier in family order
+        lo, hi = next((a, b) for a in range(n_orbits) for b in range(a + 1, n_orbits) if first[b] < first[a])
+        values = rng.random(n_orbits)
+        values[[lo, hi]] = 2.0
+        assert nodes.argmax_cube(values) == int(np.argmax(values[nodes.orbit])) == first[hi]
+        values[[lo, hi]] = np.nan
+        assert nodes.argmax_cube(values) == int(np.argmax(values[nodes.orbit])) == first[hi]
+        for values in (rng.random(n_orbits), np.ones(n_orbits)):
+            assert nodes.argmax_cube(values) == int(np.argmax(values[nodes.orbit]))
+
+    def test_cache_holds_one_value_per_orbit(self):
+        from lpw.suites import RunContext, suite_hoelder, suite_xclassfit
+
+        ctx = RunContext(GridSpec(2, 2.0, 32), -1, 3, CubeFamily(-1, 3), corpus_size=2)
+        suite_hoelder(ctx)
+        suite_xclassfit(ctx)
+        nodes = ctx.nodes()
+        assert nodes.n_cubes > nodes.orbit.max() + 1
+        assert len(nodes._cache) > 10
+        assert all(out.shape == (nodes.orbit.max() + 1,) for out in nodes._cache.values())
 
 
 _EXPONENT = st.one_of(st.just(0.0), st.floats(-0.9, 2.0))
@@ -685,9 +786,11 @@ class TestXClass:
         rep = xclass_constants(ts, (0.7, 1.2), (3.0, 2.0), nodes)
         meta = nodes.meta()
         k, j, i = witness_at(meta, rep["witness1"])
+        i = nodes.orbit[i]
         v1 = nodes.means(ts.spec, 2.0, k)[i] * nodes.means(ts.spec.power(-1.0), 3.0, j)[i]
         assert v1 * 2.0 ** (-0.7 * (k - j)) == pytest.approx(rep["C1"], rel=1e-12)
         k2, j2, i2 = witness_at(meta, rep["witness2"])
+        i2 = nodes.orbit[i2]
         v2 = nodes.means(ts.spec, 2.0, j2)[i2] / nodes.means(ts.spec, 2.0, k2)[i2]
         assert v2 * 2.0 ** (-1.2 * (j2 - k2)) == pytest.approx(rep["C2"], rel=1e-12)
 
