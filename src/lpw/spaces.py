@@ -39,7 +39,9 @@ class NormRequest:
     """Parameters of a band norm (space B, F or F_inf, see stack_norm) or
     a sequence norm (b, f or f_inf).  q may be inf where the definitions
     allow it (not in F_inf / f_inf).  family, the cubes of the Carleson
-    scans, defaults to the pair's level window.
+    scans, defaults to the pair's level window; an F_inf / f_inf request
+    refuses a family starting above the weights' first level, whose rows
+    below it no cube would read.
     """
 
     space: str
@@ -64,6 +66,11 @@ class NormRequest:
             )
         if self.family is None:
             object.__setattr__(self, "family", CubeFamily(self.pair.k_min, self.pair.k_max))
+        if self.space in ("F_inf", "f_inf") and self.family.v_min > ws.k_min:
+            raise ValueError(
+                f"cube family starts at level {self.family.v_min}, above the weight levels' first "
+                f"{ws.k_min}, so the Carleson scan would read no cube for level {ws.k_min}"
+            )
 
 
 def band_magnitudes(f: GridFunction, pair: LPPair) -> VectorSequence:

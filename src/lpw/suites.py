@@ -55,7 +55,12 @@ DEFAULT_CEILINGS = {
 
 @dataclass
 class RunContext:
-    """Built artifacts for one configured run; heavy pieces are cached."""
+    """Built artifacts for one configured run.  It caches only what two or
+    more suites read: the pair, the corpus, the corpus bands(), the
+    configured family's nodes() and the doubled() context with its pair and
+    corpus.  An artifact one suite alone reads (muckenhoupt's deeper cube
+    families, maximal's 2N band stacks) is built inside that suite and freed
+    when it is done with it."""
 
     spec: GridSpec
     k_min: int
@@ -89,9 +94,9 @@ class RunContext:
         """Each corpus member's band magnitudes |phi_k * f| on the pair, by name."""
         return self._cached("bands", lambda: {mem.name: band_magnitudes(mem.f, self.pair()) for mem in self.corpus()})
 
-    def nodes(self, v_max: int | None = None) -> FamilyNodes:
-        fam = self.family if v_max is None else replace(self.family, v_max=v_max)
-        return self._cached(("nodes", fam), lambda: FamilyNodes(self.spec.R, self.spec.n, fam))
+    def nodes(self) -> FamilyNodes:
+        """The quadrature nodes of the configured cube family."""
+        return self._cached(("nodes", self.family), lambda: FamilyNodes(self.spec.R, self.spec.n, self.family))
 
     def doubled(self) -> "RunContext":
         """This run on the grid of 2N points per axis, with its own cache."""
@@ -144,10 +149,15 @@ def suite_muckenhoupt(ctx: RunContext) -> dict:
     levels outside it."""
     p = 2.0
     base = ctx.nodes()
-    plus2 = ctx.nodes(ctx.family.v_max + 2)
-    plus10 = ctx.nodes(ctx.family.v_max + 10)
     records = []
     ok = True
+
+    def deeper(extra: int) -> FamilyNodes:
+        return FamilyNodes(ctx.spec.R, ctx.spec.n, replace(ctx.family, v_max=ctx.family.v_max + extra))
+
+    # no other suite reads the deeper families: each is built here and
+    # dropped before the next, so the two never exist at once
+    plus2 = deeper(2)
     for a in (-0.5, 0.0, 0.5, 0.9):
         c0 = ap_constant(Pow(a), p, base)
         c2 = ap_constant(Pow(a), p, plus2)
@@ -155,6 +165,8 @@ def suite_muckenhoupt(ctx: RunContext) -> dict:
         good = drift < 0.05
         ok &= good
         records.append({"alpha": a, "kind": "stable", "base": c0, "plus2": c2, "drift": drift, "pass": good})
+    del plus2
+    plus10 = deeper(10)
     for a in (1.5, 2.0):
         c0 = ap_constant(Pow(a), p, base)
         c10 = ap_constant(Pow(a), p, plus10)
@@ -473,17 +485,17 @@ def suite_maximal(ctx: RunContext) -> dict:
     kernel_ws = WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max, 2.0)
     kernels = (("below", s + 1.0), ("above", s - 1.0))
 
-    def corpus_ratios(c: RunContext, kernel_members: int):
+    def corpus_ratios(c: RunContext, stack, kernel_members: int):
         """Member names, Fefferman-Stein and weighted ratios per member, and
         per kernel direction the ratios of the first kernel_members members.
-        Each member's maximal stack is built once, serves all its ratios and
-        is dropped before the next member's."""
+        stack(mem) gives a member's band magnitudes; its maximal stack is
+        built once, serves all its ratios and is dropped before the next
+        member's."""
         ws = WeightSequence(Pow(0.3), c.pair().k_min, c.pair().k_max, 2.0)
-        bands = c.bands()
         names, fs_ratios, wm_ratios = [], [], []
         kernel_ratios = {direction: [] for direction, _ in kernels}
         for i, mem in enumerate(c.corpus()):
-            fs = bands[mem.name]
+            fs = stack(mem)
             Ms = maximal_sequence(fs)
             names.append(mem.name)
             fs_ratios.append(fefferman_stein_ratio(fs, 2.0, 2.0, Ms))
@@ -493,8 +505,12 @@ def suite_maximal(ctx: RunContext) -> dict:
                     kernel_ratios[direction].append(kernel_sum_ratio(fs, kernel_ws, K, direction, 2.0, 2.0, Ms))
         return names, fs_ratios, wm_ratios, kernel_ratios
 
-    names, fs_rows, wm_rows, kernel_rows = corpus_ratios(ctx, 8)
-    _, fs_rows_2N, wm_rows_2N, _ = corpus_ratios(ctx.doubled(), 0)
+    bands = ctx.bands()
+    names, fs_rows, wm_rows, kernel_rows = corpus_ratios(ctx, lambda mem: bands[mem.name], 8)
+    # no other suite reads the 2N magnitude stacks, so each is built for its
+    # member alone and dropped with the member's Ms
+    dbl = ctx.doubled()
+    _, fs_rows_2N, wm_rows_2N, _ = corpus_ratios(dbl, lambda mem: band_magnitudes(mem.f, dbl.pair()), 0)
 
     fs_base = max(fs_rows)
     fs_dbl = max(fs_rows_2N)

@@ -231,6 +231,21 @@ class TestCarlesonNorm:
         assert req == explicit
         assert tl_infty(corpus1k[0].f, req) == tl_infty(corpus1k[0].f, explicit)
 
+    def test_family_above_the_weight_levels_refused(self, pair1k):
+        # the scans would read no cube for the weight levels below the
+        # family's first; the other spaces read no family
+        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
+        above = CubeFamily(pair1k.k_min + 1, pair1k.k_max)
+        for space in ("F_inf", "f_inf"):
+            with pytest.raises(ValueError, match=f"starts at level {pair1k.k_min + 1}, above"):
+                NormRequest(space, np.inf, 2.0, ws, pair1k, family=above)
+            for fam in (CubeFamily(pair1k.k_min, pair1k.k_max), CubeFamily(pair1k.k_min - 1, pair1k.k_max)):
+                NormRequest(space, np.inf, 2.0, ws, pair1k, family=fam)
+            narrower = WeightSequence(Pow(0.3), pair1k.k_min + 1, pair1k.k_max, 2.0)
+            assert NormRequest(space, np.inf, 2.0, narrower, pair1k, family=above).family == above
+        for space in ("B", "F", "b", "f"):
+            NormRequest(space, 2.0, 2.0, ws, pair1k, family=above)
+
 
 def family_blocks_former(spec, family, array_at):
     """The cube blocks of the former scans: for each grid-resolvable level v

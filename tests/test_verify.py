@@ -497,3 +497,57 @@ class TestSuiteBandReuse:
             assert list(bands) == [mem.name for mem in ctx.corpus()]
             for mem in ctx.corpus():
                 assert np.array_equal(bands[mem.name].values, np.abs(band_decompose(mem.f, ctx.pair()).values))
+
+
+class TestSuiteLocalArtifacts:
+    """The run context caches only what two or more suites read; the deeper
+    cube families of muckenhoupt and the 2N band stacks of maximal live and
+    die inside their suite."""
+
+    @staticmethod
+    def context():
+        from lpw.suites import RunContext
+
+        return RunContext(GridSpec(1, 4.0, 256), -2, 4, CubeFamily(-2, 5), corpus_size=2)
+
+    def test_muckenhoupt_caches_only_the_configured_family(self):
+        from lpw.suites import suite_muckenhoupt
+
+        ctx = self.context()
+        assert suite_muckenhoupt(ctx)["pass"]
+        assert [key for key in ctx._cache if key[0] == "nodes"] == [("nodes", ctx.family)]
+
+    def test_muckenhoupt_drops_each_deeper_family_before_the_next(self, monkeypatch):
+        import weakref
+
+        import lpw.suites
+
+        live = weakref.WeakSet()
+        builds = []
+
+        class Tracked(FamilyNodes):
+            def __init__(self, R, n, family):
+                builds.append((family.v_max, sorted(other.family.v_max for other in live)))
+                super().__init__(R, n, family)
+                live.add(self)
+
+        monkeypatch.setattr(lpw.suites, "FamilyNodes", Tracked)
+        ctx = self.context()
+        lpw.suites.suite_muckenhoupt(ctx)
+        # the configured family, then v_max + 2, then v_max + 10 with the
+        # v_max + 2 family already freed
+        assert builds == [(5, []), (7, [5]), (15, [5])]
+
+    def test_maximal_leaves_no_2N_bands(self):
+        from lpw.suites import suite_maximal
+
+        ctx = self.context()
+        assert suite_maximal(ctx)["pass"]
+        assert "bands" in ctx._cache
+        assert "bands" not in ctx.doubled()._cache
+        assert {"pair", "corpus"} <= set(ctx.doubled()._cache)
+
+    def test_nodes_takes_no_level(self):
+        ctx = self.context()
+        with pytest.raises(TypeError):
+            ctx.nodes(ctx.family.v_max + 2)
