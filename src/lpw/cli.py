@@ -39,10 +39,13 @@ from .weights import (
     Prod,
     WeightError,
     WeightSequence,
+    ap_requests,
     ap_witness,
     check_admissible,
+    level_requests,
     parse_weight,
     reverse_holder_probe,
+    rh_requests,
     sigma1,
     xclass_constants,
     xclass_fit,
@@ -402,9 +405,16 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
     ctx = cfg.ctx
     nodes = ctx.nodes()
     p, theta = ctx.exponent_pairs[0]
+    weights = {name: parse_weight(text) for name, text in sorted(ctx.weight_matrix.items())}
+    # one quadrature pass serves the whole matrix: a separable weight's
+    # statistics serve all of its levels, the others reduce level by level
+    if op == "xclass":
+        nodes.prefetch([w for w in weights.values() if w.separable], level_requests(p, (sigma1(p, theta), p)))
+    else:
+        nodes.prefetch(weights.values(), ap_requests(p) + (rh_requests() if op == "rh" else []))
     records = []
     for name, text in sorted(ctx.weight_matrix.items()):
-        w = parse_weight(text)
+        w = weights[name]
         if op == "ap":
             const, witness = ap_witness(w, p, nodes)
             v, m, translated = witness

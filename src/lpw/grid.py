@@ -126,13 +126,14 @@ class GridSpec:
 def mesh_radius(axes: Sequence[np.ndarray]) -> np.ndarray:
     """|x| on the tensor mesh of per-axis coordinates: axes[i] has shape
     (*batch, K_i) and the result (*batch, K_1, ..., K_n).  np.hypot is folded
-    over the axes from 0.0, which is exact: hypot(0, a) == |a| and
-    hypot(|a|, b) == hypot(a, b), so in 1D this is np.abs of the axis and in
-    2D np.hypot of its meshgrid."""
+    over the axes from |axes[0]|, which is exact: hypot(0, a) == |a| (signed
+    zeros, infinities and NaN included) and hypot(|a|, b) == hypot(a, b), so
+    in 1D this is np.abs of the axis and in 2D np.hypot of its meshgrid."""
     n = len(axes)
-    r = 0.0
+    r = None
     for i, a in enumerate(axes):
-        r = np.hypot(r, a.reshape(a.shape[:-1] + (1,) * i + a.shape[-1:] + (1,) * (n - 1 - i)))
+        a = a.reshape(a.shape[:-1] + (1,) * i + a.shape[-1:] + (1,) * (n - 1 - i))
+        r = np.abs(a) if r is None else np.hypot(r, a)
     return r
 
 

@@ -23,10 +23,22 @@ from .verify import (
     coincidence_check,
     delta_coefficient_check,
     holder_floors,
+    holder_requests,
     make_corpus,
     ratio_report,
 )
-from .weights import Const, FamilyNodes, Pow, WeightSequence, ap_constant, parse_weight, sigma1, xclass_fit
+from .weights import (
+    Const,
+    FamilyNodes,
+    Pow,
+    WeightSequence,
+    ap_constant,
+    ap_requests,
+    level_requests,
+    parse_weight,
+    sigma1,
+    xclass_fit,
+)
 
 
 DEFAULT_WEIGHT_MATRIX = {
@@ -157,23 +169,27 @@ def suite_muckenhoupt(ctx: RunContext) -> dict:
 
     # no other suite reads the deeper families: each is built here and
     # dropped before the next, so the two never exist at once
+    stable, grow = [Pow(a) for a in (-0.5, 0.0, 0.5, 0.9)], [Pow(a) for a in (1.5, 2.0)]
+    base.prefetch(stable + grow, ap_requests(p))  # one pass per family
     plus2 = deeper(2)
-    for a in (-0.5, 0.0, 0.5, 0.9):
-        c0 = ap_constant(Pow(a), p, base)
-        c2 = ap_constant(Pow(a), p, plus2)
+    plus2.prefetch(stable, ap_requests(p))
+    for w in stable:
+        c0 = ap_constant(w, p, base)
+        c2 = ap_constant(w, p, plus2)
         drift = abs(c2 / c0 - 1.0)
         good = drift < 0.05
         ok &= good
-        records.append({"alpha": a, "kind": "stable", "base": c0, "plus2": c2, "drift": drift, "pass": good})
+        records.append({"alpha": w.a, "kind": "stable", "base": c0, "plus2": c2, "drift": drift, "pass": good})
     del plus2
     plus10 = deeper(10)
-    for a in (1.5, 2.0):
-        c0 = ap_constant(Pow(a), p, base)
-        c10 = ap_constant(Pow(a), p, plus10)
+    plus10.prefetch(grow, ap_requests(p))
+    for w in grow:
+        c0 = ap_constant(w, p, base)
+        c10 = ap_constant(w, p, plus10)
         growth = c10 / c0
         good = growth >= 10.0
         ok &= good
-        records.append({"alpha": a, "kind": "grow", "base": c0, "plus10": c10, "growth": growth, "pass": good})
+        records.append({"alpha": w.a, "kind": "grow", "base": c0, "plus10": c10, "growth": growth, "pass": good})
     return _suite("muckenhoupt", ok, {"alphas": 6}, records)
 
 
@@ -182,8 +198,10 @@ def suite_hoelder(ctx: RunContext) -> dict:
     nodes = ctx.nodes()
     records = []
     ok = True
-    for name, text in sorted(ctx.weight_matrix.items()):
-        floors = holder_floors(parse_weight(text), ctx.exponent_pairs, nodes)
+    weights = {name: parse_weight(text) for name, text in sorted(ctx.weight_matrix.items())}
+    nodes.prefetch(weights.values(), holder_requests(ctx.exponent_pairs))  # one pass for the matrix
+    for name, w in weights.items():
+        floors = holder_floors(w, ctx.exponent_pairs, nodes)
         for (p, theta), floor in zip(ctx.exponent_pairs, floors):
             good = floor >= 1.0 - 1e-12
             ok &= good
@@ -567,8 +585,10 @@ def suite_xclassfit(ctx: RunContext) -> dict:
     ok = True
     p, theta = 2.0, 1.2
     s1 = sigma1(p, theta)
-    for name, text in sorted(ctx.weight_matrix.items()):
-        ts = ctx.sequence(text, p)
+    seqs = {name: ctx.sequence(text, p) for name, text in sorted(ctx.weight_matrix.items())}
+    # one pass for the separable weights, whose statistics serve every level
+    nodes.prefetch([ts.spec for ts in seqs.values() if ts.spec.separable], level_requests(p, (s1, p)))
+    for name, ts in seqs.items():
         fit = xclass_fit(ts, (s1, p), nodes)
         good = fit["alpha2"] >= fit["alpha1"] - fit["grid_step"] - 1e-12
         ok &= good

@@ -265,12 +265,17 @@ def coincidence_check(
             "extremes": extremes, "spread": spread, "ceiling": ceiling}
 
 
+def holder_requests(pairs) -> list[tuple[float, bool]]:
+    """M_{Q,p} and M_{Q,s1} of the inverse for every (p, theta) in pairs: the
+    cube statistics of holder_floors, for FamilyNodes.prefetch."""
+    return [req for p, theta in pairs for req in ((p, False), (sigma1(p, theta), True))]
+
+
 def holder_floors(t: WeightSpec, pairs, nodes: FamilyNodes) -> list[float]:
     """min over cubes of M_{Q,p}(t) M_{Q,s1}(t^-1) for every (p, theta) in
     pairs, from one pass over t; each is at least 1 up to rounding since both
     means share one quadrature measure."""
-    requests = [req for p, theta in pairs for req in ((p, False), (sigma1(p, theta), True))]
-    means = nodes.stats(t, requests)
+    means = nodes.stats(t, holder_requests(pairs))
     return [float((means[i] * means[i + 1]).min()) for i in range(0, len(means), 2)]
 
 

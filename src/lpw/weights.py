@@ -26,9 +26,10 @@ Family order is used only to name a witness cube.
 FamilyNodes caches the means per (radial profile, exponent, inverse): a
 separable weight 2^(k s) g(|x|) is reduced once per canonical level-free
 profile g and rescaled per level, so dyadic:s and const:1, or
-prod:[dyadic:1,pow:0.3] and pow:0.3, share one reduction.  One pass over
-cache-sized row chunks evaluates g once per chunk and feeds every statistic
-asked for together (r-means of g and of 1/g, node max and min).  Each row is
+prod:[dyadic:1,pow:0.3] and pow:0.3, share one reduction.  No node mesh
+is stored: one pass over cache-sized row chunks forms each chunk's radius,
+evaluates on it the g of every weight asked for together, and feeds each
+statistic asked for (r-means of g and of 1/g, node max).  Each row is
 summed by numpy's own loops, not BLAS, so a cube's mean does not depend on
 the chunk size, the batch size or the BLAS thread count.
 """
@@ -443,13 +444,31 @@ def _axis_nodes(lo: float, hi: float, core: float, seg_nodes: int, flat_nodes: i
     return np.concatenate(nodes), np.concatenate(wts)
 
 
+class _Radius:
+    """|x| at the nodes of a batch, shape (B, K), formed a row slice at a
+    time: self[lo:hi] is mesh_radius of axes(lo, hi), the per-axis node
+    coordinates of rows lo..hi, reshaped to (hi - lo, K).  No mesh is held."""
+
+    __slots__ = ("shape", "size", "_axes")
+
+    def __init__(self, axes, rows: int, K: int):
+        self._axes = axes
+        self.shape = (rows, K)
+        self.size = rows * K
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0])
+        return mesh_radius(self._axes(lo, hi)).reshape(hi - lo, self.shape[1])
+
+
 class _Batch:
-    """Representative cubes meshed alike: radius (B, K) at their nodes and
+    """Representative cubes meshed alike: their radius (B, K), formed on
+    demand from per-row interval ends or per-axis node coordinates, and
     normalized weights (K,)."""
 
     __slots__ = ("radius", "wts")
 
-    def __init__(self, radius, wts):
+    def __init__(self, radius: _Radius, wts):
         self.radius = radius
         self.wts = wts
 
@@ -461,21 +480,25 @@ class FamilyNodes:
     weight is radial, so a cube's means are those of its images under the
     coordinate sign flips and, in 2D, the axis swap: cubes fall into orbits,
     each keyed by its canonical clipped intervals, and only one representative
-    per orbit holds nodes.  The batches hold the representatives (every
+    per orbit is meshed.  The batches hold the representatives (every
     regular one in one batch; those touching the origin or crossing the seam
     in one batch per distinct set of per-axis node weights), and every
-    statistic holds one value per representative, in batch row order.  orbit
-    maps each cube of the family to its representative's row; it is read
-    only to name a witness: argmax_cube(values) finds the first cube in
-    family order that attains a maximum, cube(i) names the i-th cube, and
-    meta() lists them all.  Min, max and the products and ratios of
-    statistics need no family order.  Cube statistics are cached per (radial
-    profile, exponent, inverse) for separable weights and per (weight, level,
-    exponent, inverse) otherwise.  stats() computes all the statistics a
-    caller asks for in one pass per profile: the profile is evaluated once
-    per row chunk of about _CHUNK_NODES representative nodes, every requested
-    power and extreme is taken from that evaluation, and each row is summed
-    against the node weights on its own (see _reduce).
+    statistic holds one value per representative, in batch row order.  A
+    batch stores no node mesh: the regular batch keeps its representatives'
+    interval ends and a special batch their per-axis node coordinates, and
+    each pass forms the radius of one row chunk at a time.  orbit maps each
+    cube of the family to its representative's row; it is read only to name
+    a witness: argmax_cube(values) finds the first cube in family order that
+    attains a maximum, cube(i) names the i-th cube, and meta() lists them
+    all.  Min, max and the products and ratios of statistics need no family
+    order.  Cube statistics are cached per (radial profile, exponent,
+    inverse) for separable weights and per (weight, level, exponent,
+    inverse) otherwise.  prefetch() computes the statistics a set of weights
+    needs in one pass: the radius of each row chunk of about _CHUNK_NODES
+    representative nodes is formed once, each weight's profile is evaluated
+    on it once, every requested power and extreme is taken from that
+    evaluation, and each row is summed against the node weights on its own
+    (see _reduce).  stats() is prefetch() for one weight.
     """
 
     def __init__(self, R: float, n: int, family: CubeFamily):
@@ -558,13 +581,19 @@ class FamilyNodes:
         return np.concatenate([lo, hi], axis=1)
 
     def _append_regular(self, lo, hi):
+        """One batch for the regular representatives, holding only their
+        interval ends (B, n): row i's nodes on axis j are lo[i, j] + (hi[i, j]
+        - lo[i, j]) * offs, _FLAT_NODES midpoint offsets."""
         if lo.shape[0] == 0:
             return
-        K = _FLAT_NODES
+        n, K = self.n, _FLAT_NODES
         offs = (np.arange(K) + 0.5) / K
-        X = lo[:, :, None] + (hi - lo)[:, :, None] * offs
-        radius = mesh_radius([X[:, i] for i in range(self.n)]).reshape(lo.shape[0], K**self.n)
-        self.batches.append(_Batch(radius, np.full(K**self.n, 1.0 / K**self.n)))
+
+        def axes(a, b):
+            X = lo[a:b, :, None] + (hi[a:b] - lo[a:b])[:, :, None] * offs
+            return [X[:, i] for i in range(n)]
+
+        self.batches.append(_Batch(_Radius(axes, lo.shape[0], K**n), np.full(K**n, 1.0 / K**n)))
 
     def _axis_pieces(self, a: float, b: float):
         """Node mesh for [a, b), wrapping across the seam at +R when needed."""
@@ -578,8 +607,9 @@ class FamilyNodes:
 
     def _append_special(self, lo, hi) -> np.ndarray:
         """Mesh the special representatives in one batch per distinct set of
-        per-axis node weights, with one mesh_radius call each; returns each
-        representative's row among them, batch after batch."""
+        per-axis node weights, each holding its representatives' per-axis
+        node coordinates (B, K_i), not their (B, K_1 ... K_n) mesh; returns
+        each representative's row among them, batch after batch."""
         axis_mesh = functools.cache(self._axis_pieces)
         groups: dict = {}  # per-axis weights -> [(representative, per-axis nodes, weights)]
         for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
@@ -590,8 +620,10 @@ class FamilyNodes:
             idx, nodes, wts = zip(*members)
             rows[list(idx)] = np.arange(at, at + len(idx))
             at += len(idx)
-            radius = mesh_radius([np.stack(x) for x in zip(*nodes)]).reshape(len(idx), -1)
-            self.batches.append(_Batch(radius, mesh_weights(wts[0])))
+            coords = [np.stack(x) for x in zip(*nodes)]  # per axis, (B, K_i)
+            node_wts = mesh_weights(wts[0])
+            radius = _Radius(lambda a, b, coords=coords: [x[a:b] for x in coords], len(idx), node_wts.size)
+            self.batches.append(_Batch(radius, node_wts))
         return rows
 
     def meta(self) -> list[tuple[int, tuple[int, ...], bool]]:
@@ -635,19 +667,8 @@ class FamilyNodes:
         r, inverse).  Weights are compared by value, not by key(), whose
         6-digit floats would let pow:0.3 and pow:0.3000001 share an entry.
         """
-        for r, _ in requests:
-            if r <= 0:
-                raise WeightError(f"statistic exponent must be positive, got {r}")
-        if w.separable:
-            s, g = w.split()
-            prof = _profile(w)
-            key, f = (prof,), None if prof == _UNIT else g
-        else:
-            s, key, f = 0.0, (w, k), lambda rad: w.eval(rad, k)
-        missing = [req for req in dict.fromkeys(requests) if key + req not in self._cache]
-        if missing:
-            for req, out in zip(missing, self._reduce(f, missing)):
-                self._cache[key + req] = out
+        self.prefetch([w], requests, k)
+        s, key, _ = self._entry(w, k)
         outs = []
         for r, inverse in requests:
             out = self._cache[key + (r, inverse)]
@@ -655,41 +676,82 @@ class FamilyNodes:
             outs.append((2.0 ** (k * e)) * out if e else out)
         return outs
 
-    def _reduce(self, f, requests: list[tuple[float, bool]]) -> list[np.ndarray]:
-        """Per orbit representative, one array per request (r, inverse): the
-        r-mean of f over its nodes, of f ** -1.0 when inverse is set, or the
-        max (r = inf).  f = None is the unit profile: its values and their
-        powers are exactly 1.0, so neither is computed, and each batch sums
-        one row of ones for all of its representatives.
+    def prefetch(self, weights, requests: list[tuple[float, bool]], k: int = 0) -> None:
+        """Cache stats(w, requests, k) for every w in weights with one pass
+        over the nodes: each radial profile (or, for a weight that is not
+        separable, each weight at level k) reduces only the requests not yet
+        cached, and the weights that share a profile share its reduction."""
+        for r, _ in requests:
+            if r <= 0:
+                raise WeightError(f"statistic exponent must be positive, got {r}")
+        jobs = {}
+        for w in weights:
+            _, key, f = self._entry(w, k)
+            missing = [req for req in dict.fromkeys(requests) if key + req not in self._cache]
+            if missing:
+                jobs.setdefault(key, (f, missing))
+        if jobs:
+            for key, outs in zip(jobs, self._reduce(list(jobs.values()))):
+                for req, out in zip(jobs[key][1], outs):
+                    self._cache[key + req] = out
 
-        f runs once per row chunk and every request is taken from that one
+    def _entry(self, w: WeightSpec, k: int):
+        """(s, cache key, f) of w at level k: a separable weight 2^(k s) g is
+        keyed by its canonical profile, whose f is g (None for the unit
+        profile); any other weight by (w, k), with s = 0 and f its level-k
+        values."""
+        if w.separable:
+            s, g = w.split()
+            prof = _profile(w)
+            return s, (prof,), None if prof == _UNIT else g
+        return 0.0, (w, k), lambda rad: w.eval(rad, k)
+
+    def _reduce(self, jobs: list) -> list[list[np.ndarray]]:
+        """Per job (f, requests), per orbit representative, one array per
+        request (r, inverse): the r-mean of f over its nodes, of f ** -1.0
+        when inverse is set, or the max (r = inf).  f = None is the unit
+        profile: its values and their powers are exactly 1.0, so neither is
+        computed, and each batch sums one row of ones for all of its
+        representatives.
+
+        The radius of each row chunk is formed once for every job, each f
+        runs once on it, and every request of that job is taken from that one
         evaluation.  Each row is summed against the node weights on its own
         (_row_sums), so a cube's mean does not depend on how its rows are
-        grouped into chunks or batches.
+        grouped into chunks or batches, nor on which jobs share the pass.
         """
         n_reps = sum(b.radius.shape[0] for b in self.batches)
-        outs = [np.empty(n_reps) for _ in requests]
-        any_inverse = any(inverse for _, inverse in requests)
+        outs = [[np.empty(n_reps) for _ in requests] for _, requests in jobs]
+        unit = [(requests, out) for (f, requests), out in zip(jobs, outs) if f is None]
+        evaluated = [(f, requests, out, any(inverse for _, inverse in requests))
+                     for (f, requests), out in zip(jobs, outs) if f is not None]
         at = 0
         for b in self.batches:
             rows, K = b.radius.shape
-            step = rows if f is None else max(1, _CHUNK_NODES // K)
-            for lo in range(0, rows, step):
+            ones = np.ones((1, K))
+            for requests, out in unit:
+                _take(requests, out, slice(at, at + rows), ones, ones, b.wts)
+            step = max(1, _CHUNK_NODES // K)
+            for lo in range(0, rows if evaluated else 0, step):
                 hi = min(lo + step, rows)
-                if f is None:
-                    plain = inv = np.ones((1, K))
-                else:
-                    plain = f(b.radius[lo:hi])
+                radius = b.radius[lo:hi]
+                for f, requests, out, any_inverse in evaluated:
+                    plain = f(radius)
                     inv = plain ** -1.0 if any_inverse else None
-                for (r, inverse), out in zip(requests, outs):
-                    vals = inv if inverse else plain
-                    if r == np.inf:
-                        out[at + lo : at + hi] = vals.max(axis=1)
-                    else:
-                        powered = vals if f is None else vals**r
-                        out[at + lo : at + hi] = _row_sums(powered, b.wts)
+                    _take(requests, out, slice(at + lo, at + hi), plain, inv, b.wts)
             at += rows
-        return [out if r == np.inf else out ** (1.0 / r) for (r, _), out in zip(requests, outs)]
+        return [[out if r == np.inf else out ** (1.0 / r) for (r, _), out in zip(requests, job_outs)]
+                for (_, requests), job_outs in zip(jobs, outs)]
+
+
+def _take(requests, outs, rows: slice, plain: np.ndarray, inv, wts: np.ndarray) -> None:
+    """Write each request's row statistic of plain (of inv when inverse is
+    set) into outs[i][rows]: the node max for r = inf, else the sum of the
+    r-th powers against wts.  The unit profile's (1, K) row of ones
+    broadcasts over rows, and its powers stay exactly 1.0."""
+    for (r, inverse), out in zip(requests, outs):
+        vals = inv if inverse else plain
+        out[rows] = vals.max(axis=1) if r == np.inf else _row_sums(vals**r, wts)
 
 
 def _row_sums(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -803,10 +865,26 @@ def ap_witness(gamma: WeightSpec, p: float, nodes: FamilyNodes):
     return float(prod.max()), nodes.cube(nodes.argmax_cube(prod))
 
 
+def ap_requests(p: float) -> list[tuple[float, bool]]:
+    """The cube statistics of the A_p products: M_Q(gamma) and
+    M_{Q,p'/p}(gamma^-1), for FamilyNodes.prefetch over several weights."""
+    return [(1.0, False), (conjugate(p) / p, True)]
+
+
 def _ap_products(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> np.ndarray:
     """M_Q(gamma) * M_{Q,p'/p}(gamma^-1) per orbit, from one pass over gamma."""
-    mean, inv_mean = nodes.stats(gamma, [(1.0, False), (conjugate(p) / p, True)])
+    mean, inv_mean = nodes.stats(gamma, ap_requests(p))
     return mean * inv_mean
+
+
+# reverse_holder_probe tries the exponents 1 + eps
+_RH_EPS = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8)
+
+
+def rh_requests() -> list[tuple[float, bool]]:
+    """The cube means reverse_holder_probe reads after its A_p check: M_Q
+    and M_{Q,1+eps} at every eps it tries."""
+    return [(1.0, False)] + [(1.0 + eps, False) for eps in _RH_EPS]
 
 
 def reverse_holder_probe(gamma: WeightSpec, p: float, nodes: FamilyNodes, ap_ceiling: float) -> dict:
@@ -818,12 +896,12 @@ def reverse_holder_probe(gamma: WeightSpec, p: float, nodes: FamilyNodes, ap_cei
             f"weight {gamma.key()} exceeds the Muckenhoupt ceiling {ap_ceiling:g}; "
             "the self-improvement probe needs a class weight"
         )
-    eps_grid, bound = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8), 1.5
-    base, *higher = nodes.stats(gamma, [(1.0, False)] + [(1.0 + eps, False) for eps in eps_grid])
+    bound = 1.5
+    base, *higher = nodes.stats(gamma, rh_requests())
     ratios = {}
     best = None
     best_ratio = None
-    for eps, mean in zip(eps_grid, higher):
+    for eps, mean in zip(_RH_EPS, higher):
         sup = float((mean / base).max())
         ratios[eps] = sup
         if sup <= bound:
@@ -836,11 +914,17 @@ def _witness(k: int, j: int, cube: tuple[int, tuple[int, ...], bool]) -> dict:
     return {"k": k, "j": j, "cube": {"v": v, "m": list(m), "translated": translated}}
 
 
-def _level_stats(ts: WeightSequence, nodes: FamilyNodes, sigma: tuple[float, float]):
+def level_requests(p: float, sigma: tuple[float, float]) -> list[tuple[float, bool]]:
+    """The cube statistics of the growth bounds at every level:
+    M_{Q,p}(t_k), M_{Q,s1}(t_k^-1) and M_{Q,s2}(t_k)."""
     s1, s2 = sigma
+    return [(p, False), (s1, True), (s2, False)]
+
+
+def _level_stats(ts: WeightSequence, nodes: FamilyNodes, sigma: tuple[float, float]):
     A, B, D = {}, {}, {}
     for k in ts.levels():
-        A[k], B[k], D[k] = nodes.stats(ts.spec, [(ts.p, False), (s1, True), (s2, False)], k)
+        A[k], B[k], D[k] = nodes.stats(ts.spec, level_requests(ts.p, sigma), k)
     return A, B, D
 
 

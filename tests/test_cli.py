@@ -577,6 +577,24 @@ class TestOtherCommands:
         assert got == {"q": "inf", "sigma": [2.0, "inf"], "ratios": {"0.05": 1.0, "12.8": 2.0}}
 
 
+class TestWeightsPasses:
+    def test_one_pass_per_op(self, tmp_path, monkeypatch):
+        # every op reduces the whole matrix in one pass over the cube family,
+        # one job per radial profile of the default matrix (6): ap its A_p
+        # statistics, rh those and the reverse-Hoelder means, xclass the
+        # level statistics of the separable weights
+        from lpw.weights import FamilyNodes
+
+        calls = []
+        reduce = FamilyNodes._reduce
+        monkeypatch.setattr(FamilyNodes, "_reduce", lambda self, jobs: calls.append(len(jobs)) or reduce(self, jobs))
+        path = write_config(tmp_path, SWEEP_CONFIGS["2d"])
+        for op in ("ap", "rh", "xclass"):
+            del calls[:]
+            assert main(["weights", op, "--config", path, "--out", str(tmp_path / op)]) == 0
+            assert calls == [6], op
+
+
 class TestReportCommand:
     def test_empty_report(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

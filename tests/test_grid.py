@@ -121,6 +121,25 @@ class TestMesh:
         want = np.hypot(X[:, 0, :, None], X[:, 1, None, :]).reshape(5, 16 * 16)
         assert np.array_equal(mesh_radius([X[:, 0], X[:, 1]]).reshape(5, -1), want)
 
+    def test_radius_equals_hypot_fold(self, rng):
+        # the first axis takes np.abs, exact against hypot(0, a): signed
+        # zeros, infinities and NaN included
+        def hypot_fold(axes):
+            n, r = len(axes), 0.0
+            for i, a in enumerate(axes):
+                r = np.hypot(r, a.reshape(a.shape[:-1] + (1,) * i + a.shape[-1:] + (1,) * (n - 1 - i)))
+            return r
+
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e300, -3.0])
+        X = rng.normal(size=(4, 2, 9))
+        for axes in ([special], [signed_axis(rng, 37)], [special, special[::-1]],
+                     [signed_axis(rng, 37), special], [signed_axis(rng, 37), signed_axis(rng, 23)],
+                     [X[:, 0]], [X[:, 0], X[:, 1]]):
+            got, want = mesh_radius(axes), hypot_fold(axes)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_weights(self, rng):
         wx, wy = rng.uniform(size=37), rng.uniform(size=23)
         assert np.array_equal(mesh_weights([wx]), wx)

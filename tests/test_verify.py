@@ -551,3 +551,45 @@ class TestSuiteLocalArtifacts:
         ctx = self.context()
         with pytest.raises(TypeError):
             ctx.nodes(ctx.family.v_max + 2)
+
+
+class TestOnePassPerMatrix:
+    """A suite that reads the cube statistics of every weight of its matrix
+    reduces them in one pass over the family's nodes, which forms each row
+    chunk's radius once for all of the matrix's radial profiles."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        calls = []
+        reduce = FamilyNodes._reduce
+        monkeypatch.setattr(FamilyNodes, "_reduce",
+                            lambda self, jobs: calls.append([f is not None for f, _ in jobs]) or reduce(self, jobs))
+        return calls
+
+    def test_hoelder_on_verify_2d(self, monkeypatch):
+        import json
+        from pathlib import Path
+
+        from lpw.cli import RunConfig
+        from lpw.suites import suite_hoelder
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "verify_2d.json"
+        ctx = RunConfig(json.loads(path.read_text())).ctx
+        calls = self.count_passes(monkeypatch)
+        assert suite_hoelder(ctx)["pass"]
+        # the default matrix: const:1, dyadic:0.5 and dyadic:2 share the unit
+        # profile, pow:0.3 and prod:[dyadic:1,pow:0.3] share pow:0.3
+        assert calls == [[False, True, True, True, True, True]]
+
+    def test_xclassfit_and_muckenhoupt(self, monkeypatch):
+        from lpw.suites import RunContext, suite_muckenhoupt, suite_xclassfit
+
+        ctx = RunContext(GridSpec(1, 4.0, 256), -2, 4, CubeFamily(-2, 5), corpus_size=2)
+        calls = self.count_passes(monkeypatch)
+        suite_xclassfit(ctx)
+        assert calls == [[False, True, True, True, True, True]]
+        del calls[:]
+        assert suite_muckenhoupt(ctx)["pass"]
+        # the configured family, then v_max + 2 and v_max + 10: pow:0 is the
+        # unit profile
+        assert calls == [[True, False, True, True, True, True], [True, False, True, True], [True, True]]

@@ -30,7 +30,7 @@ from lpw.weights import (
     xclass_constants,
     xclass_fit,
 )
-from lpw.weights import _CHUNK_NODES, _FLAT_NODES, _PAIRWISE_NODES, _SEG_NODES, _axis_nodes, _profile
+from lpw.weights import _CHUNK_NODES, _FLAT_NODES, _PAIRWISE_NODES, _SEG_NODES, _Radius, _axis_nodes, _profile
 
 
 def power_mean_oracle(a, lo, hi, r):
@@ -350,31 +350,41 @@ class TestChunkedReduction:
             np.testing.assert_allclose(nodes.means(Const(c), r)[nodes.orbit][long_rows], c, rtol=1e-15, atol=0)
 
     def test_one_reduction_per_radial_profile(self, monkeypatch):
+        # each pass through _reduce is recorded as the requests of its jobs,
+        # one job per radial profile (or per weight and level) it reduces
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
         calls = []
         reduce = FamilyNodes._reduce
-        monkeypatch.setattr(FamilyNodes, "_reduce", lambda self, f, reqs: calls.append(reqs) or reduce(self, f, reqs))
+        monkeypatch.setattr(FamilyNodes, "_reduce",
+                            lambda self, jobs: calls.append([reqs for _, reqs in jobs]) or reduce(self, jobs))
         unit = nodes.means(parse_weight("dyadic:0.5"), 2.0, 3)
         assert np.array_equal(nodes.means(parse_weight("const:1"), 2.0), unit / 2.0**1.5)
-        assert len(calls) == 1
+        assert calls == [[[(2.0, False)]]]
         nodes.means(Pow(0.3), 2.0)
         nodes.means(parse_weight("prod:[dyadic:1,pow:0.3]"), 2.0, 2)
         assert len(calls) == 2
         # c ** e is not exactly a constant, so a power of const:2 reduces apart
         nodes.means(Const(2.0).power(0.5), 2.0)
         assert len(calls) == 3
+        # a set of weights is one pass, with one job per profile not yet cached
+        nodes.prefetch([Pow(0.5), parse_weight("prod:[dyadic:2,pow:0.5]"), Pow(0.3), Dyadic(1.0),
+                        ShiftPow(0.4, 1.0)], [(2.0, False)])
+        assert calls[3:] == [[[(2.0, False)], [(2.0, False)]]]
+        nodes.prefetch([Pow(0.5), ShiftPow(0.4, 1.0), parse_weight("const:1")], [(2.0, False)])
+        assert len(calls) == 4
 
     def test_one_pass_per_profile_for_all_statistics(self, monkeypatch):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
         calls = []
         reduce = FamilyNodes._reduce
-        monkeypatch.setattr(FamilyNodes, "_reduce", lambda self, f, reqs: calls.append(reqs) or reduce(self, f, reqs))
+        monkeypatch.setattr(FamilyNodes, "_reduce",
+                            lambda self, jobs: calls.append([reqs for _, reqs in jobs]) or reduce(self, jobs))
         evals = []
         w = Pow(0.3)
         monkeypatch.setattr(Pow, "split", lambda self: (0.0, lambda r: evals.append(r.shape) or r**self.a))
         wanted = [(2.0, False), (3.0, False), (3.0, True)]
         got = nodes.stats(w, wanted)
-        assert calls == [wanted]
+        assert calls == [[wanted]]
         assert sum(rows for rows, _ in evals) == len({axes for axes, _ in canonical_cubes(nodes)})  # g once per orbit
         # a level-scaled weight with the same profile and cached requests: no pass
         again = nodes.stats(parse_weight("prod:[dyadic:1,pow:0.3]"), wanted[::-1], 2)
@@ -382,7 +392,24 @@ class TestChunkedReduction:
         assert np.array_equal(again[0], got[2] * 2.0**-2) and np.array_equal(again[2], got[0] * 2.0**2)
         # only the missing request is reduced
         nodes.stats(w, [(2.0, True), (3.0, True)])
-        assert calls[1:] == [[(2.0, True)]]
+        assert calls[1:] == [[[(2.0, True)]]]
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_one_pass_serves_a_set_of_weights(self, chunked_nodes, monkeypatch, k):
+        # every weight's statistics from one shared pass equal those from a
+        # pass of its own, and the pass forms each row chunk's radius once
+        weights = [w for w, _ in _CHUNK_WEIGHTS] + [Dyadic(0.5)]
+        shared = FamilyNodes(chunked_nodes.R, chunked_nodes.n, chunked_nodes.family)
+        formed = []
+        getitem = _Radius.__getitem__
+        monkeypatch.setattr(_Radius, "__getitem__", lambda self, rows: formed.append(rows) or getitem(self, rows))
+        shared.prefetch(weights, _REQUESTS, k)
+        chunks = sum(-(-b.radius.shape[0] // max(1, _CHUNK_NODES // b.radius.shape[1])) for b in shared.batches)
+        assert len(formed) == chunks
+        monkeypatch.undo()
+        for w in weights:
+            own = FamilyNodes(chunked_nodes.R, chunked_nodes.n, chunked_nodes.family).stats(w, _REQUESTS, k)
+            assert all(np.array_equal(a, b) for a, b in zip(shared.stats(w, _REQUESTS, k), own)), w
 
     def test_unit_profile_skips_evaluation(self, monkeypatch):
         nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 2))
@@ -528,6 +555,34 @@ class TestOrbits:
         assert nodes.n_cubes == 174_760
         assert sum(b.radius.size for b in nodes.batches) <= 7_000_000
 
+    def test_verify_2d_family_holds_no_mesh(self):
+        # the batches keep interval ends and per-axis node coordinates; a
+        # 6.77M-node radius would take 51.7 MiB alone
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 6))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(b.radius.size for b in nodes.batches) > 6_000_000
+        assert held < 15 * 2**20
+
+    @pytest.mark.parametrize("family", _ORBIT_FAMILIES + [(8.0, 1, CubeFamily(-2, 5, translates=False)),
+                                                          (2.0, 2, CubeFamily(-1, 3, translates=False))],
+                             ids=_ORBIT_IDS + ["1d-plain", "2d-plain"])
+    def test_radius_rows_equal_eager_mesh(self, family):
+        nodes = FamilyNodes(*family)
+        for b, want in zip(nodes.batches, eager_radius(nodes), strict=True):
+            rows = b.radius.shape[0]
+            assert b.radius.shape == want.shape and b.radius.size == want.size
+            assert np.array_equal(b.radius[0:rows], want)
+            cut = max(1, rows // 3)
+            assert np.array_equal(np.concatenate([b.radius[:cut], b.radius[cut:rows + 5]]), want)
+            assert np.array_equal(b.radius[rows - 1 :], want[rows - 1 :])
+
     def test_special_cubes_batched_by_node_weights(self):
         # the 1,028 special representatives of the verify_2d.json family
         # fall into 35 meshes: one batch each, next to the regular batch
@@ -545,6 +600,40 @@ class TestOrbits:
         meta, former = nodes.meta(), former_meta(nodes)
         for i in np.linspace(0, nodes.n_cubes - 1, 97).astype(int).tolist():
             assert nodes.cube(i) == meta[i] == former[i], i
+
+
+def former_mesh_radius(axes):
+    """grid.mesh_radius as the eager build called it: np.hypot folded over
+    the axes from 0.0."""
+    n, r = len(axes), 0.0
+    for i, a in enumerate(axes):
+        r = np.hypot(r, a.reshape(a.shape[:-1] + (1,) * i + a.shape[-1:] + (1,) * (n - 1 - i)))
+    return r
+
+
+def eager_radius(nodes):
+    """Each batch's (B, K) radius as the build formed and held it when
+    batches stored their meshes: per representative (the first cube of its
+    orbit, in canonical orientation), the regular nodes lo + (hi - lo) * offs
+    or the graded axis meshes of axis_mesh, through former_mesh_radius."""
+    cubes = canonical_cubes(nodes)
+    first = np.empty(nodes.orbit.max() + 1, dtype=int)
+    first[nodes.orbit[::-1]] = np.arange(nodes.n_cubes)[::-1]
+    out, at = [], 0
+    for b in nodes.batches:
+        rows = b.radius.shape[0]
+        reps = [cubes[i] for i in first[at : at + rows].tolist()]
+        at += rows
+        if not reps[0][1]:  # the regular batch
+            lo = np.array([[a for a, _ in axes] for axes, _ in reps])
+            hi = np.array([[b for _, b in axes] for axes, _ in reps])
+            offs = (np.arange(_FLAT_NODES) + 0.5) / _FLAT_NODES
+            X = lo[:, :, None] + (hi - lo)[:, :, None] * offs
+            out.append(former_mesh_radius([X[:, i] for i in range(nodes.n)]).reshape(rows, _FLAT_NODES**nodes.n))
+        else:
+            meshes = [[axis_mesh(nodes, a, b)[0] for a, b in axes] for axes, _ in reps]
+            out.append(former_mesh_radius([np.stack(x) for x in zip(*meshes)]).reshape(rows, -1))
+    return out
 
 
 def twin_orbits(nodes, monkeypatch):
