@@ -26,7 +26,7 @@ from .verify import annulus_indices, make_corpus
 from .suites import (
     ALL_SUITES,
     ANNULUS_SUITES,
-    DEFAULT_CEILINGS,
+    CEILINGS,
     DEFAULT_WEIGHT_MATRIX,
     OFFSET_SUITES,
     ONE_D_SUITES,
@@ -133,8 +133,10 @@ def _parse_exponent(value, field: str) -> float:
 class RunConfig:
     """Validated run configuration; every module precondition is checked here,
     the per-command ones by check_runnable, so nothing fails mid-run.  The
-    grid, levels, cube family, corpus, weights, exponents and ceilings live
-    in ctx, the run's one context; the command options live here."""
+    grid, levels, cube family, corpus, weights and exponents live in ctx,
+    the run's one context; the command options live here.  The pass
+    ceilings are pinned in suites.CEILINGS, and a config that sets them is
+    refused."""
 
     def __init__(self, raw: dict, seed_override: int | None = None):
         self.raw = raw
@@ -166,10 +168,8 @@ class RunConfig:
         _require(corpus_size >= 1, "corpus.size", "must be at least 1")
         seed = int(seed_override) if seed_override is not None else _int(raw, "corpus.seed", 20260808)
         _require(seed >= 0, "corpus.seed", "must be nonnegative")
-        ceilings = dict(DEFAULT_CEILINGS)
-        for key, val in _table(raw, "ceilings", {}).items():
-            _require(key in DEFAULT_CEILINGS, f"ceilings.{key}", "unknown ceiling")
-            ceilings[key] = _parse_exponent(val, f"ceilings.{key}")
+        _require("ceilings" not in raw, "ceilings", "the pass ceilings are pinned in suites.CEILINGS; "
+                 "a config cannot set them")
         weight_matrix = dict(_table(raw, "weights", DEFAULT_WEIGHT_MATRIX))
         for name, text in weight_matrix.items():
             try:
@@ -206,8 +206,7 @@ class RunConfig:
         self.frozen_level = _int(raw, "norm.frozen_level", 0)
         self.member = _int(raw, "decompose.member", 0)
         # the run's one context: every command takes its pair, corpus and bands from it
-        self.ctx = RunContext(spec, k_min, k_max, family, corpus_size, seed,
-                              weight_matrix, tuple(exponent_pairs), ceilings)
+        self.ctx = RunContext(spec, k_min, k_max, family, corpus_size, seed, weight_matrix, tuple(exponent_pairs))
         try:
             self.ctx.pair()
         except LevelError as exc:
@@ -254,8 +253,7 @@ class RunConfig:
                  f"{', '.join(scans)} would read no cube for the levels below it")
         fit = weights == "xclass" or "xclassfit" in suites
         if fit or "seqnorm" in suites:  # read the matrix off level 0
-            for name, text in ctx.weight_matrix.items():
-                w = parse_weight(text)
+            for name, w in ctx.weights().items():
                 _require_level_factors(w, range(ctx.k_min, ctx.k_max + 1), f"weights.{name}")
                 s = w.split()[0]
                 _require(not fit or abs(s) <= XCLASS_ALPHA_MAX, f"weights.{name}", f"{w.key()} grows at the "
@@ -319,9 +317,12 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(text)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    # every field is looked up by name, so any other value would run the defaults
+    _require(isinstance(raw, dict), "config", f"expected a JSON object of sections, got {type(raw).__name__}")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +406,7 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
     ctx = cfg.ctx
     nodes = ctx.nodes()
     p, theta = ctx.exponent_pairs[0]
-    weights = {name: parse_weight(text) for name, text in sorted(ctx.weight_matrix.items())}
+    weights = ctx.weights()
     # one quadrature pass serves the whole matrix: a separable weight's
     # statistics serve all of its levels, the others reduce level by level
     if op == "xclass":
@@ -413,8 +414,8 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
     else:
         nodes.prefetch(weights.values(), ap_requests(p) + (rh_requests() if op == "rh" else []))
     records = []
-    for name, text in sorted(ctx.weight_matrix.items()):
-        w = weights[name]
+    for name, w in weights.items():
+        text = ctx.weight_matrix[name]
         if op == "ap":
             const, witness = ap_witness(w, p, nodes)
             v, m, translated = witness
@@ -442,7 +443,7 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
                 records.append({"weight": name, "expr": text, "error": str(exc)})
         elif op == "rh":
             try:
-                probe = reverse_holder_probe(w, p, nodes, ap_ceiling=ctx.ceilings["ap_hypothesis"])
+                probe = reverse_holder_probe(w, p, nodes, ap_ceiling=CEILINGS["ap_hypothesis"])
                 records.append({"weight": name, "expr": text, "p": p, **probe})
             except WeightError as exc:
                 records.append({"weight": name, "expr": text, "error": str(exc)})

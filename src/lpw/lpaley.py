@@ -134,8 +134,6 @@ class LPPair:
     phi_mult: dict = field(repr=False)
     psi_mult: dict = field(repr=False)
     first_active: int
-    plateau_min_phi: float
-    plateau_min_psi: float
 
     def levels(self) -> range:
         return range(self.k_min, self.k_max + 1)
@@ -192,17 +190,7 @@ def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:
             first_active = k
     if first_active is None:
         raise LevelError(f"no level in [{k_min}, {k_max}] meets a nonzero grid frequency")
-    probe = np.linspace(0.6, 5.0 / 3.0, 2049)
-    return LPPair(
-        gspec=spec,
-        k_min=k_min,
-        k_max=k_max,
-        phi_mult=phi_mult,
-        psi_mult=psi_mult,
-        first_active=first_active,
-        plateau_min_phi=float(bump_profile(probe).min()),
-        plateau_min_psi=float(synthesis_profile(probe).min()),
-    )
+    return LPPair(spec, k_min, k_max, phi_mult, psi_mult, first_active)
 
 
 def band_decompose(f: GridFunction, pair: LPPair) -> VectorSequence:

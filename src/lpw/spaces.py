@@ -174,17 +174,17 @@ def carleson_sup(G: VectorSequence, family: CubeFamily, q: float) -> float:
 
     G is the (levels, *grid) stack of the nonnegative integrands G_k; the
     level sum is truncated below at G's first level and the cube levels are
-    clamped to the grid-resolvable window.  A stack level below the grid's
-    coarsest cube level -log2(2R) is refused: no cube could read it.  The
-    mean of a cube is its sum over S^n cells, and the sup divides the
-    largest sum once, which is exact because division is monotone.
+    clamped to the grid-resolvable window.  A stack level below the first
+    cube level the scan reads, the family's or the grid's coarsest
+    -log2(2R), is refused: no cube would read it.  The mean of a cube is its
+    sum over S^n cells, and the sup divides the largest sum once, which is
+    exact because division is monotone.
     """
     spec, ks = G.spec, G.levels()
     levels = _scan_levels(spec, family)
-    v_floor = spec.level_window()[0]
-    if ks.start < v_floor:
-        raise GridError(f"stack level {ks.start} lies below level {v_floor}, the coarsest cube on R={spec.R:g}, "
-                        "so no cube of the scan reads it")
+    if ks.start < levels.start:
+        raise GridError(f"stack level {ks.start} lies below level {levels.start}, the first cube level the scan "
+                        "reads, so no cube reads it")
     # suffix[i] = G_{k_min + i} + ... + G_{k_max}, summed from the top level
     # down; a wrapped cell takes the same adds as the cell it repeats
     suffix = _periodic(G.values, spec, family, levels)
@@ -267,12 +267,13 @@ def _seq_levels(coeffs: CoefficientSet, spec: GridSpec) -> dict[int, tuple[np.nd
     return coeffs.support
 
 
-def seq_b_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tuple[float, float]:
-    """Besov sequence norm, (direct, starred).
+def seq_b_norm(coeffs: CoefficientSet, req: NormRequest) -> tuple[float, float]:
+    """Besov sequence norm, (direct, starred), on the grid of req.pair.
 
     direct:  ( sum_k 2^(k n q / 2) || sum_m t_k lambda chi |L_p||^q )^(1/q)
     starred: ( sum_k 2^(k n q / 2) ( sum_m |lambda|^p t_{k,m}^p )^(q/p) )^(1/q)
     """
+    spec = req.pair.gspec
     n, p, q = spec.n, req.p, req.q
     terms_plain, terms_star = [], []
     for k in _seq_levels(coeffs, spec):
@@ -293,8 +294,9 @@ def seq_b_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tupl
 _GROUP_CELLS = 1 << 17
 
 
-def seq_f_norms(sets: list[CoefficientSet], spec: GridSpec, req: NormRequest) -> list[tuple[float, float]]:
-    """Triebel-Lizorkin sequence norms, (direct, starred), of each set.
+def seq_f_norms(sets: list[CoefficientSet], req: NormRequest) -> list[tuple[float, float]]:
+    """Triebel-Lizorkin sequence norms, (direct, starred), of each set, on
+    the grid of req.pair.
 
     direct uses the pointwise weight t_k on each cube; starred replaces it by
     the cube aggregate 2^(k n / p) t_{k,m} (so single-coefficient inputs agree
@@ -303,6 +305,7 @@ def seq_f_norms(sets: list[CoefficientSet], spec: GridSpec, req: NormRequest) ->
     cube adds an exact zero); the starred sum, constant on the cubes of the
     finest level held, is painted onto the grid only for the final sum.
     """
+    spec = req.pair.gspec
     n, p, q = spec.n, req.p, req.q
     if np.isinf(p):
         raise ValueError("f-norms need p < inf")
@@ -347,8 +350,9 @@ def seq_f_norms(sets: list[CoefficientSet], spec: GridSpec, req: NormRequest) ->
     return out
 
 
-def seq_f_infty_norm(coeffs: CoefficientSet, spec: GridSpec, req: NormRequest) -> tuple[float, float]:
-    """Carleson-type sequence norm, (direct, starred)."""
+def seq_f_infty_norm(coeffs: CoefficientSet, req: NormRequest) -> tuple[float, float]:
+    """Carleson-type sequence norm, (direct, starred), on the grid of req.pair."""
+    spec = req.pair.gspec
     n, q = spec.n, req.q
     if np.isinf(q):
         raise ValueError("f_inf norms need q < inf")
@@ -387,8 +391,8 @@ class GrandProfile:
 
 @dataclass(frozen=True)
 class TestFunctionDictionary:
-    """Test profiles, their Schwartz seminorms, and a cache of the per-level
-    multiplier stacks that hardy_grand_norm applies.
+    """Test profiles and a cache of the per-level multiplier stacks that
+    hardy_grand_norm applies.
 
     The multipliers depend only on (spec, k), so one dictionary serves any
     number of functions and builds each level's stack once.  The cache holds
@@ -398,8 +402,6 @@ class TestFunctionDictionary:
     """
 
     profiles: tuple[GrandProfile, ...]
-    N_order: int
-    seminorms: tuple[float, ...]
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stack(self, spec: GridSpec, k: int) -> np.ndarray:
@@ -436,13 +438,8 @@ def build_dictionary(spec: GridSpec) -> TestFunctionDictionary:
     """Gaussian-derivative bumps of widths 0.5 and 1 and orders 0..N with
     N = n + 2, normalized in the seminorm p_N."""
     N = spec.n + 2
-    profiles, norms = [], []
-    for w in (0.5, 1.0):
-        for d in range(N + 1):
-            pn = _seminorm(spec, w, d, N)
-            profiles.append(GrandProfile(w, d, 1.0 / pn))
-            norms.append(pn)
-    return TestFunctionDictionary(tuple(profiles), N, tuple(norms))
+    return TestFunctionDictionary(tuple(GrandProfile(w, d, 1.0 / _seminorm(spec, w, d, N))
+                                        for w in (0.5, 1.0) for d in range(N + 1)))
 
 
 def hardy_grand_norm(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import CubeFamily, GridFunction, GridSpec, VectorSequence, level_index_range, lp_norm, weighted_lp_norm
-from .lpaley import LPPair, bump_profile, calderon_residual, make_lp_pair, partition_sum, CoefficientSet
+from .lpaley import LPPair, bump_profile, calderon_residual, make_lp_pair, partition_sum, synthesis_profile, CoefficientSet
 from .maximal import fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sizes, window_sum_table
 from .spaces import NormRequest, band_magnitudes, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norms, stack_norm
 from .verify import (
@@ -32,6 +32,7 @@ from .weights import (
     FamilyNodes,
     Pow,
     WeightSequence,
+    WeightSpec,
     ap_constant,
     ap_requests,
     level_requests,
@@ -53,7 +54,9 @@ DEFAULT_WEIGHT_MATRIX = {
     "w9": "dyadic:2",
 }
 
-DEFAULT_CEILINGS = {
+# the pass ceilings of every suite and of `lpw weights rh`, pinned: no config
+# sets them
+CEILINGS = {
     "equivalence": 50.0,
     "coincidence": 50.0,
     "j_uniformity": 2.0,
@@ -68,11 +71,11 @@ DEFAULT_CEILINGS = {
 @dataclass
 class RunContext:
     """Built artifacts for one configured run.  It caches only what two or
-    more suites read: the pair, the corpus, the corpus bands(), the
-    configured family's nodes() and the doubled() context with its pair and
-    corpus.  An artifact one suite alone reads (muckenhoupt's deeper cube
-    families, maximal's 2N band stacks) is built inside that suite and freed
-    when it is done with it."""
+    more suites read: the pair, the corpus, the corpus bands(), the parsed
+    weights() matrix, the configured family's nodes() and the doubled()
+    context with its pair and corpus.  An artifact one suite alone reads
+    (muckenhoupt's deeper cube families, maximal's 2N band stacks) is built
+    inside that suite and freed when it is done with it."""
 
     spec: GridSpec
     k_min: int
@@ -82,7 +85,6 @@ class RunContext:
     seed: int = 20260808
     weight_matrix: dict = field(default_factory=lambda: dict(DEFAULT_WEIGHT_MATRIX))
     exponent_pairs: tuple = ((2.0, 1.2), (3.0, 1.5))
-    ceilings: dict = field(default_factory=lambda: dict(DEFAULT_CEILINGS))
 
     def __post_init__(self):
         self._cache: dict = {}
@@ -115,8 +117,12 @@ class RunContext:
         spec = GridSpec(self.spec.n, self.spec.R, self.spec.N * 2, self.spec.offset)
         return self._cached("doubled", lambda: replace(self, spec=spec))
 
-    def sequence(self, text_or_spec, p: float) -> WeightSequence:
-        spec = parse_weight(text_or_spec) if isinstance(text_or_spec, str) else text_or_spec
+    def weights(self) -> dict[str, WeightSpec]:
+        """The weight matrix parsed, by name in sorted order."""
+        return self._cached("weights", lambda: {name: parse_weight(self.weight_matrix[name])
+                                                for name in sorted(self.weight_matrix)})
+
+    def sequence(self, spec: WeightSpec, p: float) -> WeightSequence:
         return WeightSequence(spec, self.k_min, self.k_max, p)
 
 
@@ -198,7 +204,7 @@ def suite_hoelder(ctx: RunContext) -> dict:
     nodes = ctx.nodes()
     records = []
     ok = True
-    weights = {name: parse_weight(text) for name, text in sorted(ctx.weight_matrix.items())}
+    weights = ctx.weights()
     nodes.prefetch(weights.values(), holder_requests(ctx.exponent_pairs))  # one pass for the matrix
     for name, w in weights.items():
         floors = holder_floors(w, ctx.exponent_pairs, nodes)
@@ -223,15 +229,18 @@ def suite_partition(ctx: RunContext) -> dict:
         float(bump_profile(np.array([0.499]))[0]) == 0.0
         and float(bump_profile(np.array([2.001]))[0]) == 0.0
     )
-    ok = dev <= 1e-12 and support_ok and pair.plateau_min_psi > 0
+    probe = np.linspace(0.6, 5.0 / 3.0, 2049)
+    plateau_min_phi = float(bump_profile(probe).min())
+    plateau_min_psi = float(synthesis_profile(probe).min())
+    ok = dev <= 1e-12 and support_ok and plateau_min_psi > 0
     return _suite(
         "partition",
         ok,
         {
             "max_deviation": dev,
             "resolved_frequencies": int(mask.sum()),
-            "plateau_min_phi": pair.plateau_min_phi,
-            "plateau_min_psi": pair.plateau_min_psi,
+            "plateau_min_phi": plateau_min_phi,
+            "plateau_min_psi": plateau_min_psi,
             "support_exact": support_ok,
         },
         [],
@@ -301,14 +310,14 @@ def _random_coefficient_sets(ctx: RunContext):
 def _seq_ratio_extreme(ctx: RunContext, sets) -> float:
     # p = q makes the two forms coincide identically (disjoint cube sums), so
     # the two-sided comparison runs at p != q where cross-level mixing matters
-    spec, pair = ctx.spec, ctx.pair()
+    pair = ctx.pair()
     worst = 1.0
-    for name, text in sorted(ctx.weight_matrix.items()):
+    for w in ctx.weights().values():
         # one sequence, so one sampling per grid: the f-norms read req.p, not ws.p
-        ws = WeightSequence(parse_weight(text), pair.k_min, pair.k_max, 2.0)
+        ws = WeightSequence(w, pair.k_min, pair.k_max, 2.0)
         for p, q in ((2.0, 1.0), (1.5, 3.0)):
             req = NormRequest("f", p, q, ws, pair)
-            for plain, star in seq_f_norms(sets, spec, req):
+            for plain, star in seq_f_norms(sets, req):
                 r = plain / star
                 worst = max(worst, r, 1.0 / r)
     return worst
@@ -335,15 +344,15 @@ def suite_seqnorm(ctx: RunContext) -> dict:
     doubling."""
     spec = ctx.spec
     pair = ctx.pair()
-    ceiling = ctx.ceilings["seq_ratio"]
+    ceiling = CEILINGS["seq_ratio"]
     ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max, 2.0)
     req_b, req_f = (NormRequest(kind, 2.0, 2.0, ws, pair) for kind in ("b", "f"))
     req_f_inf = NormRequest("f_inf", np.inf, 2.0, ws, pair)
     single_worst = 0.0
     for k, m in seqnorm_single_cases(spec.R, pair.k_min, pair.k_max):
         coeffs = CoefficientSet.from_entries(spec.n, spec.R, [((k, (m,) * spec.n), 1.0 + 0.5j)])
-        for plain, star in (seq_b_norm(coeffs, spec, req_b), seq_f_norms([coeffs], spec, req_f)[0],
-                            seq_f_infty_norm(coeffs, spec, req_f_inf)):
+        for plain, star in (seq_b_norm(coeffs, req_b), seq_f_norms([coeffs], req_f)[0],
+                            seq_f_infty_norm(coeffs, req_f_inf)):
             single_worst = max(single_worst, abs(plain / star - 1.0))
     sets = _random_coefficient_sets(ctx)
     c_base = _seq_ratio_extreme(ctx, sets)
@@ -369,8 +378,8 @@ def suite_newnorm(ctx: RunContext) -> dict:
     norm(t_j) stays under the equivalence ceiling, uniformly in j."""
     pair = ctx.pair()
     bands = ctx.bands()
-    ceiling = ctx.ceilings["equivalence"]
-    uniformity = ctx.ceilings["j_uniformity"]
+    ceiling = CEILINGS["equivalence"]
+    uniformity = CEILINGS["j_uniformity"]
     cases = [
         ("F", 2.0, 2.0),
         ("B", 2.0, 2.0),
@@ -428,8 +437,8 @@ def suite_coincidence(ctx: RunContext) -> dict:
     pair = ctx.pair()
     corpus = ctx.corpus()
     nodes = ctx.nodes()
-    ceiling = ctx.ceilings["coincidence"]
-    ap_ceiling = ctx.ceilings["ap_hypothesis"]
+    ceiling = CEILINGS["coincidence"]
+    ap_ceiling = CEILINGS["ap_hypothesis"]
     records = []
     ok = True
     w = Pow(0.3)
@@ -452,7 +461,7 @@ def suite_coincidence(ctx: RunContext) -> dict:
     names = [mem.name for mem in witnesses]
     # band-limited witnesses on this domain separate the opposite powers by
     # a factor ~40, so the norm-comparison reports get their own ceiling
-    eq_ceiling = ctx.ceilings["coincidence_equivalence"]
+    eq_ceiling = CEILINGS["coincidence_equivalence"]
     rep_lp = ratio_report(
         names,
         [weighted_lp_norm(mem.f, g1, 2.0) for mem in witnesses],
@@ -548,7 +557,7 @@ def suite_maximal(ctx: RunContext) -> dict:
                     "ratio": wm_base, "ratio_2N": wm_dbl, "drift": wm_drift, "pass": good,
                     "members": [{"corpus_id": n, "ratio": r} for n, r in zip(names, wm_rows)]})
 
-    kceil = ctx.ceilings["kernel_ratio"]
+    kceil = CEILINGS["kernel_ratio"]
     for direction, K in kernels:
         worst = max([0.0, *kernel_rows[direction]])
         good = worst < kceil
@@ -585,7 +594,7 @@ def suite_xclassfit(ctx: RunContext) -> dict:
     ok = True
     p, theta = 2.0, 1.2
     s1 = sigma1(p, theta)
-    seqs = {name: ctx.sequence(text, p) for name, text in sorted(ctx.weight_matrix.items())}
+    seqs = {name: ctx.sequence(w, p) for name, w in ctx.weights().items()}
     # one pass for the separable weights, whose statistics serve every level
     nodes.prefetch([ts.spec for ts in seqs.values() if ts.spec.separable], level_requests(p, (s1, p)))
     for name, ts in seqs.items():
@@ -609,7 +618,7 @@ def suite_bmo(ctx: RunContext) -> dict:
         [mem.name for mem in corpus],
         [bmo_norm(mem.f, ctx.family) for mem in corpus],
         [stack_norm(ws.weigh(bands[mem.name]), req) for mem in corpus],
-        ceiling=ctx.ceilings["informational"], name_a="BMO", name_b="Finf2",
+        ceiling=CEILINGS["informational"], name_a="BMO", name_b="Finf2",
     )
     summary = {"spread": rep["spread"], "min": rep["min_ratio"], "max": rep["max_ratio"]}
     return _suite("bmo", rep["pass"], summary, [rep])

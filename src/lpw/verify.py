@@ -32,7 +32,6 @@ from .spaces import cube_lp
 @dataclass(frozen=True)
 class CorpusMember:
     name: str
-    kind: str
     f: GridFunction
 
 
@@ -52,7 +51,7 @@ def annulus_indices(spec: GridSpec, pair: LPPair) -> tuple[int, int]:
     return j_lo, j_hi
 
 
-def _member_from_coeffs(spec: GridSpec, coeffs: dict, name: str, kind: str) -> CorpusMember:
+def _member_from_coeffs(spec: GridSpec, coeffs: dict, name: str) -> CorpusMember:
     """The real member with these Fourier coefficients, unit in L_2; a key is
     the frequency index j, an int in 1D and a pair (j1, j2) in 2D."""
     js = [key if isinstance(key, tuple) else (key,) for key in coeffs]
@@ -70,7 +69,7 @@ def _member_from_coeffs(spec: GridSpec, coeffs: dict, name: str, kind: str) -> C
     scale = _lp(u, spec.cell_measure, 2.0)
     if scale == 0:
         raise ValueError("degenerate corpus member")
-    return CorpusMember(name, kind, GridFunction(spec, u / scale))
+    return CorpusMember(name, GridFunction(spec, u / scale))
 
 
 def make_corpus(
@@ -100,7 +99,7 @@ def make_corpus(
             coeffs = {}
             for j in js:
                 coeffs[int(j)] = coeffs.get(int(j), 0) + complex(rng.normal(), rng.normal())
-            members.append(_member_from_coeffs(spec, coeffs, f"multiband{idx:02d}", kind))
+            members.append(_member_from_coeffs(spec, coeffs, f"multiband{idx:02d}"))
         elif kind == "single":
             # k0 in first_active + 1 .. k_max - 2, or first_active + 1 when
             # the level window is too narrow for that range
@@ -111,7 +110,7 @@ def make_corpus(
                 lo, hi = j_lo, min(j_hi, j_lo + 4)
             js = rng.integers(lo, hi + 1, size=6)
             coeffs = {int(j): complex(rng.normal(), rng.normal()) for j in js}
-            members.append(_member_from_coeffs(spec, coeffs, f"single{idx:02d}", kind))
+            members.append(_member_from_coeffs(spec, coeffs, f"single{idx:02d}"))
         elif kind == "spike":
             step = (i // len(kinds)) % 4  # four sub-band widths
             hi = j_hi
@@ -123,7 +122,7 @@ def make_corpus(
                 int(j): complex(e * np.exp(-1j * (np.pi * j / spec.R) * x0))
                 for j, e in zip(js, env)
             }
-            members.append(_member_from_coeffs(spec, coeffs, f"spike{idx:02d}", kind))
+            members.append(_member_from_coeffs(spec, coeffs, f"spike{idx:02d}"))
         else:
             mid = math.sqrt(j_lo * j_hi)
             center = float(rng.uniform(mid / 2, mid * 2))
@@ -136,7 +135,7 @@ def make_corpus(
                 for j, e in zip(js, env)
                 if e > 1e-12
             }
-            members.append(_member_from_coeffs(spec, coeffs, f"gauss{idx:02d}", kind))
+            members.append(_member_from_coeffs(spec, coeffs, f"gauss{idx:02d}"))
         i += 1
     return members
 
@@ -159,7 +158,7 @@ def _make_corpus_2d(spec: GridSpec, pair: LPPair, size: int, rng) -> list[Corpus
                 coeffs[(j1, j2)] = complex(rng.normal(), rng.normal())
         if not coeffs:
             coeffs[(j_mid, 0)] = 1.0 + 0.0j
-        members.append(_member_from_coeffs(spec, coeffs, f"rand2d{idx:02d}", "multiband"))
+        members.append(_member_from_coeffs(spec, coeffs, f"rand2d{idx:02d}"))
     return members
 
 
@@ -174,7 +173,7 @@ def spike_family(spec: GridSpec, pair: LPPair) -> list[CorpusMember]:
         js = np.arange(lo, hi + 1)
         env = np.sin(np.pi * (js - lo + 0.5) / (hi - lo + 1)) ** 2
         coeffs = {int(j): complex(e) for j, e in zip(js, env)}
-        out.append(_member_from_coeffs(spec, coeffs, f"origin_spike{step}", "spike"))
+        out.append(_member_from_coeffs(spec, coeffs, f"origin_spike{step}"))
     return out
 
 

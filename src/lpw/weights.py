@@ -84,9 +84,6 @@ class WeightSpec:
     def __mul__(self, other: "WeightSpec") -> "WeightSpec":
         return Prod((self, other))
 
-    def __repr__(self):
-        return self.key()
-
     def on_grid(self, spec: GridSpec, k: int = 0) -> GridFunction:
         with np.errstate(divide="ignore"):
             vals = self.eval(spec.radius(), k)
@@ -318,6 +315,8 @@ def _split_top_level(body: str) -> list[str]:
 
 def parse_weight(text: str) -> WeightSpec:
     """Parse the config grammar: pow:a, const:c, dyadic:s, shiftpow:a,c, prod:[...]."""
+    if not isinstance(text, str):
+        raise WeightError(f"expected a weight expression such as 'pow:0.3', got {text!r}")
     text = text.strip()
     if ":" not in text:
         raise WeightError(f"cannot parse weight {text!r}")
@@ -489,8 +488,7 @@ class FamilyNodes:
     each pass forms the radius of one row chunk at a time.  orbit maps each
     cube of the family to its representative's row; it is read only to name
     a witness: argmax_cube(values) finds the first cube in family order that
-    attains a maximum, cube(i) names the i-th cube, and meta() lists them
-    all.  Min, max and the products and ratios of statistics need no family
+    attains a maximum, and cube(i) names the i-th cube.  Min, max and the products and ratios of statistics need no family
     order.  Cube statistics are cached per (radial profile, exponent,
     inverse) for separable weights and per (weight, level, exponent,
     inverse) otherwise.  prefetch() computes the statistics a set of weights
@@ -626,10 +624,6 @@ class FamilyNodes:
             self.batches.append(_Batch(radius, node_wts))
         return rows
 
-    def meta(self) -> list[tuple[int, tuple[int, ...], bool]]:
-        """(v, m, translated) for every cube in family order."""
-        return [(v, tuple(m), translated) for v, ms, translated in self._groups for m in ms.tolist()]
-
     def argmax_cube(self, values: np.ndarray) -> int:
         """The first cube in family order whose orbit holds the largest of
         values (one per orbit, as stats() returns them), ties and NaN
@@ -640,7 +634,7 @@ class FamilyNodes:
         return int(np.argmax(hit[self.orbit]))
 
     def cube(self, i: int) -> tuple[int, tuple[int, ...], bool]:
-        """meta()[i] for 0 <= i < n_cubes, found without building the list."""
+        """(v, m, translated) of the i-th cube in family order, 0 <= i < n_cubes."""
         if not 0 <= i < self.n_cubes:
             raise IndexError(f"cube index {i} outside the family's {self.n_cubes} cubes")
         for v, ms, translated in self._groups:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lpw.cli import RunConfig, main
 from lpw.grid import GridFunction, GridSpec, save_grid_function
@@ -73,11 +78,29 @@ class TestConfigValidation:
         pytest.param({"cubes.translates": 0}, "config field 'cubes.translates'", id="translates_int"),
         pytest.param({"grid.N": 512.5}, "config field 'grid.N'", id="N_fraction"),
         pytest.param({"corpus.size": True}, "config field 'corpus.size'", id="size_bool"),
+        pytest.param({"weights": {"w1": 5}}, "config field 'weights.w1'", id="weight_number"),
+        pytest.param({"weights": {"w1": None}}, "config field 'weights.w1'", id="weight_null"),
+        pytest.param({"norm.weight": ["pow:0.3"]}, "config field 'norm.weight'", id="norm_weight_list"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, overrides)
         assert main(["verify", "all", "--config", path]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ceilings", [
+        pytest.param({"informational": 1.0001}, id="tightened"),
+        pytest.param({"equivalence": 1e6}, id="loosened"),
+        pytest.param({"seq_ratio": 20.0}, id="pinned_value"),
+        pytest.param({}, id="empty"),
+    ])
+    @pytest.mark.parametrize("command", [["verify", "all"], ["weights", "rh"]])
+    def test_ceilings_section_refused(self, tmp_path, capsys, ceilings, command):
+        # the ceilings are pinned in suites.CEILINGS: a config that sets one
+        # is refused, never run at the pinned value without a word
+        path = write_config(tmp_path, {"ceilings": ceilings})
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config field 'ceilings'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_suite(self, tmp_path, capsys):
         path = write_config(tmp_path, {"suites": ["nonsense"]})
@@ -144,6 +167,15 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["verify", "all", "--config", str(path)]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"grid"', "null"])
+    def test_config_not_an_object_refused(self, tmp_path, capsys, text):
+        # a list or a number has no sections, and ran the default config
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["verify", "partition", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config field 'config': expected a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_theta_ordering(self, tmp_path, capsys):
         path = write_config(tmp_path, {"exponents": [[2.0, 3.0]]})
@@ -221,6 +253,49 @@ class TestSuiteSweep:
         else:
             assert rc in (0, 1)
             assert (tmp_path / "out" / "report.json").exists()
+
+
+@st.composite
+def small_configs(draw):
+    """A small config: n, R, N and offset, then levels and cube levels that
+    start inside the grid's level window and end inside it or one above, a
+    corpus and a list of suites."""
+    n = draw(st.sampled_from([1, 2]))
+    R = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]))
+    N = 2 ** draw(st.integers(5, 9) if n == 1 else st.integers(4, 5))
+    lo, hi = GridSpec(n, R, N).level_window()
+    k_min = draw(st.integers(lo, hi))
+    v_min = draw(st.integers(lo, hi))
+    return {
+        "grid": {"n": n, "R": R, "N": N, "offset": draw(st.booleans())},
+        "levels": {"k_min": k_min, "k_max": draw(st.integers(k_min, hi + 1))},
+        "cubes": {"v_min": v_min, "v_max": draw(st.integers(v_min, hi + 1)), "translates": draw(st.booleans())},
+        "corpus": {"size": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 2**32 - 1))},
+        "suites": draw(st.lists(st.sampled_from(sorted(ALL_SUITES)), min_size=1, max_size=4, unique=True)),
+    }
+
+
+class TestAcceptedConfigsRun:
+    """verify all on any small config ends in a verdict (exit 0 or 1) or is
+    refused before the run with exit 2 and the name of a config field; it
+    never ends in a traceback (exit 3).  Exit 1 is allowed: coincidence and
+    muckenhoupt still fail on small grids."""
+
+    @given(small_configs())
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_no_traceback(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["verify", "all", "--config", str(path), "--out", str(Path(tmp) / "out")])
+            assert rc in (0, 1, 2), err.getvalue()
+            if rc == 2:
+                assert err.getvalue().startswith("error: config field '"), err.getvalue()
+            else:
+                assert (Path(tmp) / "out" / "report.json").exists()
 
 
 BAND_KERNELS = ("besov_norm", "tl_norm", "tl_infty_norm")
@@ -459,12 +534,12 @@ class TestVerifyCommand:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "ratios.csv").read_bytes() == (out2 / "ratios.csv").read_bytes()
 
-    def test_suite_failure_exit_code(self, tmp_path):
+    def test_suite_failure_exit_code(self, tmp_path, monkeypatch):
         # an impossible ceiling turns a passing measurement into a failure
-        path = write_config(
-            tmp_path,
-            {"suites": ["bmo"], "ceilings": {"informational": 1.0001}},
-        )
+        import lpw.suites
+
+        monkeypatch.setitem(lpw.suites.CEILINGS, "informational", 1.0001)
+        path = write_config(tmp_path, {"suites": ["bmo"]})
         out = tmp_path / "out"
         assert main(["verify", "all", "--config", path, "--out", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())

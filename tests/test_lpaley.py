@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpw.grid import GridError, GridFunction, GridSpec, level_index_range, lp_norm
+from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, level_index_range, lp_norm
 from lpw.lpaley import (
     CoefficientSet,
     LevelError,
@@ -17,6 +17,7 @@ from lpw.lpaley import (
     synthesize,
     synthesis_profile,
 )
+from lpw.suites import RunContext, suite_partition
 from lpw.verify import make_corpus
 
 
@@ -62,9 +63,10 @@ class TestMakePair:
         with pytest.raises(LevelError):
             make_lp_pair(spec1k, -9, 5)
 
-    def test_plateau_minimum_reported(self, pair1k):
-        assert pair1k.plateau_min_phi == pytest.approx(1.0, abs=1e-14)
-        assert pair1k.plateau_min_psi > 0.33
+    def test_plateau_minimum_reported(self, spec1k):
+        summary = suite_partition(RunContext(spec1k, -3, 6, CubeFamily(-3, 6)))["summary"]
+        assert summary["plateau_min_phi"] == pytest.approx(1.0, abs=1e-14)
+        assert summary["plateau_min_psi"] > 0.33
 
     def test_first_active_level(self, spec1k, pair1k):
         # bands below the lowest torus frequency are exact zeros
@@ -73,9 +75,8 @@ class TestMakePair:
 
     def test_plateau_min_stable_under_refinement(self, spec1k):
         spec2 = GridSpec(1, spec1k.R, spec1k.N * 2)
-        p1 = make_lp_pair(spec1k, -3, 6)
-        p2 = make_lp_pair(spec2, -3, 6)
-        assert p1.plateau_min_psi == pytest.approx(p2.plateau_min_psi, rel=1e-6)
+        s1, s2 = (suite_partition(RunContext(s, -3, 6, CubeFamily(-3, 6)))["summary"] for s in (spec1k, spec2))
+        assert s1["plateau_min_psi"] == pytest.approx(s2["plateau_min_psi"], rel=1e-6)
 
 
 class TestPairBuild:

@@ -1,0 +1,77 @@
+"""Every suite shown able to fail: a table of one-point defects.
+
+Each row injects one small defect into one lpw function with monkeypatch and
+runs `lpw verify <suite>` on fixtures/smoke.json.  Unmutated, the suite exits
+0; under the defect it must exit 1, and a record that failed (or the summary
+of a suite whose records carry no verdict) must hold the named check's value
+on the wrong side of its bound.  A suite no such defect can flip passes
+vacuously, so a row that stops flipping is a finding, not a row to weaken.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lpw.lpaley
+import lpw.suites
+import lpw.verify
+import lpw.weights
+from lpw.cli import main
+
+SMOKE = Path(__file__).resolve().parents[1] / "fixtures" / "smoke.json"
+
+
+def scaled_middle_row(band_magnitudes):
+    """band_magnitudes with its middle level's row scaled by 1 + 1e-9."""
+
+    def mutant(f, pair):
+        mags = band_magnitudes(f, pair)
+        mags.values[len(mags.values) // 2] *= 1 + 1e-9
+        return mags
+
+    return mutant
+
+
+# (suite, module, function, mutant of the original, checked key, violated)
+MUTATIONS = [
+    pytest.param("selfequiv", lpw.suites, "weighted_lp_norm", lambda orig: lambda f, w, p: orig(f, w, p) + 1e-9,
+                 "spread", lambda rec: rec["spread"] > rec["ceiling"], id="selfequiv-additive-norm-error"),
+    pytest.param("partition", lpw.lpaley, "_partition_denominator", lambda orig: lambda rho: orig(rho) * (1 + 1e-9),
+                 "max_deviation", lambda summary: summary["max_deviation"] > 1e-12, id="partition-denominator-scaled"),
+    pytest.param("calderon", lpw.lpaley, "lattice_values", lambda orig: lambda *a: np.roll(orig(*a), 1, axis=0),
+                 "max_residual", lambda summary: summary["max_residual"] > 1e-6, id="calderon-lattice-off-by-one"),
+    pytest.param("classical", lpw.suites, "band_magnitudes", scaled_middle_row,
+                 "besov_rel_err", lambda rec: rec["besov_rel_err"] > 1e-12, id="classical-one-row-scaled"),
+    pytest.param("hoelder", lpw.verify, "holder_requests",
+                 lambda orig: lambda pairs: [(r, False) for r, _ in orig(pairs)],
+                 "floor", lambda rec: rec["floor"] < 1.0 - 1e-12, id="hoelder-inverse-flag-dropped"),
+    pytest.param("xclassfit", lpw.weights, "level_requests",
+                 lambda orig: lambda p, sigma: [(r, False) for r, _ in orig(p, sigma)],
+                 "alpha2", lambda rec: rec["alpha2"] < rec["alpha1"] - rec["grid_step"] - 1e-12,
+                 id="xclassfit-inverse-flag-dropped"),
+]
+
+
+def verify(suite, out):
+    rc = main(["verify", suite, "--config", str(SMOKE), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text()) if rc in (0, 1) else None
+    return rc, report
+
+
+@pytest.mark.parametrize("suite, module, name, mutate, key, violated", MUTATIONS)
+def test_one_point_defect_fails_the_suite(tmp_path, monkeypatch, suite, module, name, mutate, key, violated):
+    assert verify(suite, tmp_path / "clean")[0] == 0
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    rc, report = verify(suite, tmp_path / "mutant")
+    assert rc == 1
+    (result,) = report["suites"]
+    assert result["pass"] is False
+    failed = [rec for rec in result["records"] if isinstance(rec, dict) and rec.get("pass") is False]
+    assert any(key in part and violated(part) for part in failed + [result["summary"]]), result
+
+
+def test_every_smoke_suite_has_a_row():
+    smoke_suites = json.loads(SMOKE.read_text())["suites"]
+    assert sorted(p.values[0] for p in MUTATIONS) == sorted(smoke_suites)

@@ -68,9 +68,9 @@ def weighed(kernel):
 besov, tl, tl_infty = weighed(besov_norm), weighed(tl_norm), weighed(tl_infty_norm)
 
 
-def seq_f(coeffs, spec, req):
+def seq_f(coeffs, req):
     """seq_f_norms of the one set coeffs."""
-    return seq_f_norms([coeffs], spec, req)[0]
+    return seq_f_norms([coeffs], req)[0]
 
 
 def single_band_member(spec, pair, k0):
@@ -296,7 +296,10 @@ def seq_f_infty_former(coeffs, spec, req):
 
 class TestCarlesonStack:
     """carleson_sup on one (levels, *grid) stack equals the former per-level
-    dict formula bit for bit; a zero row stands for a level left out."""
+    dict formula bit for bit on every family that reaches the stack's first
+    level; a zero row stands for a level left out.  A family that starts
+    above the stack's first level is refused, since none of its cubes would
+    read the rows below it."""
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("translates", [True, False])
@@ -306,13 +309,26 @@ class TestCarlesonStack:
         G = VectorSequence(spec, k_min, rng.random((6, *spec.shape)) ** 3)
         before = G.values.copy()
         lo, hi = spec.level_window()
-        # families reaching below, inside and above the stack's levels
-        for v_min, v_max in ((lo, hi), (k_min + 1, k_min + 3), (k_min + 4, hi)):
+        # families reaching below the stack's levels, starting at its first
+        # level and ending inside or above them
+        for v_min, v_max in ((lo, hi), (lo, k_min + 2), (k_min, k_min + 3), (k_min, hi)):
             family = CubeFamily(v_min, v_max, translates)
             for q in (1.0, 2.0):
                 want = carleson_sup_former({k: G[k] for k in G.levels()}, spec, family, q)
                 assert carleson_sup(G, family, q) == want
         assert np.array_equal(G.values, before)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("translates", [True, False])
+    def test_family_above_the_first_level_refused(self, n, translates, rng):
+        # the former formula read no row below the family's first level:
+        # row k_min could be scaled by 1e6 with no change
+        spec = GridSpec(1, 8.0, 256) if n == 1 else GridSpec(2, 2.0, 32)
+        k_min = -3 if n == 1 else -1
+        G = VectorSequence(spec, k_min, rng.random((6, *spec.shape)))
+        for v_min, v_max in ((k_min + 1, k_min + 3), (k_min + 4, spec.level_window()[1])):
+            with pytest.raises(GridError, match=f"stack level {k_min} lies below level {v_min}"):
+                carleson_sup(G, CubeFamily(v_min, v_max, translates), 2.0)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_zero_rows_equal_missing_levels(self, n, rng):
@@ -321,7 +337,7 @@ class TestCarlesonStack:
         values[[0, 2, 3, 5]] = 0.0
         G = VectorSequence(spec, -1, values)
         held = {k: G[k] for k in (0, 3)}
-        for family in (CubeFamily(*spec.level_window()), CubeFamily(1, 3, False)):
+        for family in (CubeFamily(*spec.level_window()), CubeFamily(-1, 3, False)):
             assert carleson_sup(G, family, 2.0) == carleson_sup_former(held, spec, family, 2.0)
 
 
@@ -428,21 +444,21 @@ class TestSequenceNorms:
         k0 = 2
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (1,)): 1.0})
         req = request(pair1k, Const(1.0), 1.0, 1.0)
-        plain, star = seq_b_norm(coeffs, spec1k, req)
+        plain, star = seq_b_norm(coeffs, req)
         assert plain == pytest.approx(2.0 ** (-k0 / 2.0), rel=1e-12)
         assert star == pytest.approx(plain, rel=1e-12)
 
     def test_single_coefficient_f_exponent_algebra(self, spec1k, pair1k):
         # p=q=2: the cube factors cancel, value 2^(k(1/2 - 1/2)) = 1
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(2, (0,)): 1.0})
-        plain, star = seq_f(coeffs, spec1k, request(pair1k, Const(1.0), 2.0, 2.0))
+        plain, star = seq_f(coeffs, request(pair1k, Const(1.0), 2.0, 2.0))
         assert plain == pytest.approx(1.0, rel=1e-12)
         assert star == pytest.approx(1.0, rel=1e-12)
 
     def test_single_coefficient_f_p1(self, spec1k, pair1k):
         k0 = 3
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (2,)): 1.0})
-        plain, star = seq_f(coeffs, spec1k, request(pair1k, Const(1.0), 1.0, 1.0))
+        plain, star = seq_f(coeffs, request(pair1k, Const(1.0), 1.0, 1.0))
         assert plain == pytest.approx(2.0 ** (-k0 / 2.0), rel=1e-12)
         assert star == pytest.approx(plain, rel=1e-12)
 
@@ -455,7 +471,7 @@ class TestSequenceNorms:
             coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (m0,)): lam})
             for fn, p, q in ((seq_b_norm, 2.0, 3.0), (seq_f, 2.0, 3.0), (seq_f_infty_norm, np.inf, 2.0)):
                 req = request(pair1k, Pow(0.3), p if np.isfinite(p) else np.inf, q)
-                plain, star = fn(coeffs, spec1k, req)
+                plain, star = fn(coeffs, req)
                 assert plain == pytest.approx(star, rel=1e-12), fn.__name__
 
     def test_random_sets_ratio_bounded(self, spec1k, pair1k, rng):
@@ -469,23 +485,23 @@ class TestSequenceNorms:
                 m = int(rng.integers(-C, C))
                 data[(k, (m,))] = complex(rng.normal(), rng.normal())
             coeffs = CoefficientSet.from_entries(1, spec1k.R, data)
-            plain, star = seq_f(coeffs, spec1k, req)
+            plain, star = seq_f(coeffs, req)
             assert plain > 0 and star > 0
             ratio = plain / star
             assert 1 / 20 < ratio < 20
-            bp, bs = seq_b_norm(coeffs, spec1k, req)
+            bp, bs = seq_b_norm(coeffs, req)
             assert bp == pytest.approx(bs, rel=1e-9)  # disjoint cubes: exact identity
 
     def test_empty_carleson(self, spec1k, pair1k):
         req = request(pair1k, Const(1.0), np.inf, 2.0)
-        assert seq_f_infty_norm(CoefficientSet.from_entries(1, spec1k.R, {}), spec1k, req) == (0.0, 0.0)
+        assert seq_f_infty_norm(CoefficientSet.from_entries(1, spec1k.R, {}), req) == (0.0, 0.0)
 
     def test_homogeneity(self, spec1k, pair1k, rng):
         data = {(2, (1,)): 1.0 + 0.3j, (4, (-3,)): 0.5}
         coeffs = CoefficientSet.from_entries(1, spec1k.R, data)
         req = request(pair1k, Pow(0.3), 2.0, 2.0)
-        p1, s1 = seq_f(coeffs, spec1k, req)
-        p2, s2 = seq_f(CoefficientSet.from_entries(1, spec1k.R, {key: 4.0 * v for key, v in data.items()}), spec1k, req)
+        p1, s1 = seq_f(coeffs, req)
+        p2, s2 = seq_f(CoefficientSet.from_entries(1, spec1k.R, {key: 4.0 * v for key, v in data.items()}), req)
         assert p2 == pytest.approx(4 * p1, rel=1e-12)
         assert s2 == pytest.approx(4 * s1, rel=1e-12)
 
@@ -519,9 +535,9 @@ class TestDenseSequenceNorms:
         req = request(pair, Const(1.0), 1.0, 1.0)
         for m in (-1, 0):
             coeffs = CoefficientSet.from_entries(1, spec1k.R, {(-4, m): 1.0})
-            assert seq_b_norm(coeffs, spec1k, req) == (2.0, 2.0)
-            assert seq_f(coeffs, spec1k, req) == (2.0, 2.0)
-            assert seq_f_infty_norm(coeffs, spec1k, req) == (0.125, 0.125)
+            assert seq_b_norm(coeffs, req) == (2.0, 2.0)
+            assert seq_f(coeffs, req) == (2.0, 2.0)
+            assert seq_f_infty_norm(coeffs, req) == (0.125, 0.125)
 
     def test_levels_past_the_grid_refused(self, spec1k):
         # spec1k's level window is [-4, 6]: a level-7 cube is finer than a
@@ -531,9 +547,9 @@ class TestDenseSequenceNorms:
         fine = CoefficientSet.from_entries(1, spec1k.R, {(7, (0,)): 1.0})
         for norm in (seq_b_norm, seq_f, seq_f_infty_norm):
             with pytest.raises(GridError, match="past level 6"):
-                norm(fine, spec1k, req)
+                norm(fine, req)
         coarse = CoefficientSet.from_entries(1, spec1k.R, {(-5, (0,)): 1.0})
-        assert seq_b_norm(coarse, spec1k, req) == pytest.approx((2**0.5, 2**0.5), rel=1e-15)
+        assert seq_b_norm(coarse, req) == pytest.approx((2**0.5, 2**0.5), rel=1e-15)
 
     def test_carleson_refuses_levels_below_the_coarsest_cube(self, spec1k):
         # a lone coefficient at level -5, below every cube of the family -4..6
@@ -542,7 +558,7 @@ class TestDenseSequenceNorms:
         req = request(make_lp_pair(spec1k, -4, 6), Const(1.0), np.inf, 1.0)
         coarse = CoefficientSet.from_entries(1, spec1k.R, {(-5, (0,)): 1.0})
         with pytest.raises(GridError, match="stack level -5 lies below level -4"):
-            seq_f_infty_norm(coarse, spec1k, req)
+            seq_f_infty_norm(coarse, req)
         G = VectorSequence(spec1k, -5, np.ones((3, spec1k.N)))
         for family in (CubeFamily(-4, 6), CubeFamily(-6, 2, False)):
             with pytest.raises(GridError, match="stack level -5"):
@@ -561,26 +577,26 @@ class TestDenseSequenceNorms:
         for w in (Const(1.0), Pow(0.3), Dyadic(0.5)):
             for family in (None, CubeFamily(-2, 5, False)):
                 req = request(pair, w, np.inf, 2.0, family=family)
-                assert seq_f_infty_norm(coeffs, spec, req) == seq_f_infty_former(coeffs, spec, req)
+                assert seq_f_infty_norm(coeffs, req) == seq_f_infty_former(coeffs, spec, req)
 
     def test_level_finer_than_grid_refused(self, spec1k, pair1k):
         # h = 1/64, so level 7 cubes would be half a cell wide
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(7, 0): 1.0})
         for fn, p in ((seq_b_norm, 2.0), (seq_f, 2.0), (seq_f_infty_norm, np.inf)):
             with pytest.raises(ValueError, match="level 7 .*h=0.015625"):
-                fn(coeffs, spec1k, request(pair1k, Const(1.0), p, 2.0))
+                fn(coeffs, request(pair1k, Const(1.0), p, 2.0))
         good = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 1.0})
         with pytest.raises(ValueError, match="level 7 .*h=0.015625"):
-            seq_f_norms([good, coeffs], spec1k, request(pair1k, Const(1.0), 2.0, 2.0))
+            seq_f_norms([good, coeffs], request(pair1k, Const(1.0), 2.0, 2.0))
 
     def test_other_domain_refused(self, spec1k, pair1k):
         coeffs = CoefficientSet.from_entries(1, 4.0, {(2, 0): 1.0})
         good = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 1.0})
         req = request(pair1k, Const(1.0), 2.0, 2.0)
         with pytest.raises(ValueError, match="do not fit"):
-            seq_f(coeffs, spec1k, req)
+            seq_f(coeffs, req)
         with pytest.raises(ValueError, match="do not fit"):
-            seq_f_norms([good, coeffs], spec1k, req)
+            seq_f_norms([good, coeffs], req)
 
 
 # the two (p, q) pairs of suite_seqnorm, and q = inf
@@ -594,7 +610,7 @@ class TestBatchedSequenceNorms:
         for p, q in BATCH_PQ:
             ws = WeightSequence(weight, pair.k_min, pair.k_max, p)
             req = NormRequest("f", p, q, ws, pair)
-            assert seq_f_norms(sets, spec, req) == [dense_seq_f_norm(c, spec, req) for c in sets], (p, q)
+            assert seq_f_norms(sets, req) == [dense_seq_f_norm(c, spec, req) for c in sets], (p, q)
 
     def test_random_batch_1d(self, spec1k, pair1k, rng):
         self.check(random_sets(spec1k, pair1k.k_min, pair1k.k_max, 24, rng), spec1k, pair1k)
@@ -627,8 +643,8 @@ class TestBatchedSequenceNorms:
         sets = [empty, *random_sets(spec1k, 0, 3, 2, rng), zero]
         self.check(sets, spec1k, pair1k)
         req = request(pair1k, Const(1.0), 2.0, 2.0)
-        assert seq_f_norms([empty, zero], spec1k, req) == [(0.0, 0.0), (0.0, 0.0)]
-        assert seq_f_norms([], spec1k, req) == []
+        assert seq_f_norms([empty, zero], req) == [(0.0, 0.0), (0.0, 0.0)]
+        assert seq_f_norms([], req) == []
 
     def test_disjoint_level_ranges(self, spec1k, pair1k, rng):
         coarse = random_sets(spec1k, -3, 0, 3, rng)
@@ -671,7 +687,7 @@ class TestBatchedSequenceNorms:
             for key in calls:
                 calls[key] = 0
             for p, q in BATCH_PQ:
-                seq_f_norms(sets, spec1k, request(pair1k, Pow(0.3), p, q))
+                seq_f_norms(sets, request(pair1k, Pow(0.3), p, q))
             assert calls["on_grid"] == calls["starred"] == 5 * len(BATCH_PQ), B
             assert calls["support"] == B
 
@@ -680,8 +696,8 @@ class TestGrandMaximal:
     def test_dictionary_normalized(self, spec1k):
         d = build_dictionary(spec1k)
         assert len(d.profiles) == 8  # two widths, orders 0..n+2
-        for prof, pn in zip(d.profiles, d.seminorms):
-            assert prof.scale == pytest.approx(1.0 / pn, rel=1e-12)
+        for prof in d.profiles:
+            assert prof.scale == 1.0 / spaces._seminorm(spec1k, prof.width, prof.order, spec1k.n + 2)
 
     @pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 256), GridSpec(2, 2.0, 32)], ids=["1d", "2d"])
     def test_seminorms_equal_former_formula(self, spec):
@@ -729,7 +745,7 @@ class TestGrandMaximal:
         from lpw.spaces import TestFunctionDictionary
 
         d = build_dictionary(spec1k)
-        small = TestFunctionDictionary(d.profiles[:4], d.N_order, d.seminorms[:4])
+        small = TestFunctionDictionary(d.profiles[:4])
         ts = WeightSequence(Const(1.0), -3, 6, 2.0)
         f = corpus1k[0].f
         assert hardy_grand_norm(f, ts, 2.0, d) >= hardy_grand_norm(f, ts, 2.0, small) - 1e-15
@@ -824,7 +840,7 @@ class TestTwoDimensional:
                 (seq_f_infty_norm, "f_inf", np.inf, 2.0),
             ):
                 req = NormRequest(space, p, q, ws, pair)
-                plain, star = fn(coeffs, spec, req)
+                plain, star = fn(coeffs, req)
                 assert plain == pytest.approx(star, rel=1e-12), (fn.__name__, k0, m0)
 
     def test_unit_weight_f_value_2d(self, setup2d):
@@ -832,7 +848,7 @@ class TestTwoDimensional:
         spec, pair = setup2d
         ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max, 2.0)
         coeffs = CoefficientSet.from_entries(2, spec.R, {(2, (1, 1)): 3.0})
-        plain, star = seq_f(coeffs, spec, NormRequest("f", 2.0, 2.0, ws, pair))
+        plain, star = seq_f(coeffs, NormRequest("f", 2.0, 2.0, ws, pair))
         assert plain == pytest.approx(3.0, rel=1e-12)
         assert star == pytest.approx(3.0, rel=1e-12)
 

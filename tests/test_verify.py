@@ -79,7 +79,7 @@ class TestCorpus:
         full = make_corpus(spec, pair, size=9, seed=5)
         for i, mem in enumerate(full):
             last = make_corpus(spec, pair, size=i + 1, seed=5)[-1]
-            assert (last.name, last.kind) == (mem.name, mem.kind)
+            assert last.name == mem.name
             assert np.array_equal(last.f.values, mem.f.values)
 
     def test_member_keys_must_index_the_grid(self):
@@ -88,9 +88,9 @@ class TestCorpus:
         from lpw.verify import _member_from_coeffs
 
         with pytest.raises(ValueError, match="2D"):
-            _member_from_coeffs(GridSpec(2, 2.0, 32), {3: 1.0}, "m", "multiband")
+            _member_from_coeffs(GridSpec(2, 2.0, 32), {3: 1.0}, "m")
         with pytest.raises(ValueError, match="1D"):
-            _member_from_coeffs(GridSpec(1, 2.0, 32), {(3, 1): 1.0}, "m", "multiband")
+            _member_from_coeffs(GridSpec(1, 2.0, 32), {(3, 1): 1.0}, "m")
 
     def test_narrow_level_window(self):
         # levels -3..0 on R = 8 leave no level strictly between first_active
@@ -100,7 +100,8 @@ class TestCorpus:
         spec = GridSpec(1, 8.0, 256)
         pair = make_lp_pair(spec, -3, 0)
         corpus = make_corpus(spec, pair, size=8, seed=3)
-        assert [mem.kind for mem in corpus[:4]] == ["multiband", "single", "spike", "gauss"]
+        # a member's name is its kind and its index
+        assert [mem.name for mem in corpus[:4]] == ["multiband00", "single01", "spike02", "gauss03"]
         for mem in corpus:
             assert lp_norm(mem.f, 2.0) == pytest.approx(1.0)
             assert calderon_residual(mem.f, pair) <= 1e-6
@@ -323,9 +324,9 @@ class TestTransformNormEquivalence:
         ratios_f, ratios_b = [], []
         for mem in corpus1k[:8]:
             coeffs = analyze(mem.f, pair1k)
-            plain_f, _ = seq_f_norms([coeffs], spec1k, req_f)[0]
+            plain_f, _ = seq_f_norms([coeffs], req_f)[0]
             ratios_f.append(plain_f / band_norm(mem.f, req_f))
-            plain_b, _ = seq_b_norm(coeffs, spec1k, req_b)
+            plain_b, _ = seq_b_norm(coeffs, req_b)
             ratios_b.append(plain_b / band_norm(mem.f, req_b))
         for ratios in (ratios_f, ratios_b):
             assert max(ratios) / min(ratios) < 10

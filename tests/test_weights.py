@@ -118,7 +118,7 @@ class TestQuadratureEngine:
     def test_means_match_closed_form(self):
         R = 8.0
         nodes = FamilyNodes(R, 1, CubeFamily(-4, 9))
-        meta = nodes.meta()
+        meta = family_cubes(nodes)
         for a in (-0.5, 0.3, 1.0):
             for r in (1.0, 2.0):
                 means = nodes.means(Pow(a), r)[nodes.orbit]
@@ -144,8 +144,8 @@ class TestQuadratureEngine:
         # from below as the family core deepens
         shallow = FamilyNodes(8.0, 1, CubeFamily(0, 4))
         deep = FamilyNodes(8.0, 1, CubeFamily(0, 9))
-        i_s = shallow.meta().index((0, (0,), False))
-        i_d = deep.meta().index((0, (0,), False))
+        i_s = family_cubes(shallow).index((0, (0,), False))
+        i_d = family_cubes(deep).index((0, (0,), False))
         assert deep.means(Pow(-0.5), 1.0)[deep.orbit[i_d]] == pytest.approx(2.0, rel=1e-3)
         a_s = shallow.means(Pow(-0.9), 1.0)[shallow.orbit[i_s]]
         a_d = deep.means(Pow(-0.9), 1.0)[deep.orbit[i_d]]
@@ -155,14 +155,14 @@ class TestQuadratureEngine:
     def test_mean_infinity_is_max(self):
         # the inf-mean is the node maximum, a lower bound for the sup 1
         nodes = FamilyNodes(2.0, 1, CubeFamily(0, 2))
-        meta = nodes.meta()
+        meta = family_cubes(nodes)
         idx = meta.index((0, (0,), False))
         got = nodes.means(Pow(1.0), np.inf)[nodes.orbit[idx]]
         assert 0.9 < got <= 1.0
 
     def test_2d_means(self):
         nodes = FamilyNodes(2.0, 2, CubeFamily(0, 2))
-        meta = nodes.meta()
+        meta = family_cubes(nodes)
         idx = meta.index((0, (0, 0), False))
         # mean of |x| over the unit square: (sqrt(2) + asinh(1)) / 3
         want = (np.sqrt(2) + np.arcsinh(1)) / 3
@@ -261,6 +261,11 @@ def gemv_stat(nodes, w, r, k):
     for idx, radius, wts in cube_rows(nodes):
         out[idx] = (f(radius) ** r @ wts) ** (1.0 / r)
     return (2.0 ** (k * s)) * out if s else out
+
+
+def family_cubes(nodes):
+    """(v, m, translated) of every cube of nodes in family order."""
+    return [nodes.cube(i) for i in range(nodes.n_cubes)]
 
 
 def former_meta(nodes):
@@ -452,7 +457,7 @@ class TestChunkedReduction:
     )
     def test_meta_equals_former_tuples(self, R, n, family):
         nodes = FamilyNodes(R, n, family)
-        meta = nodes.meta()
+        meta = family_cubes(nodes)
         assert meta == former_meta(nodes)
         assert len(meta) == nodes.n_cubes
         assert all(type(v) is int and all(type(x) is int for x in m) and type(t) is bool for v, m, t in meta)
@@ -467,9 +472,8 @@ class TestChunkedReduction:
     )
     def test_cube_lookup_equals_meta(self, R, n, family):
         nodes = FamilyNodes(R, n, family)
-        meta = nodes.meta()
-        cubes = [nodes.cube(i) for i in range(nodes.n_cubes)]
-        assert cubes == meta
+        cubes = family_cubes(nodes)
+        assert cubes == former_meta(nodes)
         assert all(type(v) is int and all(type(x) is int for x in m) and type(t) is bool for v, m, t in cubes)
         for i in (-1, nodes.n_cubes):
             with pytest.raises(IndexError):
@@ -513,7 +517,7 @@ class TestOrbits:
 
     def test_mirror_images_have_equal_means(self):
         nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 4))
-        index = {cube: i for i, cube in enumerate(nodes.meta())}
+        index = {cube: i for i, cube in enumerate(family_cubes(nodes))}
         v, (m1, m2) = 3, (5, -3)  # a regular cube and its images under the flips and the swap
         images = [(m1, m2), (-m1 - 1, m2), (m1, -m2 - 1), (-m1 - 1, -m2 - 1), (m2, m1), (-m2 - 1, m1)]
         for w, k in _CHUNK_WEIGHTS:
@@ -523,7 +527,7 @@ class TestOrbits:
                 assert len(got) == 1, (w, r, inverse, got)
         # and in 1D, a translated cube and its mirror image
         nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 9))
-        index = {cube: i for i, cube in enumerate(nodes.meta())}
+        index = {cube: i for i, cube in enumerate(family_cubes(nodes))}
         i, j = index[(4, (7,), True)], index[(4, (-9,), True)]  # [7.5, 8.5) and [-8.5, -7.5) / 16
         for r in (0.5, 2.0, np.inf):
             out = nodes.means(ShiftPow(-0.3, 2.0), r)[nodes.orbit]
@@ -532,11 +536,11 @@ class TestOrbits:
     def test_negative_zero_shares_the_orbit(self):
         # [-s, 0) folds to [-0.0, s), which must key as [0, s)
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5, translates=False))
-        index = {cube: i for i, cube in enumerate(nodes.meta())}
+        index = {cube: i for i, cube in enumerate(family_cubes(nodes))}
         for v in nodes.family.levels():
             assert nodes.orbit[index[(v, (-1,), False)]] == nodes.orbit[index[(v, (0,), False)]]
         nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 3, translates=False))
-        index = {cube: i for i, cube in enumerate(nodes.meta())}
+        index = {cube: i for i, cube in enumerate(family_cubes(nodes))}
         for v in nodes.family.levels():
             assert len({nodes.orbit[index[(v, m, False)]] for m in ((-1, -1), (-1, 0), (0, -1), (0, 0))}) == 1
 
@@ -597,9 +601,9 @@ class TestOrbits:
                 held[np.searchsorted(ends, row, side="right")].add(tuple(axis_mesh(nodes, a, b)[1].tobytes() for a, b in axes))
         assert not held[0] and all(len(h) == 1 for h in held[1:])
         assert len(set.union(*held)) == len(held) - 1
-        meta, former = nodes.meta(), former_meta(nodes)
+        former = former_meta(nodes)
         for i in np.linspace(0, nodes.n_cubes - 1, 97).astype(int).tolist():
-            assert nodes.cube(i) == meta[i] == former[i], i
+            assert nodes.cube(i) == former[i], i
 
 
 def former_mesh_radius(axes):
@@ -873,7 +877,7 @@ class TestXClass:
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5))
         ts = WeightSequence(Prod((Dyadic(1.0), Pow(0.2))), -2, 3, 2.0)
         rep = xclass_constants(ts, (0.7, 1.2), (3.0, 2.0), nodes)
-        meta = nodes.meta()
+        meta = family_cubes(nodes)
         k, j, i = witness_at(meta, rep["witness1"])
         i = nodes.orbit[i]
         v1 = nodes.means(ts.spec, 2.0, k)[i] * nodes.means(ts.spec.power(-1.0), 3.0, j)[i]
