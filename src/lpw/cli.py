@@ -350,7 +350,7 @@ def cmd_norm(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | None 
     ctx = cfg.ctx
     pair = ctx.pair()
     space = cfg.norm_space
-    ws = WeightSequence(cfg.norm_weight, pair.k_min, pair.k_max, cfg.norm_p if math.isfinite(cfg.norm_p) else 2.0)
+    ws = WeightSequence(cfg.norm_weight, pair.k_min, pair.k_max)
     records = []
     members = [source] if source else [(mem.name, mem.f) for mem in ctx.corpus()]
     dictionary = None
@@ -431,12 +431,12 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
                 }
             )
         elif op == "xclass":
-            ts = ctx.sequence(w, p)
+            ts = WeightSequence(w, ctx.k_min, ctx.k_max)
             s1 = sigma1(p, theta)
             try:
-                check_admissible(ts, ctx.spec.R, ctx.spec.n)
-                fit = xclass_fit(ts, (s1, p), nodes)
-                rep = xclass_constants(ts, (fit["alpha1"], fit["alpha2"]), (s1, p), nodes)
+                check_admissible(ts, p, ctx.spec.R, ctx.spec.n)
+                fit = xclass_fit(ts, p, (s1, p), nodes)
+                rep = xclass_constants(ts, p, (fit["alpha1"], fit["alpha2"]), (s1, p), nodes)
                 # the constants at the fitted alphas replace the fit's own C1, C2
                 records.append({"weight": name, "expr": text, **fit, **rep})
             except WeightError as exc:

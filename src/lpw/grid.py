@@ -7,8 +7,8 @@ and singular expressions like |x|^a stay finite on the lattice.
 
 All integrals are midpoint sums: integral(f) ~ h^n * sum(samples).  A level-v
 dyadic cube Q = 2^-v ([0,1)^n + m), m in level_index_range(R, v), is a block
-of whole cells, GridSpec.cells(v) a side (half of that at the coarsest level,
-whose cubes the domain clips in half), so cube sums nest and tile exactly;
+of whole cells, GridSpec.coefficient_cells(v) a side (half the domain at the
+coarsest level, whose cubes the domain clips), so cube sums nest and tile exactly;
 spaces.cube_lp takes them a level at a time.
 """
 
@@ -121,6 +121,15 @@ class GridSpec:
         if not lo <= v <= hi:
             raise GridError(f"level {v} is outside the grid's level window [{lo}, {hi}] of 1 to {self.N} cells a side")
         return self.N >> (v - lo)
+
+    def coefficient_cells(self, k: int) -> int:
+        """Cells per side of the level-k cubes of level_index_range(R, k), which
+        a coefficient array indexes: cells(k), or half the domain at and below
+        the coarsest level; past the window's top a cube is finer than a cell."""
+        hi = self.level_window()[1]
+        if k > hi:
+            raise GridError(f"level {k} cubes are finer than the grid spacing h={self.h}, past level {hi}")
+        return self.N // (2 * level_index_range(self.R, k)[1])
 
 
 def mesh_radius(axes: Sequence[np.ndarray]) -> np.ndarray:

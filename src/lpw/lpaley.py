@@ -144,11 +144,8 @@ class LPPair:
 
     def positions(self, k: int) -> np.ndarray:
         """Coefficient indices m per axis: 2^-k m in [-R, R)."""
-        C = self.gspec.R * 2.0**k
-        lo, hi = math.ceil(-C), math.ceil(C)
-        if hi <= lo:
-            raise LevelError(f"level {k} has no coefficient positions in the domain")
-        return np.arange(lo, hi)
+        C = self.gspec.R * 2.0**k  # > 0, so the range is never empty
+        return np.arange(math.ceil(-C), math.ceil(C))
 
 
 def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:

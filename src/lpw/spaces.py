@@ -39,9 +39,8 @@ class NormRequest:
     """Parameters of a band norm (space B, F or F_inf, see stack_norm) or
     a sequence norm (b, f or f_inf).  q may be inf where the definitions
     allow it (not in F_inf / f_inf).  family, the cubes of the Carleson
-    scans, defaults to the pair's level window; an F_inf / f_inf request
-    refuses a family starting above the weights' first level, whose rows
-    below it no cube would read.
+    scans, defaults to the pair's level window; carleson_sup refuses a stack
+    level below the family's first, which no cube would read.
     """
 
     space: str
@@ -66,11 +65,6 @@ class NormRequest:
             )
         if self.family is None:
             object.__setattr__(self, "family", CubeFamily(self.pair.k_min, self.pair.k_max))
-        if self.space in ("F_inf", "f_inf") and self.family.v_min > ws.k_min:
-            raise ValueError(
-                f"cube family starts at level {self.family.v_min}, above the weight levels' first "
-                f"{ws.k_min}, so the Carleson scan would read no cube for level {ws.k_min}"
-            )
 
 
 def band_magnitudes(f: GridFunction, pair: LPPair) -> VectorSequence:
@@ -257,14 +251,12 @@ def _starred_cube_lp(t: GridFunction, k: int, S: int, p: float, where: np.ndarra
     return tkm
 
 
-def _seq_levels(coeffs: CoefficientSet, spec: GridSpec) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """coeffs.support, once every stored level is checked to fit the grid."""
+def _seq_levels(coeffs: CoefficientSet, spec: GridSpec) -> dict[int, tuple[int, np.ndarray, np.ndarray]]:
+    """{k: (cube side S in cells, *coeffs.support[k])}, once every stored
+    level is checked to fit the grid (GridSpec.coefficient_cells)."""
     coeffs.check_domain(spec)
-    k_cap = spec.level_window()[1]
-    for k in coeffs.levels():
-        if k > k_cap:
-            raise GridError(f"level {k} cubes are finer than the grid spacing h={spec.h}, past level {k_cap}")
-    return coeffs.support
+    sides = {k: spec.coefficient_cells(k) for k in coeffs.levels()}
+    return {k: (sides[k], *at) for k, at in coeffs.support.items()}
 
 
 def seq_b_norm(coeffs: CoefficientSet, req: NormRequest) -> tuple[float, float]:
@@ -276,8 +268,8 @@ def seq_b_norm(coeffs: CoefficientSet, req: NormRequest) -> tuple[float, float]:
     spec = req.pair.gspec
     n, p, q = spec.n, req.p, req.q
     terms_plain, terms_star = [], []
-    for k in _seq_levels(coeffs, spec):
-        t, mags, S = req.weights.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
+    for k, (S, _, _) in _seq_levels(coeffs, spec).items():
+        t, mags = req.weights.on_grid(spec, k), np.abs(coeffs[k])
         plain = _lp(_paint(spec, mags) * t.values, spec.cell_measure, p)
         tkm = cube_lp(t, S, p, mags > 0)
         if np.isinf(p):
@@ -309,24 +301,24 @@ def seq_f_norms(sets: list[CoefficientSet], req: NormRequest) -> list[tuple[floa
     n, p, q = spec.n, req.p, req.q
     if np.isinf(p):
         raise ValueError("f-norms need p < inf")
-    by_level: dict[int, list] = {}
+    by_level: dict[tuple[int, int], list] = {}  # (k, S) -> entries
     for b, coeffs in enumerate(sets):
-        for k, (idx, mags) in _seq_levels(coeffs, spec).items():
-            by_level.setdefault(k, []).append((b, idx, mags))
+        for k, (S, idx, mags) in _seq_levels(coeffs, spec).items():
+            by_level.setdefault((k, S), []).append((b, idx, mags))
     qq = 1.0 if np.isinf(q) else q
     levels = []
-    for k, entries in sorted(by_level.items()):
+    for (k, S), entries in sorted(by_level.items()):
         bs, idx, mags = zip(*entries)
         rows, idx, mags = np.repeat(bs, [i.size for i in idx]), np.concatenate(idx), np.concatenate(mags)
         M = sets[bs[0]][k].shape[0]  # cubes per axis
         t = req.weights.on_grid(spec, k)
         where = np.bincount(idx, minlength=M**n).reshape((M,) * n) > 0
-        star = mags * _starred_cube_lp(t, k, spec.N // M, p, where).ravel()[idx]
+        star = mags * _starred_cube_lp(t, k, S, p, where).ravel()[idx]
         tq = t.values  # t_k^q, or t_k when q = inf
         if not np.isinf(q):
             mags, star, tq = mags**q, star**q, tq**q
         c_plain, c_star = 2.0 ** (k * n * qq / 2.0), 2.0 ** (k * n * qq * (0.5 + 1.0 / p))
-        levels.append((rows, np.unravel_index(idx, (M,) * n), _blocks(tq, spec.N // M), mags * c_plain, star * c_star))
+        levels.append((rows, np.unravel_index(idx, (M,) * n), _blocks(tq, S), mags * c_plain, star * c_star))
     out = []
     per_group, col = max(1, _GROUP_CELLS // spec.N**n), (-1,) + (1,) * n
     Mf = max((len(tq) for _, _, tq, _, _ in levels), default=1)
@@ -361,8 +353,8 @@ def seq_f_infty_norm(coeffs: CoefficientSet, req: NormRequest) -> tuple[float, f
         return 0.0, 0.0
     # a level without coefficients is a zero row, whose exact zeros leave every suffix sum as it is
     plain, star = (VectorSequence(spec, coeffs.k_min, np.zeros((len(coeffs.levels()),) + spec.shape)) for _ in range(2))
-    for k in levels:
-        t, mags, S = req.weights.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
+    for k, (S, _, _) in levels.items():
+        t, mags = req.weights.on_grid(spec, k), np.abs(coeffs[k])
         tkmq = _starred_cube_lp(t, k, S, q, mags > 0)
         plain[k][...] = _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
         star[k][...] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))

@@ -122,9 +122,6 @@ class RunContext:
         return self._cached("weights", lambda: {name: parse_weight(self.weight_matrix[name])
                                                 for name in sorted(self.weight_matrix)})
 
-    def sequence(self, spec: WeightSpec, p: float) -> WeightSequence:
-        return WeightSequence(spec, self.k_min, self.k_max, p)
-
 
 def _suite(name, passed, summary, records):
     return {"suite": name, "pass": bool(passed), "summary": summary, "records": records}
@@ -267,7 +264,7 @@ def suite_classical(ctx: RunContext) -> dict:
     """Dyadic weight sequences reproduce the fixed-smoothness norms to 1e-12."""
     pair = ctx.pair()
     bands = ctx.bands()
-    seqs = {s: WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max, 2.0) for s in (-1.0, 0.0, 0.5, 2.0)}
+    seqs = {s: WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max) for s in (-1.0, 0.0, 0.5, 2.0)}
     exponents = ((2.0, 2.0), (2.0, np.inf))
     worst = {(s, p, q): [0.0, 0.0] for s in seqs for p, q in exponents}  # Besov, Triebel-Lizorkin
     # member outermost: one set of oracle magnitudes per member, and one
@@ -313,8 +310,8 @@ def _seq_ratio_extreme(ctx: RunContext, sets) -> float:
     pair = ctx.pair()
     worst = 1.0
     for w in ctx.weights().values():
-        # one sequence, so one sampling per grid: the f-norms read req.p, not ws.p
-        ws = WeightSequence(w, pair.k_min, pair.k_max, 2.0)
+        # one sequence, so one sampling per grid for both (p, q)
+        ws = WeightSequence(w, pair.k_min, pair.k_max)
         for p, q in ((2.0, 1.0), (1.5, 3.0)):
             req = NormRequest("f", p, q, ws, pair)
             for plain, star in seq_f_norms(sets, req):
@@ -345,7 +342,7 @@ def suite_seqnorm(ctx: RunContext) -> dict:
     spec = ctx.spec
     pair = ctx.pair()
     ceiling = CEILINGS["seq_ratio"]
-    ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max, 2.0)
+    ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max)
     req_b, req_f = (NormRequest(kind, 2.0, 2.0, ws, pair) for kind in ("b", "f"))
     req_f_inf = NormRequest("f_inf", np.inf, 2.0, ws, pair)
     single_worst = 0.0
@@ -391,7 +388,7 @@ def suite_newnorm(ctx: RunContext) -> dict:
     js = range(-3, 4)
     reqs = {}  # (weight, j) -> one request per case; j = None is {t_k} itself
     for wtext in weights:
-        ws = WeightSequence(parse_weight(wtext), pair.k_min, pair.k_max, 2.0)
+        ws = WeightSequence(parse_weight(wtext), pair.k_min, pair.k_max)
         for j, wj in [(None, ws)] + [(j, ws.frozen(j)) for j in js]:
             reqs[wtext, j] = [NormRequest(tag, p, q, wj, pair, family=ctx.family) for tag, p, q in cases]
     # member outermost: one magnitude stack per member, weighed once per
@@ -470,7 +467,7 @@ def suite_coincidence(ctx: RunContext) -> dict:
     )
     bands = ctx.bands()
     mags = [bands[mem.name] for mem in corpus] + [band_magnitudes(mem.f, pair) for mem in spikes]
-    reqs = [NormRequest("F", 2.0, 2.0, WeightSequence(t, pair.k_min, pair.k_max, 2.0), pair) for t in (t1, t2)]
+    reqs = [NormRequest("F", 2.0, 2.0, WeightSequence(t, pair.k_min, pair.k_max), pair) for t in (t1, t2)]
     rep_f = ratio_report(
         names,
         *([stack_norm(req.weights.weigh(m), req) for m in mags] for req in reqs),
@@ -509,7 +506,7 @@ def suite_maximal(ctx: RunContext) -> dict:
     ok = True
 
     s = 1.0
-    kernel_ws = WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max, 2.0)
+    kernel_ws = WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max)
     kernels = (("below", s + 1.0), ("above", s - 1.0))
 
     def corpus_ratios(c: RunContext, stack, kernel_members: int):
@@ -518,7 +515,7 @@ def suite_maximal(ctx: RunContext) -> dict:
         stack(mem) gives a member's band magnitudes; its maximal stack is
         built once, serves all its ratios and is dropped before the next
         member's."""
-        ws = WeightSequence(Pow(0.3), c.pair().k_min, c.pair().k_max, 2.0)
+        ws = WeightSequence(Pow(0.3), c.pair().k_min, c.pair().k_max)
         names, fs_ratios, wm_ratios = [], [], []
         kernel_ratios = {direction: [] for direction, _ in kernels}
         for i, mem in enumerate(c.corpus()):
@@ -594,11 +591,11 @@ def suite_xclassfit(ctx: RunContext) -> dict:
     ok = True
     p, theta = 2.0, 1.2
     s1 = sigma1(p, theta)
-    seqs = {name: ctx.sequence(w, p) for name, w in ctx.weights().items()}
+    seqs = {name: WeightSequence(w, ctx.k_min, ctx.k_max) for name, w in ctx.weights().items()}
     # one pass for the separable weights, whose statistics serve every level
     nodes.prefetch([ts.spec for ts in seqs.values() if ts.spec.separable], level_requests(p, (s1, p)))
     for name, ts in seqs.items():
-        fit = xclass_fit(ts, (s1, p), nodes)
+        fit = xclass_fit(ts, p, (s1, p), nodes)
         good = fit["alpha2"] >= fit["alpha1"] - fit["grid_step"] - 1e-12
         ok &= good
         records.append({"weight": name, **fit, "pass": good})
@@ -610,7 +607,7 @@ def suite_bmo(ctx: RunContext) -> dict:
     two stay within a fixed factor on the corpus (reported, pass at the
     informational ceiling)."""
     pair = ctx.pair()
-    ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max, 2.0)
+    ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max)
     req = NormRequest("F_inf", np.inf, 2.0, ws, pair, family=ctx.family)
     corpus = ctx.corpus()
     bands = ctx.bands()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, GridSpec, _lp, level_index_range
+from .grid import GridFunction, GridSpec, _lp
 from .lpaley import LPPair, from_spectrum
 from .weights import (
     FamilyNodes,
@@ -75,8 +75,8 @@ def _member_from_coeffs(spec: GridSpec, coeffs: dict, name: str) -> CorpusMember
 def make_corpus(
     spec: GridSpec,
     pair: LPPair,
-    size: int = 32,
-    seed: int = 20260808,
+    size: int,
+    seed: int,
 ) -> list[CorpusMember]:
     """Admissible band-limited test functions: random multi-band draws,
     single-band draws, translated near-spikes over shrinking sub-bands, and
@@ -186,7 +186,7 @@ def ratio_report(
     members: list[str],
     values_a: list[float],
     values_b: list[float],
-    ceiling: float = 50.0,
+    ceiling: float,
     name_a: str = "A",
     name_b: str = "B",
 ) -> dict:
@@ -232,8 +232,8 @@ def coincidence_check(
     p: float,
     theta: float,
     nodes: FamilyNodes,
-    ceiling: float = 50.0,
-    ap_ceiling: float = 1000.0,
+    ceiling: float,
+    ap_ceiling: float,
 ) -> dict:
     """Two-sided comparability of cube means: M_{Q,s1}(t_i^-1) and
     M_{Q,p}(t_i) must agree across the family for the weighted spaces to
@@ -285,7 +285,7 @@ def delta_coefficient_check(
     q: float,
     spec: GridSpec,
     levels: range,
-    ceiling: float = 50.0,
+    ceiling: float,
 ) -> tuple[bool, dict]:
     """Sequence-norm ratios of single-coefficient inputs under the two
     weights.  For a lone coefficient every sequence norm reduces to the cube
@@ -295,14 +295,12 @@ def delta_coefficient_check(
     r = 0.5, 0.66, 0.95 over the count level positions from lo."""
     ratios = []
     for k in levels:
-        lo, hi = level_index_range(spec.R, k)
-        count = hi - lo
-        if count > spec.N:
-            raise GridError(f"level {k} cubes are finer than the grid spacing h={spec.h}")
+        S = spec.coefficient_cells(k)
+        count = spec.N // S
         diag = (np.array([int(r * (count - 1)) for r in (0.5, 0.66, 0.95)]),) * spec.n
         where = np.zeros((count,) * spec.n, dtype=bool)
         where[diag] = True
-        n1, n2 = (cube_lp(t.on_grid(spec, k), spec.N // count, p, where) for t in (t1, t2))
+        n1, n2 = (cube_lp(t.on_grid(spec, k), S, p, where) for t in (t1, t2))
         ratios.extend(n1[diag] / n2[diag])
     vals = np.array(ratios)
     spread = float(vals.max() / vals.min())

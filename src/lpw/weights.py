@@ -346,31 +346,30 @@ def parse_weight(text: str) -> WeightSpec:
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """A level-indexed weight family {t_k}, k_min <= k <= k_max, with its
-    integrability exponent p."""
+    """A level-indexed weight family {t_k}, k_min <= k <= k_max."""
 
     spec: WeightSpec
     k_min: int
     k_max: int
-    p: float
 
     def __post_init__(self):
         if self.k_min > self.k_max:
             raise WeightError("empty level range in weight sequence")
-        if self.p <= 0:
-            raise WeightError(f"admissibility exponent p must be positive, got {self.p}")
         object.__setattr__(self, "_grid_cache", {})
 
     def levels(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
     def frozen(self, j: int) -> "WeightSequence":
-        return WeightSequence(self.spec.frozen(j), self.k_min, self.k_max, self.p)
+        return WeightSequence(self.spec.frozen(j), self.k_min, self.k_max)
 
     def on_grid(self, gspec: GridSpec, k: int) -> GridFunction:
+        """t_k on the grid, sampled once per grid; a level outside levels() is refused."""
         key = (gspec, k)
         cache = self._grid_cache
         if key not in cache:
+            if not self.k_min <= k <= self.k_max:
+                raise GridError(f"level {k} lies outside the weight levels {self.levels()}")
             cache[key] = self.spec.on_grid(gspec, k)
         return cache[key]
 
@@ -805,7 +804,7 @@ def domain_integral(w: WeightSpec, R: float, n: int, p: float, core: float, k: i
     return float(w.eval(mesh_radius([nodes] * n).ravel(), k) ** p @ mesh_weights([wts] * n))
 
 
-def check_admissible(ts: WeightSequence, R: float, n: int) -> None:
+def check_admissible(ts: WeightSequence, p: float, R: float, n: int) -> None:
     """Verify local p-integrability of every t_k by a refinement probe.
 
     The whole-domain integral of t_k^p is recomputed with the quadrature core
@@ -814,8 +813,8 @@ def check_admissible(ts: WeightSequence, R: float, n: int) -> None:
     """
     levels = list(ts.levels()) if not ts.spec.separable else [ts.k_min]
     for k in levels:
-        i1 = domain_integral(ts.spec, R, n, ts.p, core=2.0**-22, k=k)
-        i2 = domain_integral(ts.spec, R, n, ts.p, core=2.0**-23, k=k)
+        i1 = domain_integral(ts.spec, R, n, p, core=2.0**-22, k=k)
+        i2 = domain_integral(ts.spec, R, n, p, core=2.0**-23, k=k)
         if not (np.isfinite(i1) and np.isfinite(i2)):
             raise WeightError(f"weight {ts.spec.key()} has a non-integrable p-power at level {k}")
         if i2 > i1 * 1.02:
@@ -915,15 +914,24 @@ def level_requests(p: float, sigma: tuple[float, float]) -> list[tuple[float, bo
     return [(p, False), (s1, True), (s2, False)]
 
 
-def _level_stats(ts: WeightSequence, nodes: FamilyNodes, sigma: tuple[float, float]):
+def _growth_table(ts: WeightSequence, p: float, sigma: tuple[float, float], nodes: FamilyNodes):
+    """The cube maxima behind both growth bounds, for each level pair k <= j
+    in k-major order, {(k, j): (max_Q M_{Q,p}(t_k) M_{Q,s1}(t_j^-1),
+    max_Q M_{Q,s2}(t_j) / M_{Q,p}(t_k))}, and the pair's two products per
+    orbit, for a witness.  Rounding is monotone, so an entry times a power
+    2^(a (j - k)) is the maximum of the product times it, bit for bit."""
     A, B, D = {}, {}, {}
     for k in ts.levels():
-        A[k], B[k], D[k] = nodes.stats(ts.spec, level_requests(ts.p, sigma), k)
-    return A, B, D
+        A[k], B[k], D[k] = nodes.stats(ts.spec, level_requests(p, sigma), k)
+    products = lambda k, j: (A[k] * B[j], D[j] / A[k])
+    table = {(k, j): tuple(float(prod.max()) for prod in products(k, j))
+             for k in ts.levels() for j in range(k, ts.k_max + 1)}
+    return table, products
 
 
 def xclass_constants(
     ts: WeightSequence,
+    p: float,
     alpha: tuple[float, float],
     sigma: tuple[float, float],
     nodes: FamilyNodes,
@@ -934,28 +942,26 @@ def xclass_constants(
         M_{Q,s2}(t_j) / M_{Q,p}(t_k)    <= C2 2^(a2 (j-k))   (k <= j)
 
     over the cube family and stored levels, with argmax witnesses, as the
-    record {alpha, sigma, p, C1, C2, witness1, witness2}.  ts is taken as
-    admissible: the caller runs check_admissible.
+    record {alpha, sigma, p, C1, C2, witness1, witness2}.  A witness is the
+    first cube, in family order, of the first level pair in k-major order
+    that attains the constant.  ts is taken as admissible: the caller runs
+    check_admissible.
     """
     a1, a2 = alpha
     s1, s2 = sigma
     if s1 <= 0 or s2 <= 0:
         raise WeightError("sigma exponents must be positive (inf allowed)")
-    A, B, D = _level_stats(ts, nodes, sigma)
-    C1 = -np.inf
-    C2 = -np.inf
-    w1 = w2 = None
-    for k in ts.levels():
-        for j in range(k, ts.k_max + 1):
-            prod1 = A[k] * B[j] * 2.0 ** (-a1 * (k - j))
-            top1 = prod1.max()
-            if top1 > C1:
-                C1, w1 = float(top1), _witness(k, j, nodes.cube(nodes.argmax_cube(prod1)))
-            prod2 = (D[j] / A[k]) * 2.0 ** (-a2 * (j - k))
-            top2 = prod2.max()
-            if top2 > C2:
-                C2, w2 = float(top2), _witness(k, j, nodes.cube(nodes.argmax_cube(prod2)))
-    return {"alpha": [a1, a2], "sigma": [s1, s2], "p": ts.p, "C1": C1, "C2": C2, "witness1": w1, "witness2": w2}
+    table, products = _growth_table(ts, p, sigma, nodes)
+    out = {"alpha": [a1, a2], "sigma": [s1, s2], "p": p}
+    bounds = (("C1", "witness1", lambda k, j: 2.0 ** (-a1 * (k - j))),
+              ("C2", "witness2", lambda k, j: 2.0 ** (-a2 * (j - k))))
+    for i, (C, witness, scale) in enumerate(bounds):
+        out[C], at = -np.inf, None
+        for (k, j), tops in table.items():
+            if tops[i] * scale(k, j) > out[C]:
+                out[C], at = tops[i] * scale(k, j), (k, j)
+        out[witness] = None if at is None else _witness(*at, nodes.cube(nodes.argmax_cube(products(*at)[i] * scale(*at))))
+    return out
 
 
 # xclass_fit searches alpha in [-XCLASS_ALPHA_MAX, XCLASS_ALPHA_MAX]; the fit
@@ -964,7 +970,7 @@ def xclass_constants(
 XCLASS_ALPHA_MAX = 4.0
 
 
-def xclass_fit(ts: WeightSequence, sigma: tuple[float, float], nodes: FamilyNodes) -> dict:
+def xclass_fit(ts: WeightSequence, p: float, sigma: tuple[float, float], nodes: FamilyNodes) -> dict:
     """Fit growth exponents by grid search over [-XCLASS_ALPHA_MAX,
     XCLASS_ALPHA_MAX] = [-4, 4] in steps of 0.05.
 
@@ -975,18 +981,13 @@ def xclass_fit(ts: WeightSequence, sigma: tuple[float, float], nodes: FamilyNode
     record {alpha1, alpha2, C1, C2, grid_step}.
     """
     alpha_lo, alpha_hi, step, plateau_tol = -XCLASS_ALPHA_MAX, XCLASS_ALPHA_MAX, 0.05, 0.02
-    A, B, D = _level_stats(ts, nodes, sigma)
+    table, _ = _growth_table(ts, p, sigma, nodes)
     lags = range(0, ts.k_max - ts.k_min + 1)
     M1, M2 = {}, {}
     for d in lags:
-        m1 = m2 = -np.inf
-        for k in ts.levels():
-            j = k + d
-            if j > ts.k_max:
-                continue
-            m1 = max(m1, float((A[k] * B[j]).max()))
-            m2 = max(m2, float((D[j] / A[k]).max()))
-        M1[d], M2[d] = m1, m2
+        M1[d] = M2[d] = -np.inf
+        for k in range(ts.k_min, ts.k_max + 1 - d):
+            M1[d], M2[d] = max(M1[d], table[k, k + d][0]), max(M2[d], table[k, k + d][1])
     count = int(round((alpha_hi - alpha_lo) / step)) + 1
     alphas = np.round(alpha_lo + step * np.arange(count), 12)
     C1 = np.array([max(M1[d] * 2.0 ** (a * d) for d in lags) for a in alphas])

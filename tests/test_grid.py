@@ -94,6 +94,21 @@ class TestGridSpec:
                     with pytest.raises(GridError, match="level window"):
                         spec.cells(v)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_coefficient_cells_tile_the_cube_positions(self, n):
+        # the cubes of level_index_range(R, k) tile the grid: cells(k) a side,
+        # half the domain at and below the coarsest level
+        for N in (2, 16, 512):
+            for R in (0.5, 1.0, 8.0):
+                spec = GridSpec(n, R, N)
+                lo, hi = spec.level_window()
+                for k in range(lo - 2, hi + 1):
+                    a, b = level_index_range(R, k)
+                    assert spec.coefficient_cells(k) * (b - a) == N
+                    assert spec.coefficient_cells(k) == (spec.cells(k) if k > lo else N // 2)
+                with pytest.raises(GridError, match=f"level {hi + 1} cubes are finer than the grid spacing"):
+                    spec.coefficient_cells(hi + 1)
+
 
 def signed_axis(rng, size):
     """Normal draws with signed zeros and extreme magnitudes mixed in."""

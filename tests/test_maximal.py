@@ -232,14 +232,14 @@ class TestRatios:
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
         fs = VectorSequence(spec, 0, np.abs(f.values)[None])
-        ts = WeightSequence(Const(1.0), 0, 0, 2.0)
+        ts = WeightSequence(Const(1.0), 0, 0)
         assert weighted_maximal_ratio(fs, ts, 2.0, maximal_sequence(fs), q=np.inf) >= 1.0
 
     def test_weighted_ratio_blows_up_outside_class(self, spec1k, pair1k):
         # |x|^2 is outside the class at p=2: concentrating unit-norm spikes
         # at the origin drives the ratio up
         spikes = spike_family(spec1k, pair1k)
-        ts = WeightSequence(Pow(2.0), 0, 0, 2.0)
+        ts = WeightSequence(Pow(2.0), 0, 0)
         ratios = []
         for mem in spikes:
             fs = VectorSequence(spec1k, 0, np.abs(mem.f.values)[None])
@@ -249,7 +249,7 @@ class TestRatios:
     def test_zero_denominator(self):
         spec = GridSpec(1, 1.0, 64)
         fs = VectorSequence(spec, 0, np.zeros((1, 64)))
-        ts = WeightSequence(Const(1.0), 0, 0, 2.0)
+        ts = WeightSequence(Const(1.0), 0, 0)
         Ms = maximal_sequence(fs)
         with pytest.raises(ZeroDivisionError):
             fefferman_stein_ratio(fs, 2.0, 2.0, Ms)
@@ -271,7 +271,7 @@ class TestRatios:
             Ms = VectorSequence(spec, fs.k_min + 1, Ms.values)
         else:
             Ms = VectorSequence(spec, fs.k_min, Ms.values[:-1])
-        ts = WeightSequence(Const(1.0), 0, 2, 2.0)
+        ts = WeightSequence(Const(1.0), 0, 2)
         with pytest.raises(GridError, match="maximal stack"):
             fefferman_stein_ratio(fs, 2.0, 2.0, Ms)
         with pytest.raises(GridError, match="maximal stack"):
@@ -289,7 +289,7 @@ class TestKernelSum:
         f0 = GridFunction(spec, rng.normal(size=128))
         zero = np.zeros(128)
         fs = VectorSequence(spec, 0, np.stack([np.abs(f0.values), zero, zero, zero]))
-        ts = WeightSequence(Const(1.0), 0, 3, 2.0)
+        ts = WeightSequence(Const(1.0), 0, 3)
         got = kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, maximal_sequence(fs))
         M0 = maximal_fn(f0)
         gs = VectorSequence(spec, 0, np.stack([2.0 ** (-k) * M0.values for k in range(4)]))
@@ -299,7 +299,7 @@ class TestKernelSum:
     def test_direction_validation(self, rng):
         spec = GridSpec(1, 1.0, 64)
         fs = random_sequence(spec, range(0, 2), rng)
-        ts = WeightSequence(Const(1.0), 0, 1, 2.0)
+        ts = WeightSequence(Const(1.0), 0, 1)
         with pytest.raises(ValueError):
             kernel_sum_ratio(fs, ts, 1.0, "sideways", 2.0, 2.0, maximal_sequence(fs))
 
@@ -307,7 +307,7 @@ class TestKernelSum:
         # t_k = 2^(k s) has rates (s, s); the kernel sum stays bounded for
         # K above the upper rate (below) and K below the lower rate (above)
         s = 1.0
-        ts = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max, 2.0)
+        ts = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max)
         for mem in corpus1k[:3]:
             fs = band_magnitudes(mem.f, pair1k)
             Ms = maximal_sequence(fs)
@@ -357,7 +357,7 @@ class TestStackMatchesPerLevelReference:
             spec = GridSpec(2, 2.0, 64)
             pair = make_lp_pair(spec, -1, 4)
             members = [m.f for m in make_corpus(spec, pair, size=2, seed=3)]
-        ts = WeightSequence(Pow(0.3) * Dyadic(1.0), pair.k_min, pair.k_max, 2.0)
+        ts = WeightSequence(Pow(0.3) * Dyadic(1.0), pair.k_min, pair.k_max)
         for f in members:
             want = self.reference(f, pair, ts)
             fs = band_magnitudes(f, pair)

@@ -43,12 +43,7 @@ from lpw.weights import Const, Dyadic, Pow, WeightSequence
 
 
 def request(pair, weight, p, q, k_min=None, k_max=None, family=None):
-    ws = WeightSequence(
-        weight,
-        pair.k_min if k_min is None else k_min,
-        pair.k_max if k_max is None else k_max,
-        p if np.isfinite(p) else 2.0,
-    )
+    ws = WeightSequence(weight, pair.k_min if k_min is None else k_min, pair.k_max if k_max is None else k_max)
     space = "F" if np.isfinite(p) else "F_inf"
     return NormRequest(space=space, p=p, q=q, weights=ws, pair=pair, family=family)
 
@@ -130,7 +125,7 @@ class TestFunctionNorms:
     def test_singleton_level_window_collapses(self, spec1k, pair1k, corpus1k):
         # with one stored level every q gives the same single weighted band norm
         f = corpus1k[0].f
-        ws = WeightSequence(Pow(0.3), 3, 3, 2.0)
+        ws = WeightSequence(Pow(0.3), 3, 3)
         t3 = ws.on_grid(spec1k, 3)
         from lpw.grid import weighted_lp_norm
 
@@ -231,20 +226,25 @@ class TestCarlesonNorm:
         assert req == explicit
         assert tl_infty(corpus1k[0].f, req) == tl_infty(corpus1k[0].f, explicit)
 
-    def test_family_above_the_weight_levels_refused(self, pair1k):
-        # the scans would read no cube for the weight levels below the
-        # family's first; the other spaces read no family
-        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
+    def test_family_above_the_weight_levels_refused(self, pair1k, corpus1k):
+        # the scans would read no cube for the stack levels below the
+        # family's first, so carleson_sup refuses them, for band and sequence
+        # stacks alike; a request names the family and checks nothing of it
+        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
+        narrower = WeightSequence(Pow(0.3), pair1k.k_min + 1, pair1k.k_max)
         above = CubeFamily(pair1k.k_min + 1, pair1k.k_max)
-        for space in ("F_inf", "f_inf"):
-            with pytest.raises(ValueError, match=f"starts at level {pair1k.k_min + 1}, above"):
-                NormRequest(space, np.inf, 2.0, ws, pair1k, family=above)
-            for fam in (CubeFamily(pair1k.k_min, pair1k.k_max), CubeFamily(pair1k.k_min - 1, pair1k.k_max)):
-                NormRequest(space, np.inf, 2.0, ws, pair1k, family=fam)
-            narrower = WeightSequence(Pow(0.3), pair1k.k_min + 1, pair1k.k_max, 2.0)
-            assert NormRequest(space, np.inf, 2.0, narrower, pair1k, family=above).family == above
-        for space in ("B", "F", "b", "f"):
-            NormRequest(space, 2.0, 2.0, ws, pair1k, family=above)
+        refusal = f"stack level {pair1k.k_min} lies below level {pair1k.k_min + 1}"
+        f = corpus1k[0].f
+        with pytest.raises(GridError, match=refusal):
+            tl_infty(f, NormRequest("F_inf", np.inf, 2.0, ws, pair1k, family=above))
+        assert tl_infty(f, NormRequest("F_inf", np.inf, 2.0, narrower, pair1k, family=above)) > 0
+        bottom, top = (CoefficientSet.from_entries(1, pair1k.gspec.R, {(k, 0): 1.0}) for k in (pair1k.k_min, pair1k.k_min + 1))
+        with pytest.raises(GridError, match=refusal):
+            seq_f_infty_norm(bottom, NormRequest("f_inf", np.inf, 2.0, ws, pair1k, family=above))
+        assert seq_f_infty_norm(top, NormRequest("f_inf", np.inf, 2.0, ws, pair1k, family=above))[0] > 0
+        for fam in (CubeFamily(pair1k.k_min, pair1k.k_max), CubeFamily(pair1k.k_min - 1, pair1k.k_max)):
+            tl_infty(f, NormRequest("F_inf", np.inf, 2.0, ws, pair1k, family=fam))
+            seq_f_infty_norm(bottom, NormRequest("f_inf", np.inf, 2.0, ws, pair1k, family=fam))
 
 
 def family_blocks_former(spec, family, array_at):
@@ -398,7 +398,7 @@ class TestStackNorm:
     def test_shared_stack_equals_weighted_bands(self, pair1k, corpus1k):
         fam = CubeFamily(-4, 6)
         for w in (Pow(0.3), Pow(-0.2)):
-            ws = WeightSequence(w, pair1k.k_min, pair1k.k_max, 2.0)
+            ws = WeightSequence(w, pair1k.k_min, pair1k.k_max)
             for seq in (ws, ws.frozen(-3), ws.frozen(0), ws.frozen(3)):
                 for mem in corpus1k[:4]:
                     mags = band_magnitudes(mem.f, pair1k)
@@ -409,7 +409,7 @@ class TestStackNorm:
 
     def test_dyadic_stack_equals_named_norms(self, pair1k, corpus1k):
         for s in (-1.0, 0.5, 2.0):
-            ws = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max, 2.0)
+            ws = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max)
             for mem in corpus1k[:3]:
                 wb = ws.weigh(band_magnitudes(mem.f, pair1k))
                 for q in (2.0, np.inf):
@@ -417,7 +417,7 @@ class TestStackNorm:
                     assert stack_norm(wb, NormRequest("F", 2.0, q, ws, pair1k)) == tl(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
 
     def test_other_spaces_rejected(self, pair1k, corpus1k):
-        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
+        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
         wb = ws.weigh(band_magnitudes(corpus1k[0].f, pair1k))
         for space in ("b", "Lp", "BMO"):
             with pytest.raises(ValueError, match="band norms"):
@@ -541,24 +541,35 @@ class TestDenseSequenceNorms:
 
     def test_levels_past_the_grid_refused(self, spec1k):
         # spec1k's level window is [-4, 6]: a level-7 cube is finer than a
-        # cell, while a level below -4 is taken as before, its two cubes
-        # clipped to half the domain
+        # cell; a level below -4 has no weight t_k, since a request keeps the
+        # weight levels inside the pair window and so inside the grid's
         req = request(make_lp_pair(spec1k, -4, 6), Const(1.0), 1.0, 1.0)
         fine = CoefficientSet.from_entries(1, spec1k.R, {(7, (0,)): 1.0})
+        coarse = CoefficientSet.from_entries(1, spec1k.R, {(-5, (0,)): 1.0})
         for norm in (seq_b_norm, seq_f, seq_f_infty_norm):
             with pytest.raises(GridError, match="past level 6"):
                 norm(fine, req)
-        coarse = CoefficientSet.from_entries(1, spec1k.R, {(-5, (0,)): 1.0})
-        assert seq_b_norm(coarse, req) == pytest.approx((2**0.5, 2**0.5), rel=1e-15)
+            with pytest.raises(GridError, match="level -5 lies outside the weight levels"):
+                norm(coarse, req)
+
+    def test_levels_past_the_weight_sequence_refused(self):
+        # dyadic:1 on levels -3..2 and a coefficient at level 6: the norms
+        # sampled t_6 = 2^6 though the sequence ends at level 2, and b and f
+        # returned 8.0 at p = q = 1
+        spec = GridSpec(1, 8.0, 1024)
+        pair = make_lp_pair(spec, -3, 6)
+        req = NormRequest("f", 1.0, 1.0, WeightSequence(Dyadic(1.0), -3, 2), pair)
+        coeffs = CoefficientSet.from_entries(1, spec.R, {(6, (0,)): 1.0})
+        for norm in (seq_b_norm, seq_f, seq_f_infty_norm):
+            with pytest.raises(GridError, match="level 6 lies outside the weight levels"):
+                norm(coeffs, req)
+        with pytest.raises(GridError, match="level 3 lies outside"):
+            req.weights.on_grid(spec, 3)
 
     def test_carleson_refuses_levels_below_the_coarsest_cube(self, spec1k):
-        # a lone coefficient at level -5, below every cube of the family -4..6
-        # (and of the grid), measured exactly 0 in f_inf while b and f gave
-        # 1.414; the Carleson scan now refuses the stack, naming the level
-        req = request(make_lp_pair(spec1k, -4, 6), Const(1.0), np.inf, 1.0)
-        coarse = CoefficientSet.from_entries(1, spec1k.R, {(-5, (0,)): 1.0})
-        with pytest.raises(GridError, match="stack level -5 lies below level -4"):
-            seq_f_infty_norm(coarse, req)
+        # a stack level -5, below every cube of the family -4..6 (and of the
+        # grid): a lone coefficient there measured exactly 0 in f_inf while b
+        # and f gave 1.414; the scan refuses the stack, naming the level
         G = VectorSequence(spec1k, -5, np.ones((3, spec1k.N)))
         for family in (CubeFamily(-4, 6), CubeFamily(-6, 2, False)):
             with pytest.raises(GridError, match="stack level -5"):
@@ -608,7 +619,7 @@ class TestBatchedSequenceNorms:
 
     def check(self, sets, spec, pair, weight=Pow(0.3)):
         for p, q in BATCH_PQ:
-            ws = WeightSequence(weight, pair.k_min, pair.k_max, p)
+            ws = WeightSequence(weight, pair.k_min, pair.k_max)
             req = NormRequest("f", p, q, ws, pair)
             assert seq_f_norms(sets, req) == [dense_seq_f_norm(c, spec, req) for c in sets], (p, q)
 
@@ -738,7 +749,7 @@ class TestGrandMaximal:
 
     def test_zero(self, spec1k, pair1k):
         d = build_dictionary(spec1k)
-        ts = WeightSequence(Const(1.0), -3, 6, 2.0)
+        ts = WeightSequence(Const(1.0), -3, 6)
         assert hardy_grand_norm(GridFunction(spec1k, np.zeros(spec1k.N)), ts, 2.0, d) == 0.0
 
     def test_dictionary_monotone(self, spec1k, pair1k, corpus1k):
@@ -746,7 +757,7 @@ class TestGrandMaximal:
 
         d = build_dictionary(spec1k)
         small = TestFunctionDictionary(d.profiles[:4])
-        ts = WeightSequence(Const(1.0), -3, 6, 2.0)
+        ts = WeightSequence(Const(1.0), -3, 6)
         f = corpus1k[0].f
         assert hardy_grand_norm(f, ts, 2.0, d) >= hardy_grand_norm(f, ts, 2.0, small) - 1e-15
 
@@ -759,7 +770,7 @@ class TestGrandMaximal:
         corpus2 = make_corpus(spec2, make_lp_pair(spec2, -1, 4), size=2, seed=5)
         for spec, corpus, levels in ((spec1k, corpus1k[:3], (-3, 6)), (spec2, corpus2, (-1, 4))):
             d = build_dictionary(spec)
-            ts = WeightSequence(Pow(0.3), *levels, 2.0)
+            ts = WeightSequence(Pow(0.3), *levels)
             for mem in corpus:
                 best = np.zeros(spec.shape)
                 for k in ts.levels():
@@ -782,7 +793,7 @@ class TestGrandMaximal:
 
         d = build_dictionary(spec1k)  # its seminorms evaluate each profile at level 0
         monkeypatch.setattr(GrandProfile, "multiplier", counted)
-        ts = WeightSequence(Pow(0.3), -3, 6, 2.0)
+        ts = WeightSequence(Pow(0.3), -3, 6)
         first = [hardy_grand_norm(mem.f, ts, 2.0, d) for mem in corpus1k[:4]]
         assert len(built) == len(d.profiles) * len(ts.levels())
         assert sorted(set(built)) == list(ts.levels())
@@ -808,7 +819,7 @@ class TestGrandMaximal:
 
     def test_comparable_to_tl2(self, spec1k, pair1k, corpus1k):
         d = build_dictionary(spec1k)
-        ts = WeightSequence(Const(1.0), -3, 6, 2.0)
+        ts = WeightSequence(Const(1.0), -3, 6)
         req = request(pair1k, Const(1.0), 2.0, 2.0)
         ratios = [
             hardy_grand_norm(mem.f, ts, 2.0, d) / tl(mem.f, req) for mem in corpus1k[:6]
@@ -830,7 +841,7 @@ class TestTwoDimensional:
     def test_single_coefficient_identities_2d(self, setup2d):
         # the 2^(k n ...) factors must carry n = 2
         spec, pair = setup2d
-        ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max, 2.0)
+        ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max)
         for k0, m0 in ((0, (0, -1)), (2, (3, 1)), (3, (-4, 2))):
             coeffs = CoefficientSet.from_entries(2, spec.R, {(k0, m0): 1.0 - 0.25j})
             for fn, space, p, q in (
@@ -846,7 +857,7 @@ class TestTwoDimensional:
     def test_unit_weight_f_value_2d(self, setup2d):
         # n=2, p=q=2, t=1: the norm is 2^(k n (1/2 - 1/p)) |lambda| = |lambda|
         spec, pair = setup2d
-        ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max, 2.0)
+        ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max)
         coeffs = CoefficientSet.from_entries(2, spec.R, {(2, (1, 1)): 3.0})
         plain, star = seq_f(coeffs, NormRequest("f", 2.0, 2.0, ws, pair))
         assert plain == pytest.approx(3.0, rel=1e-12)
@@ -857,13 +868,13 @@ class TestTwoDimensional:
 
         spec, pair = setup2d
         f = make_corpus(spec, pair, size=1, seed=21)[0].f
-        ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max, 2.0)
+        ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max)
         fam = CubeFamily(-1, 4, translates=True)
         req = NormRequest("F_inf", np.inf, 2.0, ws, pair, family=fam)
         val = tl_infty(f, req)
         dbl = tl_infty(f, NormRequest(
             "F_inf", np.inf, 2.0,
-            WeightSequence(Const(2.0) * Pow(0.3), pair.k_min, pair.k_max, 2.0),
+            WeightSequence(Const(2.0) * Pow(0.3), pair.k_min, pair.k_max),
             pair, family=fam))
         assert val > 0
         assert dbl == pytest.approx(2 * val, rel=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, _lp, level_index_range, lp_norm, weighted_lp_norm
 from lpw.lpaley import make_lp_pair
 from lpw.spaces import NormRequest, band_magnitudes, stack_norm
+from lpw.suites import CEILINGS
 from lpw.verify import (
     classical_band_magnitudes,
     classical_besov_norm,
@@ -17,6 +18,10 @@ from lpw.verify import (
     ratio_report,
 )
 from lpw.weights import Const, FamilyNodes, Pow, Prod, ShiftPow, WeightSequence, parse_weight
+
+# the pinned ceilings the suites pass: equivalence, and the coincidence pair
+EQ = CEILINGS["equivalence"]
+CO = (CEILINGS["coincidence"], CEILINGS["ap_hypothesis"])
 
 
 def band_norm(f, req):
@@ -110,7 +115,7 @@ class TestCorpus:
 class TestEquivalence:
     def test_self_equivalence_exact(self, corpus1k):
         names = [m.name for m in corpus1k]
-        rep = ratio_report(names, [lp_norm(m.f, 2.0) for m in corpus1k], [lp_norm(m.f, 2.0) for m in corpus1k])
+        rep = ratio_report(names, [lp_norm(m.f, 2.0) for m in corpus1k], [lp_norm(m.f, 2.0) for m in corpus1k], EQ)
         assert rep["min_ratio"] == 1.0 and rep["max_ratio"] == 1.0
         assert rep["pass"]
 
@@ -121,28 +126,29 @@ class TestEquivalence:
             [m.name for m in corpus1k],
             [weighted_lp_norm(m.f, w, 2.0) for m in corpus1k],
             [weighted_lp_norm(m.f, w2, 2.0) for m in corpus1k],
+            EQ,
         )
         assert rep["min_ratio"] == pytest.approx(2.0, rel=1e-13)
         assert rep["max_ratio"] == pytest.approx(2.0, rel=1e-13)
 
     def test_symmetry_inverts(self, spec1k, pair1k, corpus1k):
-        wsa = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
-        wsb = WeightSequence(ShiftPow(0.4, 1.0), pair1k.k_min, pair1k.k_max, 2.0)
+        wsa = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
+        wsb = WeightSequence(ShiftPow(0.4, 1.0), pair1k.k_min, pair1k.k_max)
         na = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, wsa, pair1k))
         nb = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, wsb, pair1k))
         names = [m.name for m in corpus1k]
         va, vb = [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k]
-        ab = ratio_report(names, va, vb)
-        ba = ratio_report(names, vb, va)
+        ab = ratio_report(names, va, vb, EQ)
+        ba = ratio_report(names, vb, va, EQ)
         assert ab["max_ratio"] == pytest.approx(1 / ba["min_ratio"], rel=1e-12)
         assert ab["min_ratio"] == pytest.approx(1 / ba["max_ratio"], rel=1e-12)
 
     def test_report_invariants(self, spec1k, pair1k, corpus1k):
         # extremes bound every ratio and the witnesses reproduce them exactly
-        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
+        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
         na = lambda f: lp_norm(f, 2.0)
         nb = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, ws, pair1k))
-        rep = ratio_report([m.name for m in corpus1k], [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k])
+        rep = ratio_report([m.name for m in corpus1k], [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k], EQ)
         assert all(rep["min_ratio"] <= r <= rep["max_ratio"] for r in rep["ratios"])
         by_name = dict(zip(rep["members"], rep["ratios"]))
         assert by_name[rep["witness_min"]] == rep["min_ratio"]
@@ -156,31 +162,31 @@ class TestEquivalence:
 
         values = [broken(m.f) for m in corpus1k]
         with pytest.raises(ValueError):
-            ratio_report([m.name for m in corpus1k], values, values)
+            ratio_report([m.name for m in corpus1k], values, values, EQ)
 
 
 class TestCoincidence:
     def test_scaled_weight_passes(self, nodes):
         for c in (0.1, 1.0, 7.0):
-            res = coincidence_check(Pow(0.3), Prod((Const(c), Pow(0.3))), 2.0, 1.1, nodes)
+            res = coincidence_check(Pow(0.3), Prod((Const(c), Pow(0.3))), 2.0, 1.1, nodes, *CO)
             assert res["pass"] and not res["refused"]
             lo, hi = res["extremes"]["mean_p"]
             assert hi / lo == pytest.approx(1.0, rel=1e-12)
 
     def test_identical_weight(self, nodes):
-        res = coincidence_check(ShiftPow(0.4, 1.0), ShiftPow(0.4, 1.0), 2.0, 1.1, nodes)
+        res = coincidence_check(ShiftPow(0.4, 1.0), ShiftPow(0.4, 1.0), 2.0, 1.1, nodes, *CO)
         assert res["pass"]
         assert res["extremes"]["mean_p"] == (1.0, 1.0)
 
     def test_opposite_powers_fail(self, nodes):
-        res = coincidence_check(Pow(0.3), Pow(-0.3), 2.0, 1.5, nodes)
+        res = coincidence_check(Pow(0.3), Pow(-0.3), 2.0, 1.5, nodes, *CO)
         assert not res["pass"]
         assert res["spread"] > 1e3
 
     def test_refusal_on_hypothesis_failure(self, nodes):
         # with a tight Muckenhoupt ceiling the hypothesis precheck refuses,
         # and the result still carries the diagnostics
-        res = coincidence_check(Pow(0.3), Pow(-0.3), 2.0, 1.5, nodes, ap_ceiling=10.0)
+        res = coincidence_check(Pow(0.3), Pow(-0.3), 2.0, 1.5, nodes, CO[0], ap_ceiling=10.0)
         assert res["refused"] and not res["pass"]
         assert res["spread"] > 1e3
 
@@ -189,7 +195,7 @@ class TestCoincidence:
         # norms compare within C^2 on the corpus
         cases = [(Pow(0.3), Prod((Const(3.0), Pow(0.3)))), (ShiftPow(0.4, 1.0), ShiftPow(0.4, 1.0))]
         for t1, t2 in cases:
-            res = coincidence_check(t1, t2, 2.0, 1.1, nodes)
+            res = coincidence_check(t1, t2, 2.0, 1.1, nodes, *CO)
             assert res["pass"]
             w1 = GridFunction(spec1k, t1.on_grid(spec1k).values)
             w2 = GridFunction(spec1k, t2.on_grid(spec1k).values)
@@ -207,13 +213,13 @@ class TestRecordLayout:
     the report has always had."""
 
     def test_ratio_report(self):
-        rep = ratio_report(["a", "b", "c"], [1.0, 2.0, 0.0], [2.0, 2.0, 1.0])
+        rep = ratio_report(["a", "b", "c"], [1.0, 2.0, 0.0], [2.0, 2.0, 1.0], EQ)
         assert set(rep) == {"norm_a", "norm_b", "ratios", "members", "excluded", "min_ratio", "max_ratio",
                             "witness_min", "witness_max", "spread", "ceiling", "pass"}
         assert rep["members"] == ["a", "b"] and rep["excluded"] == ["c"] and rep["spread"] == 2.0
 
     def test_coincidence_check(self, nodes):
-        res = coincidence_check(Pow(0.3), Pow(0.3), 2.0, 1.1, nodes)
+        res = coincidence_check(Pow(0.3), Pow(0.3), 2.0, 1.1, nodes, *CO)
         assert set(res) == {"pass", "refused", "hypothesis", "extremes", "spread", "ceiling"}
         assert set(res["hypothesis"]) == {"ap_t1", "ap_t2", "ap_ceiling"}
         assert set(res["extremes"]) == {"mean_p", "mean_sigma1"}
@@ -240,14 +246,14 @@ class TestHoelderFloor:
 class TestDeltaCoefficients:
     def test_identical(self, spec1k):
         ok, info = delta_coefficient_check(
-            Pow(0.3), Pow(0.3), 2.0, 2.0, spec1k, range(-2, 6)
+            Pow(0.3), Pow(0.3), 2.0, 2.0, spec1k, range(-2, 6), CO[0]
         )
         assert ok
         assert info["spread"] == pytest.approx(1.0, rel=1e-12)
 
     def test_triple_ratio(self, spec1k):
         ok, info = delta_coefficient_check(
-            Pow(0.3), Prod((Const(3.0), Pow(0.3))), 2.0, 2.0, spec1k, range(-2, 6)
+            Pow(0.3), Prod((Const(3.0), Pow(0.3))), 2.0, 2.0, spec1k, range(-2, 6), CO[0]
         )
         assert ok
         assert info["min"] == pytest.approx(1 / 3, rel=1e-12)
@@ -256,7 +262,7 @@ class TestDeltaCoefficients:
     def test_opposite_powers_fail(self, spec1k):
         # deep origin-adjacent cubes separate the two weights
         ok, info = delta_coefficient_check(
-            Pow(0.3), Pow(-0.3), 2.0, 2.0, spec1k, range(-2, 7)
+            Pow(0.3), Pow(-0.3), 2.0, 2.0, spec1k, range(-2, 7), CO[0]
         )
         assert not ok
         assert info["spread"] > 50
@@ -278,12 +284,12 @@ class TestDeltaCoefficients:
                 cells = (slice(i * S, (i + 1) * S),) * n
                 n1, n2 = (_lp(t.on_grid(spec, k).values[cells], spec.cell_measure, p) for t in (t1, t2))
                 ratios.append(n1 / n2)
-        ok, info = delta_coefficient_check(t1, t2, p, 2.0, spec, levels)
+        ok, info = delta_coefficient_check(t1, t2, p, 2.0, spec, levels, CO[0])
         assert (info["min"], info["max"]) == (min(ratios), max(ratios))
         assert info["spread"] == max(ratios) / min(ratios)
         assert ok == (info["spread"] <= 50.0)
         with pytest.raises(GridError, match="level 5 cubes"):
-            delta_coefficient_check(t1, t2, p, 2.0, spec, range(-2, 6))
+            delta_coefficient_check(t1, t2, p, 2.0, spec, range(-2, 6), CO[0])
 
 
 class TestFrozenLevelNondegenerate:
@@ -295,7 +301,7 @@ class TestFrozenLevelNondegenerate:
 
         # modulation values are 2 and 1/2, so frozen-vs-sequence ratios live
         # in [1/4, 4] and the per-level spreads must be uniformly bounded
-        ws = WeightSequence(Prod((AltConst(2.0), Pow(0.3))), pair1k.k_min, pair1k.k_max, 2.0)
+        ws = WeightSequence(Prod((AltConst(2.0), Pow(0.3))), pair1k.k_min, pair1k.k_max)
         names = [m.name for m in corpus1k]
         seq_vals = [band_norm(m.f, NormRequest("F", 2.0, 2.0, ws, pair1k)) for m in corpus1k]
         spreads = {}
@@ -318,7 +324,7 @@ class TestTransformNormEquivalence:
         from lpw.lpaley import analyze
         from lpw.spaces import seq_b_norm, seq_f_norms
 
-        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max, 2.0)
+        ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
         req_f = NormRequest("F", 2.0, 2.0, ws, pair1k)
         req_b = NormRequest("B", 2.0, 1.0, ws, pair1k)
         ratios_f, ratios_b = [], []

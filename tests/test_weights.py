@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -658,13 +660,13 @@ def ap_witness_per_cube(gamma, p, nodes):
     return float(prod[i]), nodes.cube(i)
 
 
-def xclass_per_cube(ts, alpha, sigma, nodes):
+def xclass_per_cube(ts, p, alpha, sigma, nodes):
     """xclass_constants as it was taken: the level statistics in family order
     and np.argmax over each product."""
     (a1, a2), (s1, s2) = alpha, sigma
     A, B, D = {}, {}, {}
     for k in ts.levels():
-        stats = nodes.stats(ts.spec, [(ts.p, False), (s1, True), (s2, False)], k)
+        stats = nodes.stats(ts.spec, [(p, False), (s1, True), (s2, False)], k)
         A[k], B[k], D[k] = (out[nodes.orbit] for out in stats)
     C1 = C2 = -np.inf
     w1 = w2 = None
@@ -689,6 +691,30 @@ def as_cube(witness):
 _WITNESS_FAMILIES = [(8.0, 1, CubeFamily(-2, 5)), (2.0, 2, CubeFamily(-1, 3))]
 
 
+_CONFIGS = ("fixtures/default.json", "fixtures/smoke.json", "perfbench/configs/verify_2d.json")
+
+
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_fit_and_constants_read_one_growth_table(config):
+    # at the fitted alphas, the fit's C1 and C2 are those of xclass_constants
+    # bit for bit, and the witnesses those of the former k-major pair loop,
+    # for every weight of the config's matrix on its own cube family
+    from lpw.cli import RunConfig
+
+    ctx = RunConfig(json.loads((Path(__file__).resolve().parents[1] / config).read_text())).ctx
+    nodes = ctx.nodes()
+    p, theta = ctx.exponent_pairs[0]
+    sigma = (sigma1(p, theta), p)
+    for name, w in ctx.weights().items():
+        ts = WeightSequence(w, ctx.k_min, ctx.k_max)
+        fit = xclass_fit(ts, p, sigma, nodes)
+        alpha = (fit["alpha1"], fit["alpha2"])
+        rep = xclass_constants(ts, p, alpha, sigma, nodes)
+        assert (fit["C1"], fit["C2"]) == (rep["C1"], rep["C2"]), name
+        C1, C2, w1, w2 = xclass_per_cube(ts, p, alpha, sigma, nodes)
+        assert (rep["C1"], rep["C2"], as_cube(rep["witness1"]), as_cube(rep["witness2"])) == (C1, C2, w1, w2), name
+
+
 class TestPerOrbitStatistics:
     """Statistics hold one value per orbit; a witness is the first cube in
     family order whose orbit attains the maximum, as np.argmax over the
@@ -703,9 +729,9 @@ class TestPerOrbitStatistics:
         for gamma in (Pow(0.4), ShiftPow(-0.3, 2.0), Const(2.0)):
             assert ap_witness(gamma, 2.0, nodes) == ap_witness_per_cube(gamma, 2.0, nodes), gamma
         for spec in (Prod((Dyadic(1.0), Pow(0.2))), AltPow(0.3)):
-            ts = WeightSequence(spec, -2, 3, 2.0)
-            rep = xclass_constants(ts, (0.7, 1.2), (3.0, 2.0), nodes)
-            C1, C2, w1, w2 = xclass_per_cube(ts, (0.7, 1.2), (3.0, 2.0), nodes)
+            ts = WeightSequence(spec, -2, 3)
+            rep = xclass_constants(ts, 2.0, (0.7, 1.2), (3.0, 2.0), nodes)
+            C1, C2, w1, w2 = xclass_per_cube(ts, 2.0, (0.7, 1.2), (3.0, 2.0), nodes)
             assert (rep["C1"], rep["C2"], as_cube(rep["witness1"]), as_cube(rep["witness2"])) == (C1, C2, w1, w2), spec
 
     @pytest.mark.parametrize("family", _WITNESS_FAMILIES, ids=["1d", "2d"])
@@ -858,8 +884,8 @@ def witness_at(meta, witness):
 class TestXClass:
     def test_pure_dyadic_identity(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
-        ts = WeightSequence(Dyadic(1.5), -3, 4, 2.0)
-        rep = xclass_constants(ts, (1.5, 1.5), (2.0, 2.0), nodes)
+        ts = WeightSequence(Dyadic(1.5), -3, 4)
+        rep = xclass_constants(ts, 2.0, (1.5, 1.5), (2.0, 2.0), nodes)
         assert rep["C1"] == pytest.approx(1.0, abs=1e-12)
         assert rep["C2"] == pytest.approx(1.0, abs=1e-12)
 
@@ -868,15 +894,15 @@ class TestXClass:
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 6))
         r, p = 4.0 / 3.0, 2.0
         s1 = r * conjugate(p / r)
-        ts = WeightSequence(Prod((Dyadic(0.5), Pow(0.1))), -3, 4, p)
-        rep = xclass_constants(ts, (0.5, 0.5), (s1, p), nodes)
+        ts = WeightSequence(Prod((Dyadic(0.5), Pow(0.1))), -3, 4)
+        rep = xclass_constants(ts, p, (0.5, 0.5), (s1, p), nodes)
         assert np.isfinite(rep["C1"]) and np.isfinite(rep["C2"])
         assert rep["C1"] < 50 and rep["C2"] < 50
 
     def test_witnesses_reproduce_sups(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5))
-        ts = WeightSequence(Prod((Dyadic(1.0), Pow(0.2))), -2, 3, 2.0)
-        rep = xclass_constants(ts, (0.7, 1.2), (3.0, 2.0), nodes)
+        ts = WeightSequence(Prod((Dyadic(1.0), Pow(0.2))), -2, 3)
+        rep = xclass_constants(ts, 2.0, (0.7, 1.2), (3.0, 2.0), nodes)
         meta = family_cubes(nodes)
         k, j, i = witness_at(meta, rep["witness1"])
         i = nodes.orbit[i]
@@ -890,25 +916,25 @@ class TestXClass:
     def test_sigma_infinity_component(self):
         # sup-type second component: pure dyadic scaling still cancels exactly
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
-        ts = WeightSequence(Dyadic(1.0), -2, 3, 2.0)
-        rep = xclass_constants(ts, (1.0, 1.0), (2.0, np.inf), nodes)
+        ts = WeightSequence(Dyadic(1.0), -2, 3)
+        rep = xclass_constants(ts, 2.0, (1.0, 1.0), (2.0, np.inf), nodes)
         assert rep["C1"] == pytest.approx(1.0, abs=1e-12)
         assert rep["C2"] == pytest.approx(1.0, abs=1e-12)
 
     def test_super_geometric_blows_up(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
-        narrow = WeightSequence(SquaredDyadic(), 0, 3, 2.0)
-        wide = WeightSequence(SquaredDyadic(), 0, 7, 2.0)
-        r1 = xclass_constants(narrow, (1.0, 1.0), (2.0, 2.0), nodes)
-        r2 = xclass_constants(wide, (1.0, 1.0), (2.0, 2.0), nodes)
+        narrow = WeightSequence(SquaredDyadic(), 0, 3)
+        wide = WeightSequence(SquaredDyadic(), 0, 7)
+        r1 = xclass_constants(narrow, 2.0, (1.0, 1.0), (2.0, 2.0), nodes)
+        r2 = xclass_constants(wide, 2.0, (1.0, 1.0), (2.0, 2.0), nodes)
         assert r2["C1"] * r2["C2"] > 100 * r1["C1"] * r1["C2"]
 
     def test_scale_invariance(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
-        a = WeightSequence(Prod((Dyadic(0.5), Pow(0.1))), -2, 3, 2.0)
-        b = WeightSequence(Prod((Const(7.0), Dyadic(0.5), Pow(0.1))), -2, 3, 2.0)
-        ra = xclass_constants(a, (0.5, 0.5), (3.0, 2.0), nodes)
-        rb = xclass_constants(b, (0.5, 0.5), (3.0, 2.0), nodes)
+        a = WeightSequence(Prod((Dyadic(0.5), Pow(0.1))), -2, 3)
+        b = WeightSequence(Prod((Const(7.0), Dyadic(0.5), Pow(0.1))), -2, 3)
+        ra = xclass_constants(a, 2.0, (0.5, 0.5), (3.0, 2.0), nodes)
+        rb = xclass_constants(b, 2.0, (0.5, 0.5), (3.0, 2.0), nodes)
         assert rb["C1"] == pytest.approx(ra["C1"], rel=1e-12)
         assert rb["C2"] == pytest.approx(ra["C2"], rel=1e-12)
 
@@ -916,30 +942,30 @@ class TestXClass:
         # xclass_constants takes the sequence as admissible; the check that
         # precedes it in `lpw weights xclass` rejects this one
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
-        ts = WeightSequence(Pow(-0.6), -2, 3, 2.0)  # |x|^(-1.2) not integrable
+        ts = WeightSequence(Pow(-0.6), -2, 3)  # |x|^(-1.2) not integrable
         with pytest.raises(WeightError):
-            check_admissible(ts, nodes.R, nodes.n)
+            check_admissible(ts, 2.0, nodes.R, nodes.n)
 
 
 class TestXClassFit:
     def test_pure_dyadic_rate(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
-        ts = WeightSequence(Dyadic(3.0), -3, 4, 2.0)
-        fit = xclass_fit(ts, (2.0, 2.0), nodes)
+        ts = WeightSequence(Dyadic(3.0), -3, 4)
+        fit = xclass_fit(ts, 2.0, (2.0, 2.0), nodes)
         assert fit["alpha1"] == pytest.approx(3.0, abs=fit["grid_step"])
         assert fit["alpha2"] == pytest.approx(3.0, abs=fit["grid_step"])
 
     def test_constant_sequence(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
-        ts = WeightSequence(Const(1.0), -3, 4, 2.0)
-        fit = xclass_fit(ts, (2.0, 2.0), nodes)
+        ts = WeightSequence(Const(1.0), -3, 4)
+        fit = xclass_fit(ts, 2.0, (2.0, 2.0), nodes)
         assert fit["alpha1"] == pytest.approx(0.0, abs=fit["grid_step"])
         assert fit["alpha2"] == pytest.approx(0.0, abs=fit["grid_step"])
 
     def test_modulated_dyadic(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5))
-        ts = WeightSequence(Prod((Dyadic(0.5), Pow(0.3))), -3, 4, 2.0)
-        fit = xclass_fit(ts, (sigma1(2.0, 1.2), 2.0), nodes)
+        ts = WeightSequence(Prod((Dyadic(0.5), Pow(0.3))), -3, 4)
+        fit = xclass_fit(ts, 2.0, (sigma1(2.0, 1.2), 2.0), nodes)
         assert fit["alpha1"] <= fit["alpha2"] + fit["grid_step"]
         assert abs(fit["alpha1"] - 0.5) < 0.25
         assert abs(fit["alpha2"] - 0.5) < 0.25
@@ -959,7 +985,7 @@ class TestRecordLayout:
 
     def test_xclass_constants(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
-        rep = xclass_constants(WeightSequence(Dyadic(1.0), -2, 3, 2.0), (1.0, 1.0), (2.0, np.inf), nodes)
+        rep = xclass_constants(WeightSequence(Dyadic(1.0), -2, 3), 2.0, (1.0, 1.0), (2.0, np.inf), nodes)
         assert set(rep) == {"alpha", "sigma", "p", "C1", "C2", "witness1", "witness2"}
         assert rep["alpha"] == [1.0, 1.0] and rep["sigma"] == [2.0, np.inf] and rep["p"] == 2.0
         for key in ("witness1", "witness2"):
@@ -968,7 +994,7 @@ class TestRecordLayout:
 
     def test_xclass_fit(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
-        fit = xclass_fit(WeightSequence(Const(1.0), -3, 4, 2.0), (2.0, 2.0), nodes)
+        fit = xclass_fit(WeightSequence(Const(1.0), -3, 4), 2.0, (2.0, 2.0), nodes)
         assert set(fit) == {"alpha1", "alpha2", "C1", "C2", "grid_step"}
 
 
@@ -1002,18 +1028,18 @@ class TestSameConstant:
 
     def test_dyadic_factor_cancels(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5))
-        ts = WeightSequence(Prod((Dyadic(0.7), Pow(0.2))), -3, 4, 2.0)
+        ts = WeightSequence(Prod((Dyadic(0.7), Pow(0.2))), -3, 4)
         vals = level_ap_constants(ts, 2.0, 1.2, nodes)
         assert max(vals) == pytest.approx(min(vals), rel=1e-12)
 
     def test_level_independent(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5))
-        vals = level_ap_constants(WeightSequence(Pow(0.3), -3, 4, 2.0), 2.0, 1.2, nodes)
+        vals = level_ap_constants(WeightSequence(Pow(0.3), -3, 4), 2.0, 1.2, nodes)
         assert max(vals) <= 1.01 * min(vals)
 
     def test_alternating_exponent_fails(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5))
-        vals = level_ap_constants(WeightSequence(AltPow(0.3), -3, 4, 2.0), 2.0, 1.2, nodes)
+        vals = level_ap_constants(WeightSequence(AltPow(0.3), -3, 4), 2.0, 1.2, nodes)
         assert max(vals) > 1.01 * min(vals)
 
 
@@ -1057,16 +1083,16 @@ def _property_nodes():
 
 class TestAdmissibility:
     def test_integrable_passes(self):
-        check_admissible(WeightSequence(Pow(-0.45), -2, 3, 2.0), 8.0, 1)
-        check_admissible(WeightSequence(Prod((Dyadic(1.0), Pow(0.3))), -2, 3, 2.0), 8.0, 1)
+        check_admissible(WeightSequence(Pow(-0.45), -2, 3), 2.0, 8.0, 1)
+        check_admissible(WeightSequence(Prod((Dyadic(1.0), Pow(0.3))), -2, 3), 2.0, 8.0, 1)
 
     def test_divergent_rejected(self):
         with pytest.raises(WeightError):
-            check_admissible(WeightSequence(Pow(-0.6), -2, 3, 2.0), 8.0, 1)
+            check_admissible(WeightSequence(Pow(-0.6), -2, 3), 2.0, 8.0, 1)
 
     def test_log_divergent_rejected(self):
         with pytest.raises(WeightError):
-            check_admissible(WeightSequence(Pow(-0.5), -2, 3, 2.0), 8.0, 1)
+            check_admissible(WeightSequence(Pow(-0.5), -2, 3), 2.0, 8.0, 1)
 
 
 def per_level_weigh(ws, fs):
@@ -1128,7 +1154,7 @@ class TestWeigh:
     @pytest.mark.parametrize("w", _LEVEL_FREE, ids=_LEVEL_FREE_IDS)
     def test_level_free_broadcast_equals_per_level(self, w, signed_stack, monkeypatch):
         assert w.level_free
-        ws = WeightSequence(w, -2, 4, 2.0)
+        ws = WeightSequence(w, -2, 4)
         calls = self.count_samples(monkeypatch)
         got = ws.weigh(magnitudes(signed_stack))
         assert calls == [-2]  # one sample serves every level
@@ -1138,7 +1164,7 @@ class TestWeigh:
     @pytest.mark.parametrize("w", _LEVEL_DEPENDENT, ids=_LEVEL_DEPENDENT_IDS)
     def test_level_dependent_weights_sampled_per_level(self, w, signed_stack, monkeypatch):
         assert not w.level_free
-        ws = WeightSequence(w, -2, 4, 2.0)
+        ws = WeightSequence(w, -2, 4)
         calls = self.count_samples(monkeypatch)
         got = ws.weigh(magnitudes(signed_stack))
         assert calls == list(ws.levels())
@@ -1146,7 +1172,7 @@ class TestWeigh:
 
     @pytest.mark.parametrize("w", [_LEVEL_FREE[0], Pow(0.3), _LEVEL_DEPENDENT[1]], ids=["frozen", "pow", "dyadic-prod"])
     def test_nonneg_stack_taken_as_it_is(self, w, signed_stack):
-        ws = WeightSequence(w, -3, 5, 2.0)
+        ws = WeightSequence(w, -3, 5)
         mags = magnitudes(signed_stack)
         before = mags.values.copy()
         got = ws.weigh(mags)
@@ -1157,11 +1183,11 @@ class TestWeigh:
         before, mags = signed_stack.values.copy(), magnitudes(signed_stack)
         mags_before = mags.values.copy()
         for w in (Pow(0.3), Dyadic(0.5)):
-            WeightSequence(w, -3, 5, 2.0).weigh(mags)
+            WeightSequence(w, -3, 5).weigh(mags)
         assert (signed_stack.values == before).all() and (mags.values == mags_before).all()
 
     def test_levels_outside_the_stack_rejected(self, signed_stack):
         for k_min, k_max in ((-4, 2), (0, 6)):
             for w in (Pow(0.3), Dyadic(0.5)):
                 with pytest.raises(GridError, match="leave the stack"):
-                    WeightSequence(w, k_min, k_max, 2.0).weigh(magnitudes(signed_stack))
+                    WeightSequence(w, k_min, k_max).weigh(magnitudes(signed_stack))
