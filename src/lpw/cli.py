@@ -39,13 +39,10 @@ from .weights import (
     Prod,
     WeightError,
     WeightSequence,
-    ap_requests,
     ap_witness,
     check_admissible,
-    level_requests,
     parse_weight,
     reverse_holder_probe,
-    rh_requests,
     sigma1,
     xclass_constants,
     xclass_fit,
@@ -177,15 +174,17 @@ class RunConfig:
             except WeightError as exc:
                 raise ConfigError(f"weights.{name}", str(exc)) from None
         pairs = _get(raw, "exponents", [[2.0, 1.2], [3.0, 1.5]])
+        _require(isinstance(pairs, list), "exponents", f"expected a list of [p, theta] pairs, got {pairs!r}")
         exponent_pairs = []
         for i, pq in enumerate(pairs):
-            _require(len(pq) == 2, f"exponents[{i}]", "expected [p, theta]")
+            _require(isinstance(pq, list) and len(pq) == 2, f"exponents[{i}]", f"expected [p, theta], got {pq!r}")
             p = _parse_exponent(pq[0], f"exponents[{i}].p")
             theta = _parse_exponent(pq[1], f"exponents[{i}].theta")
             _require(theta < p, f"exponents[{i}].theta", f"needs theta < p, got {theta} >= {p}")
             exponent_pairs.append((p, theta))
         suites = _get(raw, "suites", list(ALL_SUITES))
-        _require(isinstance(suites, list), "suites", f"expected a list of suite names, got {suites!r}")
+        _require(isinstance(suites, list) and all(isinstance(name, str) for name in suites), "suites",
+                 f"expected a list of suite names, got {suites!r}")
         self.suites = list(suites)
         for name in self.suites:
             _require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
@@ -407,46 +406,37 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
     nodes = ctx.nodes()
     p, theta = ctx.exponent_pairs[0]
     weights = ctx.weights()
-    # one quadrature pass serves the whole matrix: a separable weight's
-    # statistics serve all of its levels, the others reduce level by level
-    if op == "xclass":
-        nodes.prefetch([w for w in weights.values() if w.separable], level_requests(p, (sigma1(p, theta), p)))
-    else:
-        nodes.prefetch(weights.values(), ap_requests(p) + (rh_requests() if op == "rh" else []))
+    heads = {name: {"weight": name, "expr": ctx.weight_matrix[name]} for name in weights}
     records = []
-    for name, w in weights.items():
-        text = ctx.weight_matrix[name]
-        if op == "ap":
-            const, witness = ap_witness(w, p, nodes)
-            v, m, translated = witness
-            records.append(
-                {
-                    "weight": name,
-                    "expr": text,
-                    "p": p,
-                    "family": {"v_min": ctx.family.v_min, "v_max": ctx.family.v_max,
-                               "translates": ctx.family.translates},
-                    "constant": const,
-                    "witness_cube": {"v": v, "m": list(m), "translated": translated},
-                }
-            )
-        elif op == "xclass":
+    # each op reduces the whole matrix in one quadrature pass: a separable
+    # weight's statistics serve all of its levels
+    if op == "ap":
+        family = {"v_min": ctx.family.v_min, "v_max": ctx.family.v_max, "translates": ctx.family.translates}
+        for name, (const, (v, m, translated)) in zip(weights, ap_witness(weights.values(), p, nodes)):
+            records.append({**heads[name], "p": p, "family": family, "constant": const,
+                            "witness_cube": {"v": v, "m": list(m), "translated": translated}})
+    elif op == "xclass":
+        s1 = sigma1(p, theta)
+        seqs, errors = {}, {}
+        for name, w in weights.items():
             ts = WeightSequence(w, ctx.k_min, ctx.k_max)
-            s1 = sigma1(p, theta)
             try:
                 check_admissible(ts, p, ctx.spec.R, ctx.spec.n)
-                fit = xclass_fit(ts, p, (s1, p), nodes)
-                rep = xclass_constants(ts, p, (fit["alpha1"], fit["alpha2"]), (s1, p), nodes)
-                # the constants at the fitted alphas replace the fit's own C1, C2
-                records.append({"weight": name, "expr": text, **fit, **rep})
+                seqs[name] = ts
             except WeightError as exc:
-                records.append({"weight": name, "expr": text, "error": str(exc)})
-        elif op == "rh":
-            try:
-                probe = reverse_holder_probe(w, p, nodes, ap_ceiling=CEILINGS["ap_hypothesis"])
-                records.append({"weight": name, "expr": text, "p": p, **probe})
-            except WeightError as exc:
-                records.append({"weight": name, "expr": text, "error": str(exc)})
+                errors[name] = str(exc)
+        fits = dict(zip(seqs, xclass_fit(list(seqs.values()), p, (s1, p), nodes)))
+        for name in weights:
+            if name in errors:
+                records.append({**heads[name], "error": errors[name]})
+                continue
+            fit = fits[name]
+            rep = xclass_constants(seqs[name], p, (fit["alpha1"], fit["alpha2"]), (s1, p), nodes)
+            # the constants at the fitted alphas replace the fit's own C1, C2
+            records.append({**heads[name], **fit, **rep})
+    elif op == "rh":
+        for name, probe in zip(weights, reverse_holder_probe(weights.values(), p, nodes, CEILINGS["ap_hypothesis"])):
+            records.append({**heads[name], **probe} if "error" in probe else {**heads[name], "p": p, **probe})
     _write_json(out / f"weights_{op}.json", {"op": op, "records": records})
     print(f"wrote {out / f'weights_{op}.json'} ({len(records)} records)")
     return 0

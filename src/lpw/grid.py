@@ -167,11 +167,6 @@ class GridFunction:
             raise GridError("grid function contains non-finite samples")
         object.__setattr__(self, "values", v)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        if other.spec != self.spec:
-            raise GridError("grid mismatch in addition")
-        return GridFunction(self.spec, self.values + other.values)
-
 
 def level_index_range(R: float, v: int) -> tuple[int, int]:
     """Positions m of level-v cubes meeting [-R, R): m in [-C, C)."""

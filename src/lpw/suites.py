@@ -23,7 +23,6 @@ from .verify import (
     coincidence_check,
     delta_coefficient_check,
     holder_floors,
-    holder_requests,
     make_corpus,
     ratio_report,
 )
@@ -34,8 +33,6 @@ from .weights import (
     WeightSequence,
     WeightSpec,
     ap_constant,
-    ap_requests,
-    level_requests,
     parse_weight,
     sigma1,
     xclass_fit,
@@ -173,22 +170,16 @@ def suite_muckenhoupt(ctx: RunContext) -> dict:
     # no other suite reads the deeper families: each is built here and
     # dropped before the next, so the two never exist at once
     stable, grow = [Pow(a) for a in (-0.5, 0.0, 0.5, 0.9)], [Pow(a) for a in (1.5, 2.0)]
-    base.prefetch(stable + grow, ap_requests(p))  # one pass per family
+    c_base = ap_constant(stable + grow, p, base)  # one pass per family
     plus2 = deeper(2)
-    plus2.prefetch(stable, ap_requests(p))
-    for w in stable:
-        c0 = ap_constant(w, p, base)
-        c2 = ap_constant(w, p, plus2)
+    for w, c0, c2 in zip(stable, c_base, ap_constant(stable, p, plus2)):
         drift = abs(c2 / c0 - 1.0)
         good = drift < 0.05
         ok &= good
         records.append({"alpha": w.a, "kind": "stable", "base": c0, "plus2": c2, "drift": drift, "pass": good})
     del plus2
     plus10 = deeper(10)
-    plus10.prefetch(grow, ap_requests(p))
-    for w in grow:
-        c0 = ap_constant(w, p, base)
-        c10 = ap_constant(w, p, plus10)
+    for w, c0, c10 in zip(grow, c_base[len(stable):], ap_constant(grow, p, plus10)):
         growth = c10 / c0
         good = growth >= 10.0
         ok &= good
@@ -202,9 +193,7 @@ def suite_hoelder(ctx: RunContext) -> dict:
     records = []
     ok = True
     weights = ctx.weights()
-    nodes.prefetch(weights.values(), holder_requests(ctx.exponent_pairs))  # one pass for the matrix
-    for name, w in weights.items():
-        floors = holder_floors(w, ctx.exponent_pairs, nodes)
+    for name, floors in zip(weights, holder_floors(weights.values(), ctx.exponent_pairs, nodes)):
         for (p, theta), floor in zip(ctx.exponent_pairs, floors):
             good = floor >= 1.0 - 1e-12
             ok &= good
@@ -591,11 +580,9 @@ def suite_xclassfit(ctx: RunContext) -> dict:
     ok = True
     p, theta = 2.0, 1.2
     s1 = sigma1(p, theta)
-    seqs = {name: WeightSequence(w, ctx.k_min, ctx.k_max) for name, w in ctx.weights().items()}
-    # one pass for the separable weights, whose statistics serve every level
-    nodes.prefetch([ts.spec for ts in seqs.values() if ts.spec.separable], level_requests(p, (s1, p)))
-    for name, ts in seqs.items():
-        fit = xclass_fit(ts, p, (s1, p), nodes)
+    weights = ctx.weights()
+    seqs = [WeightSequence(w, ctx.k_min, ctx.k_max) for w in weights.values()]
+    for name, fit in zip(weights, xclass_fit(seqs, p, (s1, p), nodes)):
         good = fit["alpha2"] >= fit["alpha1"] - fit["grid_step"] - 1e-12
         ok &= good
         records.append({"weight": name, **fit, "pass": good})

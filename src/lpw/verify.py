@@ -242,13 +242,10 @@ def coincidence_check(
     still reported as diagnostics.
     """
     s1 = sigma1(p, theta)
-    hyp = {
-        "ap_t1": ap_constant(t1.power(p), p / theta, nodes),
-        "ap_t2": ap_constant(t2.power(p), p / theta, nodes),
-        "ap_ceiling": ap_ceiling,
-    }
-    refused = hyp["ap_t1"] > ap_ceiling or hyp["ap_t2"] > ap_ceiling
-    (mean1, inv1), (mean2, inv2) = (nodes.stats(t, [(p, False), (s1, True)]) for t in (t1, t2))
+    ap_t1, ap_t2 = ap_constant([t1.power(p), t2.power(p)], p / theta, nodes)
+    hyp = {"ap_t1": ap_t1, "ap_t2": ap_t2, "ap_ceiling": ap_ceiling}
+    refused = ap_t1 > ap_ceiling or ap_t2 > ap_ceiling
+    (mean1, inv1), (mean2, inv2) = nodes.stats([t1, t2], [(p, False), (s1, True)])
     rho_p = mean1 / mean2
     rho_s = inv1 / inv2
     extremes = {
@@ -264,18 +261,13 @@ def coincidence_check(
             "extremes": extremes, "spread": spread, "ceiling": ceiling}
 
 
-def holder_requests(pairs) -> list[tuple[float, bool]]:
-    """M_{Q,p} and M_{Q,s1} of the inverse for every (p, theta) in pairs: the
-    cube statistics of holder_floors, for FamilyNodes.prefetch."""
-    return [req for p, theta in pairs for req in ((p, False), (sigma1(p, theta), True))]
-
-
-def holder_floors(t: WeightSpec, pairs, nodes: FamilyNodes) -> list[float]:
-    """min over cubes of M_{Q,p}(t) M_{Q,s1}(t^-1) for every (p, theta) in
-    pairs, from one pass over t; each is at least 1 up to rounding since both
-    means share one quadrature measure."""
-    means = nodes.stats(t, holder_requests(pairs))
-    return [float((means[i] * means[i + 1]).min()) for i in range(0, len(means), 2)]
+def holder_floors(weights, pairs, nodes: FamilyNodes) -> list[list[float]]:
+    """Per weight t, min over cubes of M_{Q,p}(t) M_{Q,s1}(t^-1) for every
+    (p, theta) in pairs, all from one pass; each is at least 1 up to rounding
+    since both means share one quadrature measure."""
+    requests = [req for p, theta in pairs for req in ((p, False), (sigma1(p, theta), True))]
+    return [[float((means[i] * means[i + 1]).min()) for i in range(0, len(means), 2)]
+            for means in nodes.stats(weights, requests)]
 
 
 def delta_coefficient_check(

@@ -490,12 +490,13 @@ class FamilyNodes:
     attains a maximum, and cube(i) names the i-th cube.  Min, max and the products and ratios of statistics need no family
     order.  Cube statistics are cached per (radial profile, exponent,
     inverse) for separable weights and per (weight, level, exponent,
-    inverse) otherwise.  prefetch() computes the statistics a set of weights
-    needs in one pass: the radius of each row chunk of about _CHUNK_NODES
-    representative nodes is formed once, each weight's profile is evaluated
-    on it once, every requested power and extreme is taken from that
-    evaluation, and each row is summed against the node weights on its own
-    (see _reduce).  stats() is prefetch() for one weight.
+    inverse) otherwise.  stats() is the one way in: it computes the
+    statistics a list of weights needs in one pass, where the radius of each
+    row chunk of about _CHUNK_NODES representative nodes is formed once, each
+    weight's profile is evaluated on it once, every requested power and
+    extreme is taken from that evaluation, and each row is summed against the
+    node weights on its own (see _reduce).  means() is stats() for one weight
+    and one exponent.
     """
 
     def __init__(self, R: float, n: int, family: CubeFamily):
@@ -646,40 +647,28 @@ class FamilyNodes:
     def means(self, w: WeightSpec, r: float, k: int = 0) -> np.ndarray:
         """M_{Q,r}(t_k) per orbit, one value per representative row (index it
         by self.orbit for family order); r = inf is the node max."""
-        return self.stats(w, [(r, False)], k)[0]
+        return self.stats([w], [(r, False)], k)[0][0]
 
-    def stats(self, w: WeightSpec, requests: list[tuple[float, bool]], k: int = 0) -> list[np.ndarray]:
-        """One array per request (r, inverse): the cube r-means of t_k, or of
-        t_k^-1 when inverse is set, one value per orbit in representative row
-        order (self.orbit[i] is the row of the i-th cube in family order);
-        r = inf gives the node max.  Ask for everything a weight needs in
-        one call: the requests not yet cached share one pass.
+    def stats(self, weights, requests: list[tuple[float, bool]], k: int = 0) -> list[list[np.ndarray]]:
+        """Per weight, one array per request (r, inverse): the cube r-means of
+        t_k, or of t_k^-1 when inverse is set, one value per orbit in
+        representative row order (self.orbit[i] is the row of the i-th cube in
+        family order); r = inf gives the node max.  Ask for everything the
+        weights need in one call: the requests not yet cached, for all of
+        them, share one pass, and the weights that share a radial profile
+        share its reduction.
 
         A separable weight 2^(k s) g is reduced once per (radial profile, r,
         inverse) and rescaled per level; any other weight once per (weight, k,
         r, inverse).  Weights are compared by value, not by key(), whose
         6-digit floats would let pow:0.3 and pow:0.3000001 share an entry.
         """
-        self.prefetch([w], requests, k)
-        s, key, _ = self._entry(w, k)
-        outs = []
-        for r, inverse in requests:
-            out = self._cache[key + (r, inverse)]
-            e = s * -1.0 if inverse else s  # the exponent of PowOf(w, -1).split()
-            outs.append((2.0 ** (k * e)) * out if e else out)
-        return outs
-
-    def prefetch(self, weights, requests: list[tuple[float, bool]], k: int = 0) -> None:
-        """Cache stats(w, requests, k) for every w in weights with one pass
-        over the nodes: each radial profile (or, for a weight that is not
-        separable, each weight at level k) reduces only the requests not yet
-        cached, and the weights that share a profile share its reduction."""
         for r, _ in requests:
             if r <= 0:
                 raise WeightError(f"statistic exponent must be positive, got {r}")
+        entries = [self._entry(w, k) for w in weights]
         jobs = {}
-        for w in weights:
-            _, key, f = self._entry(w, k)
+        for _, key, f in entries:
             missing = [req for req in dict.fromkeys(requests) if key + req not in self._cache]
             if missing:
                 jobs.setdefault(key, (f, missing))
@@ -687,6 +676,13 @@ class FamilyNodes:
             for key, outs in zip(jobs, self._reduce(list(jobs.values()))):
                 for req, out in zip(jobs[key][1], outs):
                     self._cache[key + req] = out
+
+        def at_level(out, e):  # t_k = 2^(k e) g; t_k^-1 has e = s * -1.0, as PowOf(w, -1).split() gives
+            scale = 2.0**(k * e)
+            return out if scale == 1.0 else scale * out  # x * 1.0 == x: the cached array serves as it is
+
+        return [[at_level(self._cache[key + (r, inverse)], s * -1.0 if inverse else s) for r, inverse in requests]
+                for s, key, _ in entries]
 
     def _entry(self, w: WeightSpec, k: int):
         """(s, cache key, f) of w at level k: a separable weight 2^(k s) g is
@@ -842,91 +838,87 @@ def sigma1(p: float, theta: float) -> float:
     return theta * conjugate(p / theta)
 
 
-def ap_constant(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> float:
-    """Largest cube product M_Q(gamma) * M_{Q,p'/p}(gamma^-1) over the family.
+def ap_constant(gammas, p: float, nodes: FamilyNodes) -> list[float]:
+    """Per weight, the largest cube product M_Q(gamma) * M_{Q,p'/p}(gamma^-1)
+    over the family.
 
     A lower estimate of the Muckenhoupt constant that grows as the family
     refines exactly when the weight falls outside the class.
     """
+    return [float(prod.max()) for prod in _ap_products(gammas, p, nodes)]
+
+
+def ap_witness(gammas, p: float, nodes: FamilyNodes) -> list[tuple[float, tuple]]:
+    """Per weight, its ap_constant and the first cube in family order that attains it."""
+    return [(float(prod.max()), nodes.cube(nodes.argmax_cube(prod))) for prod in _ap_products(gammas, p, nodes)]
+
+
+def _ap_pair(p: float) -> list[tuple[float, bool]]:
+    """The cube statistics of the A_p products: M_Q(gamma) and M_{Q,p'/p}(gamma^-1)."""
     if p <= 1:
         raise WeightError(f"ap_constant needs p > 1, got {p}")
-    return float(_ap_products(gamma, p, nodes).max())
-
-
-def ap_witness(gamma: WeightSpec, p: float, nodes: FamilyNodes):
-    prod = _ap_products(gamma, p, nodes)
-    return float(prod.max()), nodes.cube(nodes.argmax_cube(prod))
-
-
-def ap_requests(p: float) -> list[tuple[float, bool]]:
-    """The cube statistics of the A_p products: M_Q(gamma) and
-    M_{Q,p'/p}(gamma^-1), for FamilyNodes.prefetch over several weights."""
     return [(1.0, False), (conjugate(p) / p, True)]
 
 
-def _ap_products(gamma: WeightSpec, p: float, nodes: FamilyNodes) -> np.ndarray:
-    """M_Q(gamma) * M_{Q,p'/p}(gamma^-1) per orbit, from one pass over gamma."""
-    mean, inv_mean = nodes.stats(gamma, ap_requests(p))
-    return mean * inv_mean
+def _ap_products(gammas, p: float, nodes: FamilyNodes) -> list[np.ndarray]:
+    """Per weight, M_Q(gamma) * M_{Q,p'/p}(gamma^-1) per orbit, all from one pass."""
+    return [mean * inv_mean for mean, inv_mean in nodes.stats(gammas, _ap_pair(p))]
 
 
 # reverse_holder_probe tries the exponents 1 + eps
 _RH_EPS = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8)
 
 
-def rh_requests() -> list[tuple[float, bool]]:
-    """The cube means reverse_holder_probe reads after its A_p check: M_Q
-    and M_{Q,1+eps} at every eps it tries."""
-    return [(1.0, False)] + [(1.0 + eps, False) for eps in _RH_EPS]
-
-
-def reverse_holder_probe(gamma: WeightSpec, p: float, nodes: FamilyNodes, ap_ceiling: float) -> dict:
-    """Largest eps in 0.05 * 2^i (i = 0..8) with
+def reverse_holder_probe(gammas, p: float, nodes: FamilyNodes, ap_ceiling: float) -> list[dict]:
+    """Per weight, the largest eps in 0.05 * 2^i (i = 0..8) with
     sup_Q M_{Q,1+eps}(gamma)/M_Q(gamma) <= 1.5, with the sup at every eps:
-    the record {best_eps, sup_ratio, ratios, bound} of weights_rh.json."""
-    if ap_constant(gamma, p, nodes) > ap_ceiling:
-        raise WeightError(
-            f"weight {gamma.key()} exceeds the Muckenhoupt ceiling {ap_ceiling:g}; "
-            "the self-improvement probe needs a class weight"
-        )
+    the record {best_eps, sup_ratio, ratios, bound} of weights_rh.json.  A
+    weight whose ap_constant exceeds ap_ceiling gets the record {error}
+    instead.  The A_p statistics and the 1 + eps means share one pass."""
     bound = 1.5
-    base, *higher = nodes.stats(gamma, rh_requests())
-    ratios = {}
-    best = None
-    best_ratio = None
-    for eps, mean in zip(_RH_EPS, higher):
-        sup = float((mean / base).max())
-        ratios[eps] = sup
-        if sup <= bound:
-            best, best_ratio = eps, sup
-    return {"best_eps": best, "sup_ratio": best_ratio, "ratios": ratios, "bound": bound}
+    records = []
+    requests = _ap_pair(p) + [(1.0 + eps, False) for eps in _RH_EPS]
+    for gamma, (base, inv_mean, *higher) in zip(gammas, nodes.stats(gammas, requests)):
+        if float((base * inv_mean).max()) > ap_ceiling:
+            records.append({"error": f"weight {gamma.key()} exceeds the Muckenhoupt ceiling {ap_ceiling:g}; "
+                                     "the self-improvement probe needs a class weight"})
+            continue
+        ratios = {eps: float((mean / base).max()) for eps, mean in zip(_RH_EPS, higher)}
+        best = max((eps for eps, sup in ratios.items() if sup <= bound), default=None)
+        records.append({"best_eps": best, "sup_ratio": ratios.get(best), "ratios": ratios, "bound": bound})
+    return records
 
 
-def _witness(k: int, j: int, cube: tuple[int, tuple[int, ...], bool]) -> dict:
-    v, m, translated = cube
-    return {"k": k, "j": j, "cube": {"v": v, "m": list(m), "translated": translated}}
-
-
-def level_requests(p: float, sigma: tuple[float, float]) -> list[tuple[float, bool]]:
-    """The cube statistics of the growth bounds at every level:
-    M_{Q,p}(t_k), M_{Q,s1}(t_k^-1) and M_{Q,s2}(t_k)."""
+def _growth_requests(p: float, sigma: tuple[float, float]) -> list[tuple[float, bool]]:
+    """The cube statistics of both growth bounds at a level: M_{Q,p}(t_k), M_{Q,s1}(t_k^-1), M_{Q,s2}(t_k)."""
     s1, s2 = sigma
     return [(p, False), (s1, True), (s2, False)]
 
 
-def _growth_table(ts: WeightSequence, p: float, sigma: tuple[float, float], nodes: FamilyNodes):
-    """The cube maxima behind both growth bounds, for each level pair k <= j
-    in k-major order, {(k, j): (max_Q M_{Q,p}(t_k) M_{Q,s1}(t_j^-1),
-    max_Q M_{Q,s2}(t_j) / M_{Q,p}(t_k))}, and the pair's two products per
-    orbit, for a witness.  Rounding is monotone, so an entry times a power
-    2^(a (j - k)) is the maximum of the product times it, bit for bit."""
-    A, B, D = {}, {}, {}
-    for k in ts.levels():
-        A[k], B[k], D[k] = nodes.stats(ts.spec, level_requests(p, sigma), k)
-    products = lambda k, j: (A[k] * B[j], D[j] / A[k])
-    table = {(k, j): tuple(float(prod.max()) for prod in products(k, j))
-             for k in ts.levels() for j in range(k, ts.k_max + 1)}
-    return table, products
+def _growth_products(A_k: np.ndarray, B_j: np.ndarray, D_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The products of both growth bounds for levels k <= j, per orbit:
+    M_{Q,p}(t_k) M_{Q,s1}(t_j^-1) and M_{Q,s2}(t_j) / M_{Q,p}(t_k)."""
+    return A_k * B_j, D_j / A_k
+
+
+def _growth_tables(seqs, p: float, sigma: tuple[float, float], nodes: FamilyNodes) -> list[dict]:
+    """Per sequence, the cube maxima of both growth products for each level
+    pair k <= j, in k-major order: {(k, j): (max_Q M_{Q,p}(t_k)
+    M_{Q,s1}(t_j^-1), max_Q M_{Q,s2}(t_j) / M_{Q,p}(t_k))}.  Levels are read
+    in ascending order, each level's statistics of all the sequences that hold
+    it in one call, and a sequence's pairs (k, j) are formed when level j is
+    read, so only the M_{Q,p} of the levels read so far are kept.  Rounding is
+    monotone, so an entry times a power 2^(a (j - k)) is the maximum of the
+    product times it, bit for bit."""
+    tables = [{} for _ in seqs]
+    means = [{} for _ in seqs]  # M_{Q,p}(t_k) of each sequence's levels read so far
+    for j in sorted({k for ts in seqs for k in ts.levels()}):
+        held = [i for i, ts in enumerate(seqs) if j in ts.levels()]
+        for i, (A_j, B_j, D_j) in zip(held, nodes.stats([seqs[i].spec for i in held], _growth_requests(p, sigma), j)):
+            means[i][j] = A_j
+            for k, A_k in means[i].items():
+                tables[i][k, j] = tuple(float(prod.max()) for prod in _growth_products(A_k, B_j, D_j))
+    return [dict(sorted(table.items())) for table in tables]
 
 
 def xclass_constants(
@@ -951,7 +943,7 @@ def xclass_constants(
     s1, s2 = sigma
     if s1 <= 0 or s2 <= 0:
         raise WeightError("sigma exponents must be positive (inf allowed)")
-    table, products = _growth_table(ts, p, sigma, nodes)
+    (table,) = _growth_tables([ts], p, sigma, nodes)
     out = {"alpha": [a1, a2], "sigma": [s1, s2], "p": p}
     bounds = (("C1", "witness1", lambda k, j: 2.0 ** (-a1 * (k - j))),
               ("C2", "witness2", lambda k, j: 2.0 ** (-a2 * (j - k))))
@@ -960,7 +952,11 @@ def xclass_constants(
         for (k, j), tops in table.items():
             if tops[i] * scale(k, j) > out[C]:
                 out[C], at = tops[i] * scale(k, j), (k, j)
-        out[witness] = None if at is None else _witness(*at, nodes.cube(nodes.argmax_cube(products(*at)[i] * scale(*at))))
+        out[witness] = None
+        if at is not None:
+            (A_k, _, _), (_, B_j, D_j) = (nodes.stats([ts.spec], _growth_requests(p, sigma), level)[0] for level in at)
+            v, m, translated = nodes.cube(nodes.argmax_cube(_growth_products(A_k, B_j, D_j)[i] * scale(*at)))
+            out[witness] = {"k": at[0], "j": at[1], "cube": {"v": v, "m": list(m), "translated": translated}}
     return out
 
 
@@ -970,9 +966,9 @@ def xclass_constants(
 XCLASS_ALPHA_MAX = 4.0
 
 
-def xclass_fit(ts: WeightSequence, p: float, sigma: tuple[float, float], nodes: FamilyNodes) -> dict:
-    """Fit growth exponents by grid search over [-XCLASS_ALPHA_MAX,
-    XCLASS_ALPHA_MAX] = [-4, 4] in steps of 0.05.
+def xclass_fit(seqs, p: float, sigma: tuple[float, float], nodes: FamilyNodes) -> list[dict]:
+    """Per sequence, growth exponents fitted by grid search over
+    [-XCLASS_ALPHA_MAX, XCLASS_ALPHA_MAX] = [-4, 4] in steps of 0.05.
 
     C1 is nondecreasing in alpha1 and C2 nonincreasing in alpha2, so the
     minimum of each sits on a plateau; the fit reports the plateau edges
@@ -981,20 +977,20 @@ def xclass_fit(ts: WeightSequence, p: float, sigma: tuple[float, float], nodes: 
     record {alpha1, alpha2, C1, C2, grid_step}.
     """
     alpha_lo, alpha_hi, step, plateau_tol = -XCLASS_ALPHA_MAX, XCLASS_ALPHA_MAX, 0.05, 0.02
-    table, _ = _growth_table(ts, p, sigma, nodes)
-    lags = range(0, ts.k_max - ts.k_min + 1)
-    M1, M2 = {}, {}
-    for d in lags:
-        M1[d] = M2[d] = -np.inf
-        for k in range(ts.k_min, ts.k_max + 1 - d):
-            M1[d], M2[d] = max(M1[d], table[k, k + d][0]), max(M2[d], table[k, k + d][1])
     count = int(round((alpha_hi - alpha_lo) / step)) + 1
     alphas = np.round(alpha_lo + step * np.arange(count), 12)
-    C1 = np.array([max(M1[d] * 2.0 ** (a * d) for d in lags) for a in alphas])
-    C2 = np.array([max(M2[d] * 2.0 ** (-a * d) for d in lags) for a in alphas])
-    lo1 = C1.min()
-    lo2 = C2.min()
-    i1 = int(np.max(np.nonzero(C1 <= lo1 * (1 + plateau_tol))[0]))
-    i2 = int(np.min(np.nonzero(C2 <= lo2 * (1 + plateau_tol))[0]))
-    return {"alpha1": float(alphas[i1]), "alpha2": float(alphas[i2]), "C1": float(C1[i1]), "C2": float(C2[i2]),
-            "grid_step": step}
+    fits = []
+    for ts, table in zip(seqs, _growth_tables(seqs, p, sigma, nodes)):
+        lags = range(0, ts.k_max - ts.k_min + 1)
+        M1, M2 = {}, {}
+        for d in lags:
+            M1[d] = M2[d] = -np.inf
+            for k in range(ts.k_min, ts.k_max + 1 - d):
+                M1[d], M2[d] = max(M1[d], table[k, k + d][0]), max(M2[d], table[k, k + d][1])
+        C1 = np.array([max(M1[d] * 2.0 ** (a * d) for d in lags) for a in alphas])
+        C2 = np.array([max(M2[d] * 2.0 ** (-a * d) for d in lags) for a in alphas])
+        i1 = int(np.max(np.nonzero(C1 <= C1.min() * (1 + plateau_tol))[0]))
+        i2 = int(np.min(np.nonzero(C2 <= C2.min() * (1 + plateau_tol))[0]))
+        fits.append({"alpha1": float(alphas[i1]), "alpha2": float(alphas[i2]), "C1": float(C1[i1]),
+                     "C2": float(C2[i2]), "grid_step": step})
+    return fits

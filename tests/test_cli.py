@@ -81,6 +81,10 @@ class TestConfigValidation:
         pytest.param({"weights": {"w1": 5}}, "config field 'weights.w1'", id="weight_number"),
         pytest.param({"weights": {"w1": None}}, "config field 'weights.w1'", id="weight_null"),
         pytest.param({"norm.weight": ["pow:0.3"]}, "config field 'norm.weight'", id="norm_weight_list"),
+        pytest.param({"exponents": 5}, "config field 'exponents'", id="exponents_number"),
+        pytest.param({"exponents": [None]}, "config field 'exponents[0]'", id="exponents_null_pair"),
+        pytest.param({"suites": ["selfequiv", ["x"]]}, "config field 'suites'", id="suites_nested_list"),
+        pytest.param({"suites": [{"a": 1}]}, "config field 'suites'", id="suites_object"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, overrides)
@@ -657,7 +661,7 @@ class TestWeightsPasses:
         # every op reduces the whole matrix in one pass over the cube family,
         # one job per radial profile of the default matrix (6): ap its A_p
         # statistics, rh those and the reverse-Hoelder means, xclass the
-        # level statistics of the separable weights
+        # level statistics of the admissible weights
         from lpw.weights import FamilyNodes
 
         calls = []
@@ -668,6 +672,35 @@ class TestWeightsPasses:
             del calls[:]
             assert main(["weights", op, "--config", path, "--out", str(tmp_path / op)]) == 0
             assert calls == [6], op
+
+
+class TestSuitePasses:
+    @pytest.mark.parametrize("config, suite, jobs", [
+        ("fixtures/default.json", "hoelder", [6]),
+        ("fixtures/default.json", "xclassfit", [6]),
+        ("fixtures/default.json", "muckenhoupt", [6, 4, 2]),
+        ("fixtures/default.json", "coincidence", [2, 2, 1, 1, 2, 2]),
+        ("perfbench/configs/verify_2d.json", "hoelder", [6]),
+        ("perfbench/configs/verify_2d.json", "xclassfit", [6]),
+    ])
+    def test_passes_per_suite(self, tmp_path, monkeypatch, config, suite, jobs):
+        # the quadrature passes of a suite, each recorded as its job count
+        # (one job per radial profile not yet cached): hoelder and xclassfit
+        # reduce the whole matrix in one pass, muckenhoupt its six powers on
+        # the base family and the stable and growing ones on the two deeper
+        # families, and coincidence each fixture's two weights together, once
+        # for the A_p hypothesis and once for the cube means
+        from lpw.weights import FamilyNodes
+
+        calls = []
+        reduce = FamilyNodes._reduce
+        monkeypatch.setattr(FamilyNodes, "_reduce", lambda self, jobs: calls.append(len(jobs)) or reduce(self, jobs))
+        cfg = json.loads((Path(__file__).resolve().parents[1] / config).read_text())
+        cfg["corpus"]["size"] = 8  # the passes do not depend on the corpus
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", suite, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == jobs
 
 
 class TestReportCommand:

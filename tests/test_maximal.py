@@ -170,7 +170,7 @@ class TestMaximalFn:
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
         g = GridFunction(spec, rng.normal(size=128))
-        both = maximal_fn(f + g)
+        both = maximal_fn(GridFunction(spec, f.values + g.values))
         assert np.all(both.values <= maximal_fn(f).values + maximal_fn(g).values + 1e-12)
 
     def test_window_family_monotone(self, rng):

@@ -45,12 +45,17 @@ def op0_skipped(with_roll):
     return lambda op, x, d, ax: x if op is np.maximum and d == 1 else with_roll(op, x, d, ax)
 
 
+def inverse_flags_dropped(stats):
+    """FamilyNodes.stats that reads every request (r, inverse) as (r, False)."""
+    return lambda self, weights, requests, k=0: stats(self, weights, [(r, False) for r, _ in requests], k)
+
+
 def weight_ignored(weighted_lp_norm):
     """weighted_lp_norm under the unit weight, whatever weight it is given."""
     return lambda f, gamma, p: weighted_lp_norm(f, GridFunction(f.spec, np.ones(f.spec.shape)), p)
 
 
-# (suite, module, function, mutant of the original, checked key, violated)
+# (suite, module or class, function, mutant of the original, checked key, violated)
 MUTATIONS = [
     pytest.param("selfequiv", lpw.suites, "weighted_lp_norm", lambda orig: lambda f, w, p: orig(f, w, p) + 1e-9,
                  "spread", lambda rec: rec["spread"] > rec["ceiling"], id="selfequiv-additive-norm-error"),
@@ -60,11 +65,9 @@ MUTATIONS = [
                  "max_residual", lambda summary: summary["max_residual"] > 1e-6, id="calderon-lattice-off-by-one"),
     pytest.param("classical", lpw.suites, "band_magnitudes", scaled_middle_row,
                  "besov_rel_err", lambda rec: rec["besov_rel_err"] > 1e-12, id="classical-one-row-scaled"),
-    pytest.param("hoelder", lpw.verify, "holder_requests",
-                 lambda orig: lambda pairs: [(r, False) for r, _ in orig(pairs)],
+    pytest.param("hoelder", lpw.weights.FamilyNodes, "stats", inverse_flags_dropped,
                  "floor", lambda rec: rec["floor"] < 1.0 - 1e-12, id="hoelder-inverse-flag-dropped"),
-    pytest.param("xclassfit", lpw.weights, "level_requests",
-                 lambda orig: lambda p, sigma: [(r, False) for r, _ in orig(p, sigma)],
+    pytest.param("xclassfit", lpw.weights.FamilyNodes, "stats", inverse_flags_dropped,
                  "alpha2", lambda rec: rec["alpha2"] < rec["alpha1"] - rec["grid_step"] - 1e-12,
                  id="xclassfit-inverse-flag-dropped"),
     pytest.param("maximal", lpw.maximal, "_with_roll", op0_skipped,
@@ -72,7 +75,7 @@ MUTATIONS = [
     pytest.param("seqnorm", lpw.spaces, "_starred_cube_lp", lambda orig: lambda *a: orig(*a) * (1 + 1e-9),
                  "single_coeff_rel_err", lambda summary: summary["single_coeff_rel_err"] > 1e-12,
                  id="seqnorm-starred-cube-norm-scaled"),
-    pytest.param("muckenhoupt", lpw.weights, "ap_requests", lambda orig: lambda p: [(r, False) for r, _ in orig(p)],
+    pytest.param("muckenhoupt", lpw.weights.FamilyNodes, "stats", inverse_flags_dropped,
                  "growth", lambda rec: rec["growth"] < 10.0, id="muckenhoupt-inverse-flag-dropped"),
     pytest.param("coincidence", lpw.suites, "weighted_lp_norm", weight_ignored,
                  "lp_report", lambda rec: rec["lp_report"]["pass"], id="coincidence-weight-ignored"),
