@@ -60,49 +60,6 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise ConfigError(field, message)
 
 
-def _get(cfg: dict, field: str, default):
-    cur = cfg
-    for part in field.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            return default
-        cur = cur[part]
-    return cur
-
-
-def _int(cfg: dict, field: str, default) -> int:
-    value = _get(cfg, field, default)
-    # int() would take true as 1 and truncate 512.5 to 512
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected an integer, got {value!r}") from None
-
-
-def _number(cfg: dict, field: str, default) -> float:
-    value = _get(cfg, field, default)
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        out = math.nan
-    _require(not isinstance(value, bool) and math.isfinite(out), field, f"expected a finite number, got {value!r}")
-    return out
-
-
-def _flag(cfg: dict, field: str, default: bool) -> bool:
-    value = _get(cfg, field, default)
-    # bool("false") is True
-    _require(isinstance(value, bool), field, f"expected true or false, got {value!r}")
-    return value
-
-
-def _table(cfg: dict, field: str, default) -> dict:
-    value = _get(cfg, field, default)
-    _require(isinstance(value, dict), field, f"expected an object of named entries, got {value!r}")
-    return value
-
-
 def _require_level_factors(w, levels, field: str) -> None:
     """Refuse w, a weight of the config grammar, unless each level factor
     2^(k s) that its eval forms apart, a factor's or a prod's running
@@ -122,8 +79,9 @@ def _parse_exponent(value, field: str) -> float:
     try:
         out = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(field, f"expected a positive number or 'inf', got {value!r}") from None
-    _require(out > 0, field, f"must be positive, got {out}")
+        out = math.nan
+    # float() would take true as 1.0
+    _require(not isinstance(value, bool) and out > 0, field, f"expected a positive number or 'inf', got {value!r}")
     return out
 
 
@@ -137,43 +95,45 @@ class RunConfig:
 
     def __init__(self, raw: dict, seed_override: int | None = None):
         self.raw = raw
+        self._read: dict[str | None, set[str]] = {}  # the fields read, by section; None for top-level
         try:
             spec = GridSpec(
-                n=_int(raw, "grid.n", 1),
-                R=_number(raw, "grid.R", 8.0),
-                N=_int(raw, "grid.N", 4096),
-                offset=_flag(raw, "grid.offset", True),
+                n=self._int("grid.n", 1),
+                R=self._number("grid.R", 8.0),
+                N=self._int("grid.N", 4096),
+                offset=self._flag("grid.offset", True),
             )
         except GridError as exc:
             raise ConfigError("grid", str(exc)) from None
-        k_min = _int(raw, "levels.k_min", -3)
-        k_max = _int(raw, "levels.k_max", 8)
+        k_min = self._int("levels.k_min", -3)
+        k_max = self._int("levels.k_max", 8)
         _require(k_min <= k_max, "levels.k_min", "k_min exceeds k_max")
-        v_min = _int(raw, "cubes.v_min", -4)
-        v_max = _int(raw, "cubes.v_max", 9)
+        v_min = self._int("cubes.v_min", -4)
+        v_max = self._int("cubes.v_max", 9)
         _require(v_min <= v_max, "cubes.v_min", "v_min exceeds v_max")
         try:
             spec.cells(v_min)
         except GridError as exc:
             raise ConfigError("cubes.v_min", str(exc)) from None
-        max_per_level = _int(raw, "cubes.max_per_level", 8192)
+        max_per_level = self._int("cubes.max_per_level", 8192)
         try:
-            family = CubeFamily(v_min, v_max, _flag(raw, "cubes.translates", True), max_per_level)
+            family = CubeFamily(v_min, v_max, self._flag("cubes.translates", True), max_per_level)
         except GridError as exc:
             raise ConfigError("cubes", str(exc)) from None
-        corpus_size = _int(raw, "corpus.size", 32)
+        corpus_size = self._int("corpus.size", 32)
         _require(corpus_size >= 1, "corpus.size", "must be at least 1")
-        seed = int(seed_override) if seed_override is not None else _int(raw, "corpus.seed", 20260808)
+        seed = self._int("corpus.seed", 20260808)
+        seed = int(seed_override) if seed_override is not None else seed
         _require(seed >= 0, "corpus.seed", "must be nonnegative")
         _require("ceilings" not in raw, "ceilings", "the pass ceilings are pinned in suites.CEILINGS; "
                  "a config cannot set them")
-        weight_matrix = dict(_table(raw, "weights", DEFAULT_WEIGHT_MATRIX))
+        weight_matrix = dict(self._table("weights", DEFAULT_WEIGHT_MATRIX))
         for name, text in weight_matrix.items():
             try:
                 parse_weight(text)
             except WeightError as exc:
                 raise ConfigError(f"weights.{name}", str(exc)) from None
-        pairs = _get(raw, "exponents", [[2.0, 1.2], [3.0, 1.5]])
+        pairs = self._get("exponents", [[2.0, 1.2], [3.0, 1.5]])
         _require(isinstance(pairs, list), "exponents", f"expected a list of [p, theta] pairs, got {pairs!r}")
         exponent_pairs = []
         for i, pq in enumerate(pairs):
@@ -182,34 +142,84 @@ class RunConfig:
             theta = _parse_exponent(pq[1], f"exponents[{i}].theta")
             _require(theta < p, f"exponents[{i}].theta", f"needs theta < p, got {theta} >= {p}")
             exponent_pairs.append((p, theta))
-        suites = _get(raw, "suites", list(ALL_SUITES))
+        suites = self._get("suites", list(ALL_SUITES))
         _require(isinstance(suites, list) and all(isinstance(name, str) for name in suites), "suites",
                  f"expected a list of suite names, got {suites!r}")
         self.suites = list(suites)
         for name in self.suites:
             _require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
-        self.norm = _table(raw, "norm", {"space": "F", "p": 2.0, "q": 2.0, "weight": "pow:0.3"})
-        self.norm_space = self.norm.get("space", "F")
+        self.norm_space = self._get("norm.space", "F")
         _require(self.norm_space in ("B", "F", "F_inf", "Lp", "Hardy", "BMO"), "norm.space",
                  f"unknown space {self.norm_space!r}")
-        self.norm_p = _parse_exponent(self.norm.get("p", 2.0), "norm.p")
-        self.norm_q = _parse_exponent(self.norm.get("q", 2.0), "norm.q")
+        self.norm_p = _parse_exponent(self._get("norm.p", 2.0), "norm.p")
+        self.norm_q = _parse_exponent(self._get("norm.q", 2.0), "norm.q")
         if self.norm_space == "F":
             _require(math.isfinite(self.norm_p), "norm.p", "F-norms need p < inf")
         if self.norm_space == "F_inf":
             _require(math.isfinite(self.norm_q), "norm.q", "F_inf norms need q < inf")
         try:
-            self.norm_weight = parse_weight(self.norm.get("weight", "pow:0.3"))
+            self.norm_weight = parse_weight(self._get("norm.weight", "pow:0.3"))
         except WeightError as exc:
             raise ConfigError("norm.weight", str(exc)) from None
-        self.frozen_level = _int(raw, "norm.frozen_level", 0)
-        self.member = _int(raw, "decompose.member", 0)
+        self.frozen_level = self._int("norm.frozen_level", 0)
+        self.member = self._int("decompose.member", 0)
+        # "corpus" or the file that lpw norm or lpw decompose reads
+        self.inputs = {command: self._get(f"{command}.input", "corpus") for command in ("norm", "decompose")}
+        # the reads above are the one statement of the schema: a key that
+        # none of them asks for, a misspelt one say, would run the defaults
+        for key, value in raw.items():
+            if key not in self._read[None]:
+                known = sorted({*self._read[None], *filter(None, self._read)})
+                _require(key in self._read, key, f"no such section or field; the config has {known}")
+                for name in value:
+                    _require(name in self._read[key], f"{key}.{name}",
+                             f"no such field; {key} has {sorted(self._read[key])}")
         # the run's one context: every command takes its pair, corpus and bands from it
         self.ctx = RunContext(spec, k_min, k_max, family, corpus_size, seed, weight_matrix, tuple(exponent_pairs))
         try:
             self.ctx.pair()
         except LevelError as exc:
             raise ConfigError("levels", str(exc)) from None
+
+    def _get(self, field: str, default):
+        """The value of field, "section.name" or a top-level name, or default
+        where the config leaves it out; each read is recorded."""
+        section, _, name = field.rpartition(".")
+        self._read.setdefault(section or None, set()).add(name)
+        values = self.raw.get(section, {}) if section else self.raw
+        # a section given as a number would run its defaults
+        _require(isinstance(values, dict), section, f"expected an object of fields, got {values!r}")
+        return values.get(name, default)
+
+    def _int(self, field: str, default) -> int:
+        value = self._get(field, default)
+        # int() would take true as 1 and truncate 512.5 to 512
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(field, f"expected an integer, got {value!r}")
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise ConfigError(field, f"expected an integer, got {value!r}") from None
+
+    def _number(self, field: str, default) -> float:
+        value = self._get(field, default)
+        try:
+            out = float(value)
+        except (TypeError, ValueError):
+            out = math.nan
+        _require(not isinstance(value, bool) and math.isfinite(out), field, f"expected a finite number, got {value!r}")
+        return out
+
+    def _flag(self, field: str, default: bool) -> bool:
+        value = self._get(field, default)
+        # bool("false") is True
+        _require(isinstance(value, bool), field, f"expected true or false, got {value!r}")
+        return value
+
+    def _table(self, field: str, default) -> dict:
+        value = self._get(field, default)
+        _require(isinstance(value, dict), field, f"expected an object of named entries, got {value!r}")
+        return value
 
     def check_runnable(self, suites: list[str], corpus: bool = False, norm: bool = False, weights: str | None = None) -> None:
         """Reject, before anything runs, a suite that would have nothing to
@@ -329,10 +339,10 @@ def _load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_input(cfg: RunConfig, field: str) -> tuple[str, GridFunction] | None:
-    """The file the config's field names, as (name, function) on the
+def _load_input(cfg: RunConfig, command: str) -> tuple[str, GridFunction] | None:
+    """The file the command's input field names, as (name, function) on the
     configured grid; None when the field names the corpus."""
-    source = _get(cfg.raw, field, "corpus")
+    field, source = f"{command}.input", cfg.inputs[command]
     if source == "corpus":
         return None
     try:
@@ -560,7 +570,7 @@ def _run(args) -> int:
         cfg = RunConfig(_load_config(args.config), seed_override=args.seed)
         names = (cfg.suites if args.suite == "all" else [args.suite]) if args.command == "verify" else []
         takes_input = args.command in ("norm", "decompose")
-        source = _load_input(cfg, f"{args.command}.input") if takes_input else None
+        source = _load_input(cfg, args.command) if takes_input else None
         cfg.check_runnable(names, corpus=takes_input and source is None, norm=args.command == "norm",
                            weights=args.op if args.command == "weights" else None)
     except ConfigError as exc:

@@ -431,14 +431,14 @@ def suite_coincidence(ctx: RunContext) -> dict:
     for c in (0.1, 1.0, 7.0):
         scaled = Const(c) * w if c != 1.0 else w
         res = coincidence_check(w, scaled, 2.0, 1.1, nodes, ceiling, ap_ceiling)
-        dok, dinfo = delta_coefficient_check(w, scaled, 2.0, 2.0, spec, range(pair.k_min, pair.k_max + 1), ceiling)
+        dok, dinfo = delta_coefficient_check(w, scaled, 2.0, spec, range(pair.k_min, pair.k_max + 1), ceiling)
         good = res["pass"] and dok
         ok &= good
         records.append({"fixture": f"scale_{c:g}", "expected": "pass", "coincidence": res,
                         "delta": dinfo, "delta_pass": dok, "pass": good})
     t1, t2 = Pow(0.3), Pow(-0.3)
     res = coincidence_check(t1, t2, 2.0, 1.5, nodes, ceiling, ap_ceiling)
-    dok, dinfo = delta_coefficient_check(t1, t2, 2.0, 2.0, spec, range(pair.k_min, pair.k_max + 1), ceiling)
+    dok, dinfo = delta_coefficient_check(t1, t2, 2.0, spec, range(pair.k_min, pair.k_max + 1), ceiling)
     g1, g2 = t1.on_grid(spec), t2.on_grid(spec)
     # origin-concentrated members are the discriminating witnesses for
     # weights that differ only in their origin behavior

@@ -274,17 +274,16 @@ def delta_coefficient_check(
     t1: WeightSpec,
     t2: WeightSpec,
     p: float,
-    q: float,
     spec: GridSpec,
     levels: range,
     ceiling: float,
 ) -> tuple[bool, dict]:
     """Sequence-norm ratios of single-coefficient inputs under the two
-    weights.  For a lone coefficient every sequence norm reduces to the cube
-    norm of the weight, so uniform boundedness restates the coincidence
-    condition at sequence level.  Each level takes three cubes on the
-    diagonal, m = (m_1, ..., m_1) with m_1 = lo + int(r (count - 1)) for
-    r = 0.5, 0.66, 0.95 over the count level positions from lo."""
+    weights.  For a lone coefficient every sequence norm, whatever its q,
+    reduces to the cube norm of the weight, so uniform boundedness restates
+    the coincidence condition at sequence level.  Each level takes three
+    cubes on the diagonal, m = (m_1, ..., m_1) with m_1 = lo + int(r (count
+    - 1)) for r = 0.5, 0.66, 0.95 over the count level positions from lo."""
     ratios = []
     for k in levels:
         S = spec.coefficient_cells(k)

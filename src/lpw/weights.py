@@ -322,15 +322,22 @@ def parse_weight(text: str) -> WeightSpec:
         raise WeightError(f"cannot parse weight {text!r}")
     head, body = text.split(":", 1)
     head = head.strip().lower()
+
+    def number(x: str) -> float:
+        # float() also reads nan and inf
+        if not np.isfinite(value := float(x)):
+            raise ValueError(f"{x.strip()!r} is not a finite number")
+        return value
+
     try:
         if head == "pow":
-            return Pow(float(body))
+            return Pow(number(body))
         if head == "const":
-            return Const(float(body))
+            return Const(number(body))
         if head == "dyadic":
-            return Dyadic(float(body))
+            return Dyadic(number(body))
         if head == "shiftpow":
-            a, c = (float(x) for x in body.split(","))
+            a, c = (number(x) for x in body.split(","))
             return ShiftPow(a, c)
         if head == "prod":
             body = body.strip()

@@ -85,11 +85,25 @@ class TestConfigValidation:
         pytest.param({"exponents": [None]}, "config field 'exponents[0]'", id="exponents_null_pair"),
         pytest.param({"suites": ["selfequiv", ["x"]]}, "config field 'suites'", id="suites_nested_list"),
         pytest.param({"suites": [{"a": 1}]}, "config field 'suites'", id="suites_object"),
+        pytest.param({"norm.p": True}, "config field 'norm.p'", id="norm_p_bool"),
+        pytest.param({"exponents": [[3.0, True]]}, "config field 'exponents[0].theta'", id="theta_bool"),
+        pytest.param({"weights": {"w1": "pow:nan"}}, "config field 'weights.w1'", id="weight_nan"),
+        pytest.param({"norm.weight": "const:inf"}, "config field 'norm.weight'", id="norm_weight_inf"),
+        pytest.param({"weights": {"w1": "shiftpow:1,nan"}}, "config field 'weights.w1'", id="shiftpow_nan"),
+        pytest.param({"cubes.vmax": 3}, "config field 'cubes.vmax'", id="unread_field"),
+        pytest.param({"grid": 5}, "config field 'grid'", id="section_number"),
+        pytest.param({"nrom": {"space": "B"}}, "config field 'nrom'", id="unread_section"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, overrides)
         assert main(["verify", "all", "--config", path]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", ["fixtures/default.json", "fixtures/smoke.json",
+                                        "perfbench/configs/norm_sweep.json", "perfbench/configs/verify_2d.json"])
+    def test_shipped_config_reads_every_field(self, config):
+        # RunConfig refuses a key that none of its reads asks for
+        RunConfig(json.loads((Path(__file__).resolve().parents[1] / config).read_text()))
 
     @pytest.mark.parametrize("ceilings", [
         pytest.param({"informational": 1.0001}, id="tightened"),

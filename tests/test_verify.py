@@ -246,14 +246,14 @@ class TestHoelderFloor:
 class TestDeltaCoefficients:
     def test_identical(self, spec1k):
         ok, info = delta_coefficient_check(
-            Pow(0.3), Pow(0.3), 2.0, 2.0, spec1k, range(-2, 6), CO[0]
+            Pow(0.3), Pow(0.3), 2.0, spec1k, range(-2, 6), CO[0]
         )
         assert ok
         assert info["spread"] == pytest.approx(1.0, rel=1e-12)
 
     def test_triple_ratio(self, spec1k):
         ok, info = delta_coefficient_check(
-            Pow(0.3), Prod((Const(3.0), Pow(0.3))), 2.0, 2.0, spec1k, range(-2, 6), CO[0]
+            Pow(0.3), Prod((Const(3.0), Pow(0.3))), 2.0, spec1k, range(-2, 6), CO[0]
         )
         assert ok
         assert info["min"] == pytest.approx(1 / 3, rel=1e-12)
@@ -262,7 +262,7 @@ class TestDeltaCoefficients:
     def test_opposite_powers_fail(self, spec1k):
         # deep origin-adjacent cubes separate the two weights
         ok, info = delta_coefficient_check(
-            Pow(0.3), Pow(-0.3), 2.0, 2.0, spec1k, range(-2, 7), CO[0]
+            Pow(0.3), Pow(-0.3), 2.0, spec1k, range(-2, 7), CO[0]
         )
         assert not ok
         assert info["spread"] > 50
@@ -284,12 +284,12 @@ class TestDeltaCoefficients:
                 cells = (slice(i * S, (i + 1) * S),) * n
                 n1, n2 = (_lp(t.on_grid(spec, k).values[cells], spec.cell_measure, p) for t in (t1, t2))
                 ratios.append(n1 / n2)
-        ok, info = delta_coefficient_check(t1, t2, p, 2.0, spec, levels, CO[0])
+        ok, info = delta_coefficient_check(t1, t2, p, spec, levels, CO[0])
         assert (info["min"], info["max"]) == (min(ratios), max(ratios))
         assert info["spread"] == max(ratios) / min(ratios)
         assert ok == (info["spread"] <= 50.0)
         with pytest.raises(GridError, match="level 5 cubes"):
-            delta_coefficient_check(t1, t2, p, 2.0, spec, range(-2, 6), CO[0])
+            delta_coefficient_check(t1, t2, p, spec, range(-2, 6), CO[0])
 
 
 class TestFrozenLevelNondegenerate:
