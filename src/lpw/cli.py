@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import CubeFamily, GridError, GridFunction, GridSpec, load_grid_function, save_grid_function, weighted_lp_norm
 from .lpaley import LevelError, band_decompose
-from .spaces import NormRequest, band_magnitudes, bmo_norm, build_dictionary, hardy_grand_norm, stack_norm
+from .spaces import band_magnitudes, bmo_norm, build_dictionary, hardy_grand_norm, stack_norm
 from .verify import annulus_indices, make_corpus
 from .suites import (
     ALL_SUITES,
@@ -111,6 +111,11 @@ class RunConfig:
         v_min = self._int("cubes.v_min", -4)
         v_max = self._int("cubes.v_max", 9)
         _require(v_min <= v_max, "cubes.v_min", "v_min exceeds v_max")
+        try:  # muckenhoupt's family, the deepest a suite builds, reaches level v_max + 10
+            math.ldexp(spec.R, v_max + 10)
+        except OverflowError:
+            raise ConfigError("cubes.v_max", f"{v_max} is too deep: level {v_max + 10}, which muckenhoupt "
+                              f"reaches, has R 2^{v_max + 10} cube positions, past the largest double") from None
         try:
             spec.cells(v_min)
         except GridError as exc:
@@ -374,8 +379,7 @@ def cmd_norm(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | None 
                 dictionary = build_dictionary(ctx.spec)
             value = hardy_grand_norm(f, ws, cfg.norm_p, dictionary)
         else:
-            req = NormRequest(space, cfg.norm_p, cfg.norm_q, ws, pair, family=ctx.family)
-            value = stack_norm(ws.weigh(band_magnitudes(f, pair)), req)
+            value = stack_norm(ws.weigh(band_magnitudes(f, pair)), space, cfg.norm_p, cfg.norm_q, ctx.family)
         records.append(
             {
                 "member": name,

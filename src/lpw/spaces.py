@@ -3,14 +3,15 @@ counterparts, BMO, and a grand-maximal Hardy-type norm.
 
 The band norms read f only through its band magnitudes |phi_k * f|, held as
 one stack mags = band_magnitudes(f, pair), and act on the weighted stack
-wb = req.weights.weigh(mags) of the bands t_k |phi_k * f|; callers taking
-many norms of one function compute its magnitudes once.  stack_norm(wb, req)
-is the one place that picks the kernel req.space names: besov_norm, tl_norm
-or tl_infty_norm.  Sequence-side norms act on coefficient sets, in both the
-direct form (weight evaluated pointwise) and the starred form (weight
-aggregated into cube L_p norms t_{k,m}).  bmo_norm and hardy_grand_norm take
-a GridFunction and no NormRequest.  Level sums are truncated to the stored
-window, which is exact on the band-limited corpus this package works with.
+wb = ws.weigh(mags) of the bands t_k |phi_k * f|, ws being the weight
+sequence; callers taking many norms of one function compute its magnitudes
+once.  stack_norm(wb, space, p, q, family) is the one place that picks the
+kernel space names: besov_norm, tl_norm or tl_infty_norm.  Each norm takes
+the arguments it reads.  Sequence-side norms act on coefficient sets, in both
+the direct form (weight evaluated pointwise) and the starred form (weight
+aggregated into cube L_p norms t_{k,m}).  Level sums are truncated to the
+stored window, which is exact on the band-limited corpus this package works
+with.
 """
 
 from __future__ import annotations
@@ -34,39 +35,6 @@ from .lpaley import CoefficientSet, LPPair, band_decompose
 from .weights import WeightSequence
 
 
-@dataclass(frozen=True)
-class NormRequest:
-    """Parameters of a band norm (space B, F or F_inf, see stack_norm) or
-    a sequence norm (b, f or f_inf).  q may be inf where the definitions
-    allow it (not in F_inf / f_inf).  family, the cubes of the Carleson
-    scans, defaults to the pair's level window; carleson_sup refuses a stack
-    level below the family's first, which no cube would read.
-    """
-
-    space: str
-    p: float
-    q: float
-    weights: WeightSequence
-    pair: LPPair
-    family: CubeFamily | None = None
-
-    def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError(f"exponents must be positive, got p={self.p}, q={self.q}")
-        if self.space in ("F", "f") and np.isinf(self.p):
-            raise ValueError(f"space {self.space} needs p < inf")
-        if self.space in ("F_inf", "f_inf") and np.isinf(self.q):
-            raise ValueError(f"space {self.space} needs q < inf")
-        ws = self.weights
-        if ws.k_min < self.pair.k_min or ws.k_max > self.pair.k_max:
-            raise ValueError(
-                f"weight levels [{ws.k_min}, {ws.k_max}] leave the pair window "
-                f"[{self.pair.k_min}, {self.pair.k_max}]"
-            )
-        if self.family is None:
-            object.__setattr__(self, "family", CubeFamily(self.pair.k_min, self.pair.k_max))
-
-
 def band_magnitudes(f: GridFunction, pair: LPPair) -> VectorSequence:
     """|phi_k * f| on every level of the pair window, one row per level: the
     stack every band norm and maximal ratio reads."""
@@ -74,34 +42,35 @@ def band_magnitudes(f: GridFunction, pair: LPPair) -> VectorSequence:
     return VectorSequence(bands.spec, bands.k_min, np.abs(bands.values))
 
 
-def stack_norm(wb: VectorSequence, req: NormRequest) -> float:
-    """The band norm req.space names, B, F or F_inf, of the weighted stack
-    wb = req.weights.weigh(band_magnitudes(f, req.pair)): the one place a band
-    norm is chosen.  A caller taking several norms under one weight sequence
+def stack_norm(wb: VectorSequence, space: str, p: float, q: float, family: CubeFamily) -> float:
+    """The band norm space names, B, F or F_inf, of the weighted stack
+    wb = ws.weigh(band_magnitudes(f, pair)): the one place a band norm is
+    chosen.  B and F read p and q, F_inf reads q and the cube family of its
+    Carleson scan.  A caller taking several norms under one weight sequence
     weighs f once."""
-    if req.space == "B":
-        return besov_norm(wb, req)
-    if req.space == "F":
-        return tl_norm(wb, req)
-    if req.space == "F_inf":
-        return tl_infty_norm(wb, req)
-    raise ValueError(f"space {req.space!r} is not one of the band norms B, F, F_inf")
+    if space == "B":
+        return besov_norm(wb, p, q)
+    if space == "F":
+        return tl_norm(wb, p, q)
+    if space == "F_inf":
+        return tl_infty_norm(wb, q, family)
+    raise ValueError(f"space {space!r} is not one of the band norms B, F, F_inf")
 
 
 # The kernels take a weighted stack wb, which is nonnegative, as it is.
 
 
-def besov_norm(wb: VectorSequence, req: NormRequest) -> float:
+def besov_norm(wb: VectorSequence, p: float, q: float) -> float:
     """( sum_k ||t_k (phi_k * f)|L_p||^q )^(1/q), sup over k when q = inf."""
     cell = wb.spec.cell_measure
-    return _lp_nonneg(np.array([_lp_nonneg(row, cell, req.p) for row in wb.values]), 1.0, req.q)
+    return _lp_nonneg(np.array([_lp_nonneg(row, cell, p) for row in wb.values]), 1.0, q)
 
 
-def tl_norm(wb: VectorSequence, req: NormRequest) -> float:
+def tl_norm(wb: VectorSequence, p: float, q: float) -> float:
     """|| ( sum_k t_k^q |phi_k * f|^q )^(1/q) | L_p ||."""
-    if np.isinf(req.p):
+    if np.isinf(p):
         raise ValueError("p = inf is handled by tl_infty_norm")
-    return _lp_lq_nonneg(wb.values, wb.spec.cell_measure, req.p, req.q)
+    return _lp_lq_nonneg(wb.values, wb.spec.cell_measure, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +164,12 @@ def carleson_sup(G: VectorSequence, family: CubeFamily, q: float) -> float:
     return best ** (1.0 / q)
 
 
-def tl_infty_norm(wb: VectorSequence, req: NormRequest) -> float:
-    """Carleson-type norm: sup over dyadic P of the cube-averaged tail
+def tl_infty_norm(wb: VectorSequence, q: float, family: CubeFamily) -> float:
+    """Carleson-type norm: sup over the family's cubes P of the cube-averaged tail
     ( (1/|P|) int_P sum_{k >= -log2 l(P)} t_k^q |phi_k * f|^q )^(1/q)."""
-    if np.isinf(req.q):
-        raise ValueError("F_inf norms need q < inf")
-    return carleson_sup(VectorSequence(wb.spec, wb.k_min, wb.values ** req.q), req.family, req.q)
+    if not 0 < q < np.inf:
+        raise ValueError(f"F_inf norms need 0 < q < inf, got q={q}")
+    return carleson_sup(VectorSequence(wb.spec, wb.k_min, wb.values**q), family, q)
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +228,16 @@ def _seq_levels(coeffs: CoefficientSet, spec: GridSpec) -> dict[int, tuple[int, 
     return {k: (sides[k], *at) for k, at in coeffs.support.items()}
 
 
-def seq_b_norm(coeffs: CoefficientSet, req: NormRequest) -> tuple[float, float]:
-    """Besov sequence norm, (direct, starred), on the grid of req.pair.
+def seq_b_norm(coeffs: CoefficientSet, ws: WeightSequence, spec: GridSpec, p: float, q: float) -> tuple[float, float]:
+    """Besov sequence norm, (direct, starred), under the weights ws on the grid spec.
 
     direct:  ( sum_k 2^(k n q / 2) || sum_m t_k lambda chi |L_p||^q )^(1/q)
     starred: ( sum_k 2^(k n q / 2) ( sum_m |lambda|^p t_{k,m}^p )^(q/p) )^(1/q)
     """
-    spec = req.pair.gspec
-    n, p, q = spec.n, req.p, req.q
+    n = spec.n
     terms_plain, terms_star = [], []
     for k, (S, _, _) in _seq_levels(coeffs, spec).items():
-        t, mags = req.weights.on_grid(spec, k), np.abs(coeffs[k])
+        t, mags = ws.on_grid(spec, k), np.abs(coeffs[k])
         plain = _lp(_paint(spec, mags) * t.values, spec.cell_measure, p)
         tkm = cube_lp(t, S, p, mags > 0)
         if np.isinf(p):
@@ -286,9 +254,10 @@ def seq_b_norm(coeffs: CoefficientSet, req: NormRequest) -> tuple[float, float]:
 _GROUP_CELLS = 1 << 17
 
 
-def seq_f_norms(sets: list[CoefficientSet], req: NormRequest) -> list[tuple[float, float]]:
-    """Triebel-Lizorkin sequence norms, (direct, starred), of each set, on
-    the grid of req.pair.
+def seq_f_norms(sets: list[CoefficientSet], ws: WeightSequence, spec: GridSpec, p: float,
+                q: float) -> list[tuple[float, float]]:
+    """Triebel-Lizorkin sequence norms, (direct, starred), of each set, under
+    the weights ws on the grid spec.
 
     direct uses the pointwise weight t_k on each cube; starred replaces it by
     the cube aggregate 2^(k n / p) t_{k,m} (so single-coefficient inputs agree
@@ -297,10 +266,9 @@ def seq_f_norms(sets: list[CoefficientSet], req: NormRequest) -> list[tuple[floa
     cube adds an exact zero); the starred sum, constant on the cubes of the
     finest level held, is painted onto the grid only for the final sum.
     """
-    spec = req.pair.gspec
-    n, p, q = spec.n, req.p, req.q
-    if np.isinf(p):
-        raise ValueError("f-norms need p < inf")
+    n = spec.n
+    if not (0 < p < np.inf and q > 0):
+        raise ValueError(f"f-norms need 0 < p < inf and q > 0, got p={p}, q={q}")
     by_level: dict[tuple[int, int], list] = {}  # (k, S) -> entries
     for b, coeffs in enumerate(sets):
         for k, (S, idx, mags) in _seq_levels(coeffs, spec).items():
@@ -311,7 +279,7 @@ def seq_f_norms(sets: list[CoefficientSet], req: NormRequest) -> list[tuple[floa
         bs, idx, mags = zip(*entries)
         rows, idx, mags = np.repeat(bs, [i.size for i in idx]), np.concatenate(idx), np.concatenate(mags)
         M = sets[bs[0]][k].shape[0]  # cubes per axis
-        t = req.weights.on_grid(spec, k)
+        t = ws.on_grid(spec, k)
         where = np.bincount(idx, minlength=M**n).reshape((M,) * n) > 0
         star = mags * _starred_cube_lp(t, k, S, p, where).ravel()[idx]
         tq = t.values  # t_k^q, or t_k when q = inf
@@ -342,23 +310,24 @@ def seq_f_norms(sets: list[CoefficientSet], req: NormRequest) -> list[tuple[floa
     return out
 
 
-def seq_f_infty_norm(coeffs: CoefficientSet, req: NormRequest) -> tuple[float, float]:
-    """Carleson-type sequence norm, (direct, starred), on the grid of req.pair."""
-    spec = req.pair.gspec
-    n, q = spec.n, req.q
-    if np.isinf(q):
-        raise ValueError("f_inf norms need q < inf")
+def seq_f_infty_norm(coeffs: CoefficientSet, ws: WeightSequence, spec: GridSpec, q: float,
+                     family: CubeFamily) -> tuple[float, float]:
+    """Carleson-type sequence norm, (direct, starred), under the weights ws
+    on the grid spec, scanned over the cubes of family."""
+    n = spec.n
+    if not 0 < q < np.inf:
+        raise ValueError(f"f_inf norms need 0 < q < inf, got q={q}")
     levels = _seq_levels(coeffs, spec)
     if not levels:
         return 0.0, 0.0
     # a level without coefficients is a zero row, whose exact zeros leave every suffix sum as it is
     plain, star = (VectorSequence(spec, coeffs.k_min, np.zeros((len(coeffs.levels()),) + spec.shape)) for _ in range(2))
     for k, (S, _, _) in levels.items():
-        t, mags = req.weights.on_grid(spec, k), np.abs(coeffs[k])
+        t, mags = ws.on_grid(spec, k), np.abs(coeffs[k])
         tkmq = _starred_cube_lp(t, k, S, q, mags > 0)
         plain[k][...] = _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
         star[k][...] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
-    return carleson_sup(plain, req.family, q), carleson_sup(star, req.family, q)
+    return carleson_sup(plain, family, q), carleson_sup(star, family, q)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from .grid import CubeFamily, GridFunction, GridSpec, VectorSequence, level_index_range, lp_norm, weighted_lp_norm
 from .lpaley import LPPair, bump_profile, calderon_residual, make_lp_pair, partition_sum, synthesis_profile, CoefficientSet
 from .maximal import fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sizes, window_sum_table
-from .spaces import NormRequest, band_magnitudes, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norms, stack_norm
+from .spaces import band_magnitudes, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norms, stack_norm
 from .verify import (
     classical_band_magnitudes,
     classical_besov_norm,
@@ -263,8 +263,8 @@ def suite_classical(ctx: RunContext) -> dict:
         for s, ws in seqs.items():
             wb = ws.weigh(bands[mem.name])
             for p, q in exponents:
-                got_b = stack_norm(wb, NormRequest("B", p, q, ws, pair))
-                got_f = stack_norm(wb, NormRequest("F", p, q, ws, pair))
+                got_b = stack_norm(wb, "B", p, q, ctx.family)
+                got_f = stack_norm(wb, "F", p, q, ctx.family)
                 w = worst[s, p, q]
                 w[0] = max(w[0], abs(got_b / classical_besov_norm(oracle, s, p, q) - 1.0))
                 w[1] = max(w[1], abs(got_f / classical_tl_norm(oracle, s, p, q) - 1.0))
@@ -302,8 +302,7 @@ def _seq_ratio_extreme(ctx: RunContext, sets) -> float:
         # one sequence, so one sampling per grid for both (p, q)
         ws = WeightSequence(w, pair.k_min, pair.k_max)
         for p, q in ((2.0, 1.0), (1.5, 3.0)):
-            req = NormRequest("f", p, q, ws, pair)
-            for plain, star in seq_f_norms(sets, req):
+            for plain, star in seq_f_norms(sets, ws, ctx.spec, p, q):
                 r = plain / star
                 worst = max(worst, r, 1.0 / r)
     return worst
@@ -332,13 +331,12 @@ def suite_seqnorm(ctx: RunContext) -> dict:
     pair = ctx.pair()
     ceiling = CEILINGS["seq_ratio"]
     ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max)
-    req_b, req_f = (NormRequest(kind, 2.0, 2.0, ws, pair) for kind in ("b", "f"))
-    req_f_inf = NormRequest("f_inf", np.inf, 2.0, ws, pair)
+    family = CubeFamily(pair.k_min, pair.k_max)
     single_worst = 0.0
     for k, m in seqnorm_single_cases(spec.R, pair.k_min, pair.k_max):
         coeffs = CoefficientSet.from_entries(spec.n, spec.R, [((k, (m,) * spec.n), 1.0 + 0.5j)])
-        for plain, star in (seq_b_norm(coeffs, req_b), seq_f_norms([coeffs], req_f)[0],
-                            seq_f_infty_norm(coeffs, req_f_inf)):
+        for plain, star in (seq_b_norm(coeffs, ws, spec, 2.0, 2.0), seq_f_norms([coeffs], ws, spec, 2.0, 2.0)[0],
+                            seq_f_infty_norm(coeffs, ws, spec, 2.0, family)):
             single_worst = max(single_worst, abs(plain / star - 1.0))
     sets = _random_coefficient_sets(ctx)
     c_base = _seq_ratio_extreme(ctx, sets)
@@ -375,18 +373,18 @@ def suite_newnorm(ctx: RunContext) -> dict:
     ]
     weights = ("pow:0.3", "pow:-0.2")
     js = range(-3, 4)
-    reqs = {}  # (weight, j) -> one request per case; j = None is {t_k} itself
+    seqs = {}  # (weight, j) -> weight sequence; j = None is {t_k} itself
     for wtext in weights:
         ws = WeightSequence(parse_weight(wtext), pair.k_min, pair.k_max)
         for j, wj in [(None, ws)] + [(j, ws.frozen(j)) for j in js]:
-            reqs[wtext, j] = [NormRequest(tag, p, q, wj, pair, family=ctx.family) for tag, p, q in cases]
+            seqs[wtext, j] = wj
     # member outermost: one magnitude stack per member, weighed once per
     # sequence, and every case taken from that weighted stack
-    norms = {key: [] for key in reqs}  # (weight, j) -> per member, one norm per case
+    norms = {key: [] for key in seqs}  # (weight, j) -> per member, one norm per case
     for mem in ctx.corpus():
-        for key, rs in reqs.items():
-            wb = rs[0].weights.weigh(bands[mem.name])
-            norms[key].append([stack_norm(wb, req) for req in rs])
+        for key, wj in seqs.items():
+            wb = wj.weigh(bands[mem.name])
+            norms[key].append([stack_norm(wb, tag, p, q, ctx.family) for tag, p, q in cases])
     records = []
     ok = True
     for wtext in weights:
@@ -456,10 +454,10 @@ def suite_coincidence(ctx: RunContext) -> dict:
     )
     bands = ctx.bands()
     mags = [bands[mem.name] for mem in corpus] + [band_magnitudes(mem.f, pair) for mem in spikes]
-    reqs = [NormRequest("F", 2.0, 2.0, WeightSequence(t, pair.k_min, pair.k_max), pair) for t in (t1, t2)]
+    seqs = [WeightSequence(t, pair.k_min, pair.k_max) for t in (t1, t2)]
     rep_f = ratio_report(
         names,
-        *([stack_norm(req.weights.weigh(m), req) for m in mags] for req in reqs),
+        *([stack_norm(ws.weigh(m), "F", 2.0, 2.0, ctx.family) for m in mags] for ws in seqs),
         eq_ceiling, "F22(t1)", "F22(t2)",
     )
     negative_ok = (
@@ -595,13 +593,12 @@ def suite_bmo(ctx: RunContext) -> dict:
     informational ceiling)."""
     pair = ctx.pair()
     ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max)
-    req = NormRequest("F_inf", np.inf, 2.0, ws, pair, family=ctx.family)
     corpus = ctx.corpus()
     bands = ctx.bands()
     rep = ratio_report(
         [mem.name for mem in corpus],
         [bmo_norm(mem.f, ctx.family) for mem in corpus],
-        [stack_norm(ws.weigh(bands[mem.name]), req) for mem in corpus],
+        [stack_norm(ws.weigh(bands[mem.name]), "F_inf", np.inf, 2.0, ctx.family) for mem in corpus],
         ceiling=CEILINGS["informational"], name_a="BMO", name_b="Finf2",
     )
     summary = {"spread": rep["spread"], "min": rep["min_ratio"], "max": rep["max_ratio"]}

@@ -56,8 +56,6 @@ class WeightError(ValueError):
 class WeightSpec:
     """Base class: a strictly positive radial weight w(x, k)."""
 
-    separable: bool = True  # w(x,k) = 2^(k s) * g(|x|)
-
     def eval(self, r: np.ndarray, k: int = 0) -> np.ndarray:
         s, g = self.split()
         return 2.0 ** (k * s) * g(r)
@@ -65,6 +63,11 @@ class WeightSpec:
     def split(self):
         """Return (s, g) with w(x,k) = 2^(k s) g(|x|); None if not separable."""
         raise NotImplementedError
+
+    @property
+    def separable(self) -> bool:
+        """Whether w(x,k) = 2^(k s) g(|x|), as split() finds."""
+        return self.split() is not None
 
     @property
     def level_free(self) -> bool:
@@ -158,19 +161,15 @@ class Prod(WeightSpec):
             raise WeightError("empty product weight")
 
     @property
-    def separable(self):
-        return all(f.separable for f in self.factors)
-
-    @property
     def level_free(self):
         # factor by factor: dyadic:0.5 times dyadic:-0.5 has s = 0, but its
         # product 2^(0.5 k) 2^(-0.5 k) need not round to 1.0 on every level
         return all(f.level_free for f in self.factors)
 
     def split(self):
-        if not self.separable:
-            return None
         parts = [f.split() for f in self.factors]
+        if any(part is None for part in parts):
+            return None
         s = sum(p[0] for p in parts)
 
         def g(r, _parts=parts):
@@ -195,10 +194,6 @@ class Prod(WeightSpec):
 class PowOf(WeightSpec):
     base: WeightSpec
     e: float
-
-    @property
-    def separable(self):
-        return self.base.separable
 
     @property
     def level_free(self):
@@ -226,10 +221,6 @@ class Frozen(WeightSpec):
     j: int
     level_free = True
 
-    @property
-    def separable(self):
-        return self.base.separable
-
     def split(self):
         sp = self.base.split()
         if sp is None:
@@ -254,7 +245,6 @@ class AltPow(WeightSpec):
     """
 
     a: float
-    separable = False
 
     def split(self):
         return None
@@ -272,7 +262,6 @@ class AltConst(WeightSpec):
     """c^((-1)^k): bounded level modulation, outside the config grammar."""
 
     c: float
-    separable = False
 
     def __post_init__(self):
         if self.c <= 0:

@@ -93,6 +93,9 @@ class TestConfigValidation:
         pytest.param({"cubes.vmax": 3}, "config field 'cubes.vmax'", id="unread_field"),
         pytest.param({"grid": 5}, "config field 'grid'", id="section_number"),
         pytest.param({"nrom": {"space": "B"}}, "config field 'nrom'", id="unread_section"),
+        # R 2^(v_max + 10) overflowed in level_index_range, exit 3, for hoelder and muckenhoupt
+        pytest.param({"cubes.v_max": 1100}, "config field 'cubes.v_max'", id="v_max_overflow"),
+        pytest.param({"cubes.v_max": 1011}, "config field 'cubes.v_max'", id="v_max_deepened_overflow"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, overrides)

@@ -19,7 +19,6 @@ from lpw.grid import (
 )
 from lpw.lpaley import CoefficientSet, band_decompose, make_lp_pair
 from lpw.spaces import (
-    NormRequest,
     _in_cube,
     band_magnitudes,
     _paint,
@@ -42,20 +41,25 @@ from lpw.verify import classical_band_magnitudes, classical_besov_norm, classica
 from lpw.weights import Const, Dyadic, Pow, WeightSequence
 
 
-def request(pair, weight, p, q, k_min=None, k_max=None, family=None):
-    ws = WeightSequence(weight, pair.k_min if k_min is None else k_min, pair.k_max if k_max is None else k_max)
-    space = "F" if np.isfinite(p) else "F_inf"
-    return NormRequest(space=space, p=p, q=q, weights=ws, pair=pair, family=family)
+def sequence(pair, weight):
+    """weight as a weight sequence on the pair's level window."""
+    return WeightSequence(weight, pair.k_min, pair.k_max)
+
+
+def pair_family(pair):
+    """The cubes of the pair's level window, a Carleson scan's family here."""
+    return CubeFamily(pair.k_min, pair.k_max)
 
 
 def weighed(kernel):
     """kernel, a band norm of a weighted stack, taken on f, a GridFunction or
-    its magnitude stack band_magnitudes(f, req.pair)."""
+    its magnitude stack band_magnitudes(f, pair), under the weight sequence
+    ws; args are the kernel's own."""
 
     @wraps(kernel)
-    def norm(f, req):
-        mags = band_magnitudes(f, req.pair) if isinstance(f, GridFunction) else f
-        return kernel(req.weights.weigh(mags), req)
+    def norm(f, pair, ws, *args):
+        mags = band_magnitudes(f, pair) if isinstance(f, GridFunction) else f
+        return kernel(ws.weigh(mags), *args)
 
     return norm
 
@@ -63,9 +67,9 @@ def weighed(kernel):
 besov, tl, tl_infty = weighed(besov_norm), weighed(tl_norm), weighed(tl_infty_norm)
 
 
-def seq_f(coeffs, req):
+def seq_f(coeffs, ws, spec, p, q):
     """seq_f_norms of the one set coeffs."""
-    return seq_f_norms([coeffs], req)[0]
+    return seq_f_norms([coeffs], ws, spec, p, q)[0]
 
 
 def single_band_member(spec, pair, k0):
@@ -78,15 +82,15 @@ def single_band_member(spec, pair, k0):
     return GridFunction(spec, from_spectrum(spec, F))
 
 
-def dense_seq_f_norm(coeffs, spec, req):
+def dense_seq_f_norm(coeffs, ws, spec, p, q):
     """The f-norm as one dense sum over the whole grid per level, set by
     set: the reference that seq_f_norms must equal bit for bit."""
-    n, p, q = spec.n, req.p, req.q
+    n = spec.n
     plain_acc = np.zeros(spec.shape)
     star_acc = np.zeros(spec.shape)
     qq = 1.0 if np.isinf(q) else q
     for k in _seq_levels(coeffs, spec):
-        t, mags, S = req.weights.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
+        t, mags, S = ws.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
         tkm = _starred_cube_lp(t, k, S, p, mags > 0)
         if np.isinf(q):
             lvl_plain = _paint(spec, mags) * 2.0 ** (k * n / 2.0) * t.values
@@ -117,10 +121,10 @@ def random_sets(spec, k_lo, k_hi, count, rng):
 
 class TestFunctionNorms:
     def test_zero_function(self, spec1k, pair1k):
-        req = request(pair1k, Const(1.0), 2.0, 2.0)
+        ws = sequence(pair1k, Const(1.0))
         zero = GridFunction(spec1k, np.zeros(spec1k.N))
-        assert besov(zero, req) == 0.0
-        assert tl(zero, req) == 0.0
+        assert besov(zero, pair1k, ws, 2.0, 2.0) == 0.0
+        assert tl(zero, pair1k, ws, 2.0, 2.0) == 0.0
 
     def test_singleton_level_window_collapses(self, spec1k, pair1k, corpus1k):
         # with one stored level every q gives the same single weighted band norm
@@ -131,43 +135,43 @@ class TestFunctionNorms:
 
         want = weighted_lp_norm(GridFunction(spec1k, band_decompose(f, pair1k)[3]), t3, 2.0)
         for q in (1.0, 2.0, np.inf):
-            req = request(pair1k, Pow(0.3), 2.0, q, k_min=3, k_max=3)
-            assert besov(f, req) == pytest.approx(want, rel=1e-12)
-            assert tl(f, req) == pytest.approx(want, rel=1e-12)
+            assert besov(f, pair1k, ws, 2.0, q) == pytest.approx(want, rel=1e-12)
+            assert tl(f, pair1k, ws, 2.0, q) == pytest.approx(want, rel=1e-12)
 
     def test_homogeneity(self, pair1k, corpus1k):
-        req = request(pair1k, Pow(0.3), 2.0, 2.0)
+        ws = sequence(pair1k, Pow(0.3))
         f = corpus1k[0].f
         g = GridFunction(f.spec, 3.5 * f.values)
-        assert besov(g, req) == pytest.approx(3.5 * besov(f, req), rel=1e-12)
-        assert tl(g, req) == pytest.approx(3.5 * tl(f, req), rel=1e-12)
+        assert besov(g, pair1k, ws, 2.0, 2.0) == pytest.approx(3.5 * besov(f, pair1k, ws, 2.0, 2.0), rel=1e-12)
+        assert tl(g, pair1k, ws, 2.0, 2.0) == pytest.approx(3.5 * tl(f, pair1k, ws, 2.0, 2.0), rel=1e-12)
 
     def test_q_monotone(self, pair1k, corpus1k):
-        f = corpus1k[1].f
-        vals_b = [besov(f, request(pair1k, Const(1.0), 2.0, q)) for q in (1.0, 2.0, 4.0, np.inf)]
-        vals_f = [tl(f, request(pair1k, Const(1.0), 2.0, q)) for q in (1.0, 2.0, 4.0, np.inf)]
+        f, ws = corpus1k[1].f, sequence(pair1k, Const(1.0))
+        vals_b = [besov(f, pair1k, ws, 2.0, q) for q in (1.0, 2.0, 4.0, np.inf)]
+        vals_f = [tl(f, pair1k, ws, 2.0, q) for q in (1.0, 2.0, 4.0, np.inf)]
         assert all(a >= b - 1e-12 for a, b in zip(vals_b, vals_b[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(vals_f, vals_f[1:]))
 
     def test_quasi_triangle(self, pair1k, corpus1k):
         # norm(f+g) <= C (norm(f) + norm(g)) with C = max(1, 2^(1/p-1), 2^(1/q-1))
+        ws = sequence(pair1k, Pow(0.3))
         for p, q in ((2.0, 2.0), (0.8, 1.5), (2.0, 0.7)):
             C = max(1.0, 2.0 ** (1.0 / p - 1.0), 2.0 ** (1.0 / q - 1.0))
-            req = request(pair1k, Pow(0.3), p, q)
             for f, g in ((corpus1k[0].f, corpus1k[1].f), (corpus1k[2].f, corpus1k[3].f)):
                 for norm in (besov, tl):
-                    assert norm(GridFunction(f.spec, f.values + g.values), req) <= C * (norm(f, req) + norm(g, req)) * (1 + 1e-12)
+                    fg = GridFunction(f.spec, f.values + g.values)
+                    assert norm(fg, pair1k, ws, p, q) <= C * (norm(f, pair1k, ws, p, q) + norm(g, pair1k, ws, p, q)) * (1 + 1e-12)
 
     def test_classical_reduction(self, pair1k, corpus1k):
         # dyadic weights reproduce the fixed-smoothness norms exactly
         for s in (-1.0, 0.0, 0.5, 2.0):
-            req = request(pair1k, Dyadic(s), 2.0, 2.0)
+            ws = sequence(pair1k, Dyadic(s))
             for mem in corpus1k[:4]:
                 oracle = classical_band_magnitudes(mem.f, pair1k)
                 want_b = classical_besov_norm(oracle, s, 2.0, 2.0)
                 want_f = classical_tl_norm(oracle, s, 2.0, 2.0)
-                assert besov(mem.f, req) == pytest.approx(want_b, rel=1e-12)
-                assert tl(mem.f, req) == pytest.approx(want_f, rel=1e-12)
+                assert besov(mem.f, pair1k, ws, 2.0, 2.0) == pytest.approx(want_b, rel=1e-12)
+                assert tl(mem.f, pair1k, ws, 2.0, 2.0) == pytest.approx(want_f, rel=1e-12)
 
     def test_l2_frame_bounds(self, spec1k, pair1k, corpus1k):
         rho = spec1k.freq_radius()
@@ -175,21 +179,30 @@ class TestFunctionNorms:
         mask = (rho >= lo) & (rho <= hi)
         sq = sum(pair1k.phi_mult[k] ** 2 for k in pair1k.levels())
         c1, c2 = np.sqrt(sq[mask].min()), np.sqrt(sq[mask].max())
-        req = request(pair1k, Const(1.0), 2.0, 2.0)
+        ws = sequence(pair1k, Const(1.0))
         for mem in corpus1k[:6]:
-            val = tl(mem.f, req)
+            val = tl(mem.f, pair1k, ws, 2.0, 2.0)
             l2 = lp_norm(mem.f, 2.0)
             assert c1 * l2 * (1 - 1e-9) <= val <= c2 * l2 * (1 + 1e-9)
 
-    def test_p_inf_rejected(self, pair1k, corpus1k):
-        with pytest.raises(ValueError):
-            tl(corpus1k[0].f, request(pair1k, Const(1.0), np.inf, 2.0))
+    def test_p_inf_rejected(self, spec1k, pair1k, corpus1k):
+        # p = inf is F_inf's, and each norm refuses p or q <= 0 itself
+        ws = sequence(pair1k, Const(1.0))
+        coeffs = CoefficientSet.from_entries(1, spec1k.R, {(2, (0,)): 1.0})
+        for p, q in ((np.inf, 2.0), (0.0, 2.0), (-1.0, 2.0), (2.0, 0.0), (2.0, -1.0)):
+            with pytest.raises(ValueError):
+                tl(corpus1k[0].f, pair1k, ws, p, q)
+            with pytest.raises(ValueError, match="f-norms need"):
+                seq_f(coeffs, ws, spec1k, p, q)
+            if np.isfinite(p):
+                with pytest.raises(ValueError):
+                    besov(corpus1k[0].f, pair1k, ws, p, q)
 
 
 class TestCarlesonNorm:
     def test_zero(self, spec1k, pair1k):
-        req = request(pair1k, Const(1.0), np.inf, 2.0)
-        assert tl_infty(GridFunction(spec1k, np.zeros(spec1k.N)), req) == 0.0
+        zero = GridFunction(spec1k, np.zeros(spec1k.N))
+        assert tl_infty(zero, pair1k, sequence(pair1k, Const(1.0)), 2.0, pair_family(pair1k)) == 0.0
 
     def test_single_band_oracle(self, spec1k, pair1k):
         # one active level k0: the sup scans cubes with l(P) >= 2^-k0 of the
@@ -197,8 +210,7 @@ class TestCarlesonNorm:
         k0 = 3
         f = single_band_member(spec1k, pair1k, k0)
         fam = CubeFamily(-4, 6, translates=False)
-        req = request(pair1k, Const(1.0), np.inf, 2.0, family=fam)
-        got = tl_infty(f, req)
+        got = tl_infty(f, pair1k, sequence(pair1k, Const(1.0)), 2.0, fam)
         bk = np.abs(band_decompose(f, pair1k)[k0]) ** 2
         best = 0.0
         for v in range(-4, k0 + 1):
@@ -211,40 +223,41 @@ class TestCarlesonNorm:
 
     def test_weight_doubling(self, spec1k, pair1k, corpus1k):
         f = corpus1k[2].f
-        a = tl_infty(f, request(pair1k, Pow(0.3), np.inf, 2.0))
-        b = tl_infty(f, request(pair1k, Const(2.0) * Pow(0.3), np.inf, 2.0))
+        fam = pair_family(pair1k)
+        a = tl_infty(f, pair1k, sequence(pair1k, Pow(0.3)), 2.0, fam)
+        b = tl_infty(f, pair1k, sequence(pair1k, Const(2.0) * Pow(0.3)), 2.0, fam)
         assert b == pytest.approx(2 * a, rel=1e-12)
 
-    def test_q_inf_rejected(self, pair1k, corpus1k):
-        with pytest.raises(ValueError):
-            tl_infty(corpus1k[0].f, request(pair1k, Const(1.0), np.inf, np.inf))
-
-    def test_default_family_is_the_pair_window(self, pair1k, corpus1k):
-        req = request(pair1k, Pow(0.3), np.inf, 2.0)
-        explicit = NormRequest("F_inf", np.inf, 2.0, req.weights, pair1k, family=CubeFamily(pair1k.k_min, pair1k.k_max))
-        assert req.family == CubeFamily(pair1k.k_min, pair1k.k_max)
-        assert req == explicit
-        assert tl_infty(corpus1k[0].f, req) == tl_infty(corpus1k[0].f, explicit)
+    def test_q_inf_rejected(self, spec1k, pair1k, corpus1k):
+        # the band and the sequence Carleson norms alike need 0 < q < inf
+        ws, fam = sequence(pair1k, Const(1.0)), pair_family(pair1k)
+        coeffs = CoefficientSet.from_entries(1, spec1k.R, {(2, (0,)): 1.0})
+        for q in (np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="F_inf norms need 0 < q < inf"):
+                tl_infty(corpus1k[0].f, pair1k, ws, q, fam)
+            with pytest.raises(ValueError, match="f_inf norms need 0 < q < inf"):
+                seq_f_infty_norm(coeffs, ws, spec1k, q, fam)
 
     def test_family_above_the_weight_levels_refused(self, pair1k, corpus1k):
         # the scans would read no cube for the stack levels below the
         # family's first, so carleson_sup refuses them, for band and sequence
-        # stacks alike; a request names the family and checks nothing of it
+        # stacks alike
         ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
         narrower = WeightSequence(Pow(0.3), pair1k.k_min + 1, pair1k.k_max)
         above = CubeFamily(pair1k.k_min + 1, pair1k.k_max)
         refusal = f"stack level {pair1k.k_min} lies below level {pair1k.k_min + 1}"
         f = corpus1k[0].f
+        spec = pair1k.gspec
         with pytest.raises(GridError, match=refusal):
-            tl_infty(f, NormRequest("F_inf", np.inf, 2.0, ws, pair1k, family=above))
-        assert tl_infty(f, NormRequest("F_inf", np.inf, 2.0, narrower, pair1k, family=above)) > 0
-        bottom, top = (CoefficientSet.from_entries(1, pair1k.gspec.R, {(k, 0): 1.0}) for k in (pair1k.k_min, pair1k.k_min + 1))
+            tl_infty(f, pair1k, ws, 2.0, above)
+        assert tl_infty(f, pair1k, narrower, 2.0, above) > 0
+        bottom, top = (CoefficientSet.from_entries(1, spec.R, {(k, 0): 1.0}) for k in (pair1k.k_min, pair1k.k_min + 1))
         with pytest.raises(GridError, match=refusal):
-            seq_f_infty_norm(bottom, NormRequest("f_inf", np.inf, 2.0, ws, pair1k, family=above))
-        assert seq_f_infty_norm(top, NormRequest("f_inf", np.inf, 2.0, ws, pair1k, family=above))[0] > 0
+            seq_f_infty_norm(bottom, ws, spec, 2.0, above)
+        assert seq_f_infty_norm(top, ws, spec, 2.0, above)[0] > 0
         for fam in (CubeFamily(pair1k.k_min, pair1k.k_max), CubeFamily(pair1k.k_min - 1, pair1k.k_max)):
-            tl_infty(f, NormRequest("F_inf", np.inf, 2.0, ws, pair1k, family=fam))
-            seq_f_infty_norm(bottom, NormRequest("f_inf", np.inf, 2.0, ws, pair1k, family=fam))
+            tl_infty(f, pair1k, ws, 2.0, fam)
+            seq_f_infty_norm(bottom, ws, spec, 2.0, fam)
 
 
 def family_blocks_former(spec, family, array_at):
@@ -281,17 +294,17 @@ def carleson_sup_former(level_arrays, spec, family, q):
     return best ** (1.0 / q)
 
 
-def seq_f_infty_former(coeffs, spec, req):
+def seq_f_infty_former(coeffs, ws, spec, q, family):
     """seq_f_infty_norm as it was: dicts over the levels holding a coefficient,
     through carleson_sup_former."""
-    n, q = spec.n, req.q
+    n = spec.n
     plain, star = {}, {}
     for k in _seq_levels(coeffs, spec):
-        t, mags, S = req.weights.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
+        t, mags, S = ws.on_grid(spec, k), np.abs(coeffs[k]), spec.N // len(coeffs[k])
         tkmq = _starred_cube_lp(t, k, S, q, mags > 0)
         plain[k] = _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
         star[k] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
-    return carleson_sup_former(plain, spec, req.family, q), carleson_sup_former(star, spec, req.family, q)
+    return carleson_sup_former(plain, spec, family, q), carleson_sup_former(star, spec, family, q)
 
 
 class TestCarlesonStack:
@@ -343,36 +356,38 @@ class TestCarlesonStack:
 
 class TestDecompositionInput:
     def test_weighted_bands_match_per_band_loop(self, spec1k, pair1k, corpus1k):
-        req = request(pair1k, Pow(0.3), 2.0, 2.0, k_min=-1, k_max=5)
+        ws = WeightSequence(Pow(0.3), -1, 5)
         for mem in corpus1k[:4]:
-            got = req.weights.weigh(band_magnitudes(mem.f, pair1k))
-            assert got.levels() == req.weights.levels()
-            for k in req.weights.levels():
-                t = req.weights.on_grid(spec1k, k).values
+            got = ws.weigh(band_magnitudes(mem.f, pair1k))
+            assert got.levels() == ws.levels()
+            for k in ws.levels():
+                t = ws.on_grid(spec1k, k).values
                 want = t * np.abs(band_decompose(mem.f, pair1k)[k])
                 assert np.array_equal(got[k], want)
 
     def test_norms_equal_on_function_and_decomposition(self, pair1k, corpus1k):
         fam = CubeFamily(-4, 6)
         cases = [
-            (besov, request(pair1k, Pow(0.3), 2.0, 2.0)),
-            (besov, request(pair1k, Pow(-0.2), 2.0, np.inf)),
-            (tl, request(pair1k, Pow(0.3), 2.0, 2.0)),
-            (tl, request(pair1k, Dyadic(0.5), 1.5, np.inf)),
-            (tl_infty, request(pair1k, Pow(0.3), np.inf, 2.0, family=fam)),
+            (besov, Pow(0.3), (2.0, 2.0)),
+            (besov, Pow(-0.2), (2.0, np.inf)),
+            (tl, Pow(0.3), (2.0, 2.0)),
+            (tl, Dyadic(0.5), (1.5, np.inf)),
+            (tl_infty, Pow(0.3), (2.0, fam)),
         ]
         for mem in corpus1k[:4]:
             decomp = band_decompose(mem.f, pair1k)
             mags = VectorSequence(decomp.spec, decomp.k_min, np.abs(decomp.values))
-            for norm, req in cases:
-                assert norm(mags, req) == norm(mem.f, req), norm.__name__
+            for norm, w, args in cases:
+                ws = sequence(pair1k, w)
+                assert norm(mags, pair1k, ws, *args) == norm(mem.f, pair1k, ws, *args), norm.__name__
 
     def test_norms_on_decomposition_make_no_transform(self, pair1k, corpus1k, fft_calls):
         mags = band_magnitudes(corpus1k[0].f, pair1k)
+        ws = sequence(pair1k, Pow(0.3))
         before = dict(fft_calls)
-        besov(mags, request(pair1k, Pow(0.3), 2.0, 2.0))
-        tl(mags, request(pair1k, Pow(0.3), 2.0, 2.0))
-        tl_infty(mags, request(pair1k, Pow(0.3), np.inf, 2.0))
+        besov(mags, pair1k, ws, 2.0, 2.0)
+        tl(mags, pair1k, ws, 2.0, 2.0)
+        tl_infty(mags, pair1k, ws, 2.0, pair_family(pair1k))
         assert fft_calls == before
 
     def test_magnitudes_are_the_decomposition_magnitudes(self, pair1k, corpus1k):
@@ -393,7 +408,7 @@ NEWNORM_CASES = [("F", 2.0, 2.0), ("B", 2.0, 2.0), ("F", 2.0, np.inf), ("B", 2.0
 class TestStackNorm:
     """stack_norm takes B, F and F_inf from one weighted stack, weighed once
     from the band magnitudes, bit for bit what it takes from a stack weighed
-    afresh for each request."""
+    afresh for each norm."""
 
     def test_shared_stack_equals_weighted_bands(self, pair1k, corpus1k):
         fam = CubeFamily(-4, 6)
@@ -404,24 +419,27 @@ class TestStackNorm:
                     mags = band_magnitudes(mem.f, pair1k)
                     wb = seq.weigh(mags)
                     for tag, p, q in NEWNORM_CASES:
-                        req = NormRequest(tag, p, q, seq, pair1k, family=fam)
-                        assert stack_norm(wb, req) == stack_norm(req.weights.weigh(band_magnitudes(mem.f, pair1k)), req), (w, seq.spec, tag, q)
+                        fresh = seq.weigh(band_magnitudes(mem.f, pair1k))
+                        assert stack_norm(wb, tag, p, q, fam) == stack_norm(fresh, tag, p, q, fam), (w, seq.spec, tag, q)
 
     def test_dyadic_stack_equals_named_norms(self, pair1k, corpus1k):
+        # a family other than the pair window's, which F_inf must scan
+        fam = CubeFamily(-4, 6, translates=False)
         for s in (-1.0, 0.5, 2.0):
             ws = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max)
             for mem in corpus1k[:3]:
                 wb = ws.weigh(band_magnitudes(mem.f, pair1k))
                 for q in (2.0, np.inf):
-                    assert stack_norm(wb, NormRequest("B", 2.0, q, ws, pair1k)) == besov(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
-                    assert stack_norm(wb, NormRequest("F", 2.0, q, ws, pair1k)) == tl(mem.f, NormRequest("F", 2.0, q, ws, pair1k))
+                    assert stack_norm(wb, "B", 2.0, q, fam) == besov(mem.f, pair1k, ws, 2.0, q)
+                    assert stack_norm(wb, "F", 2.0, q, fam) == tl(mem.f, pair1k, ws, 2.0, q)
+                assert stack_norm(wb, "F_inf", np.inf, 2.0, fam) == tl_infty(mem.f, pair1k, ws, 2.0, fam)
 
     def test_other_spaces_rejected(self, pair1k, corpus1k):
         ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
         wb = ws.weigh(band_magnitudes(corpus1k[0].f, pair1k))
         for space in ("b", "Lp", "BMO"):
             with pytest.raises(ValueError, match="band norms"):
-                stack_norm(wb, NormRequest(space, 2.0, 2.0, ws, pair1k))
+                stack_norm(wb, space, 2.0, 2.0, pair_family(pair1k))
 
     def test_nonneg_kernels_equal_public_norms(self, rng):
         spec = GridSpec(2, 2.0, 32)
@@ -443,39 +461,38 @@ class TestSequenceNorms:
         # n=1, p=q=1, unit weight: the norm is 2^(k/2) |Q_{k,m}| = 2^(-k/2)
         k0 = 2
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (1,)): 1.0})
-        req = request(pair1k, Const(1.0), 1.0, 1.0)
-        plain, star = seq_b_norm(coeffs, req)
+        plain, star = seq_b_norm(coeffs, sequence(pair1k, Const(1.0)), spec1k, 1.0, 1.0)
         assert plain == pytest.approx(2.0 ** (-k0 / 2.0), rel=1e-12)
         assert star == pytest.approx(plain, rel=1e-12)
 
     def test_single_coefficient_f_exponent_algebra(self, spec1k, pair1k):
         # p=q=2: the cube factors cancel, value 2^(k(1/2 - 1/2)) = 1
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(2, (0,)): 1.0})
-        plain, star = seq_f(coeffs, request(pair1k, Const(1.0), 2.0, 2.0))
+        plain, star = seq_f(coeffs, sequence(pair1k, Const(1.0)), spec1k, 2.0, 2.0)
         assert plain == pytest.approx(1.0, rel=1e-12)
         assert star == pytest.approx(1.0, rel=1e-12)
 
     def test_single_coefficient_f_p1(self, spec1k, pair1k):
         k0 = 3
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (2,)): 1.0})
-        plain, star = seq_f(coeffs, request(pair1k, Const(1.0), 1.0, 1.0))
+        plain, star = seq_f(coeffs, sequence(pair1k, Const(1.0)), spec1k, 1.0, 1.0)
         assert plain == pytest.approx(2.0 ** (-k0 / 2.0), rel=1e-12)
         assert star == pytest.approx(plain, rel=1e-12)
 
     def test_plain_equals_starred_single_coefficient(self, spec1k, pair1k, rng):
+        ws = sequence(pair1k, Pow(0.3))
         for _ in range(8):
             k0 = int(rng.integers(-2, 7))
             lo = -int(8 * 2.0**k0)
             m0 = int(rng.integers(lo, -lo))
             lam = complex(rng.normal(), rng.normal())
             coeffs = CoefficientSet.from_entries(1, spec1k.R, {(k0, (m0,)): lam})
-            for fn, p, q in ((seq_b_norm, 2.0, 3.0), (seq_f, 2.0, 3.0), (seq_f_infty_norm, np.inf, 2.0)):
-                req = request(pair1k, Pow(0.3), p if np.isfinite(p) else np.inf, q)
-                plain, star = fn(coeffs, req)
+            for fn, args in ((seq_b_norm, (2.0, 3.0)), (seq_f, (2.0, 3.0)), (seq_f_infty_norm, (2.0, pair_family(pair1k)))):
+                plain, star = fn(coeffs, ws, spec1k, *args)
                 assert plain == pytest.approx(star, rel=1e-12), fn.__name__
 
     def test_random_sets_ratio_bounded(self, spec1k, pair1k, rng):
-        req = request(pair1k, Pow(0.3), 2.0, 2.0)
+        ws = sequence(pair1k, Pow(0.3))
         for _ in range(10):
             count = int(rng.integers(5, 20))
             data = {}
@@ -485,23 +502,23 @@ class TestSequenceNorms:
                 m = int(rng.integers(-C, C))
                 data[(k, (m,))] = complex(rng.normal(), rng.normal())
             coeffs = CoefficientSet.from_entries(1, spec1k.R, data)
-            plain, star = seq_f(coeffs, req)
+            plain, star = seq_f(coeffs, ws, spec1k, 2.0, 2.0)
             assert plain > 0 and star > 0
             ratio = plain / star
             assert 1 / 20 < ratio < 20
-            bp, bs = seq_b_norm(coeffs, req)
+            bp, bs = seq_b_norm(coeffs, ws, spec1k, 2.0, 2.0)
             assert bp == pytest.approx(bs, rel=1e-9)  # disjoint cubes: exact identity
 
     def test_empty_carleson(self, spec1k, pair1k):
-        req = request(pair1k, Const(1.0), np.inf, 2.0)
-        assert seq_f_infty_norm(CoefficientSet.from_entries(1, spec1k.R, {}), req) == (0.0, 0.0)
+        empty = CoefficientSet.from_entries(1, spec1k.R, {})
+        assert seq_f_infty_norm(empty, sequence(pair1k, Const(1.0)), spec1k, 2.0, pair_family(pair1k)) == (0.0, 0.0)
 
     def test_homogeneity(self, spec1k, pair1k, rng):
         data = {(2, (1,)): 1.0 + 0.3j, (4, (-3,)): 0.5}
         coeffs = CoefficientSet.from_entries(1, spec1k.R, data)
-        req = request(pair1k, Pow(0.3), 2.0, 2.0)
-        p1, s1 = seq_f(coeffs, req)
-        p2, s2 = seq_f(CoefficientSet.from_entries(1, spec1k.R, {key: 4.0 * v for key, v in data.items()}), req)
+        ws = sequence(pair1k, Pow(0.3))
+        p1, s1 = seq_f(coeffs, ws, spec1k, 2.0, 2.0)
+        p2, s2 = seq_f(CoefficientSet.from_entries(1, spec1k.R, {key: 4.0 * v for key, v in data.items()}), ws, spec1k, 2.0, 2.0)
         assert p2 == pytest.approx(4 * p1, rel=1e-12)
         assert s2 == pytest.approx(4 * s1, rel=1e-12)
 
@@ -531,40 +548,38 @@ class TestDenseSequenceNorms:
         # k = -log2(2R): cubes [-R, 0) and [0, R); with p = q = 1 and unit
         # weight the b- and f-norms are 2^(k/2) |lambda| R = 2, and the
         # Carleson norm takes the mean over the whole domain, 2^(k/2) / 2
-        pair = make_lp_pair(spec1k, -4, 6)
-        req = request(pair, Const(1.0), 1.0, 1.0)
+        ws = WeightSequence(Const(1.0), -4, 6)
         for m in (-1, 0):
             coeffs = CoefficientSet.from_entries(1, spec1k.R, {(-4, m): 1.0})
-            assert seq_b_norm(coeffs, req) == (2.0, 2.0)
-            assert seq_f(coeffs, req) == (2.0, 2.0)
-            assert seq_f_infty_norm(coeffs, req) == (0.125, 0.125)
+            assert seq_b_norm(coeffs, ws, spec1k, 1.0, 1.0) == (2.0, 2.0)
+            assert seq_f(coeffs, ws, spec1k, 1.0, 1.0) == (2.0, 2.0)
+            assert seq_f_infty_norm(coeffs, ws, spec1k, 1.0, CubeFamily(-4, 6)) == (0.125, 0.125)
 
     def test_levels_past_the_grid_refused(self, spec1k):
         # spec1k's level window is [-4, 6]: a level-7 cube is finer than a
-        # cell; a level below -4 has no weight t_k, since a request keeps the
-        # weight levels inside the pair window and so inside the grid's
-        req = request(make_lp_pair(spec1k, -4, 6), Const(1.0), 1.0, 1.0)
+        # cell; a level below -4 has no weight t_k, since the weight levels
+        # here are the grid's
+        ws = WeightSequence(Const(1.0), -4, 6)
         fine = CoefficientSet.from_entries(1, spec1k.R, {(7, (0,)): 1.0})
         coarse = CoefficientSet.from_entries(1, spec1k.R, {(-5, (0,)): 1.0})
-        for norm in (seq_b_norm, seq_f, seq_f_infty_norm):
+        for norm, args in ((seq_b_norm, (1.0, 1.0)), (seq_f, (1.0, 1.0)), (seq_f_infty_norm, (1.0, CubeFamily(-4, 6)))):
             with pytest.raises(GridError, match="past level 6"):
-                norm(fine, req)
+                norm(fine, ws, spec1k, *args)
             with pytest.raises(GridError, match="level -5 lies outside the weight levels"):
-                norm(coarse, req)
+                norm(coarse, ws, spec1k, *args)
 
     def test_levels_past_the_weight_sequence_refused(self):
         # dyadic:1 on levels -3..2 and a coefficient at level 6: the norms
         # sampled t_6 = 2^6 though the sequence ends at level 2, and b and f
         # returned 8.0 at p = q = 1
         spec = GridSpec(1, 8.0, 1024)
-        pair = make_lp_pair(spec, -3, 6)
-        req = NormRequest("f", 1.0, 1.0, WeightSequence(Dyadic(1.0), -3, 2), pair)
+        ws = WeightSequence(Dyadic(1.0), -3, 2)
         coeffs = CoefficientSet.from_entries(1, spec.R, {(6, (0,)): 1.0})
-        for norm in (seq_b_norm, seq_f, seq_f_infty_norm):
+        for norm, args in ((seq_b_norm, (1.0, 1.0)), (seq_f, (1.0, 1.0)), (seq_f_infty_norm, (1.0, CubeFamily(-3, 6)))):
             with pytest.raises(GridError, match="level 6 lies outside the weight levels"):
-                norm(coeffs, req)
+                norm(coeffs, ws, spec, *args)
         with pytest.raises(GridError, match="level 3 lies outside"):
-            req.weights.on_grid(spec, 3)
+            ws.on_grid(spec, 3)
 
     def test_carleson_refuses_levels_below_the_coarsest_cube(self, spec1k):
         # a stack level -5, below every cube of the family -4..6 (and of the
@@ -586,28 +601,29 @@ class TestDenseSequenceNorms:
         coeffs = CoefficientSet.from_entries(n, spec.R, entries)
         assert list(coeffs.support) == [-2, 2] and coeffs.levels() == range(-2, 3)
         for w in (Const(1.0), Pow(0.3), Dyadic(0.5)):
-            for family in (None, CubeFamily(-2, 5, False)):
-                req = request(pair, w, np.inf, 2.0, family=family)
-                assert seq_f_infty_norm(coeffs, req) == seq_f_infty_former(coeffs, spec, req)
+            ws = sequence(pair, w)
+            for family in (pair_family(pair), CubeFamily(-2, 5, False)):
+                assert seq_f_infty_norm(coeffs, ws, spec, 2.0, family) == seq_f_infty_former(coeffs, ws, spec, 2.0, family)
 
     def test_level_finer_than_grid_refused(self, spec1k, pair1k):
         # h = 1/64, so level 7 cubes would be half a cell wide
         coeffs = CoefficientSet.from_entries(1, spec1k.R, {(7, 0): 1.0})
-        for fn, p in ((seq_b_norm, 2.0), (seq_f, 2.0), (seq_f_infty_norm, np.inf)):
+        ws = sequence(pair1k, Const(1.0))
+        for fn, args in ((seq_b_norm, (2.0, 2.0)), (seq_f, (2.0, 2.0)), (seq_f_infty_norm, (2.0, pair_family(pair1k)))):
             with pytest.raises(ValueError, match="level 7 .*h=0.015625"):
-                fn(coeffs, request(pair1k, Const(1.0), p, 2.0))
+                fn(coeffs, ws, spec1k, *args)
         good = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 1.0})
         with pytest.raises(ValueError, match="level 7 .*h=0.015625"):
-            seq_f_norms([good, coeffs], request(pair1k, Const(1.0), 2.0, 2.0))
+            seq_f_norms([good, coeffs], ws, spec1k, 2.0, 2.0)
 
     def test_other_domain_refused(self, spec1k, pair1k):
         coeffs = CoefficientSet.from_entries(1, 4.0, {(2, 0): 1.0})
         good = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 1.0})
-        req = request(pair1k, Const(1.0), 2.0, 2.0)
+        ws = sequence(pair1k, Const(1.0))
         with pytest.raises(ValueError, match="do not fit"):
-            seq_f(coeffs, req)
+            seq_f(coeffs, ws, spec1k, 2.0, 2.0)
         with pytest.raises(ValueError, match="do not fit"):
-            seq_f_norms([good, coeffs], req)
+            seq_f_norms([good, coeffs], ws, spec1k, 2.0, 2.0)
 
 
 # the two (p, q) pairs of suite_seqnorm, and q = inf
@@ -620,8 +636,7 @@ class TestBatchedSequenceNorms:
     def check(self, sets, spec, pair, weight=Pow(0.3)):
         for p, q in BATCH_PQ:
             ws = WeightSequence(weight, pair.k_min, pair.k_max)
-            req = NormRequest("f", p, q, ws, pair)
-            assert seq_f_norms(sets, req) == [dense_seq_f_norm(c, spec, req) for c in sets], (p, q)
+            assert seq_f_norms(sets, ws, spec, p, q) == [dense_seq_f_norm(c, ws, spec, p, q) for c in sets], (p, q)
 
     def test_random_batch_1d(self, spec1k, pair1k, rng):
         self.check(random_sets(spec1k, pair1k.k_min, pair1k.k_max, 24, rng), spec1k, pair1k)
@@ -653,9 +668,9 @@ class TestBatchedSequenceNorms:
         zero = CoefficientSet.from_entries(1, spec1k.R, {(2, 0): 0.0})
         sets = [empty, *random_sets(spec1k, 0, 3, 2, rng), zero]
         self.check(sets, spec1k, pair1k)
-        req = request(pair1k, Const(1.0), 2.0, 2.0)
-        assert seq_f_norms([empty, zero], req) == [(0.0, 0.0), (0.0, 0.0)]
-        assert seq_f_norms([], req) == []
+        ws = sequence(pair1k, Const(1.0))
+        assert seq_f_norms([empty, zero], ws, spec1k, 2.0, 2.0) == [(0.0, 0.0), (0.0, 0.0)]
+        assert seq_f_norms([], ws, spec1k, 2.0, 2.0) == []
 
     def test_disjoint_level_ranges(self, spec1k, pair1k, rng):
         coarse = random_sets(spec1k, -3, 0, 3, rng)
@@ -664,7 +679,7 @@ class TestBatchedSequenceNorms:
 
     def test_level_work_shared_by_the_batch(self, spec1k, pair1k, rng, monkeypatch):
         """t_k, t_k^q and t_{k,m} once per level for any batch size; each
-        set's nonzero coefficients gathered once for any number of requests."""
+        set's nonzero coefficients gathered once for any number of (p, q)."""
         calls = {"on_grid": 0, "starred": 0, "support": 0}
         on_grid, starred = WeightSequence.on_grid, spaces._starred_cube_lp
         support = CoefficientSet.__dict__["support"].func
@@ -698,7 +713,7 @@ class TestBatchedSequenceNorms:
             for key in calls:
                 calls[key] = 0
             for p, q in BATCH_PQ:
-                seq_f_norms(sets, request(pair1k, Pow(0.3), p, q))
+                seq_f_norms(sets, sequence(pair1k, Pow(0.3)), spec1k, p, q)
             assert calls["on_grid"] == calls["starred"] == 5 * len(BATCH_PQ), B
             assert calls["support"] == B
 
@@ -820,9 +835,9 @@ class TestGrandMaximal:
     def test_comparable_to_tl2(self, spec1k, pair1k, corpus1k):
         d = build_dictionary(spec1k)
         ts = WeightSequence(Const(1.0), -3, 6)
-        req = request(pair1k, Const(1.0), 2.0, 2.0)
+        ws = sequence(pair1k, Const(1.0))
         ratios = [
-            hardy_grand_norm(mem.f, ts, 2.0, d) / tl(mem.f, req) for mem in corpus1k[:6]
+            hardy_grand_norm(mem.f, ts, 2.0, d) / tl(mem.f, pair1k, ws, 2.0, 2.0) for mem in corpus1k[:6]
         ]
         assert max(ratios) / min(ratios) < 50
         assert all(0.001 < r < 1000 for r in ratios)
@@ -844,14 +859,13 @@ class TestTwoDimensional:
         ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max)
         for k0, m0 in ((0, (0, -1)), (2, (3, 1)), (3, (-4, 2))):
             coeffs = CoefficientSet.from_entries(2, spec.R, {(k0, m0): 1.0 - 0.25j})
-            for fn, space, p, q in (
-                (seq_b_norm, "b", 2.0, 3.0),
-                (seq_f, "f", 2.0, 3.0),
-                (seq_f, "f", 2.0, np.inf),
-                (seq_f_infty_norm, "f_inf", np.inf, 2.0),
+            for fn, args in (
+                (seq_b_norm, (2.0, 3.0)),
+                (seq_f, (2.0, 3.0)),
+                (seq_f, (2.0, np.inf)),
+                (seq_f_infty_norm, (2.0, pair_family(pair))),
             ):
-                req = NormRequest(space, p, q, ws, pair)
-                plain, star = fn(coeffs, req)
+                plain, star = fn(coeffs, ws, spec, *args)
                 assert plain == pytest.approx(star, rel=1e-12), (fn.__name__, k0, m0)
 
     def test_unit_weight_f_value_2d(self, setup2d):
@@ -859,7 +873,7 @@ class TestTwoDimensional:
         spec, pair = setup2d
         ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max)
         coeffs = CoefficientSet.from_entries(2, spec.R, {(2, (1, 1)): 3.0})
-        plain, star = seq_f(coeffs, NormRequest("f", 2.0, 2.0, ws, pair))
+        plain, star = seq_f(coeffs, ws, spec, 2.0, 2.0)
         assert plain == pytest.approx(3.0, rel=1e-12)
         assert star == pytest.approx(3.0, rel=1e-12)
 
@@ -870,12 +884,8 @@ class TestTwoDimensional:
         f = make_corpus(spec, pair, size=1, seed=21)[0].f
         ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max)
         fam = CubeFamily(-1, 4, translates=True)
-        req = NormRequest("F_inf", np.inf, 2.0, ws, pair, family=fam)
-        val = tl_infty(f, req)
-        dbl = tl_infty(f, NormRequest(
-            "F_inf", np.inf, 2.0,
-            WeightSequence(Const(2.0) * Pow(0.3), pair.k_min, pair.k_max),
-            pair, family=fam))
+        val = tl_infty(f, pair, ws, 2.0, fam)
+        dbl = tl_infty(f, pair, WeightSequence(Const(2.0) * Pow(0.3), pair.k_min, pair.k_max), 2.0, fam)
         assert val > 0
         assert dbl == pytest.approx(2 * val, rel=1e-12)
         g = GridFunction(spec, f.values + 7.0)

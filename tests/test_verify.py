@@ -5,7 +5,7 @@ import pytest
 
 from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, _lp, level_index_range, lp_norm, weighted_lp_norm
 from lpw.lpaley import make_lp_pair
-from lpw.spaces import NormRequest, band_magnitudes, stack_norm
+from lpw.spaces import band_magnitudes, stack_norm
 from lpw.suites import CEILINGS
 from lpw.verify import (
     classical_band_magnitudes,
@@ -24,9 +24,9 @@ EQ = CEILINGS["equivalence"]
 CO = (CEILINGS["coincidence"], CEILINGS["ap_hypothesis"])
 
 
-def band_norm(f, req):
-    """The band norm req.space names, of f."""
-    return stack_norm(req.weights.weigh(band_magnitudes(f, req.pair)), req)
+def f22_norm(f, pair, ws):
+    """The band norm F_{2,2} of f under the weight sequence ws on pair."""
+    return stack_norm(ws.weigh(band_magnitudes(f, pair)), "F", 2.0, 2.0, CubeFamily(pair.k_min, pair.k_max))
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +134,8 @@ class TestEquivalence:
     def test_symmetry_inverts(self, spec1k, pair1k, corpus1k):
         wsa = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
         wsb = WeightSequence(ShiftPow(0.4, 1.0), pair1k.k_min, pair1k.k_max)
-        na = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, wsa, pair1k))
-        nb = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, wsb, pair1k))
+        na = lambda f: f22_norm(f, pair1k, wsa)
+        nb = lambda f: f22_norm(f, pair1k, wsb)
         names = [m.name for m in corpus1k]
         va, vb = [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k]
         ab = ratio_report(names, va, vb, EQ)
@@ -147,7 +147,7 @@ class TestEquivalence:
         # extremes bound every ratio and the witnesses reproduce them exactly
         ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
         na = lambda f: lp_norm(f, 2.0)
-        nb = lambda f: band_norm(f, NormRequest("F", 2.0, 2.0, ws, pair1k))
+        nb = lambda f: f22_norm(f, pair1k, ws)
         rep = ratio_report([m.name for m in corpus1k], [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k], EQ)
         assert all(rep["min_ratio"] <= r <= rep["max_ratio"] for r in rep["ratios"])
         by_name = dict(zip(rep["members"], rep["ratios"]))
@@ -303,11 +303,11 @@ class TestFrozenLevelNondegenerate:
         # in [1/4, 4] and the per-level spreads must be uniformly bounded
         ws = WeightSequence(Prod((AltConst(2.0), Pow(0.3))), pair1k.k_min, pair1k.k_max)
         names = [m.name for m in corpus1k]
-        seq_vals = [band_norm(m.f, NormRequest("F", 2.0, 2.0, ws, pair1k)) for m in corpus1k]
+        seq_vals = [f22_norm(m.f, pair1k, ws) for m in corpus1k]
         spreads = {}
         for j in range(-3, 4):
             frozen = ws.frozen(j)
-            vals_j = [band_norm(m.f, NormRequest("F", 2.0, 2.0, frozen, pair1k)) for m in corpus1k]
+            vals_j = [f22_norm(m.f, pair1k, frozen) for m in corpus1k]
             rep = ratio_report(names, seq_vals, vals_j, ceiling=4.0)
             assert rep["pass"]
             assert 0.25 - 1e-12 <= rep["min_ratio"] and rep["max_ratio"] <= 4.0 + 1e-12
@@ -325,15 +325,15 @@ class TestTransformNormEquivalence:
         from lpw.spaces import seq_b_norm, seq_f_norms
 
         ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
-        req_f = NormRequest("F", 2.0, 2.0, ws, pair1k)
-        req_b = NormRequest("B", 2.0, 1.0, ws, pair1k)
+        fam = CubeFamily(pair1k.k_min, pair1k.k_max)
         ratios_f, ratios_b = [], []
         for mem in corpus1k[:8]:
             coeffs = analyze(mem.f, pair1k)
-            plain_f, _ = seq_f_norms([coeffs], req_f)[0]
-            ratios_f.append(plain_f / band_norm(mem.f, req_f))
-            plain_b, _ = seq_b_norm(coeffs, req_b)
-            ratios_b.append(plain_b / band_norm(mem.f, req_b))
+            wb = ws.weigh(band_magnitudes(mem.f, pair1k))
+            plain_f, _ = seq_f_norms([coeffs], ws, spec1k, 2.0, 2.0)[0]
+            ratios_f.append(plain_f / stack_norm(wb, "F", 2.0, 2.0, fam))
+            plain_b, _ = seq_b_norm(coeffs, ws, spec1k, 2.0, 1.0)
+            ratios_b.append(plain_b / stack_norm(wb, "B", 2.0, 1.0, fam))
         for ratios in (ratios_f, ratios_b):
             assert max(ratios) / min(ratios) < 10
             assert 0.1 < min(ratios) and max(ratios) < 10

@@ -61,8 +61,6 @@ def power_mean_oracle(a, lo, hi, r):
 class SquaredDyadic(WeightSpec):
     """2^(k^2): super-geometric level growth, for divergence fixtures."""
 
-    separable = False
-
     def split(self):
         return None
 
@@ -103,6 +101,15 @@ class TestGrammar:
         s, g = parse_weight("prod:[pow:0.5,dyadic:2]").split()
         assert s == 2.0
         np.testing.assert_allclose(g(np.array([4.0])), [2.0])
+        # separable is whether split() finds (s, g); one non-separable factor
+        # or base makes the whole weight non-separable
+        alt = AltPow(0.3)
+        for w in (alt, AltConst(2.0), Prod((Pow(0.5), alt)), Prod((Dyadic(1.0), Prod((alt, Pow(0.2))))),
+                  alt.power(2.0), alt.frozen(1)):
+            assert w.split() is None and not w.separable, w.key()
+        for w in (Pow(0.5), Prod((Pow(0.5), Dyadic(2.0))), Pow(0.5).power(2.0), Dyadic(1.0).frozen(3)):
+            assert w.separable, w.key()
+        assert alt.frozen(1).level_free and not alt.level_free
 
     def test_power_and_inverse(self):
         w = Pow(0.5)
