@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
@@ -36,7 +35,6 @@ from .suites import (
 )
 from .weights import (
     XCLASS_ALPHA_MAX,
-    Prod,
     WeightError,
     WeightSequence,
     ap_witness,
@@ -61,16 +59,13 @@ def _require(cond: bool, field: str, message: str) -> None:
 
 
 def _require_level_factors(w, levels, field: str) -> None:
-    """Refuse w, a weight of the config grammar, unless each level factor
-    2^(k s) that its eval forms apart, a factor's or a prod's running
-    product's, is positive and finite in double precision on the levels,
-    which holds exactly for -1075 < k s < 1024."""
-    parts = w.factors if isinstance(w, Prod) else ()
-    for part in parts:
-        _require_level_factors(part, levels, field)
-    for s in itertools.accumulate(part.split()[0] for part in parts or (w,)):
-        _require(all(-1075 < k * s < 1024 for k in levels), field, f"{w.key()} forms the level factor "
-                 f"2^({s:g} k), which leaves double precision on levels [{min(levels)}, {max(levels)}]")
+    """Refuse w, a weight of the config grammar, unless the level factor
+    2^(k s) of its total rate s, the one factor its eval forms, is positive
+    and finite in double precision on the levels, which holds exactly for
+    -1075 < k s < 1024."""
+    s = w.split()[0]
+    _require(all(-1075 < k * s < 1024 for k in levels), field, f"{w.key()} forms the level factor "
+             f"2^({s:g} k), which leaves double precision on levels [{min(levels)}, {max(levels)}]")
 
 
 def _parse_exponent(value, field: str) -> float:
@@ -139,7 +134,8 @@ class RunConfig:
             except WeightError as exc:
                 raise ConfigError(f"weights.{name}", str(exc)) from None
         pairs = self._get("exponents", [[2.0, 1.2], [3.0, 1.5]])
-        _require(isinstance(pairs, list), "exponents", f"expected a list of [p, theta] pairs, got {pairs!r}")
+        _require(isinstance(pairs, list) and bool(pairs), "exponents",
+                 f"expected a list of one or more [p, theta] pairs, got {pairs!r}")
         exponent_pairs = []
         for i, pq in enumerate(pairs):
             _require(isinstance(pq, list) and len(pq) == 2, f"exponents[{i}]", f"expected [p, theta], got {pq!r}")
@@ -148,8 +144,8 @@ class RunConfig:
             _require(theta < p, f"exponents[{i}].theta", f"needs theta < p, got {theta} >= {p}")
             exponent_pairs.append((p, theta))
         suites = self._get("suites", list(ALL_SUITES))
-        _require(isinstance(suites, list) and all(isinstance(name, str) for name in suites), "suites",
-                 f"expected a list of suite names, got {suites!r}")
+        _require(isinstance(suites, list) and bool(suites) and all(isinstance(name, str) for name in suites),
+                 "suites", f"expected a list of one or more suite names, got {suites!r}")
         self.suites = list(suites)
         for name in self.suites:
             _require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
@@ -223,7 +219,8 @@ class RunConfig:
 
     def _table(self, field: str, default) -> dict:
         value = self._get(field, default)
-        _require(isinstance(value, dict), field, f"expected an object of named entries, got {value!r}")
+        _require(isinstance(value, dict) and bool(value), field,
+                 f"expected an object of one or more named entries, got {value!r}")
         return value
 
     def check_runnable(self, suites: list[str], corpus: bool = False, norm: bool = False, weights: str | None = None) -> None:
@@ -237,7 +234,6 @@ class RunConfig:
         ctx = self.ctx
         pair = ctx.pair()
         if weights:
-            _require(bool(ctx.exponent_pairs), "exponents", "weights reports take the first pair; the list is empty")
             p = ctx.exponent_pairs[0][0]
             _require(weights == "xclass" or 1 < p < math.inf, "exponents[0].p",
                      f"weights {weights} takes the Muckenhoupt constant A_p, which needs 1 < p < inf, got {p:g}")
@@ -312,8 +308,10 @@ def _jsonify(obj):
 
 
 def _write_json(path: Path, obj) -> None:
+    # a NaN raises before anything is written: it is not JSON, and no verdict may rest on one
+    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(text)
 
 
 def _write_ratios(path: Path, report: dict) -> None:

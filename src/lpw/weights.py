@@ -57,6 +57,9 @@ class WeightSpec:
     """Base class: a strictly positive radial weight w(x, k)."""
 
     def eval(self, r: np.ndarray, k: int = 0) -> np.ndarray:
+        """t_k(r) = 2^(k s) g(r), the one rule wherever split() gives (s, g);
+        only a weight holding AltPow or AltConst, outside the config grammar,
+        does not split and is evaluated factor by factor."""
         s, g = self.split()
         return 2.0 ** (k * s) * g(r)
 
@@ -68,12 +71,6 @@ class WeightSpec:
     def separable(self) -> bool:
         """Whether w(x,k) = 2^(k s) g(|x|), as split() finds."""
         return self.split() is not None
-
-    @property
-    def level_free(self) -> bool:
-        """Whether eval(r, k) is the same array on every level k: a primitive
-        with s = 0 evaluates 2.0 ** (k * 0.0) * g(r) = 1.0 * g(r) exactly."""
-        return self.separable and self.split()[0] == 0
 
     def key(self) -> str:
         raise NotImplementedError
@@ -160,12 +157,6 @@ class Prod(WeightSpec):
         if not self.factors:
             raise WeightError("empty product weight")
 
-    @property
-    def level_free(self):
-        # factor by factor: dyadic:0.5 times dyadic:-0.5 has s = 0, but its
-        # product 2^(0.5 k) 2^(-0.5 k) need not round to 1.0 on every level
-        return all(f.level_free for f in self.factors)
-
     def split(self):
         parts = [f.split() for f in self.factors]
         if any(part is None for part in parts):
@@ -181,6 +172,8 @@ class Prod(WeightSpec):
         return s, g
 
     def eval(self, r, k=0):
+        if self.separable:
+            return super().eval(r, k)
         out = np.ones_like(np.asarray(r, dtype=float))
         for f in self.factors:
             out = out * f.eval(r, k)
@@ -195,10 +188,6 @@ class PowOf(WeightSpec):
     base: WeightSpec
     e: float
 
-    @property
-    def level_free(self):
-        return self.base.level_free
-
     def split(self):
         sp = self.base.split()
         if sp is None:
@@ -207,6 +196,8 @@ class PowOf(WeightSpec):
         return s * self.e, lambda r: g(r) ** self.e
 
     def eval(self, r, k=0):
+        if self.separable:
+            return super().eval(r, k)
         return self.base.eval(r, k) ** self.e
 
     def key(self):
@@ -215,22 +206,13 @@ class PowOf(WeightSpec):
 
 @dataclass(frozen=True)
 class Frozen(WeightSpec):
-    """The level-independent weight t_j obtained by fixing the level index."""
+    """The level-independent weight t_j, s = 0 and g = t_j, whatever its base."""
 
     base: WeightSpec
     j: int
-    level_free = True
 
     def split(self):
-        sp = self.base.split()
-        if sp is None:
-            return None
-        s, g = sp
-        scale = 2.0 ** (self.j * s)
-        return 0.0, lambda r: scale * g(r)
-
-    def eval(self, r, k=0):
-        return self.base.eval(r, self.j)
+        return 0.0, lambda r: self.base.eval(r, self.j)
 
     def key(self):
         return f"frozen:({self.base.key()})@{self.j}"
@@ -351,7 +333,9 @@ class WeightSequence:
     def __post_init__(self):
         if self.k_min > self.k_max:
             raise WeightError("empty level range in weight sequence")
-        object.__setattr__(self, "_grid_cache", {})
+        split = self.spec.split()
+        object.__setattr__(self, "_rate", None if split is None else split[0])
+        object.__setattr__(self, "_samples", {})
 
     def levels(self) -> range:
         return range(self.k_min, self.k_max + 1)
@@ -359,37 +343,44 @@ class WeightSequence:
     def frozen(self, j: int) -> "WeightSequence":
         return WeightSequence(self.spec.frozen(j), self.k_min, self.k_max)
 
+    def _level(self, gspec: GridSpec, k: int) -> tuple[float, GridFunction]:
+        """(c, g) with t_k = c g on the grid, a level outside levels()
+        refused: c = 2^(k s) and g = t_0 = 1.0 g, which is g exactly, sampled
+        once per grid, for a weight that splits; c = 1.0 and g = t_k, sampled
+        once per (grid, level), for any other.  g is checked positive and
+        finite as it is sampled; rounding is monotone, so a level checks only
+        c min g and c max g."""
+        if not self.k_min <= k <= self.k_max:
+            raise GridError(f"level {k} lies outside the weight levels {self.levels()}")
+        at, c = (k, 1.0) if self._rate is None else (0, 2.0 ** (k * self._rate))
+        if (gspec, at) not in self._samples:
+            g = self.spec.on_grid(gspec, at)
+            self._samples[gspec, at] = g, float(g.values.min()), float(g.values.max())
+        g, lo, hi = self._samples[gspec, at]
+        if not (0 < c * lo and c * hi < np.inf):
+            raise WeightError(f"weight {self.spec.key()} is not positive finite on the grid at level {k}")
+        return c, g
+
     def on_grid(self, gspec: GridSpec, k: int) -> GridFunction:
-        """t_k on the grid, sampled once per grid; a level outside levels() is refused."""
-        key = (gspec, k)
-        cache = self._grid_cache
-        if key not in cache:
-            if not self.k_min <= k <= self.k_max:
-                raise GridError(f"level {k} lies outside the weight levels {self.levels()}")
-            cache[key] = self.spec.on_grid(gspec, k)
-        return cache[key]
+        """t_k on the grid; a level outside levels() is refused."""
+        c, g = self._level(gspec, k)
+        return g if c == 1.0 else GridFunction(gspec, c * g.values)
 
     def weigh(self, mags: VectorSequence) -> VectorSequence:
         """{t_k |f_k|} over this sequence's levels, which the magnitude stack
         mags = {|f_k|} must hold: the weighted stack that every weighted band
         norm and maximal ratio is a functional of.  The product goes into a
-        fresh stack; mags is left as it is.
-
-        A level-free weight (every Frozen t_j, and pow, const, shiftpow and
-        dyadic:0 with their products and powers) has one sample for all
-        levels, and the stack is one broadcast multiply by it.  Dyadic and
-        non-separable weights are sampled and multiplied level by level.
-        Each entry is the same product t_k(x) * |f_k(x)| either way."""
+        fresh stack, each row formed as t_k = c g and then t_k |f_k|, the
+        entries of on_grid(k) times |f_k|; mags is left as it is."""
         if self.k_min not in mags.levels() or self.k_max not in mags.levels():
             raise GridError(f"weight levels {self.levels()} leave the stack's {mags.levels()}")
         lo = self.k_min - mags.k_min
         rows = mags.values[lo : lo + len(self.levels())]
         out = np.empty(rows.shape)
-        if self.spec.level_free:
-            np.multiply(self.on_grid(mags.spec, self.k_min).values, rows, out=out)
-        else:
-            for row, mag, k in zip(out, rows, self.levels()):
-                np.multiply(self.on_grid(mags.spec, k).values, mag, out=row)
+        for row, mag, k in zip(out, rows, self.levels()):
+            c, g = self._level(mags.spec, k)
+            t = g.values if c == 1.0 else np.multiply(c, g.values, out=row)  # t_k, formed in its row
+            np.multiply(t, mag, out=row)
         return VectorSequence(mags.spec, self.k_min, out)
 
 
@@ -784,7 +775,7 @@ def _profile(w: WeightSpec) -> WeightSpec:
     if isinstance(w, PowOf):
         base = _profile(w.base)
         return _UNIT if base == _UNIT else PowOf(base, w.e)
-    if isinstance(w, Frozen) and 2.0 ** (w.j * w.base.split()[0]) == 1.0:
+    if isinstance(w, Frozen) and w.base.separable and 2.0 ** (w.j * w.base.split()[0]) == 1.0:
         return _profile(w.base)
     return w
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -96,6 +97,11 @@ class TestConfigValidation:
         # R 2^(v_max + 10) overflowed in level_index_range, exit 3, for hoelder and muckenhoupt
         pytest.param({"cubes.v_max": 1100}, "config field 'cubes.v_max'", id="v_max_overflow"),
         pytest.param({"cubes.v_max": 1011}, "config field 'cubes.v_max'", id="v_max_deepened_overflow"),
+        # empty lists passed with nothing checked: hoelder with 0 records, the
+        # weight checks with 0 weights, verify all with no suite
+        pytest.param({"exponents": []}, "config field 'exponents'", id="exponents_empty"),
+        pytest.param({"weights": {}}, "config field 'weights'", id="weights_empty"),
+        pytest.param({"suites": []}, "config field 'suites'", id="suites_empty"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, overrides)
@@ -215,11 +221,13 @@ class TestConfigValidation:
         assert main(["weights", "xclass", "--config", path, "--out", str(out)]) == 0
         assert main(["verify", "all", "--config", path, "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("op", ["ap", "xclass", "rh"])
-    def test_weights_without_exponents_refused(self, tmp_path, capsys, op):
-        path = write_config(tmp_path, {"exponents": []})
-        assert main(["weights", op, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    @pytest.mark.parametrize("command", [["weights", "ap"], ["weights", "xclass"], ["weights", "rh"], ["verify", "all"]],
+                             ids=["ap", "xclass", "rh", "verify_all"])
+    def test_weights_without_exponents_refused(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"exponents": [], "suites": ["hoelder"]})
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config field 'exponents'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("suite", sorted(ONE_D_SUITES))
     def test_one_d_suites_rejected_in_2d(self, tmp_path, capsys, suite):
@@ -397,16 +405,19 @@ class TestWeightRange:
     not by an OverflowError or a WeightError with an offset-grid hint mid-run
     (exit 3)."""
 
-    @pytest.mark.parametrize("weight", ["prod:[dyadic:600,dyadic:-600]", "prod:[dyadic:150,dyadic:-300]",
-                                        "prod:[dyadic:150,dyadic:150]", "prod:[pow:0.3,prod:[dyadic:-400,const:2]]"])
+    _PRODUCTS = {"prod:[dyadic:600,dyadic:-600]": 0, "prod:[dyadic:150,dyadic:-300]": 0,
+                 "prod:[dyadic:150,dyadic:150]": 2, "prod:[pow:0.3,prod:[dyadic:-400,const:2]]": 2}
+
+    @pytest.mark.parametrize("weight", list(_PRODUCTS))
     def test_each_factor_and_partial_product_checked(self, tmp_path, capsys, weight):
-        # Prod.eval forms each factor's 2^(k s_i), then their running product:
-        # s = 0 for the first, but 2^(600 k) alone overflows at k = 5; the
-        # second's partial products stay in range, but 2^(-300 k) underflows
+        # eval forms one level factor, 2^(k s) of the total rate s, so only s
+        # is checked on levels -3..5: the first product is the weight 1 and
+        # the second 2^(-150 k), both in range whatever their factors', while
+        # 2^(300 k) overflows at k = 4 and 2^(-400 k) at k = -3
         path = write_config(tmp_path, {"norm.weight": weight})
-        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert "config field 'norm.weight'" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == self._PRODUCTS[weight]
+        refused = "config field 'norm.weight'" in capsys.readouterr().err
+        assert refused == (not (tmp_path / "o").exists()) == (self._PRODUCTS[weight] == 2)
 
     @pytest.mark.parametrize("command", [["verify", "all"], ["verify", "seqnorm"], ["verify", "xclassfit"],
                                          ["weights", "xclass"]])
@@ -465,6 +476,24 @@ class TestWeightRange:
             path.write_text(json.dumps(cfg))
             assert main(["norm", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
             assert "config field 'norm.weight'" in capsys.readouterr().err
+
+
+class TestNoNaNWritten:
+    """NaN is not JSON: a run whose output would hold one stops before
+    writing it, with exit 3 and the error named, not a verdict read off NaN."""
+
+    @pytest.mark.parametrize("command, written", [(["verify", "hoelder"], "report.json"),
+                                                  (["weights", "ap"], "weights_ap.json")],
+                             ids=["verify_hoelder", "weights_ap"])
+    def test_nan_output_refused(self, tmp_path, capsys, command, written):
+        # pow:2000 overflows on the cube nodes, so its hoelder floors and its
+        # A_p constant read inf / inf = NaN
+        path = write_config(tmp_path, {"weights": {"w1": "pow:2000"}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert "ValueError: Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not (tmp_path / "o" / written).exists()
 
 
 class TestInputFiles:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpw.grid import CubeFamily, GridError, GridSpec, VectorSequence
+from lpw.suites import DEFAULT_WEIGHT_MATRIX
 from lpw.weights import (
     AltConst,
     AltPow,
@@ -16,6 +17,7 @@ from lpw.weights import (
     FamilyNodes,
     Frozen,
     Pow,
+    PowOf,
     Prod,
     ShiftPow,
     WeightError,
@@ -105,11 +107,17 @@ class TestGrammar:
         # or base makes the whole weight non-separable
         alt = AltPow(0.3)
         for w in (alt, AltConst(2.0), Prod((Pow(0.5), alt)), Prod((Dyadic(1.0), Prod((alt, Pow(0.2))))),
-                  alt.power(2.0), alt.frozen(1)):
+                  alt.power(2.0)):
             assert w.split() is None and not w.separable, w.key()
         for w in (Pow(0.5), Prod((Pow(0.5), Dyadic(2.0))), Pow(0.5).power(2.0), Dyadic(1.0).frozen(3)):
             assert w.separable, w.key()
-        assert alt.frozen(1).level_free and not alt.level_free
+        # a frozen weight t_j is level-free by definition: it splits with s = 0
+        # and g = t_j, whether or not its base splits
+        r = np.array([0.25, 1.0, 3.0])
+        for w in (alt, Dyadic(1.0), Prod((Dyadic(0.5), Pow(0.3)))):
+            s, g = w.frozen(3).split()
+            assert s == 0 and (g(r) == w.eval(r, 3)).all(), w.key()
+            assert (w.frozen(3).eval(r, -2) == w.eval(r, 3)).all(), w.key()
 
     def test_power_and_inverse(self):
         w = Pow(0.5)
@@ -121,6 +129,57 @@ class TestGrammar:
         spec = GridSpec(1, 1.0, 16, offset=False)
         with pytest.raises(WeightError):
             Pow(-0.5).on_grid(spec)
+
+
+def factorwise(w, r, k):
+    """t_k(r) multiplied factor by factor, each primitive's 2^(k s_i) g_i(r)
+    formed apart: an oracle independent of split()."""
+    if isinstance(w, Prod):
+        out = np.ones_like(r)
+        for f in w.factors:
+            out = out * factorwise(f, r, k)
+        return out
+    if isinstance(w, PowOf):
+        return factorwise(w.base, r, k) ** w.e
+    if isinstance(w, Frozen):
+        return factorwise(w.base, r, w.j)
+    return w.eval(r, k)
+
+
+class TestOneRule:
+    """eval is 2^(k s) g(r) wherever split() gives (s, g)."""
+
+    def test_cancelling_rates_give_exactly_one(self):
+        # factor by factor, 2^(0.5 k) 2^(-0.5 k) read 1.0000000000000002 on odd k
+        r = np.array([0.1, 1.0, 7.5])
+        for k in range(-3, 9):
+            assert (Prod((Dyadic(0.5), Dyadic(-0.5))).eval(r, k) == 1.0).all(), k
+
+    def test_level_leaving_double_precision_refused(self):
+        # g = t_0 is checked once; a level checks only c min g and c max g:
+        # 1e300 2^30 overflows at k = 1, and 1e-300 2^(-30 k) underflows to 0 at k = 3
+        spec = GridSpec(1, 8.0, 64)
+        for w, bad in ((Prod((Const(1e300), Dyadic(30.0))), 1), (Prod((Const(1e-300), Dyadic(-30.0))), 3)):
+            ws = WeightSequence(w, 0, 4)
+            assert all((ws.on_grid(spec, k).values > 0).all() for k in range(bad))
+            with pytest.raises(WeightError, match=f"not positive finite on the grid at level {bad}"):
+                ws.on_grid(spec, bad)
+
+    @pytest.mark.parametrize("scale", [1, 2], ids=["N", "2N"])
+    @pytest.mark.parametrize("config", ["fixtures/default.json", "perfbench/configs/verify_2d.json"])
+    def test_shipped_weights_unchanged(self, config, scale):
+        # the rule changes no value of these weights: each equals its
+        # factor-by-factor product bit for bit on the grid and its doubling;
+        # they are radial and evaluated pointwise, so each radius is taken once
+        grid = json.loads((Path(__file__).resolve().parents[1] / config).read_text())["grid"]
+        r = np.unique(GridSpec(grid["n"], grid["R"], grid["N"] * scale, offset=grid["offset"]).radius())
+        base = [parse_weight(text) for text in DEFAULT_WEIGHT_MATRIX.values()]
+        base += [Const(c) * Pow(0.3) for c in (0.1, 7.0)]
+        for w in base + [w.frozen(j) for w in base for j in range(-3, 4)]:
+            s, g = w.split()
+            for k in range(-3, 10):
+                t = w.eval(r, k)
+                assert (t == 2.0 ** (k * s) * g(r)).all() and (t == factorwise(w, r, k)).all(), (w.key(), k)
 
 
 class TestQuadratureEngine:
@@ -1125,6 +1184,7 @@ def signed_stack(request):
     return VectorSequence(spec, -3, values)
 
 
+# weights with s = 0, whose t_k = 1.0 g is g on every level
 _LEVEL_FREE = [
     Frozen(parse_weight("prod:[dyadic:0.5,pow:0.3]"), 2),
     Frozen(AltPow(0.4), 1),
@@ -1136,6 +1196,8 @@ _LEVEL_FREE = [
     Pow(-0.2).power(-1.0),
 ]
 _LEVEL_FREE_IDS = ["frozen", "frozen-altpow", "pow", "const", "shiftpow", "dyadic0", "prod", "powof"]
+# weights whose factor-wise product depends on k; the rates of the cancelling
+# product sum to 0, so under the one rule it is 1.0 on every level
 _LEVEL_DEPENDENT = [
     Dyadic(0.5),
     parse_weight("prod:[dyadic:1,pow:0.3]"),
@@ -1148,38 +1210,47 @@ _LEVEL_DEPENDENT_IDS = ["dyadic", "dyadic-prod", "cancelling-prod", "dyadic-inv"
 
 
 class TestWeigh:
-    """weigh forms t_k |f_k| from the magnitude stack {|f_k|} with one
-    broadcast multiply when t_k is the same on every level, and level by
-    level otherwise; the entries are the same products either way."""
+    """weigh forms each row t_k |f_k| from t_k = 2^(k s) g, with g sampled
+    once per grid for a weight that splits, and t_k sampled per level for one
+    that does not; each entry is the weight's own eval times |f_k|."""
 
     def count_samples(self, monkeypatch):
+        """The levels at which grid samples of a weight are drawn."""
         calls = []
-        orig = WeightSequence.on_grid
+        orig = WeightSpec.on_grid
 
-        def counted(ws, gspec, k):
+        def counted(w, gspec, k=0):
             calls.append(k)
-            return orig(ws, gspec, k)
+            return orig(w, gspec, k)
 
-        monkeypatch.setattr(WeightSequence, "on_grid", counted)
+        monkeypatch.setattr(WeightSpec, "on_grid", counted)
         return calls
 
     @pytest.mark.parametrize("w", _LEVEL_FREE, ids=_LEVEL_FREE_IDS)
     def test_level_free_broadcast_equals_per_level(self, w, signed_stack, monkeypatch):
-        assert w.level_free
+        assert w.split()[0] == 0
         ws = WeightSequence(w, -2, 4)
         calls = self.count_samples(monkeypatch)
         got = ws.weigh(magnitudes(signed_stack))
-        assert calls == [-2]  # one sample serves every level
+        assert calls == [0]  # one sample of g = t_0 serves every level
         assert got.k_min == -2 and got.values.shape == (7, *signed_stack.spec.shape)
+        ws.weigh(magnitudes(signed_stack))
+        assert calls == [0]
         assert (got.values == per_level_weigh(ws, signed_stack)).all()
 
     @pytest.mark.parametrize("w", _LEVEL_DEPENDENT, ids=_LEVEL_DEPENDENT_IDS)
     def test_level_dependent_weights_sampled_per_level(self, w, signed_stack, monkeypatch):
-        assert not w.level_free
         ws = WeightSequence(w, -2, 4)
         calls = self.count_samples(monkeypatch)
+        spec = signed_stack.spec
         got = ws.weigh(magnitudes(signed_stack))
-        assert calls == list(ws.levels())
+        ws.weigh(magnitudes(signed_stack))
+        samples = [ws.on_grid(spec, k).values for k in ws.levels()]
+        # g once per grid for a weight that splits, across both stacks and
+        # every level; only AltPow and AltConst, which do not, level by level
+        assert calls == ([0] if w.separable else list(ws.levels()))
+        for k, t in zip(ws.levels(), samples):
+            assert (t == w.eval(spec.radius(), k)).all(), k
         assert (got.values == per_level_weigh(ws, signed_stack)).all()
 
     @pytest.mark.parametrize("w", [_LEVEL_FREE[0], Pow(0.3), _LEVEL_DEPENDENT[1]], ids=["frozen", "pow", "dyadic-prod"])
