@@ -178,7 +178,7 @@ class RunConfig:
         # the run's one context: every command takes its pair, corpus and bands from it
         self.ctx = RunContext(spec, k_min, k_max, family, corpus_size, seed, weight_matrix, tuple(exponent_pairs))
         try:
-            self.ctx.pair()
+            self.ctx.levels()
         except LevelError as exc:
             raise ConfigError("levels", str(exc)) from None
 
@@ -232,7 +232,12 @@ class RunConfig:
         weights names the op of a weights request, which takes the first
         exponent pair; ap and rh take the Muckenhoupt constant A_p there."""
         ctx = self.ctx
-        pair = ctx.pair()
+        k_lo, k_hi = ctx.levels()
+        if weights is None and (not suites or not set(suites).isdisjoint(ANNULUS_SUITES)):  # the pair's readers
+            try:
+                pair = ctx.pair()
+            except LevelError as exc:
+                raise ConfigError("levels", str(exc)) from None
         if weights:
             p = ctx.exponent_pairs[0][0]
             _require(weights == "xclass" or 1 < p < math.inf, "exponents[0].p",
@@ -244,10 +249,10 @@ class RunConfig:
                 raise ConfigError("grid.offset", f"suite {name} needs a grid shifted off the origin: "
                                   f"{OFFSET_SUITES[name]}, which has no positive finite value there")
         if norm and self.norm_space == "Lp":  # the one space that reads the frozen level
-            _require(pair.k_min <= self.frozen_level <= pair.k_max, "norm.frozen_level",
-                     f"{self.frozen_level} lies outside the level window [{pair.k_min}, {pair.k_max}]")
+            _require(k_lo <= self.frozen_level <= k_hi, "norm.frozen_level",
+                     f"{self.frozen_level} lies outside the level window [{k_lo}, {k_hi}]")
         if norm and self.norm_space != "BMO":  # a BMO norm takes no weight
-            levels = [self.frozen_level] if self.norm_space == "Lp" else pair.levels()
+            levels = [self.frozen_level] if self.norm_space == "Lp" else range(k_lo, k_hi + 1)
             _require_level_factors(self.norm_weight, levels, "norm.weight")
             if not ctx.spec.offset:
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -280,13 +285,12 @@ class RunConfig:
                     f"[{lo:g}, {hi:g}], which holds no positive grid frequency: the grid's "
                     f"fundamental frequency is pi/R = {ctx.spec.fundamental:g} on R={ctx.spec.R:g}",
                 ) from None
-        if "seqnorm" in suites:
-            k_max = pair.k_max  # the level window capped at the grid's resolution
+        if "seqnorm" in suites:  # the level window capped at the grid's resolution
             _require(
-                bool(seqnorm_single_cases(ctx.spec.R, ctx.k_min, k_max)),
+                bool(seqnorm_single_cases(ctx.spec.R, k_lo, k_hi)),
                 "levels",
                 f"seqnorm needs one of its lone-coefficient cases (k, m) {SEQNORM_SINGLE_CASES} "
-                f"inside levels [{ctx.k_min}, {k_max}] with m a level-k position on R={ctx.spec.R:g}",
+                f"inside levels [{k_lo}, {k_hi}] with m a level-k position on R={ctx.spec.R:g}",
             )
 
 

@@ -110,10 +110,7 @@ class GridSpec:
         side 2^-v no wider than the domain and no finer than the lattice.
         On these power-of-two grids the band cap log2(pi/h) - 1 floors to
         the same top level."""
-        return (
-            -int(math.floor(math.log2(2.0 * self.R) + 1e-9)),
-            int(math.floor(math.log2(1.0 / self.h) + 1e-9)),
-        )
+        return _level_window(self.R, self.N)
 
     def cells(self, v: int) -> int:
         """Cells per side of a level-v cube, 2^-v / h, for v in level_window()."""
@@ -130,6 +127,12 @@ class GridSpec:
         if k > hi:
             raise GridError(f"level {k} cubes are finer than the grid spacing h={self.h}, past level {hi}")
         return self.N // (2 * level_index_range(self.R, k)[1])
+
+
+@functools.cache
+def _level_window(R: float, N: int) -> tuple[int, int]:
+    """GridSpec.level_window, once per (R, N): seqnorm reads it per coefficient level of every set."""
+    return -int(math.floor(math.log2(2.0 * R) + 1e-9)), int(math.floor(math.log2(1.0 / (2.0 * R / N)) + 1e-9))
 
 
 def mesh_radius(axes: Sequence[np.ndarray]) -> np.ndarray:

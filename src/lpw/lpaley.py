@@ -115,28 +115,30 @@ def _partition_denominator(rho: np.ndarray) -> np.ndarray:
 
 
 def synthesis_profile(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
     num = bump_profile(rho)
-    den = _partition_denominator(rho)
-    out = np.zeros_like(num)
-    nz = num > 0
-    out[nz] = num[nz] / den[nz]
-    return out
+    return np.divide(num, _partition_denominator(rho), out=np.zeros_like(num), where=num > 0)
 
 
 @dataclass(frozen=True)
 class LPPair:
-    """Frequency profiles of the analysis/synthesis pair over a level window."""
+    """Frequency profiles of the analysis/synthesis pair over a level window:
+    the analysis multipliers phi_mult and the partition denominator den, from
+    which psi(k) forms each synthesis multiplier when it is read."""
 
     gspec: GridSpec
     k_min: int
     k_max: int
     phi_mult: dict = field(repr=False)
-    psi_mult: dict = field(repr=False)
+    den: np.ndarray = field(repr=False)
     first_active: int
 
     def levels(self) -> range:
         return range(self.k_min, self.k_max + 1)
+
+    def psi(self, k: int) -> np.ndarray:
+        """The level-k synthesis multiplier phi_k / den where phi_k > 0, else 0."""
+        m = self.phi_mult[k]
+        return np.divide(m, self.den, out=np.zeros_like(m), where=m > 0)
 
     def annulus(self) -> tuple[float, float]:
         """Frequency range where the truncated partition of unity equals 1."""
@@ -146,6 +148,18 @@ class LPPair:
         """Coefficient indices m per axis: 2^-k m in [-R, R)."""
         C = self.gspec.R * 2.0**k  # > 0, so the range is never empty
         return np.arange(math.ceil(-C), math.ceil(C))
+
+
+def check_levels(spec: GridSpec, k_min: int, k_max: int) -> None:
+    """Raise LevelError unless k_min..k_max is a nonempty part of spec.level_window()."""
+    if k_min > k_max:
+        raise LevelError("empty level window")
+    k_floor, k_cap = spec.level_window()
+    if k_max > k_cap or k_min < k_floor:
+        raise LevelError(
+            f"level window [{k_min}, {k_max}] not resolvable at N={spec.N}, R={spec.R}; "
+            f"admissible window is [{k_floor}, {k_cap}]"
+        )
 
 
 def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:
@@ -162,32 +176,22 @@ def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:
     bump(rho / 2^k) is exactly 0 outside the annulus 2^(k-1) <= rho <= 2^(k+1),
     so it is evaluated only there, and so is D, on the levels' union.
     """
-    if k_min > k_max:
-        raise LevelError("empty level window")
-    k_floor, k_cap = spec.level_window()
-    if k_max > k_cap or k_min < k_floor:
-        raise LevelError(
-            f"level window [{k_min}, {k_max}] not resolvable at N={spec.N}, R={spec.R}; "
-            f"admissible window is [{k_floor}, {k_cap}]"
-        )
+    check_levels(spec, k_min, k_max)
     rho = spec.freq_radius()
     den = np.zeros_like(rho)
     live = (rho >= 2.0 ** (k_min - 1)) & (rho <= 2.0 ** (k_max + 1))
     den[live] = _partition_denominator(rho[live])
-    phi_mult, psi_mult = {}, {}
+    phi_mult = {}
     first_active = None
     for k in range(k_min, k_max + 1):
         on = (rho >= 2.0 ** (k - 1)) & (rho <= 2.0 ** (k + 1))
-        m, psi = np.zeros_like(rho), np.zeros_like(rho)
+        phi_mult[k] = m = np.zeros_like(rho)
         m[on] = bump_profile(rho[on] / 2.0**k)
-        nz = m > 0
-        psi[nz] = m[nz] / den[nz]
-        phi_mult[k], psi_mult[k] = m, psi
-        if first_active is None and nz.any():
+        if first_active is None and (m > 0).any():
             first_active = k
     if first_active is None:
         raise LevelError(f"no level in [{k_min}, {k_max}] meets a nonzero grid frequency")
-    return LPPair(spec, k_min, k_max, phi_mult, psi_mult, first_active)
+    return LPPair(spec, k_min, k_max, phi_mult, den, first_active)
 
 
 def band_decompose(f: GridFunction, pair: LPPair) -> VectorSequence:
@@ -309,7 +313,7 @@ def synthesize(coeffs: CoefficientSet, pair: LPPair) -> GridFunction:
         for ax in range(spec.n):
             F = _apply_axis(comb_phase, F, ax)
         scale = 2.0 ** (-k * spec.n / 2.0)
-        total += scale * from_spectrum(spec, F * pair.psi_mult[k], real=False)
+        total += scale * from_spectrum(spec, F * pair.psi(k), real=False)
     real = all(np.all(np.abs(lam.imag) < 1e-300) for lam in coeffs.arrays)
     return GridFunction(spec, total.real if real else total)
 
@@ -319,32 +323,18 @@ def synthesize(coeffs: CoefficientSet, pair: LPPair) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def admissibility_violations(f: GridFunction, pair: LPPair):
-    """Frequencies carrying more than 1e-9 of the peak spectral magnitude
-    outside the resolved annulus (plus DC)."""
-    F = spectrum(f)
-    rho = f.spec.freq_radius()
-    lo, hi = pair.annulus()
-    scale = np.abs(F).max()
-    if scale == 0:
-        return []
-    bad = (np.abs(F) > 1e-9 * scale) & ((rho < lo - 1e-12) | (rho > hi + 1e-12))
-    return sorted(set(np.round(rho[bad], 6).tolist()))
-
-
 def calderon_residual(f: GridFunction, pair: LPPair) -> float:
     """Relative L2 error of synthesize(analyze(f)) against f.
 
     Requires f mean-zero and band-limited to the resolved annulus, where the
-    truncated partition of unity is exactly 1.
+    truncated partition of unity is exactly 1: a frequency carrying more than
+    1e-9 of the peak spectral magnitude outside it (DC included) raises.
     """
-    bad = admissibility_violations(f, pair)
-    if bad:
-        lo, hi = pair.annulus()
-        raise LevelError(
-            f"input spectrum leaves the resolved annulus [{lo:g}, {hi:g}] "
-            f"at |xi| in {bad[:8]}"
-        )
+    F, rho, (lo, hi) = np.abs(spectrum(f)), f.spec.freq_radius(), pair.annulus()
+    bad = (F > 1e-9 * F.max()) & ((rho < lo - 1e-12) | (rho > hi + 1e-12))
+    if bad.any():
+        raise LevelError(f"input spectrum leaves the resolved annulus [{lo:g}, {hi:g}] "
+                         f"at |xi| in {sorted(set(np.round(rho[bad], 6).tolist()))[:8]}")
     norm = math.sqrt(float(np.sum(np.abs(f.values) ** 2)) * f.spec.cell_measure)
     if norm == 0:
         return 0.0
@@ -358,5 +348,5 @@ def partition_sum(pair: LPPair) -> np.ndarray:
     """sum_k phi_k(xi) psi_k(xi) over the window, per grid frequency."""
     total = np.zeros(pair.gspec.shape)
     for k in pair.levels():
-        total = total + pair.phi_mult[k] * pair.psi_mult[k]
+        total = total + pair.phi_mult[k] * pair.psi(k)
     return total

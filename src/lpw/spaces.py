@@ -38,8 +38,8 @@ from .weights import WeightSequence
 def band_magnitudes(f: GridFunction, pair: LPPair) -> VectorSequence:
     """|phi_k * f| on every level of the pair window, one row per level: the
     stack every band norm and maximal ratio reads."""
-    bands = band_decompose(f, pair)
-    return VectorSequence(bands.spec, bands.k_min, np.abs(bands.values))
+    bands = band_decompose(f, pair).values
+    return VectorSequence(f.spec, pair.k_min, np.abs(bands, out=bands if bands.dtype == float else None))
 
 
 def stack_norm(wb: VectorSequence, space: str, p: float, q: float, family: CubeFamily) -> float:

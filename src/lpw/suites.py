@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import CubeFamily, GridFunction, GridSpec, VectorSequence, level_index_range, lp_norm, weighted_lp_norm
-from .lpaley import LPPair, bump_profile, calderon_residual, make_lp_pair, partition_sum, synthesis_profile, CoefficientSet
+from .lpaley import LPPair, bump_profile, calderon_residual, check_levels, make_lp_pair, partition_sum, synthesis_profile, CoefficientSet
 from .maximal import fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sizes, window_sum_table
 from .spaces import band_magnitudes, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norms, stack_norm
 from .verify import (
@@ -72,7 +72,8 @@ class RunContext:
     weights() matrix, the configured family's nodes() and the doubled()
     context with its pair and corpus.  An artifact one suite alone reads
     (muckenhoupt's deeper cube families, maximal's 2N band stacks) is built
-    inside that suite and freed when it is done with it."""
+    inside that suite and freed when it is done with it, and a suite that
+    reads only the pair's level window takes levels(), which builds no pair."""
 
     spec: GridSpec
     k_min: int
@@ -93,10 +94,16 @@ class RunContext:
             self._cache[key] = build()
         return self._cache[key]
 
-    def pair(self) -> LPPair:
-        """The band pair on this grid, its levels capped at the grid's window."""
+    def levels(self) -> tuple[int, int]:
+        """(k_min, k_max) of the pair: the configured levels capped at the
+        grid's window, refused (LevelError) as make_lp_pair refuses them."""
         k_max = min(self.k_max, self.spec.level_window()[1])
-        return self._cached("pair", lambda: make_lp_pair(self.spec, self.k_min, k_max))
+        check_levels(self.spec, self.k_min, k_max)
+        return self.k_min, k_max
+
+    def pair(self) -> LPPair:
+        """The band pair on this grid, over levels()."""
+        return self._cached("pair", lambda: make_lp_pair(self.spec, *self.levels()))
 
     def corpus(self):
         return self._cached("corpus", lambda: make_corpus(self.spec, self.pair(), self.corpus_size, self.seed))
@@ -281,7 +288,7 @@ def suite_classical(ctx: RunContext) -> dict:
 
 def _random_coefficient_sets(ctx: RunContext):
     rng = np.random.default_rng(ctx.seed + 1)
-    k_hi = ctx.pair().k_max  # grid-resolvable cap; shared by the doubled grid
+    k_hi = ctx.levels()[1]  # grid-resolvable cap; shared by the doubled grid
     sets = []
     for _ in range(64):
         entries = []
@@ -296,11 +303,11 @@ def _random_coefficient_sets(ctx: RunContext):
 def _seq_ratio_extreme(ctx: RunContext, sets) -> float:
     # p = q makes the two forms coincide identically (disjoint cube sums), so
     # the two-sided comparison runs at p != q where cross-level mixing matters
-    pair = ctx.pair()
+    levels = ctx.levels()
     worst = 1.0
     for w in ctx.weights().values():
         # one sequence, so one sampling per grid for both (p, q)
-        ws = WeightSequence(w, pair.k_min, pair.k_max)
+        ws = WeightSequence(w, *levels)
         for p, q in ((2.0, 1.0), (1.5, 3.0)):
             for plain, star in seq_f_norms(sets, ws, ctx.spec, p, q):
                 r = plain / star
@@ -328,12 +335,12 @@ def suite_seqnorm(ctx: RunContext) -> dict:
     coefficients, bounded two-sided ratios on random sets, stable under grid
     doubling."""
     spec = ctx.spec
-    pair = ctx.pair()
+    levels = ctx.levels()
     ceiling = CEILINGS["seq_ratio"]
-    ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max)
-    family = CubeFamily(pair.k_min, pair.k_max)
+    ws = WeightSequence(Pow(0.3), *levels)
+    family = CubeFamily(*levels)
     single_worst = 0.0
-    for k, m in seqnorm_single_cases(spec.R, pair.k_min, pair.k_max):
+    for k, m in seqnorm_single_cases(spec.R, *levels):
         coeffs = CoefficientSet.from_entries(spec.n, spec.R, [((k, (m,) * spec.n), 1.0 + 0.5j)])
         for plain, star in (seq_b_norm(coeffs, ws, spec, 2.0, 2.0), seq_f_norms([coeffs], ws, spec, 2.0, 2.0)[0],
                             seq_f_infty_norm(coeffs, ws, spec, 2.0, family)):
@@ -373,18 +380,15 @@ def suite_newnorm(ctx: RunContext) -> dict:
     ]
     weights = ("pow:0.3", "pow:-0.2")
     js = range(-3, 4)
-    seqs = {}  # (weight, j) -> weight sequence; j = None is {t_k} itself
+    # sequence outermost, so one sequence's samples live at a time; each
+    # member's stack is weighed once per sequence and serves every case
+    norms = {}  # (weight, j) -> per member, one norm per case; j = None is {t_k} itself
     for wtext in weights:
         ws = WeightSequence(parse_weight(wtext), pair.k_min, pair.k_max)
-        for j, wj in [(None, ws)] + [(j, ws.frozen(j)) for j in js]:
-            seqs[wtext, j] = wj
-    # member outermost: one magnitude stack per member, weighed once per
-    # sequence, and every case taken from that weighted stack
-    norms = {key: [] for key in seqs}  # (weight, j) -> per member, one norm per case
-    for mem in ctx.corpus():
-        for key, wj in seqs.items():
-            wb = wj.weigh(bands[mem.name])
-            norms[key].append([stack_norm(wb, tag, p, q, ctx.family) for tag, p, q in cases])
+        for j in (None, *js):
+            wj = ws if j is None else ws.frozen(j)
+            wbs = (wj.weigh(bands[mem.name]) for mem in ctx.corpus())  # one weighted stack at a time
+            norms[wtext, j] = [[stack_norm(wb, tag, p, q, ctx.family) for tag, p, q in cases] for wb in wbs]
     records = []
     ok = True
     for wtext in weights:
@@ -621,7 +625,7 @@ ALL_SUITES = {
 }
 
 # suites that build the corpus or the partition's annulus mask, and so need a
-# grid frequency inside the resolved annulus
+# grid frequency inside the resolved annulus; the others build no pair
 ANNULUS_SUITES = ("selfequiv", "partition", "calderon", "classical", "newnorm", "coincidence", "maximal", "bmo")
 
 # suites that have no 2D form yet, and why

@@ -446,16 +446,15 @@ class _Radius:
         return mesh_radius(self._axes(lo, hi)).reshape(hi - lo, self.shape[1])
 
 
+@dataclass(frozen=True, eq=False)
 class _Batch:
     """Representative cubes meshed alike: their radius (B, K), formed on
     demand from per-row interval ends or per-axis node coordinates, and
-    normalized weights (K,)."""
+    normalized per-axis node weights, whose mesh_weights are the (K,) node
+    weights."""
 
-    __slots__ = ("radius", "wts")
-
-    def __init__(self, radius: _Radius, wts):
-        self.radius = radius
-        self.wts = wts
+    radius: _Radius
+    wts: tuple[np.ndarray, ...]
 
 
 class FamilyNodes:
@@ -470,14 +469,16 @@ class FamilyNodes:
     in one batch per distinct set of per-axis node weights), and every
     statistic holds one value per representative, in batch row order.  A
     batch stores no node mesh: the regular batch keeps its representatives'
-    interval ends and a special batch their per-axis node coordinates, and
-    each pass forms the radius of one row chunk at a time.  orbit maps each
+    interval ends and a special batch their per-axis node coordinates, each
+    keeps per-axis node weights, and each pass forms the radius of one row
+    chunk at a time and the node weights once per batch.  orbit maps each
     cube of the family to its representative's row; it is read only to name
     a witness: argmax_cube(values) finds the first cube in family order that
-    attains a maximum, and cube(i) names the i-th cube.  Min, max and the products and ratios of statistics need no family
-    order.  Cube statistics are cached per (radial profile, exponent,
-    inverse) for separable weights and per (weight, level, exponent,
-    inverse) otherwise.  stats() is the one way in: it computes the
+    attains a maximum, and cube(i) names the i-th cube, whose (level, shift)
+    group's positions it recomputes.  Min, max and the products and ratios
+    of statistics need no family order.  Cube statistics are cached per
+    (radial profile, exponent, inverse) for separable weights and per
+    (weight, level, exponent, inverse) otherwise.  stats() is the one way in: it computes the
     statistics a list of weights needs in one pass, where the radius of each
     row chunk of about _CHUNK_NODES representative nodes is formed once, each
     weight's profile is evaluated on it once, every requested power and
@@ -497,12 +498,13 @@ class FamilyNodes:
         # the family depth
         self.core_eff = 2.0 ** (-family.v_max - _CORE_REFINE)
         self._cache: dict = {}
-        self._groups: list[tuple[int, np.ndarray, bool]] = []
+        self._groups: list[tuple[int, float, int]] = []  # (v, shift, cubes) in family order
+        self._read = None, None
         lo, hi, special = [], [], []
         for v in family.levels():
             for shift in (0.0, 0.5) if family.translates else (0.0,):
-                ms, a, b, s = self._level_cubes(v, shift)
-                self._groups.append((v, ms, shift > 0))
+                _, a, b, s = self._level_cubes(v, shift)
+                self._groups.append((v, shift, s.size))
                 lo.append(a)
                 hi.append(b)
                 special.append(s)
@@ -578,7 +580,7 @@ class FamilyNodes:
             X = lo[a:b, :, None] + (hi[a:b] - lo[a:b])[:, :, None] * offs
             return [X[:, i] for i in range(n)]
 
-        self.batches.append(_Batch(_Radius(axes, lo.shape[0], K**n), np.full(K**n, 1.0 / K**n)))
+        self.batches.append(_Batch(_Radius(axes, lo.shape[0], K**n), (np.full(K, 1.0 / K),) * n))
 
     def _axis_pieces(self, a: float, b: float):
         """Node mesh for [a, b), wrapping across the seam at +R when needed."""
@@ -606,9 +608,8 @@ class FamilyNodes:
             rows[list(idx)] = np.arange(at, at + len(idx))
             at += len(idx)
             coords = [np.stack(x) for x in zip(*nodes)]  # per axis, (B, K_i)
-            node_wts = mesh_weights(wts[0])
-            radius = _Radius(lambda a, b, coords=coords: [x[a:b] for x in coords], len(idx), node_wts.size)
-            self.batches.append(_Batch(radius, node_wts))
+            radius = _Radius(lambda a, b, coords=coords: [x[a:b] for x in coords], len(idx), mesh_weights(wts[0]).size)
+            self.batches.append(_Batch(radius, wts[0]))
         return rows
 
     def argmax_cube(self, values: np.ndarray) -> int:
@@ -624,10 +625,12 @@ class FamilyNodes:
         """(v, m, translated) of the i-th cube in family order, 0 <= i < n_cubes."""
         if not 0 <= i < self.n_cubes:
             raise IndexError(f"cube index {i} outside the family's {self.n_cubes} cubes")
-        for v, ms, translated in self._groups:
-            if i < len(ms):
-                return v, tuple(ms[i].tolist()), translated
-            i -= len(ms)
+        for v, shift, count in self._groups:
+            if i < count:
+                if self._read[0] != (v, shift):
+                    self._read = (v, shift), self._level_cubes(v, shift)[0]
+                return v, tuple(self._read[1][i].tolist()), shift > 0
+            i -= count
 
     # -- cube statistics ----------------------------------------------------
 
@@ -704,9 +707,9 @@ class FamilyNodes:
         at = 0
         for b in self.batches:
             rows, K = b.radius.shape
-            ones = np.ones((1, K))
+            ones, wts = np.ones((1, K)), mesh_weights(b.wts)
             for requests, out in unit:
-                _take(requests, out, slice(at, at + rows), ones, ones, b.wts)
+                _take(requests, out, slice(at, at + rows), ones, ones, wts)
             step = max(1, _CHUNK_NODES // K)
             for lo in range(0, rows if evaluated else 0, step):
                 hi = min(lo + step, rows)
@@ -714,7 +717,7 @@ class FamilyNodes:
                 for f, requests, out, any_inverse in evaluated:
                     plain = f(radius)
                     inv = plain ** -1.0 if any_inverse else None
-                    _take(requests, out, slice(at + lo, at + hi), plain, inv, b.wts)
+                    _take(requests, out, slice(at + lo, at + hi), plain, inv, wts)
             at += rows
         return [[out if r == np.inf else out ** (1.0 / r) for (r, _), out in zip(requests, job_outs)]
                 for (_, requests), job_outs in zip(jobs, outs)]
@@ -792,14 +795,17 @@ def check_admissible(ts: WeightSequence, p: float, R: float, n: int) -> None:
 
     The whole-domain integral of t_k^p is recomputed with the quadrature core
     halved; a relative move above 2% marks a divergent (non-integrable)
-    singularity and raises WeightError.
+    singularity and raises WeightError.  The midpoint nodes avoid every
+    singularity, so a non-finite integral is an overflow, such as |x|^2000
+    on [-8, 8), and raises WeightError under its own name.
     """
     levels = list(ts.levels()) if not ts.spec.separable else [ts.k_min]
     for k in levels:
-        i1 = domain_integral(ts.spec, R, n, p, core=2.0**-22, k=k)
-        i2 = domain_integral(ts.spec, R, n, p, core=2.0**-23, k=k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            i1 = domain_integral(ts.spec, R, n, p, core=2.0**-22, k=k)
+            i2 = domain_integral(ts.spec, R, n, p, core=2.0**-23, k=k)
         if not (np.isfinite(i1) and np.isfinite(i2)):
-            raise WeightError(f"weight {ts.spec.key()} has a non-integrable p-power at level {k}")
+            raise WeightError(f"weight {ts.spec.key()} overflows double precision on the probe mesh at level {k}")
         if i2 > i1 * 1.02:
             raise WeightError(
                 f"weight {ts.spec.key()} fails the p-admissibility refinement probe at level {k}: "

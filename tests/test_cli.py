@@ -448,6 +448,18 @@ class TestWeightRange:
         path = write_config(tmp_path, {"weights": {"w1": "dyadic:5"}})
         RunConfig(json.loads(Path(path).read_text())).check_runnable(["seqnorm"])
 
+    @pytest.mark.parametrize("weight", ["pow:2000", "pow:-2000"])
+    def test_xclass_names_an_overflow(self, tmp_path, weight):
+        # the admissibility probe's samples of |x|^(+-2000) overflow a double;
+        # with numpy's warnings as errors, as CI runs, xclass still writes the
+        # weight's record, naming the overflow, not a divergence
+        path = write_config(tmp_path, {"weights": {"w1": weight}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["weights", "xclass", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        (rec,) = json.loads((tmp_path / "o" / "weights_xclass.json").read_text())["records"]
+        assert rec["error"] == f"weight {weight} overflows double precision on the probe mesh at level -3"
+
     @pytest.mark.parametrize("command", [["verify", "partition"], ["weights", "ap"]])
     def test_matrix_read_at_level_zero_only_runs(self, tmp_path, command):
         # 2^(500 k) is 1.0 at k = 0, the one level partition and ap read
@@ -532,30 +544,42 @@ class TestInputFiles:
             assert (tmp_path / "out" / "bands_f" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
 
+def count_pairs(monkeypatch):
+    """A Counter of make_lp_pair calls by grid, filled as they happen."""
+    import lpw
+
+    calls = Counter()
+    orig = lpw.lpaley.make_lp_pair
+
+    def counted(spec, k_min, k_max):
+        calls[spec] += 1
+        return orig(spec, k_min, k_max)
+
+    for mod in (lpw, lpw.cli, lpw.suites, lpw.lpaley, lpw.verify, lpw.spaces):
+        if hasattr(mod, "make_lp_pair"):
+            monkeypatch.setattr(mod, "make_lp_pair", counted)
+    return calls
+
+
 class TestOneContext:
     """An invocation builds one band pair per grid it uses: the base grid,
-    plus the doubled grid where seqnorm and maximal compare against it."""
+    plus the doubled grid where maximal compares against it.  seqnorm reads
+    the pair's level window alone, on either grid, and builds no pair."""
 
     @pytest.mark.parametrize("argv, grids", [(["verify", "all"], 2), (["norm"], 1), (["decompose"], 1)])
     def test_one_pair_per_grid(self, tmp_path, monkeypatch, argv, grids):
-        from collections import Counter
-
-        import lpw
-
-        calls = Counter()
-        orig = lpw.lpaley.make_lp_pair
-
-        def counted(spec, k_min, k_max):
-            calls[spec] += 1
-            return orig(spec, k_min, k_max)
-
-        for mod in (lpw, lpw.cli, lpw.suites, lpw.lpaley, lpw.verify, lpw.spaces):
-            if hasattr(mod, "make_lp_pair"):
-                monkeypatch.setattr(mod, "make_lp_pair", counted)
+        calls = count_pairs(monkeypatch)
         path = write_config(tmp_path, {**SWEEP_CONFIGS["1d"], "suites": sorted(ALL_SUITES)})
         assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) in (0, 1)
         spec = GridSpec(1, 4.0, 128)
         assert calls == ({spec: 1, GridSpec(1, 4.0, 256): 1} if grids == 2 else {spec: 1})
+
+    @pytest.mark.parametrize("config", ["1d", "2d"])
+    def test_seqnorm_builds_no_pair(self, tmp_path, monkeypatch, config):
+        calls = count_pairs(monkeypatch)
+        path = write_config(tmp_path, SWEEP_CONFIGS[config])
+        assert main(["verify", "seqnorm", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert not calls
 
 
 class TestVerifyCommand:

@@ -101,7 +101,7 @@ class TestPairBuild:
         rho = spec.freq_radius()
         for k in pair.levels():
             assert np.array_equal(pair.phi_mult[k], bump_profile(rho / 2.0**k)), k
-            assert np.array_equal(pair.psi_mult[k], synthesis_profile(rho / 2.0**k)), k
+            assert np.array_equal(pair.psi(k), synthesis_profile(rho / 2.0**k)), k
 
     def test_bump_evaluated_near_its_annulus_only(self, monkeypatch):
         import lpw.lpaley as lpaley
@@ -328,7 +328,7 @@ def comb_synthesize(entries, pair):
         F = np.fft.fftn(comb)
         for ax in range(spec.n):
             F = F * comb_phase.reshape([-1 if a == ax else 1 for a in range(spec.n)])
-        total += 2.0 ** (-k * spec.n / 2.0) * from_spectrum(spec, F * pair.psi_mult[k], real=False)
+        total += 2.0 ** (-k * spec.n / 2.0) * from_spectrum(spec, F * pair.psi(k), real=False)
     return total
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpw.grid import CubeFamily, GridError, GridSpec, VectorSequence
+from lpw.grid import CubeFamily, GridError, GridSpec, VectorSequence, mesh_weights
 from lpw.suites import DEFAULT_WEIGHT_MATRIX
 from lpw.weights import (
     AltConst,
@@ -404,7 +404,7 @@ class TestChunkedReduction:
         import lpw.weights as weights
 
         want = all_stats(FamilyNodes(*family))
-        K = FamilyNodes(*family).batches[0].wts.size
+        K = FamilyNodes(*family).batches[0].radius.shape[1]
         for chunk in (1, 7 * K):  # one row, seven rows of a regular batch
             monkeypatch.setattr(weights, "_CHUNK_NODES", chunk)
             got = all_stats(FamilyNodes(*family))
@@ -672,6 +672,31 @@ class TestOrbits:
         former = former_meta(nodes)
         for i in np.linspace(0, nodes.n_cubes - 1, 97).astype(int).tolist():
             assert nodes.cube(i) == former[i], i
+
+
+@pytest.mark.parametrize("family", [(8.0, 1, CubeFamily(-4, 9)), (2.0, 2, CubeFamily(-1, 6))],
+                         ids=["default-1d", "verify-2d"])
+def test_per_axis_weights_multiply_out_to_former_node_weights(family):
+    """Each batch keeps per-axis node weights; multiplied out, they equal bit
+    for bit the (K,) node weights a batch stored before: 1 / K for the
+    regular batch, and for a special one the outer product of the per-axis
+    weights of each of its representatives' axis meshes."""
+    nodes = FamilyNodes(*family)
+    cubes = canonical_cubes(nodes)
+    first = np.empty(nodes.orbit.max() + 1, dtype=int)
+    first[nodes.orbit[::-1]] = np.arange(nodes.n_cubes)[::-1]
+    at = 0
+    for b in nodes.batches:
+        got = mesh_weights(b.wts)
+        for axes, special in (cubes[i] for i in first[at : at + b.radius.shape[0]].tolist()):
+            if special:
+                per_axis = [axis_mesh(nodes, a, c)[1] for a, c in axes]
+                want = per_axis[0] if nodes.n == 1 else (per_axis[0][:, None] * per_axis[1][None, :]).ravel()
+            else:
+                want = np.full(_FLAT_NODES**nodes.n, 1.0 / _FLAT_NODES**nodes.n)
+            assert got.tobytes() == want.tobytes()
+        at += b.radius.shape[0]
+    assert at == len(first)
 
 
 def former_mesh_radius(axes):
@@ -1164,6 +1189,15 @@ class TestAdmissibility:
     def test_log_divergent_rejected(self):
         with pytest.raises(WeightError):
             check_admissible(WeightSequence(Pow(-0.5), -2, 3), 2.0, 8.0, 1)
+
+    @pytest.mark.parametrize("a", [2000.0, -2000.0])
+    def test_overflow_named_as_overflow(self, a):
+        # |x|^2000 is integrable on [-8, 8), but its samples overflow a double;
+        # with warnings as errors the probe must still end in its WeightError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(WeightError, match=r"pow:-?2000 overflows double precision on the probe mesh at level -2"):
+                check_admissible(WeightSequence(Pow(a), -2, 3), 2.0, 8.0, 1)
 
 
 def per_level_weigh(ws, fs):
