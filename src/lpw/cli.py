@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .suites import (
     ANNULUS_SUITES,
     CEILINGS,
     DEFAULT_WEIGHT_MATRIX,
+    FAMILY_SUITES,
     OFFSET_SUITES,
     ONE_D_SUITES,
     SEQNORM_SINGLE_CASES,
@@ -45,6 +47,13 @@ from .weights import (
     xclass_constants,
     xclass_fit,
 )
+
+
+# The most cubes a command's deepest cube family may hold: at about 0.35 kB
+# of peak memory a cube (1D muckenhoupt: 188.4 MB at 510,750 cubes), 2^20
+# cubes stay near 0.4 GB, 5.4 times default.json's 192,516, while cubes.v_max
+# 1010 on smoke.json (4,154,410 cubes) ran out of memory at 1.8 GB.
+CUBE_BUDGET = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -66,6 +75,18 @@ def _require_level_factors(w, levels, field: str) -> None:
     s = w.split()[0]
     _require(all(-1075 < k * s < 1024 for k in levels), field, f"{w.key()} forms the level factor "
              f"2^({s:g} k), which leaves double precision on levels [{min(levels)}, {max(levels)}]")
+
+
+def _require_on_grid(ws: WeightSequence, grids, field: str) -> None:
+    """Refuse the weight of field unless ws.on_grid, as the run samples it,
+    finds every t_k positive and finite on the grids (an overflow, say)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for spec in grids:
+                for k in ws.levels():
+                    ws.on_grid(spec, k)
+    except WeightError as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
 def _parse_exponent(value, field: str) -> float:
@@ -106,11 +127,11 @@ class RunConfig:
         v_min = self._int("cubes.v_min", -4)
         v_max = self._int("cubes.v_max", 9)
         _require(v_min <= v_max, "cubes.v_min", "v_min exceeds v_max")
-        try:  # muckenhoupt's family, the deepest a suite builds, reaches level v_max + 10
-            math.ldexp(spec.R, v_max + 10)
+        try:  # muckenhoupt's family, the deepest a suite builds
+            math.ldexp(spec.R, deepest := v_max + max(FAMILY_SUITES.values()))
         except OverflowError:
-            raise ConfigError("cubes.v_max", f"{v_max} is too deep: level {v_max + 10}, which muckenhoupt "
-                              f"reaches, has R 2^{v_max + 10} cube positions, past the largest double") from None
+            raise ConfigError("cubes.v_max", f"{v_max} is too deep: level {deepest}, which muckenhoupt "
+                              f"reaches, has R 2^{deepest} cube positions, past the largest double") from None
         try:
             spec.cells(v_min)
         except GridError as exc:
@@ -228,7 +249,7 @@ class RunConfig:
         check on this grid and level window.  corpus marks a norm or
         decompose request on the corpus, which needs what the corpus suites
         need: a grid frequency inside the resolved annulus.  norm marks a
-        norm request, whose weight an unshifted grid samples at the origin.
+        norm request, whose weight must be positive and finite on the grid.
         weights names the op of a weights request, which takes the first
         exponent pair; ap and rh take the Muckenhoupt constant A_p there."""
         ctx = self.ctx
@@ -248,17 +269,20 @@ class RunConfig:
             if not ctx.spec.offset and name in OFFSET_SUITES:
                 raise ConfigError("grid.offset", f"suite {name} needs a grid shifted off the origin: "
                                   f"{OFFSET_SUITES[name]}, which has no positive finite value there")
+        depths = [FAMILY_SUITES[name] for name in suites if name in FAMILY_SUITES] + [0] * bool(weights)
+        if depths:  # the cubes of the deepest family, counted before any node is built
+            family = replace(ctx.family, v_max=ctx.family.v_max + max(depths))
+            cubes = family.n_cubes(ctx.spec.R, ctx.spec.n)
+            _require(cubes <= CUBE_BUDGET, "cubes.v_max", f"{ctx.family.v_max} is too deep: the cube family "
+                     f"to level {family.v_max} holds {cubes:,} cubes, past the budget of {CUBE_BUDGET:,}")
         if norm and self.norm_space == "Lp":  # the one space that reads the frozen level
             _require(k_lo <= self.frozen_level <= k_hi, "norm.frozen_level",
                      f"{self.frozen_level} lies outside the level window [{k_lo}, {k_hi}]")
         if norm and self.norm_space != "BMO":  # a BMO norm takes no weight
             levels = [self.frozen_level] if self.norm_space == "Lp" else range(k_lo, k_hi + 1)
             _require_level_factors(self.norm_weight, levels, "norm.weight")
-            if not ctx.spec.offset:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    at0 = [float(self.norm_weight.eval(np.zeros(1), k)[0]) for k in levels]
-                _require(all(0 < t < math.inf for t in at0), "norm.weight", f"{self.norm_weight.key()} is not "
-                         "positive and finite at the origin, which the unshifted grid samples")
+            ws = WeightSequence(self.norm_weight, k_lo, k_hi)  # as cmd_norm samples it
+            _require_on_grid(ws.frozen(self.frozen_level) if self.norm_space == "Lp" else ws, [ctx.spec], "norm.weight")
         # a Carleson scan sums each cube's levels from its own level up, so a
         # band level below the family's first cube level would enter no cube
         scans = [name for name in suites if name in ("newnorm", "bmo")]
@@ -274,24 +298,17 @@ class RunConfig:
                 _require(not fit or abs(s) <= XCLASS_ALPHA_MAX, f"weights.{name}", f"{w.key()} grows at the "
                          f"dyadic rate {s:g}, outside the exponents [-{XCLASS_ALPHA_MAX:g}, {XCLASS_ALPHA_MAX:g}] "
                          "that xclass_fit searches")
+                if "seqnorm" in suites:  # it samples the matrix on the grid and the doubled grid
+                    _require_on_grid(WeightSequence(w, k_lo, k_hi), [ctx.spec, ctx.doubled().spec], f"weights.{name}")
         if corpus or any(name in ANNULUS_SUITES for name in suites):
             try:
                 annulus_indices(ctx.spec, pair)
-            except ValueError:
-                lo, hi = pair.annulus()
-                raise ConfigError(
-                    "levels",
-                    f"levels [{pair.k_min}, {pair.k_max}] resolve the annulus "
-                    f"[{lo:g}, {hi:g}], which holds no positive grid frequency: the grid's "
-                    f"fundamental frequency is pi/R = {ctx.spec.fundamental:g} on R={ctx.spec.R:g}",
-                ) from None
+            except ValueError as exc:
+                raise ConfigError("levels", str(exc)) from None
         if "seqnorm" in suites:  # the level window capped at the grid's resolution
-            _require(
-                bool(seqnorm_single_cases(ctx.spec.R, k_lo, k_hi)),
-                "levels",
-                f"seqnorm needs one of its lone-coefficient cases (k, m) {SEQNORM_SINGLE_CASES} "
-                f"inside levels [{k_lo}, {k_hi}] with m a level-k position on R={ctx.spec.R:g}",
-            )
+            _require(bool(seqnorm_single_cases(ctx.spec.R, k_lo, k_hi)), "levels", "seqnorm needs one of its "
+                     f"lone-coefficient cases (k, m) {SEQNORM_SINGLE_CASES} inside levels [{k_lo}, {k_hi}] with m a "
+                     f"level-k position on R={ctx.spec.R:g}")
 
 
 def _jsonify(obj):

@@ -282,6 +282,20 @@ class CubeFamily:
         strided = np.arange(lo, hi, stride)
         return np.unique(np.concatenate([block, strided]))
 
+    def n_cubes(self, R: float, n: int) -> int:
+        """The number of cubes FamilyNodes builds for the family over
+        [-R, R)^n, without forming a position: exact while R 2^v < 2^50,
+        past which np.arange in positions counts its steps in floating point."""
+        near = self.max_per_level // 2
+        a, b = -near // 2, near - near // 2  # positions' block [a, b)
+        cubes = 0
+        for lo, hi in (level_index_range(R, v) for v in self.levels()):
+            s = max(1, (hi - lo) // (self.max_per_level - near))  # the stride of positions lo + i s below hi
+            # every position, or the block and the strided positions outside it
+            m = hi - lo if hi - lo <= self.max_per_level else b - a - (lo - hi) // s + (lo - b) // s - (lo - a) // s
+            cubes += m**n
+        return cubes * (2 if self.translates else 1)
+
 
 # ---------------------------------------------------------------------------
 # Import/export: flat binary of float64 plus a JSON sidecar with the spec.

@@ -5,7 +5,7 @@ defines the analysis profile; the synthesis profile is the self-normalized
 quotient, which turns the telescoping partition of unity over dyadic dilates
 into an algebraic identity.  Band convolutions are exact Fourier multipliers;
 band_decompose is the one forward band transform, every band of the window
-from one forward FFT of f.
+from one forward FFT of f, and the coefficient transform analyze reads it.
 
 Coefficients are samples of band convolutions on the dyadic lattice 2^-k m.
 At level k the band spectrum lives in [2^(k-1), 2^(k+1)] (angular units)
@@ -40,15 +40,6 @@ def _apply_axis(vec: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     return arr * vec.reshape(shape)
 
 
-def spectrum(f: GridFunction) -> np.ndarray:
-    """Continuum Fourier coefficients F(xi_j) on the FFT-ordered grid."""
-    F = np.fft.fftn(np.asarray(f.values, dtype=complex))
-    ph = f.spec.dft_phase()
-    for ax in range(f.spec.n):
-        F = _apply_axis(ph, F, ax)
-    return f.spec.cell_measure * F
-
-
 def from_spectrum(spec: GridSpec, F: np.ndarray, real: bool = True) -> np.ndarray:
     """Samples on spec's lattice of the function with spectrum F; unchecked,
     so a caller that keeps them wraps them in a GridFunction."""
@@ -58,25 +49,6 @@ def from_spectrum(spec: GridSpec, F: np.ndarray, real: bool = True) -> np.ndarra
         G = _apply_axis(np.conj(ph), G, ax)
     u = np.fft.ifftn(G) / spec.cell_measure
     return u.real if real else u
-
-
-def lattice_values(f: GridFunction, mult: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
-    """Values of (m(D) f) at the plain lattice y_i = -R + i h.
-
-    On an offset grid this is a half-cell translation, exact for band-limited
-    data; on a plain grid it is the samples themselves.  F, when given, is
-    fftn of f's values as complex, so one transform serves every multiplier.
-    """
-    F = (np.fft.fftn(np.asarray(f.values, dtype=complex)) if F is None else F) * mult
-    if f.spec.offset:
-        j = np.fft.fftfreq(f.spec.N, 1.0 / f.spec.N)
-        shift = np.exp(-1j * np.pi * j / f.spec.N)  # exp(-i xi h/2)
-        for ax in range(f.spec.n):
-            F = _apply_axis(shift, F, ax)
-    out = np.fft.ifftn(F)
-    if np.isrealobj(f.values):
-        out = out.real
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +166,24 @@ def make_lp_pair(spec: GridSpec, k_min: int, k_max: int) -> LPPair:
     return LPPair(spec, k_min, k_max, phi_mult, den, first_active)
 
 
-def band_decompose(f: GridFunction, pair: LPPair) -> VectorSequence:
+def band_decompose(f: GridFunction, pair: LPPair, lattice: bool = False) -> VectorSequence:
     """The band phi_k * f, the inverse transform of bump_profile(2^-k xi) Ff,
     of every level of the pair window, from one forward transform of f, as
     the rows of one level stack (real when f is: the multipliers are real,
-    and sample-position phases cancel for multipliers)."""
+    and sample-position phases cancel for multipliers).  With lattice, the
+    bands are taken at the plain lattice y_i = -R + i h: on an offset grid by
+    the half-cell translation exp(-i xi h/2) per axis, exact for band-limited
+    data, and on a plain grid they are the samples themselves."""
     F = np.fft.fftn(f.values)
     real = np.isrealobj(f.values)
+    axes = range(f.spec.n) if lattice and f.spec.offset else ()
+    shift = np.exp(-1j * np.pi * np.fft.fftfreq(f.spec.N, 1.0 / f.spec.N) / f.spec.N) if axes else None
     bands = np.empty((len(pair.levels()), *f.spec.shape), dtype=float if real else complex)
     for row, k in zip(bands, pair.levels()):
-        bk = np.fft.ifftn(pair.phi_mult[k] * F)
+        Bk = pair.phi_mult[k] * F
+        for ax in axes:
+            Bk = _apply_axis(shift, Bk, ax)
+        bk = np.fft.ifftn(Bk)
         row[...] = bk.real if real else bk
     return VectorSequence(f.spec, pair.k_min, bands)
 
@@ -273,21 +253,19 @@ class CoefficientSet:
 def analyze(f: GridFunction, pair: LPPair) -> CoefficientSet:
     """Coefficients lambda_{k,m} = 2^(-k n / 2) (f * phi~_k)(2^-k m).
 
-    The band convolutions, from one forward transform of f, are evaluated on
-    the plain lattice by exact spectral translation and subsampled at the
-    level's stride.
+    Each level's coefficients subsample, at the level's stride, the row of
+    band_decompose(f, pair, lattice=True): the band on the plain lattice.
     """
     spec = f.spec
-    F = np.fft.fftn(np.asarray(f.values, dtype=complex))
+    bands = band_decompose(f, pair, lattice=True)
     arrays = []
     for k in pair.levels():
         ms = pair.positions(k)
         idx = (spec.cells(k) * ms + spec.N // 2) % spec.N
-        vals = lattice_values(f, pair.phi_mult[k], F)
         lo, hi = level_index_range(spec.R, k)
         lam = np.zeros((hi - lo,) * spec.n, dtype=complex)
         # the lattice can be narrower than the cube range (at k = -log2(2R))
-        lam[np.ix_(*[ms - lo] * spec.n)] = vals[np.ix_(*[idx] * spec.n)] * 2.0 ** (-k * spec.n / 2.0)
+        lam[np.ix_(*[ms - lo] * spec.n)] = bands[k][np.ix_(*[idx] * spec.n)] * 2.0 ** (-k * spec.n / 2.0)
         arrays.append(lam)
     return CoefficientSet(spec.n, spec.R, pair.k_min, tuple(arrays))
 
@@ -330,23 +308,19 @@ def calderon_residual(f: GridFunction, pair: LPPair) -> float:
     truncated partition of unity is exactly 1: a frequency carrying more than
     1e-9 of the peak spectral magnitude outside it (DC included) raises.
     """
-    F, rho, (lo, hi) = np.abs(spectrum(f)), f.spec.freq_radius(), pair.annulus()
+    F, rho, (lo, hi) = np.abs(np.fft.fftn(f.values)), f.spec.freq_radius(), pair.annulus()
     bad = (F > 1e-9 * F.max()) & ((rho < lo - 1e-12) | (rho > hi + 1e-12))
     if bad.any():
         raise LevelError(f"input spectrum leaves the resolved annulus [{lo:g}, {hi:g}] "
                          f"at |xi| in {sorted(set(np.round(rho[bad], 6).tolist()))[:8]}")
-    norm = math.sqrt(float(np.sum(np.abs(f.values) ** 2)) * f.spec.cell_measure)
-    if norm == 0:
-        return 0.0
-    rec = synthesize(analyze(f, pair), pair)
-    diff = rec.values - f.values
-    err = math.sqrt(float(np.sum(np.abs(diff) ** 2)) * f.spec.cell_measure)
-    return err / norm
+
+    def l2(u):
+        return math.sqrt(float(np.sum(np.abs(u) ** 2)) * f.spec.cell_measure)
+
+    norm = l2(f.values)
+    return 0.0 if norm == 0 else l2(synthesize(analyze(f, pair), pair).values - f.values) / norm
 
 
 def partition_sum(pair: LPPair) -> np.ndarray:
     """sum_k phi_k(xi) psi_k(xi) over the window, per grid frequency."""
-    total = np.zeros(pair.gspec.shape)
-    for k in pair.levels():
-        total = total + pair.phi_mult[k] * pair.psi(k)
-    return total
+    return sum(pair.phi_mult[k] * pair.psi(k) for k in pair.levels())

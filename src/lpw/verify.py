@@ -47,7 +47,8 @@ def annulus_indices(spec: GridSpec, pair: LPPair) -> tuple[int, int]:
     j_lo = max(1, math.ceil(lo / fund - 1e-9))
     j_hi = min(spec.N // 2 - 1, math.floor(hi / fund + 1e-9))
     if j_hi < j_lo:
-        raise ValueError("resolved annulus holds no grid frequencies")
+        raise ValueError(f"levels [{pair.k_min}, {pair.k_max}] resolve the annulus [{lo:g}, {hi:g}], which holds no "
+                         f"positive grid frequency: the grid's fundamental frequency is pi/R = {fund:g} on R={spec.R:g}")
     return j_lo, j_hi
 
 

@@ -88,10 +88,8 @@ class WeightSpec:
         with np.errstate(divide="ignore"):
             vals = self.eval(spec.radius(), k)
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
-            raise WeightError(
-                f"weight {self.key()} is not positive finite on the grid "
-                "(an offset grid avoids samples at the origin)"
-            )
+            raise WeightError(f"weight {self.key()} is not positive finite on the grid"
+                              + ("" if spec.offset else " (an offset grid avoids samples at the origin)"))
         return GridFunction(spec, vals)
 
 

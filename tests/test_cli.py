@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lpw.cli import RunConfig, main
+from lpw.cli import CUBE_BUDGET, RunConfig, main
 from lpw.grid import GridFunction, GridSpec, save_grid_function
-from lpw.suites import ALL_SUITES, OFFSET_SUITES, ONE_D_SUITES, suite_bmo, suite_newnorm
+from lpw.suites import ALL_SUITES, FAMILY_SUITES, OFFSET_SUITES, ONE_D_SUITES, suite_bmo, suite_newnorm
 
 
 SMALL_CONFIG = {
@@ -488,6 +488,87 @@ class TestWeightRange:
             path.write_text(json.dumps(cfg))
             assert main(["norm", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
             assert "config field 'norm.weight'" in capsys.readouterr().err
+
+
+class TestWeightOnGrid:
+    """A weight whose level factor is in range but whose samples on a grid
+    the run reads overflow a double is refused by the run's own check,
+    WeightSequence.on_grid, before the run (exit 2), not mid-run (exit 3)."""
+
+    @pytest.mark.parametrize("command, override, field", [
+        (["verify", "seqnorm"], {"weights": {"w1": "pow:0.3", "w2": "pow:2000"}}, "weights.w2"),
+        (["norm"], {"norm.weight": "pow:2000"}, "norm.weight"),
+        (["norm"], {"norm.weight": "pow:2000", "norm.space": "Lp"}, "norm.weight"),
+        (["norm"], {"norm.weight": "pow:-2000", "norm.space": "Hardy"}, "norm.weight"),
+    ], ids=["seqnorm", "norm_F", "norm_Lp", "norm_Hardy"])
+    def test_overflow_on_the_grid_refused(self, tmp_path, capsys, command, override, field):
+        # |x|^2000 overflows past |x| = 2^(1024/2000), inside [-8, 8); numpy's
+        # warnings as errors, as CI runs, must not turn the refusal into a crash
+        path = write_config(tmp_path, override)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{field}': weight " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_doubled_grid_checked_for_seqnorm(self, tmp_path, capsys, monkeypatch):
+        # seqnorm samples the matrix on the grid and on the doubled grid:
+        # a weight bad on the doubled grid alone is refused too
+        from lpw.weights import WeightError, WeightSequence
+
+        on_grid = WeightSequence.on_grid
+
+        def bad_at_2n(self, gspec, k):
+            if gspec.N == 1024 and self.spec.key() == "pow:0.2":
+                raise WeightError("not positive finite on the doubled grid")
+            return on_grid(self, gspec, k)
+
+        monkeypatch.setattr(WeightSequence, "on_grid", bad_at_2n)
+        path = write_config(tmp_path, {"weights": {"w1": "pow:0.3", "w2": "pow:0.2"}})
+        assert main(["verify", "seqnorm", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'weights.w2': not positive finite on the doubled grid" in capsys.readouterr().err
+
+
+class TestCubeBudget:
+    """A command that builds a cube quadrature has the cubes of its deepest
+    family counted before any node is built, and refused past CUBE_BUDGET."""
+
+    @pytest.mark.parametrize("command, level", [(["verify", "muckenhoupt"], 1020), (["verify", "hoelder"], 1010),
+                                                (["verify", "all"], 1020), (["weights", "ap"], 1010)])
+    def test_deep_family_refused(self, tmp_path, capsys, command, level):
+        # cubes.v_max 1010 passes the overflow check, but muckenhoupt's v_max +
+        # 10 family holds 4,154,410 cubes, which ran out of memory at 1.8 GB
+        path = write_config(tmp_path, {"cubes.v_max": 1010, "suites": ["partition", "muckenhoupt"]})
+        assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'cubes.v_max': 1010 is too deep" in err and f"to level {level} holds" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["verify", "partition"], ["norm"], ["decompose"]])
+    def test_commands_without_a_quadrature_run(self, tmp_path, command):
+        path = write_config(tmp_path, {"cubes.v_max": 1010})
+        assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("config", ["fixtures/default.json", "fixtures/smoke.json",
+                                        "perfbench/configs/norm_sweep.json", "perfbench/configs/verify_2d.json"])
+    def test_shipped_configs_fit(self, config):
+        cfg = RunConfig(json.loads((Path(__file__).resolve().parents[1] / config).read_text()))
+        suites = [name for name in FAMILY_SUITES if cfg.ctx.spec.n == 1 or name not in ONE_D_SUITES]
+        cfg.check_runnable(suites)
+        for op in ("ap", "xclass", "rh"):
+            cfg.check_runnable([], weights=op)
+
+    @pytest.mark.parametrize("v_max, fits", [(251, True), (252, False)])
+    def test_budget_edge(self, tmp_path, v_max, fits):
+        # muckenhoupt's v_max + 10 family on these cube settings holds
+        # 1,047,064 cubes at v_max 251 and 1,051,158 at 252
+        cfg = RunConfig(json.loads(Path(write_config(tmp_path, {"cubes.v_max": v_max})).read_text()))
+        cfg.check_runnable(["hoelder"])
+        if fits:
+            cfg.check_runnable(["muckenhoupt"])
+        else:
+            with pytest.raises(ValueError, match="config field 'cubes.v_max'"):
+                cfg.check_runnable(["muckenhoupt"])
 
 
 class TestNoNaNWritten:

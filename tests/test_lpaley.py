@@ -10,15 +10,27 @@ from lpw.lpaley import (
     bump_profile,
     calderon_residual,
     from_spectrum,
-    lattice_values,
     make_lp_pair,
     partition_sum,
-    spectrum,
     synthesize,
     synthesis_profile,
 )
 from lpw.suites import RunContext, suite_partition
 from lpw.verify import make_corpus
+
+
+def lattice_formula(f, mult):
+    """(m(D) f) at the plain lattice y_i = -R + i h by one transform of f per
+    multiplier: the per-level formula analyze used before it read
+    band_decompose, kept here as the reference it must match bit for bit."""
+    F = np.fft.fftn(np.asarray(f.values, dtype=complex)) * mult
+    if f.spec.offset:
+        j = np.fft.fftfreq(f.spec.N, 1.0 / f.spec.N)
+        shift = np.exp(-1j * np.pi * j / f.spec.N)  # exp(-i xi h/2)
+        for ax in range(f.spec.n):
+            F = F * shift.reshape([-1 if a == ax else 1 for a in range(f.spec.n)])
+    out = np.fft.ifftn(F)
+    return out.real if np.isrealobj(f.values) else out
 
 
 class TestProfiles:
@@ -162,7 +174,7 @@ class TestBand:
             B = pair1k.phi_mult[k] * F
             outside = (rho < 2.0 ** (k - 1)) | (rho > 2.0 ** (k + 1))
             assert np.all(B[outside] == 0.0)
-            roundtrip = spectrum(GridFunction(spec1k, band_decompose(f, pair1k)[k]))
+            roundtrip = np.fft.fft(band_decompose(f, pair1k)[k])
             assert np.abs(roundtrip[outside]).max() <= 1e-13 * np.abs(F).max()
 
     def test_plancherel_frame_bounds(self, spec1k, pair1k, corpus1k):
@@ -180,31 +192,43 @@ class TestBand:
 
 
 class TestLatticeValues:
-    def test_offset_shift_exact_for_waves(self, spec1k):
-        # lattice evaluation is trigonometric interpolation, exact off-sample
-        j = 37
+    """The bands at the plain lattice, band_decompose(f, pair, lattice=True),
+    which analyze subsamples."""
+
+    def test_offset_shift_exact_for_waves(self, spec1k, pair1k):
+        # lattice evaluation is trigonometric interpolation, exact off-sample;
+        # the wave's |xi| = 7.85 lies on the plateau of band 3, where it is 1
+        j = 20
         F = np.zeros(spec1k.N, dtype=complex)
         F[j] = 1.0 + 0.5j
         F[-j] = np.conj(F[j])
         f = GridFunction(spec1k, from_spectrum(spec1k, F))
-        lat = lattice_values(f, np.ones(spec1k.shape))
+        lat = band_decompose(f, pair1k, lattice=True)[3]
         y = -spec1k.R + np.arange(spec1k.N) * spec1k.h
         xi = np.pi * j / spec1k.R
         want = (F[j] * np.exp(1j * xi * y)).real * 2 / (2 * spec1k.R)
         np.testing.assert_allclose(lat, want, atol=1e-13)
+        # at f's own, half-cell shifted samples the band is the wave itself
+        np.testing.assert_allclose(band_decompose(f, pair1k)[3], f.values, atol=1e-13)
 
     @pytest.mark.parametrize("offset", [True, False])
-    @pytest.mark.parametrize("kind", ["real_1d", "complex_1d", "real_2d"])
+    @pytest.mark.parametrize("kind", ["real_1d", "complex_1d", "real_2d", "complex_2d"])
     def test_shared_spectrum_equals_per_level_call(self, offset, kind, rng):
-        spec = GridSpec(2, 2.0, 32, offset) if kind == "real_2d" else GridSpec(1, 8.0, 512, offset)
-        values = rng.normal(size=spec.shape) * (1.0 - 0.5j if kind == "complex_1d" else 1.0)
+        # analyze takes every level from one shared transform; each must be
+        # the very bits of the per-level lattice formula, subsampled
+        spec = GridSpec(2, 2.0, 32, offset) if kind.endswith("2d") else GridSpec(1, 8.0, 512, offset)
+        values = rng.normal(size=spec.shape) * (1.0 - 0.5j if kind.startswith("complex") else 1.0)
         f = GridFunction(spec, values)
         pair = make_lp_pair(spec, -1, 3)
-        F = np.fft.fftn(np.asarray(f.values, dtype=complex))
+        coeffs = analyze(f, pair)
         for k in pair.levels():
-            got = lattice_values(f, pair.phi_mult[k], F)
-            want = lattice_values(f, pair.phi_mult[k])
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            vals = lattice_formula(f, pair.phi_mult[k])
+            ms = pair.positions(k)
+            idx = (spec.cells(k) * ms + spec.N // 2) % spec.N
+            lo, hi = level_index_range(spec.R, k)
+            want = np.zeros((hi - lo,) * spec.n, dtype=complex)
+            want[np.ix_(*[ms - lo] * spec.n)] = vals[np.ix_(*[idx] * spec.n)] * 2.0 ** (-k * spec.n / 2.0)
+            assert coeffs[k].dtype == want.dtype and np.array_equal(coeffs[k], want), k
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_analyze_takes_one_forward_transform(self, n, pair1k, corpus1k, fft_calls):
@@ -231,7 +255,8 @@ class TestTransform:
         gamma = 0.5 if offset else 0.0
         assert (ph == np.exp(1j * np.pi * j) * np.exp(-2j * np.pi * j * gamma / spec.N)).all()
         f = GridFunction(spec, np.random.default_rng(1).standard_normal(spec.N))
-        assert np.allclose(from_spectrum(spec, spectrum(f)), f.values, rtol=0, atol=1e-12)
+        F = spec.cell_measure * np.fft.fft(f.values) * ph  # the continuum coefficients F(xi_j)
+        assert np.allclose(from_spectrum(spec, F), f.values, rtol=0, atol=1e-12)
         assert spec.dft_phase() is ph and (ph == spec.dft_phase()).all()
 
     def test_analyze_zero(self, spec1k, pair1k):
@@ -242,8 +267,9 @@ class TestTransform:
     def test_coefficient_bound(self, spec1k, pair1k, corpus1k):
         f = corpus1k[2].f
         coeffs = analyze(f, pair1k)
+        lattice = band_decompose(f, pair1k, lattice=True)
         for k in pair1k.levels():
-            conv = np.abs(lattice_values(f, pair1k.phi_mult[k]))
+            conv = np.abs(lattice[k])
             bound = 2.0 ** (-k / 2.0) * conv.max()
             assert np.all(np.abs(coeffs[k]) <= bound * (1 + 1e-12))
 
@@ -343,7 +369,7 @@ class TestDenseCoefficients:
         coeffs = analyze(f, pair)
         assert (coeffs.n, coeffs.R, coeffs.levels()) == (spec.n, spec.R, pair.levels())
         for k in pair.levels():
-            vals = lattice_values(f, pair.phi_mult[k])
+            vals = lattice_formula(f, pair.phi_mult[k])
             lo, hi = level_index_range(spec.R, k)
             want = np.zeros((hi - lo,) * spec.n, dtype=complex)
             for m in np.ndindex(*want.shape):
@@ -387,7 +413,7 @@ class TestDenseCoefficients:
         assert list(pair.positions(k)) == [0]
         f = corpus1k[0].f
         lam = analyze(f, pair)[k]
-        vals = lattice_values(f, pair.phi_mult[k])
+        vals = lattice_formula(f, pair.phi_mult[k])
         assert lam.shape == (2,)
         assert lam[0] == 0
         assert lam[1] == 2.0 ** (-k / 2.0) * complex(vals[spec1k.N // 2])

@@ -62,8 +62,9 @@ class TestCorpus:
 
     def test_resolution_independent_sampling(self, spec1k, pair1k):
         # the same seed at 2N samples the same trigonometric polynomial, so
-        # the continuum spectra agree index by index
-        from lpw.lpaley import spectrum
+        # the continuum spectra agree index by index in magnitude (h |FFT|),
+        # and its coefficients, band values at the same lattice points, agree
+        from lpw.lpaley import analyze
 
         spec2 = GridSpec(1, spec1k.R, spec1k.N * 2)
         pair2 = make_lp_pair(spec2, pair1k.k_min, pair1k.k_max)
@@ -71,9 +72,11 @@ class TestCorpus:
         b = make_corpus(spec2, pair2, size=4, seed=11)
         half = spec1k.N // 2
         for ma, mb in zip(a, b):
-            Fa, Fb = spectrum(ma.f), spectrum(mb.f)
+            Fa, Fb = (mem.f.spec.h * np.abs(np.fft.fft(mem.f.values)) for mem in (ma, mb))
             np.testing.assert_allclose(Fa[:half], Fb[:half], atol=1e-9)
             np.testing.assert_allclose(Fa[-half:], Fb[-half:], atol=1e-9)
+            for ca, cb in zip(analyze(ma.f, pair1k).arrays, analyze(mb.f, pair2).arrays):
+                np.testing.assert_allclose(ca, cb, atol=1e-9)
 
     @pytest.mark.parametrize("n,N,levels", [(1, 1024, (-3, 6)), (2, 32, (-1, 3))], ids=["1d", "2d"])
     def test_prefix_ends_with_the_indexed_member(self, n, N, levels):

@@ -1308,3 +1308,26 @@ class TestWeigh:
             for w in (Pow(0.3), Dyadic(0.5)):
                 with pytest.raises(GridError, match="leave the stack"):
                     WeightSequence(w, k_min, k_max).weigh(magnitudes(signed_stack))
+
+
+class TestFamilyCount:
+    """CubeFamily.n_cubes, the count the cube budget reads, is the number of
+    cubes FamilyNodes builds, taken without forming a position."""
+
+    @pytest.mark.parametrize("R, n, family", [
+        (8.0, 1, CubeFamily(-4, 19)),  # default.json's deepest (muckenhoupt) family, 192,516 cubes
+        (8.0, 1, CubeFamily(-4, 16, True, 2048)),
+        (2.0, 2, CubeFamily(-1, 5, False, 8)),
+        (0.5, 1, CubeFamily(-1, 14, False, 9)),
+    ], ids=["default-muckenhoupt", "smoke-muckenhoupt", "2d-capped", "odd-cap"])
+    def test_equals_the_built_family(self, R, n, family):
+        assert family.n_cubes(R, n) == FamilyNodes(R, n, family).n_cubes
+
+    @pytest.mark.parametrize("cap", [8, 9, 13, 100, 2047, 2048, 8192, 8193])
+    @pytest.mark.parametrize("R", [0.5, 2.0, 8.0])
+    def test_each_level_counts_its_positions(self, R, cap):
+        # exact while R 2^v < 2^50: here up to 2^48, capped or not
+        for v in range(-1, 46):
+            family = CubeFamily(v, v, False, cap)
+            assert family.n_cubes(R, 1) == family.positions(R, v).size, v
+            assert family.n_cubes(R, 2) == family.positions(R, v).size ** 2
