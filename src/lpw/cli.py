@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -196,7 +197,7 @@ class RunConfig:
                 for name in value:
                     _require(name in self._read[key], f"{key}.{name}",
                              f"no such field; {key} has {sorted(self._read[key])}")
-        # the run's one context: every command takes its pair, corpus and bands from it
+        # the run's one context: every command takes its pair and corpus from it
         self.ctx = RunContext(spec, k_min, k_max, family, corpus_size, seed, weight_matrix, tuple(exponent_pairs))
         try:
             self.ctx.levels()
@@ -492,15 +493,13 @@ def _ratio_rows(report: dict):
 
 
 def cmd_verify(cfg: RunConfig, suite_names: list[str], out: Path) -> int:
-    import time
-
     ctx = cfg.ctx
     results = []
     timings = {}
     for name in suite_names:
-        t0 = time.time()
+        t0 = time.perf_counter()
         results.append(ALL_SUITES[name](ctx))
-        timings[name] = time.time() - t0
+        timings[name] = time.perf_counter() - t0
     report = {"pass": all(r["pass"] for r in results), "suites": results}
     report["meta"] = {
         "grid": {"n": ctx.spec.n, "R": ctx.spec.R, "N": ctx.spec.N, "offset": ctx.spec.offset},

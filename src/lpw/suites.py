@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import CubeFamily, GridFunction, GridSpec, VectorSequence, level_index_range, lp_norm, weighted_lp_norm
+from .grid import CubeFamily, GridFunction, GridSpec, level_index_range, lp_norm, weighted_lp_norm
 from .lpaley import LPPair, bump_profile, calderon_residual, check_levels, make_lp_pair, partition_sum, synthesis_profile, CoefficientSet
 from .maximal import fefferman_stein_ratio, kernel_sum_ratio, maximal_fn, maximal_fn_bruteforce, maximal_sequence, weighted_maximal_ratio, window_sizes, window_sum_table
 from .spaces import band_magnitudes, bmo_norm, seq_b_norm, seq_f_infty_norm, seq_f_norms, stack_norm
@@ -68,12 +68,13 @@ CEILINGS = {
 @dataclass
 class RunContext:
     """Built artifacts for one configured run.  It caches only what two or
-    more suites read: the pair, the corpus, the corpus bands(), the parsed
-    weights() matrix, the configured family's nodes() and the doubled()
-    context with its pair and corpus.  An artifact one suite alone reads
-    (muckenhoupt's deeper cube families, maximal's 2N band stacks) is built
-    inside that suite and freed when it is done with it, and a suite that
-    reads only the pair's level window takes levels(), which builds no pair."""
+    more suites read: the pair, the corpus, the parsed weights() matrix, the
+    configured family's nodes() and the doubled() context with its pair and
+    corpus.  An artifact one suite alone reads (muckenhoupt's deeper cube
+    families) is built inside that suite and freed when it is done with it,
+    a member's band magnitudes are formed inside each suite's member loop and
+    dropped with the member, and a suite that reads only the pair's level
+    window takes levels(), which builds no pair."""
 
     spec: GridSpec
     k_min: int
@@ -107,10 +108,6 @@ class RunContext:
 
     def corpus(self):
         return self._cached("corpus", lambda: make_corpus(self.spec, self.pair(), self.corpus_size, self.seed))
-
-    def bands(self) -> dict[str, VectorSequence]:
-        """Each corpus member's band magnitudes |phi_k * f| on the pair, by name."""
-        return self._cached("bands", lambda: {mem.name: band_magnitudes(mem.f, self.pair()) for mem in self.corpus()})
 
     def nodes(self) -> FamilyNodes:
         """The quadrature nodes of the configured cube family."""
@@ -251,16 +248,17 @@ def suite_calderon(ctx: RunContext) -> dict:
 def suite_classical(ctx: RunContext) -> dict:
     """Dyadic weight sequences reproduce the fixed-smoothness norms to 1e-12."""
     pair = ctx.pair()
-    bands = ctx.bands()
     seqs = {s: WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max) for s in (-1.0, 0.0, 0.5, 2.0)}
     exponents = ((2.0, 2.0), (2.0, np.inf))
     worst = {(s, p, q): [0.0, 0.0] for s in seqs for p, q in exponents}  # Besov, Triebel-Lizorkin
-    # member outermost: one set of oracle magnitudes per member, and one
-    # weighted stack per (member, s) serving every exponent pair and space
+    # member outermost: one set of oracle magnitudes and one magnitude stack
+    # per member, and one weighted stack per (member, s) serving every
+    # exponent pair and space
     for mem in ctx.corpus():
         oracle = classical_band_magnitudes(mem.f, pair)
+        mags = band_magnitudes(mem.f, pair)
         for s, ws in seqs.items():
-            wb = ws.weigh(bands[mem.name])
+            wb = ws.weigh(mags)
             for p, q in exponents:
                 got_b = stack_norm(wb, "B", p, q, ctx.family)
                 got_f = stack_norm(wb, "F", p, q, ctx.family)
@@ -360,7 +358,6 @@ def suite_newnorm(ctx: RunContext) -> dict:
     """Level-frozen weight comparison: the spread of norm({t_k}) against
     norm(t_j) stays under the equivalence ceiling, uniformly in j."""
     pair = ctx.pair()
-    bands = ctx.bands()
     ceiling = CEILINGS["equivalence"]
     uniformity = CEILINGS["j_uniformity"]
     cases = [
@@ -372,15 +369,20 @@ def suite_newnorm(ctx: RunContext) -> dict:
     ]
     weights = ("pow:0.3", "pow:-0.2")
     js = range(-3, 4)
-    # sequence outermost, so one sequence's samples live at a time; each
-    # member's stack is weighed once per sequence and serves every case
+    # weight outermost, so one weight's 8 sequences live at a time; each
+    # member's stack is formed once per weight, weighed once per sequence,
+    # and the weighted stack serves every case
     norms = {}  # (weight, j) -> per member, one norm per case; j = None is {t_k} itself
     for wtext in weights:
         ws = WeightSequence(parse_weight(wtext), pair.k_min, pair.k_max)
-        for j in (None, *js):
-            wj = ws if j is None else ws.frozen(j)
-            wbs = (wj.weigh(bands[mem.name]) for mem in ctx.corpus())  # one weighted stack at a time
-            norms[wtext, j] = [[stack_norm(wb, tag, p, q, ctx.family) for tag, p, q in cases] for wb in wbs]
+        seqs = {j: ws if j is None else ws.frozen(j) for j in (None, *js)}
+        for j in seqs:
+            norms[wtext, j] = []
+        for mem in ctx.corpus():
+            mags = band_magnitudes(mem.f, pair)
+            for j, wj in seqs.items():
+                wb = wj.weigh(mags)
+                norms[wtext, j].append([stack_norm(wb, tag, p, q, ctx.family) for tag, p, q in cases])
     records = []
     ok = True
     for wtext in weights:
@@ -448,14 +450,12 @@ def suite_coincidence(ctx: RunContext) -> dict:
         [weighted_lp_norm(mem.f, g2, 2.0) for mem in witnesses],
         eq_ceiling, "Lp(t1)", "Lp(t2)",
     )
-    bands = ctx.bands()
-    mags = [bands[mem.name] for mem in corpus] + [band_magnitudes(mem.f, pair) for mem in spikes]
     seqs = [WeightSequence(t, pair.k_min, pair.k_max) for t in (t1, t2)]
-    rep_f = ratio_report(
-        names,
-        *([stack_norm(ws.weigh(m), "F", 2.0, 2.0, ctx.family) for m in mags] for ws in seqs),
-        eq_ceiling, "F22(t1)", "F22(t2)",
-    )
+    # each witness's stack is formed once, weighed under both sequences and
+    # dropped before the next witness's
+    f22 = [[stack_norm(ws.weigh(mags), "F", 2.0, 2.0, ctx.family) for ws in seqs]
+           for mags in (band_magnitudes(mem.f, pair) for mem in witnesses)]
+    rep_f = ratio_report(names, *zip(*f22), eq_ceiling, "F22(t1)", "F22(t2)")
     negative_ok = (
         (not res["pass"])
         and res["spread"] > 1e3
@@ -492,17 +492,16 @@ def suite_maximal(ctx: RunContext) -> dict:
     kernel_ws = WeightSequence(parse_weight(f"dyadic:{s}"), pair.k_min, pair.k_max)
     kernels = (("below", s + 1.0), ("above", s - 1.0))
 
-    def corpus_ratios(c: RunContext, stack, kernel_members: int):
+    def corpus_ratios(c: RunContext, kernel_members: int):
         """Member names, Fefferman-Stein and weighted ratios per member, and
         per kernel direction the ratios of the first kernel_members members.
-        stack(mem) gives a member's band magnitudes; its maximal stack is
-        built once, serves all its ratios and is dropped before the next
-        member's."""
+        A member's band magnitudes and maximal stack are built once, serve
+        all its ratios and are dropped before the next member's."""
         ws = WeightSequence(Pow(0.3), c.pair().k_min, c.pair().k_max)
         names, fs_ratios, wm_ratios = [], [], []
         kernel_ratios = {direction: [] for direction, _ in kernels}
         for i, mem in enumerate(c.corpus()):
-            fs = stack(mem)
+            fs = band_magnitudes(mem.f, c.pair())
             Ms = maximal_sequence(fs)
             names.append(mem.name)
             fs_ratios.append(fefferman_stein_ratio(fs, 2.0, 2.0, Ms))
@@ -512,12 +511,8 @@ def suite_maximal(ctx: RunContext) -> dict:
                     kernel_ratios[direction].append(kernel_sum_ratio(fs, kernel_ws, K, direction, 2.0, 2.0, Ms))
         return names, fs_ratios, wm_ratios, kernel_ratios
 
-    bands = ctx.bands()
-    names, fs_rows, wm_rows, kernel_rows = corpus_ratios(ctx, lambda mem: bands[mem.name], 8)
-    # no other suite reads the 2N magnitude stacks, so each is built for its
-    # member alone and dropped with the member's Ms
-    dbl = ctx.doubled()
-    _, fs_rows_2N, wm_rows_2N, _ = corpus_ratios(dbl, lambda mem: band_magnitudes(mem.f, dbl.pair()), 0)
+    names, fs_rows, wm_rows, kernel_rows = corpus_ratios(ctx, 8)
+    _, fs_rows_2N, wm_rows_2N, _ = corpus_ratios(ctx.doubled(), 0)
 
     fs_base = max(fs_rows)
     fs_dbl = max(fs_rows_2N)
@@ -590,11 +585,10 @@ def suite_bmo(ctx: RunContext) -> dict:
     pair = ctx.pair()
     ws = WeightSequence(Const(1.0), pair.k_min, pair.k_max)
     corpus = ctx.corpus()
-    bands = ctx.bands()
     rep = ratio_report(
         [mem.name for mem in corpus],
         [bmo_norm(mem.f, ctx.family) for mem in corpus],
-        [stack_norm(ws.weigh(bands[mem.name]), "F_inf", np.inf, 2.0, ctx.family) for mem in corpus],
+        [stack_norm(ws.weigh(band_magnitudes(mem.f, pair)), "F_inf", np.inf, 2.0, ctx.family) for mem in corpus],
         ceiling=CEILINGS["informational"], name_a="BMO", name_b="Finf2",
     )
     summary = {"spread": rep["spread"], "min": rep["min_ratio"], "max": rep["max_ratio"]}

@@ -80,10 +80,10 @@ def make_corpus(
     seed: int,
 ) -> list[CorpusMember]:
     """Admissible band-limited test functions: random multi-band draws,
-    single-band draws, translated near-spikes over shrinking sub-bands, and
-    modulated Gaussian envelopes.  Coefficients are drawn on the frequency
-    lattice determined by R alone, so the same seeds reproduce the same
-    functions at any N that resolves them."""
+    single-band draws, translated near-spikes over the full band and over
+    [j_hi // 2^s, j_hi], s = 1, 2, 3, and modulated Gaussian envelopes.
+    Coefficients are drawn on the frequency lattice of R alone, so the same
+    seeds reproduce the same functions at any N that resolves them."""
     rng = np.random.default_rng(seed)
     j_lo, j_hi = annulus_indices(spec, pair)
     members: list[CorpusMember] = []
@@ -119,10 +119,7 @@ def make_corpus(
             x0 = float(rng.uniform(-spec.R, spec.R))
             js = np.arange(lo, hi + 1)
             env = np.sin(np.pi * (js - lo + 0.5) / (hi - lo + 1)) ** 2
-            coeffs = {
-                int(j): complex(e * np.exp(-1j * (np.pi * j / spec.R) * x0))
-                for j, e in zip(js, env)
-            }
+            coeffs = dict(zip(js.tolist(), (env * np.exp(-1j * (np.pi * js / spec.R) * x0)).tolist()))
             members.append(_member_from_coeffs(spec, coeffs, f"spike{idx:02d}"))
         else:
             mid = math.sqrt(j_lo * j_hi)
@@ -131,11 +128,9 @@ def make_corpus(
             x0 = float(rng.uniform(-spec.R, spec.R))
             js = np.arange(j_lo, j_hi + 1)
             env = np.exp(-0.5 * ((js - center) / widthj) ** 2)
-            coeffs = {
-                int(j): complex(e * np.exp(-1j * (np.pi * j / spec.R) * x0))
-                for j, e in zip(js, env)
-                if e > 1e-12
-            }
+            keep = env > 1e-12
+            js, env = js[keep], env[keep]
+            coeffs = dict(zip(js.tolist(), (env * np.exp(-1j * (np.pi * js / spec.R) * x0)).tolist()))
             members.append(_member_from_coeffs(spec, coeffs, f"gauss{idx:02d}"))
         i += 1
     return members
@@ -164,8 +159,10 @@ def _make_corpus_2d(spec: GridSpec, pair: LPPair, size: int, rng) -> list[Corpus
 
 
 def spike_family(spec: GridSpec, pair: LPPair) -> list[CorpusMember]:
-    """Four band-limited bumps at the origin over sub-bands widening dyadically
-    with the step index, so the spatial concentration doubles at each step."""
+    """Four band-limited bumps at the origin over sub-bands [lo, j_hi] that
+    widen with the step index: lo = j_hi >> (step + 1), so the bandwidths are
+    about 0.5, 0.75, 0.875 and 0.94 of j_hi (less where j_lo binds), and the
+    spatial concentration grows with each step but does not double."""
     j_lo, j_hi = annulus_indices(spec, pair)
     out = []
     for step in range(4):
@@ -173,7 +170,7 @@ def spike_family(spec: GridSpec, pair: LPPair) -> list[CorpusMember]:
         lo = max(j_lo, hi >> (step + 1))
         js = np.arange(lo, hi + 1)
         env = np.sin(np.pi * (js - lo + 0.5) / (hi - lo + 1)) ** 2
-        coeffs = {int(j): complex(e) for j, e in zip(js, env)}
+        coeffs = dict(zip(js.tolist(), env.astype(complex).tolist()))
         out.append(_member_from_coeffs(spec, coeffs, f"origin_spike{step}"))
     return out
 

@@ -47,7 +47,80 @@ WEIGHT_MATRIX = [
 ]
 
 
+def scalar_corpus_1d(spec, pair, size, seed):
+    """make_corpus in 1D with each spike and gauss coefficient formed one
+    frequency at a time, drawing from the generator in the same order."""
+    import math
+
+    from lpw.verify import _member_from_coeffs, annulus_indices
+
+    rng = np.random.default_rng(seed)
+    j_lo, j_hi = annulus_indices(spec, pair)
+    kinds = ["multiband", "single", "spike", "gauss"]
+    members = []
+    for i in range(size):
+        kind = kinds[i % 4]
+        if kind == "multiband":
+            coeffs = {}
+            for j in rng.integers(j_lo, j_hi + 1, size=int(rng.integers(8, 25))):
+                coeffs[int(j)] = coeffs.get(int(j), 0) + complex(rng.normal(), rng.normal())
+        elif kind == "single":
+            k0 = int(rng.integers(pair.first_active + 1, max(pair.first_active + 2, pair.k_max - 1)))
+            lo = max(j_lo, math.ceil(2.0**k0 / spec.fundamental))
+            hi = min(j_hi, math.floor(2.0 ** (k0 + 1) / spec.fundamental))
+            if hi < lo:
+                lo, hi = j_lo, min(j_hi, j_lo + 4)
+            coeffs = {int(j): complex(rng.normal(), rng.normal()) for j in rng.integers(lo, hi + 1, size=6)}
+        elif kind == "spike":
+            step = (i // 4) % 4
+            lo = max(j_lo, j_hi // 2**step if step else j_lo)
+            x0 = float(rng.uniform(-spec.R, spec.R))
+            js = np.arange(lo, j_hi + 1)
+            env = np.sin(np.pi * (js - lo + 0.5) / (j_hi - lo + 1)) ** 2
+            coeffs = {int(j): complex(e * np.exp(-1j * (np.pi * j / spec.R) * x0)) for j, e in zip(js, env)}
+        else:
+            mid = math.sqrt(j_lo * j_hi)
+            center = float(rng.uniform(mid / 2, mid * 2))
+            widthj = max(2.0, center / 4)
+            x0 = float(rng.uniform(-spec.R, spec.R))
+            js = np.arange(j_lo, j_hi + 1)
+            env = np.exp(-0.5 * ((js - center) / widthj) ** 2)
+            coeffs = {int(j): complex(e * np.exp(-1j * (np.pi * j / spec.R) * x0))
+                      for j, e in zip(js, env) if e > 1e-12}
+        members.append(_member_from_coeffs(spec, coeffs, f"{kind}{i:02d}"))
+    return members
+
+
+def scalar_spike_family(spec, pair):
+    """spike_family with each coefficient formed one frequency at a time."""
+    from lpw.verify import _member_from_coeffs, annulus_indices
+
+    j_lo, j_hi = annulus_indices(spec, pair)
+    out = []
+    for step in range(4):
+        lo = max(j_lo, j_hi >> (step + 1))
+        js = np.arange(lo, j_hi + 1)
+        env = np.sin(np.pi * (js - lo + 0.5) / (j_hi - lo + 1)) ** 2
+        out.append(_member_from_coeffs(spec, {int(j): complex(e) for j, e in zip(js, env)}, f"origin_spike{step}"))
+    return out
+
+
 class TestCorpus:
+    @pytest.mark.parametrize("N,R,levels,seed", [(1024, 8.0, (-3, 6), 7), (4096, 16.0, (-3, 7), 20260808),
+                                                 (256, 8.0, (-3, 0), 3), (512, 4.0, (-2, 5), 11)])
+    def test_array_coefficients_equal_the_scalar_formula(self, N, R, levels, seed):
+        # the spike and gauss coefficients are formed as arrays; every member
+        # and every origin spike equals the one-frequency-at-a-time formula
+        # byte for byte
+        from lpw.verify import spike_family
+
+        spec = GridSpec(1, R, N)
+        pair = make_lp_pair(spec, *levels)
+        for got, want in ((make_corpus(spec, pair, 40, seed), scalar_corpus_1d(spec, pair, 40, seed)),
+                          (spike_family(spec, pair), scalar_spike_family(spec, pair))):
+            assert [mem.name for mem in got] == [mem.name for mem in want]
+            for a, b in zip(got, want):
+                assert a.f.values.tobytes() == b.f.values.tobytes()
     def test_reproducible(self, spec1k, pair1k):
         a = make_corpus(spec1k, pair1k, size=6, seed=42)
         b = make_corpus(spec1k, pair1k, size=6, seed=42)
@@ -433,14 +506,16 @@ class TestClassicalPaths:
 
 class TestSuiteStackCounts:
     """newnorm and classical form each member's weighted stack once per
-    weight sequence, and the classical oracle transforms each member once."""
+    weight sequence from a magnitude stack formed inside the suite, and
+    classical transforms each member once for its oracle and once for its
+    weighted path."""
 
     @pytest.fixture
     def ctx(self):
         from lpw.suites import RunContext
 
         ctx = RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=4)
-        ctx.bands()
+        ctx.corpus()
         return ctx
 
     def count_weigh(self, monkeypatch):
@@ -462,9 +537,15 @@ class TestSuiteStackCounts:
         assert len(res["records"]) == 2 * 5
         # 2 weights x ({t_k} and 7 frozen t_j) x 4 members, not x 5 cases
         assert len(calls) == 2 * 8 * 4
-        # every stack weighed is a member's cached magnitude stack
-        cached = [id(mags) for mags in ctx.bands().values()]
-        assert all(id(mags) in cached for _, mags in calls)
+        # weight, then member, then its 8 sequences: one stack per (weight,
+        # member), and it is the member's band magnitudes bit for bit
+        corpus = ctx.corpus()
+        for i in range(0, len(calls), 8):
+            block = [mags for _, mags in calls[i : i + 8]]
+            assert all(mags is block[0] for mags in block)
+            want = band_magnitudes(corpus[i // 8 % 4].f, ctx.pair())
+            assert block[0].k_min == want.k_min
+            assert np.array_equal(block[0].values, want.values)
         assert all(n == 4 for n in Counter(spec for spec, _ in calls).values())
 
     def test_classical_weighs_once_per_s_and_transforms_once_per_member(self, ctx, monkeypatch, fft_calls):
@@ -474,18 +555,22 @@ class TestSuiteStackCounts:
         res = suite_classical(ctx)
         assert res["pass"] and len(res["records"]) == 4 * 2
         assert len(calls) == 4 * 4
-        assert fft_calls == {"fftn": 4, "ifftn": 4 * len(ctx.pair().levels())}
+        # the oracle's transforms, then one band_decompose per member, not
+        # one per s
+        L = len(ctx.pair().levels())
+        assert fft_calls == {"fftn": 4 + 4, "ifftn": 4 * L + 4 * L}
 
 
 class TestSuiteBandReuse:
     def test_bmo_and_coincidence_reuse_corpus_bands(self, monkeypatch):
-        # once the run context holds the corpus bands, bmo decomposes nothing
-        # and coincidence only its four spike witnesses, each once
+        # bmo decomposes each member once, and coincidence each member and
+        # each of its four spike witnesses once, serving both sequences
         import lpw.spaces
         from lpw.suites import RunContext, suite_bmo, suite_coincidence
+        from lpw.verify import spike_family
 
         ctx = RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=4)
-        ctx.bands()
+        corpus = ctx.corpus()
         calls = []
         def counted(f, pair, _orig=lpw.spaces.band_decompose):
             calls.append(f)
@@ -493,26 +578,54 @@ class TestSuiteBandReuse:
 
         monkeypatch.setattr(lpw.spaces, "band_decompose", counted)
         suite_bmo(ctx)
-        assert calls == []
+        assert [id(f) for f in calls] == [id(mem.f) for mem in corpus]
+        del calls[:]
         suite_coincidence(ctx)
-        assert len(calls) == 4
+        assert [id(f) for f in calls[:4]] == [id(mem.f) for mem in corpus]
+        assert len(calls) == 4 + 4
+        for f, spike in zip(calls[4:], spike_family(ctx.spec, ctx.pair())):
+            assert np.array_equal(f.values, spike.f.values)
 
     def test_cached_bands_are_the_decomposition_magnitudes(self):
+        # the stack every reader suite forms per member is |band_decompose|
         from lpw.lpaley import band_decompose
         from lpw.suites import RunContext
 
         for ctx in (RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=3),
                     RunContext(GridSpec(2, 2.0, 64), -1, 4, CubeFamily(-1, 5), corpus_size=2)):
-            bands = ctx.bands()
-            assert list(bands) == [mem.name for mem in ctx.corpus()]
             for mem in ctx.corpus():
-                assert np.array_equal(bands[mem.name].values, np.abs(band_decompose(mem.f, ctx.pair()).values))
+                mags, bands = band_magnitudes(mem.f, ctx.pair()), band_decompose(mem.f, ctx.pair())
+                assert (mags.spec, mags.k_min) == (bands.spec, bands.k_min)
+                assert np.array_equal(mags.values, np.abs(bands.values))
+
+    @pytest.mark.parametrize("name", ["classical", "newnorm", "coincidence", "maximal", "bmo"])
+    def test_reader_suites_keep_no_magnitude_stack(self, name, monkeypatch):
+        # each reader suite forms a member's stack in its member loop and
+        # drops it with the member: when the next is formed at most the
+        # previous one is alive, and none outlives the suite
+        import weakref
+
+        import lpw.suites
+
+        live = []
+        def tracked(f, pair, _orig=lpw.suites.band_magnitudes):
+            alive = [ref for ref in live if ref() is not None]
+            assert len(alive) <= 1
+            mags = _orig(f, pair)
+            live.append(weakref.ref(mags.values))
+            return mags
+
+        monkeypatch.setattr(lpw.suites, "band_magnitudes", tracked)
+        ctx = lpw.suites.RunContext(GridSpec(1, 4.0, 256), -2, 4, CubeFamily(-2, 5), corpus_size=3)
+        assert lpw.suites.ALL_SUITES[name](ctx)["suite"] == name
+        assert live
+        assert all(ref() is None for ref in live)
 
 
 class TestSuiteLocalArtifacts:
     """The run context caches only what two or more suites read; the deeper
-    cube families of muckenhoupt and the 2N band stacks of maximal live and
-    die inside their suite."""
+    cube families of muckenhoupt and every band magnitude stack live and die
+    inside their suite."""
 
     @staticmethod
     def context():
@@ -553,7 +666,7 @@ class TestSuiteLocalArtifacts:
 
         ctx = self.context()
         assert suite_maximal(ctx)["pass"]
-        assert "bands" in ctx._cache
+        assert "bands" not in ctx._cache
         assert "bands" not in ctx.doubled()._cache
         assert {"pair", "corpus"} <= set(ctx.doubled()._cache)
 
