@@ -143,6 +143,11 @@ def carleson_sup(G: VectorSequence, family: CubeFamily, q: float) -> float:
     sum over S^n cells, and the sup divides the largest sum once, which is
     exact because division is monotone.
     """
+    return _carleson_sup(G, family, q, 1.0)
+
+
+def _carleson_sup(G: VectorSequence, family: CubeFamily, q: float, power: float) -> float:
+    """carleson_sup of G ** power, raised in place in the scan's wrapped copy."""
     spec, ks = G.spec, G.levels()
     levels = _scan_levels(spec, family)
     if ks.start < levels.start:
@@ -151,6 +156,8 @@ def carleson_sup(G: VectorSequence, family: CubeFamily, q: float) -> float:
     # suffix[i] = G_{k_min + i} + ... + G_{k_max}, summed from the top level
     # down; a wrapped cell takes the same adds as the cell it repeats
     suffix = _periodic(G.values, spec, family, levels)
+    if power != 1.0:
+        suffix **= power
     for i in range(len(suffix) - 2, -1, -1):
         suffix[i] += suffix[i + 1]
     best = 0.0
@@ -169,7 +176,7 @@ def tl_infty_norm(wb: VectorSequence, q: float, family: CubeFamily) -> float:
     ( (1/|P|) int_P sum_{k >= -log2 l(P)} t_k^q |phi_k * f|^q )^(1/q)."""
     if not 0 < q < np.inf:
         raise ValueError(f"F_inf norms need 0 < q < inf, got q={q}")
-    return carleson_sup(VectorSequence(wb.spec, wb.k_min, wb.values**q), family, q)
+    return _carleson_sup(wb, family, q, q)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +297,14 @@ def seq_f_norms(sets: list[CoefficientSet], ws: WeightSequence, spec: GridSpec, 
     out = []
     per_group, col = max(1, _GROUP_CELLS // spec.N**n), (-1,) + (1,) * n
     Mf = max((len(tq) for _, _, tq, _, _ in levels), default=1)
+    # one pair of accumulators (direct, starred), zeroed per group: a fresh pair
+    # past the allocator's mmap threshold is page-faulted in anew each group
+    bufs = (np.empty((per_group,) + spec.shape), np.empty((per_group,) + (Mf,) * n))
     for g0 in range(0, len(sets), per_group):
         G = min(per_group, len(sets) - g0)
-        accs = (np.zeros((G,) + spec.shape), np.zeros((G,) + (Mf,) * n))  # direct, starred
+        accs = tuple(buf[:G] for buf in bufs)
+        for acc in accs:
+            acc.fill(0.0)
         for rows, cube, tq, plain, star in levels:
             e = slice(*np.searchsorted(rows, (g0, g0 + G)))
             at = sum(((i[e], slice(None)) for i in cube), (rows[e] - g0,))

@@ -68,13 +68,13 @@ CEILINGS = {
 @dataclass
 class RunContext:
     """Built artifacts for one configured run.  It caches only what two or
-    more suites read: the pair, the corpus, the parsed weights() matrix, the
-    configured family's nodes() and the doubled() context with its pair and
-    corpus.  An artifact one suite alone reads (muckenhoupt's deeper cube
-    families) is built inside that suite and freed when it is done with it,
-    a member's band magnitudes are formed inside each suite's member loop and
-    dropped with the member, and a suite that reads only the pair's level
-    window takes levels(), which builds no pair."""
+    more suites read: the pair, the corpus, the parsed weights() matrix and
+    the configured family's nodes().  An artifact one suite alone reads
+    (muckenhoupt's deeper cube families; maximal's 2N pair and corpus, since
+    doubled() caches nothing) is built inside that suite and freed with it.
+    A member's band magnitudes are formed inside each suite's member loop and
+    dropped before the next member's, and a suite that reads only the pair's
+    level window takes levels(), which builds no pair."""
 
     spec: GridSpec
     k_min: int
@@ -114,9 +114,9 @@ class RunContext:
         return self._cached(("nodes", self.family), lambda: FamilyNodes(self.spec.R, self.spec.n, self.family))
 
     def doubled(self) -> "RunContext":
-        """This run on the grid of 2N points per axis, with its own cache."""
-        spec = GridSpec(self.spec.n, self.spec.R, self.spec.N * 2, self.spec.offset)
-        return self._cached("doubled", lambda: replace(self, spec=spec))
+        """This run on the grid of 2N points per axis: a fresh context on each
+        call, so what it builds lives only as long as its reader holds it."""
+        return replace(self, spec=GridSpec(self.spec.n, self.spec.R, self.spec.N * 2, self.spec.offset))
 
     def weights(self) -> dict[str, WeightSpec]:
         """The weight matrix parsed, by name in sorted order."""
@@ -265,6 +265,7 @@ def suite_classical(ctx: RunContext) -> dict:
                 w = worst[s, p, q]
                 w[0] = max(w[0], abs(got_b / classical_besov_norm(oracle, s, p, q) - 1.0))
                 w[1] = max(w[1], abs(got_f / classical_tl_norm(oracle, s, p, q) - 1.0))
+        del oracle, mags, wb  # before the next member's transform, which sets the peak
     records = []
     ok = True
     for (s, p, q), (worst_b, worst_f) in worst.items():
@@ -383,6 +384,7 @@ def suite_newnorm(ctx: RunContext) -> dict:
             for j, wj in seqs.items():
                 wb = wj.weigh(mags)
                 norms[wtext, j].append([stack_norm(wb, tag, p, q, ctx.family) for tag, p, q in cases])
+            del mags, wb
     records = []
     ok = True
     for wtext in weights:
@@ -451,11 +453,12 @@ def suite_coincidence(ctx: RunContext) -> dict:
         eq_ceiling, "Lp(t1)", "Lp(t2)",
     )
     seqs = [WeightSequence(t, pair.k_min, pair.k_max) for t in (t1, t2)]
-    # each witness's stack is formed once, weighed under both sequences and
-    # dropped before the next witness's
-    f22 = [[stack_norm(ws.weigh(mags), "F", 2.0, 2.0, ctx.family) for ws in seqs]
-           for mags in (band_magnitudes(mem.f, pair) for mem in witnesses)]
-    rep_f = ratio_report(names, *zip(*f22), eq_ceiling, "F22(t1)", "F22(t2)")
+    # each witness's stack, f22's argument, is dropped before the next is formed
+    def f22(mags):
+        return [stack_norm(ws.weigh(mags), "F", 2.0, 2.0, ctx.family) for ws in seqs]
+
+    rep_f = ratio_report(names, *zip(*[f22(band_magnitudes(mem.f, pair)) for mem in witnesses]),
+                         eq_ceiling, "F22(t1)", "F22(t2)")
     negative_ok = (
         (not res["pass"])
         and res["spread"] > 1e3
@@ -509,6 +512,7 @@ def suite_maximal(ctx: RunContext) -> dict:
             if i < kernel_members:
                 for direction, K in kernels:
                     kernel_ratios[direction].append(kernel_sum_ratio(fs, kernel_ws, K, direction, 2.0, 2.0, Ms))
+            del fs, Ms
         return names, fs_ratios, wm_ratios, kernel_ratios
 
     names, fs_rows, wm_rows, kernel_rows = corpus_ratios(ctx, 8)

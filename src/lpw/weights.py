@@ -462,21 +462,23 @@ class FamilyNodes:
     weight is radial, so a cube's means are those of its images under the
     coordinate sign flips and, in 2D, the axis swap: cubes fall into orbits,
     each keyed by its canonical clipped intervals, and only one representative
-    per orbit is meshed.  The batches hold the representatives (every
-    regular one in one batch; those touching the origin or crossing the seam
-    in one batch per distinct set of per-axis node weights), and every
-    statistic holds one value per representative, in batch row order.  A
-    batch stores no node mesh: the regular batch keeps its representatives'
-    interval ends and a special batch their per-axis node coordinates, each
-    keeps per-axis node weights, and each pass forms the radius of one row
-    chunk at a time and the node weights once per batch.  orbit maps each
-    cube of the family to its representative's row; it is read only to name
-    a witness: argmax_cube(values) finds the first cube in family order that
-    attains a maximum, and cube(i) names the i-th cube, whose (level, shift)
-    group's positions it recomputes.  Min, max and the products and ratios
-    of statistics need no family order.  Cube statistics are cached per
-    (radial profile, exponent, inverse) for separable weights and per
-    (weight, level, exponent, inverse) otherwise.  stats() is the one way in: it computes the
+    per orbit is meshed.  The build folds each (level, shift) group to its
+    distinct keys before the family-wide fold, which merges clipped coarse
+    levels.  The batches hold the representatives (every regular one in one
+    batch; those touching the origin or crossing the seam in one batch per
+    distinct set of per-axis node weights), and every statistic holds one
+    value per representative, in batch row order.  A batch stores no node
+    mesh: the regular batch keeps its representatives' interval ends and a
+    special batch their per-axis node coordinates, each keeps per-axis node
+    weights, and each pass forms the radius of one row chunk at a time and the
+    node weights once per batch.  orbit maps each cube of the family to its
+    representative's row; it is read only to name a witness:
+    argmax_cube(values) finds the first cube in family order that attains a
+    maximum, and cube(i) names the i-th cube, whose (level, shift) group's
+    positions it recomputes.  Min, max and the products and ratios of
+    statistics need no family order.  Cube statistics are cached per (radial
+    profile, exponent, inverse) for separable weights and per (weight, level,
+    exponent, inverse) otherwise.  stats() is the one way in: it computes the
     statistics a list of weights needs in one pass, where the radius of each
     row chunk of about _CHUNK_NODES representative nodes is formed once, each
     weight's profile is evaluated on it once, every requested power and
@@ -498,33 +500,23 @@ class FamilyNodes:
         self._cache: dict = {}
         self._groups: list[tuple[int, float, int]] = []  # (v, shift, cubes) in family order
         self._read = None, None
-        lo, hi, special = [], [], []
+        keys, special, orbit = [], [], []
         for v in family.levels():
             for shift in (0.0, 0.5) if family.translates else (0.0,):
-                _, a, b, s = self._level_cubes(v, shift)
+                _, lo, hi, s = self._level_cubes(v, shift)
                 self._groups.append((v, shift, s.size))
-                lo.append(a)
-                hi.append(b)
+                k, s, inverse = _fold(self._orbit_keys(lo, hi), s)
+                orbit.append(inverse + sum(map(len, keys)))
+                keys.append(k)
                 special.append(s)
-        special = np.concatenate(special)
-        self.n_cubes = special.size
-        keys = self._orbit_keys(np.concatenate(lo), np.concatenate(hi))
-        # cubes sorted by (special, key), so the regular representatives come
-        # first; an orbit starts wherever the key changes.  np.unique(keys,
-        # axis=0) finds the same orbits several times slower.
-        by_key = np.lexsort((*keys.T[::-1], special))
-        keys = keys[by_key]
-        starts = np.ones(self.n_cubes, dtype=bool)
-        starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-        self.orbit = np.empty(self.n_cubes, dtype=np.intp)
-        self.orbit[by_key] = np.cumsum(starts) - 1
-        keys = keys[starts]
-        n_regular = int(np.count_nonzero(~special[by_key[starts]]))
+        self.n_cubes = sum(count for *_, count in self._groups)
+        keys, special, inverse = _fold(np.concatenate(keys), np.concatenate(special))
+        n_regular = int(np.count_nonzero(~special))
         self.batches: list[_Batch] = []
         self._append_regular(keys[:n_regular, :n], keys[:n_regular, n:])
         row = np.arange(len(keys))
         row[n_regular:] = n_regular + self._append_special(keys[n_regular:, :n], keys[n_regular:, n:])
-        self.orbit = row[self.orbit]
+        self.orbit = row[inverse][np.concatenate(orbit)]
 
     # -- geometry ----------------------------------------------------------
 
@@ -717,8 +709,20 @@ class FamilyNodes:
                     inv = plain ** -1.0 if any_inverse else None
                     _take(requests, out, slice(at + lo, at + hi), plain, inv, wts)
             at += rows
-        return [[out if r == np.inf else out ** (1.0 / r) for (r, _), out in zip(requests, job_outs)]
+        return [[out if r == np.inf else np.power(out, 1.0 / r, out=out) for (r, _), out in zip(requests, job_outs)]
                 for (_, requests), job_outs in zip(jobs, outs)]
+
+
+def _fold(keys: np.ndarray, special: np.ndarray):
+    """The distinct keys sorted by (special, key), regular first, their
+    flags, and each row's index among them: a key fixes its flag, so an orbit
+    starts wherever the sorted key changes (np.unique(axis=0) is slower)."""
+    order = np.lexsort((*keys.T[::-1], special))
+    keys = keys[order]
+    starts = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return keys[starts], special[order[starts]], inverse
 
 
 def _take(requests, outs, rows: slice, plain: np.ndarray, inv, wts: np.ndarray) -> None:

@@ -344,6 +344,21 @@ class TestCarlesonStack:
                 carleson_sup(G, CubeFamily(v_min, v_max, translates), 2.0)
 
     @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("translates", [True, False])
+    def test_tl_infty_norm_raises_the_wrapped_copy(self, n, translates, rng):
+        # tl_infty_norm raises the scan's wrapped copy to q in place: bit for
+        # bit the scan of the stack raised to q, and its stack is left as it is
+        spec = GridSpec(1, 8.0, 256) if n == 1 else GridSpec(2, 2.0, 32)
+        k_min = -3 if n == 1 else -1
+        wb = VectorSequence(spec, k_min, 3.0 * rng.random((6, *spec.shape)) ** 2)
+        before = wb.values.copy()
+        for family in (CubeFamily(spec.level_window()[0], k_min + 4, translates), CubeFamily(k_min, k_min + 2, translates)):
+            for q in (0.5, 1.5, 2.0, 3.0):
+                want = carleson_sup(VectorSequence(wb.spec, wb.k_min, wb.values**q), family, q)
+                assert tl_infty_norm(wb, q, family) == want, (family, q)
+        assert np.array_equal(wb.values, before)
+
+    @pytest.mark.parametrize("n", [1, 2])
     def test_zero_rows_equal_missing_levels(self, n, rng):
         spec = GridSpec(1, 8.0, 256) if n == 1 else GridSpec(2, 2.0, 32)
         values = rng.random((6, *spec.shape))

@@ -601,16 +601,15 @@ class TestSuiteBandReuse:
     @pytest.mark.parametrize("name", ["classical", "newnorm", "coincidence", "maximal", "bmo"])
     def test_reader_suites_keep_no_magnitude_stack(self, name, monkeypatch):
         # each reader suite forms a member's stack in its member loop and
-        # drops it with the member: when the next is formed at most the
-        # previous one is alive, and none outlives the suite
+        # drops it before the next member's transform: when the next is
+        # formed no earlier one is alive, and none outlives the suite
         import weakref
 
         import lpw.suites
 
         live = []
         def tracked(f, pair, _orig=lpw.suites.band_magnitudes):
-            alive = [ref for ref in live if ref() is not None]
-            assert len(alive) <= 1
+            assert all(ref() is None for ref in live)
             mags = _orig(f, pair)
             live.append(weakref.ref(mags.values))
             return mags
@@ -661,14 +660,32 @@ class TestSuiteLocalArtifacts:
         # v_max + 2 family already freed
         assert builds == [(5, []), (7, [5]), (15, [5])]
 
-    def test_maximal_leaves_no_2N_bands(self):
-        from lpw.suites import suite_maximal
+    def test_maximal_leaves_no_2N_bands(self, monkeypatch):
+        # doubled() caches nothing: the 2N pair, corpus members and band
+        # stacks that maximal builds are all freed when the suite returns
+        import weakref
+
+        import lpw.suites
 
         ctx = self.context()
-        assert suite_maximal(ctx)["pass"]
-        assert "bands" not in ctx._cache
-        assert "bands" not in ctx.doubled()._cache
-        assert {"pair", "corpus"} <= set(ctx.doubled()._cache)
+        dbl = ctx.doubled().spec
+        built = {"pair": [], "corpus": [], "stack": []}
+
+        def tracked(name, orig, spec_of, refs_of):
+            def wrapper(*args):
+                out = orig(*args)
+                if spec_of(args) == dbl:
+                    built[name].extend(weakref.ref(x) for x in refs_of(out))
+                return out
+            monkeypatch.setattr(lpw.suites, orig.__name__, wrapper)
+
+        tracked("pair", lpw.suites.make_lp_pair, lambda a: a[0], lambda pair: [pair])
+        tracked("corpus", lpw.suites.make_corpus, lambda a: a[0], lambda members: members)
+        tracked("stack", lpw.suites.band_magnitudes, lambda a: a[0].spec, lambda mags: [mags.values])
+        assert lpw.suites.suite_maximal(ctx)["pass"]
+        assert [len(refs) for refs in built.values()] == [1, ctx.corpus_size, ctx.corpus_size]
+        assert all(ref() is None for refs in built.values() for ref in refs)
+        assert ctx.doubled() is not ctx.doubled() and not ctx.doubled()._cache
 
     def test_nodes_takes_no_level(self):
         ctx = self.context()

@@ -34,7 +34,7 @@ from lpw.weights import (
     xclass_constants,
     xclass_fit,
 )
-from lpw.weights import _CHUNK_NODES, _FLAT_NODES, _PAIRWISE_NODES, _SEG_NODES, _Radius, _axis_nodes, _profile
+from lpw.weights import _CHUNK_NODES, _CORE_REFINE, _FLAT_NODES, _PAIRWISE_NODES, _SEG_NODES, _Radius, _axis_nodes, _profile
 
 
 def power_mean_oracle(a, lo, hi, r):
@@ -637,10 +637,14 @@ class TestOrbits:
             before = tracemalloc.get_traced_memory()[0]
             nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 6))
             held = tracemalloc.get_traced_memory()[0] - before
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert sum(b.radius.size for b in nodes.batches) > 6_000_000
         assert held < 15 * 2**20
+        # each (level, shift) group folds to its distinct keys before the
+        # family-wide sort, which keyed all 174,760 cubes at once (20.4 MiB)
+        assert peak < 14 * 2**20
 
     @pytest.mark.parametrize("family", _ORBIT_FAMILIES + [(8.0, 1, CubeFamily(-2, 5, translates=False)),
                                                           (2.0, 2, CubeFamily(-1, 3, translates=False))],
@@ -672,6 +676,84 @@ class TestOrbits:
         former = former_meta(nodes)
         for i in np.linspace(0, nodes.n_cubes - 1, 97).astype(int).tolist():
             assert nodes.cube(i) == former[i], i
+
+
+def former_build(R, n, family):
+    """FamilyNodes as its build was when it keyed every cube of the family
+    and sorted all of them together by (special, key)."""
+    nodes = FamilyNodes.__new__(FamilyNodes)
+    nodes.R, nodes.n, nodes.family = float(R), n, family
+    nodes.core_eff = 2.0 ** (-family.v_max - _CORE_REFINE)
+    nodes._cache, nodes._groups, nodes._read = {}, [], (None, None)
+    lo, hi, special = [], [], []
+    for v in family.levels():
+        for shift in (0.0, 0.5) if family.translates else (0.0,):
+            _, a, b, s = nodes._level_cubes(v, shift)
+            nodes._groups.append((v, shift, s.size))
+            lo.append(a)
+            hi.append(b)
+            special.append(s)
+    special = np.concatenate(special)
+    nodes.n_cubes = special.size
+    keys = nodes._orbit_keys(np.concatenate(lo), np.concatenate(hi))
+    by_key = np.lexsort((*keys.T[::-1], special))
+    keys = keys[by_key]
+    starts = np.ones(nodes.n_cubes, dtype=bool)
+    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    nodes.orbit = np.empty(nodes.n_cubes, dtype=np.intp)
+    nodes.orbit[by_key] = np.cumsum(starts) - 1
+    keys = keys[starts]
+    n_regular = int(np.count_nonzero(~special[by_key[starts]]))
+    nodes.batches = []
+    nodes._append_regular(keys[:n_regular, :n], keys[:n_regular, n:])
+    row = np.arange(len(keys))
+    row[n_regular:] = n_regular + nodes._append_special(keys[n_regular:, :n], keys[n_regular:, n:])
+    nodes.orbit = row[nodes.orbit]
+    return nodes
+
+
+@pytest.mark.parametrize("family", _ORBIT_FAMILIES + [(8.0, 1, CubeFamily(-5, 3)), (8.0, 2, CubeFamily(-5, 3))],
+                         ids=_ORBIT_IDS + ["1d-clipped", "2d-clipped"])
+def test_group_fold_equals_family_wide_build(family):
+    """Folding each (level, shift) group to its distinct keys before the
+    family-wide fold gives the representatives, rows and orbit map of the
+    build that sorted every cube's key at once, bit for bit.  At R = 8 the
+    levels -5, -4 and -3 clip to the same intervals, so their groups share
+    orbits that only the family-wide fold merges."""
+    got, want = FamilyNodes(*family), former_build(*family)
+    assert (got.n_cubes, got._groups) == (want.n_cubes, want._groups)
+    assert got.orbit.dtype == want.orbit.dtype and np.array_equal(got.orbit, want.orbit)
+    assert len(got.batches) == len(want.batches)
+    for a, b in zip(got.batches, want.batches):
+        rows = b.radius.shape[0]
+        assert a.radius.shape == b.radius.shape
+        assert a.radius[0:rows].tobytes() == b.radius[0:rows].tobytes()
+        assert [w.tobytes() for w in a.wts] == [w.tobytes() for w in b.wts]
+    if family[2].v_min == -5:  # the unshifted groups of levels -5 and -4 hold the same orbits
+        groups = np.split(got.orbit, np.cumsum([count for *_, count in got._groups])[:-1])
+        assert np.array_equal(np.unique(groups[0]), np.unique(groups[2]))
+
+
+@pytest.mark.parametrize("family", _ORBIT_FAMILIES, ids=_ORBIT_IDS)
+def test_in_place_roots_equal_former_roots(monkeypatch, family):
+    """stats takes each r-th root in place in its row sums, bit for bit as
+    out ** (1.0 / r) took it in a second array; r = inf keeps the max."""
+    import lpw.weights
+
+    sums = {}
+
+    def take(requests, outs, *args, _orig=lpw.weights._take):
+        _orig(requests, outs, *args)
+        sums.update((id(out), out.copy()) for out in outs)
+
+    monkeypatch.setattr(lpw.weights, "_take", take)
+    nodes = FamilyNodes(*family)
+    requests = [(1.2, False), (2.0, False), (3.0, True), (np.inf, False), (2.0, True), (1.2, True)]
+    for w in (Pow(0.3), AltPow(0.4), Const(1.0)):  # at level 0 each cached array is returned as it is
+        (got,) = nodes.stats([w], requests)
+        for (r, _), out in zip(requests, got):
+            pre = sums[id(out)]
+            assert out.tobytes() == (pre if r == np.inf else pre ** (1.0 / r)).tobytes(), (w, r)
 
 
 @pytest.mark.parametrize("family", [(8.0, 1, CubeFamily(-4, 9)), (2.0, 2, CubeFamily(-1, 6))],
