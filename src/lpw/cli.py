@@ -26,28 +26,17 @@ from .spaces import band_magnitudes, bmo_norm, build_dictionary, hardy_grand_nor
 from .verify import annulus_indices, make_corpus
 from .suites import (
     ALL_SUITES,
-    ANNULUS_SUITES,
-    CEILINGS,
     DEFAULT_WEIGHT_MATRIX,
-    FAMILY_SUITES,
-    OFFSET_SUITES,
-    ONE_D_SUITES,
-    SEQNORM_SINGLE_CASES,
+    SUITES,
+    ConfigError,
     RunContext,
-    seqnorm_single_cases,
+    refuse_xclass,
+    require,
+    require_level_factors,
+    require_on_grid,
 )
-from .weights import (
-    XCLASS_ALPHA_MAX,
-    WeightError,
-    WeightSequence,
-    ap_witness,
-    check_admissible,
-    parse_weight,
-    reverse_holder_probe,
-    sigma1,
-    xclass_constants,
-    xclass_fit,
-)
+from .weights import (WeightError, WeightSequence, ap_witness, check_admissible, parse_weight, sigma1,
+                      xclass_constants, xclass_fit)
 
 
 # The most cubes a command's deepest cube family may hold: at about 0.35 kB
@@ -55,39 +44,6 @@ from .weights import (
 # cubes stay near 0.4 GB, 5.4 times default.json's 192,516, while cubes.v_max
 # 1010 on smoke.json (4,154,410 cubes) ran out of memory at 1.8 GB.
 CUBE_BUDGET = 1 << 20
-
-
-class ConfigError(ValueError):
-    def __init__(self, field: str, message: str):
-        super().__init__(f"config field '{field}': {message}")
-        self.field = field
-
-
-def _require(cond: bool, field: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(field, message)
-
-
-def _require_level_factors(w, levels, field: str) -> None:
-    """Refuse w, a weight of the config grammar, unless the level factor
-    2^(k s) of its total rate s, the one factor its eval forms, is positive
-    and finite in double precision on the levels, which holds exactly for
-    -1075 < k s < 1024."""
-    s = w.split()[0]
-    _require(all(-1075 < k * s < 1024 for k in levels), field, f"{w.key()} forms the level factor "
-             f"2^({s:g} k), which leaves double precision on levels [{min(levels)}, {max(levels)}]")
-
-
-def _require_on_grid(ws: WeightSequence, grids, field: str) -> None:
-    """Refuse the weight of field unless ws.on_grid, as the run samples it,
-    finds every t_k positive and finite on the grids (an overflow, say)."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for spec in grids:
-                for k in ws.levels():
-                    ws.on_grid(spec, k)
-    except WeightError as exc:
-        raise ConfigError(field, str(exc)) from None
 
 
 def _parse_exponent(value, field: str) -> float:
@@ -98,7 +54,7 @@ def _parse_exponent(value, field: str) -> float:
     except (TypeError, ValueError):
         out = math.nan
     # float() would take true as 1.0
-    _require(not isinstance(value, bool) and out > 0, field, f"expected a positive number or 'inf', got {value!r}")
+    require(not isinstance(value, bool) and out > 0, field, f"expected a positive number or 'inf', got {value!r}")
     return out
 
 
@@ -124,15 +80,16 @@ class RunConfig:
             raise ConfigError("grid", str(exc)) from None
         k_min = self._int("levels.k_min", -3)
         k_max = self._int("levels.k_max", 8)
-        _require(k_min <= k_max, "levels.k_min", "k_min exceeds k_max")
+        require(k_min <= k_max, "levels.k_min", "k_min exceeds k_max")
         v_min = self._int("cubes.v_min", -4)
         v_max = self._int("cubes.v_max", 9)
-        _require(v_min <= v_max, "cubes.v_min", "v_min exceeds v_max")
-        try:  # muckenhoupt's family, the deepest a suite builds
-            math.ldexp(spec.R, deepest := v_max + max(FAMILY_SUITES.values()))
+        require(v_min <= v_max, "cubes.v_min", "v_min exceeds v_max")
+        deepest = max(SUITES, key=lambda name: SUITES[name].family_depth or 0)  # the deepest family a suite builds
+        try:
+            math.ldexp(spec.R, level := v_max + SUITES[deepest].family_depth)
         except OverflowError:
-            raise ConfigError("cubes.v_max", f"{v_max} is too deep: level {deepest}, which muckenhoupt "
-                              f"reaches, has R 2^{deepest} cube positions, past the largest double") from None
+            raise ConfigError("cubes.v_max", f"{v_max} is too deep: level {level}, which {deepest} "
+                              f"reaches, has R 2^{level} cube positions, past the largest double") from None
         try:
             spec.cells(v_min)
         except GridError as exc:
@@ -143,12 +100,12 @@ class RunConfig:
         except GridError as exc:
             raise ConfigError("cubes", str(exc)) from None
         corpus_size = self._int("corpus.size", 32)
-        _require(corpus_size >= 1, "corpus.size", "must be at least 1")
+        require(corpus_size >= 1, "corpus.size", "must be at least 1")
         seed = self._int("corpus.seed", 20260808)
         seed = int(seed_override) if seed_override is not None else seed
-        _require(seed >= 0, "corpus.seed", "must be nonnegative")
-        _require("ceilings" not in raw, "ceilings", "the pass ceilings are pinned in suites.CEILINGS; "
-                 "a config cannot set them")
+        require(seed >= 0, "corpus.seed", "must be nonnegative")
+        require("ceilings" not in raw, "ceilings", "the pass ceilings are pinned in suites.CEILINGS; "
+                "a config cannot set them")
         weight_matrix = dict(self._table("weights", DEFAULT_WEIGHT_MATRIX))
         for name, text in weight_matrix.items():
             try:
@@ -156,30 +113,30 @@ class RunConfig:
             except WeightError as exc:
                 raise ConfigError(f"weights.{name}", str(exc)) from None
         pairs = self._get("exponents", [[2.0, 1.2], [3.0, 1.5]])
-        _require(isinstance(pairs, list) and bool(pairs), "exponents",
-                 f"expected a list of one or more [p, theta] pairs, got {pairs!r}")
+        require(isinstance(pairs, list) and bool(pairs), "exponents",
+                f"expected a list of one or more [p, theta] pairs, got {pairs!r}")
         exponent_pairs = []
         for i, pq in enumerate(pairs):
-            _require(isinstance(pq, list) and len(pq) == 2, f"exponents[{i}]", f"expected [p, theta], got {pq!r}")
+            require(isinstance(pq, list) and len(pq) == 2, f"exponents[{i}]", f"expected [p, theta], got {pq!r}")
             p = _parse_exponent(pq[0], f"exponents[{i}].p")
             theta = _parse_exponent(pq[1], f"exponents[{i}].theta")
-            _require(theta < p, f"exponents[{i}].theta", f"needs theta < p, got {theta} >= {p}")
+            require(theta < p, f"exponents[{i}].theta", f"needs theta < p, got {theta} >= {p}")
             exponent_pairs.append((p, theta))
         suites = self._get("suites", list(ALL_SUITES))
-        _require(isinstance(suites, list) and bool(suites) and all(isinstance(name, str) for name in suites),
-                 "suites", f"expected a list of one or more suite names, got {suites!r}")
+        require(isinstance(suites, list) and bool(suites) and all(isinstance(name, str) for name in suites),
+                "suites", f"expected a list of one or more suite names, got {suites!r}")
         self.suites = list(suites)
         for name in self.suites:
-            _require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
+            require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
         self.norm_space = self._get("norm.space", "F")
-        _require(self.norm_space in ("B", "F", "F_inf", "Lp", "Hardy", "BMO"), "norm.space",
-                 f"unknown space {self.norm_space!r}")
+        require(self.norm_space in ("B", "F", "F_inf", "Lp", "Hardy", "BMO"), "norm.space",
+                f"unknown space {self.norm_space!r}")
         self.norm_p = _parse_exponent(self._get("norm.p", 2.0), "norm.p")
         self.norm_q = _parse_exponent(self._get("norm.q", 2.0), "norm.q")
         if self.norm_space == "F":
-            _require(math.isfinite(self.norm_p), "norm.p", "F-norms need p < inf")
+            require(math.isfinite(self.norm_p), "norm.p", "F-norms need p < inf")
         if self.norm_space == "F_inf":
-            _require(math.isfinite(self.norm_q), "norm.q", "F_inf norms need q < inf")
+            require(math.isfinite(self.norm_q), "norm.q", "F_inf norms need q < inf")
         try:
             self.norm_weight = parse_weight(self._get("norm.weight", "pow:0.3"))
         except WeightError as exc:
@@ -193,10 +150,10 @@ class RunConfig:
         for key, value in raw.items():
             if key not in self._read[None]:
                 known = sorted({*self._read[None], *filter(None, self._read)})
-                _require(key in self._read, key, f"no such section or field; the config has {known}")
+                require(key in self._read, key, f"no such section or field; the config has {known}")
                 for name in value:
-                    _require(name in self._read[key], f"{key}.{name}",
-                             f"no such field; {key} has {sorted(self._read[key])}")
+                    require(name in self._read[key], f"{key}.{name}",
+                            f"no such field; {key} has {sorted(self._read[key])}")
         # the run's one context: every command takes its pair and corpus from it
         self.ctx = RunContext(spec, k_min, k_max, family, corpus_size, seed, weight_matrix, tuple(exponent_pairs))
         try:
@@ -211,7 +168,7 @@ class RunConfig:
         self._read.setdefault(section or None, set()).add(name)
         values = self.raw.get(section, {}) if section else self.raw
         # a section given as a number would run its defaults
-        _require(isinstance(values, dict), section, f"expected an object of fields, got {values!r}")
+        require(isinstance(values, dict), section, f"expected an object of fields, got {values!r}")
         return values.get(name, default)
 
     def _int(self, field: str, default) -> int:
@@ -230,86 +187,77 @@ class RunConfig:
             out = float(value)
         except (TypeError, ValueError):
             out = math.nan
-        _require(not isinstance(value, bool) and math.isfinite(out), field, f"expected a finite number, got {value!r}")
+        require(not isinstance(value, bool) and math.isfinite(out), field, f"expected a finite number, got {value!r}")
         return out
 
     def _flag(self, field: str, default: bool) -> bool:
         value = self._get(field, default)
         # bool("false") is True
-        _require(isinstance(value, bool), field, f"expected true or false, got {value!r}")
+        require(isinstance(value, bool), field, f"expected true or false, got {value!r}")
         return value
 
     def _table(self, field: str, default) -> dict:
         value = self._get(field, default)
-        _require(isinstance(value, dict) and bool(value), field,
-                 f"expected an object of one or more named entries, got {value!r}")
+        require(isinstance(value, dict) and bool(value), field,
+                f"expected an object of one or more named entries, got {value!r}")
         return value
 
     def check_runnable(self, suites: list[str], corpus: bool = False, norm: bool = False, weights: str | None = None) -> None:
         """Reject, before anything runs, a suite that would have nothing to
-        check on this grid and level window.  corpus marks a norm or
-        decompose request on the corpus, which needs what the corpus suites
-        need: a grid frequency inside the resolved annulus.  norm marks a
-        norm request, whose weight must be positive and finite on the grid.
-        weights names the op of a weights request, which takes the first
-        exponent pair; ap and rh take the Muckenhoupt constant A_p there."""
+        check on this grid and level window, as its suites.SUITES record says.
+        corpus marks a norm or decompose request on the corpus, which needs
+        what the corpus suites need: a grid frequency inside the resolved
+        annulus.  norm marks a norm request, whose weight must be positive and
+        finite on the grid.  weights names the op of a weights request, which
+        takes the first exponent pair; ap takes the Muckenhoupt constant A_p."""
         ctx = self.ctx
         k_lo, k_hi = ctx.levels()
-        if weights is None and (not suites or not set(suites).isdisjoint(ANNULUS_SUITES)):  # the pair's readers
+        records = [SUITES[name] for name in suites]
+        if weights is None and (not suites or any(s.pair for s in records)):  # the pair's readers
             try:
                 pair = ctx.pair()
             except LevelError as exc:
                 raise ConfigError("levels", str(exc)) from None
         if weights:
             p = ctx.exponent_pairs[0][0]
-            _require(weights == "xclass" or 1 < p < math.inf, "exponents[0].p",
-                     f"weights {weights} takes the Muckenhoupt constant A_p, which needs 1 < p < inf, got {p:g}")
-        for name in suites:
-            if ctx.spec.n == 2 and name in ONE_D_SUITES:
-                raise ConfigError("grid.n", f"suite {name} runs on 1D grids only: {ONE_D_SUITES[name]}")
-            if not ctx.spec.offset and name in OFFSET_SUITES:
-                raise ConfigError("grid.offset", f"suite {name} needs a grid shifted off the origin: "
-                                  f"{OFFSET_SUITES[name]}, which has no positive finite value there")
-        depths = [FAMILY_SUITES[name] for name in suites if name in FAMILY_SUITES] + [0] * bool(weights)
+            require(weights == "xclass" or 1 < p < math.inf, "exponents[0].p",
+                    f"weights {weights} takes the Muckenhoupt constant A_p, which needs 1 < p < inf, got {p:g}")
+        for name, s in zip(suites, records):
+            require(ctx.spec.n == 1 or not s.one_d, "grid.n", f"suite {name} runs on 1D grids only: {s.one_d}")
+            require(ctx.spec.offset or not s.offset, "grid.offset", f"suite {name} needs a grid shifted off the "
+                    f"origin: {s.offset}, which has no positive finite value there")
+        depths = [s.family_depth for s in records if s.family_depth is not None] + [0] * bool(weights)
         if depths:  # the cubes of the deepest family, counted before any node is built
             family = replace(ctx.family, v_max=ctx.family.v_max + max(depths))
             cubes = family.n_cubes(ctx.spec.R, ctx.spec.n)
-            _require(cubes <= CUBE_BUDGET, "cubes.v_max", f"{ctx.family.v_max} is too deep: the cube family "
-                     f"to level {family.v_max} holds {cubes:,} cubes, past the budget of {CUBE_BUDGET:,}")
+            require(cubes <= CUBE_BUDGET, "cubes.v_max", f"{ctx.family.v_max} is too deep: the cube family "
+                    f"to level {family.v_max} holds {cubes:,} cubes, past the budget of {CUBE_BUDGET:,}")
+            # past 2^50 positions, CubeFamily.positions counts its steps in floating point
+            top = math.log2(ctx.spec.R) + family.v_max  # R is a power of two
+            require(top < 50, "cubes.v_max", f"{ctx.family.v_max} is too deep: the cube family to level {family.v_max} "
+                    f"indexes positions to R 2^{family.v_max} = 2^{top:g}; doubles count them exactly only below 2^50")
         if norm and self.norm_space == "Lp":  # the one space that reads the frozen level
-            _require(k_lo <= self.frozen_level <= k_hi, "norm.frozen_level",
-                     f"{self.frozen_level} lies outside the level window [{k_lo}, {k_hi}]")
+            require(k_lo <= self.frozen_level <= k_hi, "norm.frozen_level",
+                    f"{self.frozen_level} lies outside the level window [{k_lo}, {k_hi}]")
         if norm and self.norm_space != "BMO":  # a BMO norm takes no weight
             levels = [self.frozen_level] if self.norm_space == "Lp" else range(k_lo, k_hi + 1)
-            _require_level_factors(self.norm_weight, levels, "norm.weight")
+            require_level_factors(self.norm_weight, levels, "norm.weight")
             ws = WeightSequence(self.norm_weight, k_lo, k_hi)  # as cmd_norm samples it
-            _require_on_grid(ws.frozen(self.frozen_level) if self.norm_space == "Lp" else ws, [ctx.spec], "norm.weight")
+            require_on_grid(ws.frozen(self.frozen_level) if self.norm_space == "Lp" else ws, [ctx.spec], "norm.weight")
         # a Carleson scan sums each cube's levels from its own level up, so a
         # band level below the family's first cube level would enter no cube
-        scans = [name for name in suites if name in ("newnorm", "bmo")]
+        scans = [name for name, s in zip(suites, records) if s.scans]
         scans += ["norm F_inf"] * (norm and self.norm_space == "F_inf")
-        _require(not scans or ctx.family.v_min <= ctx.k_min, "cubes.v_min",
-                 f"{ctx.family.v_min} lies above levels.k_min = {ctx.k_min}, so the Carleson scans of "
-                 f"{', '.join(scans)} would read no cube for the levels below it")
-        fit = weights == "xclass" or "xclassfit" in suites
-        if fit or "seqnorm" in suites:  # read the matrix off level 0
-            for name, w in ctx.weights().items():
-                _require_level_factors(w, range(ctx.k_min, ctx.k_max + 1), f"weights.{name}")
-                s = w.split()[0]
-                _require(not fit or abs(s) <= XCLASS_ALPHA_MAX, f"weights.{name}", f"{w.key()} grows at the "
-                         f"dyadic rate {s:g}, outside the exponents [-{XCLASS_ALPHA_MAX:g}, {XCLASS_ALPHA_MAX:g}] "
-                         "that xclass_fit searches")
-                if "seqnorm" in suites:  # it samples the matrix on the grid and the doubled grid
-                    _require_on_grid(WeightSequence(w, k_lo, k_hi), [ctx.spec, ctx.doubled().spec], f"weights.{name}")
-        if corpus or any(name in ANNULUS_SUITES for name in suites):
+        require(not scans or ctx.family.v_min <= ctx.k_min, "cubes.v_min",
+                f"{ctx.family.v_min} lies above levels.k_min = {ctx.k_min}, so the Carleson scans of "
+                f"{', '.join(scans)} would read no cube for the levels below it")
+        if corpus or any(s.pair for s in records):
             try:
                 annulus_indices(ctx.spec, pair)
             except ValueError as exc:
                 raise ConfigError("levels", str(exc)) from None
-        if "seqnorm" in suites:  # the level window capped at the grid's resolution
-            _require(bool(seqnorm_single_cases(ctx.spec.R, k_lo, k_hi)), "levels", "seqnorm needs one of its "
-                     f"lone-coefficient cases (k, m) {SEQNORM_SINGLE_CASES} inside levels [{k_lo}, {k_hi}] with m a "
-                     f"level-k position on R={ctx.spec.R:g}")
+        for refuse in [s.refuse for s in records if s.refuse] + [refuse_xclass] * (weights == "xclass"):
+            refuse(ctx)
 
 
 def _jsonify(obj):
@@ -355,7 +303,7 @@ def _load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     # every field is looked up by name, so any other value would run the defaults
-    _require(isinstance(raw, dict), "config", f"expected a JSON object of sections, got {type(raw).__name__}")
+    require(isinstance(raw, dict), "config", f"expected a JSON object of sections, got {type(raw).__name__}")
     return raw
 
 
@@ -375,7 +323,7 @@ def _load_input(cfg: RunConfig, command: str) -> tuple[str, GridFunction] | None
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(field, f"cannot load a grid function from {source!r}: {exc!r}") from None
     spec = cfg.ctx.spec
-    _require(f.spec == spec, field, f"{source!r} is sampled on {f.spec}, not on the configured grid {spec}")
+    require(f.spec == spec, field, f"{source!r} is sampled on {f.spec}, not on the configured grid {spec}")
     return Path(source).name, f
 
 
@@ -468,9 +416,6 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
             rep = xclass_constants(seqs[name], p, (fit["alpha1"], fit["alpha2"]), (s1, p), nodes)
             # the constants at the fitted alphas replace the fit's own C1, C2
             records.append({**heads[name], **fit, **rep})
-    elif op == "rh":
-        for name, probe in zip(weights, reverse_holder_probe(weights.values(), p, nodes, CEILINGS["ap_hypothesis"])):
-            records.append({**heads[name], **probe} if "error" in probe else {**heads[name], "p": p, **probe})
     _write_json(out / f"weights_{op}.json", {"op": op, "records": records})
     print(f"wrote {out / f'weights_{op}.json'} ({len(records)} records)")
     return 0
@@ -558,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("norm", help="compute the configured norm over the corpus"))
     common(sub.add_parser("decompose", help="export a band decomposition"))
     pw = sub.add_parser("weights", help="weight-class reports")
-    pw.add_argument("op", choices=["ap", "xclass", "rh"])
+    pw.add_argument("op", choices=["ap", "xclass"])
     common(pw)
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("suite", help="suite name or 'all'")

@@ -284,8 +284,7 @@ class CubeFamily:
 
     def n_cubes(self, R: float, n: int) -> int:
         """The number of cubes FamilyNodes builds for the family over
-        [-R, R)^n, without forming a position: exact while R 2^v < 2^50,
-        past which np.arange in positions counts its steps in floating point."""
+        [-R, R)^n, without forming a position."""
         near = self.max_per_level // 2
         a, b = -near // 2, near - near // 2  # positions' block [a, b)
         cubes = 0

@@ -8,6 +8,7 @@ so a configured run is reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -27,9 +28,11 @@ from .verify import (
     ratio_report,
 )
 from .weights import (
+    XCLASS_ALPHA_MAX,
     Const,
     FamilyNodes,
     Pow,
+    WeightError,
     WeightSequence,
     WeightSpec,
     ap_constant,
@@ -51,8 +54,7 @@ DEFAULT_WEIGHT_MATRIX = {
     "w9": "dyadic:2",
 }
 
-# the pass ceilings of every suite and of `lpw weights rh`, pinned: no config
-# sets them
+# the pass ceilings of every suite, pinned: no config sets them
 CEILINGS = {
     "equivalence": 50.0,
     "coincidence": 50.0,
@@ -599,42 +601,94 @@ def suite_bmo(ctx: RunContext) -> dict:
     return _suite("bmo", rep["pass"], summary, [rep])
 
 
-ALL_SUITES = {
-    "selfequiv": suite_selfequiv,
-    "hoelder": suite_hoelder,
-    "muckenhoupt": suite_muckenhoupt,
-    "partition": suite_partition,
-    "calderon": suite_calderon,
-    "classical": suite_classical,
-    "seqnorm": suite_seqnorm,
-    "newnorm": suite_newnorm,
-    "coincidence": suite_coincidence,
-    "maximal": suite_maximal,
-    "xclassfit": suite_xclassfit,
-    "bmo": suite_bmo,
+# ---------------------------------------------------------------------------
+# What each suite needs from a config, refused before the run
+# ---------------------------------------------------------------------------
+
+
+class ConfigError(ValueError):
+    def __init__(self, field: str, message: str):
+        super().__init__(f"config field '{field}': {message}")
+
+
+def require(cond: bool, field: str, message: str) -> None:
+    if not cond:
+        raise ConfigError(field, message)
+
+
+def require_level_factors(w, levels, field: str) -> None:
+    """Refuse w, a weight of the config grammar, unless the level factor
+    2^(k s) of its total rate s, the one factor its eval forms, is positive
+    and finite in double precision on the levels, which holds exactly for
+    -1075 < k s < 1024."""
+    s = w.split()[0]
+    require(all(-1075 < k * s < 1024 for k in levels), field, f"{w.key()} forms the level factor "
+            f"2^({s:g} k), which leaves double precision on levels [{min(levels)}, {max(levels)}]")
+
+
+def require_on_grid(ws: WeightSequence, grids, field: str) -> None:
+    """Refuse the weight of field unless ws.on_grid, as the run samples it,
+    finds every t_k positive and finite on the grids (an overflow, say)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for spec in grids:
+                for k in ws.levels():
+                    ws.on_grid(spec, k)
+    except WeightError as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
+def _refuse_seqnorm(ctx: RunContext) -> None:
+    """seqnorm reads the matrix off level 0, samples it on the grid and the doubled
+    grid, and needs a lone-coefficient case in the level window capped at the grid."""
+    k_lo, k_hi = ctx.levels()
+    for name, w in ctx.weights().items():
+        require_level_factors(w, range(ctx.k_min, ctx.k_max + 1), f"weights.{name}")
+        require_on_grid(WeightSequence(w, k_lo, k_hi), [ctx.spec, ctx.doubled().spec], f"weights.{name}")
+    require(bool(seqnorm_single_cases(ctx.spec.R, k_lo, k_hi)), "levels", "seqnorm needs one of its "
+            f"lone-coefficient cases (k, m) {SEQNORM_SINGLE_CASES} inside levels [{k_lo}, {k_hi}] with m a "
+            f"level-k position on R={ctx.spec.R:g}")
+
+
+def refuse_xclass(ctx: RunContext) -> None:
+    """xclass_fit (xclassfit, lpw weights xclass) reads the matrix off level 0
+    and searches growth exponents in [-XCLASS_ALPHA_MAX, XCLASS_ALPHA_MAX]."""
+    for name, w in ctx.weights().items():
+        require_level_factors(w, range(ctx.k_min, ctx.k_max + 1), f"weights.{name}")
+        s = w.split()[0]
+        require(abs(s) <= XCLASS_ALPHA_MAX, f"weights.{name}", f"{w.key()} grows at the dyadic rate {s:g}, "
+                f"outside the exponents [-{XCLASS_ALPHA_MAX:g}, {XCLASS_ALPHA_MAX:g}] that xclass_fit searches")
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A suite and what it needs from a config, read by cli.check_runnable before the run."""
+
+    run: Callable[[RunContext], dict]
+    pair: bool = False  # it builds the corpus or the annulus mask, so a grid frequency must lie in the annulus
+    family_depth: int | None = None  # it builds cube quadratures (FamilyNodes), this many levels past cubes.v_max
+    scans: bool = False  # it runs Carleson scans, which sum each cube's levels from its own level up
+    one_d: str | None = None  # why it has no 2D form yet
+    offset: str | None = None  # its weight with no positive finite value at the origin, a point of an unshifted grid
+    refuse: Callable[[RunContext], None] | None = None  # a rule only it has, which raises ConfigError
+
+
+SUITES = {
+    "selfequiv": Suite(suite_selfequiv, pair=True, offset="its doubling check samples pow:0.3"),
+    "hoelder": Suite(suite_hoelder, family_depth=0),
+    "muckenhoupt": Suite(suite_muckenhoupt, family_depth=10, one_d="its alphas bound the 1D class: |x|^a is in "
+                         "A_p(R^n) iff -n < a < n(p-1), so its 'grow' case a = 1.5 lies inside the 2D class at "
+                         "p = 2, and its v_max + 10 cube family is too deep for 2D node counts"),
+    "partition": Suite(suite_partition, pair=True),
+    "calderon": Suite(suite_calderon, pair=True),
+    "classical": Suite(suite_classical, pair=True),
+    "seqnorm": Suite(suite_seqnorm, offset="it samples pow:0.3 and the weight matrix", refuse=_refuse_seqnorm),
+    "newnorm": Suite(suite_newnorm, pair=True, scans=True, offset="it samples pow:0.3 and pow:-0.2"),
+    "coincidence": Suite(suite_coincidence, pair=True, family_depth=0, offset="it samples pow:0.3 and pow:-0.3",
+                         one_d="its origin spikes (verify.spike_family) are 1D members"),
+    "maximal": Suite(suite_maximal, pair=True, offset="its weighted ratio samples pow:0.3"),
+    "xclassfit": Suite(suite_xclassfit, family_depth=0, refuse=refuse_xclass),
+    "bmo": Suite(suite_bmo, pair=True, scans=True),
 }
 
-# suites that build the corpus or the partition's annulus mask, and so need a
-# grid frequency inside the resolved annulus; the others build no pair
-ANNULUS_SUITES = ("selfequiv", "partition", "calderon", "classical", "newnorm", "coincidence", "maximal", "bmo")
-
-# suites that have no 2D form yet, and why
-ONE_D_SUITES = {
-    "coincidence": "its origin spikes (verify.spike_family) are 1D members",
-    "muckenhoupt": "its alphas bound the 1D class: |x|^a is in A_p(R^n) iff -n < a < n(p-1), "
-    "so its 'grow' case a = 1.5 lies inside the 2D class at p = 2, and its v_max + 10 "
-    "cube family is too deep for 2D node counts",
-}
-
-# suites that build cube quadratures (FamilyNodes), by their deepest family's levels past cubes.v_max
-FAMILY_SUITES = {"hoelder": 0, "muckenhoupt": 10, "coincidence": 0, "xclassfit": 0}
-
-# suites that sample a weight with no positive finite value at the origin on
-# the grid, which an unshifted grid (grid.offset false) holds as a sample
-OFFSET_SUITES = {
-    "selfequiv": "its doubling check samples pow:0.3",
-    "seqnorm": "it samples pow:0.3 and the weight matrix",
-    "newnorm": "it samples pow:0.3 and pow:-0.2",
-    "coincidence": "it samples pow:0.3 and pow:-0.3",
-    "maximal": "its weighted ratio samples pow:0.3",
-}
+ALL_SUITES = {name: s.run for name, s in SUITES.items()}

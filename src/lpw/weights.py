@@ -860,30 +860,6 @@ def _ap_products(gammas, p: float, nodes: FamilyNodes) -> list[np.ndarray]:
     return [mean * inv_mean for mean, inv_mean in nodes.stats(gammas, _ap_pair(p))]
 
 
-# reverse_holder_probe tries the exponents 1 + eps
-_RH_EPS = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8)
-
-
-def reverse_holder_probe(gammas, p: float, nodes: FamilyNodes, ap_ceiling: float) -> list[dict]:
-    """Per weight, the largest eps in 0.05 * 2^i (i = 0..8) with
-    sup_Q M_{Q,1+eps}(gamma)/M_Q(gamma) <= 1.5, with the sup at every eps:
-    the record {best_eps, sup_ratio, ratios, bound} of weights_rh.json.  A
-    weight whose ap_constant exceeds ap_ceiling gets the record {error}
-    instead.  The A_p statistics and the 1 + eps means share one pass."""
-    bound = 1.5
-    records = []
-    requests = _ap_pair(p) + [(1.0 + eps, False) for eps in _RH_EPS]
-    for gamma, (base, inv_mean, *higher) in zip(gammas, nodes.stats(gammas, requests)):
-        if float((base * inv_mean).max()) > ap_ceiling:
-            records.append({"error": f"weight {gamma.key()} exceeds the Muckenhoupt ceiling {ap_ceiling:g}; "
-                                     "the self-improvement probe needs a class weight"})
-            continue
-        ratios = {eps: float((mean / base).max()) for eps, mean in zip(_RH_EPS, higher)}
-        best = max((eps for eps, sup in ratios.items() if sup <= bound), default=None)
-        records.append({"best_eps": best, "sup_ratio": ratios.get(best), "ratios": ratios, "bound": bound})
-    return records
-
-
 def _growth_requests(p: float, sigma: tuple[float, float]) -> list[tuple[float, bool]]:
     """The cube statistics of both growth bounds at a level: M_{Q,p}(t_k), M_{Q,s1}(t_k^-1), M_{Q,s2}(t_k)."""
     s1, s2 = sigma

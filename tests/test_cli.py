@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from collections import Counter
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lpw.cli
 from lpw.cli import CUBE_BUDGET, RunConfig, main
-from lpw.grid import GridFunction, GridSpec, save_grid_function
-from lpw.suites import ALL_SUITES, FAMILY_SUITES, OFFSET_SUITES, ONE_D_SUITES, suite_bmo, suite_newnorm
+from lpw.grid import CubeFamily, GridFunction, GridSpec, save_grid_function
+from lpw.suites import ALL_SUITES, SUITES, suite_bmo, suite_newnorm
 
 
 SMALL_CONFIG = {
@@ -120,7 +123,7 @@ class TestConfigValidation:
         pytest.param({"seq_ratio": 20.0}, id="pinned_value"),
         pytest.param({}, id="empty"),
     ])
-    @pytest.mark.parametrize("command", [["verify", "all"], ["weights", "rh"]])
+    @pytest.mark.parametrize("command", [["verify", "all"], ["weights", "ap"]])
     def test_ceilings_section_refused(self, tmp_path, capsys, ceilings, command):
         # the ceilings are pinned in suites.CEILINGS: a config that sets one
         # is refused, never run at the pinned value without a word
@@ -209,7 +212,7 @@ class TestConfigValidation:
         assert main(["verify", "all", "--config", path]) == 2
         assert "theta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("op", ["ap", "rh"])
+    @pytest.mark.parametrize("op", ["ap"])
     @pytest.mark.parametrize("pair", [[1.0, 0.5], ["inf", 1.2]], ids=["p1", "pinf"])
     def test_muckenhoupt_exponent_outside_range_refused(self, tmp_path, capsys, op, pair):
         # A_p needs 1 < p < inf; hoelder and weights xclass take these pairs
@@ -221,15 +224,15 @@ class TestConfigValidation:
         assert main(["weights", "xclass", "--config", path, "--out", str(out)]) == 0
         assert main(["verify", "all", "--config", path, "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("command", [["weights", "ap"], ["weights", "xclass"], ["weights", "rh"], ["verify", "all"]],
-                             ids=["ap", "xclass", "rh", "verify_all"])
+    @pytest.mark.parametrize("command", [["weights", "ap"], ["weights", "xclass"], ["verify", "all"]],
+                             ids=["ap", "xclass", "verify_all"])
     def test_weights_without_exponents_refused(self, tmp_path, capsys, command):
         path = write_config(tmp_path, {"exponents": [], "suites": ["hoelder"]})
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config field 'exponents'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("suite", sorted(ONE_D_SUITES))
+    @pytest.mark.parametrize("suite", sorted(name for name, s in SUITES.items() if s.one_d))
     def test_one_d_suites_rejected_in_2d(self, tmp_path, capsys, suite):
         # named on the line or listed in the config, a 1D-only suite on a 2D
         # grid is refused before the run, naming grid.n
@@ -262,7 +265,8 @@ SWEEP_CONFIGS = {
 }
 SWEEP_CONFIGS["1d_unshifted"] = {**SWEEP_CONFIGS["1d"], "grid.offset": False}
 # the field that refuses a suite on each sweep grid, and the suites it refuses
-SWEEP_REFUSED = {"2d": ("grid.n", ONE_D_SUITES), "1d_unshifted": ("grid.offset", OFFSET_SUITES)}
+SWEEP_REFUSED = {"2d": ("grid.n", {name for name, s in SUITES.items() if s.one_d}),
+                 "1d_unshifted": ("grid.offset", {name for name, s in SUITES.items() if s.offset})}
 
 
 class TestSuiteSweep:
@@ -282,6 +286,21 @@ class TestSuiteSweep:
         else:
             assert rc in (0, 1)
             assert (tmp_path / "out" / "report.json").exists()
+
+
+class TestRegistry:
+    """suites.SUITES is the one statement of what each suite needs: cli.py
+    reads it off the records and never names a suite."""
+
+    def test_one_record_per_suite(self):
+        assert SUITES.keys() == ALL_SUITES.keys()
+        assert all(ALL_SUITES[name] is s.run for name, s in SUITES.items())
+
+    def test_cli_names_no_suite(self):
+        tree = ast.parse(Path(lpw.cli.__file__).read_text())
+        words = {word for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 for word in re.findall(r"\w+", node.value)}
+        assert words.isdisjoint(SUITES)
 
 
 @st.composite
@@ -553,22 +572,43 @@ class TestCubeBudget:
                                         "perfbench/configs/norm_sweep.json", "perfbench/configs/verify_2d.json"])
     def test_shipped_configs_fit(self, config):
         cfg = RunConfig(json.loads((Path(__file__).resolve().parents[1] / config).read_text()))
-        suites = [name for name in FAMILY_SUITES if cfg.ctx.spec.n == 1 or name not in ONE_D_SUITES]
+        suites = [name for name, s in SUITES.items()
+                  if s.family_depth is not None and (cfg.ctx.spec.n == 1 or not s.one_d)]
         cfg.check_runnable(suites)
-        for op in ("ap", "xclass", "rh"):
+        for op in ("ap", "xclass"):
             cfg.check_runnable([], weights=op)
 
-    @pytest.mark.parametrize("v_max, fits", [(251, True), (252, False)])
+    @pytest.mark.parametrize("v_max, fits", [(30, True), (31, False)])
     def test_budget_edge(self, tmp_path, v_max, fits):
-        # muckenhoupt's v_max + 10 family on these cube settings holds
-        # 1,047,064 cubes at v_max 251 and 1,051,158 at 252
-        cfg = RunConfig(json.loads(Path(write_config(tmp_path, {"cubes.v_max": v_max})).read_text()))
+        # muckenhoupt's v_max + 10 family at 16,384 cubes a level holds
+        # 1,040,350 cubes at v_max 30 and 1,073,116 at 31, where its
+        # positions, R 2^41 at most, are still exact
+        overrides = {"cubes.v_max": v_max, "cubes.max_per_level": 16384}
+        cfg = RunConfig(json.loads(Path(write_config(tmp_path, overrides)).read_text()))
         cfg.check_runnable(["hoelder"])
         if fits:
             cfg.check_runnable(["muckenhoupt"])
         else:
-            with pytest.raises(ValueError, match="config field 'cubes.v_max'"):
+            with pytest.raises(ValueError, match=f"'cubes.v_max': {v_max} is too deep: .* past the budget"):
                 cfg.check_runnable(["muckenhoupt"])
+
+    @pytest.mark.parametrize("suite, v_max, fits", [("muckenhoupt", 36, True), ("muckenhoupt", 37, False),
+                                                    ("hoelder", 46, True), ("hoelder", 47, False)])
+    def test_exact_positions_edge(self, tmp_path, suite, v_max, fits):
+        # the deepest family reaches R 2^(v_max + depth) = 2^50 at v_max 37
+        # for muckenhoupt (depth 10) and 47 for hoelder: past it np.arange in
+        # CubeFamily.positions counts its steps in floating point, and
+        # CubeFamily(100, 100, False, 9).positions(1.0, 100) has 9 entries
+        # where n_cubes counts 10
+        cfg = RunConfig(json.loads(Path(write_config(tmp_path, {"cubes.v_max": v_max})).read_text()))
+        if fits:
+            cfg.check_runnable([suite])
+            v = v_max + SUITES[suite].family_depth
+            deepest = CubeFamily(v, v, False, cfg.ctx.family.max_per_level)
+            assert len(deepest.positions(cfg.ctx.spec.R, v)) == deepest.n_cubes(cfg.ctx.spec.R, 1)
+        else:
+            with pytest.raises(ValueError, match=f"'cubes.v_max': {v_max} is too deep: .* only below 2\\^50"):
+                cfg.check_runnable([suite])
 
 
 class TestNoNaNWritten:
@@ -777,7 +817,15 @@ class TestOtherCommands:
         for name in got:
             assert (out / f"bands_{mem.name}" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
-    @pytest.mark.parametrize("op", ["ap", "xclass", "rh"])
+    def test_weights_rh_removed(self, tmp_path, capsys):
+        # the reverse-Hoelder probe had no verdict, and its op is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["weights", "rh", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "argument op: invalid choice: 'rh'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("op", ["ap", "xclass"])
     def test_weights_reports(self, tmp_path, op):
         path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -792,7 +840,6 @@ class TestOtherCommands:
             "ap": {"weight", "expr", "p", "family", "constant", "witness_cube"},
             "xclass": {"weight", "expr", "alpha1", "alpha2", "grid_step", "alpha", "sigma", "p", "C1", "C2",
                        "witness1", "witness2"},
-            "rh": {"weight", "expr", "p", "best_eps", "sup_ratio", "ratios", "bound"},
         }[op]
         assert {frozenset(r) for r in data["records"]} <= {frozenset(keys), frozenset({"weight", "expr", "error"})}
         assert any(set(r) == keys for r in data["records"])
@@ -811,15 +858,14 @@ class TestWeightsPasses:
     def test_one_pass_per_op(self, tmp_path, monkeypatch):
         # every op reduces the whole matrix in one pass over the cube family,
         # one job per radial profile of the default matrix (6): ap its A_p
-        # statistics, rh those and the reverse-Hoelder means, xclass the
-        # level statistics of the admissible weights
+        # statistics, xclass the level statistics of the admissible weights
         from lpw.weights import FamilyNodes
 
         calls = []
         reduce = FamilyNodes._reduce
         monkeypatch.setattr(FamilyNodes, "_reduce", lambda self, jobs: calls.append(len(jobs)) or reduce(self, jobs))
         path = write_config(tmp_path, SWEEP_CONFIGS["2d"])
-        for op in ("ap", "rh", "xclass"):
+        for op in ("ap", "xclass"):
             del calls[:]
             assert main(["weights", op, "--config", path, "--out", str(tmp_path / op)]) == 0
             assert calls == [6], op

@@ -29,7 +29,6 @@ from lpw.weights import (
     conjugate,
     domain_integral,
     parse_weight,
-    reverse_holder_probe,
     sigma1,
     xclass_constants,
     xclass_fit,
@@ -1014,49 +1013,6 @@ class TestMuckenhoupt:
             assert small <= base**eps * (1 + 1e-12)
 
 
-class TestReverseHoelder:
-    def test_constant_all_pass(self):
-        nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 6))
-        (probe,) = reverse_holder_probe([Const(1.0)], 2.0, nodes, 1e6)
-        assert probe["best_eps"] == max(probe["ratios"])
-        assert all(r == pytest.approx(1.0, abs=1e-12) for r in probe["ratios"].values())
-
-    def test_small_power_passes_somewhere(self):
-        nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 8))
-        (probe,) = reverse_holder_probe([Pow(0.3)], 2.0, nodes, 1e6)
-        assert probe["best_eps"] is not None and probe["best_eps"] > 0
-
-    def test_larger_power_passes_less(self):
-        nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 8))
-        lo, hi = reverse_holder_probe([Pow(0.3), Pow(0.9)], 2.0, nodes, 1e6)
-        assert hi["best_eps"] < lo["best_eps"]
-        # oracle: on origin cubes the ratio tends to (1+a) / (1+a(1+e))^(1/(1+e))
-        a, e = 0.9, hi["best_eps"]
-        want = (1 + a) / (1 + a * (1 + e)) ** (1 / (1 + e))
-        assert hi["ratios"][e] == pytest.approx(want, rel=0.02)
-
-    def test_weight_above_the_ceiling_gets_an_error_record(self):
-        # |x|^1.5 lies outside A_2 (its constant reads about 3900 here), so
-        # its record names the ceiling; the class weight beside it is probed
-        nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 6))
-        inside, outside = reverse_holder_probe([Pow(0.3), Pow(1.5)], 2.0, nodes, 10.0)
-        assert set(inside) == {"best_eps", "sup_ratio", "ratios", "bound"}
-        assert inside == reverse_holder_probe([Pow(0.3)], 2.0, FamilyNodes(8.0, 1, CubeFamily(-4, 6)), 10.0)[0]
-        assert outside == {"error": "weight pow:1.5 exceeds the Muckenhoupt ceiling 10; "
-                                    "the self-improvement probe needs a class weight"}
-
-    @pytest.mark.parametrize("p", [1.0, 0.5])
-    def test_p_at_most_one_refused(self, p):
-        # p <= 1 was taken as p = 1 + 1e-9, whose inverse-mean exponent p'/p
-        # is about 1e9: the power overflowed and every weight read as
-        # exceeding the Muckenhoupt ceiling
-        nodes = FamilyNodes(8.0, 1, CubeFamily(-4, 6))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(WeightError, match="ap_constant needs p > 1"):
-                reverse_holder_probe([Pow(0.3)], p, nodes, 1e6)
-
-
 def witness_at(meta, witness):
     """The levels (k, j) of an xclass witness record and its cube's index in meta."""
     cube = witness["cube"]
@@ -1153,14 +1109,6 @@ class TestXClassFit:
 class TestRecordLayout:
     """Each check returns the record that weights_*.json or report.json
     holds, with the keys these files have always had."""
-
-    def test_reverse_holder_probe(self):
-        (probe,) = reverse_holder_probe([Pow(0.3)], 2.0, FamilyNodes(8.0, 1, CubeFamily(-4, 6)), 1e6)
-        assert set(probe) == {"best_eps", "sup_ratio", "ratios", "bound"}
-        # keyed by the float eps, which the report writes as str(eps), the
-        # f"{eps:g}" it was written as before
-        assert list(probe["ratios"]) == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8]
-        assert [str(e) for e in probe["ratios"]] == [f"{e:g}" for e in probe["ratios"]]
 
     def test_xclass_constants(self):
         nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 4))
