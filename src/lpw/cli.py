@@ -414,7 +414,7 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
                 continue
             fit = fits[name]
             rep = xclass_constants(seqs[name], p, (fit["alpha1"], fit["alpha2"]), (s1, p), nodes)
-            # the constants at the fitted alphas replace the fit's own C1, C2
+            # the constants at the fitted alphas add their witnesses; their C1, C2 equal the fit's bit for bit
             records.append({**heads[name], **fit, **rep})
     _write_json(out / f"weights_{op}.json", {"op": op, "records": records})
     print(f"wrote {out / f'weights_{op}.json'} ({len(records)} records)")

@@ -177,24 +177,14 @@ def level_index_range(R: float, v: int) -> tuple[int, int]:
     return -C, C
 
 
-def _lp(values: np.ndarray, cell_measure: float, p: float) -> float:
-    """lp_norm of samples that need no GridFunction; p = inf is their max, 0 if none."""
-    return _lp_nonneg(np.abs(values), cell_measure, p)
-
-
-def _lp_nonneg(a: np.ndarray, cell_measure: float, p: float) -> float:
-    """_lp of samples that are nonnegative already, such as a weighted stack's
-    rows: the same sum, without another absolute value."""
+def lp_norm(a: np.ndarray, cell_measure: float, p: float) -> float:
+    """Plain quasi-norm ||a|L_p|| of nonnegative samples a, such as |f| or a
+    weighted stack's row, by the midpoint rule; p = inf is their max, 0 if none."""
     if p <= 0:
         raise ValueError(f"exponent p must be positive, got {p}")
     if np.isinf(p):
         return float(a.max(initial=0.0))
     return float((cell_measure * (a**p).sum()) ** (1.0 / p))
-
-
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Plain quasi-norm ||f|L_p|| by the midpoint rule; p = inf is the sample max."""
-    return _lp(f.values, f.spec.cell_measure, p)
 
 
 def weighted_lp_norm(f: GridFunction, gamma: GridFunction, p: float) -> float:
@@ -203,7 +193,7 @@ def weighted_lp_norm(f: GridFunction, gamma: GridFunction, p: float) -> float:
         raise GridError("weight lives on a different grid")
     if np.iscomplexobj(gamma.values) or np.any(gamma.values < 0):
         raise ValueError("weight has negative samples")
-    return _lp_nonneg(np.abs(f.values) * gamma.values, f.spec.cell_measure, p)
+    return lp_norm(np.abs(f.values) * gamma.values, f.spec.cell_measure, p)
 
 
 @dataclass(frozen=True)
@@ -230,19 +220,13 @@ class VectorSequence:
         return self.values[k - self.k_min]
 
 
-def lp_lq_norm(fs: VectorSequence, p: float, q: float) -> float:
-    """|| ( sum_k |f_k|^q )^(1/q) | L_p ||, with sup over k when q = inf."""
-    return _lp_lq_nonneg(np.abs(fs.values), fs.spec.cell_measure, p, q)
-
-
-def _lp_lq_nonneg(a: np.ndarray, cell_measure: float, p: float, q: float) -> float:
-    """lp_lq_norm of a (levels, *grid) stack that is nonnegative already, such
-    as a weighted or maximal stack: the same sums, without another absolute
-    value."""
+def lp_lq_norm(a: np.ndarray, cell_measure: float, p: float, q: float) -> float:
+    """|| ( sum_k a_k^q )^(1/q) | L_p || of a nonnegative (levels, *grid) stack
+    a, such as a weighted or maximal stack, with sup over k when q = inf."""
     if q <= 0:
         raise ValueError(f"exponent q must be positive, got {q}")
     agg = a.max(axis=0) if np.isinf(q) else (a**q).sum(axis=0) ** (1.0 / q)
-    return _lp_nonneg(agg, cell_measure, p)
+    return lp_norm(agg, cell_measure, p)
 
 
 # ---------------------------------------------------------------------------

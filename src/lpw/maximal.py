@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridError, GridFunction, GridSpec, VectorSequence, _lp_lq_nonneg
+from .grid import GridError, GridFunction, GridSpec, VectorSequence, lp_lq_norm
 from .weights import WeightSequence
 
 # cells per fold block: a whole stack's table outgrows the cache and is paged in afresh
@@ -75,17 +75,14 @@ def _fold(a: np.ndarray, n: int, sizes: list[int]) -> np.ndarray:
     return out
 
 
-def _maximal(a: np.ndarray, spec: GridSpec, sizes: list[int]) -> np.ndarray:
-    """Pointwise sup of the window averages of a = |f| over the window sizes on
-    a grid array or a (levels, *grid) stack: one fold, in blocks of rows."""
-    rows = a.reshape((-1, *spec.shape))
-    step = max(1, _BLOCK_CELLS // rows[0].size)
-    return np.concatenate([_fold(rows[i : i + step], spec.n, sizes) for i in range(0, len(rows), step)]).reshape(a.shape)
-
-
-def maximal_fn(f: GridFunction) -> GridFunction:
-    """Pointwise sup of window averages of |f| over the windows of every size."""
-    return GridFunction(f.spec, _maximal(np.abs(f.values), f.spec, window_sizes(f.spec)))
+def maximal_fn(fs: VectorSequence) -> VectorSequence:
+    """Pointwise sup of the window averages of each level of the magnitude
+    stack fs = {|f_k|} over the windows of every size: one fold, in blocks
+    of rows."""
+    spec, sizes = fs.spec, window_sizes(fs.spec)
+    step = max(1, _BLOCK_CELLS // fs.values[0].size)
+    folds = [_fold(fs.values[i : i + step], spec.n, sizes) for i in range(0, len(fs.values), step)]
+    return VectorSequence(spec, fs.k_min, np.concatenate(folds))
 
 
 def maximal_fn_bruteforce(f: GridFunction) -> GridFunction:
@@ -102,11 +99,6 @@ def maximal_fn_bruteforce(f: GridFunction) -> GridFunction:
     return GridFunction(spec, out)
 
 
-def maximal_sequence(fs: VectorSequence) -> VectorSequence:
-    """The maximal function of each level of the magnitude stack fs, in one fold."""
-    return VectorSequence(fs.spec, fs.k_min, _maximal(fs.values, fs.spec, window_sizes(fs.spec)))
-
-
 def _check_stack(fs: VectorSequence, Ms: VectorSequence) -> None:
     """Ms must be the maximal stack of fs: same grid, first level and depth."""
     if Ms.spec != fs.spec or Ms.k_min != fs.k_min or len(Ms.values) != len(fs.values):
@@ -120,16 +112,16 @@ def _norm_ratio(num: VectorSequence, den: VectorSequence, p: float, q: float) ->
     """||num|L_p(l_q)|| / ||den|L_p(l_q)|| of two nonnegative stacks, where
     den is the ratio's input."""
     cell = den.spec.cell_measure
-    denom = _lp_lq_nonneg(den.values, cell, p, q)
+    denom = lp_lq_norm(den.values, cell, p, q)
     if denom == 0:
         raise ZeroDivisionError("zero input norm in maximal ratio")
-    return _lp_lq_nonneg(num.values, cell, p, q) / denom
+    return lp_lq_norm(num.values, cell, p, q) / denom
 
 
 def fefferman_stein_ratio(fs: VectorSequence, p: float, q: float, Ms: VectorSequence) -> float:
     """||{M f_k}|L_p(l_q)|| / ||{f_k}|L_p(l_q)||; needs 1 < min(p, q).
 
-    fs is the magnitude stack {|f_k|}, and Ms is maximal_sequence(fs), passed
+    fs is the magnitude stack {|f_k|}, and Ms is maximal_fn(fs), passed
     in so that one stack serves every ratio taken on fs."""
     if not 1 < min(p, q):
         raise ValueError(f"need 1 < min(p, q), got p={p}, q={q}")
@@ -145,7 +137,7 @@ def weighted_maximal_ratio(
     q: float = np.inf,
 ) -> float:
     """||{t_k M f_k}|L_p(l_q)|| / ||{t_k f_k}|L_p(l_q)|| over the levels of ts,
-    for the magnitude stack fs = {|f_k|} and Ms = maximal_sequence(fs)."""
+    for the magnitude stack fs = {|f_k|} and Ms = maximal_fn(fs)."""
     if p <= 1:
         raise ValueError(f"weighted maximal ratio needs p > 1, got {p}")
     _check_stack(fs, Ms)
@@ -168,7 +160,7 @@ def kernel_sum_ratio(
 
     truncated to the stored level range, against the weighted input norm,
     both weighted over the levels of ts; fs is the magnitude stack {|f_k|}
-    and Ms = maximal_sequence(fs).
+    and Ms = maximal_fn(fs).
     """
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")

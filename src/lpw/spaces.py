@@ -27,9 +27,8 @@ from .grid import (
     GridFunction,
     GridSpec,
     VectorSequence,
-    _lp,
-    _lp_lq_nonneg,
-    _lp_nonneg,
+    lp_lq_norm,
+    lp_norm,
 )
 from .lpaley import CoefficientSet, LPPair, band_decompose
 from .weights import WeightSequence
@@ -63,14 +62,14 @@ def stack_norm(wb: VectorSequence, space: str, p: float, q: float, family: CubeF
 def besov_norm(wb: VectorSequence, p: float, q: float) -> float:
     """( sum_k ||t_k (phi_k * f)|L_p||^q )^(1/q), sup over k when q = inf."""
     cell = wb.spec.cell_measure
-    return _lp_nonneg(np.array([_lp_nonneg(row, cell, p) for row in wb.values]), 1.0, q)
+    return lp_norm(np.array([lp_norm(row, cell, p) for row in wb.values]), 1.0, q)
 
 
 def tl_norm(wb: VectorSequence, p: float, q: float) -> float:
     """|| ( sum_k t_k^q |phi_k * f|^q )^(1/q) | L_p ||."""
     if np.isinf(p):
         raise ValueError("p = inf is handled by tl_infty_norm")
-    return _lp_lq_nonneg(wb.values, wb.spec.cell_measure, p, q)
+    return lp_lq_norm(wb.values, wb.spec.cell_measure, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +131,18 @@ def _cube_sums(blocks: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def carleson_sup(G: VectorSequence, family: CubeFamily, q: float) -> float:
-    """sup over cubes P of ( mean_P sum_{k >= level(P)} G_k )^(1/q).
+def carleson_sup(G: VectorSequence, family: CubeFamily, q: float, power: float) -> float:
+    """sup over cubes P of ( mean_P sum_{k >= level(P)} G_k^power )^(1/q).
 
-    G is the (levels, *grid) stack of the nonnegative integrands G_k; the
-    level sum is truncated below at G's first level and the cube levels are
-    clamped to the grid-resolvable window.  A stack level below the first
-    cube level the scan reads, the family's or the grid's coarsest
-    -log2(2R), is refused: no cube would read it.  The mean of a cube is its
-    sum over S^n cells, and the sup divides the largest sum once, which is
-    exact because division is monotone.
+    G is the (levels, *grid) stack of the nonnegative integrands G_k, raised
+    to power in place in the scan's wrapped copy; the level sum is truncated
+    below at G's first level and the cube levels are clamped to the
+    grid-resolvable window.  A stack level below the first cube level the
+    scan reads, the family's or the grid's coarsest -log2(2R), is refused:
+    no cube would read it.  The mean of a cube is its sum over S^n cells,
+    and the sup divides the largest sum once, which is exact because
+    division is monotone.
     """
-    return _carleson_sup(G, family, q, 1.0)
-
-
-def _carleson_sup(G: VectorSequence, family: CubeFamily, q: float, power: float) -> float:
-    """carleson_sup of G ** power, raised in place in the scan's wrapped copy."""
     spec, ks = G.spec, G.levels()
     levels = _scan_levels(spec, family)
     if ks.start < levels.start:
@@ -176,7 +171,7 @@ def tl_infty_norm(wb: VectorSequence, q: float, family: CubeFamily) -> float:
     ( (1/|P|) int_P sum_{k >= -log2 l(P)} t_k^q |phi_k * f|^q )^(1/q)."""
     if not 0 < q < np.inf:
         raise ValueError(f"F_inf norms need 0 < q < inf, got q={q}")
-    return _carleson_sup(wb, family, q, q)
+    return carleson_sup(wb, family, q, q)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +192,17 @@ def cube_lp(t: GridFunction, S: int, p: float, where: np.ndarray) -> np.ndarray:
     """The non-normalized cube norm ||t|L_p(Q)|| by the midpoint rule, for
     each cube Q of S cells a side where `where` holds, 0 elsewhere: the cube
     at index i per axis covers cells [i S, (i + 1) S).  Each cube is summed
-    as _lp sums its S^n cells, in the same order."""
+    as lp_norm sums its S^n cells, in the same order."""
     n = t.spec.n
     b = _blocks(np.abs(t.values), S)
-    # one row of S^n contiguous cells per cube, which is how _lp sums
+    # one row of S^n contiguous cells per cube, which is how lp_norm sums
     b = b.transpose(*range(0, 2 * n, 2), *_in_cube(n)).reshape(b.shape[::2] + (-1,))[where]
     out = np.zeros(where.shape)
     if np.isinf(p):
         out[where] = b.max(axis=-1)
     else:
         sums = t.spec.cell_measure * (b**p).sum(axis=-1)
-        # numpy's array power can round apart from the scalar power _lp takes
+        # numpy's array power can round apart from the scalar power lp_norm takes
         out[where] = [s ** (1.0 / p) for s in sums]
     return out
 
@@ -245,7 +240,7 @@ def seq_b_norm(coeffs: CoefficientSet, ws: WeightSequence, spec: GridSpec, p: fl
     terms_plain, terms_star = [], []
     for k, (S, _, _) in _seq_levels(coeffs, spec).items():
         t, mags = ws.on_grid(spec, k), np.abs(coeffs[k])
-        plain = _lp(_paint(spec, mags) * t.values, spec.cell_measure, p)
+        plain = lp_norm(_paint(spec, mags) * t.values, spec.cell_measure, p)
         tkm = cube_lp(t, S, p, mags > 0)
         if np.isinf(p):
             star = float((mags * tkm).max())
@@ -253,7 +248,7 @@ def seq_b_norm(coeffs: CoefficientSet, ws: WeightSequence, spec: GridSpec, p: fl
             star = float(np.vdot(mags**p, tkm**p) ** (1.0 / p))
         terms_plain.append(2.0 ** (k * n / 2.0) * plain)
         terms_star.append(2.0 ** (k * n / 2.0) * star)
-    return _lp(np.array(terms_plain), 1.0, q), _lp(np.array(terms_star), 1.0, q)
+    return lp_norm(np.array(terms_plain), 1.0, q), lp_norm(np.array(terms_star), 1.0, q)
 
 
 # Cells in one group's accumulator in seq_f_norms (1 MB): 16 sets at N = 8192
@@ -339,7 +334,7 @@ def seq_f_infty_norm(coeffs: CoefficientSet, ws: WeightSequence, spec: GridSpec,
         tkmq = _starred_cube_lp(t, k, S, q, mags > 0)
         plain[k][...] = _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
         star[k][...] = _paint(spec, (mags * tkmq) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / q)))
-    return carleson_sup(plain, family, q), carleson_sup(star, family, q)
+    return carleson_sup(plain, family, q, 1.0), carleson_sup(star, family, q, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +432,7 @@ def hardy_grand_norm(
         t = ts.on_grid(spec, k).values
         conv = np.fft.ifftn(dictionary.stack(spec, k) * F, axes=axes)
         np.maximum(best, t * np.abs(conv).max(axis=0), out=best)
-    return _lp(best, spec.cell_measure, p)
+    return lp_norm(best, spec.cell_measure, p)
 
 
 def bmo_norm(f: GridFunction, family: CubeFamily) -> float:

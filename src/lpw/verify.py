@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, _lp
+from .grid import GridFunction, GridSpec, lp_norm
 from .lpaley import LPPair, from_spectrum
 from .weights import (
     FamilyNodes,
@@ -67,7 +67,7 @@ def _member_from_coeffs(spec: GridSpec, coeffs: dict, name: str) -> CorpusMember
     F = np.zeros(spec.shape, dtype=complex)
     np.add.at(F, tuple(idx.T), np.stack([c, np.conj(c)], axis=1).ravel())
     u = from_spectrum(spec, F, real=True)
-    scale = _lp(u, spec.cell_measure, 2.0)
+    scale = lp_norm(np.abs(u), spec.cell_measure, 2.0)
     if scale == 0:
         raise ValueError("degenerate corpus member")
     return CorpusMember(name, GridFunction(spec, u / scale))

@@ -574,6 +574,9 @@ class FamilyNodes:
 
     def _axis_pieces(self, a: float, b: float):
         """Node mesh for [a, b), wrapping across the seam at +R when needed."""
+        if a > self.R:  # wholly past +R, as a translate [16, 24) at R = 8: its image with a in [-R, R)
+            shift = (a + self.R) // (2 * self.R) * 2 * self.R
+            a, b = a - shift, b - shift
         pieces = [(a, min(b, self.R))] if b <= self.R else [(a, self.R), (-self.R, b - 2 * self.R)]
         nodes, wts = [], []
         for plo, phi in pieces:

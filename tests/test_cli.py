@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import lpw.cli
 from lpw.cli import CUBE_BUDGET, RunConfig, main
 from lpw.grid import CubeFamily, GridFunction, GridSpec, save_grid_function
-from lpw.suites import ALL_SUITES, SUITES, suite_bmo, suite_newnorm
+from lpw.suites import ALL_SUITES, SUITES, suite_bmo, suite_maximal, suite_newnorm
 
 
 SMALL_CONFIG = {
@@ -382,6 +382,58 @@ class TestBandKernelsReachedByName:
         assert dict(calls) == {kernel: SWEEP_CONFIGS["1d"]["corpus.size"]}
 
 
+NORM_KERNELS = (("spaces", "carleson_sup"), ("grid", "lp_lq_norm"), ("maximal", "maximal_fn"))
+
+
+class TestNormKernelsReachedByName:
+    """The Carleson scan, the L_p(l_q) sum and the maximal fold each have one
+    entry point that every reader calls by name, so a wrapper put in each
+    lpw module namespace that binds the name, as perfbench/tracer.py puts
+    its spans, counts all the work done through the kernel."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import importlib
+
+        modules = [importlib.import_module(f"lpw.{m}")
+                   for m in ("cli", "suites", "verify", "spaces", "lpaley", "maximal", "weights", "grid")]
+        calls = Counter()
+        for home, name in NORM_KERNELS:
+            orig = getattr(importlib.import_module(f"lpw.{home}"), name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for module in modules:
+                if vars(module).get(name) is orig:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.fixture
+    def ctx(self, tmp_path):
+        return RunConfig(json.loads(Path(write_config(tmp_path, SWEEP_CONFIGS["1d"])).read_text())).ctx
+
+    def test_bmo_scans_once_per_member(self, ctx, calls):
+        suite_bmo(ctx)
+        assert calls["carleson_sup"] == ctx.corpus_size
+
+    def test_norm_command_scans_once_per_member(self, tmp_path, calls):
+        path = write_config(tmp_path, {**SWEEP_CONFIGS["1d"], "norm.space": "F_inf"})
+        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert calls["carleson_sup"] == SWEEP_CONFIGS["1d"]["corpus.size"]
+
+    def test_newnorm_scans_and_sums(self, ctx, calls):
+        assert suite_newnorm(ctx)["records"]
+        assert calls["carleson_sup"] > 0 and calls["lp_lq_norm"] > 0, calls
+
+    def test_maximal_folds_each_stack_once(self, ctx, calls):
+        # one stack per member on the grid and on the doubled grid, and one
+        # for the comparison with the brute-force scan
+        suite_maximal(ctx)
+        assert calls["maximal_fn"] == 2 * ctx.corpus_size + 1
+
+
 class TestFrozenLevel:
     """An Lp norm samples its weight at norm.frozen_level, which must lie in
     the pair's level window [-3, 5]; the other spaces do not read it."""
@@ -466,6 +518,23 @@ class TestWeightRange:
         assert (rec["alpha1"], rec["alpha2"]) == (4.0, 4.0)
         path = write_config(tmp_path, {"weights": {"w1": "dyadic:5"}})
         RunConfig(json.loads(Path(path).read_text())).check_runnable(["seqnorm"])
+
+    def test_xclass_constants_equal_the_fit(self, tmp_path):
+        # a record's C1, C2 are xclass_constants' at the fitted alphas, which
+        # equal the fit's own bit for bit on every weight of smoke.json's matrix
+        from lpw.weights import WeightSequence, sigma1, xclass_fit
+
+        smoke = Path(__file__).resolve().parents[1] / "fixtures" / "smoke.json"
+        assert main(["weights", "xclass", "--config", str(smoke), "--out", str(tmp_path / "o")]) == 0
+        records = json.loads((tmp_path / "o" / "weights_xclass.json").read_text())["records"]
+        ctx = RunConfig(json.loads(smoke.read_text())).ctx
+        p, theta = ctx.exponent_pairs[0]
+        seqs = [WeightSequence(w, ctx.k_min, ctx.k_max) for w in ctx.weights().values()]
+        fits = xclass_fit(seqs, p, (sigma1(p, theta), p), ctx.nodes())
+        assert len(records) == len(fits) == 9
+        for rec, fit in zip(records, fits):
+            assert (rec["alpha1"], rec["alpha2"]) == (fit["alpha1"], fit["alpha2"])
+            assert (rec["C1"], rec["C2"]) == (fit["C1"], fit["C2"]), rec["weight"]
 
     @pytest.mark.parametrize("weight", ["pow:2000", "pow:-2000"])
     def test_xclass_names_an_overflow(self, tmp_path, weight):

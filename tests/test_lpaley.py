@@ -186,8 +186,8 @@ class TestBand:
         assert c1 >= 1.0 - 1e-12 and c2 <= 2.0 + 1e-12
         for mem in corpus1k[:6]:
             bands = band_decompose(mem.f, pair1k)
-            total = sum(lp_norm(GridFunction(spec1k, bands[k]), 2.0) ** 2 for k in pair1k.levels())
-            l2 = lp_norm(mem.f, 2.0) ** 2
+            total = sum(lp_norm(np.abs(bands[k]), spec1k.cell_measure, 2.0) ** 2 for k in pair1k.levels())
+            l2 = lp_norm(np.abs(mem.f.values), spec1k.cell_measure, 2.0) ** 2
             assert c1 * l2 * (1 - 1e-9) <= total <= c2 * l2 * (1 + 1e-9)
 
 
@@ -289,7 +289,8 @@ class TestTransform:
         # translation leaves || psi_{k,m} |L_2|| exactly invariant; dilation
         # invariance across k holds once the band is finely resolved
         def norm(k, m):
-            return lp_norm(synthesize(CoefficientSet.from_entries(1, spec1k.R, {(k, (m,)): 1.0}), pair1k), 2.0)
+            f = synthesize(CoefficientSet.from_entries(1, spec1k.R, {(k, (m,)): 1.0}), pair1k)
+            return lp_norm(np.abs(f.values), spec1k.cell_measure, 2.0)
 
         assert norm(3, 5) == pytest.approx(norm(3, 0), rel=1e-12)
         assert norm(3, -7) == pytest.approx(norm(3, 0), rel=1e-12)

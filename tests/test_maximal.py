@@ -6,12 +6,11 @@ import pytest
 from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, VectorSequence, lp_lq_norm
 from lpw.lpaley import band_decompose, make_lp_pair
 from lpw.maximal import (
-    _maximal,
+    _fold,
     fefferman_stein_ratio,
     kernel_sum_ratio,
     maximal_fn,
     maximal_fn_bruteforce,
-    maximal_sequence,
     weighted_maximal_ratio,
     window_sizes,
     window_sum_table,
@@ -28,6 +27,12 @@ def random_sequence(spec, levels, rng):
 def magnitudes(fs):
     """The magnitude stack {|f_k|} that the maximal stack and ratios take."""
     return VectorSequence(fs.spec, fs.k_min, np.abs(fs.values))
+
+
+def maximal_of(f):
+    """The maximal function of one grid function f: maximal_fn of the
+    one-level stack {|f|}."""
+    return maximal_fn(VectorSequence(f.spec, 0, np.abs(f.values)[None]))[0]
 
 
 def run_fresh(script: str) -> None:
@@ -65,13 +70,13 @@ class TestLazyScipy:
             import numpy as np
             import lpw.cli
             from lpw.grid import GridFunction, GridSpec, VectorSequence
-            from lpw.maximal import maximal_fn, maximal_fn_bruteforce, maximal_sequence
+            from lpw.maximal import maximal_fn, maximal_fn_bruteforce
 
             rng = np.random.default_rng(11)
             for spec in (GridSpec(1, 1.0, 64), GridSpec(2, 1.0, 16)):
                 f = GridFunction(spec, rng.normal(size=spec.shape))
-                fast = maximal_fn(f).values
-                maximal_sequence(VectorSequence(spec, 0, np.abs(rng.normal(size=(3, *spec.shape)))))
+                fast = maximal_fn(VectorSequence(spec, 0, np.abs(f.values)[None]))[0]
+                maximal_fn(VectorSequence(spec, 0, np.abs(rng.normal(size=(3, *spec.shape)))))
                 slow = maximal_fn_bruteforce(f).values
                 np.testing.assert_allclose(fast, slow, rtol=1e-13)
             assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -100,17 +105,19 @@ class TestFold:
     def test_fold_equals_per_size_reference(self, rng, spec, sizes):
         sizes = sizes or window_sizes(spec)
         a = np.abs(rng.normal(size=(3, *spec.shape)))
-        assert np.array_equal(_maximal(a, spec, sizes), containing_max_reference(a, spec.n, sizes))
-        assert np.array_equal(_maximal(a[0], spec, sizes), containing_max_reference(a[0], spec.n, sizes))
+        assert np.array_equal(_fold(a, spec.n, sizes), containing_max_reference(a, spec.n, sizes))
+        assert np.array_equal(_fold(a[0], spec.n, sizes), containing_max_reference(a[0], spec.n, sizes))
+        if sizes == window_sizes(spec):
+            assert np.array_equal(maximal_fn(VectorSequence(spec, 0, a)).values, containing_max_reference(a, spec.n, sizes))
 
     @pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 4096), GridSpec(2, 2.0, 128)], ids=["1d", "2d"])
     def test_sequence_equals_rows(self, rng, spec):
         # 1D N=4096 folds two rows per block, so blocks and an odd tail are covered
         fs = random_sequence(spec, range(-2, 3), rng)
-        Ms = maximal_sequence(magnitudes(fs))
+        Ms = maximal_fn(magnitudes(fs))
         assert (Ms.spec, Ms.k_min) == (fs.spec, fs.k_min)
         for k in fs.levels():
-            assert np.array_equal(Ms[k], maximal_fn(GridFunction(spec, fs[k])).values)
+            assert np.array_equal(Ms[k], maximal_of(GridFunction(spec, fs[k])))
 
     @pytest.mark.parametrize("spec", [GridSpec(1, 2.0, 64), GridSpec(2, 2.0, 16)], ids=["1d", "2d"])
     def test_stack_table_equals_row_tables(self, rng, spec):
@@ -126,8 +133,8 @@ class TestMaximalFn:
     def test_constant(self):
         spec = GridSpec(1, 2.0, 64)
         f = GridFunction(spec, np.full(64, 2.5))
-        out = maximal_fn(f)
-        np.testing.assert_allclose(out.values, 2.5, rtol=1e-14)
+        out = maximal_of(f)
+        np.testing.assert_allclose(out, 2.5, rtol=1e-14)
 
     def test_indicator_at_distance(self):
         # f = indicator of [0,1); at x = 2 the best window is [h, 2+h) with
@@ -135,50 +142,50 @@ class TestMaximalFn:
         spec = GridSpec(1, 4.0, 512)
         ax = spec.axis()
         f = GridFunction(spec, ((ax >= 0) & (ax < 1)).astype(float))
-        out = maximal_fn(f)
+        out = maximal_of(f)
         i = np.argmin(np.abs(ax - 2.0))
-        assert out.values[i] == pytest.approx(0.5, abs=2 * spec.h)
+        assert out[i] == pytest.approx(0.5, abs=2 * spec.h)
 
     def test_homogeneity(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
-        a = maximal_fn(GridFunction(spec, 3.0 * f.values))
-        b = maximal_fn(f)
-        np.testing.assert_allclose(a.values, 3.0 * b.values, rtol=1e-13)
+        a = maximal_of(GridFunction(spec, 3.0 * f.values))
+        b = maximal_of(f)
+        np.testing.assert_allclose(a, 3.0 * b, rtol=1e-13)
 
     def test_fast_matches_bruteforce_1d(self, rng):
         spec = GridSpec(1, 1.0, 64)
         f = GridFunction(spec, rng.normal(size=64))
-        fast = maximal_fn(f)
+        fast = maximal_of(f)
         slow = maximal_fn_bruteforce(f)
-        np.testing.assert_allclose(fast.values, slow.values, rtol=1e-13)
+        np.testing.assert_allclose(fast, slow.values, rtol=1e-13)
 
     def test_fast_matches_bruteforce_2d(self, rng):
         spec = GridSpec(2, 1.0, 16)
         f = GridFunction(spec, rng.normal(size=(16, 16)))
-        fast = maximal_fn(f)
+        fast = maximal_of(f)
         slow = maximal_fn_bruteforce(f)
-        np.testing.assert_allclose(fast.values, slow.values, rtol=1e-13)
+        np.testing.assert_allclose(fast, slow.values, rtol=1e-13)
 
     def test_pointwise_domination(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
-        out = maximal_fn(f)
-        assert np.all(out.values >= np.abs(f.values))
+        out = maximal_of(f)
+        assert np.all(out >= np.abs(f.values))
 
     def test_sublinearity(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
         g = GridFunction(spec, rng.normal(size=128))
-        both = maximal_fn(GridFunction(spec, f.values + g.values))
-        assert np.all(both.values <= maximal_fn(f).values + maximal_fn(g).values + 1e-12)
+        both = maximal_of(GridFunction(spec, f.values + g.values))
+        assert np.all(both <= maximal_of(f) + maximal_of(g) + 1e-12)
 
     def test_window_family_monotone(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
         # windows of 1 to 4 cells against 1 to 16 cells
-        small = _maximal(np.abs(f.values), spec, [1, 2, 4])
-        big = _maximal(np.abs(f.values), spec, [1, 2, 4, 8, 16])
+        small = _fold(np.abs(f.values), spec.n, [1, 2, 4])
+        big = _fold(np.abs(f.values), spec.n, [1, 2, 4, 8, 16])
         assert np.all(big >= small - 1e-15)
 
     @pytest.mark.parametrize("spec", [GridSpec(1, 1.0, 64), GridSpec(1, 8.0, 4096), GridSpec(2, 2.0, 32)])
@@ -202,16 +209,16 @@ class TestRatios:
     def test_fs_all_ones(self):
         spec = GridSpec(1, 1.0, 64)
         fs = VectorSequence(spec, 0, np.ones((3, 64)))
-        assert fefferman_stein_ratio(fs, 2.0, 2.0, maximal_sequence(fs)) == pytest.approx(1.0)
+        assert fefferman_stein_ratio(fs, 2.0, 2.0, maximal_fn(fs)) == pytest.approx(1.0)
 
     def test_fs_singleton_reduces_to_scalar(self, rng):
         spec = GridSpec(1, 1.0, 128)
         f = GridFunction(spec, rng.normal(size=128))
         fs = VectorSequence(spec, 0, np.abs(f.values)[None])
-        got = fefferman_stein_ratio(fs, 2.0, 3.0, maximal_sequence(fs))
+        got = fefferman_stein_ratio(fs, 2.0, 3.0, maximal_fn(fs))
         from lpw.grid import lp_norm
 
-        want = lp_norm(maximal_fn(f), 2.0) / lp_norm(f, 2.0)
+        want = lp_norm(maximal_of(f), spec.cell_measure, 2.0) / lp_norm(np.abs(f.values), spec.cell_measure, 2.0)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_fs_invalid_sigma(self, rng):
@@ -220,12 +227,12 @@ class TestRatios:
         # sigma < min(p, q)
         fs = random_sequence(spec, range(0, 2), rng)
         with pytest.raises(ValueError):
-            fefferman_stein_ratio(fs, 2.0, 1.0, maximal_sequence(fs))
+            fefferman_stein_ratio(fs, 2.0, 1.0, maximal_fn(fs))
 
     def test_fs_bounded_on_bands(self, spec1k, pair1k, corpus1k):
         for mem in corpus1k[:4]:
             fs = band_magnitudes(mem.f, pair1k)
-            r = fefferman_stein_ratio(fs, 2.0, 2.0, maximal_sequence(fs))
+            r = fefferman_stein_ratio(fs, 2.0, 2.0, maximal_fn(fs))
             assert 1.0 <= r < 10.0
 
     def test_weighted_trivial_weight(self, rng):
@@ -233,7 +240,7 @@ class TestRatios:
         f = GridFunction(spec, rng.normal(size=128))
         fs = VectorSequence(spec, 0, np.abs(f.values)[None])
         ts = WeightSequence(Const(1.0), 0, 0)
-        assert weighted_maximal_ratio(fs, ts, 2.0, maximal_sequence(fs), q=np.inf) >= 1.0
+        assert weighted_maximal_ratio(fs, ts, 2.0, maximal_fn(fs), q=np.inf) >= 1.0
 
     def test_weighted_ratio_blows_up_outside_class(self, spec1k, pair1k):
         # |x|^2 is outside the class at p=2: concentrating unit-norm spikes
@@ -243,14 +250,14 @@ class TestRatios:
         ratios = []
         for mem in spikes:
             fs = VectorSequence(spec1k, 0, np.abs(mem.f.values)[None])
-            ratios.append(weighted_maximal_ratio(fs, ts, 2.0, maximal_sequence(fs), q=2.0))
+            ratios.append(weighted_maximal_ratio(fs, ts, 2.0, maximal_fn(fs), q=2.0))
         assert ratios[-1] > 2.0 * ratios[0]
 
     def test_zero_denominator(self):
         spec = GridSpec(1, 1.0, 64)
         fs = VectorSequence(spec, 0, np.zeros((1, 64)))
         ts = WeightSequence(Const(1.0), 0, 0)
-        Ms = maximal_sequence(fs)
+        Ms = maximal_fn(fs)
         with pytest.raises(ZeroDivisionError):
             fefferman_stein_ratio(fs, 2.0, 2.0, Ms)
         with pytest.raises(ZeroDivisionError):
@@ -264,9 +271,9 @@ class TestRatios:
         # shifted by one, or one level short
         spec = GridSpec(1, 1.0, 64)
         fs = random_sequence(spec, range(0, 3), rng)
-        Ms = maximal_sequence(fs)
+        Ms = maximal_fn(fs)
         if mismatch == "spec":
-            Ms = maximal_sequence(random_sequence(GridSpec(1, 2.0, 64), range(0, 3), rng))
+            Ms = maximal_fn(random_sequence(GridSpec(1, 2.0, 64), range(0, 3), rng))
         elif mismatch == "k_min":
             Ms = VectorSequence(spec, fs.k_min + 1, Ms.values)
         else:
@@ -290,10 +297,10 @@ class TestKernelSum:
         zero = np.zeros(128)
         fs = VectorSequence(spec, 0, np.stack([np.abs(f0.values), zero, zero, zero]))
         ts = WeightSequence(Const(1.0), 0, 3)
-        got = kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, maximal_sequence(fs))
-        M0 = maximal_fn(f0)
-        gs = VectorSequence(spec, 0, np.stack([2.0 ** (-k) * M0.values for k in range(4)]))
-        want = lp_lq_norm(gs, 2.0, 2.0) / lp_lq_norm(fs, 2.0, 2.0)
+        got = kernel_sum_ratio(fs, ts, 1.0, "below", 2.0, 2.0, maximal_fn(fs))
+        M0 = maximal_of(f0)
+        gs = np.stack([2.0 ** (-k) * M0 for k in range(4)])
+        want = lp_lq_norm(gs, spec.cell_measure, 2.0, 2.0) / lp_lq_norm(fs.values, spec.cell_measure, 2.0, 2.0)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_direction_validation(self, rng):
@@ -301,7 +308,7 @@ class TestKernelSum:
         fs = random_sequence(spec, range(0, 2), rng)
         ts = WeightSequence(Const(1.0), 0, 1)
         with pytest.raises(ValueError):
-            kernel_sum_ratio(fs, ts, 1.0, "sideways", 2.0, 2.0, maximal_sequence(fs))
+            kernel_sum_ratio(fs, ts, 1.0, "sideways", 2.0, 2.0, maximal_fn(fs))
 
     def test_dyadic_weight_bounded(self, spec1k, pair1k, corpus1k):
         # t_k = 2^(k s) has rates (s, s); the kernel sum stays bounded for
@@ -310,7 +317,7 @@ class TestKernelSum:
         ts = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max)
         for mem in corpus1k[:3]:
             fs = band_magnitudes(mem.f, pair1k)
-            Ms = maximal_sequence(fs)
+            Ms = maximal_fn(fs)
             below = kernel_sum_ratio(fs, ts, s + 1.0, "below", 2.0, 2.0, Ms)
             above = kernel_sum_ratio(fs, ts, s - 1.0, "above", 2.0, 2.0, Ms)
             assert below < 100.0
@@ -326,19 +333,20 @@ class TestStackMatchesPerLevelReference:
         spec, levels = pair.gspec, pair.levels()
 
         def stack(gfs):
-            return VectorSequence(spec, pair.k_min, np.stack([g.values for g in gfs]))
+            return np.abs(np.stack([g.values for g in gfs]))
 
         def weighted(gfs):
             return stack([GridFunction(spec, ts.on_grid(spec, k).values * np.abs(g.values))
                           for k, g in zip(levels, gfs)])
 
         bands = [GridFunction(spec, row) for row in band_decompose(f, pair).values]
-        Ms = [maximal_fn(g) for g in bands]
+        Ms = [GridFunction(spec, maximal_of(g)) for g in bands]
+        cell = spec.cell_measure
         out = {
-            "fs": lp_lq_norm(stack(Ms), 2.0, 2.0) / lp_lq_norm(stack(bands), 2.0, 2.0),
+            "fs": lp_lq_norm(stack(Ms), cell, 2.0, 2.0) / lp_lq_norm(stack(bands), cell, 2.0, 2.0),
         }
         for q in (2.0, np.inf):
-            out[f"wm_{q}"] = lp_lq_norm(weighted(Ms), 2.0, q) / lp_lq_norm(weighted(bands), 2.0, q)
+            out[f"wm_{q}"] = lp_lq_norm(weighted(Ms), cell, 2.0, q) / lp_lq_norm(weighted(bands), cell, 2.0, q)
         for direction, K in (("below", 2.0), ("above", 0.0)):
             gs = []
             for k in levels:
@@ -346,7 +354,7 @@ class TestStackMatchesPerLevelReference:
                 for j in range(levels.start, k + 1) if direction == "below" else range(k, levels.stop):
                     acc = acc + 2.0 ** ((j - k) * K) * Ms[j - pair.k_min].values
                 gs.append(GridFunction(spec, acc))
-            out[direction] = lp_lq_norm(weighted(gs), 2.0, 2.0) / lp_lq_norm(weighted(bands), 2.0, 2.0)
+            out[direction] = lp_lq_norm(weighted(gs), cell, 2.0, 2.0) / lp_lq_norm(weighted(bands), cell, 2.0, 2.0)
         return out
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -361,7 +369,7 @@ class TestStackMatchesPerLevelReference:
         for f in members:
             want = self.reference(f, pair, ts)
             fs = band_magnitudes(f, pair)
-            Ms = maximal_sequence(fs)
+            Ms = maximal_fn(fs)
             assert fefferman_stein_ratio(fs, 2.0, 2.0, Ms) == want["fs"]
             for q in (2.0, np.inf):
                 assert weighted_maximal_ratio(fs, ts, 2.0, Ms, q=q) == want[f"wm_{q}"]
@@ -408,13 +416,13 @@ class TestSuiteStackReuse:
         import lpw.suites
 
         calls = Counter()
-        orig = lpw.maximal._maximal
+        orig = lpw.maximal.maximal_fn
 
-        def counted(a, spec, sizes):
-            calls[spec] += 1
-            return orig(a, spec, sizes)
+        def counted(fs):
+            calls[fs.spec] += 1
+            return orig(fs)
 
-        monkeypatch.setattr(lpw.maximal, "_maximal", counted)
+        monkeypatch.setattr(lpw.suites, "maximal_fn", counted)
         ctx = lpw.suites.RunContext(GridSpec(1, 4.0, 256), -2, 4, CubeFamily(-2, 5), corpus_size=2)
         assert lpw.suites.suite_maximal(ctx)["pass"]
         dbl = ctx.doubled()

@@ -10,9 +10,6 @@ from lpw.grid import (
     GridFunction,
     GridSpec,
     VectorSequence,
-    _lp,
-    _lp_lq_nonneg,
-    _lp_nonneg,
     level_index_range,
     lp_lq_norm,
     lp_norm,
@@ -100,8 +97,8 @@ def dense_seq_f_norm(coeffs, ws, spec, p, q):
         else:
             plain_acc += _paint(spec, mags**q) * 2.0 ** (k * n * q / 2.0) * t.values**q
             star_acc += _paint(spec, (mags * tkm) ** q * 2.0 ** (k * n * q * (0.5 + 1.0 / p)))
-    plain = lp_norm(GridFunction(spec, plain_acc ** (1.0 / qq)), p)
-    star = lp_norm(GridFunction(spec, star_acc ** (1.0 / qq)), p)
+    plain = lp_norm(plain_acc ** (1.0 / qq), spec.cell_measure, p)
+    star = lp_norm(star_acc ** (1.0 / qq), spec.cell_measure, p)
     return plain, star
 
 
@@ -182,7 +179,7 @@ class TestFunctionNorms:
         ws = sequence(pair1k, Const(1.0))
         for mem in corpus1k[:6]:
             val = tl(mem.f, pair1k, ws, 2.0, 2.0)
-            l2 = lp_norm(mem.f, 2.0)
+            l2 = lp_norm(np.abs(mem.f.values), spec1k.cell_measure, 2.0)
             assert c1 * l2 * (1 - 1e-9) <= val <= c2 * l2 * (1 + 1e-9)
 
     def test_p_inf_rejected(self, spec1k, pair1k, corpus1k):
@@ -328,7 +325,7 @@ class TestCarlesonStack:
             family = CubeFamily(v_min, v_max, translates)
             for q in (1.0, 2.0):
                 want = carleson_sup_former({k: G[k] for k in G.levels()}, spec, family, q)
-                assert carleson_sup(G, family, q) == want
+                assert carleson_sup(G, family, q, 1.0) == want
         assert np.array_equal(G.values, before)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -341,7 +338,7 @@ class TestCarlesonStack:
         G = VectorSequence(spec, k_min, rng.random((6, *spec.shape)))
         for v_min, v_max in ((k_min + 1, k_min + 3), (k_min + 4, spec.level_window()[1])):
             with pytest.raises(GridError, match=f"stack level {k_min} lies below level {v_min}"):
-                carleson_sup(G, CubeFamily(v_min, v_max, translates), 2.0)
+                carleson_sup(G, CubeFamily(v_min, v_max, translates), 2.0, 1.0)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("translates", [True, False])
@@ -354,7 +351,7 @@ class TestCarlesonStack:
         before = wb.values.copy()
         for family in (CubeFamily(spec.level_window()[0], k_min + 4, translates), CubeFamily(k_min, k_min + 2, translates)):
             for q in (0.5, 1.5, 2.0, 3.0):
-                want = carleson_sup(VectorSequence(wb.spec, wb.k_min, wb.values**q), family, q)
+                want = carleson_sup(VectorSequence(wb.spec, wb.k_min, wb.values**q), family, q, 1.0)
                 assert tl_infty_norm(wb, q, family) == want, (family, q)
         assert np.array_equal(wb.values, before)
 
@@ -366,7 +363,7 @@ class TestCarlesonStack:
         G = VectorSequence(spec, -1, values)
         held = {k: G[k] for k in (0, 3)}
         for family in (CubeFamily(*spec.level_window()), CubeFamily(-1, 3, False)):
-            assert carleson_sup(G, family, 2.0) == carleson_sup_former(held, spec, family, 2.0)
+            assert carleson_sup(G, family, 2.0, 1.0) == carleson_sup_former(held, spec, family, 2.0)
 
 
 class TestDecompositionInput:
@@ -457,18 +454,29 @@ class TestStackNorm:
                 stack_norm(wb, space, 2.0, 2.0, pair_family(pair1k))
 
     def test_nonneg_kernels_equal_public_norms(self, rng):
+        # lp_norm and lp_lq_norm take nonnegative arrays as they are: there
+        # they equal the former public forms, which took |samples| first
         spec = GridSpec(2, 2.0, 32)
+        cell = spec.cell_measure
         a = np.abs(rng.standard_normal((5, *spec.shape)))
         a[1] = 0.0
+
+        def former_lp(x, p):
+            x = np.abs(x)
+            return float(x.max(initial=0.0)) if np.isinf(p) else float((cell * (x**p).sum()) ** (1.0 / p))
+
+        def former_lp_lq(x, p, q):
+            x = np.abs(x)
+            return former_lp(x.max(axis=0) if np.isinf(q) else (x**q).sum(axis=0) ** (1.0 / q), p)
+
         for p in (0.7, 2.0, np.inf):
-            assert _lp_nonneg(a[0], spec.cell_measure, p) == _lp(a[0], spec.cell_measure, p)
+            assert lp_norm(a[0], cell, p) == former_lp(a[0], p)
             for q in (0.8, 2.0, np.inf):
-                want = lp_lq_norm(VectorSequence(spec, 0, a), p, q)
-                assert _lp_lq_nonneg(a, spec.cell_measure, p, q) == want
+                assert lp_lq_norm(a, cell, p, q) == former_lp_lq(a, p, q)
         signed = a - 0.5
-        # the public norms keep taking absolute values of signed data
-        assert lp_lq_norm(VectorSequence(spec, 0, signed), 2.0, 2.0) == _lp_lq_nonneg(np.abs(signed), spec.cell_measure, 2.0, 2.0)
-        assert _lp(signed[0], 1.0, 3.0) == _lp_nonneg(np.abs(signed[0]), 1.0, 3.0)
+        # a caller with signed samples passes their magnitudes
+        assert lp_lq_norm(np.abs(signed), cell, 2.0, 2.0) == former_lp_lq(signed, 2.0, 2.0)
+        assert lp_norm(np.abs(signed[0]), cell, 3.0) == former_lp(signed[0], 3.0)
 
 
 class TestSequenceNorms:
@@ -552,7 +560,7 @@ class TestDenseSequenceNorms:
             for p in (1.5, 2.0, 3.0, np.inf):
                 got = cube_lp(t, S, p, where)
                 for i, cells in cubes.items():
-                    assert got[i] == (_lp(t.values[cells], spec.cell_measure, p) if where[i] else 0.0)
+                    assert got[i] == (lp_norm(np.abs(t.values[cells]), spec.cell_measure, p) if where[i] else 0.0)
             vals = rng.random((hi - lo,) * n)
             want = np.zeros(spec.shape)
             for i, cells in cubes.items():
@@ -603,9 +611,9 @@ class TestDenseSequenceNorms:
         G = VectorSequence(spec1k, -5, np.ones((3, spec1k.N)))
         for family in (CubeFamily(-4, 6), CubeFamily(-6, 2, False)):
             with pytest.raises(GridError, match="stack level -5"):
-                carleson_sup(G, family, 1.0)
+                carleson_sup(G, family, 1.0, 1.0)
         # a stack from the coarsest level on still runs
-        assert carleson_sup(VectorSequence(spec1k, -4, np.ones((3, spec1k.N))), CubeFamily(-4, 6), 1.0) == 3.0
+        assert carleson_sup(VectorSequence(spec1k, -4, np.ones((3, spec1k.N))), CubeFamily(-4, 6), 1.0, 1.0) == 3.0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_f_infty_with_empty_middle_level(self, n):
@@ -808,7 +816,7 @@ class TestGrandMaximal:
                     for prof in d.profiles:
                         conv = np.fft.ifftn(prof.multiplier(spec, k) * np.fft.fftn(mem.f.values))
                         np.maximum(best, t * np.abs(conv), out=best)
-                want = lp_norm(GridFunction(spec, best), 2.0)
+                want = lp_norm(best, spec.cell_measure, 2.0)
                 assert hardy_grand_norm(mem.f, ts, 2.0, d) == want
 
     def test_multipliers_built_once_per_level(self, spec1k, corpus1k, monkeypatch):

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, _lp, level_index_range, lp_norm, weighted_lp_norm
+from lpw.grid import CubeFamily, GridError, GridFunction, GridSpec, level_index_range, lp_norm, weighted_lp_norm
 from lpw.lpaley import make_lp_pair
 from lpw.spaces import band_magnitudes, stack_norm
 from lpw.suites import CEILINGS
@@ -22,6 +22,11 @@ from lpw.weights import Const, FamilyNodes, Pow, Prod, ShiftPow, WeightSequence,
 # the pinned ceilings the suites pass: equivalence, and the coincidence pair
 EQ = CEILINGS["equivalence"]
 CO = (CEILINGS["coincidence"], CEILINGS["ap_hypothesis"])
+
+
+def l2(f):
+    """||f|L_2|| of a grid function: lp_norm of its magnitudes."""
+    return lp_norm(np.abs(f.values), f.spec.cell_measure, 2.0)
 
 
 def f22_norm(f, pair, ws):
@@ -184,14 +189,14 @@ class TestCorpus:
         # a member's name is its kind and its index
         assert [mem.name for mem in corpus[:4]] == ["multiband00", "single01", "spike02", "gauss03"]
         for mem in corpus:
-            assert lp_norm(mem.f, 2.0) == pytest.approx(1.0)
+            assert l2(mem.f) == pytest.approx(1.0)
             assert calderon_residual(mem.f, pair) <= 1e-6
 
 
 class TestEquivalence:
     def test_self_equivalence_exact(self, corpus1k):
         names = [m.name for m in corpus1k]
-        rep = ratio_report(names, [lp_norm(m.f, 2.0) for m in corpus1k], [lp_norm(m.f, 2.0) for m in corpus1k], EQ)
+        rep = ratio_report(names, [l2(m.f) for m in corpus1k], [l2(m.f) for m in corpus1k], EQ)
         assert rep["min_ratio"] == 1.0 and rep["max_ratio"] == 1.0
         assert rep["pass"]
 
@@ -222,7 +227,7 @@ class TestEquivalence:
     def test_report_invariants(self, spec1k, pair1k, corpus1k):
         # extremes bound every ratio and the witnesses reproduce them exactly
         ws = WeightSequence(Pow(0.3), pair1k.k_min, pair1k.k_max)
-        na = lambda f: lp_norm(f, 2.0)
+        na = l2
         nb = lambda f: f22_norm(f, pair1k, ws)
         rep = ratio_report([m.name for m in corpus1k], [na(m.f) for m in corpus1k], [nb(m.f) for m in corpus1k], EQ)
         assert all(rep["min_ratio"] <= r <= rep["max_ratio"] for r in rep["ratios"])
@@ -358,7 +363,7 @@ class TestDeltaCoefficients:
             for r in (0.5, 0.66, 0.95):
                 i = int(r * (hi - lo - 1))
                 cells = (slice(i * S, (i + 1) * S),) * n
-                n1, n2 = (_lp(t.on_grid(spec, k).values[cells], spec.cell_measure, p) for t in (t1, t2))
+                n1, n2 = (lp_norm(np.abs(t.on_grid(spec, k).values[cells]), spec.cell_measure, p) for t in (t1, t2))
                 ratios.append(n1 / n2)
         ok, info = delta_coefficient_check(t1, t2, p, spec, levels, CO[0])
         assert (info["min"], info["max"]) == (min(ratios), max(ratios))
@@ -489,8 +494,8 @@ class TestClassicalPaths:
         # square function whose norm the frame bounds control
         f = corpus1k[0].f
         v = classical_tl_norm(classical_band_magnitudes(f, pair1k), 0.0, 2.0, 2.0)
-        l2 = lp_norm(f, 2.0)
-        assert 0.9 * l2 <= v <= 1.5 * l2
+        norm2 = l2(f)
+        assert 0.9 * norm2 <= v <= 1.5 * norm2
 
     def test_besov_q_inf(self, pair1k, corpus1k):
         f = corpus1k[1].f
@@ -499,7 +504,7 @@ class TestClassicalPaths:
 
         bands = band_decompose(f, pair1k)
         want = max(
-            2.0 ** (0.5 * k) * lp_norm(GridFunction(f.spec, bands[k]), 2.0) for k in pair1k.levels()
+            2.0 ** (0.5 * k) * lp_norm(np.abs(bands[k]), f.spec.cell_measure, 2.0) for k in pair1k.levels()
         )
         assert got == pytest.approx(want, rel=1e-12)
 

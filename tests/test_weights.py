@@ -227,6 +227,21 @@ class TestQuadratureEngine:
         got = nodes.means(Pow(1.0), np.inf)[nodes.orbit[idx]]
         assert 0.9 < got <= 1.0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("v_min", [-5, -6])
+    def test_cube_wholly_past_the_seam(self, n, v_min):
+        # below the coarsest level -log2(2R) = -4 the translate of the clipped
+        # cube [0, 8) at R = 8 is [16, 24), wholly past +R: it is meshed as its
+        # periodic image [0, 8), where it read the reversed piece (16, 8) and
+        # a NaN mean
+        nodes = FamilyNodes(8.0, n, CubeFamily(v_min, 3))
+        means = nodes.means(Pow(0.3), 2.0)
+        assert np.all(np.isfinite(means))
+        assert np.all(nodes.means(Const(1.0), 2.0) == 1.0)
+        meta = family_cubes(nodes)
+        past, image = (meta.index((-5, (0,) * n, translated)) for translated in (True, False))
+        assert means[nodes.orbit[past]] == means[nodes.orbit[image]]
+
     def test_2d_means(self):
         nodes = FamilyNodes(2.0, 2, CubeFamily(0, 2))
         meta = family_cubes(nodes)
