@@ -69,12 +69,13 @@ class RunConfig:
     def __init__(self, raw: dict, seed_override: int | None = None):
         self.raw = raw
         self._read: dict[str | None, set[str]] = {}  # the fields read, by section; None for top-level
+        require(self._flag("grid.offset", True), "grid.offset", "must be true: samples sit at the cell centres, "
+                "since the plain lattice -R + i h holds the origin, where pow weights have no positive finite value")
         try:
             spec = GridSpec(
                 n=self._int("grid.n", 1),
                 R=self._number("grid.R", 8.0),
                 N=self._int("grid.N", 4096),
-                offset=self._flag("grid.offset", True),
             )
         except GridError as exc:
             raise ConfigError("grid", str(exc)) from None
@@ -224,8 +225,6 @@ class RunConfig:
                     f"weights {weights} takes the Muckenhoupt constant A_p, which needs 1 < p < inf, got {p:g}")
         for name, s in zip(suites, records):
             require(ctx.spec.n == 1 or not s.one_d, "grid.n", f"suite {name} runs on 1D grids only: {s.one_d}")
-            require(ctx.spec.offset or not s.offset, "grid.offset", f"suite {name} needs a grid shifted off the "
-                    f"origin: {s.offset}, which has no positive finite value there")
         depths = [s.family_depth for s in records if s.family_depth is not None] + [0] * bool(weights)
         if depths:  # the cubes of the deepest family, counted before any node is built
             family = replace(ctx.family, v_max=ctx.family.v_max + max(depths))
@@ -447,7 +446,7 @@ def cmd_verify(cfg: RunConfig, suite_names: list[str], out: Path) -> int:
         timings[name] = time.perf_counter() - t0
     report = {"pass": all(r["pass"] for r in results), "suites": results}
     report["meta"] = {
-        "grid": {"n": ctx.spec.n, "R": ctx.spec.R, "N": ctx.spec.N, "offset": ctx.spec.offset},
+        "grid": {"n": ctx.spec.n, "R": ctx.spec.R, "N": ctx.spec.N, "offset": True},
         "levels": {"k_min": ctx.k_min, "k_max": ctx.k_max},
         "cubes": {"v_min": ctx.family.v_min, "v_max": ctx.family.v_max,
                   "translates": ctx.family.translates},

@@ -1,9 +1,9 @@
 """Sampled functions on a periodized box, dyadic levels, and Lebesgue-type norms.
 
 The computational domain is the torus [-R, R)^n sampled on a uniform lattice
-of N points per axis.  With the half-cell offset enabled (the default) the
-sample points are x = -R + (i + 1/2) h, so no sample ever sits at the origin
-and singular expressions like |x|^a stay finite on the lattice.
+of N points per axis at the cell centres x = -R + (i + 1/2) h, so no sample
+ever sits at the origin and singular expressions like |x|^a stay finite on
+the lattice.
 
 All integrals are midpoint sums: integral(f) ~ h^n * sum(samples).  A level-v
 dyadic cube Q = 2^-v ([0,1)^n + m), m in level_index_range(R, v), is a block
@@ -43,7 +43,6 @@ class GridSpec:
     n: int
     R: float
     N: int
-    offset: bool = True
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -66,8 +65,7 @@ class GridSpec:
         return self.h**self.n
 
     def axis(self) -> np.ndarray:
-        shift = 0.5 if self.offset else 0.0
-        return -self.R + (np.arange(self.N) + shift) * self.h
+        return -self.R + (np.arange(self.N) + 0.5) * self.h
 
     def radius(self) -> np.ndarray:
         """|x| at every sample point: one read-only array per spec."""
@@ -81,15 +79,14 @@ class GridSpec:
 
     def dft_phase(self) -> np.ndarray:
         """Per-axis phase relating numpy's DFT to the continuum transform
-        h * sum_i u_i exp(-i xi x_i) with x_i = -R + (i + gamma) h: one
+        h * sum_i u_i exp(-i xi x_i) with x_i = -R + (i + 1/2) h: one
         read-only array per spec."""
         return self._dft_phase
 
     @cached_property
     def _dft_phase(self) -> np.ndarray:
         j = np.fft.fftfreq(self.N, 1.0 / self.N)  # signed integer frequencies
-        gamma = 0.5 if self.offset else 0.0
-        ph = np.exp(1j * np.pi * j) * np.exp(-2j * np.pi * j * gamma / self.N)
+        ph = np.exp(1j * np.pi * j) * np.exp(-2j * np.pi * j * 0.5 / self.N)
         ph.flags.writeable = False
         return ph
 
@@ -297,7 +294,7 @@ def save_grid_function(f: GridFunction, prefix: str | Path) -> None:
         "n": f.spec.n,
         "R": f.spec.R,
         "N": f.spec.N,
-        "offset": f.spec.offset,
+        "offset": True,
         "complex": complex_flag,
     }
     prefix.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
@@ -306,7 +303,9 @@ def save_grid_function(f: GridFunction, prefix: str | Path) -> None:
 def load_grid_function(prefix: str | Path) -> GridFunction:
     prefix = Path(prefix)
     sidecar = json.loads(prefix.with_suffix(".json").read_text())
-    spec = GridSpec(n=sidecar["n"], R=sidecar["R"], N=sidecar["N"], offset=sidecar["offset"])
+    if sidecar["offset"] is not True:  # samples at -R + i h, read as cell centres, would move half a cell
+        raise GridError(f"the sidecar's offset is {sidecar['offset']!r}: only cell-centred samples load")
+    spec = GridSpec(n=sidecar["n"], R=sidecar["R"], N=sidecar["N"])
     raw = np.fromfile(prefix.with_suffix(".bin"), dtype=np.float64)
     if sidecar["complex"]:
         raw = raw.reshape(spec.shape + (2,))

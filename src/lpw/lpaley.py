@@ -30,7 +30,7 @@ class LevelError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Spectral transforms on the (possibly offset) sample lattice
+# Spectral transforms on the sample lattice
 # ---------------------------------------------------------------------------
 
 
@@ -171,12 +171,11 @@ def band_decompose(f: GridFunction, pair: LPPair, lattice: bool = False) -> Vect
     of every level of the pair window, from one forward transform of f, as
     the rows of one level stack (real when f is: the multipliers are real,
     and sample-position phases cancel for multipliers).  With lattice, the
-    bands are taken at the plain lattice y_i = -R + i h: on an offset grid by
-    the half-cell translation exp(-i xi h/2) per axis, exact for band-limited
-    data, and on a plain grid they are the samples themselves."""
+    bands are taken at the plain lattice y_i = -R + i h by the half-cell
+    translation exp(-i xi h/2) per axis, exact for band-limited data."""
     F = np.fft.fftn(f.values)
     real = np.isrealobj(f.values)
-    axes = range(f.spec.n) if lattice and f.spec.offset else ()
+    axes = range(f.spec.n) if lattice else ()
     shift = np.exp(-1j * np.pi * np.fft.fftfreq(f.spec.N, 1.0 / f.spec.N) / f.spec.N) if axes else None
     bands = np.empty((len(pair.levels()), *f.spec.shape), dtype=float if real else complex)
     for row, k in zip(bands, pair.levels()):

@@ -118,7 +118,7 @@ class RunContext:
     def doubled(self) -> "RunContext":
         """This run on the grid of 2N points per axis: a fresh context on each
         call, so what it builds lives only as long as its reader holds it."""
-        return replace(self, spec=GridSpec(self.spec.n, self.spec.R, self.spec.N * 2, self.spec.offset))
+        return replace(self, spec=GridSpec(self.spec.n, self.spec.R, self.spec.N * 2))
 
     def weights(self) -> dict[str, WeightSpec]:
         """The weight matrix parsed, by name in sorted order."""
@@ -557,7 +557,7 @@ def suite_maximal(ctx: RunContext) -> dict:
         corner = tuple(int(rng.integers(0, spec.N)) for _ in range(spec.n))
         direct = ext[tuple(slice(i, i + w) for i in corner)].sum()
         worst_err = max(worst_err, abs(table[w][corner] - direct) / max(direct, 1e-300))
-    small = GridSpec(spec.n, spec.R, 128 if spec.n == 1 else 16, spec.offset)
+    small = GridSpec(spec.n, spec.R, 128 if spec.n == 1 else 16)
     fsmall = GridFunction(small, rng.normal(size=small.shape))
     fast = maximal_fn(VectorSequence(small, 0, np.abs(fsmall.values)[None]))[0]
     diff = np.abs(fast - maximal_fn_bruteforce(fsmall).values).max()
@@ -670,12 +670,11 @@ class Suite:
     family_depth: int | None = None  # it builds cube quadratures (FamilyNodes), this many levels past cubes.v_max
     scans: bool = False  # it runs Carleson scans, which sum each cube's levels from its own level up
     one_d: str | None = None  # why it has no 2D form yet
-    offset: str | None = None  # its weight with no positive finite value at the origin, a point of an unshifted grid
     refuse: Callable[[RunContext], None] | None = None  # a rule only it has, which raises ConfigError
 
 
 SUITES = {
-    "selfequiv": Suite(suite_selfequiv, pair=True, offset="its doubling check samples pow:0.3"),
+    "selfequiv": Suite(suite_selfequiv, pair=True),
     "hoelder": Suite(suite_hoelder, family_depth=0),
     "muckenhoupt": Suite(suite_muckenhoupt, family_depth=10, one_d="its alphas bound the 1D class: |x|^a is in "
                          "A_p(R^n) iff -n < a < n(p-1), so its 'grow' case a = 1.5 lies inside the 2D class at "
@@ -683,11 +682,11 @@ SUITES = {
     "partition": Suite(suite_partition, pair=True),
     "calderon": Suite(suite_calderon, pair=True),
     "classical": Suite(suite_classical, pair=True),
-    "seqnorm": Suite(suite_seqnorm, offset="it samples pow:0.3 and the weight matrix", refuse=_refuse_seqnorm),
-    "newnorm": Suite(suite_newnorm, pair=True, scans=True, offset="it samples pow:0.3 and pow:-0.2"),
-    "coincidence": Suite(suite_coincidence, pair=True, family_depth=0, offset="it samples pow:0.3 and pow:-0.3",
+    "seqnorm": Suite(suite_seqnorm, refuse=_refuse_seqnorm),
+    "newnorm": Suite(suite_newnorm, pair=True, scans=True),
+    "coincidence": Suite(suite_coincidence, pair=True, family_depth=0,
                          one_d="its origin spikes (verify.spike_family) are 1D members"),
-    "maximal": Suite(suite_maximal, pair=True, offset="its weighted ratio samples pow:0.3"),
+    "maximal": Suite(suite_maximal, pair=True),
     "xclassfit": Suite(suite_xclassfit, family_depth=0, refuse=refuse_xclass),
     "bmo": Suite(suite_bmo, pair=True, scans=True),
 }

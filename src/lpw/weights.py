@@ -88,8 +88,7 @@ class WeightSpec:
         with np.errstate(divide="ignore"):
             vals = self.eval(spec.radius(), k)
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
-            raise WeightError(f"weight {self.key()} is not positive finite on the grid"
-                              + ("" if spec.offset else " (an offset grid avoids samples at the origin)"))
+            raise WeightError(f"weight {self.key()} is not positive finite on the grid")
         return GridFunction(spec, vals)
 
 
@@ -560,7 +559,7 @@ class FamilyNodes:
     def _append_regular(self, lo, hi):
         """One batch for the regular representatives, holding only their
         interval ends (B, n): row i's nodes on axis j are lo[i, j] + (hi[i, j]
-        - lo[i, j]) * offs, _FLAT_NODES midpoint offsets."""
+        - lo[i, j]) * offs, offs the _FLAT_NODES cell midpoints of [0, 1)."""
         if lo.shape[0] == 0:
             return
         n, K = self.n, _FLAT_NODES

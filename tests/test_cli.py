@@ -79,6 +79,7 @@ class TestConfigValidation:
         pytest.param({"grid.R": [1]}, "config field 'grid.R'", id="R_list"),
         pytest.param({"grid.R": True}, "config field 'grid.R'", id="R_bool"),
         pytest.param({"grid.offset": "false"}, "config field 'grid.offset'", id="offset_string"),
+        pytest.param({"grid.offset": False}, "config field 'grid.offset'", id="offset_false"),
         pytest.param({"cubes.translates": 0}, "config field 'cubes.translates'", id="translates_int"),
         pytest.param({"grid.N": 512.5}, "config field 'grid.N'", id="N_fraction"),
         pytest.param({"corpus.size": True}, "config field 'corpus.size'", id="size_bool"),
@@ -266,7 +267,7 @@ SWEEP_CONFIGS = {
 SWEEP_CONFIGS["1d_unshifted"] = {**SWEEP_CONFIGS["1d"], "grid.offset": False}
 # the field that refuses a suite on each sweep grid, and the suites it refuses
 SWEEP_REFUSED = {"2d": ("grid.n", {name for name, s in SUITES.items() if s.one_d}),
-                 "1d_unshifted": ("grid.offset", {name for name, s in SUITES.items() if s.offset})}
+                 "1d_unshifted": ("grid.offset", set(SUITES))}
 
 
 class TestSuiteSweep:
@@ -305,7 +306,7 @@ class TestRegistry:
 
 @st.composite
 def small_configs(draw):
-    """A small config: n, R, N and offset, then levels and cube levels that
+    """A small config: n, R and N, then levels and cube levels that
     start inside the grid's level window and end inside it or one above, a
     corpus and a list of suites."""
     n = draw(st.sampled_from([1, 2]))
@@ -315,7 +316,7 @@ def small_configs(draw):
     k_min = draw(st.integers(lo, hi))
     v_min = draw(st.integers(lo, hi))
     return {
-        "grid": {"n": n, "R": R, "N": N, "offset": draw(st.booleans())},
+        "grid": {"n": n, "R": R, "N": N},
         "levels": {"k_min": k_min, "k_max": draw(st.integers(k_min, hi + 1))},
         "cubes": {"v_min": v_min, "v_max": draw(st.integers(v_min, hi + 1)), "translates": draw(st.booleans())},
         "corpus": {"size": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 2**32 - 1))},
@@ -453,28 +454,29 @@ class TestFrozenLevel:
 
 
 class TestUnshiftedGrid:
-    """An unshifted grid holds a sample at the origin: a norm weight with no
-    positive finite value there is refused before the run."""
+    """grid.offset: false, the plain lattice that holds the origin, is
+    refused before the run on grid.offset: cell centres are the one grid."""
 
     @pytest.mark.parametrize("space", ["F", "B", "F_inf", "Lp", "Hardy"])
     def test_norm_weight_singular_at_origin_refused(self, tmp_path, capsys, space):
         for weight in ("pow:0.3", "pow:-0.2"):
             path = write_config(tmp_path, {"grid.offset": False, "norm.space": space, "norm.weight": weight})
             assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 2
-            assert "config field 'norm.weight'" in capsys.readouterr().err
+            assert "config field 'grid.offset'" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("space, weight", [("F", "shiftpow:0.4,1"), ("Lp", "dyadic:0.5"), ("BMO", "pow:0.3")])
-    def test_norm_runs_where_weight_is_finite_or_unused(self, tmp_path, space, weight):
-        path = write_config(tmp_path, {"grid.offset": False, "norm.space": space, "norm.weight": weight})
-        assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    def test_norm_runs_where_weight_is_finite_or_unused(self, tmp_path, capsys, space, weight):
+        # refused whatever the weight; on the cell-centred grid the same norm runs
+        for offset, rc in ((False, 2), (True, 0)):
+            path = write_config(tmp_path, {"grid.offset": offset, "norm.space": space, "norm.weight": weight})
+            assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == rc
 
 
 class TestWeightRange:
     """A norm weight or a weight-matrix entry whose level factor 2^(k s)
     under- or overflows on a level the run reads is refused before the run,
-    not by an OverflowError or a WeightError with an offset-grid hint mid-run
-    (exit 3)."""
+    not by an OverflowError or a WeightError mid-run (exit 3)."""
 
     _PRODUCTS = {"prod:[dyadic:600,dyadic:-600]": 0, "prod:[dyadic:150,dyadic:-300]": 0,
                  "prod:[dyadic:150,dyadic:150]": 2, "prod:[pow:0.3,prod:[dyadic:-400,const:2]]": 2}
@@ -703,7 +705,8 @@ class TestInputFiles:
     file, or one sampled on another grid, exits 2 naming its field."""
 
     @pytest.mark.parametrize("command", ["norm", "decompose"])
-    @pytest.mark.parametrize("fault", ["missing", "sidecar_not_json", "sidecar_without_N", "other_grid"])
+    @pytest.mark.parametrize("fault", ["missing", "sidecar_not_json", "sidecar_without_N", "sidecar_unshifted",
+                                       "other_grid"])
     def test_bad_input_names_field(self, tmp_path, capsys, rng, command, fault):
         prefix = tmp_path / "f"
         if fault != "missing":
@@ -713,6 +716,8 @@ class TestInputFiles:
             prefix.with_suffix(".json").write_text("{not json")
         elif fault == "sidecar_without_N":
             prefix.with_suffix(".json").write_text('{"n": 1, "R": 8.0, "offset": true, "complex": false}')
+        elif fault == "sidecar_unshifted":  # samples at -R + i h, which would load half a cell off
+            prefix.with_suffix(".json").write_text('{"n": 1, "R": 8.0, "N": 512, "offset": false, "complex": false}')
         path = write_config(tmp_path, {f"{command}.input": str(prefix)})
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out", str(out)]) == 2
@@ -872,6 +877,7 @@ class TestOtherCommands:
         assert main(["decompose", "--config", path, "--out", str(out)]) == 0
         bins = sorted(out.glob("bands_*/band_*.bin"))
         assert len(bins) == 9  # levels -3..5
+        assert json.loads(bins[0].with_suffix(".json").read_text())["offset"] is True
 
     @pytest.mark.parametrize("member", [4, 8])
     def test_decompose_exports_the_named_member(self, tmp_path, member):

@@ -42,7 +42,6 @@ class TestGridSpec:
     def test_offset_avoids_origin(self):
         spec = GridSpec(1, 1.0, 16)
         assert np.abs(spec.axis()).min() == pytest.approx(spec.h / 2)
-        assert 0.0 in GridSpec(1, 1.0, 16, offset=False).axis()
 
     def test_spacing(self):
         assert GridSpec(1, 8.0, 4096).h == pytest.approx(2 ** -8)

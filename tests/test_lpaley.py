@@ -19,16 +19,15 @@ from lpw.suites import RunContext, suite_partition
 from lpw.verify import make_corpus
 
 
-def lattice_formula(f, mult):
-    """(m(D) f) at the plain lattice y_i = -R + i h by one transform of f per
-    multiplier: the per-level formula analyze used before it read
-    band_decompose, kept here as the reference it must match bit for bit."""
+def lattice_formula(f, mult, lattice=True):
+    """(m(D) f) at the plain lattice y_i = -R + i h, or at f's samples, by one
+    transform of f per multiplier: the per-level formula analyze used before
+    it read band_decompose, kept here as the reference it must match bit for bit."""
     F = np.fft.fftn(np.asarray(f.values, dtype=complex)) * mult
-    if f.spec.offset:
-        j = np.fft.fftfreq(f.spec.N, 1.0 / f.spec.N)
-        shift = np.exp(-1j * np.pi * j / f.spec.N)  # exp(-i xi h/2)
-        for ax in range(f.spec.n):
-            F = F * shift.reshape([-1 if a == ax else 1 for a in range(f.spec.n)])
+    j = np.fft.fftfreq(f.spec.N, 1.0 / f.spec.N)
+    shift = np.exp(-1j * np.pi * j / f.spec.N)  # exp(-i xi h/2)
+    for ax in range(f.spec.n) if lattice else ():
+        F = F * shift.reshape([-1 if a == ax else 1 for a in range(f.spec.n)])
     out = np.fft.ifftn(F)
     return out.real if np.isrealobj(f.values) else out
 
@@ -102,13 +101,12 @@ class TestPairBuild:
     """
 
     @pytest.mark.parametrize(
-        "n,R,N,offset,k_min,k_max",
-        [(1, 8.0, 4096, True, -3, 8), (2, 2.0, 256, True, -1, 5), (2, 2.0, 256, False, -1, 5),
-         (2, 2.0, 512, True, -1, 6)],
-        ids=["1d-4096", "2d-256", "2d-256-plain", "2d-512"],
+        "n,R,N,k_min,k_max",
+        [(1, 8.0, 4096, -3, 8), (2, 2.0, 256, -1, 5), (2, 2.0, 512, -1, 6)],
+        ids=["1d-4096", "2d-256", "2d-512"],
     )
-    def test_equals_per_level_formula(self, n, R, N, offset, k_min, k_max):
-        spec = GridSpec(n, R, N, offset)
+    def test_equals_per_level_formula(self, n, R, N, k_min, k_max):
+        spec = GridSpec(n, R, N)
         pair = make_lp_pair(spec, k_min, k_max)
         rho = spec.freq_radius()
         for k in pair.levels():
@@ -211,18 +209,22 @@ class TestLatticeValues:
         # at f's own, half-cell shifted samples the band is the wave itself
         np.testing.assert_allclose(band_decompose(f, pair1k)[3], f.values, atol=1e-13)
 
-    @pytest.mark.parametrize("offset", [True, False])
+    @pytest.mark.parametrize("lattice", [True, False])
     @pytest.mark.parametrize("kind", ["real_1d", "complex_1d", "real_2d", "complex_2d"])
-    def test_shared_spectrum_equals_per_level_call(self, offset, kind, rng):
-        # analyze takes every level from one shared transform; each must be
-        # the very bits of the per-level lattice formula, subsampled
-        spec = GridSpec(2, 2.0, 32, offset) if kind.endswith("2d") else GridSpec(1, 8.0, 512, offset)
+    def test_shared_spectrum_equals_per_level_call(self, lattice, kind, rng):
+        # band_decompose takes every level from one shared transform; each
+        # must be the very bits of the per-level formula, and analyze's the
+        # lattice rows subsampled
+        spec = GridSpec(2, 2.0, 32) if kind.endswith("2d") else GridSpec(1, 8.0, 512)
         values = rng.normal(size=spec.shape) * (1.0 - 0.5j if kind.startswith("complex") else 1.0)
         f = GridFunction(spec, values)
         pair = make_lp_pair(spec, -1, 3)
-        coeffs = analyze(f, pair)
+        bands, coeffs = band_decompose(f, pair, lattice=lattice), analyze(f, pair)
         for k in pair.levels():
-            vals = lattice_formula(f, pair.phi_mult[k])
+            vals = lattice_formula(f, pair.phi_mult[k], lattice)
+            assert bands[k].dtype == vals.dtype and np.array_equal(bands[k], vals), k
+            if not lattice:
+                continue
             ms = pair.positions(k)
             idx = (spec.cells(k) * ms + spec.N // 2) % spec.N
             lo, hi = level_index_range(spec.R, k)
@@ -245,18 +247,18 @@ class TestLatticeValues:
 
 
 class TestTransform:
-    @pytest.mark.parametrize("offset", [True, False])
-    def test_dft_phase_one_read_only_array_per_spec(self, offset):
-        spec = GridSpec(1, 8.0, 64, offset)
+    @pytest.mark.parametrize("real", [True, False])
+    def test_dft_phase_one_read_only_array_per_spec(self, real):
+        spec = GridSpec(1, 8.0, 64)
         ph = spec.dft_phase()
         assert spec.dft_phase() is ph
         assert not ph.flags.writeable
         j = np.fft.fftfreq(spec.N, 1.0 / spec.N)
-        gamma = 0.5 if offset else 0.0
+        gamma = 0.5  # x_i = -R + (i + gamma) h
         assert (ph == np.exp(1j * np.pi * j) * np.exp(-2j * np.pi * j * gamma / spec.N)).all()
-        f = GridFunction(spec, np.random.default_rng(1).standard_normal(spec.N))
+        f = GridFunction(spec, np.random.default_rng(1).standard_normal(spec.N) * (1.0 if real else 1.0 - 0.5j))
         F = spec.cell_measure * np.fft.fft(f.values) * ph  # the continuum coefficients F(xi_j)
-        assert np.allclose(from_spectrum(spec, F), f.values, rtol=0, atol=1e-12)
+        assert np.allclose(from_spectrum(spec, F, real=real), f.values, rtol=0, atol=1e-12)
         assert spec.dft_phase() is ph and (ph == spec.dft_phase()).all()
 
     def test_analyze_zero(self, spec1k, pair1k):

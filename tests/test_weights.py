@@ -125,9 +125,9 @@ class TestGrammar:
         np.testing.assert_allclose(w.power(3).eval(r), r**1.5)
 
     def test_grid_positivity_guard(self):
-        spec = GridSpec(1, 1.0, 16, offset=False)
-        with pytest.raises(WeightError):
-            Pow(-0.5).on_grid(spec)
+        spec = GridSpec(1, 1.0, 16)
+        with np.errstate(over="ignore"), pytest.raises(WeightError, match="not positive finite on the grid"):
+            Pow(-2000).on_grid(spec)  # (h/2)^-2000 = 16^2000 overflows
 
 
 def factorwise(w, r, k):
@@ -171,7 +171,7 @@ class TestOneRule:
         # factor-by-factor product bit for bit on the grid and its doubling;
         # they are radial and evaluated pointwise, so each radius is taken once
         grid = json.loads((Path(__file__).resolve().parents[1] / config).read_text())["grid"]
-        r = np.unique(GridSpec(grid["n"], grid["R"], grid["N"] * scale, offset=grid["offset"]).radius())
+        r = np.unique(GridSpec(grid["n"], grid["R"], grid["N"] * scale).radius())
         base = [parse_weight(text) for text in DEFAULT_WEIGHT_MATRIX.values()]
         base += [Const(c) * Pow(0.3) for c in (0.1, 7.0)]
         for w in base + [w.frozen(j) for w in base for j in range(-3, 4)]:
