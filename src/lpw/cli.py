@@ -127,8 +127,9 @@ class RunConfig:
         require(isinstance(suites, list) and bool(suites) and all(isinstance(name, str) for name in suites),
                 "suites", f"expected a list of one or more suite names, got {suites!r}")
         self.suites = list(suites)
-        for name in self.suites:
+        for i, name in enumerate(self.suites):
             require(name in ALL_SUITES, "suites", f"unknown suite {name!r}")
+            require(name not in self.suites[:i], "suites", f"{name!r} is named twice, so verify all would run it twice")
         self.norm_space = self._get("norm.space", "F")
         require(self.norm_space in ("B", "F", "F_inf", "Lp", "Hardy", "BMO"), "norm.space",
                 f"unknown space {self.norm_space!r}")
@@ -144,6 +145,8 @@ class RunConfig:
             raise ConfigError("norm.weight", str(exc)) from None
         self.frozen_level = self._int("norm.frozen_level", 0)
         self.member = self._int("decompose.member", 0)
+        require(0 <= self.member < corpus_size, "decompose.member",
+                f"{self.member} names no member of the corpus, whose members are 0 to {corpus_size - 1}")
         # "corpus" or the file that lpw norm or lpw decompose reads
         self.inputs = {command: self._get(f"{command}.input", "corpus") for command in ("norm", "decompose")}
         # the reads above are the one statement of the schema: a key that
@@ -370,7 +373,7 @@ def cmd_decompose(cfg: RunConfig, out: Path, source: tuple[str, GridFunction] | 
     if source is None:
         # members are drawn in order from one generator, so the first
         # member + 1 draws end with the member ctx.corpus()[member]
-        mem = make_corpus(ctx.spec, ctx.pair(), cfg.member % ctx.corpus_size + 1, ctx.seed)[-1]
+        mem = make_corpus(ctx.spec, ctx.pair(), cfg.member + 1, ctx.seed)[-1]
         source = mem.name, mem.f
     name, f = source
     bands = band_decompose(f, ctx.pair())

@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lpw.cli
+import lpw.suites
 from lpw.cli import CUBE_BUDGET, RunConfig, main
 from lpw.grid import CubeFamily, GridFunction, GridSpec, save_grid_function
-from lpw.suites import ALL_SUITES, SUITES, suite_bmo, suite_maximal, suite_newnorm
+from lpw.suites import ALL_SUITES, SUITES, _suite, suite_bmo, suite_maximal, suite_newnorm
 
 
 SMALL_CONFIG = {
@@ -106,6 +107,11 @@ class TestConfigValidation:
         pytest.param({"exponents": []}, "config field 'exponents'", id="exponents_empty"),
         pytest.param({"weights": {}}, "config field 'weights'", id="weights_empty"),
         pytest.param({"suites": []}, "config field 'suites'", id="suites_empty"),
+        # a repeated suite ran twice, with two report entries and the second
+        # run's time printed for both; a member past the corpus wrapped round
+        pytest.param({"suites": ["partition", "partition"]}, "config field 'suites': 'partition' is named twice",
+                     id="suites_repeated"),
+        pytest.param({"decompose.member": 6}, "config field 'decompose.member'", id="member_past_corpus"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, overrides)
@@ -302,6 +308,42 @@ class TestRegistry:
         words = {word for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
                  for word in re.findall(r"\w+", node.value)}
         assert words.isdisjoint(SUITES)
+
+
+# the suites whose verdict _suite derives from their records
+DERIVED = ["muckenhoupt", "hoelder", "classical", "newnorm", "coincidence", "maximal", "xclassfit", "bmo"]
+
+
+class TestVerdictRule:
+    """A suite passes when every record passes; only the four suites whose
+    verdict rests on values no record carries give it explicitly."""
+
+    def test_one_failing_record_fails_the_suite(self):
+        assert _suite("x", {}, [{"pass": True}, {"pass": True}])["pass"] is True
+        assert _suite("x", {}, [{"pass": True}, {"pass": np.False_}])["pass"] is False
+
+    def test_explicit_verdict_wins(self):
+        assert _suite("x", {}, [{"pass": True}], passed=False)["pass"] is False
+        assert _suite("x", {}, [], passed=np.True_)["pass"] is True
+
+    def test_four_suites_give_their_verdict(self):
+        tree = ast.parse(Path(lpw.suites.__file__).read_text())
+        explicit = {node.args[0].value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_suite" and (len(node.args) > 3 or node.keywords)}
+        assert explicit == {"selfequiv", "partition", "calderon", "seqnorm"}
+        assert explicit.isdisjoint(DERIVED) and sorted(explicit.union(DERIVED)) == sorted(SUITES)
+
+    def test_verdict_is_the_records_conjunction(self, tmp_path):
+        # smoke.json fails coincidence, so a failing verdict is checked too
+        smoke = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "smoke.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**smoke, "suites": DERIVED}))
+        assert main(["verify", "all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [suite["suite"] for suite in report["suites"]] == DERIVED
+        verdicts = {suite["suite"]: suite["pass"] for suite in report["suites"]}
+        assert verdicts == {suite["suite"]: all(rec["pass"] for rec in suite["records"]) for suite in report["suites"]}
+        assert verdicts["coincidence"] is False
 
 
 @st.composite
@@ -879,18 +921,26 @@ class TestOtherCommands:
         assert len(bins) == 9  # levels -3..5
         assert json.loads(bins[0].with_suffix(".json").read_text())["offset"] is True
 
-    @pytest.mark.parametrize("member", [4, 8])
+    @pytest.mark.parametrize("member", [4, 5])
     def test_decompose_exports_the_named_member(self, tmp_path, member):
         path = write_config(tmp_path, {"decompose.member": member})
         out = tmp_path / "out"
         assert main(["decompose", "--config", path, "--out", str(out)]) == 0
         ctx = RunConfig(json.loads(Path(path).read_text())).ctx
-        mem = ctx.corpus()[member % SMALL_CONFIG["corpus"]["size"]]
+        mem = ctx.corpus()[member]
         export_bands(mem.f, ctx.pair(), tmp_path / "want")
         got = sorted(p.name for p in (out / f"bands_{mem.name}").iterdir())
         assert got == sorted(p.name for p in (tmp_path / "want").iterdir()) and got
         for name in got:
             assert (out / f"bands_{mem.name}" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+    @pytest.mark.parametrize("member", [-1, 6, 8])
+    def test_decompose_refuses_a_member_outside_the_corpus(self, tmp_path, capsys, member):
+        # member 8 of the 6-member corpus exported member 2 without a word
+        path = write_config(tmp_path, {"decompose.member": member})
+        assert main(["decompose", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config field 'decompose.member'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_weights_rh_removed(self, tmp_path, capsys):
         # the reverse-Hoelder probe had no verdict, and its op is gone
