@@ -31,6 +31,7 @@ from .suites import (
     ConfigError,
     RunContext,
     refuse_xclass,
+    refused,
     require,
     require_level_factors,
     require_on_grid,
@@ -51,7 +52,7 @@ def _parse_exponent(value, field: str) -> float:
         return math.inf
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = math.nan
     # float() would take true as 1.0
     require(not isinstance(value, bool) and out > 0, field, f"expected a positive number or 'inf', got {value!r}")
@@ -71,35 +72,23 @@ class RunConfig:
         self._read: dict[str | None, set[str]] = {}  # the fields read, by section; None for top-level
         require(self._flag("grid.offset", True), "grid.offset", "must be true: samples sit at the cell centres, "
                 "since the plain lattice -R + i h holds the origin, where pow weights have no positive finite value")
-        try:
+        with refused("grid", GridError, OverflowError):  # GridSpec overflows on an N past the largest double
             spec = GridSpec(
                 n=self._int("grid.n", 1),
                 R=self._number("grid.R", 8.0),
                 N=self._int("grid.N", 4096),
             )
-        except GridError as exc:
-            raise ConfigError("grid", str(exc)) from None
         k_min = self._int("levels.k_min", -3)
         k_max = self._int("levels.k_max", 8)
         require(k_min <= k_max, "levels.k_min", "k_min exceeds k_max")
         v_min = self._int("cubes.v_min", -4)
         v_max = self._int("cubes.v_max", 9)
         require(v_min <= v_max, "cubes.v_min", "v_min exceeds v_max")
-        deepest = max(SUITES, key=lambda name: SUITES[name].family_depth or 0)  # the deepest family a suite builds
-        try:
-            math.ldexp(spec.R, level := v_max + SUITES[deepest].family_depth)
-        except OverflowError:
-            raise ConfigError("cubes.v_max", f"{v_max} is too deep: level {level}, which {deepest} "
-                              f"reaches, has R 2^{level} cube positions, past the largest double") from None
-        try:
+        with refused("cubes.v_min", GridError):
             spec.cells(v_min)
-        except GridError as exc:
-            raise ConfigError("cubes.v_min", str(exc)) from None
         max_per_level = self._int("cubes.max_per_level", 8192)
-        try:
+        with refused("cubes", GridError):
             family = CubeFamily(v_min, v_max, self._flag("cubes.translates", True), max_per_level)
-        except GridError as exc:
-            raise ConfigError("cubes", str(exc)) from None
         corpus_size = self._int("corpus.size", 32)
         require(corpus_size >= 1, "corpus.size", "must be at least 1")
         seed = self._int("corpus.seed", 20260808)
@@ -109,10 +98,8 @@ class RunConfig:
                 "a config cannot set them")
         weight_matrix = dict(self._table("weights", DEFAULT_WEIGHT_MATRIX))
         for name, text in weight_matrix.items():
-            try:
+            with refused(f"weights.{name}", WeightError):
                 parse_weight(text)
-            except WeightError as exc:
-                raise ConfigError(f"weights.{name}", str(exc)) from None
         pairs = self._get("exponents", [[2.0, 1.2], [3.0, 1.5]])
         require(isinstance(pairs, list) and bool(pairs), "exponents",
                 f"expected a list of one or more [p, theta] pairs, got {pairs!r}")
@@ -139,10 +126,8 @@ class RunConfig:
             require(math.isfinite(self.norm_p), "norm.p", "F-norms need p < inf")
         if self.norm_space == "F_inf":
             require(math.isfinite(self.norm_q), "norm.q", "F_inf norms need q < inf")
-        try:
+        with refused("norm.weight", WeightError):
             self.norm_weight = parse_weight(self._get("norm.weight", "pow:0.3"))
-        except WeightError as exc:
-            raise ConfigError("norm.weight", str(exc)) from None
         self.frozen_level = self._int("norm.frozen_level", 0)
         self.member = self._int("decompose.member", 0)
         require(0 <= self.member < corpus_size, "decompose.member",
@@ -160,10 +145,8 @@ class RunConfig:
                             f"no such field; {key} has {sorted(self._read[key])}")
         # the run's one context: every command takes its pair and corpus from it
         self.ctx = RunContext(spec, k_min, k_max, family, corpus_size, seed, weight_matrix, tuple(exponent_pairs))
-        try:
+        with refused("levels", LevelError):
             self.ctx.levels()
-        except LevelError as exc:
-            raise ConfigError("levels", str(exc)) from None
 
     def _get(self, field: str, default):
         """The value of field, "section.name" or a top-level name, or default
@@ -189,7 +172,7 @@ class RunConfig:
         value = self._get(field, default)
         try:
             out = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             out = math.nan
         require(not isinstance(value, bool) and math.isfinite(out), field, f"expected a finite number, got {value!r}")
         return out
@@ -218,10 +201,8 @@ class RunConfig:
         k_lo, k_hi = ctx.levels()
         records = [SUITES[name] for name in suites]
         if weights is None and (not suites or any(s.pair for s in records)):  # the pair's readers
-            try:
+            with refused("levels", LevelError):
                 pair = ctx.pair()
-            except LevelError as exc:
-                raise ConfigError("levels", str(exc)) from None
         if weights:
             p = ctx.exponent_pairs[0][0]
             require(weights == "xclass" or 1 < p < math.inf, "exponents[0].p",
@@ -229,15 +210,16 @@ class RunConfig:
         for name, s in zip(suites, records):
             require(ctx.spec.n == 1 or not s.one_d, "grid.n", f"suite {name} runs on 1D grids only: {s.one_d}")
         depths = [s.family_depth for s in records if s.family_depth is not None] + [0] * bool(weights)
-        if depths:  # the cubes of the deepest family, counted before any node is built
+        if depths:  # the deepest family, checked before any node is built
             family = replace(ctx.family, v_max=ctx.family.v_max + max(depths))
+            # past 2^50 positions, CubeFamily.positions counts its steps in floating point;
+            # R is a power of two, and an int v_max of any size compares with a float
+            require(family.v_max < 50 - math.log2(ctx.spec.R), "cubes.v_max", f"{ctx.family.v_max} is too deep: "
+                    f"the cube family to level {family.v_max} indexes positions to R 2^{family.v_max}; "
+                    "doubles count them exactly only below 2^50")
             cubes = family.n_cubes(ctx.spec.R, ctx.spec.n)
             require(cubes <= CUBE_BUDGET, "cubes.v_max", f"{ctx.family.v_max} is too deep: the cube family "
                     f"to level {family.v_max} holds {cubes:,} cubes, past the budget of {CUBE_BUDGET:,}")
-            # past 2^50 positions, CubeFamily.positions counts its steps in floating point
-            top = math.log2(ctx.spec.R) + family.v_max  # R is a power of two
-            require(top < 50, "cubes.v_max", f"{ctx.family.v_max} is too deep: the cube family to level {family.v_max} "
-                    f"indexes positions to R 2^{family.v_max} = 2^{top:g}; doubles count them exactly only below 2^50")
         if norm and self.norm_space == "Lp":  # the one space that reads the frozen level
             require(k_lo <= self.frozen_level <= k_hi, "norm.frozen_level",
                     f"{self.frozen_level} lies outside the level window [{k_lo}, {k_hi}]")
@@ -254,10 +236,8 @@ class RunConfig:
                 f"{ctx.family.v_min} lies above levels.k_min = {ctx.k_min}, so the Carleson scans of "
                 f"{', '.join(scans)} would read no cube for the levels below it")
         if corpus or any(s.pair for s in records):
-            try:
+            with refused("levels", ValueError):
                 annulus_indices(ctx.spec, pair)
-            except ValueError as exc:
-                raise ConfigError("levels", str(exc)) from None
         for refuse in [s.refuse for s in records if s.refuse] + [refuse_xclass] * (weights == "xclass"):
             refuse(ctx)
 

@@ -7,6 +7,7 @@ so a configured run is reproducible byte for byte.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -581,6 +582,15 @@ def require(cond: bool, field: str, message: str) -> None:
         raise ConfigError(field, message)
 
 
+@contextmanager
+def refused(field: str, *errors: type[Exception]):
+    """Refuse field with the message of any of errors its block raises."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
 def require_level_factors(w, levels, field: str) -> None:
     """Refuse w, a weight of the config grammar, unless the level factor
     2^(k s) of its total rate s, the one factor its eval forms, is positive
@@ -594,13 +604,10 @@ def require_level_factors(w, levels, field: str) -> None:
 def require_on_grid(ws: WeightSequence, grids, field: str) -> None:
     """Refuse the weight of field unless ws.on_grid, as the run samples it,
     finds every t_k positive and finite on the grids (an overflow, say)."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for spec in grids:
-                for k in ws.levels():
-                    ws.on_grid(spec, k)
-    except WeightError as exc:
-        raise ConfigError(field, str(exc)) from None
+    with refused(field, WeightError), np.errstate(over="ignore", invalid="ignore"):
+        for spec in grids:
+            for k in ws.levels():
+                ws.on_grid(spec, k)
 
 
 def _refuse_seqnorm(ctx: RunContext) -> None:

@@ -99,9 +99,20 @@ class TestConfigValidation:
         pytest.param({"cubes.vmax": 3}, "config field 'cubes.vmax'", id="unread_field"),
         pytest.param({"grid": 5}, "config field 'grid'", id="section_number"),
         pytest.param({"nrom": {"space": "B"}}, "config field 'nrom'", id="unread_section"),
-        # R 2^(v_max + 10) overflowed in level_index_range, exit 3, for hoelder and muckenhoupt
-        pytest.param({"cubes.v_max": 1100}, "config field 'cubes.v_max'", id="v_max_overflow"),
-        pytest.param({"cubes.v_max": 1011}, "config field 'cubes.v_max'", id="v_max_deepened_overflow"),
+        # R 2^(v_max + 10) overflowed in level_index_range, exit 3, for hoelder and muckenhoupt;
+        # SMALL_CONFIG's own suites build no cube family, so these name one that does
+        pytest.param({"cubes.v_max": 1100, "suites": ["hoelder"]}, "config field 'cubes.v_max'",
+                     id="v_max_overflow"),
+        pytest.param({"cubes.v_max": 1011, "suites": ["muckenhoupt"]}, "config field 'cubes.v_max'",
+                     id="v_max_deepened_overflow"),
+        # float() raises OverflowError on an integer past the largest double (exit 3)
+        pytest.param({"grid.R": 10**400}, "config field 'grid.R'", id="R_bigint"),
+        pytest.param({"grid.N": 2**2000}, "config field 'grid'", id="N_bigint"),
+        pytest.param({"norm.p": 10**400}, "config field 'norm.p'", id="norm_p_bigint"),
+        pytest.param({"norm.q": 10**400}, "config field 'norm.q'", id="norm_q_bigint"),
+        pytest.param({"exponents": [[10**400, 1.2]]}, "config field 'exponents[0].p'", id="exponent_p_bigint"),
+        pytest.param({"exponents": [[2.0, 10**400]]}, "config field 'exponents[0].theta'",
+                     id="exponent_theta_bigint"),
         # empty lists passed with nothing checked: hoelder with 0 records, the
         # weight checks with 0 weights, verify all with no suite
         pytest.param({"exponents": []}, "config field 'exponents'", id="exponents_empty"),
@@ -308,6 +319,35 @@ class TestRegistry:
         words = {word for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
                  for word in re.findall(r"\w+", node.value)}
         assert words.isdisjoint(SUITES)
+
+
+class TestRefusalPath:
+    """A module error reaches exit 2 through suites.refused, which names the
+    field; no handler converts one by hand."""
+
+    def test_refused_names_the_field(self):
+        with pytest.raises(lpw.suites.ConfigError, match="^config field 'grid': bad N$"):
+            with lpw.suites.refused("grid", KeyError, ValueError):
+                raise ValueError("bad N")
+        with pytest.raises(TypeError):  # an error it does not list passes through
+            with lpw.suites.refused("grid", ValueError):
+                raise TypeError("not listed")
+
+    def test_no_refusal_by_hand(self):
+        def by_hand(handler):  # raises ConfigError(..., str(exc)) on its own exception
+            return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"
+                       and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "str"
+                               and [getattr(a, "id", None) for a in arg.args] == [handler.name] for arg in node.args)
+                       for node in ast.walk(handler))
+
+        found = []
+        for module in (lpw.cli, lpw.suites):
+            tree = ast.parse(Path(module.__file__).read_text())
+            helper = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "refused"
+                      for node in ast.walk(fn)}
+            found += [f"{module.__name__}:{h.lineno}" for h in ast.walk(tree)
+                      if isinstance(h, ast.ExceptHandler) and by_hand(h) and id(h) not in helper]
+        assert found == []
 
 
 # the suites whose verdict _suite derives from their records
@@ -668,18 +708,21 @@ class TestCubeBudget:
     @pytest.mark.parametrize("command, level", [(["verify", "muckenhoupt"], 1020), (["verify", "hoelder"], 1010),
                                                 (["verify", "all"], 1020), (["weights", "ap"], 1010)])
     def test_deep_family_refused(self, tmp_path, capsys, command, level):
-        # cubes.v_max 1010 passes the overflow check, but muckenhoupt's v_max +
-        # 10 family holds 4,154,410 cubes, which ran out of memory at 1.8 GB
+        # muckenhoupt's v_max + 10 family at cubes.v_max 1010 holds 4,154,410
+        # cubes, which ran out of memory at 1.8 GB; its positions pass 2^50
+        # first, and that rule is checked before the cubes are counted
         path = write_config(tmp_path, {"cubes.v_max": 1010, "suites": ["partition", "muckenhoupt"]})
         assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config field 'cubes.v_max': 1010 is too deep" in err and f"to level {level} holds" in err
+        assert "config field 'cubes.v_max': 1010 is too deep" in err and f"to level {level} indexes" in err
+        assert "only below 2^50" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [["verify", "partition"], ["norm"], ["decompose"]])
     def test_commands_without_a_quadrature_run(self, tmp_path, command):
-        path = write_config(tmp_path, {"cubes.v_max": 1010})
-        assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+        for v_max in (1010, 1100, 10**400):
+            path = write_config(tmp_path, {"cubes.v_max": v_max})
+            assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("config", ["fixtures/default.json", "fixtures/smoke.json",
                                         "perfbench/configs/norm_sweep.json", "perfbench/configs/verify_2d.json"])
