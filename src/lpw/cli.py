@@ -87,8 +87,10 @@ class RunConfig:
         with refused("cubes.v_min", GridError):
             spec.cells(v_min)
         max_per_level = self._int("cubes.max_per_level", 8192)
+        require(self._flag("cubes.translates", True), "cubes.translates",
+                "must be true: every cube family carries its half-side translates")
         with refused("cubes", GridError):
-            family = CubeFamily(v_min, v_max, self._flag("cubes.translates", True), max_per_level)
+            family = CubeFamily(v_min, v_max, max_per_level)
         corpus_size = self._int("corpus.size", 32)
         require(corpus_size >= 1, "corpus.size", "must be at least 1")
         seed = self._int("corpus.seed", 20260808)
@@ -375,7 +377,7 @@ def cmd_weights(cfg: RunConfig, op: str, out: Path) -> int:
     # each op reduces the whole matrix in one quadrature pass: a separable
     # weight's statistics serve all of its levels
     if op == "ap":
-        family = {"v_min": ctx.family.v_min, "v_max": ctx.family.v_max, "translates": ctx.family.translates}
+        family = {"v_min": ctx.family.v_min, "v_max": ctx.family.v_max, "translates": True}
         for name, (const, (v, m, translated)) in zip(weights, ap_witness(weights.values(), p, nodes)):
             records.append({**heads[name], "p": p, "family": family, "constant": const,
                             "witness_cube": {"v": v, "m": list(m), "translated": translated}})
@@ -431,8 +433,7 @@ def cmd_verify(cfg: RunConfig, suite_names: list[str], out: Path) -> int:
     report["meta"] = {
         "grid": {"n": ctx.spec.n, "R": ctx.spec.R, "N": ctx.spec.N, "offset": True},
         "levels": {"k_min": ctx.k_min, "k_max": ctx.k_max},
-        "cubes": {"v_min": ctx.family.v_min, "v_max": ctx.family.v_max,
-                  "translates": ctx.family.translates},
+        "cubes": {"v_min": ctx.family.v_min, "v_max": ctx.family.v_max, "translates": True},
         "corpus": {"size": ctx.corpus_size, "seed": ctx.seed},
         # runs are single-threaded; the key is kept because report diffs
         # count a missing key as a change against earlier reports

@@ -238,7 +238,6 @@ def lp_lq_norm(a: np.ndarray, cell_measure: float, p: float, q: float) -> float:
 class CubeFamily:
     v_min: int
     v_max: int
-    translates: bool = True
     max_per_level: int = 8192
 
     def __post_init__(self):
@@ -274,7 +273,7 @@ class CubeFamily:
             # every position, or the block and the strided positions outside it
             m = hi - lo if hi - lo <= self.max_per_level else b - a - (lo - hi) // s + (lo - b) // s - (lo - a) // s
             cubes += m**n
-        return cubes * (2 if self.translates else 1)
+        return 2 * cubes  # each cube and its half-side translate
 
 
 # ---------------------------------------------------------------------------

@@ -97,20 +97,19 @@ def _scan_levels(spec: GridSpec, family: CubeFamily) -> range:
     return levels
 
 
-def _periodic(a: np.ndarray, spec: GridSpec, family: CubeFamily, levels: range) -> np.ndarray:
-    """A fresh copy of the (*lead, *grid) array a with W more cells per grid
-    axis that continue the grid periodically.  W is half the coarsest
-    scanned cube side when the family has translates, else 0, so every cube
-    of every scanned level, translated or not, is a view (_cube_views)."""
-    W = spec.cells(levels.start) // 2 if family.translates else 0
+def _periodic(a: np.ndarray, spec: GridSpec, levels: range) -> np.ndarray:
+    """A fresh copy of the (*lead, *grid) array a, continued periodically by
+    W, half the coarsest scanned cube side, per grid axis, so every scanned
+    cube and its half-side translate is a view (_cube_views)."""
+    W = spec.cells(levels.start) // 2
     return np.pad(a, [(0, 0)] * (a.ndim - spec.n) + [(0, W)] * spec.n, mode="wrap")
 
 
-def _cube_views(buf: np.ndarray, spec: GridSpec, family: CubeFamily, S: int):
-    """The level cubes of S cells a side in a wrapped grid array, then, when
-    the family has translates, those shifted by half a side, each as a
-    _blocks view; single cells have no half-side shift."""
-    for shift in (0, S // 2) if family.translates and S > 1 else (0,):
+def _cube_views(buf: np.ndarray, spec: GridSpec, S: int):
+    """The level cubes of S cells a side in a wrapped grid array, then those
+    shifted by half a side, each as a _blocks view; single cells have no
+    half-side shift."""
+    for shift in (0, S // 2) if S > 1 else (0,):
         yield _blocks(buf[(slice(shift, shift + spec.N),) * spec.n], S)
 
 
@@ -150,7 +149,7 @@ def carleson_sup(G: VectorSequence, family: CubeFamily, q: float, power: float) 
                         "reads, so no cube reads it")
     # suffix[i] = G_{k_min + i} + ... + G_{k_max}, summed from the top level
     # down; a wrapped cell takes the same adds as the cell it repeats
-    suffix = _periodic(G.values, spec, family, levels)
+    suffix = _periodic(G.values, spec, levels)
     if power != 1.0:
         suffix **= power
     for i in range(len(suffix) - 2, -1, -1):
@@ -161,7 +160,7 @@ def carleson_sup(G: VectorSequence, family: CubeFamily, q: float, power: float) 
         if v >= ks.stop:
             break
         S = spec.cells(v)
-        for blocks in _cube_views(suffix[max(v, ks.start) - ks.start], spec, family, S):
+        for blocks in _cube_views(suffix[max(v, ks.start) - ks.start], spec, S):
             best = max(best, float(_cube_sums(blocks).max()) / S**spec.n)
     return best ** (1.0 / q)
 
@@ -439,11 +438,11 @@ def bmo_norm(f: GridFunction, family: CubeFamily) -> float:
     """sup over the family's cubes of the mean absolute deviation from the cube mean."""
     spec = f.spec
     levels = _scan_levels(spec, family)
-    buf = _periodic(f.values, spec, family, levels)
+    buf = _periodic(f.values, spec, levels)
     best = 0.0
     for v in levels:
         S = spec.cells(v)
-        for blocks in _cube_views(buf, spec, family, S):
+        for blocks in _cube_views(buf, spec, S):
             mean = np.expand_dims(_cube_sums(blocks) / S**spec.n, _in_cube(spec.n))
             best = max(best, float(_cube_sums(np.abs(blocks - mean)).max()) / S**spec.n)
     return best

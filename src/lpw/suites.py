@@ -7,6 +7,7 @@ so a configured run is reproducible byte for byte.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -594,11 +595,11 @@ def refused(field: str, *errors: type[Exception]):
 def require_level_factors(w, levels, field: str) -> None:
     """Refuse w, a weight of the config grammar, unless the level factor
     2^(k s) of its total rate s, the one factor its eval forms, is positive
-    and finite in double precision on the levels, which holds exactly for
-    -1075 < k s < 1024."""
-    s = w.split()[0]
-    require(all(-1075 < k * s < 1024 for k in levels), field, f"{w.key()} forms the level factor "
-            f"2^({s:g} k), which leaves double precision on levels [{min(levels)}, {max(levels)}]")
+    and finite in double precision, -1075 < k s < 1024, on the ascending
+    levels.  k s is linear in k, so the two ends decide; s = 0 gives 1."""
+    s, ends = w.split()[0], (levels[0], levels[-1])
+    require(s == 0 or all(abs(k) <= sys.float_info.max and -1075 < k * s < 1024 for k in ends), field,
+            f"{w.key()} forms the level factor 2^({s:g} k), which leaves double precision on levels {list(ends)}")
 
 
 def require_on_grid(ws: WeightSequence, grids, field: str) -> None:

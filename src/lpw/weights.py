@@ -501,7 +501,7 @@ class FamilyNodes:
         self._read = None, None
         keys, special, orbit = [], [], []
         for v in family.levels():
-            for shift in (0.0, 0.5) if family.translates else (0.0,):
+            for shift in (0.0, 0.5):
                 _, lo, hi, s = self._level_cubes(v, shift)
                 self._groups.append((v, shift, s.size))
                 k, s, inverse = _fold(self._orbit_keys(lo, hi), s)

@@ -18,6 +18,7 @@ import lpw.suites
 from lpw.cli import CUBE_BUDGET, RunConfig, main
 from lpw.grid import CubeFamily, GridFunction, GridSpec, save_grid_function
 from lpw.suites import ALL_SUITES, SUITES, _suite, suite_bmo, suite_maximal, suite_newnorm
+from lpw.weights import parse_weight
 
 
 SMALL_CONFIG = {
@@ -82,6 +83,7 @@ class TestConfigValidation:
         pytest.param({"grid.offset": "false"}, "config field 'grid.offset'", id="offset_string"),
         pytest.param({"grid.offset": False}, "config field 'grid.offset'", id="offset_false"),
         pytest.param({"cubes.translates": 0}, "config field 'cubes.translates'", id="translates_int"),
+        pytest.param({"cubes.translates": False}, "config field 'cubes.translates': must be true", id="translates_false"),
         pytest.param({"grid.N": 512.5}, "config field 'grid.N'", id="N_fraction"),
         pytest.param({"corpus.size": True}, "config field 'corpus.size'", id="size_bool"),
         pytest.param({"weights": {"w1": 5}}, "config field 'weights.w1'", id="weight_number"),
@@ -113,6 +115,12 @@ class TestConfigValidation:
         pytest.param({"exponents": [[10**400, 1.2]]}, "config field 'exponents[0].p'", id="exponent_p_bigint"),
         pytest.param({"exponents": [[2.0, 10**400]]}, "config field 'exponents[0].theta'",
                      id="exponent_theta_bigint"),
+        # require_level_factors walked every level of the window, a hang; w6 is
+        # the default matrix's first weight with a nonzero rate (dyadic:0.5)
+        pytest.param({"levels.k_max": 10**400, "suites": ["xclassfit"]}, "config field 'weights.w6'",
+                     id="k_max_bigint_xclassfit"),
+        pytest.param({"levels.k_max": 10**400, "suites": ["seqnorm"]}, "config field 'weights.w6'",
+                     id="k_max_bigint_seqnorm"),
         # empty lists passed with nothing checked: hoelder with 0 records, the
         # weight checks with 0 weights, verify all with no suite
         pytest.param({"exponents": []}, "config field 'exponents'", id="exponents_empty"),
@@ -400,7 +408,7 @@ def small_configs(draw):
     return {
         "grid": {"n": n, "R": R, "N": N},
         "levels": {"k_min": k_min, "k_max": draw(st.integers(k_min, hi + 1))},
-        "cubes": {"v_min": v_min, "v_max": draw(st.integers(v_min, hi + 1)), "translates": draw(st.booleans())},
+        "cubes": {"v_min": v_min, "v_max": draw(st.integers(v_min, hi + 1))},
         "corpus": {"size": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 2**32 - 1))},
         "suites": draw(st.lists(st.sampled_from(sorted(ALL_SUITES)), min_size=1, max_size=4, unique=True)),
     }
@@ -555,6 +563,30 @@ class TestUnshiftedGrid:
             assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == rc
 
 
+class TestTranslatedFamily:
+    """Every cube family carries its half-side translates: cubes.translates:
+    false is refused before any command runs (verify in the refusal table of
+    TestConfigValidation), and true runs as no field does."""
+
+    @pytest.mark.parametrize("command", [["norm"], ["decompose"], ["weights", "ap"], ["weights", "xclass"]])
+    def test_false_refused(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"cubes.translates": False})
+        assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'cubes.translates': must be true" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_true_runs_as_absent(self, tmp_path):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        del cfg["cubes"]["translates"]
+        (tmp_path / "absent.json").write_text(json.dumps(cfg))
+        outs = []
+        for name, path in (("true", write_config(tmp_path)), ("absent", str(tmp_path / "absent.json"))):
+            assert main(["weights", "ap", "--config", path, "--out", str(tmp_path / name)]) == 0
+            outs.append((tmp_path / name / "weights_ap.json").read_bytes())
+        assert outs[0] == outs[1]
+        assert all(rec["family"]["translates"] is True for rec in json.loads(outs[0])["records"])
+
+
 class TestWeightRange:
     """A norm weight or a weight-matrix entry whose level factor 2^(k s)
     under- or overflows on a level the run reads is refused before the run,
@@ -573,6 +605,34 @@ class TestWeightRange:
         assert main(["norm", "--config", path, "--out", str(tmp_path / "o")]) == self._PRODUCTS[weight]
         refused = "config field 'norm.weight'" in capsys.readouterr().err
         assert refused == (not (tmp_path / "o").exists()) == (self._PRODUCTS[weight] == 2)
+
+    @pytest.mark.parametrize("weight, k_min, k_max", [
+        ("dyadic:0.5", -3, 5), ("const:1", -3, 5), ("dyadic:2", -537, 511), ("dyadic:2", -538, 511),
+        ("dyadic:2", -537, 512), ("dyadic:-2", -511, 537), ("dyadic:-2", -512, 537), ("dyadic:-2", -511, 538),
+    ])
+    def test_window_ends_decide_as_every_level(self, weight, k_min, k_max):
+        # k s is linear in k, so the window's ends refuse exactly where a walk
+        # over every level finds a factor outside -1075 < k s < 1024
+        w = parse_weight(weight)
+        s = w.split()[0]
+        levels = range(k_min, k_max + 1)
+        if all(-1075 < k * s < 1024 for k in levels):
+            lpw.suites.require_level_factors(w, levels, "weights.w")
+        else:
+            with pytest.raises(ValueError, match=f"'weights.w': {weight} forms the level factor .* \\[{k_min}, {k_max}\\]"):
+                lpw.suites.require_level_factors(w, levels, "weights.w")
+
+    @pytest.mark.parametrize("weight, ok", [("const:1", True), ("pow:0.3", True), ("prod:[dyadic:600,dyadic:-600]", True),
+                                            ("dyadic:1e-300", False)])
+    def test_level_past_the_largest_double(self, weight, ok):
+        # 10^400 cannot form k s (OverflowError, exit 3): a weight with no
+        # rate has the factor 1 on every level, any other is refused
+        levels = range(-3, 10**400 + 1)
+        if ok:
+            lpw.suites.require_level_factors(parse_weight(weight), levels, "weights.w")
+        else:
+            with pytest.raises(ValueError, match="'weights.w'"):
+                lpw.suites.require_level_factors(parse_weight(weight), levels, "weights.w")
 
     @pytest.mark.parametrize("command", [["verify", "all"], ["verify", "seqnorm"], ["verify", "xclassfit"],
                                          ["weights", "xclass"]])
@@ -754,14 +814,14 @@ class TestCubeBudget:
         # the deepest family reaches R 2^(v_max + depth) = 2^50 at v_max 37
         # for muckenhoupt (depth 10) and 47 for hoelder: past it np.arange in
         # CubeFamily.positions counts its steps in floating point, and
-        # CubeFamily(100, 100, False, 9).positions(1.0, 100) has 9 entries
-        # where n_cubes counts 10
+        # CubeFamily(100, 100, max_per_level=9).positions(1.0, 100) has 9
+        # entries where n_cubes counts 10 per shift
         cfg = RunConfig(json.loads(Path(write_config(tmp_path, {"cubes.v_max": v_max})).read_text()))
         if fits:
             cfg.check_runnable([suite])
             v = v_max + SUITES[suite].family_depth
-            deepest = CubeFamily(v, v, False, cfg.ctx.family.max_per_level)
-            assert len(deepest.positions(cfg.ctx.spec.R, v)) == deepest.n_cubes(cfg.ctx.spec.R, 1)
+            deepest = CubeFamily(v, v, max_per_level=cfg.ctx.family.max_per_level)
+            assert 2 * len(deepest.positions(cfg.ctx.spec.R, v)) == deepest.n_cubes(cfg.ctx.spec.R, 1)
         else:
             with pytest.raises(ValueError, match=f"'cubes.v_max': {v_max} is too deep: .* only below 2\\^50"):
                 cfg.check_runnable([suite])

@@ -204,19 +204,23 @@ class TestCarlesonNorm:
     def test_single_band_oracle(self, spec1k, pair1k):
         # one active level k0: the sup scans cubes with l(P) >= 2^-k0 of the
         # cube q-mean of the band
-        k0 = 3
-        f = single_band_member(spec1k, pair1k, k0)
-        fam = CubeFamily(-4, 6, translates=False)
-        got = tl_infty(f, pair1k, sequence(pair1k, Const(1.0)), 2.0, fam)
-        bk = np.abs(band_decompose(f, pair1k)[k0]) ** 2
-        best = 0.0
-        for v in range(-4, k0 + 1):
-            # the level-v cubes, clipped to the domain: cells [i S, (i + 1) S)
-            lo, hi = level_index_range(spec1k.R, v)
-            S = spec1k.N // (hi - lo)
-            for i in range(hi - lo):
-                best = max(best, float(bk[i * S:(i + 1) * S].mean()))
-        assert got == pytest.approx(np.sqrt(best), rel=1e-12)
+        for k0 in (3, 4):
+            f = single_band_member(spec1k, pair1k, k0)
+            got = tl_infty(f, pair1k, sequence(pair1k, Const(1.0)), 2.0, CubeFamily(-4, 6))
+            bk = np.abs(band_decompose(f, pair1k)[k0]) ** 2
+            best = [0.0, 0.0]  # over the cubes, then over their translates
+            for v in range(-4, k0 + 1):
+                # the level-v cubes, clipped to the domain: cells [i S, (i + 1) S),
+                # and their translates by half a side, wrapped round the domain
+                lo, hi = level_index_range(spec1k.R, v)
+                S = spec1k.N // (hi - lo)
+                for half, shift in enumerate((0, S // 2)):
+                    for i in range(hi - lo):
+                        cells = np.arange(i * S + shift, (i + 1) * S + shift) % spec1k.N
+                        best[half] = max(best[half], float(bk[cells].mean()))
+            assert got == pytest.approx(np.sqrt(max(best)), rel=1e-12), k0
+            if k0 == 4:
+                assert best[1] > best[0] * (1 + 1e-5)  # a translate holds the sup
 
     def test_weight_doubling(self, spec1k, pair1k, corpus1k):
         f = corpus1k[2].f
@@ -260,15 +264,15 @@ class TestCarlesonNorm:
 def family_blocks_former(spec, family, array_at):
     """The cube blocks of the former scans: for each grid-resolvable level v
     of the family, array_at(v) (skipped when None) reshaped into the level-v
-    cubes, then, with translates, a copy rolled back half a side along every
-    axis and reshaped likewise."""
+    cubes, then a copy rolled back half a side along every axis and reshaped
+    likewise."""
     v_floor, v_cap = spec.level_window()
     for v in range(max(family.v_min, v_floor), min(family.v_max, v_cap) + 1):
         a = array_at(v)
         if a is None:
             continue
         S = spec.cells(v)
-        for shift in (0, S // 2) if family.translates else (0,):
+        for shift in (0, S // 2):
             b = a
             for ax in range(b.ndim) if shift else ():
                 b = np.roll(b, -shift, axis=ax)
@@ -312,8 +316,7 @@ class TestCarlesonStack:
     read the rows below it."""
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("translates", [True, False])
-    def test_equals_former_formula(self, n, translates, rng):
+    def test_equals_former_formula(self, n, rng):
         spec = GridSpec(1, 8.0, 256) if n == 1 else GridSpec(2, 2.0, 32)
         k_min = -3 if n == 1 else -1
         G = VectorSequence(spec, k_min, rng.random((6, *spec.shape)) ** 3)
@@ -322,15 +325,14 @@ class TestCarlesonStack:
         # families reaching below the stack's levels, starting at its first
         # level and ending inside or above them
         for v_min, v_max in ((lo, hi), (lo, k_min + 2), (k_min, k_min + 3), (k_min, hi)):
-            family = CubeFamily(v_min, v_max, translates)
+            family = CubeFamily(v_min, v_max)
             for q in (1.0, 2.0):
                 want = carleson_sup_former({k: G[k] for k in G.levels()}, spec, family, q)
                 assert carleson_sup(G, family, q, 1.0) == want
         assert np.array_equal(G.values, before)
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("translates", [True, False])
-    def test_family_above_the_first_level_refused(self, n, translates, rng):
+    def test_family_above_the_first_level_refused(self, n, rng):
         # the former formula read no row below the family's first level:
         # row k_min could be scaled by 1e6 with no change
         spec = GridSpec(1, 8.0, 256) if n == 1 else GridSpec(2, 2.0, 32)
@@ -338,18 +340,17 @@ class TestCarlesonStack:
         G = VectorSequence(spec, k_min, rng.random((6, *spec.shape)))
         for v_min, v_max in ((k_min + 1, k_min + 3), (k_min + 4, spec.level_window()[1])):
             with pytest.raises(GridError, match=f"stack level {k_min} lies below level {v_min}"):
-                carleson_sup(G, CubeFamily(v_min, v_max, translates), 2.0, 1.0)
+                carleson_sup(G, CubeFamily(v_min, v_max), 2.0, 1.0)
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("translates", [True, False])
-    def test_tl_infty_norm_raises_the_wrapped_copy(self, n, translates, rng):
+    def test_tl_infty_norm_raises_the_wrapped_copy(self, n, rng):
         # tl_infty_norm raises the scan's wrapped copy to q in place: bit for
         # bit the scan of the stack raised to q, and its stack is left as it is
         spec = GridSpec(1, 8.0, 256) if n == 1 else GridSpec(2, 2.0, 32)
         k_min = -3 if n == 1 else -1
         wb = VectorSequence(spec, k_min, 3.0 * rng.random((6, *spec.shape)) ** 2)
         before = wb.values.copy()
-        for family in (CubeFamily(spec.level_window()[0], k_min + 4, translates), CubeFamily(k_min, k_min + 2, translates)):
+        for family in (CubeFamily(spec.level_window()[0], k_min + 4), CubeFamily(k_min, k_min + 2)):
             for q in (0.5, 1.5, 2.0, 3.0):
                 want = carleson_sup(VectorSequence(wb.spec, wb.k_min, wb.values**q), family, q, 1.0)
                 assert tl_infty_norm(wb, q, family) == want, (family, q)
@@ -362,7 +363,7 @@ class TestCarlesonStack:
         values[[0, 2, 3, 5]] = 0.0
         G = VectorSequence(spec, -1, values)
         held = {k: G[k] for k in (0, 3)}
-        for family in (CubeFamily(*spec.level_window()), CubeFamily(-1, 3, False)):
+        for family in (CubeFamily(*spec.level_window()), CubeFamily(-1, 3)):
             assert carleson_sup(G, family, 2.0, 1.0) == carleson_sup_former(held, spec, family, 2.0)
 
 
@@ -436,7 +437,7 @@ class TestStackNorm:
 
     def test_dyadic_stack_equals_named_norms(self, pair1k, corpus1k):
         # a family other than the pair window's, which F_inf must scan
-        fam = CubeFamily(-4, 6, translates=False)
+        fam = CubeFamily(-4, 6)
         for s in (-1.0, 0.5, 2.0):
             ws = WeightSequence(Dyadic(s), pair1k.k_min, pair1k.k_max)
             for mem in corpus1k[:3]:
@@ -609,7 +610,7 @@ class TestDenseSequenceNorms:
         # grid): a lone coefficient there measured exactly 0 in f_inf while b
         # and f gave 1.414; the scan refuses the stack, naming the level
         G = VectorSequence(spec1k, -5, np.ones((3, spec1k.N)))
-        for family in (CubeFamily(-4, 6), CubeFamily(-6, 2, False)):
+        for family in (CubeFamily(-4, 6), CubeFamily(-6, 2)):
             with pytest.raises(GridError, match="stack level -5"):
                 carleson_sup(G, family, 1.0, 1.0)
         # a stack from the coarsest level on still runs
@@ -625,7 +626,7 @@ class TestDenseSequenceNorms:
         assert list(coeffs.support) == [-2, 2] and coeffs.levels() == range(-2, 3)
         for w in (Const(1.0), Pow(0.3), Dyadic(0.5)):
             ws = sequence(pair, w)
-            for family in (pair_family(pair), CubeFamily(-2, 5, False)):
+            for family in (pair_family(pair), CubeFamily(-2, 5)):
                 assert seq_f_infty_norm(coeffs, ws, spec, 2.0, family) == seq_f_infty_former(coeffs, ws, spec, 2.0, family)
 
     def test_level_finer_than_grid_refused(self, spec1k, pair1k):
@@ -906,7 +907,7 @@ class TestTwoDimensional:
         spec, pair = setup2d
         f = make_corpus(spec, pair, size=1, seed=21)[0].f
         ws = WeightSequence(Pow(0.3), pair.k_min, pair.k_max)
-        fam = CubeFamily(-1, 4, translates=True)
+        fam = CubeFamily(-1, 4)
         val = tl_infty(f, pair, ws, 2.0, fam)
         dbl = tl_infty(f, pair, WeightSequence(Const(2.0) * Pow(0.3), pair.k_min, pair.k_max), 2.0, fam)
         assert val > 0

@@ -519,7 +519,7 @@ class TestSuiteStackCounts:
     def ctx(self):
         from lpw.suites import RunContext
 
-        ctx = RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=4)
+        ctx = RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, max_per_level=2048), corpus_size=4)
         ctx.corpus()
         return ctx
 
@@ -574,7 +574,7 @@ class TestSuiteBandReuse:
         from lpw.suites import RunContext, suite_bmo, suite_coincidence
         from lpw.verify import spike_family
 
-        ctx = RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=4)
+        ctx = RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, max_per_level=2048), corpus_size=4)
         corpus = ctx.corpus()
         calls = []
         def counted(f, pair, _orig=lpw.spaces.band_decompose):
@@ -596,7 +596,7 @@ class TestSuiteBandReuse:
         from lpw.lpaley import band_decompose
         from lpw.suites import RunContext
 
-        for ctx in (RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, True, 2048), corpus_size=3),
+        for ctx in (RunContext(GridSpec(1, 8.0, 512), -3, 5, CubeFamily(-4, 6, max_per_level=2048), corpus_size=3),
                     RunContext(GridSpec(2, 2.0, 64), -1, 4, CubeFamily(-1, 5), corpus_size=2)):
             for mem in ctx.corpus():
                 mags, bands = band_magnitudes(mem.f, ctx.pair()), band_decompose(mem.f, ctx.pair())

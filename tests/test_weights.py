@@ -356,7 +356,7 @@ def former_meta(nodes):
     touching the origin or the seam, each in lattice order."""
     out = []
     for v in nodes.family.levels():
-        for shift in (0.0, 0.5) if nodes.family.translates else (0.0,):
+        for shift in (0.0, 0.5):
             ms, lo, hi = nodes._intervals(v, shift)
             near = ((lo <= 0) & (hi >= 0), hi > nodes.R)
             if nodes.n == 1:
@@ -532,10 +532,8 @@ class TestChunkedReduction:
 
     @pytest.mark.parametrize(
         "R,n,family",
-        [(8.0, 1, CubeFamily(-4, 9)), (8.0, 1, CubeFamily(-2, 5, translates=False)),
-         (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 3, translates=False)),
-         (2.0, 2, CubeFamily(-1, 4, max_per_level=8))],
-        ids=["1d", "1d-plain", "2d", "2d-plain", "2d-capped"],
+        [(8.0, 1, CubeFamily(-4, 9)), (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 4, max_per_level=8))],
+        ids=["1d", "2d", "2d-capped"],
     )
     def test_meta_equals_former_tuples(self, R, n, family):
         nodes = FamilyNodes(R, n, family)
@@ -546,11 +544,9 @@ class TestChunkedReduction:
 
     @pytest.mark.parametrize(
         "R,n,family",
-        [(8.0, 1, CubeFamily(-4, 9)), (8.0, 1, CubeFamily(-2, 5, translates=False)),
-         (8.0, 1, CubeFamily(-4, 9, max_per_level=8)),
-         (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 3, translates=False)),
-         (2.0, 2, CubeFamily(-1, 4, max_per_level=8))],
-        ids=["1d", "1d-plain", "1d-capped", "2d", "2d-plain", "2d-capped"],
+        [(8.0, 1, CubeFamily(-4, 9)), (8.0, 1, CubeFamily(-4, 9, max_per_level=8)),
+         (2.0, 2, CubeFamily(-1, 4)), (2.0, 2, CubeFamily(-1, 4, max_per_level=8))],
+        ids=["1d", "1d-capped", "2d", "2d-capped"],
     )
     def test_cube_lookup_equals_meta(self, R, n, family):
         nodes = FamilyNodes(R, n, family)
@@ -617,11 +613,11 @@ class TestOrbits:
 
     def test_negative_zero_shares_the_orbit(self):
         # [-s, 0) folds to [-0.0, s), which must key as [0, s)
-        nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5, translates=False))
+        nodes = FamilyNodes(8.0, 1, CubeFamily(-2, 5))
         index = {cube: i for i, cube in enumerate(family_cubes(nodes))}
         for v in nodes.family.levels():
             assert nodes.orbit[index[(v, (-1,), False)]] == nodes.orbit[index[(v, (0,), False)]]
-        nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 3, translates=False))
+        nodes = FamilyNodes(2.0, 2, CubeFamily(-1, 3))
         index = {cube: i for i, cube in enumerate(family_cubes(nodes))}
         for v in nodes.family.levels():
             assert len({nodes.orbit[index[(v, m, False)]] for m in ((-1, -1), (-1, 0), (0, -1), (0, 0))}) == 1
@@ -660,9 +656,7 @@ class TestOrbits:
         # family-wide sort, which keyed all 174,760 cubes at once (20.4 MiB)
         assert peak < 14 * 2**20
 
-    @pytest.mark.parametrize("family", _ORBIT_FAMILIES + [(8.0, 1, CubeFamily(-2, 5, translates=False)),
-                                                          (2.0, 2, CubeFamily(-1, 3, translates=False))],
-                             ids=_ORBIT_IDS + ["1d-plain", "2d-plain"])
+    @pytest.mark.parametrize("family", _ORBIT_FAMILIES, ids=_ORBIT_IDS)
     def test_radius_rows_equal_eager_mesh(self, family):
         nodes = FamilyNodes(*family)
         for b, want in zip(nodes.batches, eager_radius(nodes), strict=True):
@@ -701,7 +695,7 @@ def former_build(R, n, family):
     nodes._cache, nodes._groups, nodes._read = {}, [], (None, None)
     lo, hi, special = [], [], []
     for v in family.levels():
-        for shift in (0.0, 0.5) if family.translates else (0.0,):
+        for shift in (0.0, 0.5):
             _, a, b, s = nodes._level_cubes(v, shift)
             nodes._groups.append((v, shift, s.size))
             lo.append(a)
@@ -1361,9 +1355,9 @@ class TestFamilyCount:
 
     @pytest.mark.parametrize("R, n, family", [
         (8.0, 1, CubeFamily(-4, 19)),  # default.json's deepest (muckenhoupt) family, 192,516 cubes
-        (8.0, 1, CubeFamily(-4, 16, True, 2048)),
-        (2.0, 2, CubeFamily(-1, 5, False, 8)),
-        (0.5, 1, CubeFamily(-1, 14, False, 9)),
+        (8.0, 1, CubeFamily(-4, 16, max_per_level=2048)),
+        (2.0, 2, CubeFamily(-1, 5, max_per_level=8)),
+        (0.5, 1, CubeFamily(-1, 14, max_per_level=9)),
     ], ids=["default-muckenhoupt", "smoke-muckenhoupt", "2d-capped", "odd-cap"])
     def test_equals_the_built_family(self, R, n, family):
         assert family.n_cubes(R, n) == FamilyNodes(R, n, family).n_cubes
@@ -1373,6 +1367,6 @@ class TestFamilyCount:
     def test_each_level_counts_its_positions(self, R, cap):
         # exact while R 2^v < 2^50: here up to 2^48, capped or not
         for v in range(-1, 46):
-            family = CubeFamily(v, v, False, cap)
-            assert family.n_cubes(R, 1) == family.positions(R, v).size, v
-            assert family.n_cubes(R, 2) == family.positions(R, v).size ** 2
+            family = CubeFamily(v, v, max_per_level=cap)
+            assert family.n_cubes(R, 1) == 2 * family.positions(R, v).size, v
+            assert family.n_cubes(R, 2) == 2 * family.positions(R, v).size ** 2
